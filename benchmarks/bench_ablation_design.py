@@ -3,7 +3,7 @@
 Not a paper figure — these benches justify the engineering decisions the
 reproduction makes on top of the paper's algorithm:
 
-- engine choice (reference vs vectorized vs bitwise),
+- engine choice (the bitwise kernel vs the reference oracle),
 - block size (randomness/batching granularity),
 - duplicate elimination on/off,
 - Theorem 1 approximation (normal vs exact binomial vs Poisson).
@@ -19,9 +19,8 @@ from repro.core.generator import RecursiveVectorGenerator
 SCALE = 13
 
 
-@pytest.mark.parametrize("engine", ["vectorized", "bitwise"])
-def test_engine_throughput(benchmark, engine):
-    g = RecursiveVectorGenerator(SCALE, 16, seed=1, engine=engine)
+def test_engine_bitwise_throughput(benchmark):
+    g = RecursiveVectorGenerator(SCALE, 16, seed=1, engine="bitwise")
     edges = benchmark(g.edges)
     assert edges.shape[0] > 100000
 
@@ -34,12 +33,11 @@ def test_engine_reference_throughput(benchmark):
 
 
 def test_engine_speed_ordering(benchmark, table):
-    """bitwise >= vectorized >> reference in edges/second."""
+    """bitwise >> reference in edges/second."""
 
     def run():
         out = {}
-        for engine, scale in (("reference", 10), ("vectorized", SCALE),
-                              ("bitwise", SCALE)):
+        for engine, scale in (("reference", 10), ("bitwise", SCALE)):
             g = RecursiveVectorGenerator(scale, 16, seed=2, engine=engine)
             t0 = time.perf_counter()
             edges = g.edges()
@@ -50,8 +48,7 @@ def test_engine_speed_ordering(benchmark, table):
     table("Design ablation: engine throughput",
           ["engine", "edges/s"],
           [[k, f"{v:,.0f}"] for k, v in rates.items()])
-    assert rates["vectorized"] > 3 * rates["reference"]
-    assert rates["bitwise"] > rates["vectorized"] * 0.8
+    assert rates["bitwise"] > 3 * rates["reference"]
 
 
 def test_block_size_ablation(benchmark, table):

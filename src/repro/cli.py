@@ -51,20 +51,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--noise", type=float, default=0.0,
                      help="NSKG noise parameter N")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--engine",
-                     choices=("vectorized", "bitwise", "alias",
-                              "reference"),
-                     default="vectorized")
-    gen.add_argument("--sampler",
-                     choices=("recvec", "bitwise", "alias"),
-                     default=None,
-                     help="destination-sampling backend (overrides "
-                          "--engine): recvec = Algorithm 5 inverse-CDF, "
-                          "bitwise = per-level Bernoulli, alias = "
-                          "linear-work alias-table bundles")
-    gen.add_argument("--bundle-depth", type=int, default=8,
-                     help="alias sampler: top bits drawn per table "
-                          "gather (table size 2^depth; default 8)")
+    gen.add_argument("--engine", choices=("bitwise", "reference"),
+                     default="bitwise",
+                     help="bitwise = the production kernel (per-bit "
+                          "Bernoulli); reference = Algorithms 4-5 "
+                          "per-edge loop, the test oracle")
     gen.add_argument("--matrix", default=None,
                      help="seed matrix as 'a,b,c,d' (default Graph500)")
     gen.add_argument("--machines", type=int, default=1)
@@ -275,8 +266,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         reset_sanitizer()
     tg = TrillionG(args.scale, args.edge_factor,
                    _parse_matrix(args.matrix), noise=args.noise,
-                   engine=args.engine, sampler=args.sampler,
-                   bundle_depth=args.bundle_depth, seed=args.seed,
+                   engine=args.engine, seed=args.seed,
                    cluster=cluster, retry=retry,
                    flight=args.flight,
                    serve_telemetry=args.serve_telemetry)

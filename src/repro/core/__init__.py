@@ -10,8 +10,7 @@ from .process import EdgeProcess, NoisyProcess, PlainProcess, make_process
 from .recvec import (build_recvec, build_recvec_decimal, build_recvecs,
                      determine_edge, determine_edge_cdf,
                      determine_edge_recursive, determine_edges,
-                     determine_edges_rowwise, scale_symmetry_ratio,
-                     sigma_from_recvec)
+                     scale_symmetry_ratio, sigma_from_recvec)
 from .rng import derive_seed, spawn_streams, stream
 from .scope import sample_scope_sizes
 from .seed import GRAPH500, UNIFORM, SeedMatrix
@@ -24,8 +23,7 @@ __all__ = [
     "row_probabilities", "row_probability", "EdgeProcess", "NoisyProcess",
     "PlainProcess", "make_process", "build_recvec", "build_recvec_decimal",
     "build_recvecs", "determine_edge", "determine_edge_cdf",
-    "determine_edge_recursive", "determine_edges", "determine_edges_rowwise",
-    "scale_symmetry_ratio", "sigma_from_recvec", "derive_seed",
-    "spawn_streams", "stream", "sample_scope_sizes", "GRAPH500", "UNIFORM",
-    "SeedMatrix",
+    "determine_edge_recursive", "determine_edges", "scale_symmetry_ratio",
+    "sigma_from_recvec", "derive_seed", "spawn_streams", "stream",
+    "sample_scope_sizes", "GRAPH500", "UNIFORM", "SeedMatrix",
 ]

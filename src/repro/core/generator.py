@@ -7,29 +7,19 @@ Algorithm 5), requiring only ``O(dmax)`` working memory.
 
 Engines
 -------
+``bitwise``
+    The production kernel.  ``P(v|u)`` factorises over destination bits
+    (Lemma 3, see :mod:`repro.core.probability`), so each bit is an
+    independent Bernoulli draw, batched in numpy over a block of sources.
 ``reference``
     Paper-faithful per-edge Python loop (Algorithms 4-5), instrumented with
-    recursion/draw counters and the three Idea toggles — the engine behind
-    the Figure 13 ablation.
-``vectorized``
-    The same Algorithm 5 translation loop, executed batched in numpy over a
-    block of sources (row-wise searchsorted).  Identical stochastic process.
-``bitwise``
-    Exploits the bit-factorization of ``P(v|u)`` (see
-    :mod:`repro.core.probability`): destination bits are independent
-    Bernoulli draws.  Distributionally identical and fast in numpy.
-``alias``
-    The linear-work kernel (Hübschle-Schneider & Sanders): Vose alias
-    tables over *bundles* of recursion-path prefixes draw the top
-    ``bundle_depth`` destination bits in O(1), and the remaining low
-    bits are filled by the vectorized bit-peel — O(1 + (log|V|)/b) per
-    edge instead of O(log|V|).  See :mod:`repro.core.alias` and
-    ``docs/kernel.md``.
+    recursion/draw counters and the three Idea toggles — the test oracle
+    and the engine behind the Figure 13 ablation.
 
-Each engine is deterministic per ``(params, seed)`` but the engines are
-**not** byte-identical to one another — they consume their streams in
-different shapes.  Golden digests per backend are frozen in
-``tests/core/test_rng_golden.py``.
+Both are deterministic per ``(params, seed)`` and draw from the same
+distribution, but are **not** byte-identical to each other — they consume
+their streams in different shapes (``docs/kernel.md``).  Golden digests
+are frozen in ``tests/core/test_rng_golden.py``.
 
 Determinism
 -----------
@@ -42,14 +32,13 @@ generate it or how the vertex range is partitioned.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from ..errors import ConfigurationError, GenerationError
-from ..telemetry import RECURSION_BUCKETS, Stopwatch, registry
-from .alias import build_alias_table, bundle_pmf
+from ..telemetry import RECURSION_BUCKETS, registry
 from .process import EdgeProcess, make_process
 from .rng import stream
 from .scope import sample_scope_sizes
@@ -67,12 +56,8 @@ _TAG_NOISE = 101
 _TAG_DEGREE = 102
 _TAG_EDGE = 103
 
-_ENGINES = ("vectorized", "bitwise", "alias", "reference")
-#: User-facing destination-sampler names -> internal engine names.
-_SAMPLER_ENGINES = {"recvec": "vectorized", "bitwise": "bitwise",
-                    "alias": "alias"}
+_ENGINES = ("bitwise", "reference")
 _MAX_TOPUP_ROUNDS = 200
-_MAX_BUNDLE_DEPTH = 24
 
 
 @dataclass(frozen=True)
@@ -99,8 +84,10 @@ class IdeaToggles:
 
 @dataclass
 class GenerationStats:
-    """Counters accumulated while generating (reference engine counts
-    recursions and draws; all engines count edges and duplicates)."""
+    """Counters accumulated while generating.  ``random_draws`` counts
+    every uniform a destination sampler consumes, top-up redraws included
+    (not the ``|V|`` scores of the exact fallback for saturated scopes);
+    ``recursion_steps`` and ``recvec_builds`` are reference-engine only."""
 
     edges: int = 0
     duplicates_discarded: int = 0
@@ -169,16 +156,9 @@ class RecursiveVectorGenerator:
         ``"out"`` for AVS-O (scopes are rows; yields out-adjacency) or
         ``"in"`` for AVS-I (scopes are columns; yields in-adjacency).
     engine:
-        ``"vectorized"`` (default), ``"bitwise"``, ``"alias"``, or
-        ``"reference"``.
-    sampler:
-        Destination-sampler name — the user-facing spelling of the
-        batched backends: ``"recvec"`` (-> ``vectorized``),
-        ``"bitwise"``, or ``"alias"``.  Takes precedence over
-        ``engine`` when given.
+        ``"bitwise"`` (default) or ``"reference"``.
     ideas:
-        Idea toggles (reference engine only; the batched engines embody all
-        three ideas by construction).
+        Idea toggles (reference engine only).
     dedup:
         Eliminate repeat edges within each scope and top up to the drawn
         scope size (Algorithm 2's set semantics).  Default True.
@@ -190,13 +170,6 @@ class RecursiveVectorGenerator:
     block_size:
         Number of consecutive sources generated per batch; randomness is
         keyed per block, so this also fixes the determinism granularity.
-    bundle_depth:
-        Alias backend only: number of top destination bits drawn per
-        alias-table gather (table size ``2**bundle_depth``; effective
-        depth is capped at ``scale``).  Larger bundles mean fewer fill
-        draws but exponentially bigger tables — see ``docs/kernel.md``
-        for the tradeoff.  Like ``block_size``, it is part of the
-        determinism key for the alias backend.
     """
 
     def __init__(self, scale: int, edge_factor: int = 16,
@@ -204,14 +177,12 @@ class RecursiveVectorGenerator:
                  num_edges: int | None = None,
                  noise: float = 0.0,
                  direction: str = "out",
-                 engine: str = "vectorized",
-                 sampler: str | None = None,
+                 engine: str = "bitwise",
                  ideas: IdeaToggles | None = None,
                  dedup: bool = True,
                  degree_method: str = "normal",
                  seed: int = 0,
-                 block_size: int = 4096,
-                 bundle_depth: int = 8) -> None:
+                 block_size: int = 4096) -> None:
         if scale < 1:
             raise ConfigurationError("scale must be >= 1")
         if scale > 56:
@@ -219,19 +190,9 @@ class RecursiveVectorGenerator:
                 "scale > 56 would overflow int64 destination packing")
         if direction not in ("out", "in"):
             raise ConfigurationError("direction must be 'out' or 'in'")
-        if sampler is not None:
-            if sampler not in _SAMPLER_ENGINES:
-                raise ConfigurationError(
-                    f"unknown sampler {sampler!r}; expected one of "
-                    f"{tuple(_SAMPLER_ENGINES)}")
-            engine = _SAMPLER_ENGINES[sampler]
         if engine not in _ENGINES:
             raise ConfigurationError(
                 f"unknown engine {engine!r}; expected one of {_ENGINES}")
-        if not 1 <= bundle_depth <= _MAX_BUNDLE_DEPTH:
-            raise ConfigurationError(
-                f"bundle_depth must be in [1, {_MAX_BUNDLE_DEPTH}], "
-                f"got {bundle_depth}")
         if block_size < 1:
             raise ConfigurationError("block_size must be positive")
         self.scale = scale
@@ -251,13 +212,6 @@ class RecursiveVectorGenerator:
         self.seed = seed
         self.noise = noise
         self.block_size = block_size
-        self.bundle_depth = bundle_depth
-        # Effective bundle depth: a bundle cannot cover more levels than
-        # the address has bits.
-        self._bundle_levels = min(bundle_depth, scale)
-        # Alias tables keyed by the source's top-bundle_levels bit
-        # pattern, cached across blocks (pure function of the process).
-        self._alias_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.process: EdgeProcess = make_process(
             matrix, scale, noise, stream(seed, _TAG_NOISE))
         self.stats = GenerationStats()
@@ -307,7 +261,7 @@ class RecursiveVectorGenerator:
         if self.engine == "reference":
             block = self._generate_block_reference(sources, degrees, rng)
         else:
-            block = self._generate_block_batched(sources, degrees, rng)
+            block = self._generate_block_bitwise(sources, degrees, rng)
         self.stats.edges += block.num_edges
         if degrees.size:
             self.stats.max_scope_size = max(self.stats.max_scope_size,
@@ -339,7 +293,7 @@ class RecursiveVectorGenerator:
             stats.duplicates_discarded - dups0)
         reg.counter("generator.random_draws").inc(draws)
         reg.counter("generator.recvec_builds").inc(builds)
-        if self.engine in ("vectorized", "reference"):
+        if self.engine == "reference":
             # Idea #1 effectiveness: every draw beyond the first per scope
             # reuses an already-built RecVec.  Builds that served no draw
             # (zero-degree scopes) appear only in recvec_builds, keeping
@@ -348,20 +302,9 @@ class RecursiveVectorGenerator:
             reg.counter("generator.recvec_reuse_hits").inc(hits)
             reg.counter("generator.recvec_reuse_misses").inc(draws - hits)
         if block.destinations.size:
-            if self.engine == "alias":
-                # The bundle gather resolves the top bundle_levels bits
-                # in one step; only fill-region 1-bits still cost a
-                # translation each, so the per-edge count collapses to
-                # 1 + popcount of the low bits.
-                fill = self.scale - self._bundle_levels
-                low = block.destinations & np.int64((1 << fill) - 1)
-                pops = _popcount64(low) + 1
-            else:
-                # Theorem 2: Algorithm 5 recurses once per 1-bit of the
-                # destination, so the per-edge recursion count is
-                # popcount(v).
-                pops = _popcount64(block.destinations)
-            counts = np.bincount(pops)
+            # Theorem 2: Algorithm 5 recurses once per 1-bit of the
+            # destination, so the per-edge recursion count is popcount(v).
+            counts = np.bincount(_popcount64(block.destinations))
             values = np.nonzero(counts)[0]
             reg.histogram("generator.recursions_per_edge",
                           bounds=RECURSION_BUCKETS).observe_bulk(
@@ -420,37 +363,30 @@ class RecursiveVectorGenerator:
         return out
 
     # ------------------------------------------------------------------
-    # Batched engines (vectorized / bitwise)
+    # Bitwise engine (the production kernel)
     # ------------------------------------------------------------------
 
-    def _generate_block_batched(self, sources: np.ndarray,
+    def _generate_block_bitwise(self, sources: np.ndarray,
                                 degrees: np.ndarray,
                                 rng: np.random.Generator) -> AdjacencyBlock:
-        saturated = self._saturated_mask(degrees)
-        if saturated.any():
+        # Rejection top-up coupon-collects once a scope exceeds ~1/4 of
+        # its row (small scales only, where the hub's expected degree
+        # ``|E| * P(u->)`` nears ``|V|``): sample those scopes exactly.
+        saturated = degrees > (self.num_vertices >> 2)
+        if self.dedup and saturated.any():
             return self._generate_block_with_saturated(sources, degrees,
                                                        saturated, rng)
-        total = int(degrees.sum())
         rows = np.repeat(np.arange(sources.size, dtype=np.int64), degrees)
-        sampler: _DestinationSampler
-        if self.engine == "vectorized":
-            recvecs = self.process.build_recvecs(sources)
-            self.stats.recvec_builds += sources.size
-            sampler = _RecVecSampler(recvecs)
-        elif self.engine == "alias":
-            sampler = self._build_alias_sampler(sources)
-        else:
-            bit_probs = self.process.bit_probabilities(sources)
-            sampler = _BitwiseSampler(bit_probs, self.scale)
-        dests = sampler.sample(rows, rng)
-        self.stats.random_draws += total * sampler.draws_per_edge
+        bit_probs = self.process.bit_probabilities(sources)
+        dests = _sample_destinations_bitwise(bit_probs, rows, rng,
+                                             self.stats)
         if not self.dedup:
             order = np.argsort(rows * np.int64(self.num_vertices) + dests,
                                kind="stable")
             offsets = np.zeros(sources.size + 1, dtype=np.int64)
             np.cumsum(degrees, out=offsets[1:])
             return AdjacencyBlock(sources, offsets, dests[order])
-        keys, dups = self._dedup_topup(rows, dests, degrees, sampler, rng,
+        keys, dups = self._dedup_topup(rows, dests, degrees, bit_probs, rng,
                                        sources)
         self.stats.duplicates_discarded += dups
         rows_final = keys // self.num_vertices
@@ -461,7 +397,7 @@ class RecursiveVectorGenerator:
         return AdjacencyBlock(sources, offsets, dests_final)
 
     def _dedup_topup(self, rows: np.ndarray, dests: np.ndarray,
-                     degrees: np.ndarray, sampler: "_DestinationSampler",
+                     degrees: np.ndarray, bit_probs: np.ndarray,
                      rng: np.random.Generator,
                      sources: np.ndarray) -> tuple[np.ndarray, int]:
         """Per-scope duplicate elimination with stochastic top-up.
@@ -487,7 +423,8 @@ class RecursiveVectorGenerator:
             refill_rows = np.repeat(
                 np.arange(degrees.size, dtype=np.int64),
                 np.maximum(shortfall, 0))
-            new_dests = sampler.sample(refill_rows, rng)
+            new_dests = _sample_destinations_bitwise(bit_probs, refill_rows,
+                                                     rng, self.stats)
             candidates = _sorted_unique(np.sort(refill_rows * span
                                                 + new_dests))
             # Drop candidates already present (both arrays are sorted).
@@ -513,60 +450,9 @@ class RecursiveVectorGenerator:
             keys = np.sort(np.concatenate([keep, row * span + exact]))
         return keys, duplicates
 
-    def _build_alias_sampler(self, sources: np.ndarray) -> "_AliasSampler":
-        """Gather (building and caching as needed) the per-pattern alias
-        tables covering ``sources`` — see :mod:`repro.core.alias`.
-
-        The table for a source depends only on its top ``bundle_levels``
-        bits, so consecutive sources share tables: a 4096-source block
-        touches at most two patterns once ``scale - bundle_depth >= 12``.
-        Tables are cached on the generator for the lifetime of the run.
-        """
-        b = self._bundle_levels
-        fill = self.scale - b
-        codes = (sources.astype(np.uint64)
-                 >> np.uint64(fill)).astype(np.int64)
-        patterns, pattern_rows = np.unique(codes, return_inverse=True)
-        prob = np.empty((patterns.size, 1 << b), dtype=np.float64)
-        alias = np.empty((patterns.size, 1 << b), dtype=np.int64)
-        built = 0
-        watch = Stopwatch()
-        with watch:
-            for j, code in enumerate(patterns):
-                cached = self._alias_tables.get(int(code))
-                if cached is None:
-                    representative = np.array([int(code) << fill],
-                                              dtype=np.uint64)
-                    level_probs = self.process.bit_probabilities(
-                        representative)[0][fill:]
-                    cached = build_alias_table(bundle_pmf(level_probs))
-                    self._alias_tables[int(code)] = cached
-                    built += 1
-                prob[j], alias[j] = cached
-        reg = registry()
-        if reg.enabled and built:
-            reg.counter("gen.alias.tables_built").inc(built)
-            reg.counter("gen.alias.build_seconds").inc(watch.seconds)
-        bit_probs = self.process.bit_probabilities(sources)
-        return _AliasSampler(bit_probs, fill, pattern_rows.astype(np.int64),
-                             prob, alias)
-
     # ------------------------------------------------------------------
     # Saturated scopes (small-scale hubs whose size approaches |V|)
     # ------------------------------------------------------------------
-
-    def _saturated_mask(self, degrees: np.ndarray) -> np.ndarray:
-        """Scopes whose rejection-based top-up would coupon-collect.
-
-        When a drawn scope size exceeds ~1/4 of the scope area (possible
-        only at small scales, where the hub's expected degree ``|E| * P(u->)``
-        can reach ``|V|``), collecting the last distinct destinations by
-        redrawing takes unboundedly long because the tail cells have
-        vanishing probability.  Those scopes are sampled exactly instead.
-        """
-        if not self.dedup:
-            return np.zeros(degrees.shape, dtype=bool)
-        return degrees > (self.num_vertices >> 2)
 
     def _sample_scope_exact(self, u: int, size: int,
                             rng: np.random.Generator) -> np.ndarray:
@@ -602,7 +488,7 @@ class RecursiveVectorGenerator:
         """Split a block into normal scopes (batched path) and saturated
         scopes (exact path), then merge back in source order."""
         light_degrees = np.where(saturated, 0, degrees)
-        light = self._generate_block_batched(sources, light_degrees, rng)
+        light = self._generate_block_bitwise(sources, light_degrees, rng)
         per_source = [light.destinations[light.offsets[j]:
                                          light.offsets[j + 1]]
                       for j in range(sources.size)]
@@ -612,9 +498,7 @@ class RecursiveVectorGenerator:
         counts = np.array([d.size for d in per_source], dtype=np.int64)
         offsets = np.zeros(sources.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        dest = (np.concatenate(per_source) if per_source
-                else np.empty(0, np.int64))
-        return AdjacencyBlock(sources, offsets, dest)
+        return AdjacencyBlock(sources, offsets, np.concatenate(per_source))
 
     # ------------------------------------------------------------------
     # Reference engine (Algorithms 4-5, instrumented, idea toggles)
@@ -657,7 +541,7 @@ class RecursiveVectorGenerator:
         while len(edge_set) < size:
             if attempts >= max_attempts:
                 # Rejection stalled on a very skewed scope; finish exactly
-                # (same fallback as the batched engines).
+                # (same fallback as the bitwise engine).
                 return self._sample_scope_exact(u, size, rng)
             attempts += 1
             if not ideas.reuse_recvec:
@@ -688,8 +572,8 @@ class RecursiveVectorGenerator:
         if lo >= self.num_vertices:
             raise ValueError(f"block {block_index} is out of range")
         # int64, the AdjacencyBlock ID convention: the bit-twiddling
-        # consumers (recvec builds, bit probabilities, alias codes)
-        # all re-cast to uint64 themselves.
+        # consumers (recvec builds, bit probabilities) re-cast to uint64
+        # themselves.
         return np.arange(lo, hi, dtype=np.int64)
 
     def _check_range(self, start: int, stop: int | None) -> tuple[int, int]:
@@ -727,111 +611,26 @@ def _sorted_unique(sorted_keys: np.ndarray) -> np.ndarray:
     return sorted_keys[keep]
 
 
-# ---------------------------------------------------------------------------
-# Destination samplers
-# ---------------------------------------------------------------------------
-
-class _DestinationSampler:
-    """Batched destination sampler over per-source state rows."""
-
-    #: Uniform draws consumed per requested destination (stats bookkeeping).
-    draws_per_edge: int = 1
-
-    def sample(self, rows: np.ndarray,
-               rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
-
-class _RecVecSampler(_DestinationSampler):
-    """Vectorized Theorem 2 over gathered RecVec rows."""
-
-    def __init__(self, recvecs: np.ndarray) -> None:
-        self.recvecs = recvecs
-
-    def sample(self, rows: np.ndarray,
-               rng: np.random.Generator) -> np.ndarray:
-        from .recvec import determine_edges_rowwise
-        tops = self.recvecs[rows, -1]
-        xs = rng.random(rows.size) * tops
-        return determine_edges_rowwise(xs, self.recvecs, rows)
-
-
-class _BitwiseSampler(_DestinationSampler):
-    """Independent-bit Bernoulli sampler (see the factorization note in
+def _sample_destinations_bitwise(bit_probs: np.ndarray, rows: np.ndarray,
+                                 rng: np.random.Generator,
+                                 stats: GenerationStats) -> np.ndarray:
+    """One destination per entry of ``rows`` (indices into ``bit_probs``),
+    one independent Bernoulli per bit (see the factorization note in
     :mod:`repro.core.probability`)."""
-
-    def __init__(self, bit_probs: np.ndarray, levels: int) -> None:
-        self.bit_probs = bit_probs
-        self.levels = levels
-        self.draws_per_edge = levels
-
-    def sample(self, rows: np.ndarray,
-               rng: np.random.Generator) -> np.ndarray:
-        out = np.zeros(rows.size, dtype=np.int64)
-        for x in range(self.levels):
-            col = self.bit_probs[:, x]
-            # Degenerate levels (seed entries of exactly 0 or 1) force
-            # the bit for every source: decide without drawing, so no
-            # randomness is consumed and the single-uniform rescale in
-            # the reference path can never divide by zero.
-            if np.all(col >= 1.0):
-                out |= np.int64(1) << x
-                continue
-            if np.all(col <= 0.0):
-                continue
-            hits = rng.random(rows.size) < self.bit_probs[rows, x]
-            out |= hits.astype(np.int64) << x
-        return out
-
-
-class _AliasSampler(_DestinationSampler):
-    """Linear-work bundle sampler (Hübschle-Schneider & Sanders).
-
-    The top ``levels - fill_levels`` destination bits are drawn as one
-    prefix bundle from a per-source-pattern Vose alias table (two
-    uniforms: slot pick + biased coin); the remaining ``fill_levels``
-    low bits are filled by the vectorized bit-peel (one ``(n,
-    fill_levels)`` uniform matrix).  Per-edge cost is O(1 +
-    fill_levels) regardless of scale.
-
-    The draw order — slot batch, coin batch, then the fill matrix — is
-    a frozen part of the determinism contract
-    (``tests/core/test_rng_golden.py``); reordering it is a golden
-    break for every alias-backend user.
-    """
-
-    def __init__(self, bit_probs: np.ndarray, fill_levels: int,
-                 pattern_rows: np.ndarray, prob: np.ndarray,
-                 alias: np.ndarray) -> None:
-        self.bit_probs = bit_probs        # (n_sources, levels)
-        self.fill_levels = fill_levels
-        self.pattern_rows = pattern_rows  # (n_sources,) -> table row
-        self.prob = prob                  # (n_patterns, 2**b)
-        self.alias = alias                # (n_patterns, 2**b)
-        self.draws_per_edge = 2 + fill_levels
-
-    def sample(self, rows: np.ndarray,
-               rng: np.random.Generator) -> np.ndarray:
-        n = rows.size
-        size = self.prob.shape[1]
-        pat = self.pattern_rows[rows]
-        slot_u = rng.random(n)
-        coin_u = rng.random(n)
-        slots = np.minimum((slot_u * size).astype(np.int64), size - 1)
-        keep = coin_u < self.prob[pat, slots]
-        prefix = np.where(keep, slots, self.alias[pat, slots])
-        out = prefix << np.int64(self.fill_levels)
-        if self.fill_levels:
-            fill_u = rng.random((n, self.fill_levels))
-            hits = fill_u < self.bit_probs[rows, :self.fill_levels]
-            weights = np.int64(1) << np.arange(self.fill_levels,
-                                               dtype=np.int64)
-            out |= hits.astype(np.int64) @ weights
-        reg = registry()
-        if reg.enabled:
-            reg.counter("gen.alias.bundle_draws").inc(n)
-            reg.counter("gen.alias.fill_bits").inc(n * self.fill_levels)
-        return out
+    out = np.zeros(rows.size, dtype=np.int64)
+    for x in range(bit_probs.shape[1]):
+        col = bit_probs[:, x]
+        # Degenerate levels (seed entries of exactly 0 or 1) force the
+        # bit for every source: decide without consuming randomness.
+        if np.all(col >= 1.0):
+            out |= np.int64(1) << x
+            continue
+        if np.all(col <= 0.0):
+            continue
+        hits = rng.random(rows.size) < bit_probs[rows, x]
+        stats.random_draws += rows.size
+        out |= hits.astype(np.int64) << x
+    return out
 
 
 def _sample_destination_alg5(recvec: np.ndarray, rng: np.random.Generator,

@@ -47,7 +47,6 @@ __all__ = [
     "determine_edge_recursive",
     "determine_edge_cdf",
     "determine_edges",
-    "determine_edges_rowwise",
 ]
 
 
@@ -243,33 +242,4 @@ def determine_edges(xs: np.ndarray, recvec: np.ndarray) -> np.ndarray:
         v[active] += np.int64(1) << k.astype(np.int64)
         last_k[active] = k
         active = (x >= recvec[0]) & (last_k > 0)
-    return v
-
-
-def determine_edges_rowwise(xs: np.ndarray, recvecs: np.ndarray,
-                            rows: np.ndarray) -> np.ndarray:
-    """Vectorized Algorithm 5 where edge ``j`` uses RecVec row ``rows[j]``.
-
-    ``recvecs`` has shape ``(num_sources, L + 1)``; ``rows`` maps each
-    random value to its source's row.  The per-row "searchsorted" is done
-    by counting, across the L+1 columns, how many RecVec entries are
-    ``<= x`` — O(L) vectorized comparisons per pass.
-    """
-    num_levels = recvecs.shape[1] - 1
-    rv = recvecs[rows]                              # (n, L+1) gathered rows
-    sigmas = (rv[:, 1:] - rv[:, :-1]) / rv[:, :-1]  # (n, L)
-    x = np.asarray(xs, dtype=np.float64).copy()
-    v = np.zeros(x.shape, dtype=np.int64)
-    last_k = np.full(x.shape, num_levels, dtype=np.int64)
-    active = (x >= rv[:, 0]) & (last_k > 0)
-    while active.any():
-        idx = np.nonzero(active)[0]
-        xa = x[idx]
-        k = (rv[idx] <= xa[:, None]).sum(axis=1) - 1
-        np.minimum(k, last_k[idx] - 1, out=k)
-        base = rv[idx, k]
-        x[idx] = (xa - base) / sigmas[idx, k]
-        v[idx] += np.int64(1) << k.astype(np.int64)
-        last_k[idx] = k
-        active[idx] = (x[idx] >= rv[idx, 0]) & (k > 0)
     return v

@@ -673,16 +673,15 @@ class KernelVectorizationChecker(Checker):
 
     RPL510 — a Python ``for`` loop iterating a per-edge array (directly
     or via ``enumerate``/``zip``) inside a kernel module
-    (``kernel_module_prefixes``).  The destination samplers owe their
+    (``kernel_module_prefixes``).  The destination kernel owes its
     throughput to whole-batch numpy work — one gather/compare per batch,
     never one interpreter iteration per edge; a loop over ``rows`` /
-    ``dests`` / friends reinserts the O(|E|) Python loop the alias and
-    bitwise backends exist to remove.  Functions whose name mentions
+    ``dests`` / friends reinserts the O(|E|) Python loop the bitwise
+    kernel exists to remove.  Functions whose name mentions
     ``reference`` are exempt: the paper-faithful engine is a per-edge
     loop by design (that is the ablation baseline).  Loops over
-    per-block or per-table structures (``sources``, ``patterns``,
-    ``range(levels)``) are fine — they are O(block) or O(2^b), not
-    O(|E|).
+    per-block structures (``sources``, ``range(levels)``) are fine —
+    they are O(block), not O(|E|).
     """
 
     name = "kernel-vectorization"

@@ -290,11 +290,10 @@ class LintConfig:
          "iter_unique_key_chunks"})
     #: Module prefixes holding the batched sampling kernel, where a
     #: Python ``for`` loop over a per-edge array would reinsert the
-    #: O(|E|) interpreter loop the vectorized backends exist to remove.
+    #: O(|E|) interpreter loop the bitwise kernel exists to remove.
     #: Functions whose name mentions ``reference`` are exempt (the
     #: paper-faithful per-edge engine is a loop by design).
-    kernel_module_prefixes: tuple[str, ...] = (
-        "repro.core.generator", "repro.core.alias")
+    kernel_module_prefixes: tuple[str, ...] = ("repro.core.generator",)
     #: Names of per-edge arrays in the kernel: looping over one of
     #: these (directly, or via ``enumerate``/``zip``) is RPL510.
     kernel_edge_array_names: frozenset[str] = frozenset(

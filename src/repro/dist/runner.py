@@ -229,7 +229,6 @@ class LocalCluster:
             degree_method=generator.degree_method,
             seed=generator.seed,
             block_size=generator.block_size,
-            bundle_depth=generator.bundle_depth,
         )
 
     def _build_tasks(self, generator: RecursiveVectorGenerator,

@@ -54,7 +54,7 @@ class GraphScaler:
 
     def generator(self, scale: int, seed: int = 0, *,
                   noise: float = 0.0,
-                  engine: str = "vectorized") -> RecursiveVectorGenerator:
+                  engine: str = "bitwise") -> RecursiveVectorGenerator:
         """Build a generator for the scaled graph (``|V| = 2**scale``),
         preserving the fitted seed and the observed edge density."""
         if scale < 1:

@@ -23,7 +23,7 @@ class TrillionGSeqGenerator(ScopeBasedGenerator):
     name = "TrillionG/seq"
     complexity = Complexity("O(|E| log|V| / P)", "O(d_max)", "AVS")
 
-    def __init__(self, *args, noise: float = 0.0, engine: str = "vectorized",
+    def __init__(self, *args, noise: float = 0.0, engine: str = "bitwise",
                  ideas: IdeaToggles | None = None, block_size: int = 4096,
                  **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -34,7 +34,7 @@ class TrillionGSeqGenerator(ScopeBasedGenerator):
 
     def estimated_peak_bytes(self) -> int:
         """AVS holds one scope (<= d_max destinations) plus RecVec; the
-        batched engines hold one block of scopes.  Estimated as the block's
+        bitwise engine holds one block of scopes.  Estimated as the block's
         expected edge mass (upper-bounded by the hub block)."""
         expected_block_edges = (self.num_edges / self.num_vertices
                                 * self.inner.block_size)

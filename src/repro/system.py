@@ -71,20 +71,19 @@ class TrillionG:
     >>> result = tg.generate_to("graph.adj6", fmt="adj6")  # doctest: +SKIP
 
     Parameters mirror the paper's configuration surface: Graph500 standard
-    workload by default, optional NSKG noise, choice of engine, and a
-    machines x threads cluster shape for parallel generation.
+    workload by default, optional NSKG noise, ``engine`` (``"bitwise"``,
+    the production kernel, or the ``"reference"`` oracle), and a machines x
+    threads cluster shape for parallel generation.
     """
 
     def __init__(self, scale: int, edge_factor: int = 16,
                  seed_matrix: SeedMatrix | None = None, *,
                  num_edges: int | None = None,
                  noise: float = 0.0,
-                 engine: str = "vectorized",
-                 sampler: str | None = None,
+                 engine: str = "bitwise",
                  ideas: IdeaToggles | None = None,
                  seed: int = 0,
                  block_size: int = 4096,
-                 bundle_depth: int = 8,
                  cluster: ClusterSpec | None = None,
                  retry: RetryPolicy | None = None,
                  faults: FaultPlan | None = None,
@@ -94,8 +93,7 @@ class TrillionG:
             scale, edge_factor,
             seed_matrix if seed_matrix is not None else GRAPH500,
             num_edges=num_edges, noise=noise, engine=engine,
-            sampler=sampler, ideas=ideas, seed=seed,
-            block_size=block_size, bundle_depth=bundle_depth)
+            ideas=ideas, seed=seed, block_size=block_size)
         self.cluster = cluster
         self.retry = retry
         self.faults = faults

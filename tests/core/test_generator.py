@@ -34,6 +34,21 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             RecursiveVectorGenerator(8, engine="quantum")
 
+    def test_removed_kernel_spellings_fail_loudly(self, tmp_path):
+        from repro.cli import build_parser
+        for engine in ("vectorized", "alias"):
+            with pytest.raises(ConfigurationError):
+                RecursiveVectorGenerator(8, engine=engine)
+        with pytest.raises(TypeError):
+            RecursiveVectorGenerator(8, sampler="bitwise")
+        with pytest.raises(TypeError):
+            RecursiveVectorGenerator(8, bundle_depth=8)
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["generate", "--scale", "8", "--sampler", "bitwise",
+                 "--output", str(tmp_path / "g.adj6")])
+        assert exit_info.value.code == 2
+
     def test_rejects_bad_block_size(self):
         with pytest.raises(ConfigurationError):
             RecursiveVectorGenerator(8, block_size=0)
@@ -276,6 +291,23 @@ class TestStatsObject:
         assert a.recvec_builds == 5
 
 
+class TestDrawAccounting:
+    def test_random_draws_include_topup_redraws(self):
+        """Every requested destination costs ``scale`` uniforms, whether
+        it was kept or discarded as a duplicate and redrawn."""
+        # Graph500 has no forced level, and edge factor 4 keeps the hub
+        # scope under |V|/4, so no scope is saturated.  At this seed no
+        # top-up round stalls either, so no scope is redone by the exact
+        # fallback (which replaces drawn edges without counted draws).
+        g = RecursiveVectorGenerator(12, 4, seed=1)
+        g.edges()
+        stats = g.stats
+        assert stats.max_scope_size <= g.num_vertices >> 2
+        assert stats.duplicates_discarded > 0
+        assert stats.random_draws == \
+            (stats.edges + stats.duplicates_discarded) * g.scale
+
+
 class TestDegenerateSeedEntries:
     """Regression: initiators with exact 0/1 entries force destination
     bits.  The samplers must short-circuit those levels — no division by
@@ -285,19 +317,23 @@ class TestDegenerateSeedEntries:
     SELF_LOOPS = SeedMatrix.rmat(0.9, 0.0, 0.0, 0.1)   # dest bit == src bit
     ALL_ZERO = SeedMatrix.rmat(0.6, 0.0, 0.4, 0.0)     # dest always 0
 
-    @pytest.mark.parametrize("engine", ["bitwise", "alias"])
+    @pytest.mark.parametrize("engine", ["bitwise", "reference"])
     def test_batched_engines_force_bits(self, engine):
+        # The oracle runs its per-level path: Algorithm 5's sigma divides
+        # by RecVec[k], which is exactly 0 under these seeds.
+        ideas = IdeaToggles(reduce_recursions=False)
         g = RecursiveVectorGenerator(6, 2, self.SELF_LOOPS, engine=engine,
-                                     dedup=False, seed=3)
+                                     ideas=ideas, dedup=False, seed=3)
         e = g.edges()
         assert e.size and (e[:, 0] == e[:, 1]).all()
         g0 = RecursiveVectorGenerator(6, 2, self.ALL_ZERO, engine=engine,
-                                      dedup=False, seed=3)
+                                      ideas=ideas, dedup=False, seed=3)
         e0 = g0.edges()
         assert e0.size and (e0[:, 1] == 0).all()
 
     def test_bitwise_sampler_consumes_no_draws_on_forced_levels(self):
-        from repro.core.generator import _BitwiseSampler
+        from repro.core.generator import (GenerationStats,
+                                          _sample_destinations_bitwise)
         from repro.core.process import PlainProcess
         levels = 6
         # ALL_ZERO forces every level for every source (p == 0 across
@@ -305,13 +341,16 @@ class TestDegenerateSeedEntries:
         # be short-circuited level-wise.
         proc = PlainProcess(self.ALL_ZERO, levels)
         sources = np.arange(1 << levels, dtype=np.uint64)
-        sampler = _BitwiseSampler(proc.bit_probabilities(sources), levels)
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        out = sampler.sample(np.arange(1 << levels, dtype=np.int64), rng)
+        stats = GenerationStats()
+        out = _sample_destinations_bitwise(
+            proc.bit_probabilities(sources),
+            np.arange(1 << levels, dtype=np.int64), rng, stats)
         np.testing.assert_array_equal(out, np.zeros(1 << levels))
         # Every level is degenerate, so the stream must be untouched.
         assert rng.bit_generator.state == before
+        assert stats.random_draws == 0
 
     @pytest.mark.parametrize("single_random", [True, False])
     def test_reference_bitpeel_engine(self, single_random):

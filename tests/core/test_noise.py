@@ -160,18 +160,15 @@ class TestNoisyRecVecInversion:
                     x >= cdf[-2] and v == full.shape[1] - 1)
 
     def test_vectorized_matches_scalar_under_noise(self):
-        from repro.core.recvec import (determine_edge,
-                                       determine_edges_rowwise)
+        from repro.core.recvec import determine_edge, determine_edges
         stack = NoisySeedStack.draw(GRAPH500, 6, 0.1, rng(15))
         us = np.array([0, 5, 17, 63], dtype=np.uint64)
-        recvecs = stack.build_recvecs(us)
         rng_x = rng(16)
-        rows = rng_x.integers(0, 4, size=400)
-        xs = rng_x.random(400) * recvecs[rows, -1]
-        vec = determine_edges_rowwise(xs, recvecs, rows)
-        for j in range(400):
-            assert vec[j] == determine_edge(float(xs[j]),
-                                            recvecs[rows[j]])
+        for recvec in stack.build_recvecs(us):
+            xs = rng_x.random(100) * recvec[-1]
+            vec = determine_edges(xs, recvec)
+            assert vec.tolist() == [determine_edge(float(x), recvec)
+                                    for x in xs]
 
     def test_noisy_sigma_differs_per_level(self):
         """Under noise, Algorithm 5's in-place sigma (Lemma 8 RecVec

@@ -13,8 +13,7 @@ from repro.core.recvec import (build_recvec, build_recvec_decimal,
                                build_recvec_naive, build_recvecs,
                                determine_edge, determine_edge_cdf,
                                determine_edge_recursive, determine_edges,
-                               determine_edges_rowwise, scale_symmetry_ratio,
-                               sigma_from_recvec)
+                               scale_symmetry_ratio, sigma_from_recvec)
 from repro.core.seed import GRAPH500, SeedMatrix
 
 FIG3 = SeedMatrix.rmat(0.5, 0.2, 0.2, 0.1)
@@ -201,16 +200,6 @@ class TestVectorizedDetermine:
         vec = determine_edges(xs, rv)
         scalar = [determine_edge(float(x), rv) for x in xs]
         assert vec.tolist() == scalar
-
-    def test_rowwise_matches_scalar(self):
-        us = np.array([0, 3, 7, 12, 31], dtype=np.uint64)
-        recvecs = build_recvecs(GRAPH500, us, 5)
-        rng = np.random.default_rng(5)
-        rows = rng.integers(0, 5, size=800)
-        xs = rng.random(800) * recvecs[rows, -1]
-        vec = determine_edges_rowwise(xs, recvecs, rows)
-        for j in range(800):
-            assert vec[j] == determine_edge(float(xs[j]), recvecs[rows[j]])
 
     def test_empty_input(self):
         rv = build_recvec(GRAPH500, 0, 4)

@@ -82,38 +82,24 @@ def test_root_equals_label_zero():
 
 # -- output-byte freeze ------------------------------------------------
 
-# scale 8, edge factor 4, seed 42, defaults otherwise.
+# scale 8, edge factor 4, seed 42, defaults otherwise (engine="bitwise").
+# Re-frozen once when the RecVec and alias backends were deleted and
+# ``bitwise`` became the default: these are the digests ``bitwise``
+# already produced before that change.
 OUTPUT_DIGESTS = {
-    "adj6": "94edec94a19eb79196b23943d46d4ddf9130f16e109b6e253f230e7f974574bc",
-    "tsv": "8376072faa2479a9363ad2bb54ed2639694966b4070ad931a39c6db6ac12faff",
-    "csr6": "14de09fd87a7e50e2e960fa1c3667ff31b2e45d7698ae5680e840d6236b5e2b4",
+    "adj6": "54b46034484b9541e723fa0413274458d5af5835792d7d2c239ac6c87635c747",
+    "tsv": "e87fdc09913c98f1fc1cdbef5b0cfbcc86af6fe17edcbf8adb6622b1aa612fda",
+    "csr6": "43d4917b7aa47a9f970c4e98f507ec3cab4de034f4e94556d75b059970d4e7df",
 }
 
 NOISE_ADJ6_DIGEST = \
-    "ee58f18fb6bd9bfabc1a0660050fe43a1fb549d452d2bc990afd5748db741518"
+    "72e2525802a5e0b2b2dc61e5198ca50221e2f4a3bda0cff3e2c4a85d4ba954cc"
 
-# Per-sampler adj6 digests at the same configuration.  Each backend is
-# deterministic per (params, seed), but the backends are intentionally
-# NOT byte-identical to one another: they consume their edge streams in
-# different shapes (one translation uniform vs. per-level Bernoullis
-# vs. slot/coin/fill batches).  ``recvec`` must stay the default.
-SAMPLER_ADJ6_DIGESTS = {
-    "recvec":
-        "94edec94a19eb79196b23943d46d4ddf9130f16e109b6e253f230e7f974574bc",
-    "bitwise":
-        "54b46034484b9541e723fa0413274458d5af5835792d7d2c239ac6c87635c747",
-    "alias":
-        "d3b53a944821009b1ac2ef838196d5012426832426412c0a3bedfdb6090ffd2c",
-}
-
-# bundle_depth is part of the alias backend's determinism key: a
-# different depth is a different (equally valid) graph.
-ALIAS_DEPTH4_ADJ6_DIGEST = \
-    "c598084bdfa2d730d0e943121c49d30af2f0f215f43a474a9132384a914e5787"
-
-# Edge-array digest of the alias backend, checked both sequentially and
-# through the distributed runner (workers must honor the sampler).
-ALIAS_EDGE_DIGEST = "84980a12758b04d3"
+# The oracle is deterministic per (params, seed) too, and intentionally
+# NOT byte-identical to the kernel: one translated uniform per edge
+# against one Bernoulli per bit.
+REFERENCE_ADJ6_DIGEST = \
+    "676d2c45abd91b7207602eb264e52c9ff7d3654e04e4f317ed7385d4023c32a6"
 
 
 def write_digest(tmp_path, fmt_name, **kwargs):
@@ -135,39 +121,10 @@ def test_noise_output_digest_frozen(tmp_path):
     assert write_digest(tmp_path, "adj6", noise=0.1) == NOISE_ADJ6_DIGEST
 
 
-def test_sampler_digests_frozen(tmp_path):
-    for sampler, expected in SAMPLER_ADJ6_DIGESTS.items():
-        assert write_digest(tmp_path, "adj6", sampler=sampler) == \
-            expected, f"sampler {sampler!r} output drifted"
-
-
-def test_sampler_digests_are_pairwise_distinct():
-    assert len(set(SAMPLER_ADJ6_DIGESTS.values())) == \
-        len(SAMPLER_ADJ6_DIGESTS)
-
-
-def test_default_engine_is_the_recvec_sampler():
-    assert SAMPLER_ADJ6_DIGESTS["recvec"] == OUTPUT_DIGESTS["adj6"]
-
-
-def test_alias_bundle_depth_digest_frozen(tmp_path):
-    assert write_digest(tmp_path, "adj6", sampler="alias",
-                        bundle_depth=4) == ALIAS_DEPTH4_ADJ6_DIGEST
-
-
-def test_alias_digest_stable_through_distributed_runner(tmp_path):
-    """Workers rebuild the generator from the picklable recipe; the
-    sampler and bundle depth must survive the round trip and reproduce
-    the sequential bytes exactly."""
-    from repro.dist.runner import LocalCluster
-    gen = RecursiveVectorGenerator(8, 4, seed=42, sampler="alias")
-    cluster = LocalCluster(num_workers=3)
-    res = cluster.generate_to_files(gen, tmp_path / "parts", "adj6",
-                                    processes=2)
-    dist_edges = cluster.read_all_edges(res, "adj6")
-    assert edge_digest(dist_edges) == ALIAS_EDGE_DIGEST
-    seq = RecursiveVectorGenerator(8, 4, seed=42, sampler="alias")
-    assert edge_digest(seq.edges()) == ALIAS_EDGE_DIGEST
+def test_reference_engine_digest_frozen(tmp_path):
+    assert write_digest(tmp_path, "adj6", engine="reference") == \
+        REFERENCE_ADJ6_DIGEST
+    assert REFERENCE_ADJ6_DIGEST != OUTPUT_DIGESTS["adj6"]
 
 
 def test_avs_in_matches_avs_out_for_symmetric_matrix(tmp_path):
@@ -186,7 +143,7 @@ def test_block_size_is_part_of_the_determinism_key(tmp_path):
     assert write_digest(tmp_path, "adj6", block_size=4096) == \
         OUTPUT_DIGESTS["adj6"]
     assert write_digest(tmp_path, "adj6", block_size=64) == \
-        "e005f1dfdfbc642db2ede37269e4df08c292f2e1a082de1985eaae7bb2ad3448"
+        "3eedca07f18c220b8d04dea3b30c52aa222dd4d19247c290fb64dc3ec1651179"
 
 
 # -- every registered model --------------------------------------------
@@ -199,14 +156,14 @@ MODEL_DIGESTS = {
     "Barabasi-Albert": "9dbab01cb3300beb",
     "Erdos-Renyi": "ffa44e2b5f4c5dd9",
     "FastKronecker": "78c5190576b20cbc",
-    "Graph500": "b6d225bd88ea14e7",
+    "Graph500": "7b38a66e6027ef01",
     "Kronecker-AES": "90a34ae71520d955",
     "RMAT-disk": "8ffa33b8738c239c",
     "RMAT-mem": "78c5190576b20cbc",
     "RMAT/p-disk": "53d53bf920806f18",
     "RMAT/p-mem": "53d53bf920806f18",
-    "TeG": "9297d15dfcf8cab9",
-    "TrillionG/seq": "b232008130f9d986",
+    "TeG": "45333d3f80b7c73b",
+    "TrillionG/seq": "55b04457794e06bd",
 }
 
 

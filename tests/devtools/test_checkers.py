@@ -588,7 +588,7 @@ KERNEL_FLAG = [
 ]
 
 KERNEL_PASS = [
-    # Per-block / per-table loops are O(block) or O(2^b), not O(|E|).
+    # Per-block loops are O(block), not O(|E|).
     "def build(self):\n"
     "    for code in patterns:\n"
     "        make_table(code)\n",
@@ -610,9 +610,9 @@ KERNEL_PASS = [
 
 @pytest.mark.parametrize("code", KERNEL_FLAG)
 def test_kernel_vectorization_flags_per_edge_loops(tmp_path, code):
-    for module in ("repro.core.generator", "repro.core.alias"):
-        found = run(tmp_path, "kernel-vectorization", code, module=module)
-        assert codes(found) == ["RPL510"], (module, found)
+    found = run(tmp_path, "kernel-vectorization", code,
+                module="repro.core.generator")
+    assert codes(found) == ["RPL510"], found
 
 
 @pytest.mark.parametrize("code", KERNEL_PASS)

@@ -86,6 +86,29 @@ class TestRmat:
         e = g.generate()
         assert 0.7 * g.num_edges < e.shape[0] < g.num_edges
 
+    def test_disk_sort_phase_excludes_consumer_time(self):
+        import time
+        g = RmatDiskGenerator(9, 8, seed=3, batch_edges=1000,
+                              spill_chunk=256)
+        chunks = 0
+        for _ in g.iter_unique_key_chunks():
+            time.sleep(0.01)
+            chunks += 1
+        assert chunks >= 5
+        assert g.report.phase_seconds["external_sort"] < 0.01 * chunks / 2
+
+    def test_disk_write_to_phases_cover_the_run(self, tmp_path):
+        import time
+        g = RmatDiskGenerator(10, 8, seed=3, batch_edges=2048)
+        start = time.perf_counter()
+        result = g.write_to(tmp_path / "g.adj6")
+        wall = time.perf_counter() - start
+        assert result.num_edges == g.report.realized_edges
+        phases = g.report.phase_seconds
+        assert set(phases) == {"generate", "external_sort", "write"}
+        assert phases["write"] > 0
+        assert 0 <= wall - g.report.elapsed_seconds < 0.01
+
     def test_disk_peak_memory_bounded_by_batch(self):
         g = RmatDiskGenerator(10, 8, seed=3, batch_edges=512)
         g.generate()

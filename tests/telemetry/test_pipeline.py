@@ -11,8 +11,8 @@ from repro.telemetry import enable_telemetry, reset_telemetry
 SCALE = 16          # |V| = 65536, |E| = 1M: the issue's identity scale
 
 
-def _generate(tmp_path, name, scale=SCALE):
-    tg = TrillionG(scale, edge_factor=16, seed=7)
+def _generate(tmp_path, name, scale=SCALE, engine="bitwise"):
+    tg = TrillionG(scale, edge_factor=16, seed=7, engine=engine)
     return tg.generate_to(tmp_path / name, fmt="adj6")
 
 
@@ -68,7 +68,9 @@ def test_noop_mode_overhead_under_two_percent():
 
 
 def test_paper_internal_counters(tmp_path):
-    result = _generate(tmp_path, "counters.adj6", scale=12)
+    # The reference engine is the only one that builds RecVecs.
+    result = _generate(tmp_path, "counters.adj6", scale=12,
+                       engine="reference")
     metrics = result.telemetry["metrics"]
     edges = metrics["generator.edges"]["value"]
     assert edges == result.num_edges

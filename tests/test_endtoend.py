@@ -105,7 +105,7 @@ class TestRichGraphPipeline:
 
 
 class TestCrossEngineEndToEnd:
-    @pytest.mark.parametrize("engine", ["vectorized", "bitwise"])
+    @pytest.mark.parametrize("engine", ["bitwise", "reference"])
     def test_any_engine_through_full_stack(self, engine, tmp_path):
         g = RecursiveVectorGenerator(10, 16, seed=107, engine=engine)
         fmt = get_format("adj6")

@@ -159,13 +159,13 @@ def test_noise_keeps_graph_wellformed(config, noise_fraction):
 @settings(max_examples=10, deadline=None)
 @given(generator_configs())
 def test_engines_preserve_edge_budget(config):
-    """All engines respect the realized-degree sequence exactly (they
+    """Both engines respect the realized-degree sequence exactly (they
     share the Theorem 1 draws)."""
     counts = {}
-    for engine in ("vectorized", "bitwise"):
+    for engine in ("bitwise", "reference"):
         g = RecursiveVectorGenerator(engine=engine, **config)
         counts[engine] = np.bincount(g.edges()[:, 0],
                                      minlength=g.num_vertices) \
             if g.edges().shape[0] else np.zeros(g.num_vertices)
-    np.testing.assert_array_equal(counts["vectorized"],
-                                  counts["bitwise"])
+    np.testing.assert_array_equal(counts["bitwise"],
+                                  counts["reference"])
