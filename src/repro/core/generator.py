@@ -376,78 +376,72 @@ class RecursiveVectorGenerator:
         if self.dedup and saturated.any():
             return self._generate_block_with_saturated(sources, degrees,
                                                        saturated, rng)
-        rows = np.repeat(np.arange(sources.size, dtype=np.int64), degrees)
         bit_probs = self.process.bit_probabilities(sources)
-        dests = _sample_destinations_bitwise(bit_probs, rows, rng,
-                                             self.stats)
-        if not self.dedup:
-            order = np.argsort(rows * np.int64(self.num_vertices) + dests,
-                               kind="stable")
-            offsets = np.zeros(sources.size + 1, dtype=np.int64)
-            np.cumsum(degrees, out=offsets[1:])
-            return AdjacencyBlock(sources, offsets, dests[order])
-        keys, dups = self._dedup_topup(rows, dests, degrees, bit_probs, rng,
-                                       sources)
-        self.stats.duplicates_discarded += dups
-        rows_final = keys // self.num_vertices
-        dests_final = keys % self.num_vertices
-        counts = np.bincount(rows_final, minlength=sources.size)
+        keys = _sample_destinations_bitwise(bit_probs, degrees, rng,
+                                            self.stats)
+        # Pack ``row << scale | dest`` in place: one sort orders the block.
+        keys |= np.repeat(
+            np.arange(sources.size, dtype=np.int64) << self.scale, degrees)
+        keys.sort()
+        counts = degrees
+        if self.dedup:
+            keys, dups = self._dedup_topup(keys, degrees, bit_probs, rng,
+                                           sources)
+            self.stats.duplicates_discarded += dups
+            counts = np.bincount(keys >> self.scale, minlength=sources.size)
         offsets = np.zeros(sources.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        return AdjacencyBlock(sources, offsets, dests_final)
+        return AdjacencyBlock(sources, offsets,
+                              keys & np.int64(self.num_vertices - 1))
 
-    def _dedup_topup(self, rows: np.ndarray, dests: np.ndarray,
-                     degrees: np.ndarray, bit_probs: np.ndarray,
-                     rng: np.random.Generator,
+    def _dedup_topup(self, keys: np.ndarray, degrees: np.ndarray,
+                     bit_probs: np.ndarray, rng: np.random.Generator,
                      sources: np.ndarray) -> tuple[np.ndarray, int]:
         """Per-scope duplicate elimination with stochastic top-up.
 
         Implements Algorithm 2's ``while count(edgeSet) <= |S|`` loop for a
         whole block at once: duplicates are dropped (set union), shortfalls
         are refilled by drawing again, until every scope reaches its size.
+        ``keys`` are the sorted first-pass keys ``row << scale | dest``.
+        They are sorted once; a round costs its shortfall: its candidates
+        are looked up in the first-pass keys and in ``extra``, the sorted
+        keys earlier rounds added, and only ``extra`` is re-sorted.
         Scopes whose rejection top-up stalls (very skewed conditional
         distributions turn the last few distinct draws into a coupon-
         collector problem) are finished by the exact PPSWOR sampler.
-        Returns the sorted packed keys ``row * |V| + dest`` and the number
-        of duplicates discarded.
+        Returns the sorted distinct keys and the number of duplicates
+        discarded.
         """
-        span = np.int64(self.num_vertices)
-        keys = _sorted_unique(np.sort(rows * span + dests))
-        duplicates = rows.size - keys.size
+        shift = self.scale
+        row_base = np.arange(degrees.size, dtype=np.int64) << shift
+        first = _sorted_unique(keys)
+        duplicates = keys.size - first.size
+        have = np.bincount(first >> shift, minlength=degrees.size)
+        extra = np.empty(0, dtype=np.int64)
         for _ in range(_MAX_TOPUP_ROUNDS):
-            have = np.bincount((keys // span).astype(np.int64),
-                               minlength=degrees.size)
             shortfall = degrees - have
-            if not (shortfall > 0).any():
-                return keys, duplicates
-            refill_rows = np.repeat(
-                np.arange(degrees.size, dtype=np.int64),
-                np.maximum(shortfall, 0))
-            new_dests = _sample_destinations_bitwise(bit_probs, refill_rows,
-                                                     rng, self.stats)
-            candidates = _sorted_unique(np.sort(refill_rows * span
-                                                + new_dests))
-            # Drop candidates already present (both arrays are sorted).
-            if keys.size:
-                pos = np.searchsorted(keys, candidates)
-                pos = np.minimum(pos, keys.size - 1)
-                fresh = candidates[keys[pos] != candidates]
-            else:
-                fresh = candidates
-            duplicates += refill_rows.size - fresh.size
+            if not shortfall.any():
+                break
+            candidates = _sample_destinations_bitwise(bit_probs, shortfall,
+                                                      rng, self.stats)
+            candidates |= np.repeat(row_base, shortfall)
+            candidates.sort()
+            candidates = _sorted_unique(candidates)
+            fresh = candidates[_absent(first, candidates)
+                               & _absent(extra, candidates)]
+            duplicates += int(shortfall.sum()) - fresh.size
             if fresh.size == 0:
                 break
-            keys = np.sort(np.concatenate([keys, fresh]))
+            have += np.bincount(fresh >> shift, minlength=degrees.size)
+            extra = np.sort(np.concatenate([extra, fresh]))
+        keys = np.sort(np.concatenate([first, extra])) if extra.size else first
         # Rejection stalled (or rounds exhausted): finish the remaining
         # scopes exactly.
-        have = np.bincount((keys // span).astype(np.int64),
-                           minlength=degrees.size)
-        short_rows = np.nonzero(degrees - have > 0)[0]
-        for row in short_rows:
+        for row in np.nonzero(degrees > have)[0]:
             exact = self._sample_scope_exact(int(sources[row]),
                                              int(degrees[row]), rng)
-            keep = keys[keys // span != row]
-            keys = np.sort(np.concatenate([keep, row * span + exact]))
+            keys = np.sort(np.concatenate([keys[keys >> shift != row],
+                                           row_base[row] | exact]))
         return keys, duplicates
 
     # ------------------------------------------------------------------
@@ -529,9 +523,9 @@ class RecursiveVectorGenerator:
         stats = self.stats
         recvec = None
         bit_probs = None
+        forced = 0
         if ideas.reuse_recvec:
-            recvec = self.process.build_recvec(u)
-            stats.recvec_builds += 1
+            recvec, forced = self._build_recvec_reference(u)
             if not ideas.reduce_recursions:
                 bit_probs = self.process.bit_probabilities(
                     np.array([u], dtype=np.uint64))[0]
@@ -545,14 +539,13 @@ class RecursiveVectorGenerator:
                 return self._sample_scope_exact(u, size, rng)
             attempts += 1
             if not ideas.reuse_recvec:
-                recvec = self.process.build_recvec(u)
-                stats.recvec_builds += 1
+                recvec, forced = self._build_recvec_reference(u)
                 if not ideas.reduce_recursions:
                     bit_probs = self.process.bit_probabilities(
                         np.array([u], dtype=np.uint64))[0]
             if ideas.reduce_recursions:
-                v = _sample_destination_alg5(recvec, rng,
-                                             ideas.single_random, stats)
+                v = forced | _sample_destination_alg5(
+                    recvec, rng, ideas.single_random, stats)
             else:
                 v = _sample_destination_bitpeel(bit_probs, rng,
                                                 ideas.single_random, stats)
@@ -561,6 +554,28 @@ class RecursiveVectorGenerator:
             else:
                 edge_set.add(v)
         return np.array(sorted(edge_set), dtype=np.int64)
+
+    def _build_recvec_reference(self, u: int) -> tuple[np.ndarray, int]:
+        """RecVec of ``u`` for Algorithm 5, and the destination bits that
+        are forced to 1 (to be OR-ed into every destination).
+
+        A seed entry ``a`` or ``c`` of exactly 0 forces a bit to 1 and
+        zeroes RecVec at and below that level, so the levels below can no
+        longer be told apart and sigma divides by 0.  Such levels are
+        taken out of the vector: they become zero-width intervals, like
+        the levels forced to 0, which the walk skips.
+        """
+        self.stats.recvec_builds += 1
+        recvec = self.process.build_recvec(u)
+        if recvec[0] > 0.0:
+            return recvec, 0
+        probs = self.process.bit_probabilities(
+            np.array([u], dtype=np.uint64))[0]
+        forced = probs >= 1.0
+        for x in range(self.scale - 1, -1, -1):
+            recvec[x] = recvec[x + 1] * (1.0 if forced[x] else 1.0 - probs[x])
+        return recvec, int(forced @ (1 << np.arange(self.scale,
+                                                    dtype=np.int64)))
 
     # ------------------------------------------------------------------
     # Helpers
@@ -611,25 +626,42 @@ def _sorted_unique(sorted_keys: np.ndarray) -> np.ndarray:
     return sorted_keys[keep]
 
 
-def _sample_destinations_bitwise(bit_probs: np.ndarray, rows: np.ndarray,
+def _absent(sorted_keys: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Mask of the ``candidates`` that do not occur in ``sorted_keys``."""
+    if sorted_keys.size == 0:
+        return np.ones(candidates.size, dtype=bool)
+    pos = np.searchsorted(sorted_keys, candidates)
+    return sorted_keys[np.minimum(pos, sorted_keys.size - 1)] != candidates
+
+
+def _sample_destinations_bitwise(bit_probs: np.ndarray, counts: np.ndarray,
                                  rng: np.random.Generator,
                                  stats: GenerationStats) -> np.ndarray:
-    """One destination per entry of ``rows`` (indices into ``bit_probs``),
-    one independent Bernoulli per bit (see the factorization note in
-    :mod:`repro.core.probability`)."""
-    out = np.zeros(rows.size, dtype=np.int64)
-    for x in range(bit_probs.shape[1]):
-        col = bit_probs[:, x]
+    """``counts[j]`` destinations for row ``j`` of ``bit_probs``, rows in
+    order, one independent Bernoulli per bit (see the factorization note
+    in :mod:`repro.core.probability`).  The level loop allocates only the
+    repeated probability column; the rest runs through reused buffers."""
+    rows = np.flatnonzero(counts)
+    counts = counts[rows]
+    n = int(counts.sum())
+    out = np.zeros(n, dtype=np.int64)
+    uniforms = np.empty(n, dtype=np.float64)
+    bits = np.empty(n, dtype=np.int64)
+    cols = np.ascontiguousarray(bit_probs.T)
+    lowest, highest = cols.min(axis=1), cols.max(axis=1)
+    for x, col in enumerate(cols):
         # Degenerate levels (seed entries of exactly 0 or 1) force the
         # bit for every source: decide without consuming randomness.
-        if np.all(col >= 1.0):
+        if lowest[x] >= 1.0:
             out |= np.int64(1) << x
             continue
-        if np.all(col <= 0.0):
+        if highest[x] <= 0.0:
             continue
-        hits = rng.random(rows.size) < bit_probs[rows, x]
-        stats.random_draws += rows.size
-        out |= hits.astype(np.int64) << x
+        rng.random(out=uniforms)
+        stats.random_draws += n
+        np.less(uniforms, np.repeat(col[rows], counts), out=bits)
+        np.left_shift(bits, x, out=bits)
+        out |= bits
     return out
 
 
@@ -644,6 +676,12 @@ def _sample_destination_alg5(recvec: np.ndarray, rng: np.random.Generator,
     last_k = top
     while x >= recvec[0] and last_k > 0:
         k = min(bisect_right(recvec, x) - 1, last_k - 1)
+        # The clamp can land on a zero-width interval (a forced bit, where
+        # sigma is 0): move on to the next interval that has mass.
+        while k >= 0 and recvec[k + 1] <= recvec[k]:
+            k -= 1
+        if k < 0:
+            break
         stats.recursion_steps += 1
         if single_random:
             sigma = (recvec[k + 1] - recvec[k]) / recvec[k]

@@ -70,7 +70,8 @@ def combine(block_masses: np.ndarray, block_size: int, start_vertex: int,
 def repartition(bins: list[Bin], num_workers: int) -> list[Bin]:
     """Master-side re-cut of gathered bins into ``num_workers`` contiguous
     ranges of nearly equal mass (bins are atomic units, so the cut is at
-    bin granularity)."""
+    bin granularity: on whichever side of the bin that crosses the target
+    leaves the range nearer to it)."""
     if not bins:
         raise ValueError("no bins to repartition")
     remaining = sum(b.mass for b in bins)
@@ -78,12 +79,23 @@ def repartition(bins: list[Bin], num_workers: int) -> list[Bin]:
     acc = 0.0
     start = bins[0].start
     for b in bins:
-        acc += b.mass
         # Adaptive target: spread what is left evenly over the workers
         # still unassigned, so an oversized early bin (the hub) does not
         # starve the tail ranges.
         workers_left = num_workers - len(out)
-        if workers_left > 1 and acc >= remaining / workers_left:
+        target = remaining / workers_left
+        if (workers_left > 1 and acc > 0
+                and acc + b.mass - target > target - acc):
+            # Stopping short of ``b`` misses the target by less than
+            # taking it would overshoot.
+            out.append(Bin(start, b.start, acc))
+            remaining -= acc
+            start = b.start
+            acc = 0.0
+            workers_left -= 1
+            target = remaining / workers_left
+        acc += b.mass
+        if workers_left > 1 and acc >= target:
             out.append(Bin(start, b.stop, acc))
             remaining -= acc
             start = b.stop

@@ -84,6 +84,18 @@ class GenerationReport:
         """Context manager recording a named phase's wall time."""
         return _PhaseTimer(self, name)
 
+    def time_each(self, name: str, items: Iterator) -> Iterator:
+        """Yield from ``items``, billing phase ``name`` for producing each
+        item only: a timer left open across the ``yield`` would bill the
+        consumer's time to the producer."""
+        while True:
+            with self.time_phase(name):
+                try:
+                    item = next(items)
+                except StopIteration:
+                    return
+            yield item
+
 
 class _PhaseTimer:
     def __init__(self, report: GenerationReport, name: str) -> None:

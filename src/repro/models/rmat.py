@@ -132,15 +132,8 @@ class RmatDiskGenerator(StreamingDedupMixin):
                     store.add_run(np.sort(self.pack_edges(batch)))
                     produced += count
             emitted = 0
-            chunks = store.iter_unique(chunk_items=chunk_items,
-                                       fan_in=self.fan_in)
-            while True:
-                # Time the merge's own work only: a timer left open
-                # across the yield would bill the consumer's time here.
-                with report.time_phase("external_sort"):
-                    chunk = next(chunks, None)
-                if chunk is None:
-                    break
+            for chunk in report.time_each("external_sort", store.iter_unique(
+                    chunk_items=chunk_items, fan_in=self.fan_in)):
                 emitted += int(chunk.size)
                 yield chunk
         report.duplicates_discarded = produced - emitted

@@ -176,10 +176,10 @@ class WespDiskGenerator(StreamingDedupMixin, _WespBase):
                     for j in range(0, part.size, self.batch_edges):
                         store.add_run(np.sort(part[j:j + self.batch_edges]))
                 del partitions
-                for chunk in store.iter_unique(chunk_items=chunk_items,
-                                               fan_in=self.fan_in):
-                    emitted += int(chunk.size)
-                    yield chunk
+            for chunk in report.time_each("merge", store.iter_unique(
+                    chunk_items=chunk_items, fan_in=self.fan_in)):
+                emitted += int(chunk.size)
+                yield chunk
         report.duplicates_discarded += before - emitted
         report.realized_edges = emitted
         report.peak_memory_bytes = self.estimated_peak_bytes()

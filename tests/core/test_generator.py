@@ -308,6 +308,97 @@ class TestDrawAccounting:
             (stats.edges + stats.duplicates_discarded) * g.scale
 
 
+def _sort_everything_topup(g, rows, dests, degrees, bit_probs, rng, sources):
+    """The dedup/top-up loop as it was before it kept a side array: every
+    round re-sorts and re-counts all keys of the block."""
+    from repro.core.generator import _sample_destinations_bitwise
+    span = np.int64(g.num_vertices)
+    keys = np.unique(rows * span + dests)
+    duplicates = rows.size - keys.size
+    for _ in range(200):
+        shortfall = degrees - np.bincount(keys // span,
+                                          minlength=degrees.size)
+        if not shortfall.any():
+            return keys, duplicates
+        refill_rows = np.repeat(np.arange(degrees.size), shortfall)
+        drawn = _sample_destinations_bitwise(bit_probs, shortfall, rng,
+                                             g.stats)
+        fresh = np.setdiff1d(refill_rows * span + drawn, keys)
+        duplicates += refill_rows.size - fresh.size
+        if fresh.size == 0:
+            break
+        keys = np.sort(np.concatenate([keys, fresh]))
+    have = np.bincount(keys // span, minlength=degrees.size)
+    for row in np.nonzero(degrees > have)[0]:
+        exact = g._sample_scope_exact(int(sources[row]), int(degrees[row]),
+                                      rng)
+        keys = np.sort(np.concatenate([keys[keys // span != row],
+                                       row * span + exact]))
+    return keys, duplicates
+
+
+class TestDedupTopup:
+    """``_dedup_topup`` sorts a block once and pays per round only for
+    what the round draws; it must stay draw for draw the loop that
+    re-sorted everything."""
+
+    CASES = {
+        "graph500": dict(scale=10, seed=1),
+        "skewed": dict(scale=10, seed=1,
+                       seed_matrix=SeedMatrix.rmat(0.9, 0.05, 0.04, 0.01)),
+        "exact-zero": dict(scale=10, seed=1,
+                           seed_matrix=SeedMatrix.rmat(0.6, 0.0, 0.3, 0.1)),
+        "noise": dict(scale=10, seed=1, noise=0.1),
+        # Scale 12 at edge factor 16: the hub scope is saturated and, in
+        # blocks of 64, top-up rounds stall into the exact fallback.
+        "scale12-seed2": dict(scale=12, seed=2),
+        "scale12-seed4": dict(scale=12, seed=4),
+        "scale12-seed7": dict(scale=12, seed=7),
+    }
+
+    @pytest.mark.parametrize("block_size", [64, 4096])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_keys_duplicates_draws_and_stream(self, case, block_size):
+        from repro.core.generator import (_TAG_EDGE,
+                                          _sample_destinations_bitwise)
+        from repro.core.rng import stream
+        new, old = (RecursiveVectorGenerator(block_size=block_size,
+                                             **self.CASES[case])
+                    for _ in range(2))
+        fallbacks = []
+        exact = new._sample_scope_exact
+        new._sample_scope_exact = lambda *a: fallbacks.append(a) or exact(*a)
+        saturated = 0
+        for block in range(min(-(-new.num_vertices // block_size), 16)):
+            sources = new._block_sources(block)
+            degrees = new.block_degrees(block)
+            # As the saturated path does: those scopes are drawn exactly.
+            heavy = degrees > new.num_vertices >> 2
+            saturated += int(heavy.sum())
+            degrees = np.where(heavy, 0, degrees)
+            bit_probs = new.process.bit_probabilities(sources)
+            rows = np.repeat(np.arange(sources.size), degrees)
+            results = []
+            for g in (new, old):
+                rng = stream(g.seed, _TAG_EDGE, block)
+                dests = _sample_destinations_bitwise(bit_probs, degrees,
+                                                     rng, g.stats)
+                if g is new:
+                    keys, dups = g._dedup_topup(
+                        np.sort(rows << g.scale | dests), degrees,
+                        bit_probs, rng, sources)
+                else:
+                    keys, dups = _sort_everything_topup(
+                        g, rows, dests, degrees, bit_probs, rng, sources)
+                results.append((keys, dups, g.stats.random_draws,
+                                rng.bit_generator.state))
+            np.testing.assert_array_equal(results[0][0], results[1][0])
+            assert results[0][1:] == results[1][1:]
+        assert new.stats.random_draws > 0
+        if case.startswith("scale12"):
+            assert saturated and (fallbacks or block_size != 64)
+
+
 class TestDegenerateSeedEntries:
     """Regression: initiators with exact 0/1 entries force destination
     bits.  The samplers must short-circuit those levels — no division by
@@ -317,19 +408,42 @@ class TestDegenerateSeedEntries:
     SELF_LOOPS = SeedMatrix.rmat(0.9, 0.0, 0.0, 0.1)   # dest bit == src bit
     ALL_ZERO = SeedMatrix.rmat(0.6, 0.0, 0.4, 0.0)     # dest always 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("engine", ["bitwise", "reference"])
     def test_batched_engines_force_bits(self, engine):
-        # The oracle runs its per-level path: Algorithm 5's sigma divides
-        # by RecVec[k], which is exactly 0 under these seeds.
-        ideas = IdeaToggles(reduce_recursions=False)
-        g = RecursiveVectorGenerator(6, 2, self.SELF_LOOPS, engine=engine,
-                                     ideas=ideas, dedup=False, seed=3)
-        e = g.edges()
-        assert e.size and (e[:, 0] == e[:, 1]).all()
-        g0 = RecursiveVectorGenerator(6, 2, self.ALL_ZERO, engine=engine,
-                                      ideas=ideas, dedup=False, seed=3)
-        e0 = g0.edges()
-        assert e0.size and (e0[:, 1] == 0).all()
+        # The oracle runs Algorithm 5 (RecVec[k] is exactly 0 below a bit
+        # forced to 1, which sigma would divide by) and its per-level path.
+        for ideas in (IdeaToggles(), IdeaToggles(reduce_recursions=False)):
+            g = RecursiveVectorGenerator(6, 2, self.SELF_LOOPS,
+                                         engine=engine, ideas=ideas,
+                                         dedup=False, seed=3)
+            e = g.edges()
+            assert e.size and (e[:, 0] == e[:, 1]).all()
+            g0 = RecursiveVectorGenerator(6, 2, self.ALL_ZERO,
+                                          engine=engine, ideas=ideas,
+                                          dedup=False, seed=3)
+            e0 = g0.edges()
+            assert e0.size and (e0[:, 1] == 0).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_alg5_skips_zero_width_intervals(self):
+        """Float rounding can translate x onto the upper edge of the next
+        interval; the clamp then used to pick a zero-width one below it
+        (a level forced to 0), divide by sigma == 0 and set that bit."""
+        from repro.core.generator import (GenerationStats,
+                                          _sample_destination_alg5)
+        from repro.core.recvec import build_recvec
+
+        class FixedRng:
+            def uniform(self, low, high):
+                return 0.00023486715171629986
+
+        # b == 0: a destination bit can be 1 only where the source's is.
+        u = 0b11111000
+        recvec = build_recvec(SeedMatrix.rmat(0.57, 0.0, 0.19, 0.24), u, 8)
+        v = _sample_destination_alg5(recvec, FixedRng(), True,
+                                     GenerationStats())
+        assert v & ~u == 0
 
     def test_bitwise_sampler_consumes_no_draws_on_forced_levels(self):
         from repro.core.generator import (GenerationStats,
@@ -344,10 +458,12 @@ class TestDegenerateSeedEntries:
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         stats = GenerationStats()
+        # Per-row counts: two destinations each, none for row 5.
+        counts = np.full(1 << levels, 2, dtype=np.int64)
+        counts[5] = 0
         out = _sample_destinations_bitwise(
-            proc.bit_probabilities(sources),
-            np.arange(1 << levels, dtype=np.int64), rng, stats)
-        np.testing.assert_array_equal(out, np.zeros(1 << levels))
+            proc.bit_probabilities(sources), counts, rng, stats)
+        np.testing.assert_array_equal(out, np.zeros(counts.sum()))
         # Every level is degenerate, so the stream must be untouched.
         assert rng.bit_generator.state == before
         assert stats.random_draws == 0

@@ -184,6 +184,14 @@ class TestRangePartition:
         masses = np.array([r.mass for r in ranges])
         assert masses.max() / masses.mean() < 1.35
 
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_cut_lands_on_nearer_side_of_bin(self, workers):
+        # Bins are 1/8 of a worker's share, so cutting on the nearer side
+        # of the crossing bin misses the target by at most half a bin.
+        g = RecursiveVectorGenerator(16, 16, seed=7, block_size=1024)
+        masses = np.array([r.mass for r in range_partition(g, workers)])
+        assert masses.max() / masses.mean() <= 1 + 1 / (2 * 8) + 0.01
+
     def test_masses_match_realized_degrees(self):
         g = RecursiveVectorGenerator(11, 16, seed=3, block_size=64)
         for r in range_partition(g, 3):

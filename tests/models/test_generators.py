@@ -201,6 +201,17 @@ class TestWesp:
         assert {"generate", "shuffle", "merge"} <= set(
             g.report.phase_seconds)
 
+    def test_disk_merge_phase_excludes_consumer_time(self):
+        import time
+        g = WespDiskGenerator(9, 8, seed=4, num_workers=2, batch_edges=1000,
+                              spill_chunk=256)
+        chunks = 0
+        for _ in g.iter_unique_key_chunks():
+            time.sleep(0.01)
+            chunks += 1
+        assert chunks >= 5
+        assert g.report.phase_seconds["merge"] < 0.01 * chunks / 2
+
 
 class TestTeG:
     def test_degrees_statically_fixed(self):

@@ -101,6 +101,20 @@ def test_same_seed_draws_have_same_fingerprint():
     assert _codes(led) == ["duplicate-derivation"]
 
 
+def test_draw_into_buffer_has_the_fingerprint_of_a_fresh_draw():
+    """The kernel draws with ``random(out=buf)`` into a reused buffer; the
+    ledger must see it as the draw ``random(n)`` is."""
+    enable_sanitize(True)
+    fresh = stream(11, 4).random(64)
+    buf = np.empty(64)
+    filled = stream(11, 4).random(out=buf)
+    led = ledger()
+    assert filled is buf
+    np.testing.assert_array_equal(fresh, buf)
+    assert [d["method"] for d in led.draws] == ["random", "random"]
+    assert led.draws[0]["crc"] == led.draws[1]["crc"]
+
+
 def test_cross_thread_draw_is_flagged():
     enable_sanitize(True)
     gen = stream(9, 0)
