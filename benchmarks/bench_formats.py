@@ -9,9 +9,11 @@ are short — the size ordering at realistic id widths is asserted in
 
 Two artifacts matter beyond the printed tables:
 
-- ``test_block_adj6_beats_per_vertex`` is the CI perf-smoke gate for the
-  block-streaming output path: encoding whole ``AdjacencyBlock``s must
-  beat the per-vertex ``writer.add`` loop at scale 18.
+- ``test_block_adj6_beats_per_vertex`` and
+  ``test_block_tsv_beats_per_vertex`` are the CI perf-smoke gates for
+  the block-streaming output path: encoding whole ``AdjacencyBlock``s
+  must beat the per-vertex ``writer.add`` loop at scale 18 (ADJ6 2x,
+  TSV 5x).
 - ``test_emit_bench_json`` writes ``BENCH_formats.json`` at the repo root
   (scale, format, engine, edges/s, MB/s, pipeline on/off) so later PRs
   have a perf trajectory to compare against.
@@ -91,13 +93,15 @@ def test_read_throughput(benchmark, generator, fmt_name, tmp_path, table):
 
 def test_format_write_times_comparable(benchmark, generator, tmp_path,
                                        table):
-    """Informational: in pure Python the TSV-vs-ADJ6 *CPU* ordering from
-    the paper's JVM implementation does not transfer (f-string
-    formatting is cheap; per-record numpy encoding has overhead), so the
-    assertion is only that no format is pathologically slow.  The size
-    ordering — the half of the claim that drives the Figure 11(b)
-    ADJ6-vs-TSV gap via disk bandwidth — is asserted in
-    ``tests/formats`` at realistic id widths.
+    """Generation + write per format, the Figure 11(b) comparison in
+    small.  All three block encoders are a few numpy passes per block
+    (TSV about 60 ns/edge, ADJ6 about 20), so at this scale the kernel
+    dominates and the three times sit within tens of percent of each
+    other; the paper's TSV-vs-ADJ6 gap is bytes on disk, which a
+    page-cached scale-13 file does not show.  The assertion is that no
+    format is pathologically slow — a per-edge Python loop or string
+    path back in an encoder shows here as well over 5x.  The size
+    ordering is asserted in ``tests/formats`` at realistic id widths.
     """
 
     def run():
@@ -165,20 +169,21 @@ def _time_blocks(fmt, path, blocks, num_vertices):
     return time.perf_counter() - t0, writer.result
 
 
-def test_block_adj6_beats_per_vertex(tmp_path, table):
-    """CI perf smoke: the vectorized block encoder must beat the
-    per-vertex loop on the write path (generation excluded) — and the
-    two must produce byte-identical files.
-    """
+def _block_speedup_over_per_vertex(fmt_name, tmp_path, table):
+    """Write the same scale-18 blocks through ``add_block`` and through
+    the per-vertex ``add`` loop (generation excluded), assert the two
+    files are byte-identical, print the table, return the speedup."""
     gen = RecursiveVectorGenerator(SMOKE_SCALE, 16, seed=9)
     blocks = list(gen.iter_blocks())
-    fmt = get_format("adj6")
+    fmt = get_format(fmt_name)
+    pv_path, blk_path = tmp_path / f"pv.{fmt_name}", tmp_path / f"blk.{fmt_name}"
     per_vertex_s, pv_result = _time_per_vertex(
-        fmt, tmp_path / "pv.adj6", blocks, gen.num_vertices)
+        fmt, pv_path, blocks, gen.num_vertices)
     block_s, blk_result = _time_blocks(
-        fmt, tmp_path / "blk.adj6", blocks, gen.num_vertices)
+        fmt, blk_path, blocks, gen.num_vertices)
     speedup = per_vertex_s / block_s
-    table(f"ADJ6 write path (scale {SMOKE_SCALE}, generation excluded)",
+    table(f"{fmt_name.upper()} write path (scale {SMOKE_SCALE}, "
+          f"generation excluded)",
           ["path", "seconds", "edges/s", "MB/s"],
           [["per-vertex", round(per_vertex_s, 3),
             f"{pv_result.num_edges / per_vertex_s:,.0f}",
@@ -187,11 +192,31 @@ def test_block_adj6_beats_per_vertex(tmp_path, table):
             f"{blk_result.num_edges / block_s:,.0f}",
             f"{blk_result.bytes_written / 2**20 / block_s:.1f}"],
            ["speedup", f"{speedup:.1f}x", "", ""]])
-    assert (tmp_path / "pv.adj6").read_bytes() == \
-        (tmp_path / "blk.adj6").read_bytes()
+    assert pv_path.read_bytes() == blk_path.read_bytes()
+    return speedup
+
+
+def test_block_adj6_beats_per_vertex(tmp_path, table):
+    """CI perf smoke: the vectorized block encoder must beat the
+    per-vertex loop on the write path (generation excluded) — and the
+    two must produce byte-identical files.
+    """
+    speedup = _block_speedup_over_per_vertex("adj6", tmp_path, table)
     assert speedup > 2.0, (
         f"block ADJ6 only {speedup:.2f}x over per-vertex at scale "
         f"{SMOKE_SCALE}; the vectorized encoder regressed")
+
+
+def test_block_tsv_beats_per_vertex(tmp_path, table):
+    """CI perf smoke: the digit-matrix TSV block encoder against the
+    per-vertex ``add`` loop (one f-string per edge) — byte-identical
+    files, and at least 5x the edges/s (measured about 10x, far above
+    timer noise at this scale).
+    """
+    speedup = _block_speedup_over_per_vertex("tsv", tmp_path, table)
+    assert speedup >= 5.0, (
+        f"block TSV only {speedup:.2f}x over per-vertex at scale "
+        f"{SMOKE_SCALE}; the digit-matrix encoder regressed")
 
 
 def test_emit_bench_json(tmp_path, table):

@@ -92,7 +92,7 @@ class WriteSink:
     overlapped: bool = False
 
     def write(self, data: Any) -> None:
-        """Submit one encoded buffer (``bytes`` or ``str``)."""
+        """Submit one encoded buffer (``bytes`` or a ``uint8`` array)."""
         raise NotImplementedError
 
     def drain(self) -> None:

@@ -313,16 +313,12 @@ def trace_stream(gen: Any, kind: str, seed: int,
 def record_write(file: Any, data: Any) -> None:
     """Record one sink-submitted buffer on the global ledger.
 
-    ``data`` may be ``bytes``, ``str``, or any buffer-protocol object
-    (the ADJ6 encoder hands over numpy uint8 arrays directly).
+    ``data`` is ``bytes`` or any buffer-protocol object (the block
+    encoders hand over numpy uint8 arrays directly).
     """
     name = getattr(file, "name", None)
     label = os.path.basename(str(name)) if name is not None else "<buffer>"
-    if isinstance(data, str):
-        raw: Any = data.encode("utf-8")
-    else:
-        raw = data
-    nbytes = getattr(raw, "nbytes", None)
+    nbytes = getattr(data, "nbytes", None)
     if nbytes is None:
-        nbytes = len(raw)
-    _LEDGER.record_write(label, nbytes, zlib.crc32(raw))
+        nbytes = len(data)
+    _LEDGER.record_write(label, nbytes, zlib.crc32(data))

@@ -10,14 +10,17 @@ blocks, and the AVS-I flipped direction.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import RecursiveVectorGenerator
 from repro.core.generator import AdjacencyBlock
 from repro.errors import FormatError
-from repro.formats import (NO_PIPELINE_ENV, ThreadedSink, WriteResult,
-                           block_from_edges, blocks_from_adjacency,
-                           get_format, id6_byte_view, write_many,
-                           write_many_blocks)
+from repro.formats import (NO_PIPELINE_ENV, GraphFormat, ThreadedSink,
+                           TsvFormat, WriteResult, block_from_edges,
+                           blocks_from_adjacency, get_format,
+                           id6_byte_view, write_many, write_many_blocks)
+from repro.telemetry import Counter
 
 FORMATS = ["adj6", "csr6", "tsv"]
 
@@ -144,6 +147,160 @@ class TestByteIdentity:
         for n in FORMATS:
             assert (tmp_path / f"b.{n}").read_bytes() == \
                 (tmp_path / f"p.{n}").read_bytes()
+
+
+def tsv_text(blocks):
+    """The format's definition, spelled with Python's own int → str."""
+    return "".join(f"{u}\t{v}\n" for block in blocks
+                   for u, vs in block.iter_adjacency()
+                   for v in vs.tolist()).encode("ascii")
+
+
+#: Both sides of every decimal width up to 15 digits, of the uint32
+#: digit loop's limit, and the largest id the binary formats hold.
+WIDTH_BOUNDARIES = sorted(
+    {0, (1 << 32) - 1, 1 << 32, (1 << 48) - 1}
+    | {10 ** k - 1 for k in range(1, 15)}
+    | {10 ** k for k in range(1, 15)})
+
+
+class TestTsvBlockEncoder:
+    """The digit-matrix encoder against ``str(int)``: every id width, the
+    pad mask of each column, and the ids it must refuse."""
+
+    @pytest.mark.parametrize("top", WIDTH_BOUNDARIES)
+    def test_one_edge_block_at_every_width_boundary(self, top, tmp_path):
+        blocks = [hand_block([top], [[top]])]
+        assert block_bytes("tsv", tmp_path / "g", blocks, top + 1) \
+            == f"{top}\t{top}\n".encode("ascii")
+
+    @pytest.mark.parametrize("top", WIDTH_BOUNDARIES[1:])
+    def test_narrower_ids_padded_to_the_widest(self, top, tmp_path):
+        """``top`` fixes the matrix width; every narrower boundary id
+        beside it must lose exactly its own pad, as source and as
+        destination."""
+        ids = [b for b in WIDTH_BOUNDARIES if b <= top]
+        blocks = [hand_block(ids, [ids] * len(ids))]
+        assert block_bytes("tsv", tmp_path / "g", blocks, top + 1) \
+            == tsv_text(blocks)
+
+    def test_degree_zero_sources_between_non_empty_ones(self, tmp_path):
+        # The widest source has no edge: it must not show in any line.
+        blocks = [hand_block([7, 12345, 80, 999999, 100000],
+                             [[3, 1000], [], [0], [], [99, 5, 10]])]
+        assert block_bytes("tsv", tmp_path / "g", blocks, 10 ** 6) \
+            == b"7\t3\n7\t1000\n80\t0\n100000\t99\n100000\t5\n100000\t10\n"
+
+    def test_empty_block_writes_nothing_and_is_not_counted(self, tmp_path):
+        writer = get_format("tsv").open_writer(tmp_path / "g", 4)
+        writes = []
+        writer._sink.write = writes.append
+        writer._blocks_counter = Counter()      # format.blocks_encoded
+        writer.add_block(hand_block([], []))
+        writer.add_block(hand_block([0, 1], [[], []]))
+        writer.close()
+        assert writes == [] and writer._blocks_counter.value == 0
+        assert (tmp_path / "g").read_bytes() == b""
+
+    @pytest.mark.parametrize("direction", ["out", "in"])
+    @pytest.mark.parametrize("pipeline", ["on", "off"])
+    def test_generated_blocks(self, direction, pipeline, tmp_path,
+                              monkeypatch):
+        monkeypatch.setenv(NO_PIPELINE_ENV, "1" if pipeline == "off" else "")
+        gen = make_generator(direction=direction)
+        blocks = list(gen.iter_blocks())
+        assert block_bytes("tsv", tmp_path / "g", blocks,
+                           gen.num_vertices) == tsv_text(blocks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(0, (1 << 63) - 1),
+                  st.lists(st.integers(0, (1 << 63) - 1), max_size=6)),
+        max_size=10))
+    def test_any_block(self, tmp_path_factory, records):
+        blocks = [hand_block([u for u, _ in records],
+                             [vs for _, vs in records])]
+        path = tmp_path_factory.mktemp("tsv") / "g"
+        assert block_bytes("tsv", path, blocks, 1 << 63) \
+            == tsv_text(blocks)
+
+    @pytest.mark.parametrize("sources,lists", [
+        ([3, -4], [[1], [2]]),
+        ([3, 4], [[1], [2, -1]]),
+    ])
+    def test_negative_id_is_refused_before_anything_is_written(
+            self, sources, lists, tmp_path):
+        good = hand_block([1], [[2]])
+        bad = hand_block(sources, lists)
+        writer = get_format("tsv").open_writer(tmp_path / "blk", 8)
+        writer.add_block(good)
+        with pytest.raises(FormatError, match="negative"):
+            writer.add_block(bad)
+        writer.close()
+        assert (tmp_path / "blk").read_bytes() == b"1\t2\n"
+        assert writer.result.num_edges == 1
+
+        writer = get_format("tsv").open_writer(tmp_path / "pv", 8)
+        writer.add(1, np.array([2], dtype=np.int64))
+        with pytest.raises(FormatError, match="negative"):
+            for u, vs in bad.iter_adjacency():
+                writer.add(u, vs)
+        writer.close()
+        # Per-vertex granularity: the adjacency before the bad one stays.
+        assert (tmp_path / "pv").read_bytes().startswith(b"1\t2\n")
+        assert b"-" not in (tmp_path / "pv").read_bytes()
+
+
+class TestTsvBulkRead:
+    """``TsvFormat.read_edges`` parses in bulk; the line reader stays the
+    authority on what a valid file is and on the error text."""
+
+    @staticmethod
+    def line_reader(path):
+        return GraphFormat.read_edges(TsvFormat(), path)
+
+    def test_equals_line_reader_on_generated_file(self, tmp_path):
+        gen = make_generator(scale=12)
+        path = tmp_path / "g.tsv"
+        get_format("tsv").write_blocks(path, gen.iter_blocks(),
+                                       gen.num_vertices)
+        bulk = TsvFormat().read_edges(path)
+        assert bulk.dtype == np.int64 and bulk.shape[0] > 30000
+        assert np.array_equal(bulk, self.line_reader(path))
+
+    @pytest.mark.parametrize("text,expected", [
+        ("", []),
+        ("\n\n", []),
+        ("1\t2\n\n1\t3\n", [[1, 2], [1, 3]]),
+        ("1\t2\n3\t4", [[1, 2], [3, 4]]),
+        ("5\t6\n", [[5, 6]]),
+    ])
+    def test_blank_lines_and_empty_files(self, text, expected, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text(text)
+        edges = TsvFormat().read_edges(path)
+        assert edges.shape == (len(expected), 2)
+        assert edges.dtype == np.int64
+        assert edges.tolist() == expected
+
+    @pytest.mark.parametrize("text", [
+        "1\t2\n3\t4\n5\t",            # truncated mid-line
+        "1\t2\nzero\tone\n",           # non-numeric
+        "1\t2\t3\n",                    # too many columns
+        "1\t2\n1\t2\t3\n",            # ... on a later line only
+        "7\n",                           # too few
+        "1\t2\n# 3\t4\n",              # no comment syntax in TSV
+    ])
+    def test_corrupt_file_raises_the_line_readers_error(self, text,
+                                                        tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text(text)
+        with pytest.raises(FormatError) as from_lines:
+            self.line_reader(path)
+        with pytest.raises(FormatError) as from_bulk:
+            TsvFormat().read_edges(path)
+        assert str(from_bulk.value) == str(from_lines.value)
+        assert f"{path}:" in str(from_bulk.value)
 
 
 class TestBlockHelpers:
