@@ -15,8 +15,8 @@ Two artifacts matter beyond the printed tables:
   must beat the per-vertex ``writer.add`` loop at scale 18 (ADJ6 2x,
   TSV 5x).
 - ``test_emit_bench_json`` writes ``BENCH_formats.json`` at the repo root
-  (scale, format, engine, edges/s, MB/s, pipeline on/off) so later PRs
-  have a perf trajectory to compare against.
+  (scale, format, engine, edges/s, MB/s) so later PRs have a perf
+  trajectory to compare against.
 - ``test_telemetry_overhead_gate`` is the CI gate for the telemetry
   layer: generation+write throughput with telemetry on must stay within
   95% of telemetry off, recorded into ``BENCH_telemetry.json``.
@@ -26,14 +26,13 @@ Two artifacts matter beyond the printed tables:
 """
 
 import json
-import os
 import time
 from pathlib import Path
 
 import pytest
 
 from repro.core.generator import RecursiveVectorGenerator
-from repro.formats import NO_PIPELINE_ENV, get_format, write_many
+from repro.formats import get_format, write_many
 
 SCALE = 13
 SMOKE_SCALE = 18
@@ -220,44 +219,30 @@ def test_block_tsv_beats_per_vertex(tmp_path, table):
 
 
 def test_emit_bench_json(tmp_path, table):
-    """Record the perf trajectory: edges/s and MB/s for every format with
-    the write pipeline on and off, from the WriteResult's own timing
-    fields, into ``BENCH_formats.json`` at the repo root."""
+    """Record the perf trajectory: edges/s and MB/s for every format,
+    from the WriteResult's own timing fields, into
+    ``BENCH_formats.json`` at the repo root."""
     gen = RecursiveVectorGenerator(SCALE, 16, seed=9)
     blocks = list(gen.iter_blocks())
     records = []
     for fmt_name in ("adj6", "csr6", "tsv"):
-        fmt = get_format(fmt_name)
-        for pipeline in (True, False):
-            env_value = "" if pipeline else "1"
-            old = os.environ.get(NO_PIPELINE_ENV)
-            os.environ[NO_PIPELINE_ENV] = env_value
-            try:
-                label = "on" if pipeline else "off"
-                _, result = _time_blocks(
-                    fmt, tmp_path / f"{fmt_name}.{label}", blocks,
-                    gen.num_vertices)
-            finally:
-                if old is None:
-                    del os.environ[NO_PIPELINE_ENV]
-                else:
-                    os.environ[NO_PIPELINE_ENV] = old
-            records.append({
-                "scale": SCALE,
-                "format": fmt_name,
-                "engine": gen.engine,
-                "pipeline": "on" if pipeline else "off",
-                "edges_per_second": round(result.edges_per_second),
-                "mb_per_second": round(
-                    result.bytes_per_second / 2**20, 2),
-                "encode_seconds": round(result.encode_seconds, 4),
-                "write_seconds": round(result.write_seconds, 4),
-            })
+        _, result = _time_blocks(get_format(fmt_name),
+                                 tmp_path / fmt_name, blocks,
+                                 gen.num_vertices)
+        records.append({
+            "scale": SCALE,
+            "format": fmt_name,
+            "engine": gen.engine,
+            "edges_per_second": round(result.edges_per_second),
+            "mb_per_second": round(result.bytes_per_second / 2**20, 2),
+            "encode_seconds": round(result.encode_seconds, 4),
+            "write_seconds": round(result.write_seconds, 4),
+        })
     out_path = _REPO_ROOT / "BENCH_formats.json"
     out_path.write_text(json.dumps(records, indent=2) + "\n")
     table(f"BENCH_formats.json (scale {SCALE}, engine {gen.engine})",
-          ["format", "pipeline", "edges/s", "MB/s"],
-          [[r["format"], r["pipeline"], f"{r['edges_per_second']:,}",
+          ["format", "edges/s", "MB/s"],
+          [[r["format"], f"{r['edges_per_second']:,}",
             r["mb_per_second"]] for r in records])
     assert all(r["edges_per_second"] > 0 for r in records)
 

@@ -18,13 +18,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import degree_histogram, graph_stats, in_degrees, out_degrees
-from .cluster import (figure11a_series, figure11b_series, figure12_series,
-                      figure14_series)
 from .core.seed import SeedMatrix
-from .dist.runner import ClusterSpec
 from .formats import available_formats, get_format
-from .rich_graph import RichGraphGenerator, bibliographical_config
 from .system import TrillionG
 
 __all__ = ["main", "build_parser"]
@@ -252,11 +247,12 @@ def _parse_matrix(text: str | None) -> SeedMatrix | None:
 def _cmd_generate(args: argparse.Namespace) -> int:
     cluster = None
     if args.machines * args.threads > 1:
+        from .dist.runner import ClusterSpec
         cluster = ClusterSpec(machines=args.machines,
                               threads_per_machine=args.threads)
     retry = None
     if args.retries is not None or args.task_timeout is not None:
-        from .dist import RetryPolicy
+        from .dist.faults import RetryPolicy
         retry = RetryPolicy(
             retries=args.retries if args.retries is not None else 3,
             task_timeout=args.task_timeout)
@@ -311,14 +307,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_rich(args: argparse.Namespace) -> int:
+    from .rich_graph import (RichGraphGenerator, builtin_schema,
+                             load_config, save_config)
     if args.config is not None:
-        from .rich_graph import load_config
         config = load_config(args.config)
     else:
-        from .rich_graph import builtin_schema
         config = builtin_schema(args.schema, args.vertices, args.edges)
     if args.dump_config is not None:
-        from .rich_graph import save_config
         save_config(config, args.dump_config)
     generator = RichGraphGenerator(config, seed=args.seed)
     count = generator.write_ntriples(args.output)
@@ -347,6 +342,7 @@ def _load_edges(args: argparse.Namespace) -> np.ndarray:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .analysis import graph_stats
     edges = _load_edges(args)
     num_vertices = args.vertices
     if num_vertices is None:
@@ -356,6 +352,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_degrees(args: argparse.Namespace) -> int:
+    from .analysis import degree_histogram, in_degrees, out_degrees
     edges = _load_edges(args)
     num_vertices = int(edges.max()) + 1 if edges.size else 0
     seq = (out_degrees(edges, num_vertices) if args.direction == "out"
@@ -379,6 +376,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .cluster import (figure11a_series, figure11b_series,
+                          figure12_series, figure14_series)
     series = {
         "11a": figure11a_series,
         "11b": figure11b_series,
@@ -468,7 +467,8 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .analysis import (clustering_coefficient_sampled,
                            effective_diameter, fit_kronecker_class_slope,
-                           oscillation_score, reciprocity)
+                           graph_stats, oscillation_score, out_degrees,
+                           reciprocity)
     edges = _load_edges(args)
     n = args.vertices
     degs = out_degrees(edges, n)

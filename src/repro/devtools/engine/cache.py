@@ -29,7 +29,7 @@ __all__ = ["ENGINE_VERSION", "LintCache", "config_fingerprint", "file_key"]
 
 #: Bump on any change to checker logic or cached-entry layout: every
 #: cached result becomes stale at once.
-ENGINE_VERSION = "2.2.0"
+ENGINE_VERSION = "2.3.0"
 
 _CACHE_NAME = "reprolint-cache.json"
 

@@ -15,22 +15,16 @@ each enforced by one rule family here:
   passed on) keeps running after the function returns; whatever it
   writes now races with the caller, and interpreter shutdown may cut it
   off mid-write.
-- **spawn-hygiene** (RPL620/621, a whole-program pass over the
-  ``spawn_module_prefixes`` layers) — RPL620: the worker callable at a
-  spawn site must be a picklable module-level function, not a lambda or
+- **spawn-hygiene** (RPL620, a whole-program pass over the
+  ``spawn_module_prefixes`` layers) — the worker callable at a spawn
+  site must be a picklable module-level function, not a lambda or
   nested ``def`` (``spawn``-context pickling fails at runtime, and even
   under ``fork`` the closure smuggles parent state into the worker).
-  RPL621: code reachable from a worker entry point must not read the
-  environment (``os.environ`` / ``os.getenv``) — workers inherit the
-  *spawn-time* environment, so env-dependent behaviour silently
-  diverges between supervisor and worker and between runs; thread
-  configuration through the task tuple instead.
 
 RPL610 and RPL611 are single-file rules (a class or function is visible
-whole); RPL620/621 need the project call graph to walk from the worker
-entry into everything it can reach.  The call-graph walk uses only
-*resolved* edges — name-based method matching would drag in every
-same-named method in the tree and flag env reads no worker executes.
+whole); RPL620 reads the spawn sites recorded in the project's module
+summaries.  (Which functions may read the environment at all is pinned
+by a plain test, ``tests/test_env_surface.py``.)
 """
 
 from __future__ import annotations
@@ -301,22 +295,19 @@ class ThreadLifecycleChecker(Checker):
                           f"in a finally block or hand it to the caller)")
 
 
-# -- RPL620/621: spawn-hygiene -----------------------------------------
+# -- RPL620: spawn-hygiene ---------------------------------------------
 
 
 @register_project_checker
 class SpawnHygieneChecker(ProjectChecker):
-    """Worker callables must be picklable top-level functions, and
-    worker-reachable code must not read the environment."""
+    """Worker callables must be picklable top-level functions."""
 
     name = "spawn-hygiene"
     codes = {
         "RPL620": "non-picklable worker callable crosses a spawn boundary",
-        "RPL621": "environment read inside worker-reachable code",
     }
 
     def check(self, project: "ProjectModel") -> None:
-        entries: list[tuple[ModuleSummary, str, int]] = []
         for summary in project.summaries:
             config = project.config_for_path(summary.path)
             if not self._in_scope(summary.module, config):
@@ -326,18 +317,15 @@ class SpawnHygieneChecker(ProjectChecker):
                 if callee_tail not in config.worker_submit_calls:
                     continue
                 for worker in site["workers"]:
-                    self._check_worker(project, summary, site, str(worker),
-                                       entries)
-        self._check_env_reads(project, entries)
+                    self._check_worker(summary, site, str(worker))
 
     @staticmethod
     def _in_scope(module: str, config: LintConfig) -> bool:
         return any(module == p or module.startswith(p + ".")
                    for p in config.spawn_module_prefixes)
 
-    def _check_worker(self, project: "ProjectModel",
-                      summary: "ModuleSummary", site: dict, worker: str,
-                      entries: list) -> None:
+    def _check_worker(self, summary: "ModuleSummary", site: dict,
+                      worker: str) -> None:
         line = int(site["line"])
         enclosing = str(site["function"])
         if worker == "<lambda>":
@@ -354,56 +342,3 @@ class SpawnHygieneChecker(ProjectChecker):
                           f"{enclosing}) passed to {site['callee']}(): "
                           f"nested defs do not pickle and capture parent "
                           f"state — move the worker to module level")
-                return
-        owner, symbol = project.resolve_chain(summary.module, worker)
-        if (owner in project.modules and symbol is not None
-                and symbol in project.modules[owner].functions):
-            entries.append((project.modules[owner], symbol, line))
-
-    def _check_env_reads(self, project: "ProjectModel",
-                         entries: list) -> None:
-        flagged: set[tuple[str, int]] = set()
-        for entry_summary, entry_qual, _line in entries:
-            start = f"{entry_summary.module}:{entry_qual}"
-            for reached in self._worker_closure(project, start):
-                module, _, qual = reached.partition(":")
-                summary = project.modules.get(module)
-                if summary is None:
-                    continue
-                config = project.config_for_path(summary.path)
-                if not self._in_scope(module, config):
-                    continue
-                for read_qual, line, var in summary.env_reads:
-                    if read_qual != qual or (summary.path, line) in flagged:
-                        continue
-                    flagged.add((summary.path, line))
-                    what = (f"environment variable {var!r}" if var
-                            else "the environment")
-                    self.flag(summary, line, 0, "RPL621",
-                              f"{read_qual}() reads {what} but is "
-                              f"reachable from worker entry point "
-                              f"{entry_qual}(): workers inherit the "
-                              f"spawn-time environment, so pass the value "
-                              f"through the task tuple instead")
-
-    @staticmethod
-    def _worker_closure(project: "ProjectModel", start: str) -> set[str]:
-        """Resolved-edge transitive closure from a worker entry point,
-        expanding class constructions into their methods (calling
-        ``Cls(...)`` in a worker may run any of its methods there)."""
-        seen = {start}
-        frontier = [start]
-        while frontier and len(seen) < 10_000:
-            current = frontier.pop()
-            for succ in project.call_edges(current, name_based=False):
-                targets = [succ]
-                mod, _, sym = succ.partition(":")
-                summary = project.modules.get(mod)
-                if summary and sym in summary.classes:
-                    targets += [f"{mod}:{sym}.{m}"
-                                for m in summary.classes[sym].methods]
-                for target in targets:
-                    if target not in seen:
-                        seen.add(target)
-                        frontier.append(target)
-        return seen

@@ -126,9 +126,6 @@ class ModuleSummary:
     #: ``importlib.import_module("x")`` / ``__import__("x")`` calls with
     #: a string-literal target — imports no import statement ever shows
     dynamic_imports: list[tuple[str, int]] = field(default_factory=list)
-    #: environment reads (``os.environ.get`` / ``os.getenv`` /
-    #: ``environ[...]``): ``(enclosing qualname, line, var-or-"")``
-    env_reads: list[tuple[str, int, str]] = field(default_factory=list)
     #: worker-spawn call sites: ``{"line", "function", "callee",
     #: "workers"}`` where ``workers`` are the candidate worker-callable
     #: expressions (dotted chains or ``"<lambda>"``)
@@ -156,8 +153,6 @@ class ModuleSummary:
             "defs": sorted(self.defs),
             "exports": self.exports,
             "dynamic_imports": [[m, line] for m, line in self.dynamic_imports],
-            "env_reads": [[q, line, var]
-                          for q, line, var in self.env_reads],
             "spawn_sites": self.spawn_sites,
             "numeric": self.numeric,
             "pragmas": self.pragma_table.to_json(),
@@ -180,8 +175,6 @@ class ModuleSummary:
             # .get defaults keep pre-2.1 cached summaries loadable (the
             # cache also versions on ENGINE_VERSION, so this is belt and
             # braces for hand-rolled docs in tests).
-            env_reads=[(str(q), int(line), str(var))
-                       for q, line, var in doc.get("env_reads", [])],  # type: ignore[union-attr]
             spawn_sites=list(doc.get("spawn_sites", [])),  # type: ignore[call-overload]
             numeric=dict(doc.get("numeric", {})),  # type: ignore[call-overload]
             pragma_table=PragmaTable.from_json(doc["pragmas"]),  # type: ignore[arg-type]
@@ -342,14 +335,6 @@ class _Summarizer(ast.NodeVisitor):
             "line": node.lineno, "function": qual,
             "callee": chain, "workers": workers})
 
-    def _record_env_read(self, node: ast.Call, chain: str,
-                         qual: str) -> None:
-        var = ""
-        if (node.args and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)):
-            var = node.args[0].value
-        self.summary.env_reads.append((qual, node.lineno, var))
-
     def visit_Call(self, node: ast.Call) -> None:
         chain = _call_chain(node.func)
         if chain is not None:
@@ -367,20 +352,6 @@ class _Summarizer(ast.NodeVisitor):
                     (node.args[0].value, node.lineno))
             if tail in _SPAWN_CANDIDATES:
                 self._record_spawn(node, chain, qual)
-            if tail == "getenv" or chain.endswith("environ.get"):
-                self._record_env_read(node, chain, qual)
-        self.generic_visit(node)
-
-    def visit_Subscript(self, node: ast.Subscript) -> None:
-        chain = _call_chain(node.value)
-        if chain is not None and (chain == "environ"
-                                  or chain.endswith(".environ")):
-            var = ""
-            if (isinstance(node.slice, ast.Constant)
-                    and isinstance(node.slice.value, str)):
-                var = node.slice.value
-            self.summary.env_reads.append(
-                (self._qual(), node.lineno, var))
         self.generic_visit(node)
 
 

@@ -330,10 +330,9 @@ class LintConfig:
     worker_submit_calls: frozenset[str] = frozenset(
         {"Process", "apply_async", "submit", "run_tasks",
          "map_async", "starmap_async", "dumps"})
-    #: Module prefixes where the spawn-hygiene project rules (RPL620/621)
-    #: apply: worker callables crossing a spawn boundary must be
-    #: picklable top-level functions, and worker code must take its
-    #: configuration from the task tuple, not the environment.
+    #: Module prefixes where the spawn-hygiene project rule (RPL620)
+    #: applies: worker callables crossing a spawn boundary must be
+    #: picklable top-level functions.
     spawn_module_prefixes: tuple[str, ...] = ("repro.dist",)
     #: Module prefixes holding *read-only live introspection* (RPL509):
     #: the flight recorder, the telemetry HTTP server, and the trace

@@ -13,9 +13,10 @@ changes the output graph.
 
 Robustness is testable: :class:`FaultPlan` deterministically injects
 crashes, hangs, and corrupted output into chosen task indices (or with a
-seeded probability), either programmatically or via environment
-variables (``TRILLIONG_FAULT_CRASH=0,2 TRILLIONG_FAULT_HANG=1 ...``), so
-CI can exercise every recovery path on every run.
+seeded probability).  Tests pass an explicit plan; CI's
+``fault-injection`` job arms the seeded-probability crash for a whole
+pytest run with ``TRILLIONG_FAULT_PROB`` / ``TRILLIONG_FAULT_SEED``
+(:meth:`FaultPlan.from_env`, read once by the launcher).
 
 Start methods: workers prefer ``fork`` where available and fall back to
 ``spawn`` (macOS/Windows default); all task payloads are plain picklable
@@ -37,10 +38,10 @@ from typing import Any, Callable, Sequence
 
 from ..core.rng import stream
 from ..errors import TaskTimeout, TrillionGError, WorkerError
-from ..telemetry import (FlightRecorder, Stopwatch, absorb_telemetry,
-                         get_logger, record_worker_report, registry,
-                         reset_telemetry, snapshot_telemetry, span)
-from ..telemetry.flight import flight_interval_from_env
+from ..telemetry import (Stopwatch, absorb_telemetry, get_logger,
+                         record_worker_report, registry, reset_telemetry,
+                         snapshot_telemetry, span)
+from ..telemetry.flight import FlightRecorder
 
 _log = get_logger("dist.faults")
 
@@ -59,12 +60,8 @@ _TAG_FAULT = 201
 _TAG_BACKOFF = 202
 
 #: Environment variables activating :meth:`FaultPlan.from_env`.
-_ENV_CRASH = "TRILLIONG_FAULT_CRASH"
-_ENV_HANG = "TRILLIONG_FAULT_HANG"
-_ENV_CORRUPT = "TRILLIONG_FAULT_CORRUPT"
 _ENV_PROB = "TRILLIONG_FAULT_PROB"
 _ENV_SEED = "TRILLIONG_FAULT_SEED"
-_ENV_MAX = "TRILLIONG_FAULT_MAX"
 
 
 def pick_start_method() -> str:
@@ -131,27 +128,14 @@ class FaultPlan:
 
     @classmethod
     def from_env(cls) -> "FaultPlan | None":
-        """Build a plan from ``TRILLIONG_FAULT_*`` variables; ``None``
-        when no fault variable is set (the common case)."""
-
-        def indices(name: str) -> frozenset[int]:
-            raw = os.environ.get(name, "").strip()
-            if not raw:
-                return frozenset()
-            return frozenset(int(tok) for tok in raw.split(",")
-                             if tok.strip())
-
-        crash = indices(_ENV_CRASH)
-        hang = indices(_ENV_HANG)
-        corrupt = indices(_ENV_CORRUPT)
+        """A seeded-probability crash plan from ``TRILLIONG_FAULT_PROB``
+        / ``TRILLIONG_FAULT_SEED``; ``None`` when the probability is
+        unset or zero (the common case)."""
         prob = float(os.environ.get(_ENV_PROB, "0") or "0")
-        if not crash and not hang and not corrupt and prob <= 0.0:
+        if prob <= 0.0:
             return None
-        return cls(crash_tasks=crash, hang_tasks=hang,
-                   corrupt_tasks=corrupt, crash_probability=prob,
-                   seed=int(os.environ.get(_ENV_SEED, "0") or "0"),
-                   max_faulty_attempts=int(
-                       os.environ.get(_ENV_MAX, "1") or "1"))
+        return cls(crash_probability=prob,
+                   seed=int(os.environ.get(_ENV_SEED, "0") or "0"))
 
 
 @dataclass(frozen=True)
@@ -206,7 +190,7 @@ class TaskAttempt:
     error: str | None = None
     injected: str | None = None   #: fault the plan injected, if any
     #: Flight-recorder forensics for failed attempts when the worker ran
-    #: one (``TRILLIONG_FLIGHT``): the tail of its time series, either
+    #: one (``run_tasks(flight=...)``): the tail of its time series, either
     #: shipped with a clean error snapshot or recovered from the
     #: ``<output>.flight`` dump a SIGKILL'd/hung worker left behind.
     flight: dict | None = None
@@ -233,13 +217,11 @@ def _flight_dump_path(task: Any) -> Path | None:
     return Path(f"{out_path}.flight") if out_path is not None else None
 
 
-def _start_worker_flight(task: Any) -> FlightRecorder | None:
-    """A worker-local flight recorder when ``TRILLIONG_FLIGHT`` asks for
-    one (the env var is inherited by fork/spawn children, so one switch
-    arms every worker).  The env read lives in
-    :func:`repro.telemetry.flight.flight_interval_from_env`, keeping
-    worker entry points free of ad-hoc environment coupling."""
-    interval = flight_interval_from_env()
+def _start_worker_flight(task: Any, interval: float | None
+                         ) -> FlightRecorder | None:
+    """A worker-local flight recorder sampling every ``interval``
+    seconds (``None`` = off), dumping its tail next to the task's
+    output file."""
     if interval is None:
         return None
     return FlightRecorder(interval,
@@ -262,7 +244,8 @@ def _tagged_snapshot(index: int, attempt: int,
 
 def _attempt_entry(conn: Any, worker: Callable[[Any], Any], index: int,
                    task: Any, attempt: int,
-                   faults: FaultPlan | None) -> None:
+                   faults: FaultPlan | None,
+                   flight: float | None) -> None:
     """Subprocess entry: run one attempt, apply injected faults, and ship
     the outcome over the pipe.  Must catch everything — the process
     boundary is the one place errors can only travel as data.
@@ -271,14 +254,14 @@ def _attempt_entry(conn: Any, worker: Callable[[Any], Any], index: int,
     parent's live registry — re-reporting it would double-count on merge)
     and a snapshot rides along with *every* outcome message, so even a
     failed or corrupted attempt contributes its partial metrics to the
-    supervisor's aggregate.  With ``TRILLIONG_FLIGHT`` set the attempt
+    supervisor's aggregate.  With a ``flight`` interval the attempt
     also runs its own flight recorder: its tail travels inside the
     snapshot, and its on-disk dump is kept only when no snapshot made it
     out — the SIGKILL/hang forensics the supervisor collects in
     :func:`run_tasks`.
     """
     reset_telemetry()
-    recorder = _start_worker_flight(task)
+    recorder = _start_worker_flight(task, flight)
     snapshot_sent = False
     try:
         action = faults.action(index, attempt) if faults is not None \
@@ -426,6 +409,7 @@ def run_tasks(tasks: Sequence[Any], worker: Callable[[Any], Any], *,
               validate: Callable[[Any, Any], None] | None = None,
               on_result: Callable[[int, Any], None] | None = None,
               mp_context: Any = None,
+              flight: float | None = None,
               ) -> tuple[list[Any], dict[int, list[TaskAttempt]]]:
     """Run every task to completion under retry/timeout supervision.
 
@@ -451,6 +435,10 @@ def run_tasks(tasks: Sequence[Any], worker: Callable[[Any], Any], *,
     mp_context:
         A ``multiprocessing`` context; defaults to
         :func:`pick_start_method`.
+    flight:
+        Sampling interval in seconds of a flight recorder run inside
+        every subprocess attempt (``None`` = off); a failed attempt's
+        tail lands on its :class:`TaskAttempt`.
 
     Returns
     -------
@@ -493,7 +481,7 @@ def run_tasks(tasks: Sequence[Any], worker: Callable[[Any], Any], *,
         proc = ctx.Process(
             target=_attempt_entry,
             args=(send_conn, worker, index, tasks[index],
-                  attempt_no[index], faults),
+                  attempt_no[index], faults, flight),
             daemon=True)
         proc.start()
         send_conn.close()

@@ -106,7 +106,7 @@ class DistributedResult:
     @property
     def flight_forensics(self) -> dict[int, list[dict]]:
         """Flight-recorder tails left by failed attempts, per task index
-        (``TRILLIONG_FLIGHT`` runs only): the last seconds of a crashed,
+        (runs given ``flight=`` only): the last seconds of a crashed,
         hung, or errored worker's time series, in attempt order."""
         forensics: dict[int, list[dict]] = {}
         for index, attempts in self.task_attempts.items():
@@ -287,6 +287,7 @@ class LocalCluster:
                         fmt_name: str,
                         start_method: str | None,
                         on_result=None,
+                        flight: float | None = None,
                         ) -> tuple[list[WorkerResult],
                                    dict[int, list[TaskAttempt]]]:
         """Shared scatter path: resolve policy/faults/context, run the
@@ -298,7 +299,7 @@ class LocalCluster:
         results, history = run_tasks(
             tasks, worker, pool_size=pool_size, policy=policy,
             faults=faults, validate=self._make_validator(fmt_name, faults),
-            on_result=on_result, mp_context=ctx)
+            on_result=on_result, mp_context=ctx, flight=flight)
         for index, task in enumerate(tasks):
             check_worker_result(results[index],
                                 start=task[1], stop=task[2])
@@ -315,17 +316,20 @@ class LocalCluster:
                           faults: FaultPlan | None = None,
                           start_method: str | None = None,
                           progress: Callable[[int], None] | None = None,
+                          flight: float | None = None,
                           ) -> DistributedResult:
         """Partition, scatter, and generate part files in parallel.
 
         ``processes`` caps the real OS processes (defaults to the logical
         worker count; the logical partitioning is unaffected).  ``retry``
         and ``faults`` configure the fault-tolerance layer; when
-        ``faults`` is omitted, ``TRILLIONG_FAULT_*`` environment
-        variables are honoured (none set means no injection).
+        ``faults`` is omitted, ``TRILLIONG_FAULT_PROB`` /
+        ``TRILLIONG_FAULT_SEED`` are honoured (unset means no injection).
         ``start_method`` forces ``fork``/``spawn`` (default: fork where
         available, spawn otherwise).  ``progress`` is called with the
-        cumulative edge count as each partition lands.
+        cumulative edge count as each partition lands.  ``flight`` is
+        the sampling interval in seconds of a flight recorder run inside
+        every worker (``None`` = off).
         """
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -341,7 +345,7 @@ class LocalCluster:
             result.workers, result.task_attempts = self._run_supervised(
                 tasks, _worker_generate, pool_size, retry, faults,
                 fmt_name, start_method,
-                on_result=_progress_hook(progress))
+                on_result=_progress_hook(progress), flight=flight)
         result.elapsed_seconds = sp.seconds + result.partition_seconds
         return result
 
@@ -355,6 +359,7 @@ class LocalCluster:
                               start_method: str | None = None,
                               progress: Callable[[int], None]
                               | None = None,
+                              flight: float | None = None,
                               ) -> DistributedResult:
         """Parallel *and* resumable generation: chunked like
         :class:`~repro.dist.checkpoint.CheckpointedRun`, scattered like
@@ -393,7 +398,7 @@ class LocalCluster:
         with span("scatter", tasks=len(tasks), pool=pool_size) as sp:
             result.workers, result.task_attempts = self._run_supervised(
                 tasks, _worker_chunk, pool_size, retry, faults, fmt_name,
-                start_method, on_result=record)
+                start_method, on_result=record, flight=flight)
         result.elapsed_seconds = sp.seconds
         return result
 

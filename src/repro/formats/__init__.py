@@ -14,10 +14,7 @@ from .base import (GraphFormat, StreamWriter, WriteResult,
                    register_format)
 from .csr6 import Csr6Format
 from .multi import write_many, write_many_blocks
-from .pipeline import (DEFAULT_PIPELINE_DEPTH, NO_PIPELINE_ENV,
-                       PIPELINE_DEPTH_ENV, DirectSink, ThreadedSink,
-                       WriteSink, open_sink, pipeline_depth,
-                       pipeline_enabled)
+from .pipeline import DEFAULT_PIPELINE_DEPTH, ThreadedSink
 from .tsv import TsvFormat
 
 __all__ = [
@@ -26,7 +23,5 @@ __all__ = [
     "write_many", "write_many_blocks",
     "block_from_edges", "blocks_from_adjacency", "blocks_from_sorted_keys",
     "encode_id6", "decode_id6", "id6_byte_view",
-    "NO_PIPELINE_ENV", "PIPELINE_DEPTH_ENV", "DEFAULT_PIPELINE_DEPTH",
-    "WriteSink", "DirectSink", "ThreadedSink", "open_sink",
-    "pipeline_enabled", "pipeline_depth",
+    "DEFAULT_PIPELINE_DEPTH", "ThreadedSink",
 ]

@@ -26,7 +26,7 @@ from ..core.generator import AdjacencyBlock
 from ..errors import FormatError
 from .base import (SIX_BYTES, GraphFormat, StreamWriter, WriteResult,
                    decode_id6, encode_id6, id6_byte_view, register_format)
-from .pipeline import open_sink
+from .pipeline import ThreadedSink
 
 __all__ = ["Adj6Format"]
 
@@ -39,7 +39,7 @@ class _Adj6Writer(StreamWriter):
     def __init__(self, path: Path | str, num_vertices: int) -> None:
         super().__init__(path, num_vertices)
         self._file = open(self.path, "wb")
-        self._sink = open_sink(self._file)
+        self._sink = ThreadedSink(self._file)
 
     def add(self, vertex: int, neighbours: np.ndarray) -> None:
         degree = len(neighbours)

@@ -27,7 +27,7 @@ from ..contracts import check_write_result
 from ..core.generator import AdjacencyBlock
 from ..errors import FormatError
 from ..telemetry import Stopwatch, registry, span
-from .pipeline import WriteSink
+from .pipeline import ThreadedSink
 
 __all__ = ["WriteResult", "GraphFormat", "StreamWriter", "register_format",
            "get_format", "available_formats", "SIX_BYTES", "encode_id6",
@@ -49,8 +49,8 @@ class WriteResult:
 
     ``encode_seconds`` is wall time spent turning adjacency into format
     bytes; ``write_seconds`` is wall time inside ``file.write`` (measured
-    in the background thread when the pipeline is on, so encode and write
-    time may overlap); ``elapsed_seconds`` is writer-open to close.
+    in the background writer thread, so encode and write time may
+    overlap); ``elapsed_seconds`` is writer-open to close.
     """
 
     path: Path
@@ -133,12 +133,8 @@ class StreamWriter(ABC):
         return self.result
 
     def _sink_write_seconds(self) -> float:
-        sink: WriteSink | None = getattr(self, "_sink", None)
+        sink: ThreadedSink | None = getattr(self, "_sink", None)
         return sink.write_seconds if sink is not None else 0.0
-
-    def _sink_overlapped(self) -> bool:
-        sink: WriteSink | None = getattr(self, "_sink", None)
-        return sink.overlapped if sink is not None else False
 
     def _build_result(self, bytes_written: int,
                       extra_write_seconds: float = 0.0) -> WriteResult:
@@ -151,7 +147,7 @@ class StreamWriter(ABC):
         reg = registry()
         reg.counter("format.bytes_written").inc(bytes_written)
         reg.counter("format.edges_written").inc(self.num_edges)
-        check_write_result(result, overlapped=self._sink_overlapped())
+        check_write_result(result)
         return result
 
     def __enter__(self) -> "StreamWriter":
@@ -189,8 +185,7 @@ class GraphFormat(ABC):
         """Write a stream of :class:`AdjacencyBlock`s to ``path``.
 
         This is the fast path: each block is encoded as one buffer and
-        written in bulk (pipelined with generation unless
-        ``TRILLIONG_NO_PIPELINE=1``).
+        written in bulk, pipelined with generation.
         """
         with span("format.write_blocks", format=self.name):
             writer = self.open_writer(path, num_vertices)

@@ -29,7 +29,7 @@ from ..errors import FormatError
 from ..telemetry import Stopwatch
 from .base import (SIX_BYTES, GraphFormat, StreamWriter, WriteResult,
                    decode_id6, encode_id6, id6_byte_view, register_format)
-from .pipeline import open_sink
+from .pipeline import ThreadedSink
 
 __all__ = ["Csr6Format"]
 
@@ -48,7 +48,7 @@ class _Csr6Writer(StreamWriter):
         self._file = open(self.path, "wb")
         self._file.write(_HEADER.pack(_MAGIC, num_vertices, 0))
         self._file.write(b"\x00" * ((num_vertices + 1) * 8))
-        self._sink = open_sink(self._file)
+        self._sink = ThreadedSink(self._file)
 
     def _check_sources(self, sources: np.ndarray) -> None:
         if int(sources[0]) <= self._last_u or (

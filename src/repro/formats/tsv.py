@@ -22,7 +22,7 @@ import numpy as np
 from ..core.generator import AdjacencyBlock
 from ..errors import FormatError
 from .base import GraphFormat, StreamWriter, WriteResult, register_format
-from .pipeline import open_sink
+from .pipeline import ThreadedSink
 
 __all__ = ["TsvFormat"]
 
@@ -74,7 +74,7 @@ class _TsvWriter(StreamWriter):
     def __init__(self, path: Path | str, num_vertices: int) -> None:
         super().__init__(path, num_vertices)
         self._file = open(self.path, "wb")
-        self._sink = open_sink(self._file)
+        self._sink = ThreadedSink(self._file)
 
     def add(self, vertex: int, neighbours: np.ndarray) -> None:
         if len(neighbours) == 0:

@@ -15,8 +15,7 @@ the reprolint RPL6xx concurrency family).  With ``TRILLIONG_SANITIZE=1``:
 - :func:`write_trace` serializes the ledger, and ``python -m
   repro.sanitize.diff a.json b.json`` pinpoints the first diverging
   draw/write between two runs — the root cause of a byte divergence.
-  ``TRILLIONG_SANITIZE_TRACE=/path`` writes the trace automatically at
-  exit.
+  ``trilliong generate --sanitize-trace PATH`` captures a CLI run.
 
 Off-mode cost is one boolean check per stream derivation and per sink
 write; output bytes are identical either way (gated by
@@ -30,18 +29,15 @@ workflow.
 
 from __future__ import annotations
 
-import atexit
-
 from .ledger import (DRAW_METHODS, ENV_VAR, MAX_EVENTS, GeneratorProxy,
                      SanitizerLedger, enable_sanitize, ledger,
                      record_derivation, record_write, reset_sanitizer,
                      sanitize_enabled, stream_key, trace_stream)
-from .trace import (TRACE_ENV, TRACE_VERSION, _dump_on_exit, load_trace,
-                    write_trace)
+from .trace import TRACE_VERSION, load_trace, write_trace
 
 __all__ = [
     # switches
-    "ENV_VAR", "TRACE_ENV", "sanitize_enabled", "enable_sanitize",
+    "ENV_VAR", "sanitize_enabled", "enable_sanitize",
     # ledger
     "SanitizerLedger", "GeneratorProxy", "ledger", "reset_sanitizer",
     "record_derivation", "trace_stream", "record_write", "stream_key",
@@ -59,6 +55,3 @@ def __getattr__(name: str):
         from . import diff as _diff
         return getattr(_diff, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-atexit.register(_dump_on_exit)

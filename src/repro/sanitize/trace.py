@@ -8,10 +8,8 @@ don't, which is the root cause of a byte divergence (the TrillionG
 purity guarantee means bytes can only diverge where a draw or a write
 did first).
 
-Setting ``TRILLIONG_SANITIZE_TRACE=/path/trace.json`` (with the
-sanitizer enabled) writes the trace automatically at interpreter exit,
-so any run — CLI, test, benchmark — can be captured without code
-changes.
+``trilliong generate --sanitize-trace PATH`` captures a CLI run; any
+other run calls :func:`write_trace` when it is done.
 """
 
 from __future__ import annotations
@@ -20,16 +18,12 @@ import json
 import os
 from pathlib import Path
 
-from .ledger import SanitizerLedger, ledger, sanitize_enabled
+from .ledger import SanitizerLedger, ledger
 
-__all__ = ["TRACE_VERSION", "TRACE_ENV", "write_trace", "load_trace"]
+__all__ = ["TRACE_VERSION", "write_trace", "load_trace"]
 
 #: Bump when the trace document layout changes.
 TRACE_VERSION = 1
-
-#: When set (and the sanitizer is enabled), the global ledger is dumped
-#: to this path at interpreter exit.
-TRACE_ENV = "TRILLIONG_SANITIZE_TRACE"
 
 
 def write_trace(path: Path | str,
@@ -58,8 +52,3 @@ def load_trace(path: Path | str) -> dict:
             raise ValueError(f"{path}: malformed trace: missing {key!r}")
     return doc
 
-
-def _dump_on_exit() -> None:  # pragma: no cover - exercised in subprocess
-    target = os.environ.get(TRACE_ENV, "").strip()
-    if target and sanitize_enabled():
-        write_trace(target)

@@ -7,19 +7,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
 from .core.generator import (AdjacencyBlock, IdeaToggles,
                              RecursiveVectorGenerator)
 from .core.seed import GRAPH500, SeedMatrix
-from .dist.checkpoint import CheckpointedRun
-from .dist.faults import FaultPlan, RetryPolicy
-from .dist.runner import ClusterSpec, DistributedResult, LocalCluster
 from .formats import WriteResult, get_format
-from .telemetry import (build_report, flight_session, span, start_server,
-                        telemetry_enabled, worker_reports)
+from .telemetry import (build_report, span, telemetry_enabled,
+                        worker_reports)
+from .telemetry.flight import flight_session
+
+if TYPE_CHECKING:
+    from .dist.faults import FaultPlan, RetryPolicy
+    from .dist.runner import ClusterSpec
 
 __all__ = ["TrillionG", "TrillionGResult"]
 
@@ -30,7 +32,8 @@ class TrillionGResult:
 
     ``encode_seconds``/``write_seconds`` break the output cost into
     format encoding vs. ``file.write`` wall time (summed across workers
-    for distributed runs; the two overlap when the write pipeline is on).
+    for distributed runs; the two overlap, the write runs on the
+    pipeline's background thread).
     ``telemetry`` holds the full metrics + span report for the run
     (:func:`repro.telemetry.build_report`), or ``None`` when telemetry is
     disabled via ``TRILLIONG_TELEMETRY=0``.
@@ -97,14 +100,13 @@ class TrillionG:
         self.cluster = cluster
         self.retry = retry
         self.faults = faults
-        #: Flight recorder: ``None`` defers to ``TRILLIONG_FLIGHT``,
-        #: ``True``/``False`` force it, a number sets the sampling
-        #: interval in seconds.  The recorder's time series lands under
+        #: Flight recorder: ``None``/``False`` is off, ``True`` the
+        #: default cadence, a number sets the sampling interval in
+        #: seconds.  The recorder's time series lands under
         #: ``telemetry["flight"]`` on the result.
         self.flight = flight
         #: Introspection HTTP port for the duration of ``generate_to``
-        #: (``0`` = ephemeral); ``None`` defers to
-        #: ``TRILLIONG_SERVE_TELEMETRY``.
+        #: (``0`` = ephemeral); ``None`` is off.
         self.serve_telemetry = serve_telemetry
 
     @property
@@ -142,21 +144,25 @@ class TrillionG:
 
         Live introspection (both read-only — they cannot change the
         output bytes): with ``flight=...`` a flight recorder samples the
-        run (and, on a cluster, each worker samples itself — the env var
-        is propagated for the duration); with ``serve_telemetry=...`` an
-        HTTP server exposes ``/metrics`` ``/progress`` ``/spans``
-        ``/flight`` while the run is in progress.
+        run (and, on a cluster, each worker samples itself — the
+        interval is passed down as a task argument); with
+        ``serve_telemetry=...`` an HTTP server exposes ``/metrics``
+        ``/progress`` ``/spans`` ``/flight`` while the run is in
+        progress.
         """
-        session = flight_session(self.flight,
-                                 propagate_env=self.cluster is not None)
+        session = flight_session(self.flight)
         with session as recorder:
-            server = start_server(self.serve_telemetry,
-                                  total_edges=self.num_edges)
+            server = None
+            if self.serve_telemetry is not None:
+                from .telemetry.server import start_server
+                server = start_server(self.serve_telemetry,
+                                      total_edges=self.num_edges)
             try:
                 result = self._generate(path, fmt, processes,
                                         resume=resume,
                                         blocks_per_chunk=blocks_per_chunk,
-                                        progress=progress)
+                                        progress=progress,
+                                        flight=session.interval)
             finally:
                 if server is not None:
                     server.stop()
@@ -168,11 +174,12 @@ class TrillionG:
     def _generate(self, path: Path | str, fmt: str,
                   processes: int | None, *, resume: bool,
                   blocks_per_chunk: int,
-                  progress: Callable[[int], None] | None
-                  ) -> TrillionGResult:
+                  progress: Callable[[int], None] | None,
+                  flight: float | None) -> TrillionGResult:
         if resume:
             return self._generate_resumable(path, fmt, processes,
-                                            blocks_per_chunk, progress)
+                                            blocks_per_chunk, progress,
+                                            flight)
         if self.cluster is None:
             with span("generate", scale=self.generator.scale,
                       fmt=fmt) as sp:
@@ -186,11 +193,13 @@ class TrillionG:
                                    encode_seconds=result.encode_seconds,
                                    write_seconds=result.write_seconds,
                                    telemetry=self._report())
+        from .dist.runner import LocalCluster
         with span("generate", scale=self.generator.scale, fmt=fmt):
             runner = LocalCluster(self.cluster)
-            dist: DistributedResult = runner.generate_to_files(
+            dist = runner.generate_to_files(
                 self.generator, path, fmt, processes=processes,
-                retry=self.retry, faults=self.faults, progress=progress)
+                retry=self.retry, faults=self.faults, progress=progress,
+                flight=flight)
         total_bytes = sum(p.stat().st_size for p in dist.paths)
         return TrillionGResult(dist.paths, self.num_vertices,
                                dist.num_edges, total_bytes,
@@ -202,11 +211,12 @@ class TrillionG:
     def _generate_resumable(self, path: Path | str, fmt: str,
                             processes: int | None,
                             blocks_per_chunk: int,
-                            progress: Callable[[int], None] | None
-                            ) -> TrillionGResult:
+                            progress: Callable[[int], None] | None,
+                            flight: float | None) -> TrillionGResult:
         """Checkpointed generation: sequential without a cluster, the
         supervised parallel scatter with one."""
         if self.cluster is None:
+            from .dist.checkpoint import CheckpointedRun
             with span("generate", scale=self.generator.scale,
                       fmt=fmt, resume=True) as sp:
                 run = CheckpointedRun(self.generator, path, fmt,
@@ -220,13 +230,14 @@ class TrillionG:
                                    sum(p.stat().st_size for p in paths),
                                    sp.seconds,
                                    telemetry=self._report())
+        from .dist.runner import LocalCluster
         with span("generate", scale=self.generator.scale, fmt=fmt,
                   resume=True):
             runner = LocalCluster(self.cluster)
             dist = runner.generate_checkpointed(
                 self.generator, path, fmt, blocks_per_chunk,
                 processes=processes, retry=self.retry,
-                faults=self.faults, progress=progress)
+                faults=self.faults, progress=progress, flight=flight)
         run = dist.checkpoint
         assert run is not None
         paths = run.chunk_paths()

@@ -13,7 +13,7 @@ through (stdlib only — no numpy, no repro imports):
   cross-process protocol: workers snapshot, the supervisor absorbs, and
   a distributed run yields one coherent report.
 - :mod:`.flight` — the flight recorder: a bounded ring-buffer sampler
-  thread over the registry + process vitals (``TRILLIONG_FLIGHT``).
+  thread over the registry + process vitals (``--flight``).
 - :mod:`.server` — the read-only introspection HTTP server
   (``/metrics`` ``/healthz`` ``/progress`` ``/spans`` ``/flight``).
 - :mod:`.traceview` — Chrome Trace Event Format export for
@@ -21,6 +21,10 @@ through (stdlib only — no numpy, no repro imports):
 - :mod:`.export` — structured ``repro.*`` logging, JSON report,
   Prometheus text format; :mod:`.progress` — the human ``--progress``
   line.
+
+``flight``, ``server`` and ``traceview`` are imported from their
+submodules by the runs that ask for them, not re-exported here: a plain
+``generate`` does not pay for ``http.server`` at start-up.
 
 See ``docs/observability.md`` for the metric catalog, span taxonomy,
 and the live-introspection endpoint catalog.
@@ -35,21 +39,14 @@ from .export import (LOG_LEVEL_ENV_VAR, SCHEMA_VERSION, build_report,
                      configure_logging, escape_label_value, get_logger,
                      log_report, merge_reports, to_prometheus,
                      write_json_report)
-from .flight import (DEFAULT_FLIGHT_CAPACITY, DEFAULT_FLIGHT_INTERVAL,
-                     FLIGHT_CAPACITY_ENV, FLIGHT_ENV, FLIGHT_INTERVAL_ENV,
-                     FlightRecorder, current_recorder, flight_session,
-                     resolve_flight_interval, start_flight, stop_flight)
 from .metrics import (ENV_VAR, NULL_REGISTRY, POW2_BUCKETS,
                       RECURSION_BUCKETS, Counter, Gauge, Histogram,
                       MetricsRegistry, NullRegistry, enable_telemetry,
                       global_registry, merge_metrics, registry,
                       reset_metrics, telemetry_enabled)
 from .progress import ProgressReporter, human_count
-from .server import (SERVE_ENV, TelemetryServer, progress_payload,
-                     serve_port_from_env, start_server)
 from .spans import (Span, SpanNode, Stopwatch, Tracer, merge_span_trees,
                     reset_tracer, span, tracer)
-from .traceview import build_trace, write_trace
 
 __all__ = [
     # switches
@@ -64,16 +61,6 @@ __all__ = [
     # cross-process protocol
     "snapshot_telemetry", "absorb_telemetry", "reset_telemetry",
     "record_worker_report", "worker_reports",
-    # flight recorder
-    "FLIGHT_ENV", "FLIGHT_INTERVAL_ENV", "FLIGHT_CAPACITY_ENV",
-    "DEFAULT_FLIGHT_INTERVAL", "DEFAULT_FLIGHT_CAPACITY",
-    "FlightRecorder", "start_flight", "stop_flight", "current_recorder",
-    "flight_session", "resolve_flight_interval",
-    # introspection server
-    "SERVE_ENV", "TelemetryServer", "start_server", "serve_port_from_env",
-    "progress_payload",
-    # trace export
-    "build_trace", "write_trace",
     # exporters / progress
     "SCHEMA_VERSION", "build_report", "merge_reports", "write_json_report",
     "to_prometheus", "escape_label_value", "log_report",

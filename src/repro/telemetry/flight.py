@@ -30,13 +30,12 @@ bytes.
 
 Switches
 --------
-``TRILLIONG_FLIGHT`` enables the recorder (``1``/``true`` for the
-default cadence, or a float interval in seconds);
-``TRILLIONG_FLIGHT_INTERVAL`` / ``TRILLIONG_FLIGHT_CAPACITY`` override
-the cadence and the ring size.  Programmatic use goes through
-:func:`start_flight` / :func:`stop_flight` or the
-:func:`flight_session` context manager (what
-``TrillionG(flight=...)`` and the CLI ``--flight`` use).
+The recorder runs when a caller asks for it: :func:`start_flight` /
+:func:`stop_flight`, or the :func:`flight_session` context manager
+(what ``TrillionG(flight=...)`` and the CLI ``--flight [INTERVAL]``
+use).  On a cluster the resolved interval travels to each worker as a
+task argument (``run_tasks(flight=...)``), never through the process
+environment.
 
 Crash forensics
 ---------------
@@ -61,29 +60,17 @@ from .metrics import global_registry
 from .spans import tracer
 
 __all__ = [
-    "FLIGHT_ENV",
-    "FLIGHT_INTERVAL_ENV",
-    "FLIGHT_CAPACITY_ENV",
     "DEFAULT_FLIGHT_INTERVAL",
     "DEFAULT_FLIGHT_CAPACITY",
     "FlightRecorder",
     "flatten_metrics",
     "read_proc_vitals",
     "resolve_flight_interval",
-    "flight_interval_from_env",
     "start_flight",
     "stop_flight",
     "current_recorder",
     "flight_session",
 ]
-
-#: Enables the recorder: ``1``/``true``/``yes``/``on`` for the default
-#: cadence, or a float interval in seconds (``TRILLIONG_FLIGHT=0.25``).
-FLIGHT_ENV = "TRILLIONG_FLIGHT"
-#: Overrides the sampling interval in seconds.
-FLIGHT_INTERVAL_ENV = "TRILLIONG_FLIGHT_INTERVAL"
-#: Overrides the ring-buffer capacity (number of retained samples).
-FLIGHT_CAPACITY_ENV = "TRILLIONG_FLIGHT_CAPACITY"
 
 #: Default sampling cadence: 2 Hz keeps a 240-sample ring at two minutes
 #: of history while costing one registry snapshot per tick.
@@ -93,9 +80,6 @@ DEFAULT_FLIGHT_CAPACITY = 240
 #: How many trailing samples a ``dump_path`` rewrite retains — the crash
 #: forensics window shipped with failed task attempts.
 DUMP_TAIL_SAMPLES = 120
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-_FALSY = frozenset({"", "0", "false", "no", "off"})
 
 _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 
@@ -152,13 +136,9 @@ class FlightRecorder:
     protocol and served by ``GET /flight``.
     """
 
-    def __init__(self, interval: float | None = None,
-                 capacity: int | None = None, *,
+    def __init__(self, interval: float = DEFAULT_FLIGHT_INTERVAL,
+                 capacity: int = DEFAULT_FLIGHT_CAPACITY, *,
                  dump_path: Path | str | None = None) -> None:
-        if interval is None:
-            interval = flight_interval_from_env() or DEFAULT_FLIGHT_INTERVAL
-        if capacity is None:
-            capacity = _capacity_from_env()
         self.interval = max(0.01, float(interval))
         self.capacity = max(1, int(capacity))
         self.dump_path = Path(dump_path) if dump_path is not None else None
@@ -283,50 +263,18 @@ class FlightRecorder:
 # ---------------------------------------------------------------------------
 
 
-def flight_interval_from_env() -> float | None:
-    """The sampling interval the environment asks for, or ``None`` when
-    the recorder is not enabled via ``TRILLIONG_FLIGHT``."""
-    raw = os.environ.get(FLIGHT_ENV, "").strip().lower()
-    if raw in _FALSY:
-        return None
-    interval_raw = os.environ.get(FLIGHT_INTERVAL_ENV, "").strip()
-    if interval_raw:
-        try:
-            return max(0.01, float(interval_raw))
-        except ValueError:
-            return DEFAULT_FLIGHT_INTERVAL
-    if raw in _TRUTHY:
-        return DEFAULT_FLIGHT_INTERVAL
-    try:
-        return max(0.01, float(raw))
-    except ValueError:
-        return DEFAULT_FLIGHT_INTERVAL
-
-
 def resolve_flight_interval(setting: bool | float | None
                             ) -> float | None:
     """Resolve a ``flight=`` parameter to a sampling interval.
 
-    ``None`` defers to the environment, ``False`` forces off, ``True``
-    means the default cadence, a number is the interval in seconds.
+    ``None`` and ``False`` mean off, ``True`` the default cadence, a
+    number is the interval in seconds.
     """
-    if setting is None:
-        return flight_interval_from_env()
-    if setting is False:
+    if setting is None or setting is False:
         return None
     if setting is True:
-        return flight_interval_from_env() or DEFAULT_FLIGHT_INTERVAL
+        return DEFAULT_FLIGHT_INTERVAL
     return max(0.01, float(setting))
-
-
-def _capacity_from_env() -> int:
-    raw = os.environ.get(FLIGHT_CAPACITY_ENV, "").strip()
-    if not raw:
-        return DEFAULT_FLIGHT_CAPACITY
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_FLIGHT_CAPACITY
 
 
 _CURRENT: FlightRecorder | None = None
@@ -339,7 +287,7 @@ def current_recorder() -> FlightRecorder | None:
     return _CURRENT
 
 
-def start_flight(interval: float | None = None, *,
+def start_flight(interval: float = DEFAULT_FLIGHT_INTERVAL, *,
                  dump_path: Path | str | None = None) -> FlightRecorder:
     """Start (or return the already-running) process-wide recorder."""
     global _CURRENT
@@ -364,38 +312,20 @@ def stop_flight(*, remove_dump: bool = False) -> FlightRecorder | None:
 class flight_session:
     """Context manager running the process-wide recorder for one job.
 
-    ``setting`` follows :func:`resolve_flight_interval`.  With
-    ``propagate_env=True`` the resolved interval is exported as
-    ``TRILLIONG_FLIGHT`` for the duration of the block, so worker
-    *subprocesses* launched inside it run their own recorders — the
-    programmatic twin of setting the variable in the shell.  Yields the
-    recorder (or ``None`` when flight recording stays off).
+    ``setting`` follows :func:`resolve_flight_interval`; the resolved
+    value is :attr:`interval` (``None`` = off), which is what a cluster
+    run hands its workers.  Yields the recorder (or ``None`` when flight
+    recording stays off).
     """
 
-    def __init__(self, setting: bool | float | None = None, *,
-                 propagate_env: bool = False) -> None:
+    def __init__(self, setting: bool | float | None = None) -> None:
         self.interval = resolve_flight_interval(setting)
-        self._propagate = propagate_env
-        self._saved_env: str | None = None
-        self._had_env = False
-        self.recorder: FlightRecorder | None = None
 
     def __enter__(self) -> FlightRecorder | None:
         if self.interval is None:
             return None
-        if self._propagate:
-            self._had_env = FLIGHT_ENV in os.environ
-            self._saved_env = os.environ.get(FLIGHT_ENV)
-            os.environ[FLIGHT_ENV] = repr(self.interval)
-        self.recorder = start_flight(self.interval)
-        return self.recorder
+        return start_flight(self.interval)
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self.interval is None:
-            return
-        if self._propagate:
-            if self._had_env and self._saved_env is not None:
-                os.environ[FLIGHT_ENV] = self._saved_env
-            else:
-                os.environ.pop(FLIGHT_ENV, None)
-        stop_flight()
+        if self.interval is not None:
+            stop_flight()

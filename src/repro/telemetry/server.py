@@ -23,8 +23,8 @@ never draw from RNG streams, so serving traffic mid-run cannot perturb
 generation output.
 
 Enable with ``--serve-telemetry PORT`` on the CLI or
-``TRILLIONG_SERVE_TELEMETRY=PORT`` in the environment (port ``0`` picks
-a free ephemeral port; read it back from ``server.port``).  The server
+``TrillionG(serve_telemetry=PORT)`` (port ``0`` picks a free ephemeral
+port; read it back from ``server.port``).  The server
 binds ``127.0.0.1`` by default: the payloads are not sensitive, but
 there is no auth, so exposing it wider is an explicit choice.
 """
@@ -32,7 +32,6 @@ there is no auth, so exposing it wider is an explicit choice.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -44,32 +43,15 @@ from .metrics import global_registry
 from .spans import tracer
 
 __all__ = [
-    "SERVE_ENV",
     "TelemetryServer",
-    "serve_port_from_env",
     "start_server",
     "progress_payload",
 ]
-
-#: Environment switch: set to a port number to start the server
-#: (``0`` = ephemeral).  Unset/empty/``off`` leaves it down.
-SERVE_ENV = "TRILLIONG_SERVE_TELEMETRY"
 
 #: Counters consulted (in order) for the "edges done" progress figure:
 #: the generator-side count when this process generates, the sink-side
 #: count when it only writes (e.g. a dist supervisor merging chunks).
 _EDGE_COUNTERS = ("generator.edges", "format.edges_written")
-
-
-def serve_port_from_env() -> int | None:
-    """The port ``TRILLIONG_SERVE_TELEMETRY`` asks for, or ``None``."""
-    raw = os.environ.get(SERVE_ENV, "").strip().lower()
-    if raw in ("", "off", "false", "no", "none"):
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        return None
 
 
 def progress_payload(total_edges: int | None = None,
@@ -224,19 +206,12 @@ class TelemetryServer:
         self.stop()
 
 
-def start_server(port: int | None = None, *,
-                 total_edges: int | None = None
-                 ) -> TelemetryServer | None:
-    """Start an introspection server when asked to.
-
-    ``port=None`` defers to ``TRILLIONG_SERVE_TELEMETRY``; returns
-    ``None`` when neither requests one.  This is the single entry point
-    ``TrillionG.generate_to`` and the CLI use.
+def start_server(port: int, *,
+                 total_edges: int | None = None) -> TelemetryServer:
+    """Start an introspection server on ``port`` (``0`` = ephemeral)
+    and log where it listens.  This is the single entry point
+    ``TrillionG.generate_to`` (and through it the CLI) uses.
     """
-    if port is None:
-        port = serve_port_from_env()
-    if port is None:
-        return None
     server = TelemetryServer(port, total_edges=total_edges).start()
     # INFO so an ephemeral (port 0) bind is discoverable from the logs.
     get_logger("telemetry.server").info(

@@ -1,7 +1,7 @@
 """Flagging and passing fixtures for the RPL6xx concurrency family:
 thread-shared-state (RPL610), thread-lifecycle (RPL611), and the
-whole-program spawn-hygiene rules (RPL620/621), plus the summary
-extensions (spawn sites, env reads) they are built on."""
+whole-program spawn-hygiene rule (RPL620), plus the summary
+extension (spawn sites) it is built on."""
 
 from __future__ import annotations
 
@@ -212,7 +212,7 @@ def test_rpl611_ignores_attribute_stored_threads(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# spawn-hygiene (RPL620/621)
+# spawn-hygiene (RPL620)
 # ---------------------------------------------------------------------------
 
 SPAWN_CFG = config_with(spawn_module_prefixes=("pkg.dist",))
@@ -295,89 +295,8 @@ def test_rpl620_out_of_scope_module_is_quiet(tmp_path):
     assert violations == []
 
 
-def test_rpl621_flags_env_read_reachable_from_worker(tmp_path):
-    violations = lint_project(tmp_path, {
-        "pkg.dist.sched": """
-            import multiprocessing as mp
-            import os
-
-            def _helper():
-                return os.environ.get("TRILLIONG_DEPTH", "4")
-
-            def _worker(task):
-                return _helper()
-
-            def launch(task):
-                p = mp.Process(target=_worker, args=(task,))
-                p.start()
-                p.join()
-        """})
-    assert codes(violations) == ["RPL621"]
-    assert "TRILLIONG_DEPTH" in violations[0].message
-
-
-def test_rpl621_flags_environ_subscript(tmp_path):
-    violations = lint_project(tmp_path, {
-        "pkg.dist.sched": """
-            import multiprocessing as mp
-            import os
-
-            def _worker(task):
-                return os.environ["HOME"]
-
-            def launch(task):
-                p = mp.Process(target=_worker, args=(task,))
-                p.start()
-                p.join()
-        """})
-    assert codes(violations) == ["RPL621"]
-
-
-def test_rpl621_passes_env_read_outside_worker_closure(tmp_path):
-    violations = lint_project(tmp_path, {
-        "pkg.dist.sched": """
-            import multiprocessing as mp
-            import os
-
-            def _worker(task):
-                return task
-
-            def launch(task):
-                depth = os.environ.get("TRILLIONG_DEPTH", "4")
-                p = mp.Process(target=_worker, args=(task, depth))
-                p.start()
-                p.join()
-        """})
-    assert violations == []
-
-
-def test_rpl621_only_flags_reads_inside_scoped_modules(tmp_path):
-    # A worker may call into layers outside ``spawn_module_prefixes``
-    # (e.g. telemetry toggles); those env reads are that layer's policy.
-    violations = lint_project(tmp_path, {
-        "pkg.util.flags": """
-            import os
-
-            def enabled():
-                return os.getenv("PKG_FLAG") == "1"
-        """,
-        "pkg.dist.sched": """
-            import multiprocessing as mp
-            from pkg.util.flags import enabled
-
-            def _worker(task):
-                return enabled()
-
-            def launch(task):
-                p = mp.Process(target=_worker, args=(task,))
-                p.start()
-                p.join()
-        """})
-    assert violations == []
-
-
 # ---------------------------------------------------------------------------
-# summary extensions: spawn sites and env reads
+# summary extension: spawn sites
 # ---------------------------------------------------------------------------
 
 
@@ -385,36 +304,31 @@ def summarize(path: Path) -> ModuleSummary:
     return summarize_source(SourceFile.parse(path))
 
 
-def test_summary_records_spawn_sites_and_env_reads(tmp_path):
+def test_summary_records_spawn_sites(tmp_path):
     path = write_module(tmp_path, "pkg.dist.sched", """
         import multiprocessing as mp
-        import os
 
         def _worker(task):
-            return os.getenv("PKG_MODE")
+            return task
 
         def launch(task):
-            home = os.environ["HOME"]
-            p = mp.Process(target=_worker, args=(task, home))
+            p = mp.Process(target=_worker, args=(task,))
             p.start()
             p.join()
     """)
     summary = summarize(path)
-    assert [(q, var) for q, _line, var in summary.env_reads] == [
-        ("_worker", "PKG_MODE"), ("launch", "HOME")]
     (site,) = summary.spawn_sites
     assert site["function"] == "launch"
     assert site["callee"] == "mp.Process"
     assert "_worker" in site["workers"]
 
 
-def test_summary_spawn_and_env_survive_json_round_trip(tmp_path):
+def test_summary_spawn_sites_survive_json_round_trip(tmp_path):
     path = write_module(tmp_path, "pkg.dist.sched", """
         import multiprocessing as mp
-        import os
 
         def _worker(task):
-            return os.getenv("PKG_MODE")
+            return task
 
         def launch(task):
             p = mp.Process(target=_worker, args=(task,))
@@ -424,15 +338,12 @@ def test_summary_spawn_and_env_survive_json_round_trip(tmp_path):
     summary = summarize(path)
     doc = summary.to_json()
     rebuilt = ModuleSummary.from_json(doc)
-    assert rebuilt.env_reads == summary.env_reads
     assert rebuilt.spawn_sites == summary.spawn_sites
 
 
 def test_summary_from_json_tolerates_pre_21_documents(tmp_path):
     path = write_module(tmp_path, "pkg.mod", "X = 1\n")
     doc = summarize(path).to_json()
-    del doc["env_reads"]
     del doc["spawn_sites"]
     rebuilt = ModuleSummary.from_json(doc)
-    assert rebuilt.env_reads == []
     assert rebuilt.spawn_sites == []

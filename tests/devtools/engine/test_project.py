@@ -144,17 +144,6 @@ def test_golden_generate_to_reaches_formats_pipeline():
     assert path[-1].startswith("repro.formats.pipeline:")
 
 
-def test_golden_nothing_imports_the_deprecated_shims():
-    """The dist shims only exist for out-of-tree callers: the project
-    import graph must show no in-repo module importing them."""
-    summaries = [summarize(p) for p in sorted(SRC_REPRO.rglob("*.py"))]
-    project = ProjectModel(summaries, LintConfig())
-    shims = {"repro.dist.external_sort", "repro.dist.shuffle"}
-    importers = {s.module for s in summaries
-                 if shims & project.imported_modules(s.module)}
-    assert importers == set()
-
-
 # -- RPL210: callgraph layering ----------------------------------------
 
 LAYERED = config_with(layering_rules={"pkg.core": ("pkg.dist",)})

@@ -191,15 +191,3 @@ def test_external_sort_property(tmp_path, arrays, chunk):
         else np.empty(0, dtype=np.int64)
     out = external_sort_unique(paths, chunk_items=chunk)
     np.testing.assert_array_equal(out, expected)
-
-
-def test_deprecated_dist_shim_warns_and_aliases():
-    import importlib
-    import sys
-
-    sys.modules.pop("repro.dist.external_sort", None)
-    with pytest.warns(DeprecationWarning,
-                      match="repro.util.external_sort"):
-        shim = importlib.import_module("repro.dist.external_sort")
-    assert shim.external_sort_unique is external_sort_unique
-    assert shim.write_run is write_run

@@ -84,18 +84,16 @@ class TestFaultPlan:
         assert not FaultPlan(crash_probability=0.1).empty
 
     def test_from_env(self, monkeypatch):
-        for var in ("TRILLIONG_FAULT_CRASH", "TRILLIONG_FAULT_HANG",
-                    "TRILLIONG_FAULT_CORRUPT", "TRILLIONG_FAULT_PROB",
-                    "TRILLIONG_FAULT_SEED", "TRILLIONG_FAULT_MAX"):
-            monkeypatch.delenv(var, raising=False)
-        assert FaultPlan.from_env() is None
-        monkeypatch.setenv("TRILLIONG_FAULT_CRASH", "0, 2")
-        monkeypatch.setenv("TRILLIONG_FAULT_PROB", "0.25")
+        monkeypatch.delenv("TRILLIONG_FAULT_PROB", raising=False)
         monkeypatch.setenv("TRILLIONG_FAULT_SEED", "9")
-        plan = FaultPlan.from_env()
-        assert plan.crash_tasks == frozenset({0, 2})
-        assert plan.crash_probability == 0.25
-        assert plan.seed == 9
+        assert FaultPlan.from_env() is None     # a seed alone arms nothing
+        monkeypatch.setenv("TRILLIONG_FAULT_PROB", "0")
+        assert FaultPlan.from_env() is None
+        monkeypatch.setenv("TRILLIONG_FAULT_PROB", "0.25")
+        assert FaultPlan.from_env() == FaultPlan(crash_probability=0.25,
+                                                 seed=9)
+        monkeypatch.delenv("TRILLIONG_FAULT_SEED")
+        assert FaultPlan.from_env() == FaultPlan(crash_probability=0.25)
 
     def test_plan_is_picklable(self):
         plan = FaultPlan(crash_tasks=frozenset({1}),

@@ -1,8 +1,9 @@
-"""Pipeline on/off equivalence of the distributed write path.
+"""The distributed write path against a clean sequential run.
 
-The background writer thread must be invisible in the output: part and
-chunk files are byte-identical with ``TRILLIONG_NO_PIPELINE=1``, under
-fault injection, and across a SIGKILL mid-chunk resume.
+Workers, retries and kills must be invisible in the output: part and
+chunk files are byte-identical to what one uninterrupted sequential run
+writes — under two partitionings, under fault injection, and across a
+SIGKILL mid-chunk resume.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ from repro.core.generator import RecursiveVectorGenerator
 from repro.dist.checkpoint import CheckpointedRun
 from repro.dist.faults import FaultPlan, RetryPolicy
 from repro.dist.runner import LocalCluster
-from repro.formats import NO_PIPELINE_ENV
+from repro.formats import get_format
 
 
 def make_generator():
@@ -29,33 +30,31 @@ def digest_dir(paths):
             for p in paths}
 
 
-def test_distributed_parts_identical_pipeline_off(tmp_path, monkeypatch):
+def test_distributed_parts_identical_to_sequential(tmp_path):
     gen = make_generator()
-    monkeypatch.delenv(NO_PIPELINE_ENV, raising=False)
-    piped = LocalCluster(num_workers=2).generate_to_files(
-        gen, tmp_path / "on", processes=1, faults=FaultPlan())
-    monkeypatch.setenv(NO_PIPELINE_ENV, "1")
-    direct = LocalCluster(num_workers=2).generate_to_files(
-        gen, tmp_path / "off", processes=1, faults=FaultPlan())
-    assert digest_dir(piped.paths) == digest_dir(direct.paths)
-    assert piped.num_edges == direct.num_edges
+    sequential = get_format("adj6").write_blocks(
+        tmp_path / "seq.adj6", gen.iter_blocks(), gen.num_vertices)
+    for workers in (2, 3):
+        parts = LocalCluster(num_workers=workers).generate_to_files(
+            gen, tmp_path / f"w{workers}", processes=2,
+            faults=FaultPlan())
+        assert parts.num_edges == sequential.num_edges
+        assert b"".join(p.read_bytes() for p in parts.paths) == \
+            sequential.path.read_bytes()
 
 
-def test_checkpointed_chunks_identical_under_fault_injection(
-        tmp_path, monkeypatch):
-    """Crash-injected retries + the write pipeline still land the same
-    chunk bytes as a clean pipeline-off run."""
+def test_checkpointed_chunks_identical_under_fault_injection(tmp_path):
+    """Crash-injected retries still land the same chunk bytes as a clean
+    sequential run."""
     gen = make_generator()
     faults = FaultPlan(crash_probability=0.4, seed=3)
     retry = RetryPolicy(retries=4, backoff_base=0.01, backoff_max=0.05)
-    monkeypatch.delenv(NO_PIPELINE_ENV, raising=False)
     injected = LocalCluster(num_workers=2).generate_checkpointed(
         gen, tmp_path / "faulty", blocks_per_chunk=2, processes=2,
         retry=retry, faults=faults)
     assert injected.checkpoint is not None
     assert injected.checkpoint.complete
 
-    monkeypatch.setenv(NO_PIPELINE_ENV, "1")
     clean = CheckpointedRun(make_generator(), tmp_path / "clean",
                             blocks_per_chunk=2)
     clean.run()
@@ -63,9 +62,9 @@ def test_checkpointed_chunks_identical_under_fault_injection(
         digest_dir(clean.chunk_paths())
 
 
-def test_sigkill_mid_chunk_resume_identical_pipeline_on(tmp_path):
-    """SIGKILL a pipelined checkpointed run mid-flight; the resumed
-    output is byte-identical to a pipeline-off sequential run."""
+def test_sigkill_mid_chunk_resume_identical(tmp_path):
+    """SIGKILL a checkpointed run mid-flight; the resumed output is
+    byte-identical to an uninterrupted sequential run."""
     import repro
 
     src = str(Path(repro.__file__).resolve().parents[1])
@@ -80,7 +79,6 @@ def test_sigkill_mid_chunk_resume_identical_pipeline_on(tmp_path):
         "    faults=FaultPlan())\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop(NO_PIPELINE_ENV, None)          # pipeline on in the victim
     proc = subprocess.Popen([sys.executable, "-c", code], env=env,
                             start_new_session=True)
     try:
@@ -101,13 +99,9 @@ def test_sigkill_mid_chunk_resume_identical_pipeline_on(tmp_path):
     resumed.run()
     assert resumed.complete
 
-    os.environ[NO_PIPELINE_ENV] = "1"
-    try:
-        reference = CheckpointedRun(
-            RecursiveVectorGenerator(13, 8, seed=11, block_size=64),
-            tmp_path / "ref", blocks_per_chunk=2)
-        reference.run()
-    finally:
-        del os.environ[NO_PIPELINE_ENV]
+    reference = CheckpointedRun(
+        RecursiveVectorGenerator(13, 8, seed=11, block_size=64),
+        tmp_path / "ref", blocks_per_chunk=2)
+    reference.run()
     assert digest_dir(resumed.chunk_paths()) == \
         digest_dir(reference.chunk_paths())

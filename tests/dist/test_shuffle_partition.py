@@ -208,14 +208,3 @@ class TestRangePartition:
         g = RecursiveVectorGenerator(10, 16, seed=4)
         with pytest.raises(ValueError):
             range_partition(g, 0)
-
-
-def test_deprecated_dist_shim_warns_and_aliases():
-    import importlib
-    import sys
-
-    sys.modules.pop("repro.dist.shuffle", None)
-    with pytest.warns(DeprecationWarning, match="repro.util.shuffle"):
-        shim = importlib.import_module("repro.dist.shuffle")
-    assert shim.mix64 is mix64
-    assert shim.hash_partition is hash_partition

@@ -2,11 +2,13 @@
 pipeline, and the context-manager / range-check satellites.
 
 The load-bearing property is byte-identity: for every format, feeding
-whole :class:`AdjacencyBlock`s through ``add_block`` (pipeline on or
-off) must produce exactly the bytes the per-vertex ``add`` fallback
-produces — including degree-0 vertices, empty blocks, partial first/last
-blocks, and the AVS-I flipped direction.
+whole :class:`AdjacencyBlock`s through ``add_block`` (at any writer
+queue depth) must produce exactly the bytes the per-vertex ``add``
+fallback produces — including degree-0 vertices, empty blocks, partial
+first/last blocks, and the AVS-I flipped direction.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -16,13 +18,17 @@ from hypothesis import strategies as st
 from repro import RecursiveVectorGenerator
 from repro.core.generator import AdjacencyBlock
 from repro.errors import FormatError
-from repro.formats import (NO_PIPELINE_ENV, GraphFormat, ThreadedSink,
-                           TsvFormat, WriteResult, block_from_edges,
+from repro.formats import (GraphFormat, ThreadedSink, TsvFormat,
+                           WriteResult, block_from_edges,
                            blocks_from_adjacency, get_format,
-                           id6_byte_view, write_many, write_many_blocks)
+                           id6_byte_view, pipeline, write_many,
+                           write_many_blocks)
 from repro.telemetry import Counter
 
 FORMATS = ["adj6", "csr6", "tsv"]
+
+#: Writer queue depths: constant back-pressure, the default, never full.
+QUEUE_DEPTHS = [1, 8, 64]
 
 
 def make_generator(scale=10, **kwargs):
@@ -113,18 +119,17 @@ class TestByteIdentity:
         assert block_bytes(fmt_name, tmp_path / "blk", blocks,
                            gen.num_vertices) == expected
 
+    @pytest.mark.parametrize("depth", QUEUE_DEPTHS)
     @pytest.mark.parametrize("fmt_name", FORMATS)
-    def test_pipeline_on_off_equivalence(self, fmt_name, tmp_path,
-                                         monkeypatch):
+    def test_queue_depth_equivalence(self, fmt_name, depth, tmp_path,
+                                     monkeypatch):
         gen = make_generator()
         blocks = list(gen.iter_blocks())
-        monkeypatch.delenv(NO_PIPELINE_ENV, raising=False)
-        piped = block_bytes(fmt_name, tmp_path / "on", blocks,
-                            gen.num_vertices)
-        monkeypatch.setenv(NO_PIPELINE_ENV, "1")
-        direct = block_bytes(fmt_name, tmp_path / "off", blocks,
-                             gen.num_vertices)
-        assert piped == direct
+        expected = per_vertex_bytes(fmt_name, tmp_path / "pv", blocks,
+                                    gen.num_vertices)
+        monkeypatch.setattr(pipeline, "DEFAULT_PIPELINE_DEPTH", depth)
+        assert block_bytes(fmt_name, tmp_path / "blk", blocks,
+                           gen.num_vertices) == expected
 
     def test_write_pairs_matches_blocks(self, tmp_path):
         """GraphFormat.write (the pair surface) batches into blocks and
@@ -203,10 +208,10 @@ class TestTsvBlockEncoder:
         assert (tmp_path / "g").read_bytes() == b""
 
     @pytest.mark.parametrize("direction", ["out", "in"])
-    @pytest.mark.parametrize("pipeline", ["on", "off"])
-    def test_generated_blocks(self, direction, pipeline, tmp_path,
+    @pytest.mark.parametrize("depth", QUEUE_DEPTHS)
+    def test_generated_blocks(self, direction, depth, tmp_path,
                               monkeypatch):
-        monkeypatch.setenv(NO_PIPELINE_ENV, "1" if pipeline == "off" else "")
+        monkeypatch.setattr(pipeline, "DEFAULT_PIPELINE_DEPTH", depth)
         gen = make_generator(direction=direction)
         blocks = list(gen.iter_blocks())
         assert block_bytes("tsv", tmp_path / "g", blocks,
@@ -440,6 +445,46 @@ class TestThreadedSink:
                 sink.write(b"x")
                 sink.drain()
         sink.close()
+
+    def test_any_write_error_reaches_the_producer(self):
+        """Not only OSError/ValueError: whatever ``file.write`` raises
+        must neither kill the writer thread silently (a short file
+        behind a clean ``close()``) nor leave the producer blocked on a
+        full queue nobody drains."""
+
+        class SecondWriteFails:
+            writes = 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    raise TypeError("not bytes-like (injected)")
+
+        raised = []
+
+        def produce():
+            # Five submissions against depth 1: more than fit in the
+            # queue if the writer thread died on the second.  The error
+            # surfaces from a later write() or from close(), whichever
+            # comes first.
+            sink = ThreadedSink(SecondWriteFails(), depth=1)
+            try:
+                for _ in range(5):
+                    sink.write(b"x")
+            except TypeError as exc:
+                raised.append(exc)
+            try:
+                sink.close()
+            except TypeError as exc:
+                raised.append(exc)
+
+        producer = threading.Thread(target=produce, daemon=True)
+        producer.start()
+        producer.join(timeout=10)
+        assert not producer.is_alive(), \
+            "producer deadlocked behind a dead writer thread"
+        assert [str(exc) for exc in raised] == \
+            ["not bytes-like (injected)"]
 
     def test_write_after_close_rejected(self, tmp_path):
         with open(tmp_path / "f.bin", "wb") as handle:

@@ -167,7 +167,8 @@ def test_write_sequences_are_per_file():
 
 
 def test_block_write_order_is_recorded(tmp_path, monkeypatch):
-    monkeypatch.setenv("TRILLIONG_PIPELINE_DEPTH", "1")
+    from repro.formats import pipeline
+    monkeypatch.setattr(pipeline, "DEFAULT_PIPELINE_DEPTH", 1)
     enable_sanitize(True)
     gen = RecursiveVectorGenerator(9, 4, seed=1)
     fmt = get_format("adj6")

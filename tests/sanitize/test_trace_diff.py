@@ -1,6 +1,7 @@
 """Trace serialization and diffing: round trips, the diff's causal
 ordering (first diverging derivation/draw/write), the CLI exit codes,
-the atexit capture, and the ``check_sanitizer_trace`` contract."""
+the CLI's ``--sanitize-trace`` capture, and the
+``check_sanitizer_trace`` contract."""
 
 from __future__ import annotations
 
@@ -147,19 +148,20 @@ def test_cli_surfaces_recorded_violations(tmp_path, capsys):
     assert "duplicate-derivation" in out
 
 
-def test_atexit_env_capture_writes_trace(tmp_path):
-    # TRILLIONG_SANITIZE_TRACE captures any run without code changes.
-    target = tmp_path / "auto.json"
-    env = dict(os.environ,
-               TRILLIONG_SANITIZE="1",
-               TRILLIONG_SANITIZE_TRACE=str(target),
-               PYTHONPATH="src")
-    code = "from repro.core.rng import stream; stream(3, 1).random(4)"
-    subprocess.run([sys.executable, "-c", code], check=True, env=env,
-                   cwd=os.getcwd())
+def test_cli_sanitize_trace_flag_writes_trace(tmp_path):
+    # --sanitize-trace captures a CLI run with TRILLIONG_SANITIZE unset.
+    env = {k: v for k, v in os.environ.items()
+           if k != "TRILLIONG_SANITIZE"}
+    env["PYTHONPATH"] = "src"
+    target = tmp_path / "trace.json"
+    subprocess.run([sys.executable, "-m", "repro", "generate",
+                    "--scale", "8", "--seed", "3",
+                    "--output", str(tmp_path / "g.adj6"),
+                    "--sanitize-trace", str(target)],
+                   check=True, env=env, cwd=os.getcwd())
     doc = load_trace(target)
-    assert [d["key"] for d in doc["derivations"]] == ["stream:3:1"]
-    assert len(doc["draws"]) == 1
+    assert doc["derivations"] and doc["draws"]
+    assert {w["file"] for w in doc["writes"]} == {"g.adj6"}
 
 
 # -- contracts ---------------------------------------------------------

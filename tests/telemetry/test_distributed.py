@@ -128,13 +128,10 @@ def test_sequential_flight_rides_result_telemetry(tmp_path):
     assert current_recorder() is None
 
 
-def test_flight_forensics_attached_to_failed_attempts(tmp_path,
-                                                      monkeypatch):
+def test_flight_forensics_attached_to_failed_attempts(tmp_path):
     """A crashed attempt leaves its flight tail on the TaskAttempt; the
     clean retry does not, and no dump files survive on disk."""
-    monkeypatch.setenv("TRILLIONG_FLIGHT", "0.02")
     from repro.dist.runner import LocalCluster
-    from repro.system import RetryPolicy
     generator = TrillionG(SCALE, edge_factor=16, seed=7,
                           block_size=BLOCK).generator
     cluster = LocalCluster(num_workers=4)
@@ -142,7 +139,7 @@ def test_flight_forensics_attached_to_failed_attempts(tmp_path,
         generator, tmp_path, "adj6", processes=2,
         retry=RetryPolicy(retries=2, backoff_base=0.01,
                           backoff_max=0.05, jitter=0.0),
-        faults=FaultPlan(crash_tasks=frozenset({0})))
+        faults=FaultPlan(crash_tasks=frozenset({0})), flight=0.02)
     attempts = res.task_attempts[0]
     assert [a.outcome for a in attempts] == ["crashed", "ok"]
     forensics = attempts[0].flight
@@ -153,8 +150,7 @@ def test_flight_forensics_attached_to_failed_attempts(tmp_path,
     assert list(tmp_path.glob("*.flight*")) == []
 
 
-def test_worker_flight_tails_ride_worker_reports(tmp_path, monkeypatch):
-    monkeypatch.setenv("TRILLIONG_FLIGHT", "0.02")
+def test_worker_flight_tails_ride_worker_reports(tmp_path):
     tg = _system(flight=0.02)
     result = tg.generate_to(tmp_path / "out", fmt="adj6", processes=4)
     for report in result.telemetry["worker_reports"]:

@@ -1,5 +1,5 @@
 """Flight-recorder coverage: sampling, the bounded ring, crash-dump
-files, environment resolution, and the process-wide session."""
+files, ``flight=`` resolution, and the process-wide session."""
 
 from __future__ import annotations
 
@@ -11,10 +11,8 @@ import pytest
 
 from repro.telemetry import global_registry, span
 from repro.telemetry.flight import (DEFAULT_FLIGHT_CAPACITY,
-                                    DEFAULT_FLIGHT_INTERVAL, FLIGHT_ENV,
-                                    FLIGHT_INTERVAL_ENV, FlightRecorder,
+                                    DEFAULT_FLIGHT_INTERVAL, FlightRecorder,
                                     current_recorder, flatten_metrics,
-                                    flight_interval_from_env,
                                     flight_session, read_proc_vitals,
                                     resolve_flight_interval, start_flight,
                                     stop_flight)
@@ -26,13 +24,6 @@ def no_leaked_recorder():
     recorder running for the next test."""
     yield
     stop_flight()
-
-
-@pytest.fixture(autouse=True)
-def clean_flight_env(monkeypatch):
-    for var in (FLIGHT_ENV, FLIGHT_INTERVAL_ENV,
-                "TRILLIONG_FLIGHT_CAPACITY"):
-        monkeypatch.delenv(var, raising=False)
 
 
 def test_flatten_metrics_flattens_each_family():
@@ -117,39 +108,18 @@ def test_dump_survives_stop_without_removal(tmp_path):
     assert json.loads(dump.read_text())["samples"]
 
 
-@pytest.mark.parametrize("raw,expected", [
-    ("", None), ("0", None), ("off", None), ("false", None),
-    ("1", DEFAULT_FLIGHT_INTERVAL), ("true", DEFAULT_FLIGHT_INTERVAL),
-    ("0.25", 0.25), ("garbage", DEFAULT_FLIGHT_INTERVAL),
-    ("0.001", 0.01),                     # clamped to the floor
-])
-def test_flight_interval_from_env(monkeypatch, raw, expected):
-    monkeypatch.setenv(FLIGHT_ENV, raw)
-    assert flight_interval_from_env() == expected
-
-
-def test_interval_env_overrides_enable_value(monkeypatch):
-    monkeypatch.setenv(FLIGHT_ENV, "1")
-    monkeypatch.setenv(FLIGHT_INTERVAL_ENV, "0.1")
-    assert flight_interval_from_env() == 0.1
-
-
-def test_resolve_flight_interval(monkeypatch):
+def test_resolve_flight_interval():
+    assert resolve_flight_interval(None) is None
     assert resolve_flight_interval(False) is None
     assert resolve_flight_interval(True) == DEFAULT_FLIGHT_INTERVAL
     assert resolve_flight_interval(0.2) == 0.2
-    assert resolve_flight_interval(None) is None     # env unset
-    monkeypatch.setenv(FLIGHT_ENV, "0.3")
-    assert resolve_flight_interval(None) == 0.3
-    assert resolve_flight_interval(True) == 0.3      # env wins over default
+    assert resolve_flight_interval(0.001) == 0.01    # clamped to the floor
 
 
-def test_capacity_env(monkeypatch):
-    assert FlightRecorder(interval=1.0).capacity == DEFAULT_FLIGHT_CAPACITY
-    monkeypatch.setenv("TRILLIONG_FLIGHT_CAPACITY", "7")
-    assert FlightRecorder(interval=1.0).capacity == 7
-    monkeypatch.setenv("TRILLIONG_FLIGHT_CAPACITY", "junk")
-    assert FlightRecorder(interval=1.0).capacity == DEFAULT_FLIGHT_CAPACITY
+def test_recorder_defaults():
+    recorder = FlightRecorder()
+    assert recorder.interval == DEFAULT_FLIGHT_INTERVAL
+    assert recorder.capacity == DEFAULT_FLIGHT_CAPACITY
 
 
 def test_process_wide_recorder_lifecycle():
@@ -177,15 +147,3 @@ def test_flight_session_runs_and_stops_recorder():
         assert recorder.running
     assert current_recorder() is None
     assert not recorder.running
-
-
-def test_flight_session_propagates_env_for_workers(monkeypatch):
-    monkeypatch.delenv(FLIGHT_ENV, raising=False)
-    import os
-    with flight_session(0.25, propagate_env=True):
-        assert os.environ[FLIGHT_ENV] == "0.25"
-    assert FLIGHT_ENV not in os.environ
-    monkeypatch.setenv(FLIGHT_ENV, "0.5")
-    with flight_session(0.25, propagate_env=True):
-        assert os.environ[FLIGHT_ENV] == "0.25"
-    assert os.environ[FLIGHT_ENV] == "0.5"   # caller's setting restored

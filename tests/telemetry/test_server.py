@@ -12,8 +12,7 @@ import pytest
 from repro.system import TrillionG
 from repro.telemetry import global_registry, span
 from repro.telemetry.flight import start_flight, stop_flight
-from repro.telemetry.server import (SERVE_ENV, TelemetryServer,
-                                    progress_payload, serve_port_from_env,
+from repro.telemetry.server import (TelemetryServer, progress_payload,
                                     start_server)
 
 
@@ -28,15 +27,6 @@ def _get_json(url):
     status, _, body = _get(url)
     assert status == 200
     return json.loads(body)
-
-
-@pytest.mark.parametrize("raw,expected", [
-    ("", None), ("off", None), ("false", None), ("none", None),
-    ("0", 0), ("8080", 8080), ("junk", None),
-])
-def test_serve_port_from_env(monkeypatch, raw, expected):
-    monkeypatch.setenv(SERVE_ENV, raw)
-    assert serve_port_from_env() == expected
 
 
 def test_progress_payload_reads_registry_and_spans():
@@ -110,13 +100,10 @@ def test_flight_endpoint_serves_recorder_tail():
         stop_flight()
 
 
-def test_start_server_defers_to_env(monkeypatch):
-    monkeypatch.delenv(SERVE_ENV, raising=False)
-    assert start_server() is None
-    monkeypatch.setenv(SERVE_ENV, "0")
-    server = start_server(total_edges=10)
+def test_start_server_binds_an_ephemeral_port():
+    server = start_server(0, total_edges=10)
     try:
-        assert server is not None
+        assert server.port != 0
         assert _get_json(f"{server.url}/healthz")["status"] == "ok"
     finally:
         server.stop()
