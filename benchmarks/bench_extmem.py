@@ -1,19 +1,19 @@
-"""External-memory merge engine benchmarks: streaming vs naive merge,
-and the bounded-RSS proof run.
+"""External-memory sort engine benchmarks: the partitioned pass vs a
+naive merge, and the bounded-RSS proof run.
 
-The pipelined engine (:mod:`repro.util.external_sort`) replaced a
-whole-array external sort; these benchmarks keep it honest:
+The one-pass engine (:mod:`repro.util.external_sort`) replaced a
+multi-pass k-way merge; these benchmarks keep it honest:
 
-- ``test_streaming_beats_naive`` is the CI perf-smoke gate: the chunked
-  k-way merge must sustain >= 1.5x the keys/s of a naive element-level
-  ``heapq.merge`` + Python dedup over the same scale-18 spill volume
-  (it lands far above that — the margin is a regression tripwire, not a
-  target).
+- ``test_streaming_beats_naive`` is the CI perf-smoke gate: the
+  splitter-partitioned pass must sustain >= 1.5x the keys/s of a naive
+  element-level ``heapq.merge`` + Python dedup over the same scale-18
+  spill volume (it lands far above that — the margin is a regression
+  tripwire, not a target).
 - ``test_spill_exceeds_rss_cap`` is the bounded-memory proof: a fresh
-  subprocess spills and merges several times more bytes than a hard
+  subprocess spills and sorts more than twice the bytes of a hard
   peak-RSS cap, and ``resource.getrusage`` must show the process never
   grew past the cap while ``extsort.spill_bytes`` shows the volume
-  really went through disk.
+  really went through disk — once: no pass rewrites it.
 - ``test_emit_bench_json`` writes ``BENCH_extmem.json`` at the repo
   root so later PRs have an engine-perf trajectory to compare against.
 """
@@ -30,18 +30,18 @@ from pathlib import Path
 import numpy as np
 
 from repro.telemetry import registry, reset_telemetry
-from repro.util.external_sort import (_RunReader, collect_chunks,
-                                      iter_unique_keys)
+from repro.util.external_sort import collect_chunks, iter_unique_keys
 from repro.util.spill import SpillStore
 
 SMOKE_SCALE = 18
 EDGE_FACTOR = 16
 NUM_RUNS = 16
-FAN_IN = 4
 SEED = 23
+#: Runs of a million keys in the proof run: 72 x 8 MB is 2.1x the cap.
+PROOF_RUNS = 72
 
-#: Hard peak-RSS cap for the proof run (bytes) — the merge must move
-#: several times this volume through disk without ever holding it.
+#: Hard peak-RSS cap for the proof run (bytes) — the sort must move
+#: twice this volume through disk without ever holding it.
 RSS_CAP_BYTES = 256 * 1024 * 1024
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -60,24 +60,26 @@ def _spill_runs(directory, total_keys, num_runs, seed=SEED):
 
 
 def _naive_merge_rate(store):
-    """Element-level ``heapq.merge`` + Python dedup: the shape of merge
-    the chunked engine replaced.  Returns (unique_keys, seconds)."""
-    readers = [_RunReader(p, 1 << 16) for p in store.runs]
+    """Element-level ``heapq.merge`` + Python dedup: the textbook k-way
+    merge.  Returns (unique_keys, seconds)."""
+    def read(path):
+        with open(path, "rb") as handle:
+            while (chunk := np.fromfile(handle, dtype=np.int64,
+                                        count=1 << 16)).size:
+                yield from chunk.tolist()
+
     t0 = time.perf_counter()
     unique = 0
-    for _key, _ in itertools.groupby(heapq.merge(*readers)):
+    for _key, _ in itertools.groupby(heapq.merge(*map(read, store.runs))):
         unique += 1
-    seconds = time.perf_counter() - t0
-    for reader in readers:
-        reader.close()
-    return unique, seconds
+    return unique, time.perf_counter() - t0
 
 
 def _streaming_merge_rate(store):
-    """The bounded fan-in chunked merge. Returns (unique_keys, seconds)."""
+    """The partitioned pass.  Returns (unique_keys, seconds)."""
     t0 = time.perf_counter()
     unique = 0
-    for chunk in store.iter_unique(fan_in=FAN_IN):
+    for chunk in store.iter_unique():
         unique += int(chunk.size)
     return unique, time.perf_counter() - t0
 
@@ -93,7 +95,6 @@ def _measure(total_keys):
         "total_keys": total_keys,
         "unique_keys": stream_unique,
         "num_runs": NUM_RUNS,
-        "fan_in": FAN_IN,
         "naive_seconds": round(naive_s, 4),
         "streaming_seconds": round(stream_s, 4),
         "naive_keys_per_second": round(total_keys / naive_s),
@@ -115,11 +116,11 @@ def _rss_proof_code(work_dir):
         "rng = np.random.default_rng(7)\n"
         "store = SpillStore(work / 'spill')\n"
         "space = np.int64(1) << np.int64(26)\n"
-        "for _ in range(32):\n"
+        f"for _ in range({PROOF_RUNS}):\n"
         "    store.add_run(np.sort(rng.integers(0, space,\n"
         "        size=1_000_000, dtype=np.int64)))\n"
         "unique = 0\n"
-        "for chunk in store.iter_unique(chunk_items=1 << 16, fan_in=4):\n"
+        "for chunk in store.iter_unique(chunk_items=1 << 20):\n"
         "    unique += int(chunk.size)\n"
         "rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "spilled = registry().counter('extsort.spill_bytes').value\n"
@@ -141,12 +142,12 @@ def _run_rss_proof():
 
 
 def test_streaming_beats_naive(table):
-    """CI perf smoke: the chunked engine must hold >= 1.5x the naive
+    """CI perf smoke: the engine must hold >= 1.5x the naive
     element-level merge's throughput at the scale-18 spill volume."""
     total_keys = EDGE_FACTOR << SMOKE_SCALE
     record = _measure(total_keys)
     table(f"Streaming vs naive merge (scale {SMOKE_SCALE}, "
-          f"{NUM_RUNS} runs, fan-in {FAN_IN})",
+          f"{NUM_RUNS} runs)",
           ["engine", "keys/s", "seconds", "speedup"],
           [["naive heapq", f"{record['naive_keys_per_second']:,}",
             record["naive_seconds"], "1.00x"],
@@ -154,12 +155,12 @@ def test_streaming_beats_naive(table):
             record["streaming_seconds"], f"{record['speedup']:.2f}x"]])
     assert record["speedup"] >= 1.5, (
         f"streaming merge only {record['speedup']:.2f}x over the naive "
-        f"baseline at scale {SMOKE_SCALE}; the chunked engine regressed")
+        f"baseline at scale {SMOKE_SCALE}; the engine regressed")
 
 
 def test_spill_exceeds_rss_cap(table):
-    """Bounded-memory proof: merge a spill volume several times the
-    RSS cap in a fresh process that never exceeds the cap."""
+    """Bounded-memory proof: sort a spill volume of twice the RSS cap
+    in a fresh process that never exceeds the cap."""
     proof = _run_rss_proof()
     table("Bounded-RSS proof run (fresh process)",
           ["metric", "value"],
@@ -167,12 +168,11 @@ def test_spill_exceeds_rss_cap(table):
            ["bytes spilled", f"{proof['spill_bytes'] / 2**20:,.0f} MiB"],
            ["RSS cap", f"{RSS_CAP_BYTES / 2**20:,.0f} MiB"],
            ["unique keys", f"{proof['unique']:,}"]])
-    assert proof["spill_bytes"] > RSS_CAP_BYTES, (
-        "proof run did not spill more than the RSS cap; raise the "
-        "workload")
+    assert proof["spill_bytes"] >= 2 * RSS_CAP_BYTES, (
+        "proof run did not spill twice the RSS cap; raise PROOF_RUNS")
     assert proof["rss_bytes"] < RSS_CAP_BYTES, (
         f"peak RSS {proof['rss_bytes'] / 2**20:.0f} MiB breached the "
-        f"{RSS_CAP_BYTES / 2**20:.0f} MiB cap: the merge is no longer "
+        f"{RSS_CAP_BYTES / 2**20:.0f} MiB cap: the sort is no longer "
         "memory-bounded")
 
 
@@ -186,10 +186,8 @@ def test_streaming_identical_to_in_memory_small_scale():
         store = SpillStore(Path(work) / "spill")
         for batch in batches:
             store.add_run(np.sort(batch))
-        streamed = collect_chunks(store.iter_unique(chunk_items=512,
-                                                    fan_in=2))
-        direct = collect_chunks(iter_unique_keys(store.runs,
-                                                 prefetch=False))
+        streamed = collect_chunks(store.iter_unique(chunk_items=512))
+        direct = collect_chunks(iter_unique_keys(store.runs))
     expected = np.unique(np.concatenate(batches))
     assert streamed.tobytes() == expected.tobytes()
     assert direct.tobytes() == expected.tobytes()
@@ -202,8 +200,6 @@ def test_emit_bench_json(table):
     reg = registry()
     record["peak_buffered_items"] = int(
         reg.gauge("extsort.peak_buffered_items", mode="max").value)
-    record["merge_passes"] = int(
-        reg.counter("extsort.merge_passes").value)
     proof = _run_rss_proof()
     record["rss_proof"] = {
         "rss_cap_bytes": RSS_CAP_BYTES,

@@ -184,13 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
                           default="tsv")
     baseline.add_argument("--output", required=True)
     baseline.add_argument("--seed", type=int, default=0)
-    baseline.add_argument("--fan-in", type=int, default=None,
-                          help="disk models: runs merged at once before "
-                               "an intermediate merge pass spills "
-                               "(bounds merge memory)")
-    baseline.add_argument("--spill-chunk", type=int, default=None,
-                          help="disk models: keys per merge-read chunk "
-                               "(default: one generation batch)")
 
     analyze = sub.add_parser(
         "analyze", help="print realism metrics for a graph file")
@@ -437,19 +430,9 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
             f"{sorted(ALL_MODELS)}")
     streaming = isinstance(cls, type) and issubclass(cls,
                                                      StreamingDedupMixin)
-    extra: dict = {}
-    if args.fan_in is not None or args.spill_chunk is not None:
-        if not streaming:
-            raise SystemExit(
-                "--fan-in/--spill-chunk apply only to the disk-based "
-                "(external-sort) models")
-        if args.fan_in is not None:
-            extra["fan_in"] = args.fan_in
-        if args.spill_chunk is not None:
-            extra["spill_chunk"] = args.spill_chunk
-    generator = cls(args.scale, args.edge_factor, seed=args.seed, **extra)
+    generator = cls(args.scale, args.edge_factor, seed=args.seed)
     if streaming:
-        # Disk models stream spill -> merge -> format writer end to end:
+        # Disk models stream spill -> sort -> format writer end to end:
         # bounded memory, so the graph may be larger than RAM.
         result = generator.write_to(args.output, fmt=args.format)
     else:

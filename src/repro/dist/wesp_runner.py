@@ -10,8 +10,9 @@ the shuffle materialized as partition files (the MapReduce pattern):
    writes one sorted run file per destination worker;
 2. **shuffle**: the run files *are* the shuffle (local disk stands in for
    the wire);
-3. **reduce**: each merger process external-merges its incoming runs,
-   dropping duplicates, and writes its final part file.
+3. **reduce**: each merger process external-sorts its incoming runs in
+   one partitioned pass, dropping duplicates, and writes its final part
+   file.
 
 The output edge set is identical to
 :class:`repro.models.wesp.WespMemGenerator` with the same configuration
@@ -34,9 +35,8 @@ from ..core.rng import stream
 from ..core.seed import SeedMatrix
 from ..telemetry import span
 from ..formats import blocks_from_sorted_keys, get_format
-from ..models.rmat import rmat_edge_batch
-from ..util.external_sort import (DEFAULT_CHUNK_ITEMS, DEFAULT_FAN_IN,
-                                  iter_unique_keys, write_run)
+from ..models.rmat import PathSampler
+from ..util.external_sort import iter_unique_keys, unique_sorted, write_run
 from ..util.shuffle import hash_partition
 from ..util.spill import fsync_dir
 from .faults import FaultPlan, RetryPolicy, pick_start_method, run_tasks
@@ -68,12 +68,10 @@ def _map_task(args: tuple) -> list[str]:
     """Generator process: produce this worker's runs, one per reducer."""
     (worker, scale, num_edges, seed_entries, seed, num_workers, epsilon,
      shuffle_dir) = args
-    seed_matrix = SeedMatrix(np.array(seed_entries))
-    num_vertices = 1 << scale
+    sampler = PathSampler(SeedMatrix(np.array(seed_entries)), scale)
     per_worker = int(np.ceil(num_edges / num_workers * (1 + epsilon)))
-    rng = stream(seed, _TAG_WORKER, worker)
-    batch = rmat_edge_batch(seed_matrix, scale, per_worker, rng)
-    keys = np.unique(batch[:, 0] * np.int64(num_vertices) + batch[:, 1])
+    keys = unique_sorted(np.sort(sampler.keys(
+        per_worker, stream(seed, _TAG_WORKER, worker))))
     paths = []
     for reducer, part in enumerate(hash_partition(keys, num_workers)):
         path = Path(shuffle_dir) / f"map{worker:03d}-red{reducer:03d}.run"
@@ -122,15 +120,12 @@ def _write_npy_stream(chunks: Iterable[np.ndarray], path: Path,
 
 
 def _reduce_task(args: tuple) -> tuple[str, int]:
-    """Merger process: external-merge this reducer's runs into a part.
+    """Merger process: external-sort this reducer's runs into a part.
 
-    The merge is the bounded-RAM streaming engine
-    (:func:`repro.util.external_sort.iter_unique_keys`): at most
-    ``fan_in`` runs are open at once, intermediate merge passes land in
-    a per-reducer spill directory, and — because that directory and its
-    resume manifest persist under ``work_dir`` — a reducer retried by
-    the fault-tolerant scheduler (or a whole re-run after SIGKILL)
-    adopts the passes its predecessor completed instead of redoing them.
+    The sort is the bounded-RAM one-pass engine
+    (:func:`repro.util.external_sort.iter_unique_keys`); it writes
+    nothing but the part, so a reducer retried by the fault-tolerant
+    scheduler simply reads its map runs again.
 
     With ``fmt_name`` set the stream feeds the block-streaming format
     writers directly (sources never split across blocks); with ``None``
@@ -138,13 +133,9 @@ def _reduce_task(args: tuple) -> tuple[str, int]:
     :func:`_write_npy_stream`.  Either way the reducer never holds the
     merged edge set.
     """
-    (reducer, run_paths, out_dir, scale, fmt_name, fan_in,
-     chunk_items) = args
+    reducer, run_paths, out_dir, fmt_name, scale = args
     num_vertices = 1 << scale
-    spill_dir = Path(out_dir) / "spill" / f"red{reducer:03d}"
-    stream_chunks = iter_unique_keys(
-        [Path(p) for p in run_paths], chunk_items=chunk_items,
-        fan_in=fan_in, spill_dir=spill_dir, resume=True)
+    stream_chunks = iter_unique_keys([Path(p) for p in run_paths])
     if fmt_name is None:
         part_path = Path(out_dir) / f"part-{reducer:04d}.npy"
         count = _write_npy_stream(stream_chunks, part_path, num_vertices)
@@ -155,7 +146,6 @@ def _reduce_task(args: tuple) -> tuple[str, int]:
             part_path, blocks_from_sorted_keys(stream_chunks, num_vertices),
             num_vertices)
         count = result.num_edges
-    shutil.rmtree(spill_dir, ignore_errors=True)
     return str(part_path), int(count)
 
 
@@ -167,9 +157,7 @@ def run_wesp_distributed(scale: int, edge_factor: int = 16,
                          processes: int | None = None,
                          retry: RetryPolicy | None = None,
                          faults: FaultPlan | None = None,
-                         fmt_name: str | None = None,
-                         fan_in: int = DEFAULT_FAN_IN,
-                         spill_chunk: int = DEFAULT_CHUNK_ITEMS
+                         fmt_name: str | None = None
                          ) -> WespDistributedResult:
     """Run the full WES/p dataflow across worker processes.
 
@@ -210,8 +198,9 @@ def run_wesp_distributed(scale: int, edge_factor: int = 16,
     reduce_args = []
     for reducer in range(num_workers):
         runs = [paths[reducer] for paths in map_outputs]
-        reduce_args.append((reducer, runs, str(work_dir), scale, fmt_name,
-                            fan_in, spill_chunk))
+        # Not ending in a string: to the scheduler's fault hooks a task
+        # tuple's trailing string names its output file.
+        reduce_args.append((reducer, runs, str(work_dir), fmt_name, scale))
     with span("wesp.reduce", workers=num_workers) as sp:
         reduce_outputs, _ = run_tasks(reduce_args, _reduce_task,
                                       pool_size=pool_size, policy=retry,

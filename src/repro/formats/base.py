@@ -251,6 +251,17 @@ def block_from_edges(sorted_edges: np.ndarray) -> AdjacencyBlock:
                           np.ascontiguousarray(sorted_edges[:, 1]))
 
 
+def _block_from_keys(keys: np.ndarray, n: np.int64) -> AdjacencyBlock:
+    """One block straight from ascending packed keys ``u * n + v``, with
+    one division: building an ``(m, 2)`` edge array for
+    :func:`block_from_edges` to slice apart again costs twice as much."""
+    sources_all = keys // n
+    boundaries = np.flatnonzero(sources_all[1:] != sources_all[:-1]) + 1
+    offsets = np.concatenate([[0], boundaries, [keys.size]])
+    return AdjacencyBlock(sources_all[offsets[:-1]], offsets,
+                          keys - sources_all * n)
+
+
 def blocks_from_sorted_keys(chunks: Iterable[np.ndarray],
                             num_vertices: int
                             ) -> Iterator[AdjacencyBlock]:
@@ -277,12 +288,10 @@ def blocks_from_sorted_keys(chunks: Iterable[np.ndarray],
         last_source = current[-1] // n
         cut = int(np.searchsorted(current, last_source * n, side="left"))
         if cut:
-            ready = current[:cut]
-            yield block_from_edges(
-                np.column_stack([ready // n, ready % n]))
+            yield _block_from_keys(current[:cut], n)
         held = current[cut:]
     if held.size:
-        yield block_from_edges(np.column_stack([held // n, held % n]))
+        yield _block_from_keys(held, n)
 
 
 def blocks_from_adjacency(adjacency: Iterable[tuple[int, np.ndarray]],

@@ -13,14 +13,15 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
 from ..contracts import check_seed_matrix
 from ..core.rng import stream
 from ..core.seed import GRAPH500, SeedMatrix
-from ..errors import ConfigurationError, OutOfMemoryError
+from ..errors import ConfigurationError, GenerationError, OutOfMemoryError
+from ..util.external_sort import collect_chunks, unique_sorted
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -31,6 +32,9 @@ if TYPE_CHECKING:
 __all__ = ["Complexity", "GenerationReport", "ScopeBasedGenerator",
            "StreamingDedupMixin", "dedup_edges",
            "BYTES_PER_EDGE_IN_MEMORY"]
+
+#: Top-up rounds after which an in-memory WES model gives up on |E|.
+_MAX_ROUNDS = 200
 
 #: Working-set bytes per edge for in-memory duplicate elimination: an 8-byte
 #: packed key plus hash-set overhead (the constant used for O.O.M checks).
@@ -188,6 +192,29 @@ class ScopeBasedGenerator(ABC):
         """Per-purpose random stream (see :mod:`repro.core.rng`)."""
         return stream(self.seed, *labels)
 
+    def collect_distinct_keys(self, draw_keys: Callable[[int], np.ndarray]
+                              ) -> np.ndarray:
+        """Algorithm 2's set union in bulk, for the in-memory WES models:
+        draw the shortfall with ``draw_keys(count)``, merge it into the
+        kept keys, drop the repeats, until ``|E|`` distinct packed keys
+        are held.  Returns them ascending and fills the report."""
+        report = self.report
+        keys = np.empty(0, dtype=np.int64)
+        with report.time_phase("generate"):
+            for _ in range(_MAX_ROUNDS):
+                merged = np.sort(np.concatenate(
+                    [keys, draw_keys(self.num_edges - keys.size)]))
+                keys = unique_sorted(merged)
+                report.duplicates_discarded += merged.size - keys.size
+                if keys.size >= self.num_edges:
+                    break
+            else:
+                raise GenerationError(
+                    f"{self.name} failed to collect |E| distinct edges")
+        report.realized_edges = keys.size
+        report.peak_memory_bytes = keys.size * BYTES_PER_EDGE_IN_MEMORY
+        return keys
+
     # ------------------------------------------------------------------
 
     def pack_edges(self, edges: np.ndarray) -> np.ndarray:
@@ -248,7 +275,6 @@ class StreamingDedupMixin(ScopeBasedGenerator):
         return result
 
     def generate(self) -> np.ndarray:
-        from ..util.external_sort import collect_chunks
         keys = collect_chunks(self.iter_unique_key_chunks())
         return self.unpack_edges(keys)
 
@@ -261,9 +287,6 @@ def dedup_edges(edges: np.ndarray, num_vertices: int
     if edges.shape[0] == 0:
         return edges, 0
     keys = np.sort(edges[:, 0] * np.int64(num_vertices) + edges[:, 1])
-    keep = np.empty(keys.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    unique = keys[keep]
+    unique = unique_sorted(keys)
     n = np.int64(num_vertices)
     return np.column_stack([unique // n, unique % n]), keys.size - unique.size

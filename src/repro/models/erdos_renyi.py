@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import GenerationError
-from .base import (BYTES_PER_EDGE_IN_MEMORY, Complexity, ScopeBasedGenerator)
+from .base import Complexity, ScopeBasedGenerator
 
 __all__ = ["ErdosRenyiGenerator"]
 
 _TAG_EDGES = 1
-_MAX_ROUNDS = 200
 
 
 class ErdosRenyiGenerator(ScopeBasedGenerator):
@@ -27,27 +25,7 @@ class ErdosRenyiGenerator(ScopeBasedGenerator):
     def generate(self) -> np.ndarray:
         self.check_memory_budget()
         rng = self.rng(_TAG_EDGES)
-        report = self.report
-        n = np.int64(self.num_vertices)
-        keys = np.empty(0, dtype=np.int64)
-        shortfall = self.num_edges
-        with report.time_phase("generate"):
-            for _ in range(_MAX_ROUNDS):
-                new = rng.integers(0, n * n, size=shortfall,
-                                   dtype=np.int64)
-                merged = np.sort(np.concatenate([keys, new]))
-                keep = np.empty(merged.size, dtype=bool)
-                keep[0] = True
-                np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-                unique = merged[keep]
-                report.duplicates_discarded += merged.size - unique.size
-                keys = unique
-                shortfall = self.num_edges - keys.size
-                if shortfall <= 0:
-                    break
-            else:
-                raise GenerationError(
-                    "Erdos-Renyi failed to collect |E| distinct edges")
-        report.realized_edges = keys.size
-        report.peak_memory_bytes = keys.size * BYTES_PER_EDGE_IN_MEMORY
-        return self.unpack_edges(keys)
+        cells = np.int64(self.num_vertices) ** 2
+        return self.unpack_edges(self.collect_distinct_keys(
+            lambda count: rng.integers(0, cells, size=count,
+                                       dtype=np.int64)))

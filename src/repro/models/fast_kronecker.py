@@ -11,34 +11,26 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.seed import SeedMatrix
-from ..errors import ConfigurationError, GenerationError
-from .base import (BYTES_PER_EDGE_IN_MEMORY, Complexity, ScopeBasedGenerator)
+from ..errors import ConfigurationError
+from .base import Complexity, ScopeBasedGenerator
+from .rmat import PathSampler, rmat_edge_batch
 
 __all__ = ["fast_kronecker_edge_batch", "FastKroneckerGenerator"]
 
 _TAG_EDGES = 1
-_MAX_ROUNDS = 200
 
 
 def fast_kronecker_edge_batch(seed_matrix: SeedMatrix, depth: int,
                               count: int,
                               rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` edges by recursive n x n region selection.
+    """Draw ``count`` edges by recursive n x n region selection: each of
+    the ``depth`` steps picks a cell of the seed matrix and appends one
+    base-n digit to the source and destination IDs.
 
-    Each of the ``depth`` steps draws one uniform per edge, picks a cell of
-    the seed matrix by inverse CDF over its ``n*n`` flattened entries, and
-    appends one base-n digit to the source and destination IDs.
+    This *is* :func:`~repro.models.rmat.rmat_edge_batch` — the path
+    sampler takes any seed order — under FastKronecker's name.
     """
-    n = seed_matrix.order
-    cum = np.cumsum(seed_matrix.entries.ravel())[:-1]
-    u = np.zeros(count, dtype=np.int64)
-    v = np.zeros(count, dtype=np.int64)
-    for _ in range(depth):
-        r = rng.random(count)
-        cell = np.searchsorted(cum, r, side="right")
-        u = u * n + cell // n
-        v = v * n + cell % n
-    return np.column_stack([u, v])
+    return rmat_edge_batch(seed_matrix, depth, count, rng)
 
 
 class FastKroneckerGenerator(ScopeBasedGenerator):
@@ -71,27 +63,6 @@ class FastKroneckerGenerator(ScopeBasedGenerator):
     def generate(self) -> np.ndarray:
         self.check_memory_budget()
         rng = self.rng(_TAG_EDGES)
-        report = self.report
-        keys = np.empty(0, dtype=np.int64)
-        shortfall = self.num_edges
-        with report.time_phase("generate"):
-            for _ in range(_MAX_ROUNDS):
-                batch = fast_kronecker_edge_batch(
-                    self.seed_matrix, self.depth, shortfall, rng)
-                new = np.sort(self.pack_edges(batch))
-                merged = np.sort(np.concatenate([keys, new]))
-                keep = np.empty(merged.size, dtype=bool)
-                keep[0] = True
-                np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-                unique = merged[keep]
-                report.duplicates_discarded += merged.size - unique.size
-                keys = unique
-                shortfall = self.num_edges - keys.size
-                if shortfall <= 0:
-                    break
-            else:
-                raise GenerationError(
-                    "FastKronecker failed to collect |E| distinct edges")
-        report.realized_edges = keys.size
-        report.peak_memory_bytes = keys.size * BYTES_PER_EDGE_IN_MEMORY
-        return self.unpack_edges(keys)
+        sampler = PathSampler(self.seed_matrix, self.depth)
+        return self.unpack_edges(self.collect_distinct_keys(
+            lambda count: sampler.keys(count, rng)))

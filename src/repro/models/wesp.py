@@ -23,12 +23,13 @@ from typing import Iterator
 
 import numpy as np
 
-from ..util.external_sort import DEFAULT_FAN_IN
+from ..errors import ConfigurationError
+from ..util.external_sort import unique_sorted
 from ..util.shuffle import hash_partition
 from ..util.spill import SpillStore
 from .base import (BYTES_PER_EDGE_IN_MEMORY, Complexity, ScopeBasedGenerator,
                    StreamingDedupMixin)
-from .rmat import rmat_edge_batch
+from .rmat import PathSampler
 
 __all__ = ["WespMemGenerator", "WespDiskGenerator"]
 
@@ -42,7 +43,9 @@ class _WespBase(ScopeBasedGenerator):
                  **kwargs) -> None:
         super().__init__(*args, **kwargs)
         if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
+            raise ConfigurationError("num_workers must be >= 1")
+        if epsilon < 0:
+            raise ConfigurationError("epsilon must be >= 0")
         self.num_workers = num_workers
         self.epsilon = epsilon
 
@@ -51,17 +54,12 @@ class _WespBase(ScopeBasedGenerator):
         key set of target size |E|/P * (1 + epsilon)."""
         per_worker = int(np.ceil(self.num_edges / self.num_workers
                                  * (1 + self.epsilon)))
+        sampler = PathSampler(self.seed_matrix, self.scale)
         local_sets = []
         for worker in range(self.num_workers):
-            rng = self.rng(_TAG_WORKER, worker)
-            batch = rmat_edge_batch(self.seed_matrix, self.scale,
-                                    per_worker, rng)
-            keys = np.sort(self.pack_edges(batch))
-            keep = np.empty(keys.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-            unique = keys[keep]
-            self.report.duplicates_discarded += keys.size - unique.size
+            unique = unique_sorted(np.sort(sampler.keys(
+                per_worker, self.rng(_TAG_WORKER, worker))))
+            self.report.duplicates_discarded += per_worker - unique.size
             local_sets.append(unique)
         return local_sets
 
@@ -113,15 +111,10 @@ class WespMemGenerator(_WespBase):
             merged_parts = []
             peak = 0
             for part in partitions:
-                keys = np.sort(part)
-                if keys.size:
-                    keep = np.empty(keys.size, dtype=bool)
-                    keep[0] = True
-                    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-                    unique = keys[keep]
-                    report.duplicates_discarded += keys.size - unique.size
-                    merged_parts.append(unique)
-                    peak = max(peak, keys.size * BYTES_PER_EDGE_IN_MEMORY)
+                unique = unique_sorted(np.sort(part))
+                report.duplicates_discarded += part.size - unique.size
+                merged_parts.append(unique)
+                peak = max(peak, part.size * BYTES_PER_EDGE_IN_MEMORY)
         keys = np.sort(np.concatenate(merged_parts)) if merged_parts \
             else np.empty(0, dtype=np.int64)
         report.realized_edges = keys.size
@@ -133,11 +126,11 @@ class WespDiskGenerator(StreamingDedupMixin, _WespBase):
     """WES/p with external-sort merge (the paper's RMAT/p-disk).
 
     Every partition's batches are spilled as sorted runs and *one*
-    global bounded-fan-in merge streams the deduplicated union — the
+    global partitioned pass streams the deduplicated union — the
     sorted union over all partitions equals the sorted union over all
     local sets, so the output is identical to
     :class:`WespMemGenerator` while peak merge memory stays at
-    ``O(fan_in * spill_chunk)`` keys.
+    ``O(batch_edges)`` keys.
     """
 
     name = "RMAT/p-disk"
@@ -145,15 +138,12 @@ class WespDiskGenerator(StreamingDedupMixin, _WespBase):
         "O(|E| log|V| / P) + T_shuffle + sort(|E|/P)", "O(batch)", "WES/p")
 
     def __init__(self, *args, batch_edges: int = 1 << 18,
-                 spill_dir: str | None = None,
-                 fan_in: int = DEFAULT_FAN_IN,
-                 spill_chunk: int | None = None, **kwargs) -> None:
+                 spill_dir: str | None = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        if batch_edges < 1:
+            raise ConfigurationError("batch_edges must be >= 1")
         self.batch_edges = batch_edges
         self.spill_dir = spill_dir
-        self.fan_in = fan_in
-        #: Keys per merge-read chunk; defaults to one spill batch.
-        self.spill_chunk = spill_chunk
 
     def estimated_peak_bytes(self) -> int:
         return self.batch_edges * BYTES_PER_EDGE_IN_MEMORY
@@ -161,7 +151,6 @@ class WespDiskGenerator(StreamingDedupMixin, _WespBase):
     def iter_unique_key_chunks(self) -> Iterator[np.ndarray]:
         self.check_memory_budget()
         report = self.report
-        chunk_items = self.spill_chunk or self.batch_edges
         with report.time_phase("generate"):
             local_sets = self._generate_local_sets()
         with report.time_phase("shuffle"):
@@ -177,7 +166,7 @@ class WespDiskGenerator(StreamingDedupMixin, _WespBase):
                         store.add_run(np.sort(part[j:j + self.batch_edges]))
                 del partitions
             for chunk in report.time_each("merge", store.iter_unique(
-                    chunk_items=chunk_items, fan_in=self.fan_in)):
+                    chunk_items=self.batch_edges)):
                 emitted += int(chunk.size)
                 yield chunk
         report.duplicates_discarded += before - emitted

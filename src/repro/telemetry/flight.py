@@ -4,7 +4,7 @@ Everything else in :mod:`repro.telemetry` reports *post hoc* — counters
 and span trees surface after ``generate()`` returns.  The flight
 recorder closes the in-flight gap: a daemon thread samples the metrics
 registry plus process vitals on a fixed interval into a bounded ring
-buffer, so a run that stalls, leaks memory, or thrashes its merge fan-in
+buffer, so a run that stalls, leaks memory, or outgrows its sort buckets
 carries its own recent history.
 
 Each sample is one JSON-able dict::

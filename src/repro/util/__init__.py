@@ -8,17 +8,16 @@ the hash shuffle, which the WES baselines (``models``) and the
 distributed runners (``dist``) share.
 """
 
-from .external_sort import (DEFAULT_CHUNK_ITEMS, DEFAULT_FAN_IN, MergePlan,
-                            collect_chunks, external_sort_unique,
-                            iter_unique_keys, merge_sorted_runs, write_run)
+from .external_sort import (DEFAULT_CHUNK_ITEMS, collect_chunks,
+                            external_sort_unique, iter_unique_keys,
+                            unique_sorted, write_run)
 from .shuffle import (hash_partition, mix64, partition_sizes,
                       partition_slices)
-from .spill import SpillStore, fsync_dir, fsync_file, write_run_chunks
+from .spill import SpillStore, fsync_dir, fsync_file
 
 __all__ = [
-    "DEFAULT_CHUNK_ITEMS", "DEFAULT_FAN_IN", "MergePlan",
-    "collect_chunks", "external_sort_unique", "iter_unique_keys",
-    "merge_sorted_runs", "write_run", "write_run_chunks",
+    "DEFAULT_CHUNK_ITEMS", "collect_chunks", "external_sort_unique",
+    "iter_unique_keys", "unique_sorted", "write_run",
     "SpillStore", "fsync_file", "fsync_dir",
     "hash_partition", "mix64", "partition_sizes", "partition_slices",
 ]

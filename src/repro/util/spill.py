@@ -1,4 +1,4 @@
-"""Atomic spill-run persistence for the external-memory merge engine.
+"""Atomic spill-run persistence for the external-memory sort engine.
 
 The engine in :mod:`repro.util.external_sort` works over *runs*: flat
 little-endian int64 files of sorted packed edge keys (``u * |V| + v``).
@@ -6,11 +6,11 @@ This module owns their durability discipline:
 
 - every run becomes visible under its final name only via an atomic
   rename of a fully-written, flushed, fsynced ``*.partial`` temporary —
-  a crash can never leave a torn run that a resumed merge would consume
-  silently (the reader additionally rejects size-not-multiple-of-8
+  a crash can never leave a torn run that a later pass would consume
+  silently (the engine additionally rejects size-not-multiple-of-8
   files with :class:`~repro.errors.DataError`);
 - :class:`SpillStore` names and tracks the runs of one producer and
-  hands the whole set to the streaming merge
+  hands the whole set to the partitioned pass
   (:func:`~repro.util.external_sort.iter_unique_keys`) in one call;
 - every spill is counted in the ``extsort.*`` telemetry family
   (``docs/observability.md``) and, under ``TRILLIONG_SANITIZE=1``,
@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from ..sanitize import record_write, sanitize_enabled
 from ..telemetry import registry
 
-__all__ = ["fsync_file", "fsync_dir", "write_run", "write_run_chunks",
-           "SpillStore"]
+__all__ = ["fsync_file", "fsync_dir", "write_run", "SpillStore"]
 
 
 def fsync_file(path: Path | str) -> None:
@@ -75,30 +74,21 @@ class _RunLabel:
         self.name = name
 
 
-def write_run_chunks(chunks: Iterable[np.ndarray], path: Path | str
-                     ) -> tuple[Path, int]:
-    """Stream int64 key chunks into one run file atomically.
+def write_run(keys: np.ndarray, path: Path | str) -> Path:
+    """Spill one sorted run of int64 keys to ``path`` atomically.
 
     Writes to ``<path>.partial.<pid>``, flushes, fsyncs, then renames
     into place (and fsyncs the directory entry), so ``path`` either does
-    not exist or holds a complete run.  Returns ``(path, items)``.
+    not exist or holds a complete run.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.partial.{os.getpid()}")
-    items = 0
-    trace = sanitize_enabled()
-    label = _RunLabel(path.name)
+    arr = np.ascontiguousarray(np.asarray(keys, dtype=np.int64))
+    if arr.size and sanitize_enabled():
+        record_write(_RunLabel(path.name), arr)
     try:
         with open(tmp, "wb") as handle:
-            for chunk in chunks:
-                arr = np.ascontiguousarray(np.asarray(chunk,
-                                                      dtype=np.int64))
-                if arr.size == 0:
-                    continue
-                if trace:
-                    record_write(label, arr)
-                handle.write(memoryview(arr))
-                items += int(arr.size)
+            handle.write(memoryview(arr))
             handle.flush()
             os.fsync(handle.fileno())
         tmp.replace(path)
@@ -107,24 +97,16 @@ def write_run_chunks(chunks: Iterable[np.ndarray], path: Path | str
     fsync_dir(path.parent)
     reg = registry()
     reg.counter("extsort.runs_spilled").inc()
-    reg.counter("extsort.spill_bytes").inc(items * 8)
-    return path, items
-
-
-def write_run(keys: np.ndarray, path: Path | str) -> Path:
-    """Spill one sorted run of int64 keys to ``path`` atomically."""
-    run_path, _ = write_run_chunks((keys,), path)
-    return run_path
+    reg.counter("extsort.spill_bytes").inc(arr.nbytes)
+    return path
 
 
 class SpillStore:
-    """A directory of sorted spill runs plus their streaming merge.
+    """A directory of sorted spill runs plus their deduplicated union.
 
-    Producers (the disk-based generators, the distributed reducers) call
-    :meth:`add_run` once per sorted in-memory batch, then consume
-    :meth:`iter_unique` — the bounded-RAM multi-pass merge over
-    everything spilled, with intermediate merge passes written under
-    ``<directory>/merge``.
+    Producers (the disk-based generators) call :meth:`add_run` once per
+    sorted in-memory batch, then consume :meth:`iter_unique` — the
+    bounded-RAM one-pass sort over everything spilled.
     """
 
     def __init__(self, directory: Path | str, *, prefix: str = "run"
@@ -150,21 +132,13 @@ class SpillStore:
         self._runs.append(path)
         return path
 
-    def iter_unique(self, *, chunk_items: int | None = None,
-                    fan_in: int | None = None, prefetch: bool = True,
-                    resume: bool = False) -> Iterator[np.ndarray]:
-        """Stream the sorted, duplicate-free union of every run.
-
-        Peak memory is ``O(fan_in * chunk_items)`` keys regardless of
-        the total spilled volume; see
-        :func:`repro.util.external_sort.iter_unique_keys`.
-        """
-        from .external_sort import (DEFAULT_CHUNK_ITEMS, DEFAULT_FAN_IN,
-                                    iter_unique_keys)
+    def iter_unique(self, *, chunk_items: int | None = None
+                    ) -> Iterator[np.ndarray]:
+        """Stream the sorted, duplicate-free union of every run in
+        buckets of about ``chunk_items`` keys; see
+        :func:`repro.util.external_sort.iter_unique_keys`."""
+        from .external_sort import DEFAULT_CHUNK_ITEMS, iter_unique_keys
         return iter_unique_keys(
-            self._runs,
-            chunk_items=(DEFAULT_CHUNK_ITEMS if chunk_items is None
-                         else chunk_items),
-            fan_in=DEFAULT_FAN_IN if fan_in is None else fan_in,
-            spill_dir=self.directory / "merge",
-            prefetch=prefetch, resume=resume)
+            self._runs, chunk_items=(DEFAULT_CHUNK_ITEMS
+                                     if chunk_items is None
+                                     else chunk_items))

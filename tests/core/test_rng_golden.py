@@ -155,13 +155,13 @@ def test_block_size_is_part_of_the_determinism_key(tmp_path):
 MODEL_DIGESTS = {
     "Barabasi-Albert": "9dbab01cb3300beb",
     "Erdos-Renyi": "ffa44e2b5f4c5dd9",
-    "FastKronecker": "78c5190576b20cbc",
+    "FastKronecker": "b2a19b3648072e10",
     "Graph500": "7b38a66e6027ef01",
     "Kronecker-AES": "90a34ae71520d955",
-    "RMAT-disk": "8ffa33b8738c239c",
-    "RMAT-mem": "78c5190576b20cbc",
-    "RMAT/p-disk": "53d53bf920806f18",
-    "RMAT/p-mem": "53d53bf920806f18",
+    "RMAT-disk": "0c1d5d43a8086580",
+    "RMAT-mem": "b2a19b3648072e10",
+    "RMAT/p-disk": "01b519edeae06f47",
+    "RMAT/p-mem": "01b519edeae06f47",
     "TeG": "45333d3f80b7c73b",
     "TrillionG/seq": "55b04457794e06bd",
 }

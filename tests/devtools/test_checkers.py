@@ -660,7 +660,7 @@ MERGE_FLAG = [
     "pair = tuple(self.iter_unique_key_chunks())\n",
     "out = external_sort_unique(paths)\n",
     "from repro.dist import external_sort_unique\n"
-    "out = external_sort_unique(paths, fan_in=4)\n",
+    "out = external_sort_unique(paths, chunk_items=4)\n",
     "import numpy as np\n"
     "arr = np.hstack(tuple(store.iter_unique()))\n",
     "import numpy as np\n"

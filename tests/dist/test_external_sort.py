@@ -1,12 +1,14 @@
 """Tests for the external sort / merge-dedup substrate."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.util.external_sort import (external_sort_unique,
-                                      merge_sorted_runs, write_run)
+                                      iter_unique_keys, write_run)
 
 
 def make_runs(tmp_path, arrays):
@@ -72,7 +74,7 @@ class TestMergeSortedRuns:
         paths = make_runs(tmp_path, arrays)
         last = None
         seen = []
-        for chunk in merge_sorted_runs(paths, chunk_items=32):
+        for chunk in iter_unique_keys(paths, chunk_items=32):
             assert np.all(np.diff(chunk) > 0)
             if last is not None:
                 assert chunk[0] > last
@@ -87,7 +89,7 @@ class TestMergeAdversarialCases:
 
     def check(self, tmp_path, arrays, chunk_items):
         paths = make_runs(tmp_path, arrays)
-        out = list(merge_sorted_runs(paths, chunk_items=chunk_items))
+        out = list(iter_unique_keys(paths, chunk_items=chunk_items))
         merged = (np.concatenate(out) if out
                   else np.empty(0, dtype=np.int64))
         flat = [np.asarray(a, dtype=np.int64) for a in arrays]
@@ -120,59 +122,29 @@ class TestMergeAdversarialCases:
         self.check(tmp_path, [[], []], 8)
 
 
-class TestReaderHandleLifecycle:
-    """Satellite regression: one open per run for the whole merge, and
-    no handle leaks when the merge stops early or raises."""
+def open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
 
-    def test_reader_reads_sequentially_from_one_handle(self, tmp_path):
-        from repro.util.external_sort import _RunReader
-        data = np.arange(10, dtype=np.int64)
-        path = write_run(data, tmp_path / "run.bin")
-        with _RunReader(path, chunk_items=3) as reader:
-            chunks = []
-            while (chunk := reader.next_chunk()) is not None:
-                chunks.append(chunk)
-            np.testing.assert_array_equal(np.concatenate(chunks), data)
-            assert not reader._file.closed
-        assert reader._file.closed
+
+class TestReaderHandleLifecycle:
+    """No descriptor (file or mapping) outlives the pass, whether it
+    runs to the end or is abandoned between two buckets."""
 
     def test_merge_closes_all_readers_on_completion(self, tmp_path):
-        from repro.util import external_sort as es
-        opened = []
-        original = es._RunReader.__init__
-
-        def tracking(self, path, chunk_items):
-            original(self, path, chunk_items)
-            opened.append(self)
-
-        paths = make_runs(tmp_path, [[1, 2], [2, 3], []])
-        try:
-            es._RunReader.__init__ = tracking
-            list(es.merge_sorted_runs(paths, chunk_items=1))
-        finally:
-            es._RunReader.__init__ = original
-        assert len(opened) == 3
-        assert all(r._file.closed for r in opened)
+        paths = make_runs(tmp_path, [np.arange(100), np.arange(50, 150),
+                                     []])
+        before = open_descriptors()
+        assert len(list(iter_unique_keys(paths, chunk_items=16))) > 2
+        assert open_descriptors() == before
 
     def test_merge_closes_readers_when_abandoned_mid_merge(self, tmp_path):
-        from repro.util import external_sort as es
-        opened = []
-        original = es._RunReader.__init__
-
-        def tracking(self, path, chunk_items):
-            original(self, path, chunk_items)
-            opened.append(self)
-
         paths = make_runs(tmp_path, [np.arange(100), np.arange(100, 200)])
-        try:
-            es._RunReader.__init__ = tracking
-            stream = es.merge_sorted_runs(paths, chunk_items=4)
-            next(stream)           # start the merge, then bail out
-            stream.close()         # generator finalization mid-merge
-        finally:
-            es._RunReader.__init__ = original
-        assert len(opened) == 2
-        assert all(r._file.closed for r in opened)
+        before = open_descriptors()
+        stream = iter_unique_keys(paths, chunk_items=4)
+        next(stream)           # start the pass, then bail out
+        assert open_descriptors() == before
+        stream.close()         # generator finalization mid-pass
+        assert open_descriptors() == before
 
 
 @settings(max_examples=30, deadline=None,

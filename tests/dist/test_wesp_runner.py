@@ -1,8 +1,12 @@
 """Tests for the multiprocess WES/p runner."""
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
+from repro.dist import faults, wesp_runner
 from repro.dist.wesp_runner import run_wesp_distributed
 from repro.models import WespMemGenerator
 
@@ -58,3 +62,41 @@ class TestWespDistributed:
         r2 = run_wesp_distributed(9, 8, seed=9, num_workers=2,
                                   work_dir=tmp_path / "b", processes=2)
         np.testing.assert_array_equal(load_all(r1), load_all(r2))
+
+
+def test_reducer_killed_mid_merge_and_retried_writes_identical_part(
+        tmp_path, monkeypatch):
+    """A reducer that dies with half its part written leaves nothing a
+    retry could trip over or would need: the engine writes no
+    intermediate state, so the retried attempt re-reads its map runs and
+    the part comes out byte for byte an undisturbed run's.  A
+    ``FaultPlan`` crash fires before its task starts (task 1 of either
+    phase here); the reducer that gets furthest first is SIGKILLed after
+    its first chunk reached the part's temporary."""
+    if faults.pick_start_method() != "fork":
+        pytest.skip("the dying reducer is patched in, which needs fork")
+    calm = run_wesp_distributed(10, 8, seed=4, num_workers=2,
+                                work_dir=tmp_path / "calm", processes=2)
+
+    supervisor = os.getpid()
+    died = tmp_path / "died"
+    real_stream = wesp_runner.iter_unique_keys
+
+    def dying_stream(paths, **kwargs):
+        stream = real_stream(paths, **kwargs)
+        yield next(stream)
+        if os.getpid() != supervisor and not died.exists():
+            died.touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+        yield from stream
+
+    monkeypatch.setattr(wesp_runner, "iter_unique_keys", dying_stream)
+    retried = run_wesp_distributed(
+        10, 8, seed=4, num_workers=2, work_dir=tmp_path / "retried",
+        processes=2, faults=faults.FaultPlan(crash_tasks=frozenset({1})),
+        retry=faults.RetryPolicy(retries=3, backoff_base=0.0))
+    assert died.exists()
+    assert [p.name for p in retried.part_paths] == \
+        [p.name for p in calm.part_paths]
+    for ours, theirs in zip(retried.part_paths, calm.part_paths):
+        assert ours.read_bytes() == theirs.read_bytes()

@@ -88,8 +88,7 @@ class TestRmat:
 
     def test_disk_sort_phase_excludes_consumer_time(self):
         import time
-        g = RmatDiskGenerator(9, 8, seed=3, batch_edges=1000,
-                              spill_chunk=256)
+        g = RmatDiskGenerator(9, 8, seed=3, batch_edges=256)
         chunks = 0
         for _ in g.iter_unique_key_chunks():
             time.sleep(0.01)
@@ -113,6 +112,27 @@ class TestRmat:
         g = RmatDiskGenerator(10, 8, seed=3, batch_edges=512)
         g.generate()
         assert g.report.peak_memory_bytes == 512 * 16
+
+
+@pytest.mark.parametrize("cls,kwargs", [
+    (RmatMemGenerator, {"num_edges": 0}),
+    (FastKroneckerGenerator, {"num_edges": 0}),
+    (RmatDiskGenerator, {"batch_edges": 0}),
+    (RmatDiskGenerator, {"epsilon": -0.01}),
+    (WespMemGenerator, {"num_workers": 0}),
+    (WespMemGenerator, {"epsilon": -0.01}),
+    (WespDiskGenerator, {"batch_edges": 0}),
+    (WespDiskGenerator, {"num_workers": 0}),
+    (WespDiskGenerator, {"epsilon": -0.01}),
+], ids=lambda value: getattr(value, "name", None) or "-".join(value))
+def test_wes_models_reject_invalid_settings(cls, kwargs):
+    """Only the constructor is called: before it validated,
+    ``batch_edges=0`` made RMAT-disk's generate loop spill empty runs
+    forever and RMAT/p-disk die in ``range(0, n, 0)``, a negative epsilon
+    silently shrank the target and ``num_workers=0`` raised a bare
+    ``ValueError``."""
+    with pytest.raises(ConfigurationError):
+        cls(8, 8, seed=1, **kwargs)
 
 
 class TestFastKronecker:
@@ -203,8 +223,7 @@ class TestWesp:
 
     def test_disk_merge_phase_excludes_consumer_time(self):
         import time
-        g = WespDiskGenerator(9, 8, seed=4, num_workers=2, batch_edges=1000,
-                              spill_chunk=256)
+        g = WespDiskGenerator(9, 8, seed=4, num_workers=2, batch_edges=256)
         chunks = 0
         for _ in g.iter_unique_key_chunks():
             time.sleep(0.01)
