@@ -48,9 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--engine", choices=("bitwise", "reference"),
                      default="bitwise",
-                     help="bitwise = the production kernel (per-bit "
-                          "Bernoulli); reference = Algorithms 4-5 "
-                          "per-edge loop, the test oracle")
+                     help="bitwise = the production kernel (independent "
+                          "destination bits, drawn 7 at a time from "
+                          "chained alias tables); reference = Algorithms "
+                          "4-5 per-edge loop, the test oracle")
     gen.add_argument("--matrix", default=None,
                      help="seed matrix as 'a,b,c,d' (default Graph500)")
     gen.add_argument("--machines", type=int, default=1)

@@ -9,8 +9,10 @@ Engines
 -------
 ``bitwise``
     The production kernel.  ``P(v|u)`` factorises over destination bits
-    (Lemma 3, see :mod:`repro.core.probability`), so each bit is an
-    independent Bernoulli draw, batched in numpy over a block of sources.
+    (Lemma 3, see :mod:`repro.core.probability`), so the bits are
+    independent draws — taken seven at a time from chained conditional
+    alias tables (:class:`repro.core.tables.ScopeSampler`), batched in
+    numpy over a block of sources.
 ``reference``
     Paper-faithful per-edge Python loop (Algorithms 4-5), instrumented with
     recursion/draw counters and the three Idea toggles — the test oracle
@@ -43,6 +45,7 @@ from .process import EdgeProcess, make_process
 from .rng import stream
 from .scope import sample_scope_sizes
 from .seed import GRAPH500, SeedMatrix
+from .tables import ScopeSampler
 
 __all__ = [
     "IdeaToggles",
@@ -215,6 +218,9 @@ class RecursiveVectorGenerator:
         self.process: EdgeProcess = make_process(
             matrix, scale, noise, stream(seed, _TAG_NOISE))
         self.stats = GenerationStats()
+        # Built by the first block that draws: ``degrees()``-only callers
+        # (partitioning) never pay for the tables.
+        self._sampler: ScopeSampler | None = None
 
     # ------------------------------------------------------------------
     # Degree (scope size) sampling — Theorem 1
@@ -308,11 +314,11 @@ class RecursiveVectorGenerator:
             values = np.nonzero(counts)[0]
             reg.histogram("generator.recursions_per_edge",
                           bounds=RECURSION_BUCKETS).observe_bulk(
-                values, counts[values])
+                values.tolist(), counts[values].tolist())
         if degrees.size:
             values, counts = np.unique(degrees, return_counts=True)
             reg.histogram("generator.scope_size").observe_bulk(
-                values, counts)
+                values.tolist(), counts.tolist())
 
     def iter_blocks(self, start: int = 0,
                     stop: int | None = None) -> Iterator[AdjacencyBlock]:
@@ -376,17 +382,12 @@ class RecursiveVectorGenerator:
         if self.dedup and saturated.any():
             return self._generate_block_with_saturated(sources, degrees,
                                                        saturated, rng)
-        bit_probs = self.process.bit_probabilities(sources)
-        keys = _sample_destinations_bitwise(bit_probs, degrees, rng,
-                                            self.stats)
-        # Pack ``row << scale | dest`` in place: one sort orders the block.
-        keys |= np.repeat(
-            np.arange(sources.size, dtype=np.int64) << self.scale, degrees)
+        # Keys are ``row << scale | dest``: one sort orders the block.
+        keys = self._draw_keys(sources, degrees, rng)
         keys.sort()
         counts = degrees
         if self.dedup:
-            keys, dups = self._dedup_topup(keys, degrees, bit_probs, rng,
-                                           sources)
+            keys, dups = self._dedup_topup(keys, degrees, rng, sources)
             self.stats.duplicates_discarded += dups
             counts = np.bincount(keys >> self.scale, minlength=sources.size)
         offsets = np.zeros(sources.size + 1, dtype=np.int64)
@@ -394,8 +395,18 @@ class RecursiveVectorGenerator:
         return AdjacencyBlock(sources, offsets,
                               keys & np.int64(self.num_vertices - 1))
 
+    def _draw_keys(self, sources: np.ndarray, counts: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+        """``counts[j]`` keys ``j << scale | destination`` per source, rows
+        in order — the one place the kernel draws."""
+        if self._sampler is None:
+            self._sampler = ScopeSampler(self.process)
+        keys = self._sampler.keys(sources, counts, self.scale, rng)
+        self.stats.random_draws += keys.size * self._sampler.uniforms_per_edge
+        return keys
+
     def _dedup_topup(self, keys: np.ndarray, degrees: np.ndarray,
-                     bit_probs: np.ndarray, rng: np.random.Generator,
+                     rng: np.random.Generator,
                      sources: np.ndarray) -> tuple[np.ndarray, int]:
         """Per-scope duplicate elimination with stochastic top-up.
 
@@ -406,14 +417,14 @@ class RecursiveVectorGenerator:
         They are sorted once; a round costs its shortfall: its candidates
         are looked up in the first-pass keys and in ``extra``, the sorted
         keys earlier rounds added, and only ``extra`` is re-sorted.
-        Scopes whose rejection top-up stalls (very skewed conditional
-        distributions turn the last few distinct draws into a coupon-
-        collector problem) are finished by the exact PPSWOR sampler.
+        A round that draws only duplicates is just a round; scopes still
+        short after ``_MAX_TOPUP_ROUNDS`` (a row whose support is smaller
+        than its size, or so skewed that the last distinct draws are a
+        coupon-collector problem) are finished by the exact PPSWOR sampler.
         Returns the sorted distinct keys and the number of duplicates
         discarded.
         """
         shift = self.scale
-        row_base = np.arange(degrees.size, dtype=np.int64) << shift
         first = _sorted_unique(keys)
         duplicates = keys.size - first.size
         have = np.bincount(first >> shift, minlength=degrees.size)
@@ -422,26 +433,21 @@ class RecursiveVectorGenerator:
             shortfall = degrees - have
             if not shortfall.any():
                 break
-            candidates = _sample_destinations_bitwise(bit_probs, shortfall,
-                                                      rng, self.stats)
-            candidates |= np.repeat(row_base, shortfall)
+            candidates = self._draw_keys(sources, shortfall, rng)
             candidates.sort()
             candidates = _sorted_unique(candidates)
             fresh = candidates[_absent(first, candidates)
                                & _absent(extra, candidates)]
             duplicates += int(shortfall.sum()) - fresh.size
-            if fresh.size == 0:
-                break
             have += np.bincount(fresh >> shift, minlength=degrees.size)
             extra = np.sort(np.concatenate([extra, fresh]))
         keys = np.sort(np.concatenate([first, extra])) if extra.size else first
-        # Rejection stalled (or rounds exhausted): finish the remaining
-        # scopes exactly.
+        # Rounds exhausted: finish the remaining scopes exactly.
         for row in np.nonzero(degrees > have)[0]:
             exact = self._sample_scope_exact(int(sources[row]),
                                              int(degrees[row]), rng)
             keys = np.sort(np.concatenate([keys[keys >> shift != row],
-                                           row_base[row] | exact]))
+                                           row << shift | exact]))
         return keys, duplicates
 
     # ------------------------------------------------------------------
@@ -603,10 +609,10 @@ class RecursiveVectorGenerator:
 
 def _popcount64(values: np.ndarray) -> np.ndarray:
     """Per-element popcount of non-negative int64 values."""
-    v = values.astype(np.uint64)
     if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(v).astype(np.int64)
+        return np.bitwise_count(values)
     # SWAR fallback for numpy < 2.0.
+    v = values.astype(np.uint64)
     v = v - ((v >> np.uint64(1)) & np.uint64(0x5555555555555555))
     v = ((v & np.uint64(0x3333333333333333))
          + ((v >> np.uint64(2)) & np.uint64(0x3333333333333333)))
@@ -632,37 +638,6 @@ def _absent(sorted_keys: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         return np.ones(candidates.size, dtype=bool)
     pos = np.searchsorted(sorted_keys, candidates)
     return sorted_keys[np.minimum(pos, sorted_keys.size - 1)] != candidates
-
-
-def _sample_destinations_bitwise(bit_probs: np.ndarray, counts: np.ndarray,
-                                 rng: np.random.Generator,
-                                 stats: GenerationStats) -> np.ndarray:
-    """``counts[j]`` destinations for row ``j`` of ``bit_probs``, rows in
-    order, one independent Bernoulli per bit (see the factorization note
-    in :mod:`repro.core.probability`).  The level loop allocates only the
-    repeated probability column; the rest runs through reused buffers."""
-    rows = np.flatnonzero(counts)
-    counts = counts[rows]
-    n = int(counts.sum())
-    out = np.zeros(n, dtype=np.int64)
-    uniforms = np.empty(n, dtype=np.float64)
-    bits = np.empty(n, dtype=np.int64)
-    cols = np.ascontiguousarray(bit_probs.T)
-    lowest, highest = cols.min(axis=1), cols.max(axis=1)
-    for x, col in enumerate(cols):
-        # Degenerate levels (seed entries of exactly 0 or 1) force the
-        # bit for every source: decide without consuming randomness.
-        if lowest[x] >= 1.0:
-            out |= np.int64(1) << x
-            continue
-        if highest[x] <= 0.0:
-            continue
-        rng.random(out=uniforms)
-        stats.random_draws += n
-        np.less(uniforms, np.repeat(col[rows], counts), out=bits)
-        np.left_shift(bits, x, out=bits)
-        out |= bits
-    return out
 
 
 def _sample_destination_alg5(recvec: np.ndarray, rng: np.random.Generator,

@@ -1,0 +1,116 @@
+"""Alias tables over chunks of recursion levels.
+
+The linear-work R-MAT construction of Hübschle-Schneider & Sanders
+(PAPERS.md): table whole chunks of the recursion and sample each in
+O(1).  :func:`_alias_table` is the Vose build both samplers of the repo
+use — :class:`repro.models.rmat.PathSampler` over quadrant paths (WES)
+and :class:`ScopeSampler` here, its conditional form for AVS.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .process import EdgeProcess
+
+__all__ = ["ScopeSampler"]
+
+#: Destination bits one table covers.  Whole scale-18 sweep (seed 7, fresh
+#: processes; the per-bit Bernoulli loop took 0.79-0.89 s), sweep seconds /
+#: table-build ms, on the issue's prototype and again on this kernel:
+#: 5 bits 0.52 / 2 and 0.49 / 2, 6 bits 0.47 / 4 and 0.45 / 5, 7 bits
+#: (chunks 7/7/4) 0.37-0.42 / 7-9 and 0.47 / 11, 8 bits 0.56 / 33 and
+#: 0.47 / 40, 9 bits 0.56-0.70 / 130 and 0.54 / 140 (two chunks lose to
+#: 6 MB of tables).  6 to 8 are three chunks each at scale 18 and within
+#: run-to-run spread of each other; 7 stays at three up to scale 21.
+_CHUNK_BITS = 7
+
+
+def _alias_table(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vose's O(K) alias table of ``pmf``: slot ``i`` keeps outcome ``i``
+    for a fraction below ``threshold[i]`` and yields ``alias[i]`` above.
+
+    Only a slot holding at least the mean is ever an alias, and a slot
+    of probability 0 gets the threshold 0.0 exactly, so under a strict
+    ``<`` an impossible outcome is never drawn.
+    """
+    threshold = (pmf * (pmf.size / pmf.sum())).tolist()
+    # Slots the rounding leaves over fall back on the likeliest outcome.
+    alias = [int(np.argmax(pmf))] * pmf.size
+    small = [i for i, share in enumerate(threshold) if share < 1.0]
+    large = [i for i, share in enumerate(threshold) if share >= 1.0]
+    while small and large:
+        low, high = small.pop(), large[-1]
+        alias[low] = high
+        threshold[high] -= 1.0 - threshold[low]
+        if threshold[high] < 1.0:
+            small.append(large.pop())
+    for high in large:
+        threshold[high] = 1.0
+    return np.array(threshold), np.array(alias, dtype=np.int64)
+
+
+class ScopeSampler:
+    """Destinations of ``P(v | u)``, drawn a chunk of bits at a time.
+
+    Lemma 3 factorises ``P(v | u)`` over bit positions, bit ``x`` of ``v``
+    depending on bit ``x`` of ``u`` alone, so it factorises over *chunks*
+    of positions too.  The ``process.levels`` positions are cut from the
+    top into chunks ``[lo, lo + w)`` of ``_CHUNK_BITS`` bits (the last
+    one shorter); a chunk has a ``2^w x 2^w`` table whose row ``s`` is the
+    alias table of the destination chunk given source chunk ``s``, its
+    entries already shifted to ``t << lo``.  The rows come from
+    ``process.bit_probabilities``, so NSKG's per-level seeds need nothing
+    of their own, and a bit the seed forbids is a threshold-0 slot.
+
+    Determinism key: :meth:`keys` consumes exactly one
+    ``rng.random(out=buf)`` of ``counts.sum()`` uniforms per chunk,
+    chunks in order from the most significant bits down; edge ``i`` takes
+    element ``i`` of each.  The uniform's high ``w`` bits pick the slot
+    of the source's row and the remaining fraction decides between the
+    slot's own value and its alias.
+    """
+
+    def __init__(self, process: EdgeProcess) -> None:
+        #: Per chunk: ``lo``, ``w``, the thresholds of all rows, and the
+        #: contributions interleaved as ``[alias's, own]`` per slot.
+        self._chunks: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+        hi = process.levels
+        while hi > 0:
+            w = min(_CHUNK_BITS, hi)
+            lo = hi - w
+            values = np.arange(1 << w, dtype=np.int64)
+            pmf = np.ones((values.size, 1), dtype=np.float64)
+            for one in process.bit_probabilities(values << lo)[:, lo:hi].T:
+                pmf = np.hstack([pmf * (1.0 - one[:, None]),
+                                 pmf * one[:, None]])
+            thresholds, aliases = zip(*(_alias_table(row) for row in pmf))
+            alias = np.concatenate(aliases)
+            own = np.tile(values, values.size)
+            self._chunks.append((lo, w, np.concatenate(thresholds),
+                                 np.column_stack([alias << lo,
+                                                  own << lo]).ravel()))
+            hi = lo
+
+    @property
+    def uniforms_per_edge(self) -> int:
+        return len(self._chunks)
+
+    def keys(self, sources: np.ndarray, counts: np.ndarray, shift: int,
+             rng: np.random.Generator) -> np.ndarray:
+        """``counts[j]`` packed keys ``j << shift | destination`` for each
+        source ``j``, rows in order (repeats possible)."""
+        key = np.repeat(np.arange(sources.size, dtype=np.int64) << shift,
+                        counts)
+        r = np.empty(key.size, dtype=np.float64)
+        for lo, w, threshold, contrib in self._chunks:
+            rng.random(out=r)
+            r *= 1 << w
+            slot = r.astype(np.int64)
+            r -= slot
+            slot += np.repeat((sources >> lo & ((1 << w) - 1)) << w, counts)
+            own = r < threshold[slot]
+            slot <<= 1
+            slot += own
+            key += contrib[slot]
+        return key

@@ -25,6 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from ..core.seed import SeedMatrix
+from ..core.tables import _alias_table
 from ..errors import ConfigurationError
 from ..util.external_sort import unique_sorted
 from ..util.spill import SpillStore
@@ -43,30 +44,6 @@ _TAG_EDGES = 1
 #: 29 ns/edge and 36 ms; one uniform and one ``searchsorted`` per level
 #: took 365 ns/edge.
 _CHUNK_BITS = 7
-
-
-def _alias_table(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vose's O(K) alias table of ``pmf``: slot ``i`` keeps outcome ``i``
-    for a fraction below ``threshold[i]`` and yields ``alias[i]`` above.
-
-    Only a slot holding at least the mean is ever an alias, and a slot
-    of probability 0 gets the threshold 0.0 exactly, so under a strict
-    ``<`` an impossible outcome is never drawn.
-    """
-    threshold = (pmf * (pmf.size / pmf.sum())).tolist()
-    # Slots the rounding leaves over fall back on the likeliest outcome.
-    alias = [int(np.argmax(pmf))] * pmf.size
-    small = [i for i, share in enumerate(threshold) if share < 1.0]
-    large = [i for i, share in enumerate(threshold) if share >= 1.0]
-    while small and large:
-        low, high = small.pop(), large[-1]
-        alias[low] = high
-        threshold[high] -= 1.0 - threshold[low]
-        if threshold[high] < 1.0:
-            small.append(large.pop())
-    for high in large:
-        threshold[high] = 1.0
-    return np.array(threshold), np.array(alias, dtype=np.int64)
 
 
 class PathSampler:

@@ -173,9 +173,13 @@ class Histogram:
         ``np.bincount`` over a block) and hand over only the few distinct
         values.
         """
-        for value, count in zip(values, counts):
-            if count:
-                self.observe(float(value), int(count))
+        bounds, buckets = self.bounds, self.counts
+        with self._lock:
+            for value, count in zip(values, counts):
+                value, count = float(value), int(count)
+                buckets[bisect.bisect_left(bounds, value)] += count
+                self.sum += value * count
+                self.count += count
 
     def snapshot(self) -> dict:
         with self._lock:

@@ -293,40 +293,39 @@ class TestStatsObject:
 
 class TestDrawAccounting:
     def test_random_draws_include_topup_redraws(self):
-        """Every requested destination costs ``scale`` uniforms, whether
-        it was kept or discarded as a duplicate and redrawn."""
-        # Graph500 has no forced level, and edge factor 4 keeps the hub
-        # scope under |V|/4, so no scope is saturated.  At this seed no
-        # top-up round stalls either, so no scope is redone by the exact
-        # fallback (which replaces drawn edges without counted draws).
+        """Every requested destination costs one uniform per chunk of
+        the sampler's tables, whether it was kept or discarded as a
+        duplicate and redrawn."""
+        # Edge factor 4 keeps the hub scope under |V|/4, so no scope is
+        # saturated, and at this seed no scope exhausts its top-up rounds
+        # into the exact fallback (which replaces drawn edges without
+        # counted draws).
         g = RecursiveVectorGenerator(12, 4, seed=1)
         g.edges()
         stats = g.stats
         assert stats.max_scope_size <= g.num_vertices >> 2
         assert stats.duplicates_discarded > 0
+        chunks = g._sampler.uniforms_per_edge
+        assert chunks == 2                       # 12 levels: 7 + 5
         assert stats.random_draws == \
-            (stats.edges + stats.duplicates_discarded) * g.scale
+            (stats.edges + stats.duplicates_discarded) * chunks
 
 
-def _sort_everything_topup(g, rows, dests, degrees, bit_probs, rng, sources):
+def _sort_everything_topup(g, draw, first_pass, degrees, rng, sources):
     """The dedup/top-up loop as it was before it kept a side array: every
-    round re-sorts and re-counts all keys of the block."""
-    from repro.core.generator import _sample_destinations_bitwise
+    round re-sorts and re-counts all keys of the block.  ``draw`` is the
+    kernel's ``(sources, counts, rng) -> packed keys``."""
     span = np.int64(g.num_vertices)
-    keys = np.unique(rows * span + dests)
-    duplicates = rows.size - keys.size
+    keys = np.unique(first_pass)
+    duplicates = first_pass.size - keys.size
     for _ in range(200):
         shortfall = degrees - np.bincount(keys // span,
                                           minlength=degrees.size)
         if not shortfall.any():
             return keys, duplicates
-        refill_rows = np.repeat(np.arange(degrees.size), shortfall)
-        drawn = _sample_destinations_bitwise(bit_probs, shortfall, rng,
-                                             g.stats)
-        fresh = np.setdiff1d(refill_rows * span + drawn, keys)
-        duplicates += refill_rows.size - fresh.size
-        if fresh.size == 0:
-            break
+        drawn = draw(sources, shortfall, rng)
+        fresh = np.setdiff1d(drawn, keys)
+        duplicates += drawn.size - fresh.size
         keys = np.sort(np.concatenate([keys, fresh]))
     have = np.bincount(keys // span, minlength=degrees.size)
     for row in np.nonzero(degrees > have)[0]:
@@ -349,8 +348,8 @@ class TestDedupTopup:
         "exact-zero": dict(scale=10, seed=1,
                            seed_matrix=SeedMatrix.rmat(0.6, 0.0, 0.3, 0.1)),
         "noise": dict(scale=10, seed=1, noise=0.1),
-        # Scale 12 at edge factor 16: the hub scope is saturated and, in
-        # blocks of 64, top-up rounds stall into the exact fallback.
+        # Scale 12 at edge factor 16: the hub scope is saturated, and in
+        # blocks of 64 some top-up rounds draw nothing but duplicates.
         "scale12-seed2": dict(scale=12, seed=2),
         "scale12-seed4": dict(scale=12, seed=4),
         "scale12-seed7": dict(scale=12, seed=7),
@@ -359,8 +358,7 @@ class TestDedupTopup:
     @pytest.mark.parametrize("block_size", [64, 4096])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_same_keys_duplicates_draws_and_stream(self, case, block_size):
-        from repro.core.generator import (_TAG_EDGE,
-                                          _sample_destinations_bitwise)
+        from repro.core.generator import _TAG_EDGE
         from repro.core.rng import stream
         new, old = (RecursiveVectorGenerator(block_size=block_size,
                                              **self.CASES[case])
@@ -376,27 +374,84 @@ class TestDedupTopup:
             heavy = degrees > new.num_vertices >> 2
             saturated += int(heavy.sum())
             degrees = np.where(heavy, 0, degrees)
-            bit_probs = new.process.bit_probabilities(sources)
-            rows = np.repeat(np.arange(sources.size), degrees)
             results = []
             for g in (new, old):
                 rng = stream(g.seed, _TAG_EDGE, block)
-                dests = _sample_destinations_bitwise(bit_probs, degrees,
-                                                     rng, g.stats)
+                first_pass = g._draw_keys(sources, degrees, rng)
                 if g is new:
-                    keys, dups = g._dedup_topup(
-                        np.sort(rows << g.scale | dests), degrees,
-                        bit_probs, rng, sources)
+                    keys, dups = g._dedup_topup(np.sort(first_pass),
+                                                degrees, rng, sources)
                 else:
                     keys, dups = _sort_everything_topup(
-                        g, rows, dests, degrees, bit_probs, rng, sources)
+                        g, g._draw_keys, first_pass, degrees, rng, sources)
                 results.append((keys, dups, g.stats.random_draws,
                                 rng.bit_generator.state))
             np.testing.assert_array_equal(results[0][0], results[1][0])
             assert results[0][1:] == results[1][1:]
         assert new.stats.random_draws > 0
+        # Only a row whose support is smaller than its size (source 0 of
+        # the exact-zero seed reaches destination 0 alone) exhausts the
+        # rounds; a round of nothing but duplicates no longer ends them.
+        assert bool(fallbacks) == (case == "exact-zero")
         if case.startswith("scale12"):
-            assert saturated and (fallbacks or block_size != 64)
+            assert saturated
+
+
+class TestFruitlessRound:
+    """A top-up round that draws nothing but duplicates is just a round:
+    the rows still short are drawn again, and the exact fallback —
+    O(|V| log|V|) a row, impossible past scale 26 — is left to the rows
+    that exhaust ``_MAX_TOPUP_ROUNDS``."""
+
+    MID_WEIGHT_BLOCKS = (7, 11, 13, 14, 19, 21, 22, 25, 26, 28, 35, 37, 38,
+                         41, 42, 44, 49, 50, 52, 56)
+
+    @staticmethod
+    def forbid_exact(g):
+        def raiser(*args):
+            raise AssertionError(f"exact fallback taken for {args[:2]}")
+        g._sample_scope_exact = raiser
+
+    def test_a_duplicate_then_a_fresh_key_finishes_by_rejection(self):
+        g = RecursiveVectorGenerator(10, seed=1)
+        self.forbid_exact(g)
+        sources = g._block_sources(0)
+        degrees = np.zeros(sources.size, dtype=np.int64)
+        degrees[3] = 2
+        answers = [[5], [9]]      # short by one: a duplicate, then fresh
+
+        def draw(_sources, counts, _rng):
+            assert counts.sum() == 1 and counts[3] == 1
+            return np.array(answers.pop(0), dtype=np.int64) | 3 << g.scale
+
+        first = np.array([5, 5], dtype=np.int64) | 3 << g.scale
+        g._draw_keys = draw
+        keys, duplicates = g._dedup_topup(first, degrees, None, sources)
+        assert (keys - (3 << g.scale)).tolist() == [5, 9]
+        assert duplicates == 2 and not answers
+
+    def test_scale_27_mid_weight_blocks_generate(self):
+        # Their last rounds are short by one or two edges, and such a
+        # round draws only duplicates a few percent of the time.
+        g = RecursiveVectorGenerator(27, seed=7)
+        self.forbid_exact(g)
+        for block_index in self.MID_WEIGHT_BLOCKS:
+            block = g.generate_block(block_index)
+            np.testing.assert_array_equal(block.degrees,
+                                          g.block_degrees(block_index))
+
+    def test_a_row_with_less_support_than_its_size_ends_in_the_fallback(self):
+        # (0.6, 0, 0.3, 0.1): source 0 reaches destination 0 alone, and
+        # its scope size is about |E| * 0.6^10 = 99.
+        g = RecursiveVectorGenerator(
+            10, seed=1, seed_matrix=SeedMatrix.rmat(0.6, 0.0, 0.3, 0.1))
+        assert g.block_degrees(0)[0] > 1
+        fallbacks = []
+        exact = g._sample_scope_exact
+        g._sample_scope_exact = lambda *a: fallbacks.append(a[0]) or exact(*a)
+        block = g.generate_block(0)
+        assert 0 in fallbacks
+        assert block.destinations[:block.offsets[1]].tolist() == [0]
 
 
 class TestDegenerateSeedEntries:
@@ -444,29 +499,6 @@ class TestDegenerateSeedEntries:
         v = _sample_destination_alg5(recvec, FixedRng(), True,
                                      GenerationStats())
         assert v & ~u == 0
-
-    def test_bitwise_sampler_consumes_no_draws_on_forced_levels(self):
-        from repro.core.generator import (GenerationStats,
-                                          _sample_destinations_bitwise)
-        from repro.core.process import PlainProcess
-        levels = 6
-        # ALL_ZERO forces every level for every source (p == 0 across
-        # the column); SELF_LOOPS forces bits per source, which cannot
-        # be short-circuited level-wise.
-        proc = PlainProcess(self.ALL_ZERO, levels)
-        sources = np.arange(1 << levels, dtype=np.uint64)
-        rng = np.random.default_rng(0)
-        before = rng.bit_generator.state
-        stats = GenerationStats()
-        # Per-row counts: two destinations each, none for row 5.
-        counts = np.full(1 << levels, 2, dtype=np.int64)
-        counts[5] = 0
-        out = _sample_destinations_bitwise(
-            proc.bit_probabilities(sources), counts, rng, stats)
-        np.testing.assert_array_equal(out, np.zeros(counts.sum()))
-        # Every level is degenerate, so the stream must be untouched.
-        assert rng.bit_generator.state == before
-        assert stats.random_draws == 0
 
     @pytest.mark.parametrize("single_random", [True, False])
     def test_reference_bitpeel_engine(self, single_random):

@@ -1,0 +1,257 @@
+"""The chained conditional tables draw the distribution the paper defines.
+
+:class:`repro.core.tables.ScopeSampler` replaces one Bernoulli per
+destination bit by one alias-table lookup per *chunk* of bits, in the row
+of the table the source's bits of that chunk select.  What must hold is
+Lemma 3: a destination's probability is its cell of the Kronecker product
+of the per-level seeds, row-normalised — at every chunk width, across
+chunk boundaries, on a short last chunk, under NSKG noise, for seeds with
+exact zeros and for AVS-I.
+"""
+
+from functools import reduce
+
+import numpy as np
+import pytest
+from scipy import stats as sps
+
+from repro.core import tables
+from repro.core.generator import RecursiveVectorGenerator
+from repro.core.process import make_process
+from repro.core.seed import GRAPH500, SeedMatrix
+from repro.core.tables import ScopeSampler
+
+DRAWS = 1 << 20
+
+# The corners of the kernel chi-square (tests/core/test_engines_agree.py).
+SKEWED = SeedMatrix.rmat(0.9, 0.05, 0.04, 0.01)
+EXACT_ZERO = SeedMatrix.rmat(0.6, 0.0, 0.3, 0.1)
+CASES = {"graph500": (GRAPH500, 0.0), "noise": (GRAPH500, 0.1),
+         "skewed": (SKEWED, 0.0), "exact-zero": (EXACT_ZERO, 0.0)}
+# Seeds that force destination bits (tests/core/test_generator.py).
+SELF_LOOPS = SeedMatrix.rmat(0.9, 0.0, 0.0, 0.1)    # dest bit == src bit
+ALL_ZERO = SeedMatrix.rmat(0.6, 0.0, 0.4, 0.0)      # dest always 0
+
+# (chunk width, levels): every shape crosses a chunk boundary, and all
+# but width 1 end on a chunk shorter than the others.
+SHAPES = [(1, 5), (2, 5), (3, 5), (4, 6)]
+
+
+@pytest.fixture
+def chunk_bits(monkeypatch):
+    def force(width):
+        monkeypatch.setattr(tables, "_CHUNK_BITS", width)
+    return force
+
+
+def process_of(seed_matrix, levels, noise=0.0):
+    return make_process(seed_matrix, levels, noise,
+                        np.random.default_rng(levels))
+
+
+def conditional_pmf(process):
+    """``P(v | u)`` for every ``(u, v)``: the Kronecker product of the
+    per-level seeds (the stack's, under noise), row-normalised."""
+    per_level = (process.stack.matrices if hasattr(process, "stack")
+                 else [process.seed_matrix] * process.levels)
+    full = reduce(np.kron, [m.entries for m in per_level])
+    return full / full.sum(axis=1, keepdims=True)
+
+
+def all_sources_keys(sampler, levels, rng):
+    """``DRAWS`` keys shared evenly by every source of the matrix: the
+    key ``u << levels | v`` is then the flat index of cell ``(u, v)``."""
+    sources = np.arange(1 << levels, dtype=np.int64)
+    counts = np.full(sources.size, DRAWS >> levels, dtype=np.int64)
+    return sampler.keys(sources, counts, levels, rng)
+
+
+def cell_pvalue(keys, pmf):
+    """Chi-square of the key counts against the conditional ``pmf`` over
+    *all* cells of every row; cells expecting fewer than 5 draws are
+    pooled into one.  A cell of probability 0 must be empty — exactly,
+    not statistically."""
+    observed = np.bincount(keys, minlength=pmf.size).reshape(pmf.shape)
+    assert observed.size == pmf.size, "a key outside the matrix"
+    per_row = observed.sum(axis=1, keepdims=True)
+    assert (per_row == per_row[0]).all(), "a key in another source's row"
+    assert not observed[pmf == 0].any(), "an impossible key was drawn"
+    expected = pmf * per_row
+    dense = expected >= 5
+    obs = np.append(observed[dense], observed[~dense].sum())
+    exp = np.append(expected[dense], expected[~dense].sum())
+    return sps.chisquare(obs[exp > 0], exp[exp > 0]).pvalue
+
+
+@pytest.mark.parametrize("width,levels", SHAPES)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_cell_has_its_conditional_probability(case, width, levels,
+                                                    chunk_bits):
+    chunk_bits(width)
+    matrix, noise = CASES[case]
+    process = process_of(matrix, levels, noise)
+    sampler = ScopeSampler(process)
+    assert sampler.uniforms_per_edge == -(-levels // width)
+    keys = all_sources_keys(sampler, levels,
+                            np.random.default_rng(levels * 10 + width))
+    assert cell_pvalue(keys, conditional_pmf(process)) > 1e-4
+
+
+def test_the_judgement_can_tell(chunk_bits):
+    """The same chi-square rejects keys drawn from a neighbouring model
+    (the other corner's tables), so passing it means something."""
+    chunk_bits(2)
+    keys = all_sources_keys(ScopeSampler(process_of(GRAPH500, 5, 0.1)), 5,
+                            np.random.default_rng(1))
+    assert cell_pvalue(keys, conditional_pmf(process_of(GRAPH500, 5))) < 1e-4
+
+
+def test_single_short_chunk_at_the_default_width():
+    assert tables._CHUNK_BITS > 6
+    process = process_of(SKEWED, 6)
+    sampler = ScopeSampler(process)
+    assert sampler.uniforms_per_edge == 1
+    keys = all_sources_keys(sampler, 6, np.random.default_rng(3))
+    assert cell_pvalue(keys, conditional_pmf(process)) > 1e-4
+
+
+def test_avs_in_draws_columns_of_the_seed():
+    """``direction="in"``: a scope is a column, so the in-neighbours of
+    ``v`` follow column ``v`` of the Kronecker power — row ``v`` of the
+    transposed seed's."""
+    levels = 5
+    g = RecursiveVectorGenerator(levels, seed_matrix=SKEWED, direction="in")
+    sources = np.arange(1 << levels, dtype=np.int64)
+    counts = np.full(sources.size, DRAWS >> levels, dtype=np.int64)
+    keys = g._draw_keys(sources, counts, np.random.default_rng(4))
+    column_pmf = conditional_pmf(process_of(SKEWED.transpose(), levels))
+    assert cell_pvalue(keys, column_pmf) > 1e-4
+    assert cell_pvalue(keys, conditional_pmf(process_of(SKEWED,
+                                                        levels))) < 1e-4
+
+
+class _GridRng:
+    """Uniforms ``i / n``: with ``n`` a multiple of every slot count,
+    each slot of the row is hit with a remaining fraction of exactly 0 —
+    the draw that tells ``<`` from ``<=`` on a threshold of 0 and that a
+    random stream produces once in 2^46 draws."""
+
+    def random(self, out):
+        out[:] = np.arange(out.size) / out.size
+        return out
+
+
+#: Seed and the destination bits it forbids a source ``u``.
+FORBIDDEN = {
+    "exact-zero": (EXACT_ZERO, lambda u, v: ~u & v),   # no 1 over a 0
+    "self-loops": (SELF_LOOPS, lambda u, v: u ^ v),
+    "all-zero": (ALL_ZERO, lambda u, v: v),
+}
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7])
+@pytest.mark.parametrize("name", sorted(FORBIDDEN))
+def test_forbidden_bits_are_never_drawn(name, width, chunk_bits):
+    """A bit the seed forces sits inside a chunk as threshold-0 slots: it
+    costs no draw of its own and is decided exactly, not statistically."""
+    chunk_bits(width)
+    seed_matrix, forbidden = FORBIDDEN[name]
+    levels = 18
+    sampler = ScopeSampler(process_of(seed_matrix, levels))
+    assert sampler.uniforms_per_edge == -(-levels // width)
+    picks = np.random.default_rng(5).integers(0, 1 << levels, size=62)
+    sources = np.concatenate([[0, (1 << levels) - 1], picks])
+    mask = (1 << levels) - 1
+    for rng, count in ((np.random.default_rng(6), 4096),
+                       (_GridRng(), 4 << width)):
+        for u in sources:
+            keys = sampler.keys(np.array([u]), np.array([count]), levels,
+                                rng)
+            assert (keys >> levels == 0).all()
+            assert not forbidden(u, keys & mask).any()
+
+
+def source_sample(levels, rng):
+    """4096 sources with 256 draws each; every (source bit, level) and
+    every pair of source bits is well populated."""
+    sources = rng.integers(0, 1 << levels, size=4096)
+    return sources, np.full(sources.size, DRAWS >> 12, dtype=np.int64)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.1])
+@pytest.mark.parametrize("width", [3, 7])
+def test_eighteen_levels_marginals_and_boundary_independence(width, noise,
+                                                             chunk_bits):
+    chunk_bits(width)
+    levels = 18
+    process = process_of(GRAPH500, levels, noise)
+    rng = np.random.default_rng(7)
+    sources, counts = source_sample(levels, rng)
+    keys = ScopeSampler(process).keys(sources, counts, levels, rng)
+    np.testing.assert_array_equal(keys >> levels,
+                                  np.repeat(np.arange(sources.size), counts))
+    src = np.repeat(sources, counts)
+    dst = keys & ((1 << levels) - 1)
+    # Bit x of the destination is Bernoulli(p[x, source bit x]).
+    one = process.bit_probabilities(np.array([0, (1 << levels) - 1]))
+    worst = 1.0
+    for x in range(levels):
+        for s in (0, 1):
+            bits = dst[(src >> x & 1) == s] >> x & 1
+            expected = np.array([1.0 - one[s, x], one[s, x]]) * bits.size
+            worst = min(worst, sps.chisquare(np.bincount(bits, minlength=2),
+                                             expected).pvalue)
+    assert worst > 1e-4            # 36 tests
+    # Chunks are cut from the top: bits lo - 1 and lo sit in different
+    # chunks.  Given the source's two bits, the destination's two are
+    # independent.
+    for lo in range(levels - width, 0, -width):
+        for s in range(4):
+            chosen = dst[(src >> (lo - 1) & 3) == s] >> (lo - 1) & 3
+            table = np.bincount(chosen, minlength=4).reshape(2, 2)
+            assert sps.chi2_contingency(table).pvalue > 1e-4
+
+
+class _CountingRng:
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def random(self, out):
+        self.calls.append(out.size)
+        return self.rng.random(out=out)
+
+
+def test_draw_order_is_one_uniform_array_per_chunk():
+    """The determinism key: chunk-major, one ``rng.random(out=buf)`` of
+    ``counts.sum()`` uniforms per chunk, nothing else from the stream —
+    whatever the seed forces (a forced bit costs no draw of its own and
+    saves none)."""
+    sources = np.arange(100, 200, dtype=np.int64)
+    counts = np.arange(100, dtype=np.int64)            # row 0 draws nothing
+    total = int(counts.sum())
+    for seed_matrix in (GRAPH500, ALL_ZERO):
+        sampler = ScopeSampler(process_of(seed_matrix, 18))
+        counting = _CountingRng(8)
+        first = sampler.keys(sources, counts, 18, counting)
+        assert counting.calls == [total] * 3            # chunks 7 / 7 / 4
+        replay = np.random.default_rng(8)
+        for _ in range(3):
+            replay.random(total)
+        assert counting.rng.bit_generator.state == \
+            replay.bit_generator.state
+        again = ScopeSampler(process_of(seed_matrix, 18)).keys(
+            sources, counts, 18, np.random.default_rng(8))
+        np.testing.assert_array_equal(first, again)
+    np.testing.assert_array_equal(
+        first, np.repeat(np.arange(100, dtype=np.int64) << 18, counts))
+
+
+def test_generator_builds_its_tables_on_the_first_block_that_draws():
+    g = RecursiveVectorGenerator(10, seed=1, block_size=256)
+    g.degrees()
+    assert g._sampler is None
+    g.generate_block(0)
+    sampler = g._sampler
+    g.generate_block(1)
+    assert g._sampler is sampler
