@@ -4,44 +4,32 @@ The Python type system cannot see the invariants this codebase lives and
 dies by: every random draw must flow through the ``SeedSequence``-keyed
 streams of :mod:`repro.core.rng` (or graphs stop being bit-reproducible
 across worker partitionings), seed-matrix probabilities must stay
-normalized through the RecVec/NSKG arithmetic, and the high-precision
-``Decimal`` path must never silently mix with float math.  ``reprolint``
-machine-checks those invariants on every commit.
+normalized through the RecVec/NSKG arithmetic, durable files must be
+written atomically, and threads must hand state over under a lock.
+``reprolint`` machine-checks those invariants on every commit.
 
-Two layers of rules:
-
-- the syntactic checkers (:mod:`~repro.devtools.checkers`) — one
-  :class:`ast.NodeVisitor` per file;
-- the v2 analysis engine (:mod:`~repro.devtools.engine`) — per-function
-  control-flow graphs with a forward dataflow framework (RNG-stream
-  flow, atomic-write protocol, resource lifecycle, and the RPL8xx
-  numeric dtype/interval abstract interpretation for scale soundness)
-  and a whole-program project model (call-graph layering, dead-pragma
-  detection, cross-module numeric-interface checks), with an
-  incremental cache keyed on content + config + engine version.
+One pass per file (:func:`~repro.devtools.framework.lint_paths`):
+parse, run the checkers — the syntactic ones
+(:mod:`~repro.devtools.checkers`) and the CFG/dataflow ones
+(:mod:`~repro.devtools.engine`) — filter by pragma, then sweep the
+file's dead pragmas.
 
 Reporters live in :mod:`~repro.devtools.reporters`; the CLI is
 ``python -m repro.devtools.lint`` / ``trilliong-lint``.  See
-``docs/static_analysis.md`` for the rule catalogue, pragma syntax, and
-cache semantics.
+``docs/static_analysis.md`` for the rule catalogue and pragma syntax.
 """
 
-from .framework import (Checker, LintConfig, ProjectChecker, SourceFile,
-                        Violation, all_checkers, all_project_checkers,
-                        lint_file, lint_paths, register_checker,
-                        register_project_checker, relaxed_profile)
+from .framework import (Checker, LintConfig, SourceFile, Violation,
+                        all_checkers, lint_paths, register_checker,
+                        relaxed_profile)
 
 __all__ = [
     "Checker",
     "LintConfig",
-    "ProjectChecker",
     "SourceFile",
     "Violation",
     "all_checkers",
-    "all_project_checkers",
-    "lint_file",
     "lint_paths",
     "register_checker",
-    "register_project_checker",
     "relaxed_profile",
 ]

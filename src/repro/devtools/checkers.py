@@ -1,4 +1,4 @@
-"""The ten project-specific ``reprolint`` checkers.
+"""The syntactic ``reprolint`` checkers: one AST visitor each.
 
 Each checker guards one invariant the paper's correctness argument relies
 on; ``docs/static_analysis.md`` documents the catalogue in prose.
@@ -12,19 +12,10 @@ numerical-safety    RPL301+  no float ``==`` on probabilities, no
                              Decimal->float round-trips on precision paths
 exception-hygiene   RPL401+  no bare/broad ``except`` outside the allowlist
 api-completeness    RPL501+  every module declares a consistent ``__all__``
-block-streaming     RPL505+  producers feed writers whole blocks, never
-                             per-vertex ``writer.add`` loops
-kernel-vectorization RPL510  sampling kernels stay whole-batch numpy:
-                             no per-edge Python loops outside the
-                             reference engine
-merge-streaming     RPL520   external-merge streams stay streamed in
-                             the producer layers: no whole-set
-                             collection of ``iter_unique_keys`` & co
-telemetry           RPL507+  pipeline timing goes through
-                             ``repro.telemetry``; only the CLI prints
-read-only-introspection RPL509  flight/server/traceview stay read-only:
-                             no RNG draws, no registry mutation, no
-                             generator imports
+telemetry           RPL507+  pipeline timing goes through ``span``/``Stopwatch``;
+                             only the CLI and devtools print
+read-only-          RPL509   flight/server/traceview stay read-only: no RNG,
+introspection                no registry writes, no generator imports
 mutable-defaults    RPL601   no mutable default arguments
 ==================  =======  ==================================================
 """
@@ -33,7 +24,7 @@ from __future__ import annotations
 
 import ast
 
-from .framework import Checker, register_checker
+from .framework import Checker, Violation, register_checker
 
 __all__ = [
     "RngDeterminismChecker",
@@ -41,9 +32,6 @@ __all__ = [
     "NumericalSafetyChecker",
     "ExceptionHygieneChecker",
     "ApiCompletenessChecker",
-    "BlockStreamingChecker",
-    "MergeStreamingChecker",
-    "KernelVectorizationChecker",
     "TelemetryChecker",
     "IntrospectionChecker",
     "MutableDefaultsChecker",
@@ -62,6 +50,20 @@ def _attr_chain(node: ast.AST) -> list[str] | None:
         parts.append(node.id)
         return parts[::-1]
     return None
+
+
+def _resolve_relative(module: str, node: ast.ImportFrom) -> str:
+    """Absolute dotted target of a relative ``from`` import in ``module``."""
+    parts = module.split(".")
+    base = parts[:-node.level] if node.level <= len(parts) else []
+    if node.module:
+        base = base + node.module.split(".")
+    return ".".join(base)
+
+
+def _module_under(module: str, prefixes: tuple[str, ...]) -> bool:
+    return any(module == prefix or module.startswith(prefix + ".")
+               for prefix in prefixes)
 
 
 @register_checker
@@ -173,20 +175,14 @@ class LayeringChecker(Checker):
                 return True
         return False
 
-    def _resolve_relative(self, node: ast.ImportFrom) -> str:
-        parts = self.source.module.split(".")
-        base = parts[:-node.level] if node.level <= len(parts) else []
-        if node.module:
-            base = base + node.module.split(".")
-        return ".".join(base)
-
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
             self._check(node, alias.name)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        target = self._resolve_relative(node) if node.level else node.module
+        target = (_resolve_relative(self.source.module, node)
+                  if node.level else node.module)
         if target and not self._check(node, target):
             # `from pkg import name` may pull a submodule, not an attr.
             for alias in node.names:
@@ -363,9 +359,8 @@ class ExceptionHygieneChecker(Checker):
         self.generic_visit(node)
 
     def _in_pool_timeout_module(self) -> bool:
-        return any(self.source.module == prefix
-                   or self.source.module.startswith(prefix + ".")
-                   for prefix in self.config.pool_timeout_module_prefixes)
+        return _module_under(self.source.module,
+                             self.config.pool_timeout_module_prefixes)
 
     def visit_Call(self, node: ast.Call) -> None:
         if self._in_pool_timeout_module():
@@ -507,240 +502,6 @@ class ApiCompletenessChecker(Checker):
 
 
 @register_checker
-class BlockStreamingChecker(Checker):
-    """Producers must feed writers whole ``AdjacencyBlock``s.
-
-    The output path's throughput comes from the vectorized block
-    encoders (``StreamWriter.add_block`` / ``GraphFormat.write_blocks``);
-    a per-vertex ``writer.add(...)`` loop — or handing ``write(...)`` an
-    ``iter_adjacency()`` pair stream — reinserts the 2^scale-call Python
-    loop between the engines and the disk that this layer exists to
-    remove.  Enforced in the producer layers
-    (``block_streaming_module_prefixes``); the formats package itself may
-    use ``add`` as the compatibility fallback.
-    """
-
-    name = "block-streaming"
-    codes = {
-        "RPL505": "per-vertex writer.add(...) loop in a producer module",
-        "RPL506": "write(...) fed an iter_adjacency() pair stream",
-    }
-
-    def __init__(self, source, config) -> None:
-        super().__init__(source, config)
-        self._loop_depth = 0
-
-    def _in_producer_module(self) -> bool:
-        return any(self.source.module == prefix
-                   or self.source.module.startswith(prefix + ".")
-                   for prefix in self.config.block_streaming_module_prefixes)
-
-    def visit_For(self, node: ast.For) -> None:
-        self._visit_loop(node)
-
-    def visit_While(self, node: ast.While) -> None:
-        self._visit_loop(node)
-
-    def _visit_loop(self, node: ast.For | ast.While) -> None:
-        self._loop_depth += 1
-        self.generic_visit(node)
-        self._loop_depth -= 1
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if self._in_producer_module():
-            chain = _attr_chain(node.func)
-            if chain is not None and len(chain) >= 2:
-                receiver = chain[-2].lower()
-                method = chain[-1]
-                if (method == "add" and self._loop_depth > 0
-                        and "writer" in receiver):
-                    self.flag(node, "RPL505",
-                              f"per-vertex `{receiver}.add(...)` loop; "
-                              "feed whole blocks via add_block/"
-                              "write_blocks (iter_blocks) instead")
-                elif method == "write" and self._feeds_pair_stream(node):
-                    self.flag(node, "RPL506",
-                              f"`{receiver}.write(iter_adjacency(...))` "
-                              "re-batches pairs the generator already "
-                              "produced as blocks; use "
-                              "write_blocks(iter_blocks(...))")
-        self.generic_visit(node)
-
-    @staticmethod
-    def _feeds_pair_stream(node: ast.Call) -> bool:
-        for arg in node.args:
-            if isinstance(arg, ast.Call):
-                chain = _attr_chain(arg.func)
-                if chain and chain[-1] == "iter_adjacency":
-                    return True
-        return False
-
-
-@register_checker
-class MergeStreamingChecker(Checker):
-    """External-merge streams must stay streamed in the producer layers.
-
-    The bounded-RAM engine (:mod:`repro.util.external_sort`) yields the
-    deduplicated key set as ascending chunks precisely so consumers
-    never hold it whole; ``np.concatenate(list(merge_sorted_runs(...)))``
-    — the pattern the engine replaced — silently reinstates O(|E|)
-    memory and defeats the disk-based models' reason to exist.  Flagged
-    in ``merge_stream_module_prefixes`` (``repro.models``,
-    ``repro.dist``); the sanctioned terminal for APIs that genuinely
-    need the whole array is
-    :func:`repro.util.external_sort.collect_chunks`, and
-    ``external_sort_unique`` (which collects by construction) is
-    off-limits in those layers too.
-    """
-
-    name = "merge-streaming"
-    codes = {
-        "RPL520": "unbounded merge materialization",
-    }
-
-    _COLLECTORS = {"list", "tuple", "sorted"}
-    _NUMPY_CONCATS = {"concatenate", "hstack", "vstack", "array"}
-
-    def _in_scope(self) -> bool:
-        return any(self.source.module == prefix
-                   or self.source.module.startswith(prefix + ".")
-                   for prefix in self.config.merge_stream_module_prefixes)
-
-    def _is_stream_call(self, node: ast.AST) -> bool:
-        """``merge_sorted_runs(...)`` / ``store.iter_unique(...)`` etc."""
-        if not isinstance(node, ast.Call):
-            return False
-        chain = _attr_chain(node.func)
-        return (chain is not None
-                and chain[-1] in self.config.merge_stream_producer_names)
-
-    def _materializes_stream(self, node: ast.AST) -> bool:
-        """Does this expression hand a merge stream over whole?
-
-        Covers the stream call itself, one ``list()``/``tuple()``
-        wrapper, starred unpacking, and list/generator displays whose
-        iterable is a stream call — the shapes
-        ``np.concatenate(list(...))`` appears in.
-        """
-        if self._is_stream_call(node):
-            return True
-        if isinstance(node, ast.Call):
-            chain = _attr_chain(node.func)
-            if chain and chain[-1] in self._COLLECTORS:
-                return any(self._materializes_stream(arg)
-                           for arg in node.args)
-        if isinstance(node, ast.Starred):
-            return self._materializes_stream(node.value)
-        if isinstance(node, (ast.List, ast.Tuple)):
-            return any(self._materializes_stream(el) for el in node.elts)
-        if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
-            return any(self._materializes_stream(gen.iter)
-                       for gen in node.generators)
-        return False
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if self._in_scope():
-            chain = _attr_chain(node.func)
-            name = chain[-1] if chain else None
-            if name == "external_sort_unique":
-                self.flag(node, "RPL520",
-                          "external_sort_unique() materializes the whole "
-                          "merged edge set; stream iter_unique_keys() "
-                          "(or route an unavoidable whole-array need "
-                          "through collect_chunks)")
-            elif (name in self._COLLECTORS
-                    and any(self._is_stream_call(arg)
-                            for arg in node.args)):
-                self.flag(node, "RPL520",
-                          f"`{name}(...)` collects a streaming merge "
-                          "whole; consume the chunks incrementally or "
-                          "use collect_chunks")
-            elif (chain and chain[0] in _NUMPY_ALIASES
-                    and name in self._NUMPY_CONCATS
-                    and any(self._materializes_stream(arg)
-                            for arg in node.args)):
-                self.flag(node, "RPL520",
-                          f"`{'.'.join(chain)}(...)` over a streaming "
-                          "merge holds the whole deduplicated set in "
-                          "memory; stream the chunks or use "
-                          "collect_chunks")
-        self.generic_visit(node)
-
-
-@register_checker
-class KernelVectorizationChecker(Checker):
-    """The batched sampling kernel stays vectorized.
-
-    RPL510 — a Python ``for`` loop iterating a per-edge array (directly
-    or via ``enumerate``/``zip``) inside a kernel module
-    (``kernel_module_prefixes``).  The destination kernel owes its
-    throughput to whole-batch numpy work — one gather/compare per batch,
-    never one interpreter iteration per edge; a loop over ``rows`` /
-    ``dests`` / friends reinserts the O(|E|) Python loop the bitwise
-    kernel exists to remove.  Functions whose name mentions
-    ``reference`` are exempt: the paper-faithful engine is a per-edge
-    loop by design (that is the ablation baseline).  Loops over
-    per-block structures (``sources``, ``range(levels)``) are fine —
-    they are O(block), not O(|E|).
-    """
-
-    name = "kernel-vectorization"
-    codes = {
-        "RPL510": "per-edge Python loop in a sampling-kernel module",
-    }
-
-    def __init__(self, source, config) -> None:
-        super().__init__(source, config)
-        self._function_stack: list[str] = []
-
-    def _in_kernel_module(self) -> bool:
-        return any(self.source.module == prefix
-                   or self.source.module.startswith(prefix + ".")
-                   for prefix in self.config.kernel_module_prefixes)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_function(node)
-
-    def _visit_function(self,
-                        node: ast.FunctionDef | ast.AsyncFunctionDef
-                        ) -> None:
-        self._function_stack.append(node.name)
-        self.generic_visit(node)
-        self._function_stack.pop()
-
-    def _in_reference_path(self) -> bool:
-        return any("reference" in name for name in self._function_stack)
-
-    def visit_For(self, node: ast.For) -> None:
-        if self._in_kernel_module() and not self._in_reference_path():
-            name = self._edge_array_name(node.iter)
-            if name is not None:
-                self.flag(node, "RPL510",
-                          f"Python loop over per-edge array `{name}`; "
-                          "sampling paths must stay whole-batch numpy "
-                          "(vectorize, or move the loop into a "
-                          "*_reference function)")
-        self.generic_visit(node)
-
-    def _edge_array_name(self, expr: ast.expr) -> str | None:
-        names = self.config.kernel_edge_array_names
-        candidates = [expr]
-        if (isinstance(expr, ast.Call)
-                and isinstance(expr.func, ast.Name)
-                and expr.func.id in {"enumerate", "zip"}):
-            candidates = list(expr.args)
-        for cand in candidates:
-            if isinstance(cand, ast.Name) and cand.id in names:
-                return cand.id
-            if isinstance(cand, ast.Attribute) and cand.attr in names:
-                return cand.attr
-        return None
-
-
-@register_checker
 class TelemetryChecker(Checker):
     """Timing and reporting route through :mod:`repro.telemetry`.
 
@@ -767,28 +528,24 @@ class TelemetryChecker(Checker):
         "RPL508": "bare print() in a library module",
     }
 
-    def _module_under(self, prefixes: tuple[str, ...]) -> bool:
-        return any(self.source.module == prefix
-                   or self.source.module.startswith(prefix + ".")
-                   for prefix in prefixes)
-
     def _in_span_module(self) -> bool:
-        if self._module_under(("repro.telemetry",)):
+        module = self.source.module
+        if _module_under(module, ("repro.telemetry",)):
             return False     # the implementation must call the real clock
-        return self._module_under(self.config.telemetry_span_module_prefixes)
+        return _module_under(module,
+                             self.config.telemetry_span_module_prefixes)
 
     def visit_Call(self, node: ast.Call) -> None:
         chain = _attr_chain(node.func)
-        is_perf = ((chain is not None and chain[-1] == "perf_counter")
-                   or (isinstance(node.func, ast.Name)
-                       and node.func.id == "perf_counter"))
-        if is_perf and self._in_span_module():
+        if (chain is not None and chain[-1] == "perf_counter"
+                and self._in_span_module()):
             self.flag(node, "RPL507",
                       "raw time.perf_counter(); use repro.telemetry's "
                       "span(...) or Stopwatch so the timing lands in "
                       "the unified report")
         if (isinstance(node.func, ast.Name) and node.func.id == "print"
-                and not self._module_under(
+                and not _module_under(
+                    self.source.module,
                     self.config.print_allowed_module_prefixes)):
             self.flag(node, "RPL508",
                       "bare print() in a library module; use "
@@ -832,9 +589,8 @@ class IntrospectionChecker(Checker):
                            "reset", "counter", "gauge", "histogram"})
 
     def _active(self) -> bool:
-        return any(self.source.module == prefix
-                   or self.source.module.startswith(prefix + ".")
-                   for prefix in self.config.introspection_module_prefixes)
+        return _module_under(self.source.module,
+                             self.config.introspection_module_prefixes)
 
     def _check_import(self, node: ast.AST, target: str) -> None:
         for banned in self.config.introspection_forbidden_imports:
@@ -845,13 +601,6 @@ class IntrospectionChecker(Checker):
                           "generator machinery")
                 return
 
-    def _resolve_relative(self, node: ast.ImportFrom) -> str:
-        parts = self.source.module.split(".")
-        base = parts[:-node.level] if node.level <= len(parts) else []
-        if node.module:
-            base = base + node.module.split(".")
-        return ".".join(base)
-
     def visit_Import(self, node: ast.Import) -> None:
         if self._active():
             for alias in node.names:
@@ -860,8 +609,8 @@ class IntrospectionChecker(Checker):
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if self._active():
-            target = self._resolve_relative(node) if node.level \
-                else node.module
+            target = (_resolve_relative(self.source.module, node)
+                      if node.level else node.module)
             if target:
                 self._check_import(node, target)
                 for alias in node.names:

@@ -1,4 +1,4 @@
-"""The ``reprolint`` v2 analysis engine.
+"""The flow-sensitive half of ``reprolint``.
 
 Layers, bottom to top:
 
@@ -8,44 +8,20 @@ Layers, bottom to top:
   explicit exceptional edges);
 - :mod:`~repro.devtools.engine.dataflow` — a forward gen/kill dataflow
   framework (set lattice, worklist to fixpoint) checkers instantiate;
-- :mod:`~repro.devtools.engine.project` — the whole-program model:
-  per-module symbol tables, the resolved import graph (re-exports
-  included), and an approximate call graph;
-- :mod:`~repro.devtools.engine.domains` — the numeric abstract domains
-  (numpy dtype lattice, grid-widened interval arithmetic, the constant
-  evaluator, and the ``assume`` pragma scanner);
-- :mod:`~repro.devtools.engine.flow_checkers` — the flow-sensitive
-  file checkers (rng-stream-flow, atomic-write, resource-lifecycle);
-- :mod:`~repro.devtools.engine.numeric_checkers` — the RPL8xx
-  scale-soundness family: dtype & value-range abstract interpretation
-  over the CFG (narrowing casts, default-dtype constructors,
-  accumulation overflow, probability ranges), plus the cross-module
-  ``numeric-interface`` project checker;
+- :mod:`~repro.devtools.engine.flow_checkers` — rng-stream-flow,
+  atomic-write, resource-lifecycle;
 - :mod:`~repro.devtools.engine.concurrency_checkers` — the RPL6xx
-  concurrency family (thread-shared-state, thread-lifecycle, and the
-  whole-program spawn-hygiene rules);
-- :mod:`~repro.devtools.engine.project_checkers` — the whole-program
-  checkers (callgraph-layering, dead-pragma);
-- :mod:`~repro.devtools.engine.cache` — the incremental result cache
-  (content + config + engine-version keys, project-signature
-  invalidation);
-- :mod:`~repro.devtools.engine.runner` — orchestration: cache probe,
-  file pass, project pass, dead-pragma sweep.
+  family (thread-shared-state, thread-lifecycle, spawn-hygiene).
+
+Every rule here is a file checker: it sees one parsed file and runs in
+the same per-file pass as the syntactic checkers.
 """
 
-from .cache import ENGINE_VERSION, LintCache, config_fingerprint
 from .cfg import (CFG, CFGNode, build_cfg, iter_function_cfgs,
                   node_fragments)
 from .dataflow import ForwardAnalysis, run_forward
-from .domains import DTYPES, AbsVal, Interval, promote
-from .project import ModuleSummary, ProjectModel, summarize_source
-from .runner import LintRun, run_paths
 
 __all__ = [
-    "DTYPES",
-    "AbsVal",
-    "Interval",
-    "promote",
     "CFG",
     "CFGNode",
     "build_cfg",
@@ -53,12 +29,4 @@ __all__ = [
     "node_fragments",
     "ForwardAnalysis",
     "run_forward",
-    "ModuleSummary",
-    "ProjectModel",
-    "summarize_source",
-    "LintRun",
-    "run_paths",
-    "ENGINE_VERSION",
-    "LintCache",
-    "config_fingerprint",
 ]

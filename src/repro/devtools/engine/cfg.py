@@ -89,14 +89,6 @@ class CFG:
                 exceptional[succ.index].append(node)
         return normal, exceptional
 
-    def edges(self) -> set[tuple[int, int]]:
-        """Normal edges as ``(src_index, dst_index)`` pairs (tests)."""
-        return {(n.index, s.index) for n in self.nodes for s in n.succs}
-
-    def nodes_for(self, stmt: ast.AST) -> list[CFGNode]:
-        """Every node built from ``stmt`` (finally bodies may be copied)."""
-        return [n for n in self.nodes if n.stmt is stmt]
-
 
 class _Loop:
     """Per-loop frame: break collectors and the continue target."""
@@ -312,8 +304,6 @@ class _Builder:
                 node.exc_succs.append(target)
             if tail != [node]:
                 self._link(tail, self.cfg.exit)
-            else:
-                pass
         if self.exc_targets and not node.exc_succs:
             node.exc_succs.append(self.cfg.exit)
         return []

@@ -15,30 +15,25 @@ each enforced by one rule family here:
   passed on) keeps running after the function returns; whatever it
   writes now races with the caller, and interpreter shutdown may cut it
   off mid-write.
-- **spawn-hygiene** (RPL620, a whole-program pass over the
-  ``spawn_module_prefixes`` layers) — the worker callable at a spawn
-  site must be a picklable module-level function, not a lambda or
-  nested ``def`` (``spawn``-context pickling fails at runtime, and even
-  under ``fork`` the closure smuggles parent state into the worker).
+- **spawn-hygiene** (RPL620, in the ``spawn_module_prefixes`` layers)
+  — the worker callable at a spawn site must be a picklable
+  module-level function, not a lambda or nested ``def``
+  (``spawn``-context pickling fails at runtime, and even under ``fork``
+  the closure smuggles parent state into the worker).
 
-RPL610 and RPL611 are single-file rules (a class or function is visible
-whole); RPL620 reads the spawn sites recorded in the project's module
-summaries.  (Which functions may read the environment at all is pinned
-by a plain test, ``tests/test_env_surface.py``.)
+(Which functions may read the environment at all is pinned by a plain
+test, ``tests/test_env_surface.py``.)
 """
 
 from __future__ import annotations
 
 import ast
 
-from ..framework import (Checker, LintConfig, ProjectChecker,
-                         register_checker, register_project_checker)
-from .cfg import CFG, CFGNode, FunctionLike, build_cfg
+from ..framework import Checker, register_checker
+from .cfg import CFG, CFGNode
 from .dataflow import ForwardAnalysis, run_forward
-from .flow_checkers import (_calls, _chain, _escaping_names, _kills,
-                            _line_node, _simple_assign_target)
-
-from .project import ModuleSummary, ProjectModel
+from .flow_checkers import (_calls, _chain, _escaping_names, _FlowChecker,
+                            _kills, _simple_assign_target)
 
 __all__ = ["ThreadSharedStateChecker", "ThreadLifecycleChecker",
            "SpawnHygieneChecker"]
@@ -188,7 +183,7 @@ class ThreadSharedStateChecker(Checker):
             line = min(w[1] for w in unguarded)
             thread_side = ", ".join(sorted({m for m, _, _ in inside}))
             caller_side = ", ".join(sorted({m for m, _, _ in outside}))
-            self.flag(_line_node(line), "RPL610",
+            self.flag(line, "RPL610",
                       f"attribute 'self.{attr}' is written by the spawned "
                       f"thread (via {thread_side}) and by {caller_side} "
                       f"without a lock: guard every write with "
@@ -265,20 +260,13 @@ class _ThreadAnalysis(ForwardAnalysis):
 
 
 @register_checker
-class ThreadLifecycleChecker(Checker):
+class ThreadLifecycleChecker(_FlowChecker):
     """Locally-created threads must be joined on every normal exit."""
 
     name = "thread-lifecycle"
     codes = {"RPL611": "thread started but not joined on every exit"}
 
-    def run(self):  # type: ignore[override]
-        for node in ast.walk(self.source.tree):
-            if isinstance(node, FunctionLike):
-                self._check_function(build_cfg(node))
-        self.finish()
-        return self.violations
-
-    def _check_function(self, cfg: CFG) -> None:
+    def check_function(self, func: ast.AST, cfg: CFG) -> None:
         results = run_forward(cfg, _ThreadAnalysis())
         normal_preds, _exc_preds = cfg.preds()
         exit_facts = ForwardAnalysis.join(
@@ -288,7 +276,7 @@ class ThreadLifecycleChecker(Checker):
             if (fact[0] == "t" and fact[2] == "started"
                     and (fact[1], fact[3]) not in flagged):
                 flagged.add((fact[1], fact[3]))
-                self.flag(_line_node(fact[3]), "RPL611",
+                self.flag(fact[3], "RPL611",
                           f"thread '{fact[1]}' started here is not joined "
                           f"on every exit: the function returns while the "
                           f"thread still runs, racing the caller (join it "
@@ -298,8 +286,21 @@ class ThreadLifecycleChecker(Checker):
 # -- RPL620: spawn-hygiene ---------------------------------------------
 
 
-@register_project_checker
-class SpawnHygieneChecker(ProjectChecker):
+def _nested_defs(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+    """Names of the functions defined directly inside ``func``."""
+    names: set[str] = set()
+    todo: list[ast.AST] = list(func.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif not isinstance(node, (ast.ClassDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+@register_checker
+class SpawnHygieneChecker(Checker):
     """Worker callables must be picklable top-level functions."""
 
     name = "spawn-hygiene"
@@ -307,38 +308,48 @@ class SpawnHygieneChecker(ProjectChecker):
         "RPL620": "non-picklable worker callable crosses a spawn boundary",
     }
 
-    def check(self, project: "ProjectModel") -> None:
-        for summary in project.summaries:
-            config = project.config_for_path(summary.path)
-            if not self._in_scope(summary.module, config):
-                continue
-            for site in summary.spawn_sites:
-                callee_tail = str(site["callee"]).split(".")[-1]
-                if callee_tail not in config.worker_submit_calls:
-                    continue
-                for worker in site["workers"]:
-                    self._check_worker(summary, site, str(worker))
+    def __init__(self, source, config) -> None:
+        super().__init__(source, config)
+        #: ``(name, directly nested def names)`` per enclosing function
+        self._scopes: list[tuple[str, set[str]]] = []
 
-    @staticmethod
-    def _in_scope(module: str, config: LintConfig) -> bool:
-        return any(module == p or module.startswith(p + ".")
-                   for p in config.spawn_module_prefixes)
+    def run(self):  # type: ignore[override]
+        module = self.source.module
+        if any(module == p or module.startswith(p + ".")
+               for p in self.config.spawn_module_prefixes):
+            self.visit(self.source.tree)
+        return self.violations
 
-    def _check_worker(self, summary: "ModuleSummary", site: dict,
-                      worker: str) -> None:
-        line = int(site["line"])
-        enclosing = str(site["function"])
-        if worker == "<lambda>":
-            self.flag(summary, line, 0, "RPL620",
-                      f"lambda passed to {site['callee']}(): lambdas do "
-                      f"not pickle, so spawn-context workers crash at "
-                      f"submission — use a module-level function")
-            return
-        if "." not in worker and enclosing != "<module>":
-            nested = f"{enclosing}.{worker}"
-            if nested in summary.functions:
-                self.flag(summary, line, 0, "RPL620",
-                          f"nested function '{worker}' (defined inside "
-                          f"{enclosing}) passed to {site['callee']}(): "
-                          f"nested defs do not pickle and capture parent "
-                          f"state — move the worker to module level")
+    def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef
+                        ) -> None:
+        self._scopes.append((node.name, _nested_defs(node)))
+        self.generic_visit(node)
+        self._scopes.pop()
+
+    visit_FunctionDef = _visit_function
+    visit_AsyncFunctionDef = _visit_function
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        tail = (func.attr if isinstance(func, ast.Attribute)
+                else func.id if isinstance(func, ast.Name) else None)
+        if tail in self.config.worker_submit_calls:
+            callee = ast.unparse(func)
+            workers = [kw.value for kw in node.keywords
+                       if kw.arg == "target"] + list(node.args)
+            for worker in workers:
+                if isinstance(worker, ast.Lambda):
+                    self.flag(node, "RPL620",
+                              f"lambda passed to {callee}(): lambdas do "
+                              f"not pickle, so spawn-context workers crash "
+                              f"at submission — use a module-level function")
+                elif (isinstance(worker, ast.Name) and self._scopes
+                        and worker.id in self._scopes[-1][1]):
+                    enclosing = self._scopes[-1][0]
+                    self.flag(node, "RPL620",
+                              f"nested function '{worker.id}' (defined "
+                              f"inside {enclosing}) passed to {callee}(): "
+                              f"nested defs do not pickle and capture "
+                              f"parent state — move the worker to module "
+                              f"level")
+        self.generic_visit(node)

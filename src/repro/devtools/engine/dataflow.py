@@ -48,18 +48,11 @@ class ForwardAnalysis:
         return frozenset(merged)
 
 
-def run_forward(cfg: CFG, analysis: ForwardAnalysis, *,
-                max_steps: int | None = None
+def run_forward(cfg: CFG, analysis: ForwardAnalysis
                 ) -> dict[int, tuple[Facts, Facts]]:
     """Run ``analysis`` over ``cfg`` to fixpoint.
 
     Returns ``{node_index: (in_facts, out_facts)}`` for every node.
-
-    ``max_steps`` caps worklist iterations for analyses whose lattices
-    are large (the numeric interval domain widens onto a finite grid,
-    but the cap is a belt-and-braces bound): on hitting it the current
-    — necessarily under-approximated — state is returned, which for
-    positively-derived checks means staying quiet, never a false flag.
     """
     normal_preds, exc_preds = cfg.preds()
     in_facts: dict[int, Facts] = {n.index: frozenset() for n in cfg.nodes}
@@ -70,11 +63,7 @@ def run_forward(cfg: CFG, analysis: ForwardAnalysis, *,
     queued = set(worklist)
     by_index = {node.index: node for node in cfg.nodes}
 
-    steps = 0
     while worklist:
-        steps += 1
-        if max_steps is not None and steps > max_steps:
-            break
         index = worklist.pop(0)
         queued.discard(index)
         node = by_index[index]

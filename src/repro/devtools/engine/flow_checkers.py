@@ -30,7 +30,7 @@ from __future__ import annotations
 import ast
 
 from ..framework import Checker, LintConfig, register_checker
-from .cfg import (CFG, CFGNode, FunctionLike, assigned_names, build_cfg,
+from .cfg import (CFG, CFGNode, assigned_names, iter_function_cfgs,
                   node_fragments)
 from .dataflow import ForwardAnalysis, run_forward
 
@@ -96,21 +96,12 @@ def _assign_value(node: CFGNode) -> ast.expr | None:
     return None
 
 
-def _line_node(line: int) -> ast.AST:
-    node = ast.Pass()
-    node.lineno = line
-    node.col_offset = 0
-    return node
-
-
 class _FlowChecker(Checker):
     """Shared driver: build a CFG per function and run an analysis."""
 
     def run(self):  # type: ignore[override]
-        for node in ast.walk(self.source.tree):
-            if isinstance(node, FunctionLike):
-                self.check_function(node, build_cfg(node))
-        self.finish()
+        for func, cfg in iter_function_cfgs(self.source.tree):
+            self.check_function(func, cfg)
         return self.violations
 
     def check_function(self, func: ast.AST, cfg: CFG) -> None:
@@ -428,7 +419,7 @@ class AtomicWriteChecker(_FlowChecker):
                 if fact[0] == "t" and fact[2] == "dirty":
                     leaks.add((fact[1], fact[3]))
         for var, line in sorted(leaks):
-            self.flag(_line_node(line), "RPL311",
+            self.flag(line, "RPL311",
                       f"temp file '{var}' (created at line {line}) can "
                       f"leak: an exception between write and rename "
                       f"escapes with no try/finally unlink")
@@ -542,7 +533,7 @@ class ResourceLifecycleChecker(_FlowChecker):
         for fact in sorted(exit_facts):
             if fact[0] == "h" and (fact[1], fact[2]) not in flagged:
                 flagged.add((fact[1], fact[2]))
-                self.flag(_line_node(fact[2]), "RPL320",
+                self.flag(fact[2], "RPL320",
                           f"handle '{fact[1]}' opened here is not closed "
                           f"on every path: wrap it in `with` or close it "
                           f"in a finally block")

@@ -1,19 +1,12 @@
-"""Checker framework for ``reprolint``.
+"""Checker framework for ``reprolint``: one pass per file.
 
-Two kinds of rules plug into the framework:
-
-- A :class:`Checker` is an :class:`ast.NodeVisitor` subclass registered
-  via :func:`register_checker`.  The runner parses each file once into a
-  :class:`SourceFile` (source text, AST, dotted module name, pragma
-  table) and hands it to every enabled checker; checkers call
-  :meth:`Checker.flag` to report :class:`Violation` records.  File
-  checkers see one file at a time, so their results are cacheable per
-  file (see :mod:`repro.devtools.engine.cache`).
-- A :class:`ProjectChecker` (registered via
-  :func:`register_project_checker`) runs once over the whole-program
-  :class:`~repro.devtools.engine.project.ProjectModel` — the symbol
-  table, import graph, and call graph built from every file — and flags
-  cross-file properties no single-file pass can see.
+A :class:`Checker` is an :class:`ast.NodeVisitor` subclass registered
+via :func:`register_checker`.  :func:`lint_paths` parses each file once
+into a :class:`SourceFile` (source text, AST, dotted module name, pragma
+table), runs every selected checker over it — :meth:`Checker.flag`
+drops findings a pragma suppresses — and then runs the ``dead-pragma``
+rule (RPL701) over the same file, which reports the pragmas that
+suppressed nothing.  No rule looks beyond the file it is given.
 
 Suppressions use pragma comments (scanned from real COMMENT tokens, so
 pragma-shaped *strings* in fixture code do not suppress anything):
@@ -23,9 +16,6 @@ pragma-shaped *strings* in fixture code do not suppress anything):
 - ``# reprolint: disable-file=<name-or-code>[,...]`` anywhere in the file
   to silence a checker for the whole file,
 - ``# reprolint: skip-file`` to skip the file entirely.
-
-Every pragma's *use* is recorded; the ``dead-pragma`` project checker
-(RPL701) reports pragmas that suppressed nothing.
 """
 
 from __future__ import annotations
@@ -36,26 +26,22 @@ import re
 import tokenize
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Type
+from typing import Iterable, Iterator, Type
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from .engine.project import ModuleSummary, ProjectModel
-
-__all__ = ["Violation", "LintConfig", "SourceFile", "Checker",
-           "ProjectChecker", "Pragma", "PragmaTable",
-           "register_checker", "all_checkers",
-           "register_project_checker", "all_project_checkers",
-           "lint_file", "lint_paths", "module_name", "iter_python_files",
+__all__ = ["Violation", "LintConfig", "SourceFile", "Checker", "Pragma",
+           "PragmaTable", "DeadPragmaChecker", "register_checker",
+           "all_checkers", "lint_paths", "module_name", "iter_python_files",
            "config_with", "relaxed_profile", "ALL", "RELAXED_CODES"]
 
 _PRAGMA = re.compile(r"#\s*reprolint:\s*(skip-file|disable(?:-file)?=([\w\-, ]+))")
+_CODE_RE = re.compile(r"^rpl\d+$")
 
 #: Sentinel meaning "every checker" in a pragma's disable set.
 ALL = "all"
 
-#: Codes the relaxed (tests / benchmarks) profile switches off: fixtures
-#: may seed ad-hoc RNGs, assert exact float values, print tables, and
-#: skip ``__all__`` declarations.
+#: Codes the relaxed (tests / benchmarks / examples) profile switches
+#: off: fixtures may seed ad-hoc RNGs, assert exact float values, print
+#: tables, and skip ``__all__`` declarations.
 RELAXED_CODES = frozenset({
     "RPL101", "RPL102", "RPL103",            # ad-hoc RNGs in fixtures
     "RPL111",                                # determinism tests *assert*
@@ -63,12 +49,10 @@ RELAXED_CODES = frozenset({
     "RPL301",                                # exact-value asserts
     "RPL501", "RPL502", "RPL503", "RPL504",  # no __all__ contract
     "RPL508",                                # print() in harness output
-    "RPL520",                                # tests/benches materialize
-                                             # merge streams to compare
-    "RPL811", "RPL812",                      # fixtures build tiny arrays
-                                             # where default dtypes and
-                                             # narrow accumulators are fine
 })
+
+#: Path components whose files are linted under :func:`relaxed_profile`.
+_RELAXED_DIRS = ("tests", "benchmarks", "examples")
 
 
 @dataclass(frozen=True)
@@ -91,29 +75,14 @@ class Violation:
                 "code": self.code, "name": self.name,
                 "message": self.message}
 
-    @classmethod
-    def from_dict(cls, doc: dict[str, object]) -> "Violation":
-        return cls(path=str(doc["path"]), line=int(doc["line"]),  # type: ignore[call-overload]
-                   col=int(doc["col"]), code=str(doc["code"]),  # type: ignore[call-overload]
-                   name=str(doc["name"]), message=str(doc["message"]))
-
 
 @dataclass(frozen=True)
 class Pragma:
     """One ``# reprolint:`` suppression comment, located and parsed."""
 
     line: int
-    kind: str                  #: ``disable`` | ``disable-file`` | ``skip-file``
+    kind: str                  #: ``disable`` | ``disable-file``
     targets: frozenset[str]    #: lower-cased checker names / codes / ``all``
-
-    def to_json(self) -> dict[str, object]:
-        return {"line": self.line, "kind": self.kind,
-                "targets": sorted(self.targets)}
-
-    @classmethod
-    def from_json(cls, doc: dict[str, object]) -> "Pragma":
-        return cls(line=int(doc["line"]), kind=str(doc["kind"]),  # type: ignore[call-overload]
-                   targets=frozenset(doc["targets"]))  # type: ignore[arg-type]
 
 
 @dataclass
@@ -121,8 +90,8 @@ class PragmaTable:
     """The suppression pragmas of one file, plus which of them fired.
 
     ``used`` holds ``(pragma_line, matched_target)`` pairs; RPL701
-    reports any non-``skip-file`` pragma none of whose targets ever
-    matched a would-be violation.
+    reports any pragma none of whose targets ever matched a would-be
+    violation.
     """
 
     skip: bool = False
@@ -177,41 +146,9 @@ class PragmaTable:
         return hit
 
     def unused_pragmas(self) -> list[Pragma]:
-        """Pragmas (excluding ``skip-file``) that never suppressed."""
+        """Pragmas that never suppressed anything."""
         return [p for p in self.pragmas
                 if not any((p.line, t) in self.used for t in p.targets)]
-
-    def to_json(self) -> dict[str, object]:
-        return {"skip": self.skip,
-                "pragmas": [p.to_json() for p in self.pragmas]}
-
-    @classmethod
-    def from_json(cls, doc: dict[str, object]) -> "PragmaTable":
-        return cls(skip=bool(doc["skip"]),
-                   pragmas=[Pragma.from_json(p)
-                            for p in doc["pragmas"]])  # type: ignore[union-attr]
-
-
-#: Default interval seeds for the numeric analysis (RPL8xx): the
-#: paper's value ranges, keyed by exact parameter name.  2^48 - 1 is
-#: the ADJ6 ID ceiling; scale tops out at 62 (edges fit int64).
-_INTERVAL_SEEDS: dict[str, tuple[float, float]] = {
-    "scale": (0, 62),
-    "log_n": (0, 62),
-    "block_size": (1, 2 ** 31),
-    "edge_factor": (0, 2 ** 20),
-    "degree": (0, 2 ** 32 - 1),
-    "degrees": (0, 2 ** 32 - 1),
-    "max_degree": (0, 2 ** 32 - 1),
-    "max_id": (0, 2 ** 48 - 1),
-    "num_vertices": (1, 2 ** 48),
-    "n_vertices": (1, 2 ** 48),
-    "num_edges": (0, 2 ** 62),
-    "n_edges": (0, 2 ** 62),
-    "p": (0.0, 1.0),
-    "prob": (0.0, 1.0),
-    "probability": (0.0, 1.0),
-}
 
 
 @dataclass(frozen=True)
@@ -271,34 +208,6 @@ class LintConfig:
     #: CDF value for the float-equality rule.
     probability_name_patterns: tuple[str, ...] = (
         "prob", "cdf", "recvec", "pvec")
-    #: Module prefixes where producers must feed writers whole
-    #: ``AdjacencyBlock``s (``add_block``/``write_blocks``), never
-    #: per-vertex ``writer.add(...)`` loops or pair-stream ``write``.
-    block_streaming_module_prefixes: tuple[str, ...] = (
-        "repro.system", "repro.dist")
-    #: Module prefixes where a streaming merge must stay streamed:
-    #: collecting the whole deduplicated key stream into one list/array
-    #: re-creates the unbounded ``np.concatenate(list(...))`` pattern
-    #: the external-memory engine removed (RPL520).
-    merge_stream_module_prefixes: tuple[str, ...] = (
-        "repro.models", "repro.dist")
-    #: Call names that produce a bounded streaming merge (chunk
-    #: iterators); feeding one to ``list``/``tuple``/``sorted`` or a
-    #: numpy concatenation materializes the whole merged set.
-    merge_stream_producer_names: frozenset[str] = frozenset(
-        {"merge_sorted_runs", "iter_unique_keys", "iter_unique",
-         "iter_unique_key_chunks"})
-    #: Module prefixes holding the batched sampling kernel, where a
-    #: Python ``for`` loop over a per-edge array would reinsert the
-    #: O(|E|) interpreter loop the bitwise kernel exists to remove.
-    #: Functions whose name mentions ``reference`` are exempt (the
-    #: paper-faithful per-edge engine is a loop by design).
-    kernel_module_prefixes: tuple[str, ...] = ("repro.core.generator",)
-    #: Names of per-edge arrays in the kernel: looping over one of
-    #: these (directly, or via ``enumerate``/``zip``) is RPL510.
-    kernel_edge_array_names: frozenset[str] = frozenset(
-        {"rows", "dests", "destinations", "xs", "refill_rows",
-         "new_dests"})
     #: Module prefixes where raw ``time.perf_counter()`` pairs are
     #: forbidden: pipeline timing must flow through
     #: ``repro.telemetry`` (``span()`` / ``Stopwatch``) so it lands in
@@ -316,8 +225,8 @@ class LintConfig:
     #: and spill-file layers, where a torn write corrupts a resumable run.
     atomic_write_module_prefixes: tuple[str, ...] = (
         "repro.dist", "repro.util")
-    #: Call names whose result is a deterministic RNG stream for the
-    #: flow-sensitive rng-stream-flow analysis.
+    #: Call names whose result is a deterministic RNG stream, for the
+    #: flow-sensitive rng-stream-flow analysis and RPL509.
     rng_stream_constructors: frozenset[str] = frozenset(
         {"stream", "default_rng"})
     #: Generator methods that *draw* from a stream (advance its state).
@@ -326,13 +235,14 @@ class LintConfig:
          "choice", "shuffle", "permutation", "permuted", "exponential",
          "poisson", "binomial", "geometric", "bytes"})
     #: Callable names that ship their arguments to another process /
-    #: pickle them into a task (worker boundary for rng-stream-flow).
+    #: pickle them into a task (worker boundary for rng-stream-flow and
+    #: spawn-hygiene).
     worker_submit_calls: frozenset[str] = frozenset(
         {"Process", "apply_async", "submit", "run_tasks",
          "map_async", "starmap_async", "dumps"})
-    #: Module prefixes where the spawn-hygiene project rule (RPL620)
-    #: applies: worker callables crossing a spawn boundary must be
-    #: picklable top-level functions.
+    #: Module prefixes where the spawn-hygiene rule (RPL620) applies:
+    #: worker callables crossing a spawn boundary must be picklable
+    #: top-level functions.
     spawn_module_prefixes: tuple[str, ...] = ("repro.dist",)
     #: Module prefixes holding *read-only live introspection* (RPL509):
     #: the flight recorder, the telemetry HTTP server, and the trace
@@ -347,25 +257,6 @@ class LintConfig:
     #: loop (and its RNG streams).
     introspection_forbidden_imports: tuple[str, ...] = (
         "repro.core", "repro.models")
-    #: Module prefixes the numeric abstract interpretation (RPL810 /
-    #: RPL812 / RPL813 / RPL814 + summary return facts) runs over.
-    numeric_module_prefixes: tuple[str, ...] = ("repro",)
-    #: Module prefixes where numpy constructors must name a dtype
-    #: (RPL811) — the ID-carrying packages where a platform-default
-    #: ``np.arange`` silently wraps past 2^31 on 32-bit builds.
-    default_dtype_module_prefixes: tuple[str, ...] = (
-        "repro.core", "repro.formats", "repro.models", "repro.dist")
-    #: Parameter-name -> (lo, hi) interval seeds for the numeric
-    #: analysis: the paper's known value ranges (48-bit IDs, scale
-    #: ≤ 62, probabilities in [0, 1]).  Names are matched exactly;
-    #: anything not listed falls back to the probability-name
-    #: patterns above, then to unknown.
-    interval_seeds: dict[str, tuple[float, float]] = field(
-        default_factory=lambda: dict(_INTERVAL_SEEDS))
-    #: Element count the accumulation-overflow rule (RPL812) assumes:
-    #: 2^33 ≈ one scale-33 vertex partition, the smallest scale where
-    #: IDs straddle 2^32.
-    accumulation_element_count: int = 2 ** 33
     #: Violation codes switched off wholesale (per-directory profiles).
     disabled_codes: frozenset[str] = frozenset()
 
@@ -402,12 +293,6 @@ class SourceFile:
     def skip(self) -> bool:
         return self.pragma_table.skip
 
-    def is_disabled(self, checker: "Checker | str", line: int,
-                    code: str) -> bool:
-        name = checker if isinstance(checker, str) else checker.name
-        keys = {name.lower(), code.lower(), ALL}
-        return self.pragma_table.is_disabled(keys, line)
-
 
 def module_name(path: Path) -> str:
     """Dotted module name, found by walking up through ``__init__.py``s.
@@ -425,7 +310,7 @@ def module_name(path: Path) -> str:
 
 
 class Checker(ast.NodeVisitor):
-    """Base class for one single-file lint rule family.
+    """Base class for one lint rule family.
 
     Subclasses set :attr:`name` and :attr:`codes`, implement visitor
     methods, and call :meth:`flag`.  One instance is created per file.
@@ -444,159 +329,109 @@ class Checker(ast.NodeVisitor):
     def run(self) -> list[Violation]:
         """Collect this checker's violations for :attr:`source`."""
         self.visit(self.source.tree)
-        self.finish()
         return self.violations
 
-    def finish(self) -> None:
-        """Hook for whole-module rules that report after traversal."""
-
-    def flag(self, node: ast.AST | None, code: str, message: str) -> None:
+    def flag(self, node: ast.AST | int | None, code: str,
+             message: str) -> None:
+        """Report ``code`` at ``node`` (or at a bare line number) unless
+        the profile or a pragma switches it off."""
         if code in self.config.disabled_codes:
             return
-        line = getattr(node, "lineno", 1) if node is not None else 1
-        col = getattr(node, "col_offset", 0) if node is not None else 0
-        if self.source.is_disabled(self, line, code):
+        if isinstance(node, int):
+            line, col = node, 0
+        else:
+            line = getattr(node, "lineno", 1)
+            col = getattr(node, "col_offset", 0)
+        keys = {self.name.lower(), code.lower(), ALL}
+        if self.source.pragma_table.is_disabled(keys, line):
             return
         self.violations.append(Violation(
             path=str(self.source.path), line=line, col=col, code=code,
             name=self.name, message=message))
 
 
-class ProjectChecker:
-    """Base class for one whole-program lint rule family.
-
-    Instantiated once per run with the project-wide config;
-    :meth:`check` inspects the :class:`ProjectModel` and calls
-    :meth:`flag` with the target module's summary.  Per-module profile
-    configs and pragma suppression are applied by :meth:`flag`.
-    """
-
-    name: str = "abstract-project"
-    codes: dict[str, str] = {}
-    #: Checkers run in ascending priority; dead-pragma runs last so it
-    #: sees every suppression the other rules recorded.
-    priority: int = 0
-
-    def __init__(self, config: LintConfig) -> None:
-        self.config = config
-        self.violations: list[Violation] = []
-
-    def run(self, project: "ProjectModel") -> list[Violation]:
-        self.project = project
-        self.check(project)
-        self.violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
-        return self.violations
-
-    def check(self, project: "ProjectModel") -> None:
-        raise NotImplementedError
-
-    def flag(self, summary: "ModuleSummary", line: int, col: int,
-             code: str, message: str) -> None:
-        config = self.project.config_for_path(summary.path)
-        if code in config.disabled_codes:
-            return
-        keys = {self.name.lower(), code.lower(), ALL}
-        if summary.pragma_table.is_disabled(keys, line):
-            return
-        self.violations.append(Violation(
-            path=summary.path, line=line, col=col, code=code,
-            name=self.name, message=message))
-
-
 _CHECKERS: dict[str, Type[Checker]] = {}
-_PROJECT_CHECKERS: dict[str, Type[ProjectChecker]] = {}
 
 
 def register_checker(cls: Type[Checker]) -> Type[Checker]:
-    """Class decorator adding a file checker to the global registry."""
-    if cls.name in _CHECKERS or cls.name in _PROJECT_CHECKERS:
+    """Class decorator adding a checker to the global registry."""
+    if cls.name in _CHECKERS:
         raise ValueError(f"duplicate checker name {cls.name!r}")
     _CHECKERS[cls.name] = cls
     return cls
 
 
-def register_project_checker(cls: Type[ProjectChecker]
-                             ) -> Type[ProjectChecker]:
-    """Class decorator adding a project checker to the global registry."""
-    if cls.name in _CHECKERS or cls.name in _PROJECT_CHECKERS:
-        raise ValueError(f"duplicate checker name {cls.name!r}")
-    _PROJECT_CHECKERS[cls.name] = cls
-    return cls
-
-
-def _import_bundled() -> None:
+def all_checkers() -> dict[str, Type[Checker]]:
+    """Registered checkers by name (importing the bundled set)."""
     from . import checkers as _file_rules            # noqa: F401
     from .engine import concurrency_checkers as _conc_rules  # noqa: F401
     from .engine import flow_checkers as _flow_rules  # noqa: F401
-    from .engine import numeric_checkers as _numeric_rules  # noqa: F401
-    from .engine import project_checkers as _project_rules  # noqa: F401
-
-
-def all_checkers() -> dict[str, Type[Checker]]:
-    """Registered file checkers by name (importing the bundled set)."""
-    _import_bundled()
     return dict(_CHECKERS)
 
 
-def all_project_checkers() -> dict[str, Type[ProjectChecker]]:
-    """Registered project checkers by name (importing the bundled set)."""
-    _import_bundled()
-    return dict(_PROJECT_CHECKERS)
+@register_checker
+class DeadPragmaChecker(Checker):
+    """Suppression comments that suppress nothing (RPL701).
 
+    Runs after every other selected checker on the same file, so each
+    suppression they recorded is visible.  A pragma is only declared
+    dead when each of its targets *provably* ran: the target's checker
+    was selected this pass (``ran``) and none of its codes are switched
+    off by the directory profile — otherwise silence proves nothing.
+    """
 
-def _validate_names(enabled: Iterable[str] | None,
-                    disabled: Iterable[str] | None) -> None:
-    known = set(all_checkers()) | set(all_project_checkers())
-    for group in (enabled, disabled):
-        if group is not None:
-            unknown = set(group) - known
-            if unknown:
-                raise KeyError(f"unknown checkers: {sorted(unknown)}")
+    name = "dead-pragma"
+    codes = {"RPL701": "pragma suppresses nothing"}
+
+    def __init__(self, source: SourceFile, config: LintConfig,
+                 ran: Iterable[str]) -> None:
+        super().__init__(source, config)
+        self.ran = set(ran)
+
+    def run(self) -> list[Violation]:
+        codes_of = {name: frozenset(code.lower() for code in cls.codes)
+                    for name, cls in all_checkers().items()}
+        owners = {code: name for name, codes in codes_of.items()
+                  for code in codes}
+        off = {code.lower() for code in self.config.disabled_codes}
+
+        def provable(target: str) -> bool:
+            if target == ALL:
+                return not off and self.ran >= set(codes_of)
+            if _CODE_RE.match(target):
+                owner = owners.get(target)
+                # a code that exists nowhere can't suppress anything
+                return owner is None or (owner in self.ran
+                                         and target not in off)
+            codes = codes_of.get(target)
+            if codes is None:
+                return True  # unknown checker name can't suppress
+            return target in self.ran and not codes & off
+
+        for pragma in self.source.pragma_table.unused_pragmas():
+            if all(provable(t) for t in pragma.targets):
+                targets = ",".join(sorted(pragma.targets))
+                self.flag(pragma.line, "RPL701",
+                          f"pragma 'disable={targets}' suppresses "
+                          f"nothing: the targeted rules ran clean on "
+                          f"this line, so the comment is dead weight")
+        return self.violations
 
 
 def _select(enabled: Iterable[str] | None,
             disabled: Iterable[str] | None) -> list[Type[Checker]]:
-    _validate_names(enabled, disabled)
     registry = all_checkers()
+    for group in (enabled, disabled):
+        if group is not None:
+            unknown = set(group) - set(registry)
+            if unknown:
+                raise KeyError(f"unknown checkers: {sorted(unknown)}")
     names = set(registry)
     if enabled is not None:
         names &= set(enabled)
     if disabled is not None:
         names -= set(disabled)
     return [registry[name] for name in sorted(names)]
-
-
-def _select_project(enabled: Iterable[str] | None,
-                    disabled: Iterable[str] | None
-                    ) -> list[Type[ProjectChecker]]:
-    _validate_names(enabled, disabled)
-    registry = all_project_checkers()
-    names = set(registry)
-    if enabled is not None:
-        names &= set(enabled)
-    if disabled is not None:
-        names -= set(disabled)
-    return [registry[name] for name
-            in sorted(names, key=lambda n: (registry[n].priority, n))]
-
-
-def lint_file(path: Path | str, config: LintConfig | None = None, *,
-              enabled: Iterable[str] | None = None,
-              disabled: Iterable[str] | None = None) -> list[Violation]:
-    """Run the (selected) file checkers over one file.
-
-    Project checkers need the whole tree and do not run here; use
-    :func:`lint_paths` for the full analysis.
-    """
-    config = config or LintConfig()
-    source = SourceFile.parse(path)
-    if source.skip:
-        return []
-    out: list[Violation] = []
-    for cls in _select(enabled, disabled):
-        out.extend(cls(source, config).run())
-    out.sort(key=lambda v: (v.path, v.line, v.col, v.code))
-    return out
 
 
 def iter_python_files(paths: Iterable[Path | str]) -> Iterator[Path]:
@@ -614,21 +449,39 @@ def iter_python_files(paths: Iterable[Path | str]) -> Iterator[Path]:
 def lint_paths(paths: Iterable[Path | str],
                config: LintConfig | None = None, *,
                enabled: Iterable[str] | None = None,
-               disabled: Iterable[str] | None = None,
-               cache_dir: Path | str | None = None
+               disabled: Iterable[str] | None = None
                ) -> tuple[list[Violation], int]:
-    """Lint every ``.py`` file under ``paths`` — file checkers *and* the
-    whole-program project checkers.
+    """Lint every ``.py`` file under ``paths``, one file at a time.
 
-    Returns ``(violations, files_checked)``.  Unparseable files raise
-    :class:`SyntaxError` to the caller (the CLI maps that to exit 2).
-    ``cache_dir`` enables the incremental cache (the CLI passes it; the
-    API default stays uncached so tests see cold behaviour).
+    Per file: parse, run the selected checkers (pragma-filtered), then
+    sweep the file's dead pragmas.  Any file with a ``tests``,
+    ``benchmarks`` or ``examples`` path component is linted under
+    :func:`relaxed_profile`.  Returns ``(violations, files_checked)``.
+    Unparseable files raise :class:`SyntaxError` to the caller (the CLI
+    maps that to exit 2).
     """
-    from .engine.runner import run_paths
-    result = run_paths(paths, config=config, enabled=enabled,
-                       disabled=disabled, cache_dir=cache_dir)
-    return result.violations, result.files_checked
+    config = config or LintConfig()
+    relaxed = relaxed_profile(config)
+    selected = _select(enabled, disabled)
+    ran = {cls.name for cls in selected}
+    rules = [cls for cls in selected if cls is not DeadPragmaChecker]
+
+    violations: list[Violation] = []
+    files_checked = 0
+    for path in iter_python_files(paths):
+        source = SourceFile.parse(path)
+        files_checked += 1
+        if source.skip:
+            continue
+        file_config = (relaxed if any(part in _RELAXED_DIRS
+                                      for part in path.parts) else config)
+        for cls in rules:
+            violations.extend(cls(source, file_config).run())
+        if DeadPragmaChecker in selected:
+            violations.extend(
+                DeadPragmaChecker(source, file_config, ran).run())
+    violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
+    return violations, files_checked
 
 
 def config_with(config: LintConfig | None = None, **overrides) -> LintConfig:

@@ -5,26 +5,24 @@ Exit codes: 0 clean, 1 findings, 2 usage / unreadable / unparseable
 input, 3 internal engine error (a crash in the analysis itself, never
 a property of the linted code).
 
-The v2 engine runs by default: file checkers, the whole-program project
-checkers (call-graph layering, dead-pragma), per-directory profiles
-(``tests``/``benchmarks`` get the relaxed policy), and the incremental
-cache under ``.reprolint_cache/`` (``--no-cache`` to bypass,
-``--cache-dir`` to relocate, ``--stats`` to see hit rates).
+Every file is linted in one pass — the syntactic checkers, the
+flow-sensitive and concurrency checkers, then the dead-pragma sweep —
+and files under ``tests``/``benchmarks``/``examples`` get the relaxed
+policy.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 import traceback
 from pathlib import Path
 from typing import Sequence
 
-from .framework import LintConfig, all_checkers, all_project_checkers
-from .reporters import json_report, sarif_report, text_report
+from .framework import all_checkers, lint_paths
+from .reporters import json_report, text_report
 
-__all__ = ["main", "build_parser", "default_target", "default_cache_dir"]
+__all__ = ["main", "build_parser", "default_target"]
 
 
 def default_target() -> Path:
@@ -32,31 +30,21 @@ def default_target() -> Path:
     return Path(__file__).resolve().parent.parent
 
 
-def default_cache_dir() -> Path:
-    """Incremental-cache location: ``.reprolint_cache`` in the CWD."""
-    return Path(".reprolint_cache")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trilliong-lint",
         description="Project-specific static analysis for the TrillionG "
-                    "reproduction: syntactic rules (RNG determinism, "
-                    "layering, numerical safety, exception hygiene, API "
-                    "completeness, mutable defaults) plus the v2 dataflow "
-                    "engine (RNG-stream flow, atomic-write protocol, "
-                    "resource lifecycle, thread shared-state and "
-                    "lifecycle, spawn hygiene, call-graph layering, dead "
-                    "pragmas, numeric dtype/interval scale-soundness). "
-                    "Exit codes: 0 clean, 1 findings, 2 bad input, "
-                    "3 internal engine error.")
+                    "reproduction: RNG determinism and stream flow, "
+                    "layering, numerical safety, atomic writes, resource "
+                    "and thread lifecycles, exception hygiene, API "
+                    "completeness, mutable defaults, spawn hygiene and "
+                    "dead pragmas. Exit codes: 0 clean, 1 findings, "
+                    "2 bad input, 3 internal engine error.")
     parser.add_argument("paths", nargs="*", type=Path,
                         help="files or directories to lint "
                              "(default: the installed repro package)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text",
-                        help="report format (sarif: SARIF 2.1.0 for "
-                             "GitHub code scanning)")
+    parser.add_argument("--format", choices=("text", "json"),
+                        default="text", help="report format")
     parser.add_argument("--select", metavar="NAMES",
                         help="comma-separated checker names to run "
                              "(default: all)")
@@ -64,13 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated checker names to skip")
     parser.add_argument("--list-checkers", action="store_true",
                         help="list registered checkers and exit")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the incremental cache entirely")
-    parser.add_argument("--cache-dir", type=Path, default=None,
-                        metavar="DIR",
-                        help="cache location (default: ./.reprolint_cache)")
-    parser.add_argument("--stats", action="store_true",
-                        help="print cache and timing statistics to stderr")
     return parser
 
 
@@ -81,32 +62,17 @@ def _split(arg: str | None) -> list[str] | None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     if args.list_checkers:
-        rows = [(name, cls.codes) for name, cls in all_checkers().items()]
-        rows += [(f"{name} (project)", cls.codes)
-                 for name, cls in all_project_checkers().items()]
-        for name, codes in sorted(rows):
-            print(f"{name:30s} {', '.join(sorted(codes))}")
+        for name, cls in sorted(all_checkers().items()):
+            print(f"{name:30s} {', '.join(sorted(cls.codes))}")
         return 0
 
-    paths = args.paths or [default_target()]
-    cache_dir: Path | None
-    if args.no_cache:
-        cache_dir = None
-    else:
-        cache_dir = args.cache_dir or default_cache_dir()
-
-    from .engine.runner import run_paths
-
-    started = time.perf_counter()
     try:
-        run = run_paths(paths, LintConfig(),
-                        enabled=_split(args.select),
-                        disabled=_split(args.ignore),
-                        cache_dir=cache_dir)
+        violations, files_checked = lint_paths(
+            args.paths or [default_target()],
+            enabled=_split(args.select), disabled=_split(args.ignore))
     except (FileNotFoundError, KeyError) as exc:
         print(f"trilliong-lint: error: {exc}", file=sys.stderr)
         return 2
@@ -119,21 +85,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("trilliong-lint: internal engine error", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return 3
-    elapsed = time.perf_counter() - started
 
-    if args.format == "json":
-        print(json_report(run.violations, run.files_checked))
-    elif args.format == "sarif":
-        print(sarif_report(run.violations, run.files_checked))
-    else:
-        print(text_report(run.violations, run.files_checked))
-    if args.stats:
-        mode = "off" if cache_dir is None else str(cache_dir)
-        print(f"trilliong-lint: {elapsed:.2f}s, cache={mode}, "
-              f"hits={run.cache_hits}, misses={run.cache_misses}, "
-              f"project_pass={'cached' if run.project_cache_hit else 'run'}",
-              file=sys.stderr)
-    return 1 if run.violations else 0
+    report = json_report if args.format == "json" else text_report
+    print(report(violations, files_checked))
+    return 1 if violations else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -1,27 +1,14 @@
-"""Render ``reprolint`` findings as human text, machine JSON, or SARIF.
-
-The SARIF 2.1.0 document (``--format sarif``) is what the CI workflow
-uploads to GitHub code scanning, so findings annotate PRs inline.  Rule
-metadata comes from the live checker registry (every RPL code that can
-fire is declared), and each result carries a content-derived
-``partialFingerprints`` entry so code scanning tracks a finding across
-unrelated-line churn.
-"""
+"""Render ``reprolint`` findings as human text or machine JSON."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import Counter
 from typing import Iterable, Sequence
 
-from .framework import Violation, all_checkers, all_project_checkers
+from .framework import Violation
 
-__all__ = ["text_report", "json_report", "sarif_report", "summary_counts"]
-
-#: SARIF schema pin — 2.1.0 is what GitHub code scanning ingests.
-_SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-                 "master/Schemata/sarif-schema-2.1.0.json")
+__all__ = ["text_report", "json_report", "summary_counts"]
 
 
 def summary_counts(violations: Iterable[Violation]) -> dict[str, int]:
@@ -51,83 +38,5 @@ def json_report(violations: Sequence[Violation], files_checked: int) -> str:
         "files_checked": files_checked,
         "summary": summary_counts(violations),
         "violations": [v.to_dict() for v in violations],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def _rule_catalog() -> list[dict]:
-    """Every registered RPL code as a SARIF ``reportingDescriptor``."""
-    rules: dict[str, dict] = {}
-    rows = [(name, cls.codes) for name, cls in all_checkers().items()]
-    rows += [(name, cls.codes)
-             for name, cls in all_project_checkers().items()]
-    for checker_name, codes in rows:
-        for code, description in codes.items():
-            rules.setdefault(code, {
-                "id": code,
-                "name": code,
-                "shortDescription": {"text": description},
-                "properties": {"checker": checker_name},
-                "defaultConfiguration": {"level": "warning"},
-            })
-    return [rules[code] for code in sorted(rules)]
-
-
-def _engine_version() -> str:
-    from .engine.cache import ENGINE_VERSION
-    return ENGINE_VERSION
-
-
-def _fingerprint(violation: Violation) -> str:
-    blob = "|".join([violation.path, violation.code, violation.name,
-                     violation.message])
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def sarif_report(violations: Sequence[Violation],
-                 files_checked: int) -> str:
-    """SARIF 2.1.0 document for GitHub code scanning upload.
-
-    Fingerprints hash (path, code, checker, message) — deliberately not
-    the line number, so a finding keeps its identity when unrelated
-    edits shift it.
-    """
-    results = []
-    for violation in violations:
-        results.append({
-            "ruleId": violation.code,
-            "level": "warning",
-            "message": {"text": f"[{violation.name}] {violation.message}"},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {
-                        "uri": violation.path.replace("\\", "/"),
-                        "uriBaseId": "%SRCROOT%",
-                    },
-                    "region": {
-                        "startLine": max(violation.line, 1),
-                        "startColumn": violation.col + 1,
-                    },
-                },
-            }],
-            "partialFingerprints": {
-                "reprolint/v1": _fingerprint(violation),
-            },
-        })
-    doc = {
-        "$schema": _SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "reprolint",
-                    "semanticVersion": _engine_version(),
-                    "rules": _rule_catalog(),
-                },
-            },
-            "properties": {"filesChecked": files_checked},
-            "results": results,
-            "columnKind": "unicodeCodePoints",
-        }],
     }
     return json.dumps(doc, indent=2, sort_keys=True)

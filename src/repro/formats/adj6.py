@@ -75,12 +75,8 @@ class _Adj6Writer(StreamWriter):
             raise FormatError(
                 f"degree {int(deg.max())} of vertex {vertex} exceeds the "
                 f"ADJ6 uint32 degree field (max {_MAX_DEGREE})")
-        # The guard above enforces the ADJ6 header invariant, which the
-        # static analysis cannot derive: tell it every degree fits the
-        # uint32 field so the `<u4` view below is a proven-safe cast.
-        dests = np.ascontiguousarray(
-            block.destinations,
-            dtype=np.int64)  # reprolint: assume(deg, 0, _MAX_DEGREE)
+        # The guard above makes the `<u4` degree view below a safe cast.
+        dests = np.ascontiguousarray(block.destinations, dtype=np.int64)
         k, m = sources.size, dests.size
         # Records sit back to back; headers are scatter-placed at the
         # record starts (k x 10 fancy assignment), and every remaining

@@ -49,8 +49,8 @@ class ThreadedSink:
     thread.  Whatever ``file.write`` raises is captured and re-raised
     (with its original type) in the producer thread on the next
     :meth:`write`, :meth:`drain`, or :meth:`close`; after a failure the
-    thread keeps draining the queue so producers never deadlock on a
-    full queue.  :attr:`write_seconds` is the wall time spent inside
+    thread keeps draining the queue — discarding every later buffer,
+    never writing one — so producers never deadlock on a full queue.  :attr:`write_seconds` is the wall time spent inside
     ``file.write`` — on the writer thread, so it may overlap the
     producer's encode time.
     """
@@ -80,13 +80,15 @@ class ThreadedSink:
         return self._watch.seconds
 
     def _run(self) -> None:
+        # Local, not read from _error: the producer's _check() clears
+        # _error when it collects it, and a writer that then resumed
+        # would put later buffers on disk behind the lost one.
+        failed = False
         while True:
             item = self._queue.get()
             if item is self._SENTINEL:
                 self._queue.task_done()
                 return
-            with self._error_lock:
-                failed = self._error is not None
             if not failed:
                 self._watch.start()
                 # Caught whatever its type: this thread is the only way
@@ -96,6 +98,7 @@ class ThreadedSink:
                 try:
                     self._file.write(item)
                 except BaseException as exc:  # reprolint: disable=RPL402
+                    failed = True
                     with self._error_lock:
                         self._error = exc
                 self._watch.stop()

@@ -120,9 +120,9 @@ def collect_chunks(chunks: Iterable[np.ndarray]) -> np.ndarray:
     The engine's *explicit* in-memory terminal: APIs whose contract is a
     whole edge array (``ScopeBasedGenerator.generate``) route through
     this helper so every full materialization is visible and greppable.
-    Inline collection of a key stream in the producer layers
-    (``np.concatenate(list(...))`` and friends) is flagged by reprolint
-    RPL520 — stream to a writer instead whenever possible.
+    Stream to a writer instead whenever possible: an inline
+    ``np.concatenate(list(...))`` of a key stream holds the whole edge
+    set in memory.
     """
     parts = [np.asarray(chunk, dtype=np.int64) for chunk in chunks]
     if not parts:
@@ -138,6 +138,7 @@ def external_sort_unique(paths: Iterable[Path],
     Compatibility wrapper over :func:`iter_unique_keys` +
     :func:`collect_chunks` — by construction it holds the whole merged
     set in memory, so the bounded-RAM paths (models, dist) must use the
-    streaming API instead (enforced by reprolint RPL520).
+    streaming API instead (the peak-RSS cap in
+    ``benchmarks/bench_extmem.py`` measures that they do).
     """
     return collect_chunks(iter_unique_keys(paths, chunk_items=chunk_items))

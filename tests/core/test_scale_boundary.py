@@ -1,10 +1,11 @@
-"""Regression tests for the scale-33 boundary: every ID-carrying path
-must stay int64 once vertex IDs straddle 2**32.
+"""The guard for ID width: every ID-carrying path must stay int64 once
+vertex IDs straddle 2**32 at scale 33.
 
-These pin the fixes found by the RPL8xx scale-soundness analysis: a
-platform-dependent default dtype (``np.arange`` without ``dtype=``) or
-a narrow accumulator silently truncates IDs above 2**32 on 32-bit
-builds, long before the 2**48 ID ceiling the 6-byte formats impose.
+A platform-dependent default dtype (``np.arange`` without ``dtype=``)
+or a narrow accumulator silently truncates IDs above 2**32 on 32-bit
+builds, long before the 2**48 ID ceiling the 6-byte formats impose;
+these tests run the real generators and the ADJ6 encoder across that
+boundary and check the IDs that come out.
 """
 
 from __future__ import annotations

@@ -1,24 +1,21 @@
 """Flagging and passing fixtures for the RPL6xx concurrency family:
-thread-shared-state (RPL610), thread-lifecycle (RPL611), and the
-whole-program spawn-hygiene rule (RPL620), plus the summary
-extension (spawn sites) it is built on."""
+thread-shared-state (RPL610), thread-lifecycle (RPL611), and
+spawn-hygiene (RPL620)."""
 
 from __future__ import annotations
 
 import textwrap
 from pathlib import Path
 
-from repro.devtools import LintConfig, lint_file
-from repro.devtools.engine import ModuleSummary, run_paths
-from repro.devtools.framework import SourceFile, config_with
-from repro.devtools.engine.project import summarize_source
+from repro.devtools import LintConfig, lint_paths
+from repro.devtools.framework import config_with
 
 
 def run(tmp_path: Path, checker, code, config=None, name="snippet"):
     path = tmp_path / f"{name}.py"
     path.write_text(textwrap.dedent(code))
     enabled = checker if isinstance(checker, list) else [checker]
-    return lint_file(path, config or LintConfig(), enabled=enabled)
+    return lint_paths([path], config or LintConfig(), enabled=enabled)[0]
 
 
 def codes(violations):
@@ -233,9 +230,7 @@ def write_module(tmp_path: Path, module: str, code: str) -> Path:
 def lint_project(tmp_path, modules, config=SPAWN_CFG):
     for module, code in modules.items():
         write_module(tmp_path, module, code)
-    run_result = run_paths([tmp_path], config,
-                           enabled=["spawn-hygiene"], cache_dir=None)
-    return run_result.violations
+    return lint_paths([tmp_path], config, enabled=["spawn-hygiene"])[0]
 
 
 def test_rpl620_flags_lambda_worker(tmp_path):
@@ -293,57 +288,3 @@ def test_rpl620_out_of_scope_module_is_quiet(tmp_path):
                 p.join()
         """})
     assert violations == []
-
-
-# ---------------------------------------------------------------------------
-# summary extension: spawn sites
-# ---------------------------------------------------------------------------
-
-
-def summarize(path: Path) -> ModuleSummary:
-    return summarize_source(SourceFile.parse(path))
-
-
-def test_summary_records_spawn_sites(tmp_path):
-    path = write_module(tmp_path, "pkg.dist.sched", """
-        import multiprocessing as mp
-
-        def _worker(task):
-            return task
-
-        def launch(task):
-            p = mp.Process(target=_worker, args=(task,))
-            p.start()
-            p.join()
-    """)
-    summary = summarize(path)
-    (site,) = summary.spawn_sites
-    assert site["function"] == "launch"
-    assert site["callee"] == "mp.Process"
-    assert "_worker" in site["workers"]
-
-
-def test_summary_spawn_sites_survive_json_round_trip(tmp_path):
-    path = write_module(tmp_path, "pkg.dist.sched", """
-        import multiprocessing as mp
-
-        def _worker(task):
-            return task
-
-        def launch(task):
-            p = mp.Process(target=_worker, args=(task,))
-            p.start()
-            p.join()
-    """)
-    summary = summarize(path)
-    doc = summary.to_json()
-    rebuilt = ModuleSummary.from_json(doc)
-    assert rebuilt.spawn_sites == summary.spawn_sites
-
-
-def test_summary_from_json_tolerates_pre_21_documents(tmp_path):
-    path = write_module(tmp_path, "pkg.mod", "X = 1\n")
-    doc = summarize(path).to_json()
-    del doc["spawn_sites"]
-    rebuilt = ModuleSummary.from_json(doc)
-    assert rebuilt.spawn_sites == []

@@ -10,19 +10,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools import LintConfig, lint_file
+from repro.devtools import LintConfig, lint_paths
 from repro.devtools.framework import config_with
 
 V1_CHECKERS = ["rng-determinism", "layering", "numerical-safety",
-               "exception-hygiene", "api-completeness", "block-streaming",
-               "telemetry", "mutable-defaults"]
+               "exception-hygiene", "api-completeness", "telemetry",
+               "mutable-defaults"]
 
 
 def run(tmp_path: Path, checker, code, config=None, name="snippet"):
     path = tmp_path / f"{name}.py"
     path.write_text(textwrap.dedent(code))
     enabled = checker if isinstance(checker, list) else [checker]
-    return lint_file(path, config or LintConfig(), enabled=enabled)
+    return lint_paths([path], config or LintConfig(), enabled=enabled)[0]
 
 
 def codes(violations):

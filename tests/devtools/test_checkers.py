@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools import LintConfig, lint_file
+from repro.devtools import LintConfig, lint_paths
 from repro.devtools.framework import config_with, module_name
 
 
@@ -29,7 +29,7 @@ def write_module(tmp_path: Path, module: str, code: str) -> Path:
 def run(tmp_path, checker, code, module="snippet", config=None):
     path = write_module(tmp_path, module, code)
     assert module_name(path) == module
-    return lint_file(path, config or LintConfig(), enabled=[checker])
+    return lint_paths([path], config or LintConfig(), enabled=[checker])[0]
 
 
 def codes(violations):
@@ -235,7 +235,7 @@ def test_api_completeness_passes(tmp_path, code):
 
 def test_api_completeness_exempts_dunder_main(tmp_path):
     path = write_module(tmp_path, "pkg.__main__", "def main():\n    pass\n")
-    assert lint_file(path, enabled=["api-completeness"]) == []
+    assert lint_paths([path], enabled=["api-completeness"])[0] == []
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +304,7 @@ def test_skip_file_pragma(tmp_path):
     code = ("# reprolint: skip-file\n"
             "import random\n\ndef f(x=[]):\n    return x\n")
     path = write_module(tmp_path, "snippet", code)
-    assert lint_file(path) == []
+    assert lint_paths([path])[0] == []
 
 
 # ---------------------------------------------------------------------------
@@ -352,56 +352,6 @@ def test_pool_timeout_prefixes_configurable(tmp_path):
                 "pool.map(work, tasks)\n", module="mypkg.runner",
                 config=config)
     assert codes(found) == ["RPL403"]
-
-
-# ---------------------------------------------------------------------------
-# block-streaming (RPL505/RPL506)
-# ---------------------------------------------------------------------------
-
-BLOCK_FLAG = [
-    ("for u, vs in gen.iter_adjacency():\n    writer.add(u, vs)\n",
-     ["RPL505"]),
-    ("while pairs:\n    u, vs = pairs.pop()\n    self.writer.add(u, vs)\n",
-     ["RPL505"]),
-    ("result = fmt.write(path, gen.iter_adjacency(lo, hi), nv)\n",
-     ["RPL506"]),
-]
-
-BLOCK_PASS = [
-    "for block in gen.iter_blocks():\n    writer.add_block(block)\n",
-    "result = fmt.write_blocks(path, gen.iter_blocks(lo, hi), nv)\n",
-    "writer.add(u, vs)\n",                       # not in a loop
-    "for item in items:\n    bag.add(item)\n",   # not a writer
-    "fmt.write(path, pairs, nv)\n",              # not an iter_adjacency feed
-]
-
-
-@pytest.mark.parametrize("code,expected", BLOCK_FLAG)
-def test_block_streaming_flags_in_producers(tmp_path, code, expected):
-    found = run(tmp_path, "block-streaming", code,
-                module="repro.dist.snippet")
-    assert codes(found) == expected, found
-
-
-@pytest.mark.parametrize("code,expected", BLOCK_FLAG)
-def test_block_streaming_ignored_outside_producers(tmp_path, code, expected):
-    # The formats package itself keeps per-vertex `add` as the fallback.
-    assert run(tmp_path, "block-streaming", code,
-               module="repro.formats.snippet") == []
-
-
-@pytest.mark.parametrize("code", BLOCK_PASS)
-def test_block_streaming_passes_in_producers(tmp_path, code):
-    assert run(tmp_path, "block-streaming", code,
-               module="repro.system") == []
-
-
-def test_block_streaming_prefixes_configurable(tmp_path):
-    config = config_with(block_streaming_module_prefixes=("mypkg",))
-    found = run(tmp_path, "block-streaming",
-                "for u, vs in g.iter_adjacency():\n    writer.add(u, vs)\n",
-                module="mypkg.producer", config=config)
-    assert codes(found) == ["RPL505"]
 
 
 # ---------------------------------------------------------------------------
@@ -563,164 +513,3 @@ def test_introspection_pragma_suppression(tmp_path):
             "    reg.counter('x').inc()  # reprolint: disable=RPL509\n")
     assert run(tmp_path, "read-only-introspection", code,
                module="repro.telemetry.flight") == []
-
-
-# ---------------------------------------------------------------------------
-# kernel-vectorization (RPL510)
-# ---------------------------------------------------------------------------
-
-KERNEL_FLAG = [
-    "def sample(self, rng, n):\n"
-    "    for r in rows:\n"
-    "        out[r] = 1\n",
-    "def sample(self, rng, n):\n"
-    "    for i, d in enumerate(dests):\n"
-    "        out[i] = d\n",
-    "def _fill(self):\n"
-    "    for r, d in zip(rows, dests):\n"
-    "        emit(r, d)\n",
-    "def _fill(self):\n"
-    "    for d in self.destinations:\n"
-    "        emit(d)\n",
-    "def retry(self):\n"
-    "    for r in refill_rows:\n"
-    "        redraw(r)\n",
-]
-
-KERNEL_PASS = [
-    # Per-block loops are O(block), not O(|E|).
-    "def build(self):\n"
-    "    for code in patterns:\n"
-    "        make_table(code)\n",
-    "def build(self):\n"
-    "    for level in range(self.levels):\n"
-    "        peel(level)\n",
-    "def degrees(self):\n"
-    "    for src in sources:\n"
-    "        count(src)\n",
-    # The paper-faithful engine is a per-edge loop by design.
-    "def _generate_block_reference(self):\n"
-    "    for r in rows:\n"
-    "        step(r)\n",
-    "def _sample_destination_reference(self, rng):\n"
-    "    for d in dests:\n"
-    "        check(d)\n",
-]
-
-
-@pytest.mark.parametrize("code", KERNEL_FLAG)
-def test_kernel_vectorization_flags_per_edge_loops(tmp_path, code):
-    found = run(tmp_path, "kernel-vectorization", code,
-                module="repro.core.generator")
-    assert codes(found) == ["RPL510"], found
-
-
-@pytest.mark.parametrize("code", KERNEL_PASS)
-def test_kernel_vectorization_passes_batch_loops(tmp_path, code):
-    assert run(tmp_path, "kernel-vectorization", code,
-               module="repro.core.generator") == []
-
-
-@pytest.mark.parametrize("code", KERNEL_FLAG)
-def test_kernel_vectorization_ignores_non_kernel_modules(tmp_path, code):
-    for module in ("repro.system", "repro.core.recvec"):
-        assert run(tmp_path, "kernel-vectorization", code,
-                   module=module) == [], module
-
-
-def test_kernel_vectorization_prefixes_configurable(tmp_path):
-    config = config_with(kernel_module_prefixes=("mypkg.kernel",))
-    code = "def f():\n    for r in rows:\n        g(r)\n"
-    found = run(tmp_path, "kernel-vectorization", code,
-                module="mypkg.kernel.sampler", config=config)
-    assert codes(found) == ["RPL510"]
-    assert run(tmp_path, "kernel-vectorization", code,
-               module="repro.core.generator", config=config) == []
-
-
-def test_kernel_vectorization_pragma_suppression(tmp_path):
-    code = ("def f():\n"
-            "    for r in rows:  # reprolint: disable=RPL510\n"
-            "        g(r)\n")
-    assert run(tmp_path, "kernel-vectorization", code,
-               module="repro.core.generator") == []
-
-
-# ---------------------------------------------------------------------------
-# merge-streaming (RPL520)
-# ---------------------------------------------------------------------------
-
-MERGE_FLAG = [
-    "import numpy as np\n"
-    "keys = np.concatenate(list(merge_sorted_runs(paths)))\n",
-    "import numpy as np\n"
-    "keys = np.concatenate(list(iter_unique_keys(paths)))\n",
-    "chunks = list(store.iter_unique())\n",
-    "chunks = sorted(merge_sorted_runs(paths))\n",
-    "pair = tuple(self.iter_unique_key_chunks())\n",
-    "out = external_sort_unique(paths)\n",
-    "from repro.dist import external_sort_unique\n"
-    "out = external_sort_unique(paths, chunk_items=4)\n",
-    "import numpy as np\n"
-    "arr = np.hstack(tuple(store.iter_unique()))\n",
-    "import numpy as np\n"
-    "arr = np.concatenate([c for c in iter_unique_keys(paths)])\n",
-    "import numpy as np\n"
-    "arr = np.concatenate([*iter_unique_keys(paths)])\n",
-    "import numpy\n"
-    "arr = numpy.vstack(list(merge_sorted_runs(paths)))\n",
-]
-
-MERGE_PASS = [
-    # Streaming consumption is the point of the engine.
-    "for chunk in iter_unique_keys(paths):\n"
-    "    consume(chunk)\n",
-    # The sanctioned explicit terminal.
-    "keys = collect_chunks(iter_unique_keys(paths))\n",
-    # Reductions don't hold the stream whole.
-    "total = sum(int(c.size) for c in store.iter_unique())\n",
-    # Concatenating plain arrays is fine.
-    "import numpy as np\n"
-    "keys = np.concatenate(parts)\n",
-    # list() over something that is not a merge stream.
-    "names = list(paths)\n",
-]
-
-
-@pytest.mark.parametrize("code", MERGE_FLAG)
-def test_merge_streaming_flags_materialization(tmp_path, code):
-    for module in ("repro.models.snippet", "repro.dist.snippet"):
-        found = run(tmp_path, "merge-streaming", code, module=module)
-        assert codes(found) == ["RPL520"], (module, found)
-
-
-@pytest.mark.parametrize("code", MERGE_PASS)
-def test_merge_streaming_passes_streaming_consumers(tmp_path, code):
-    assert run(tmp_path, "merge-streaming", code,
-               module="repro.models.snippet") == []
-
-
-@pytest.mark.parametrize("code", MERGE_FLAG)
-def test_merge_streaming_ignores_engine_and_test_layers(tmp_path, code):
-    # The engine itself (repro.util) and out-of-scope layers may
-    # materialize: external_sort_unique *is* collect_chunks there.
-    for module in ("repro.util.external_sort", "repro.analysis.foo"):
-        assert run(tmp_path, "merge-streaming", code,
-                   module=module) == [], module
-
-
-def test_merge_streaming_prefixes_configurable(tmp_path):
-    config = config_with(merge_stream_module_prefixes=("mypkg.sinks",))
-    code = "out = external_sort_unique(paths)\n"
-    found = run(tmp_path, "merge-streaming", code,
-                module="mypkg.sinks.writer", config=config)
-    assert codes(found) == ["RPL520"]
-    assert run(tmp_path, "merge-streaming", code,
-               module="repro.models.snippet", config=config) == []
-
-
-def test_merge_streaming_pragma_suppression(tmp_path):
-    code = ("keys = list(merge_sorted_runs(paths))"
-            "  # reprolint: disable=RPL520\n")
-    assert run(tmp_path, "merge-streaming", code,
-               module="repro.models.snippet") == []

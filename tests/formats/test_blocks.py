@@ -486,6 +486,57 @@ class TestThreadedSink:
         assert [str(exc) for exc in raised] == \
             ["not bytes-like (injected)"]
 
+    def test_writer_never_writes_after_its_first_failure(self):
+        """Once the producer has collected the writer's error, buffers
+        still queued behind the failed one must not reach the file: a
+        file holding ``A, C, D`` with ``B`` missing is a silently wrong
+        graph."""
+        all_queued = threading.Event()
+        paused = threading.Event()
+        resume = threading.Event()
+        written: list[bytes] = []
+
+        class SecondWriteFails:
+            writes = 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 1:
+                    all_queued.wait(10)
+                if self.writes == 2:
+                    raise OSError("disk full")
+                written.append(bytes(data))
+
+        file = SecondWriteFails()
+        sink = ThreadedSink(file, depth=8)
+
+        class PauseAfterFailure:
+            """Holds the writer thread right after the failed write."""
+
+            def set(self, value):
+                if (threading.current_thread() is sink._thread
+                        and file.writes == 2 and not paused.is_set()):
+                    paused.set()
+                    resume.wait(10)
+
+        sink._depth_gauge = PauseAfterFailure()
+        for buffer in (b"A", b"B", b"C", b"D"):
+            sink.write(buffer)
+        all_queued.set()
+        assert paused.wait(10)
+        raised = []
+        try:
+            sink.write(b"E")
+        except OSError as exc:
+            raised.append(exc)
+        resume.set()
+        try:
+            sink.close()
+        except OSError as exc:
+            raised.append(exc)
+        assert written == [b"A"]
+        assert [str(exc) for exc in raised][:1] == ["disk full"]
+
     def test_write_after_close_rejected(self, tmp_path):
         with open(tmp_path / "f.bin", "wb") as handle:
             sink = ThreadedSink(handle, depth=2)

@@ -4,16 +4,22 @@ and live observation of a real in-progress generation."""
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 from urllib.error import HTTPError
 from urllib.request import urlopen
 
 import pytest
 
+import repro
 from repro.system import TrillionG
 from repro.telemetry import global_registry, span
 from repro.telemetry.flight import start_flight, stop_flight
 from repro.telemetry.server import (TelemetryServer, progress_payload,
                                     start_server)
+
+PACKAGE_DIR = str(Path(repro.__file__).resolve().parent)
 
 
 def _get(url):
@@ -117,6 +123,36 @@ def test_serving_is_read_only():
         _get_json(f"{server.url}/progress")
         _get_json(f"{server.url}/spans")
     assert global_registry().snapshot() == before
+
+
+def test_observers_import_no_generator_code():
+    """The flight recorder, the server and the trace exporter must not
+    pull in generator machinery: read-only code with a path to the hot
+    loop could perturb the run it watches.  The ``repro`` package's own
+    ``__init__`` re-exports the generator for users, so it is stubbed to
+    measure only what the observers import."""
+    probe = (
+        "import sys, types\n"
+        f"pkg = types.ModuleType('repro'); pkg.__path__ = [{PACKAGE_DIR!r}]\n"
+        "sys.modules['repro'] = pkg\n"
+        "import repro.telemetry.flight, repro.telemetry.server\n"
+        "import repro.telemetry.traceview\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('repro.core', 'repro.models'))))\n")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_observed_run_writes_the_same_bytes(tmp_path):
+    """Flight recorder and HTTP server on must not change the graph."""
+    TrillionG(scale=12, edge_factor=8, seed=5).generate_to(
+        tmp_path / "plain.adj6", fmt="adj6")
+    TrillionG(scale=12, edge_factor=8, seed=5, flight=0.01,
+              serve_telemetry=0).generate_to(tmp_path / "seen.adj6",
+                                             fmt="adj6")
+    assert ((tmp_path / "seen.adj6").read_bytes()
+            == (tmp_path / "plain.adj6").read_bytes())
 
 
 def test_live_introspection_mid_generation(tmp_path):
