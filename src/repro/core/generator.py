@@ -173,6 +173,8 @@ class RecursiveVectorGenerator:
     block_size:
         Number of consecutive sources generated per batch; randomness is
         keyed per block, so this also fixes the determinism granularity.
+        A key ``row << scale | dest`` must fit an int64, so
+        ``scale + (block_size - 1).bit_length() <= 63``.
     """
 
     def __init__(self, scale: int, edge_factor: int = 16,
@@ -198,6 +200,11 @@ class RecursiveVectorGenerator:
                 f"unknown engine {engine!r}; expected one of {_ENGINES}")
         if block_size < 1:
             raise ConfigurationError("block_size must be positive")
+        # A block's keys pack ``row << scale | dest`` into a signed int64.
+        if scale + (block_size - 1).bit_length() > 63:
+            raise ConfigurationError(
+                f"scale {scale} leaves {63 - scale} bits of an int64 key "
+                f"for the row ids of block_size {block_size}")
         self.scale = scale
         self.num_vertices = 1 << scale
         self.num_edges = (num_edges if num_edges is not None
@@ -387,9 +394,9 @@ class RecursiveVectorGenerator:
         keys.sort()
         counts = degrees
         if self.dedup:
-            keys, dups = self._dedup_topup(keys, degrees, rng, sources)
+            keys, counts, dups = self._dedup_topup(keys, degrees, rng,
+                                                   sources)
             self.stats.duplicates_discarded += dups
-            counts = np.bincount(keys >> self.scale, minlength=sources.size)
         offsets = np.zeros(sources.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         return AdjacencyBlock(sources, offsets,
@@ -406,49 +413,60 @@ class RecursiveVectorGenerator:
         return keys
 
     def _dedup_topup(self, keys: np.ndarray, degrees: np.ndarray,
-                     rng: np.random.Generator,
-                     sources: np.ndarray) -> tuple[np.ndarray, int]:
+                     rng: np.random.Generator, sources: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, int]:
         """Per-scope duplicate elimination with stochastic top-up.
 
         Implements Algorithm 2's ``while count(edgeSet) <= |S|`` loop for a
         whole block at once: duplicates are dropped (set union), shortfalls
         are refilled by drawing again, until every scope reaches its size.
         ``keys`` are the sorted first-pass keys ``row << scale | dest``.
-        They are sorted once; a round costs its shortfall: its candidates
-        are looked up in the first-pass keys and in ``extra``, the sorted
-        keys earlier rounds added, and only ``extra`` is re-sorted.
+        They are sorted once, and a round costs what it draws: only the
+        rows still short are drawn, their candidates are looked up in the
+        first-pass keys and in ``extra`` (the sorted keys earlier rounds
+        added), and the fresh ones are merged into ``extra``.
         A round that draws only duplicates is just a round; scopes still
         short after ``_MAX_TOPUP_ROUNDS`` (a row whose support is smaller
         than its size, or so skewed that the last distinct draws are a
         coupon-collector problem) are finished by the exact PPSWOR sampler.
-        Returns the sorted distinct keys and the number of duplicates
-        discarded.
+        Returns the sorted distinct keys, their count per row, and the
+        number of duplicates discarded.
         """
         shift = self.scale
-        first = _sorted_unique(keys)
-        duplicates = keys.size - first.size
-        have = np.bincount(first >> shift, minlength=degrees.size)
+        low = np.int64(self.num_vertices - 1)
+        first, repeats = _split_repeats(keys)
+        duplicates = repeats.size
+        have = degrees - np.bincount(repeats >> shift, minlength=degrees.size)
         extra = np.empty(0, dtype=np.int64)
         for _ in range(_MAX_TOPUP_ROUNDS):
-            shortfall = degrees - have
-            if not shortfall.any():
+            short = np.flatnonzero(have != degrees)
+            if not short.size:
                 break
-            candidates = self._draw_keys(sources, shortfall, rng)
-            candidates.sort()
-            candidates = _sorted_unique(candidates)
-            fresh = candidates[_absent(first, candidates)
-                               & _absent(extra, candidates)]
-            duplicates += int(shortfall.sum()) - fresh.size
-            have += np.bincount(fresh >> shift, minlength=degrees.size)
-            extra = np.sort(np.concatenate([extra, fresh]))
-        keys = np.sort(np.concatenate([first, extra])) if extra.size else first
-        # Rounds exhausted: finish the remaining scopes exactly.
-        for row in np.nonzero(degrees > have)[0]:
-            exact = self._sample_scope_exact(int(sources[row]),
-                                             int(degrees[row]), rng)
-            keys = np.sort(np.concatenate([keys[keys >> shift != row],
-                                           row << shift | exact]))
-        return keys, duplicates
+            shortfall = degrees[short] - have[short]
+            drawn = self._draw_keys(sources[short], shortfall, rng)
+            drawn.sort()
+            drawn = _split_repeats(drawn)[0]
+            rows = drawn >> shift
+            # Rows of ``short`` back to rows of the block: ``short``
+            # ascends, so the keys stay sorted.
+            drawn = short[rows] << shift | drawn & low
+            fresh = _absent(first, drawn) & _absent(extra, drawn)
+            extra = _merge_sorted(extra, drawn[fresh])
+            have[short] += np.bincount(rows[fresh], minlength=short.size)
+            duplicates += int(shortfall.sum()) - int(fresh.sum())
+        keys = _merge_sorted(first, extra)
+        # Rounds exhausted: finish the remaining scopes exactly, all of
+        # them in one fold.
+        stalled = np.flatnonzero(have != degrees)
+        if stalled.size:
+            exact = [row << shift | self._sample_scope_exact(
+                int(sources[row]), int(degrees[row]), rng) for row in stalled]
+            have[stalled] = [part.size for part in exact]
+            gone = np.zeros(degrees.size, dtype=bool)
+            gone[stalled] = True
+            keys = _merge_sorted(keys[~gone[keys >> shift]],
+                                 np.concatenate(exact))
+        return keys, have, duplicates
 
     # ------------------------------------------------------------------
     # Saturated scopes (small-scale hubs whose size approaches |V|)
@@ -474,10 +492,16 @@ class RecursiveVectorGenerator:
         for x in range(self.scale):
             p = bit_probs[x]
             pmf = np.concatenate([pmf * (1.0 - p), pmf * p])
-        size = min(size, int(np.count_nonzero(pmf)))
+        # One uniform per destination, as ever; only the support is
+        # scored, since a destination of probability 0 scores -inf.
+        uniforms = rng.random(pmf.size)
+        support = np.flatnonzero(pmf != 0.0)   # 10x faster than on floats
+        size = min(size, support.size)
         with np.errstate(divide="ignore"):
-            scores = np.log(pmf) - np.log(-np.log(rng.random(pmf.size)))
-        top = np.argpartition(scores, pmf.size - size)[pmf.size - size:]
+            scores = (np.log(pmf[support])
+                      - np.log(-np.log(uniforms[support])))
+        cut = support.size - size
+        top = support[np.argpartition(scores, cut)[cut:]]
         return np.sort(top).astype(np.int64)
 
     def _generate_block_with_saturated(self, sources: np.ndarray,
@@ -621,15 +645,28 @@ def _popcount64(values: np.ndarray) -> np.ndarray:
             >> np.uint64(56)).astype(np.int64)
 
 
-def _sorted_unique(sorted_keys: np.ndarray) -> np.ndarray:
-    """Deduplicate an already-sorted int array (avoids np.unique's hashing,
-    which dominates the profile on repeated top-up rounds)."""
-    if sorted_keys.size <= 1:
-        return sorted_keys
-    keep = np.empty(sorted_keys.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=keep[1:])
-    return sorted_keys[keep]
+def _split_repeats(sorted_keys: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys of a sorted array, and one entry per repeat:
+    one adjacent compare, no hashing as in ``np.unique``."""
+    first = np.empty(sorted_keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    repeats = sorted_keys[~first]    # before the large copy: lower peak
+    return sorted_keys[first], repeats
+
+
+def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted union of two sorted, disjoint key arrays.  The stable sort
+    is timsort, which finds the two runs and merges them in linear time
+    (a quicksort of the concatenation would sort all of it again)."""
+    if not b.size:
+        return a
+    if not a.size:
+        return b
+    merged = np.concatenate([a, b])
+    merged.sort(kind="stable")
+    return merged
 
 
 def _absent(sorted_keys: np.ndarray, candidates: np.ndarray) -> np.ndarray:

@@ -53,6 +53,26 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             RecursiveVectorGenerator(8, block_size=0)
 
+    @pytest.mark.parametrize("scale, block_size, fits", [
+        (51, 4096, True), (52, 4096, False),
+        (56, 128, True), (56, 256, False)])
+    def test_key_packing_guard_counts_the_row_bits(self, scale, block_size,
+                                                    fits):
+        """A key ``row << scale | dest`` needs ``log2(block_size)`` bits
+        above the destination inside a signed int64."""
+        def make():
+            return RecursiveVectorGenerator(scale, num_edges=2 ** 22,
+                                            block_size=block_size)
+        if not fits:
+            with pytest.raises(ConfigurationError):
+                make()
+            return
+        g = make()
+        block = g.generate_block(0)
+        np.testing.assert_array_equal(block.degrees, g.block_degrees(0))
+        assert 0 <= block.destinations.min()
+        assert block.destinations.max() < g.num_vertices
+
 
 class TestEdges:
     def test_edge_count_near_target(self):
@@ -379,8 +399,11 @@ class TestDedupTopup:
                 rng = stream(g.seed, _TAG_EDGE, block)
                 first_pass = g._draw_keys(sources, degrees, rng)
                 if g is new:
-                    keys, dups = g._dedup_topup(np.sort(first_pass),
-                                                degrees, rng, sources)
+                    keys, have, dups = g._dedup_topup(np.sort(first_pass),
+                                                      degrees, rng, sources)
+                    np.testing.assert_array_equal(
+                        have, np.bincount(keys >> g.scale,
+                                          minlength=sources.size))
                 else:
                     keys, dups = _sort_everything_topup(
                         g, g._draw_keys, first_pass, degrees, rng, sources)
@@ -395,6 +418,52 @@ class TestDedupTopup:
         assert bool(fallbacks) == (case == "exact-zero")
         if case.startswith("scale12"):
             assert saturated
+
+    def test_a_round_draws_only_the_rows_still_short(self):
+        g = RecursiveVectorGenerator(12, seed=7, block_size=512)
+        calls = []
+        draw = g._draw_keys
+
+        def spy(sources, counts, rng):
+            keys = draw(sources, counts, rng)
+            calls.append((sources, counts, keys))
+            return keys
+
+        g._draw_keys = spy
+        low = g.num_vertices - 1
+        rounds = round_rows = 0
+        for block in range(g.num_vertices // g.block_size):
+            calls.clear()
+            g.generate_block(block)
+            sources = g._block_sources(block)
+            first_sources, degrees, first_keys = calls[0]
+            np.testing.assert_array_equal(first_sources, sources)
+            # The rows' distinct keys so far, kept apart from the kernel.
+            known = np.unique(first_keys)
+            for short_sources, counts, keys in calls[1:]:
+                have = np.bincount(known >> g.scale, minlength=sources.size)
+                short = np.flatnonzero(have < degrees)
+                np.testing.assert_array_equal(short_sources, sources[short])
+                np.testing.assert_array_equal(counts, (degrees - have)[short])
+                known = np.union1d(known,
+                                   short[keys >> g.scale] << g.scale
+                                   | keys & low)
+                rounds += 1
+                round_rows += short_sources.size
+        assert rounds > 50
+        assert round_rows * 10 < rounds * g.block_size
+
+    @pytest.mark.parametrize("a, b", [
+        ([], []), ([], [3, 8]), ([3, 8], []), ([1, 4, 9], [2, 3, 10]),
+        ([7, 8], [1, 2]), ([0], [2 ** 62]),
+        # Long enough runs for the merge to gallop.
+        (list(range(0, 2000, 2)), list(range(1, 600, 6)))])
+    def test_merge_sorted_is_the_sorted_union(self, a, b):
+        from repro.core.generator import _merge_sorted
+        a, b = (np.array(x, dtype=np.int64) for x in (a, b))
+        merged = _merge_sorted(a, b)
+        assert merged.dtype == np.int64
+        np.testing.assert_array_equal(merged, np.sort(np.concatenate([a, b])))
 
 
 class TestFruitlessRound:
@@ -420,13 +489,14 @@ class TestFruitlessRound:
         degrees[3] = 2
         answers = [[5], [9]]      # short by one: a duplicate, then fresh
 
-        def draw(_sources, counts, _rng):
-            assert counts.sum() == 1 and counts[3] == 1
-            return np.array(answers.pop(0), dtype=np.int64) | 3 << g.scale
+        def draw(short_sources, counts, _rng):
+            # Only row 3 is short, so it is row 0 of the call.
+            assert short_sources.tolist() == [3] and counts.tolist() == [1]
+            return np.array(answers.pop(0), dtype=np.int64)
 
         first = np.array([5, 5], dtype=np.int64) | 3 << g.scale
         g._draw_keys = draw
-        keys, duplicates = g._dedup_topup(first, degrees, None, sources)
+        keys, _, duplicates = g._dedup_topup(first, degrees, None, sources)
         assert (keys - (3 << g.scale)).tolist() == [5, 9]
         assert duplicates == 2 and not answers
 
