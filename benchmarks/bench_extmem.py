@@ -14,6 +14,10 @@ multi-pass k-way merge; these benchmarks keep it honest:
   peak-RSS cap, and ``resource.getrusage`` must show the process never
   grew past the cap while ``extsort.spill_bytes`` shows the volume
   really went through disk — once: no pass rewrites it.
+- ``test_wesp_disk_stays_under_rss_cap`` is the same proof end to end
+  for the Fig. 11(b) baseline: a fresh ``trilliong baseline --model
+  RMAT/p-disk --scale 21`` process, default allocator, must peak below
+  a cap that its edge set (8 bytes a key) exceeds twice over.
 - ``test_emit_bench_json`` writes ``BENCH_extmem.json`` at the repo
   root so later PRs have an engine-perf trajectory to compare against.
 """
@@ -21,6 +25,7 @@ multi-pass k-way merge; these benchmarks keep it honest:
 import heapq
 import itertools
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -43,6 +48,11 @@ PROOF_RUNS = 72
 #: Hard peak-RSS cap for the proof run (bytes) — the sort must move
 #: twice this volume through disk without ever holding it.
 RSS_CAP_BYTES = 256 * 1024 * 1024
+
+#: RMAT/p-disk proof run: at this scale ``8 * |E|`` is about 262 MB,
+#: at least twice the cap the whole process must stay under.
+WESP_SCALE = 21
+WESP_RSS_CAP_BYTES = 112 * 1024 * 1024
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -129,16 +139,36 @@ def _rss_proof_code(work_dir):
     )
 
 
-def _run_rss_proof():
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter (default allocator, no
+    inherited settings) and return its stdout."""
     import repro
 
     src = str(Path(repro.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+        capture_output=True, text=True, check=True).stdout
+
+
+def _run_rss_proof():
     with tempfile.TemporaryDirectory(prefix="bench-extmem-rss-") as work:
-        out = subprocess.run(
-            [sys.executable, "-c", _rss_proof_code(work)],
-            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
-            capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
+        return json.loads(_run_fresh(_rss_proof_code(work)))
+
+
+def _run_wesp_disk_proof():
+    """``trilliong baseline --model RMAT/p-disk`` in a fresh process:
+    returns (realized edges, peak RSS bytes)."""
+    with tempfile.TemporaryDirectory(prefix="bench-extmem-wesp-") as work:
+        out = _run_fresh(
+            "import resource\n"
+            "from repro.cli import main\n"
+            "main(['baseline', '--model', 'RMAT/p-disk', '--scale',\n"
+            f"      '{WESP_SCALE}', '--format', 'adj6', '--seed', '7',\n"
+            f"      '--output', {str(Path(work) / 'g.adj6')!r}])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    edges = int(re.search(r"\|E\|=(\d+)", out).group(1))
+    return edges, int(out.split()[-1]) * 1024
 
 
 def test_streaming_beats_naive(table):
@@ -174,6 +204,24 @@ def test_spill_exceeds_rss_cap(table):
         f"peak RSS {proof['rss_bytes'] / 2**20:.0f} MiB breached the "
         f"{RSS_CAP_BYTES / 2**20:.0f} MiB cap: the sort is no longer "
         "memory-bounded")
+
+
+def test_wesp_disk_stays_under_rss_cap(table):
+    """Bounded-memory proof for RMAT/p-disk: the edge set is at least
+    twice the cap, the process never reaches the cap."""
+    edges, rss = _run_wesp_disk_proof()
+    table(f"RMAT/p-disk bounded-RSS proof (scale {WESP_SCALE}, "
+          "fresh process)",
+          ["metric", "value"],
+          [["peak RSS", f"{rss / 2**20:,.0f} MiB"],
+           ["8 x |E|", f"{8 * edges / 2**20:,.0f} MiB"],
+           ["RSS cap", f"{WESP_RSS_CAP_BYTES / 2**20:,.0f} MiB"]])
+    assert 8 * edges >= 2 * WESP_RSS_CAP_BYTES, (
+        "the edge set is not twice the cap; raise WESP_SCALE")
+    assert rss < WESP_RSS_CAP_BYTES, (
+        f"RMAT/p-disk peaked at {rss / 2**20:.0f} MiB, over the "
+        f"{WESP_RSS_CAP_BYTES / 2**20:.0f} MiB cap: it holds the edge "
+        "set instead of streaming it")
 
 
 def test_streaming_identical_to_in_memory_small_scale():

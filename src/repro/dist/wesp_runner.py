@@ -5,9 +5,9 @@ process; this module runs it the way the paper's cluster did — parallel
 generators, a shuffle, and parallel mergers — with worker processes and
 the shuffle materialized as partition files (the MapReduce pattern):
 
-1. **map**: each generator process draws its ``|E|/P (1+eps)`` edges over
-   the whole matrix, deduplicates locally, hash-partitions the keys, and
-   writes one sorted run file per destination worker;
+1. **map**: each generator process runs its worker's WES map task
+   (:func:`repro.models.rmat.map_task`) and hash-partitions each sorted
+   duplicate-free batch into one already-sorted run per reducer;
 2. **shuffle**: the run files *are* the shuffle (local disk stands in for
    the wire);
 3. **reduce**: each merger process external-sorts its incoming runs in
@@ -31,19 +31,17 @@ from typing import Iterable
 
 import numpy as np
 
-from ..core.rng import stream
 from ..core.seed import SeedMatrix
 from ..telemetry import span
 from ..formats import blocks_from_sorted_keys, get_format
-from ..models.rmat import PathSampler
-from ..util.external_sort import iter_unique_keys, unique_sorted, write_run
-from ..util.shuffle import hash_partition
+from ..models.rmat import PathSampler, map_task
+from ..models.wesp import worker_task
+from ..util.external_sort import iter_unique_keys, write_run
+from ..util.shuffle import hash_partition, partition_skew
 from ..util.spill import fsync_dir
 from .faults import FaultPlan, RetryPolicy, pick_start_method, run_tasks
 
 __all__ = ["WespDistributedResult", "run_wesp_distributed"]
-
-_TAG_WORKER = 7   # must match repro.models.wesp for identical output
 
 
 @dataclass
@@ -58,26 +56,22 @@ class WespDistributedResult:
 
     @property
     def skew(self) -> float:
-        sizes = np.array(self.partition_sizes, dtype=float)
-        if sizes.size == 0 or sizes.mean() == 0:
-            return 1.0
-        return float(sizes.max() / sizes.mean())
+        return partition_skew(self.partition_sizes)
 
 
-def _map_task(args: tuple) -> list[str]:
-    """Generator process: produce this worker's runs, one per reducer."""
+def _map_task(args: tuple) -> list[list[str]]:
+    """Generator process: this worker's runs, per reducer one per batch."""
     (worker, scale, num_edges, seed_entries, seed, num_workers, epsilon,
      shuffle_dir) = args
     sampler = PathSampler(SeedMatrix(np.array(seed_entries)), scale)
-    per_worker = int(np.ceil(num_edges / num_workers * (1 + epsilon)))
-    keys = unique_sorted(np.sort(sampler.keys(
-        per_worker, stream(seed, _TAG_WORKER, worker))))
-    paths = []
-    for reducer, part in enumerate(hash_partition(keys, num_workers)):
-        path = Path(shuffle_dir) / f"map{worker:03d}-red{reducer:03d}.run"
-        write_run(np.sort(part), path)
-        paths.append(str(path))
-    return paths
+    task = worker_task(seed, worker, num_edges, num_workers, epsilon)
+    runs: list[list[str]] = [[] for _ in range(num_workers)]
+    for batch_no, keys in enumerate(map_task(sampler, *task)):
+        for reducer, part in enumerate(hash_partition(keys, num_workers)):
+            path = Path(shuffle_dir) / (
+                f"map{worker:03d}-b{batch_no:05d}-red{reducer:03d}.run")
+            runs[reducer].append(str(write_run(part, path)))
+    return runs
 
 
 def _write_npy_stream(chunks: Iterable[np.ndarray], path: Path,
@@ -197,7 +191,7 @@ def run_wesp_distributed(scale: int, edge_factor: int = 16,
     # Group runs by reducer.
     reduce_args = []
     for reducer in range(num_workers):
-        runs = [paths[reducer] for paths in map_outputs]
+        runs = [path for paths in map_outputs for path in paths[reducer]]
         # Not ending in a string: to the scheduler's fault hooks a task
         # tuple's trailing string names its output file.
         reduce_args.append((reducer, runs, str(work_dir), fmt_name, scale))

@@ -10,6 +10,7 @@ memory budget used to reproduce the paper's O.O.M outcomes deterministically.
 
 from __future__ import annotations
 
+import tempfile
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -22,6 +23,7 @@ from ..core.rng import stream
 from ..core.seed import GRAPH500, SeedMatrix
 from ..errors import ConfigurationError, GenerationError, OutOfMemoryError
 from ..util.external_sort import collect_chunks, unique_sorted
+from ..util.spill import SpillStore
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -31,7 +33,7 @@ if TYPE_CHECKING:
 
 __all__ = ["Complexity", "GenerationReport", "ScopeBasedGenerator",
            "StreamingDedupMixin", "dedup_edges",
-           "BYTES_PER_EDGE_IN_MEMORY"]
+           "BYTES_PER_EDGE_IN_MEMORY", "BATCH_EDGES"]
 
 #: Top-up rounds after which an in-memory WES model gives up on |E|.
 _MAX_ROUNDS = 200
@@ -39,6 +41,11 @@ _MAX_ROUNDS = 200
 #: Working-set bytes per edge for in-memory duplicate elimination: an 8-byte
 #: packed key plus hash-set overhead (the constant used for O.O.M checks).
 BYTES_PER_EDGE_IN_MEMORY = 16
+
+#: Keys per WES map batch when the caller names none: the draw batch,
+#: the spill run and the external-sort bucket.  It bounds memory and
+#: changes no key (:meth:`repro.models.rmat.PathSampler.batches`).
+BATCH_EDGES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -69,20 +76,6 @@ class GenerationReport:
     @property
     def elapsed_seconds(self) -> float:
         return sum(self.phase_seconds.values())
-
-    @property
-    def edges_per_second(self) -> float:
-        """Realized edge throughput over all phases (0 when untimed)."""
-        if self.elapsed_seconds <= 0.0:
-            return 0.0
-        return self.realized_edges / self.elapsed_seconds
-
-    @property
-    def bytes_per_second(self) -> float:
-        """Output byte throughput over all phases (0 when untimed)."""
-        if self.elapsed_seconds <= 0.0:
-            return 0.0
-        return self.bytes_written / self.elapsed_seconds
 
     def time_phase(self, name: str):
         """Context manager recording a named phase's wall time."""
@@ -215,6 +208,25 @@ class ScopeBasedGenerator(ABC):
         report.peak_memory_bytes = keys.size * BYTES_PER_EDGE_IN_MEMORY
         return keys
 
+    def _map_batches(self, tasks: list[tuple[np.random.Generator, int]],
+                     batch_edges: int = BATCH_EDGES
+                     ) -> Iterator[np.ndarray]:
+        """Algorithm 3's map step for the WES models: every ``(stream,
+        count)`` task's batches (:func:`repro.models.rmat.map_task`),
+        drawn under the ``generate`` phase, each passed to :meth:`_route`."""
+        from .rmat import PathSampler, map_task  # rmat imports this module
+        report = self.report
+        with report.time_phase("generate"):
+            sampler = PathSampler(self.seed_matrix, self.scale)
+        for rng, count in tasks:
+            for batch in report.time_each("generate", map_task(
+                    sampler, rng, count, batch_edges)):
+                self._route(batch)
+                yield batch
+
+    def _route(self, batch: np.ndarray) -> None:
+        """Account one map batch (RMAT/p counts its hash partitions)."""
+
     # ------------------------------------------------------------------
 
     def pack_edges(self, edges: np.ndarray) -> np.ndarray:
@@ -228,27 +240,56 @@ class ScopeBasedGenerator(ABC):
 
 
 class StreamingDedupMixin(ScopeBasedGenerator):
-    """Streaming surface of the disk-based (external-sort) generators.
+    """The disk-based WES models, in ``O(batch_edges)`` keys of memory.
 
-    Subclasses implement :meth:`iter_unique_key_chunks` — the bounded-RAM
-    generate -> spill -> merge pipeline yielding ascending duplicate-free
-    packed-key chunks — and inherit the three consumer shapes:
-
-    - :meth:`iter_blocks` regroups the stream into
-      :class:`~repro.core.generator.AdjacencyBlock`s (sources never split
-      across blocks, so the output is byte-identical to a whole-array
-      pass);
-    - :meth:`write_to` feeds those blocks straight into a format's
-      block-streaming writer — generation to disk without ever holding
-      the edge set;
-    - :meth:`generate` keeps the historical whole-array contract by
-      routing the stream through the engine's explicit terminal
-      (:func:`repro.util.external_sort.collect_chunks`).
+    Subclasses supply their ``(stream, count)`` map tasks
+    (:func:`repro.models.rmat.map_task`).  :meth:`iter_unique_key_chunks`
+    spills each map batch as a sorted run as it is drawn, then streams
+    the one-pass sort over all runs
+    (:func:`repro.util.external_sort.iter_unique_keys`).
+    :meth:`iter_blocks` regroups that stream into blocks without ever
+    splitting a source (so bytes equal a whole-array pass),
+    :meth:`write_to` feeds them to a format's block writer, and
+    :meth:`generate` keeps the whole-array contract through the engine's
+    explicit terminal (:func:`repro.util.external_sort.collect_chunks`).
     """
 
+    #: Phase that bills the external-sort pass.
+    sort_phase = "external_sort"
+
+    def __init__(self, *args, batch_edges: int = BATCH_EDGES,
+                 spill_dir: str | None = None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        if batch_edges < 1:
+            raise ConfigurationError("batch_edges must be >= 1")
+        self.batch_edges = batch_edges
+        self.spill_dir = spill_dir
+
     @abstractmethod
+    def _map_tasks(self) -> list[tuple[np.random.Generator, int]]:
+        """The ``(stream, count)`` map tasks whose keys make the graph."""
+
+    def estimated_peak_bytes(self) -> int:
+        return self.batch_edges * BYTES_PER_EDGE_IN_MEMORY
+
     def iter_unique_key_chunks(self) -> Iterator[np.ndarray]:
         """Yield the deduplicated edge keys as ascending int64 chunks."""
+        self.check_memory_budget()
+        report = self.report
+        tasks = self._map_tasks()
+        emitted = 0
+        with tempfile.TemporaryDirectory(dir=self.spill_dir) as tmp:
+            store = SpillStore(tmp)
+            for batch in self._map_batches(tasks, self.batch_edges):
+                with report.time_phase("generate"):
+                    store.add_run(batch)
+            for chunk in report.time_each(self.sort_phase, store.iter_unique(
+                    chunk_items=self.batch_edges)):
+                emitted += int(chunk.size)
+                yield chunk
+        report.duplicates_discarded = sum(n for _, n in tasks) - emitted
+        report.realized_edges = emitted
+        report.peak_memory_bytes = self.estimated_peak_bytes()
 
     def iter_blocks(self) -> Iterator[AdjacencyBlock]:
         from ..formats import blocks_from_sorted_keys

@@ -19,7 +19,6 @@ Two variants are provided, matching Figure 11(a)'s bars:
 from __future__ import annotations
 
 import math
-import tempfile
 from typing import Iterator
 
 import numpy as np
@@ -28,11 +27,10 @@ from ..core.seed import SeedMatrix
 from ..core.tables import _alias_table
 from ..errors import ConfigurationError
 from ..util.external_sort import unique_sorted
-from ..util.spill import SpillStore
-from .base import (BYTES_PER_EDGE_IN_MEMORY, Complexity, ScopeBasedGenerator,
+from .base import (BATCH_EDGES, Complexity, ScopeBasedGenerator,
                    StreamingDedupMixin)
 
-__all__ = ["PathSampler", "rmat_edge_batch", "RmatMemGenerator",
+__all__ = ["PathSampler", "map_task", "rmat_edge_batch", "RmatMemGenerator",
            "RmatDiskGenerator"]
 
 _TAG_EDGES = 1
@@ -61,7 +59,8 @@ class PathSampler:
 
     Determinism key: :meth:`keys` consumes exactly one
     ``rng.random(count)`` per chunk, chunks in order from the most
-    significant levels down; edge ``i`` takes element ``i`` of each.
+    significant levels down; edge ``i`` takes element ``i`` of each
+    (:meth:`batches` draws the same keys a slice at a time).
     The uniform's high bits pick the slot (``r * slots`` is exact, the
     slot count being a power of two) and the remaining fraction decides
     between the slot's own path and its alias.
@@ -94,18 +93,47 @@ class PathSampler:
                 [contrib[alias], contrib]).ravel()))
 
     def keys(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``count`` packed keys (repeats possible)."""
-        key = np.zeros(count, dtype=np.int64)
-        for slots, threshold, contrib in self._tables:
-            r = rng.random(count)
-            r *= slots
-            slot = r.astype(np.int64)
-            r -= slot
-            own = r < threshold[slot]
-            slot <<= 1
-            slot += own
-            key += contrib[slot]
-        return key
+        """Draw ``count`` packed keys (repeats possible): the one-batch
+        case of :meth:`batches`."""
+        return next(self.batches(count, rng, max(count, 1)),
+                    np.zeros(0, dtype=np.int64))
+
+    def batches(self, count: int, rng: np.random.Generator, batch: int
+                ) -> Iterator[np.ndarray]:
+        """The keys of one ``keys(count, rng)`` call, ``batch`` at a time.
+
+        The slice rule: there chunk ``c`` of key ``i`` is stream position
+        ``c * count + i`` (a double is one PCG64 step), so keys ``[a, b)``
+        rewind the stream and advance it to ``c * count + a`` before each
+        chunk's draw; the last draw ends where the one call's does.
+        """
+        start = rng.bit_generator.state if count > batch else None
+        for first in range(0, count, batch):
+            size = min(batch, count - first)
+            key = np.zeros(size, dtype=np.int64)
+            for chunk, (slots, threshold, contrib) in enumerate(self._tables):
+                if start is not None:
+                    rng.bit_generator.state = start
+                    rng.bit_generator.advance(chunk * count + first)
+                r = rng.random(size)
+                r *= slots
+                slot = r.astype(np.int64)
+                r -= slot
+                own = r < threshold[slot]
+                slot <<= 1
+                slot += own
+                key += contrib[slot]
+            yield key
+
+
+def map_task(sampler: PathSampler, rng: np.random.Generator, count: int,
+             batch_edges: int = BATCH_EDGES) -> Iterator[np.ndarray]:
+    """The WES map step: the ``count`` keys of one ``sampler.keys(count,
+    rng)`` call, ``batch_edges`` at a time, each batch sorted and without
+    repeats.  The batch size bounds memory and changes no key."""
+    for keys in sampler.batches(count, rng, batch_edges):
+        keys.sort()
+        yield unique_sorted(keys)
 
 
 def rmat_edge_batch(seed_matrix: SeedMatrix, levels: int, count: int,
@@ -137,51 +165,22 @@ class RmatMemGenerator(ScopeBasedGenerator):
 class RmatDiskGenerator(StreamingDedupMixin):
     """RMAT with external-sort duplicate elimination (WES, disk-based).
 
-    Generates ``|E| * (1 + epsilon)`` candidate edges in batches of
-    ``batch_edges``, spills each batch as a sorted duplicate-free run
-    (atomically, see :mod:`repro.util.spill`), and streams the one-pass
-    partitioned sort (:func:`repro.util.external_sort.iter_unique_keys`)
-    in buckets of about ``batch_edges`` keys.  Peak memory is
-    ``O(batch_edges)`` keys end to end — never the edge set — so
-    :meth:`write_to` can produce graphs larger than RAM.
+    One map task draws ``|E| * (1 + epsilon)`` candidate edges; its
+    batches spill as sorted duplicate-free runs and one partitioned pass
+    streams their union (:class:`~repro.models.base.StreamingDedupMixin`).
+    The graph is what survives of the candidates, whatever
+    ``batch_edges`` is.
     """
 
     name = "RMAT-disk"
     complexity = Complexity("O(|E| log|V|) + sort(|E|)", "O(batch)", "WES")
 
-    def __init__(self, *args, batch_edges: int = 1 << 18,
-                 epsilon: float = 0.01, spill_dir: str | None = None,
-                 **kwargs) -> None:
+    def __init__(self, *args, epsilon: float = 0.01, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if batch_edges < 1:
-            raise ConfigurationError("batch_edges must be >= 1")
         if epsilon < 0:
             raise ConfigurationError("epsilon must be >= 0")
-        self.batch_edges = batch_edges
         self.epsilon = epsilon
-        self.spill_dir = spill_dir
 
-    def estimated_peak_bytes(self) -> int:
-        return self.batch_edges * BYTES_PER_EDGE_IN_MEMORY
-
-    def iter_unique_key_chunks(self) -> Iterator[np.ndarray]:
-        self.check_memory_budget()
-        rng = self.rng(_TAG_EDGES)
-        report = self.report
-        target = int(self.num_edges * (1 + self.epsilon))
-        with tempfile.TemporaryDirectory(dir=self.spill_dir) as tmp:
-            store = SpillStore(tmp)
-            with report.time_phase("generate"):
-                sampler = PathSampler(self.seed_matrix, self.scale)
-                for drawn in range(0, target, self.batch_edges):
-                    count = min(self.batch_edges, target - drawn)
-                    store.add_run(unique_sorted(
-                        np.sort(sampler.keys(count, rng))))
-            emitted = 0
-            for chunk in report.time_each("external_sort", store.iter_unique(
-                    chunk_items=self.batch_edges)):
-                emitted += int(chunk.size)
-                yield chunk
-        report.duplicates_discarded = target - emitted
-        report.realized_edges = emitted
-        report.peak_memory_bytes = self.estimated_peak_bytes()
+    def _map_tasks(self) -> list[tuple[np.random.Generator, int]]:
+        return [(self.rng(_TAG_EDGES),
+                 int(self.num_edges * (1 + self.epsilon)))]

@@ -58,10 +58,17 @@ def _run_items(path: Path) -> int:
 
 def _read_slice(path: Path, start: int, stop: int) -> np.ndarray:
     """Keys ``[start, stop)`` of one run: a plain positioned read, the
-    file open only for its duration."""
+    file open only for its duration.  ``np.fromfile`` returns whatever
+    is there, so a run that shrank since its cuts were taken raises
+    instead of silently losing keys."""
     with open(path, "rb") as handle:
         handle.seek(start * 8)
-        return np.fromfile(handle, dtype=np.int64, count=stop - start)
+        keys = np.fromfile(handle, dtype=np.int64, count=stop - start)
+    if keys.size != stop - start:
+        raise DataError(
+            f"spill run {path.name} shrank during the pass: keys "
+            f"[{start}, {stop}) asked, {keys.size} read; regenerate")
+    return keys
 
 
 def iter_unique_keys(paths: Iterable[Path], *,

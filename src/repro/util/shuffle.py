@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["mix64", "hash_partition", "partition_slices",
-           "partition_sizes"]
+           "partition_sizes", "partition_skew"]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -75,3 +75,10 @@ def partition_sizes(keys: np.ndarray, num_workers: int) -> np.ndarray:
     worker = (mix64(np.asarray(keys)) % np.uint64(num_workers))
     return np.bincount(worker.astype(np.int64),
                        minlength=num_workers).astype(np.int64)
+
+
+def partition_skew(sizes) -> float:
+    """Largest over mean partition size: the skew the paper blames for
+    WES/p's scaling wall (1.0 when every partition is empty)."""
+    sizes = np.asarray(sizes, dtype=np.float64)
+    return float(sizes.max() / sizes.mean()) if sizes.any() else 1.0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import DataError
 from repro.util.external_sort import (external_sort_unique,
                                       iter_unique_keys, write_run)
 
@@ -145,6 +146,19 @@ class TestReaderHandleLifecycle:
         assert open_descriptors() == before
         stream.close()         # generator finalization mid-pass
         assert open_descriptors() == before
+
+
+def test_run_truncated_mid_pass_raises_naming_it(tmp_path):
+    """A run cut short after the splitters were taken used to lose its
+    tail silently: the pass emitted 3 000 of 4 000 keys."""
+    paths = make_runs(tmp_path, [np.arange(0, 4000, 2),
+                                 np.arange(1, 4000, 2)])
+    stream = iter_unique_keys(paths, chunk_items=256)
+    next(stream)
+    with open(paths[1], "r+b") as handle:
+        handle.truncate(1000 * 8)
+    with pytest.raises(DataError, match=paths[1].name):
+        list(stream)
 
 
 @settings(max_examples=30, deadline=None,

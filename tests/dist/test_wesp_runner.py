@@ -8,7 +8,8 @@ import pytest
 
 from repro.dist import faults, wesp_runner
 from repro.dist.wesp_runner import run_wesp_distributed
-from repro.models import WespMemGenerator
+from repro.formats import get_format
+from repro.models import WespDiskGenerator, WespMemGenerator
 
 
 def load_all(result):
@@ -62,6 +63,23 @@ class TestWespDistributed:
         r2 = run_wesp_distributed(9, 8, seed=9, num_workers=2,
                                   work_dir=tmp_path / "b", processes=2)
         np.testing.assert_array_equal(load_all(r1), load_all(r2))
+
+
+def test_mem_disk_and_runner_are_one_map(tmp_path):
+    """Each worker's 264 766 keys span two default batches: RMAT/p-mem,
+    RMAT/p-disk at a small batch and the runner's ADJ6 parts draw the
+    same keys through one map step, so they hold one graph."""
+    mem = WespMemGenerator(16, 16, seed=7, num_workers=4).generate()
+    disk = WespDiskGenerator(16, 16, seed=7, num_workers=4,
+                             batch_edges=50_000).generate()
+    np.testing.assert_array_equal(disk, mem)
+    result = run_wesp_distributed(16, 16, seed=7, num_workers=4,
+                                  work_dir=tmp_path, processes=2,
+                                  fmt_name="adj6")
+    parts = np.concatenate([get_format("adj6").read_edges(p)
+                            for p in result.part_paths])
+    np.testing.assert_array_equal(
+        parts[np.lexsort((parts[:, 1], parts[:, 0]))], mem)
 
 
 def test_reducer_killed_mid_merge_and_retried_writes_identical_part(

@@ -108,6 +108,16 @@ class TestRmat:
         assert phases["write"] > 0
         assert 0 <= wall - g.report.elapsed_seconds < 0.01
 
+    def test_disk_graph_does_not_depend_on_batch_edges(self):
+        """``batch_edges`` bounds memory and nothing else: every batch
+        size gives the one-batch graph."""
+        one_batch = RmatDiskGenerator(12, 16, seed=5).generate()
+        for batch_edges in (1000, 4096, 50_000):
+            np.testing.assert_array_equal(
+                RmatDiskGenerator(12, 16, seed=5,
+                                  batch_edges=batch_edges).generate(),
+                one_batch)
+
     def test_disk_peak_memory_bounded_by_batch(self):
         g = RmatDiskGenerator(10, 8, seed=3, batch_edges=512)
         g.generate()

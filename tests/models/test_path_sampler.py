@@ -182,3 +182,16 @@ def test_edge_batches_are_views_of_the_keys():
         edges = batch(GRAPH500, 11, 500, np.random.default_rng(9))
         np.testing.assert_array_equal(edges[:, 0] * 2048 + edges[:, 1],
                                       keys)
+
+
+@pytest.mark.parametrize("batch", [1, 7, 500])
+def test_batches_are_slices_of_one_keys_call(batch):
+    """The slice rule: batches of any size concatenate to the one call's
+    keys and leave the stream where that call leaves it."""
+    sampler = PathSampler(GRAPH500, 19)
+    whole_rng, sliced_rng = np.random.default_rng(10), \
+        np.random.default_rng(10)
+    whole = sampler.keys(500, whole_rng)
+    sliced = np.concatenate(list(sampler.batches(500, sliced_rng, batch)))
+    np.testing.assert_array_equal(sliced, whole)
+    assert sliced_rng.bit_generator.state == whole_rng.bit_generator.state
