@@ -80,25 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--progress", action="store_true",
                      help="live progress line on stderr "
                           "(edges/s, ETA, pipeline queue depth)")
-    gen.add_argument("--flight", nargs="?", const=True, default=None,
-                     type=float, metavar="INTERVAL",
-                     help="run the flight recorder: sample metrics + "
-                          "process vitals into a bounded ring buffer "
-                          "(optional sampling interval in seconds; "
-                          "distributed workers record themselves too). "
-                          "The time series lands under 'flight' in "
-                          "--metrics-out and --trace-out")
-    gen.add_argument("--serve-telemetry", type=int, default=None,
-                     metavar="PORT",
-                     help="serve live read-only introspection over HTTP "
-                          "on 127.0.0.1:PORT for the duration of the "
-                          "run (/metrics /healthz /progress /spans "
-                          "/flight; 0 picks a free port)")
     gen.add_argument("--trace-out", default=None, metavar="PATH",
                      help="write the run's span trees (per-worker "
-                          "tracks) + flight counters as Chrome Trace "
-                          "Event JSON, loadable in Perfetto or "
-                          "chrome://tracing")
+                          "tracks) as Chrome Trace Event JSON, loadable "
+                          "in Perfetto or chrome://tracing")
 
     rich = sub.add_parser("rich",
                           help="generate a rich (gMark-style) graph")
@@ -257,9 +242,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     tg = TrillionG(args.scale, args.edge_factor,
                    _parse_matrix(args.matrix), noise=args.noise,
                    engine=args.engine, seed=args.seed,
-                   cluster=cluster, retry=retry,
-                   flight=args.flight,
-                   serve_telemetry=args.serve_telemetry)
+                   cluster=cluster, retry=retry)
     reporter = None
     if args.progress:
         from .telemetry import ProgressReporter
@@ -270,14 +253,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                             progress=reporter)
     if reporter is not None:
         reporter.finish()
-    if args.metrics_out is not None:
-        from .telemetry import write_json_report
-        write_json_report(args.metrics_out, result.telemetry)
-    if args.trace_out is not None:
-        if result.telemetry is None:
-            print("--trace-out skipped: telemetry is disabled "
-                  "(TRILLIONG_TELEMETRY=0)", file=sys.stderr)
-        else:
+    if result.telemetry is None:
+        for flag, out in (("--metrics-out", args.metrics_out),
+                          ("--trace-out", args.trace_out)):
+            if out is not None:
+                print(f"{flag} skipped: telemetry is disabled "
+                      "(TRILLIONG_TELEMETRY=0)", file=sys.stderr)
+    else:
+        if args.metrics_out is not None:
+            from .telemetry import write_json_report
+            write_json_report(args.metrics_out, result.telemetry)
+        if args.trace_out is not None:
             from .telemetry.traceview import write_trace as _write_chrome
             _write_chrome(args.trace_out, result.telemetry,
                           label=f"trilliong scale={args.scale}")

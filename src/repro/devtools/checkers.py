@@ -14,8 +14,6 @@ exception-hygiene   RPL401+  no bare/broad ``except`` outside the allowlist
 api-completeness    RPL501+  every module declares a consistent ``__all__``
 telemetry           RPL507+  pipeline timing goes through ``span``/``Stopwatch``;
                              only the CLI and devtools print
-read-only-          RPL509   flight/server/traceview stay read-only: no RNG,
-introspection                no registry writes, no generator imports
 mutable-defaults    RPL601   no mutable default arguments
 ==================  =======  ==================================================
 """
@@ -33,7 +31,6 @@ __all__ = [
     "ExceptionHygieneChecker",
     "ApiCompletenessChecker",
     "TelemetryChecker",
-    "IntrospectionChecker",
     "MutableDefaultsChecker",
 ]
 
@@ -551,94 +548,6 @@ class TelemetryChecker(Checker):
                       "bare print() in a library module; use "
                       "repro.telemetry.get_logger(...) so output "
                       "respects TRILLIONG_LOG_LEVEL")
-        self.generic_visit(node)
-
-
-@register_checker
-class IntrospectionChecker(Checker):
-    """Live introspection stays read-only (RPL509).
-
-    Modules under ``introspection_module_prefixes`` (the flight
-    recorder, the telemetry HTTP server, the trace exporter) observe a
-    *running* generation.  The whole design contract is that turning
-    them on cannot change the output bytes, so inside them:
-
-    - no RNG stream construction or draws (``stream()`` /
-      ``default_rng()`` / ``.random()`` & co) — an introspection-path
-      draw would shift every subsequent generator draw;
-    - no metrics-registry mutation — neither instrument updates
-      (``.inc()`` / ``.observe()`` / ``.merge()`` / ``.reset()``) nor
-      the accessor methods ``counter()``/``gauge()``/``histogram()``,
-      which *create* instruments as a side effect (read via
-      ``registry.snapshot()`` instead);
-    - no imports of generator machinery
-      (``introspection_forbidden_imports``: ``repro.core`` /
-      ``repro.models``).
-
-    ``.set(...)`` is deliberately *not* in the mutator set: it is far
-    more often ``threading.Event.set()`` (lifecycle, fine) than
-    ``Gauge.set()``, and gauge writes from introspection code are
-    already unreachable without first calling the flagged ``gauge()``
-    accessor.
-    """
-
-    name = "read-only-introspection"
-    codes = {"RPL509": "non-read-only action in an introspection module"}
-
-    _MUTATORS = frozenset({"inc", "observe", "observe_bulk", "merge",
-                           "reset", "counter", "gauge", "histogram"})
-
-    def _active(self) -> bool:
-        return _module_under(self.source.module,
-                             self.config.introspection_module_prefixes)
-
-    def _check_import(self, node: ast.AST, target: str) -> None:
-        for banned in self.config.introspection_forbidden_imports:
-            if target == banned or target.startswith(banned + "."):
-                self.flag(node, "RPL509",
-                          f"introspection module imports {target}; "
-                          "read-only observers must not reach into "
-                          "generator machinery")
-                return
-
-    def visit_Import(self, node: ast.Import) -> None:
-        if self._active():
-            for alias in node.names:
-                self._check_import(node, alias.name)
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if self._active():
-            target = (_resolve_relative(self.source.module, node)
-                      if node.level else node.module)
-            if target:
-                self._check_import(node, target)
-                for alias in node.names:
-                    self._check_import(node, f"{target}.{alias.name}")
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if not self._active():
-            self.generic_visit(node)
-            return
-        if (isinstance(node.func, ast.Name)
-                and node.func.id in self.config.rng_stream_constructors):
-            self.flag(node, "RPL509",
-                      f"{node.func.id}() constructs an RNG stream in an "
-                      "introspection module; read-only observers must "
-                      "not draw entropy")
-        elif isinstance(node.func, ast.Attribute):
-            attr = node.func.attr
-            if attr in self.config.rng_draw_methods:
-                self.flag(node, "RPL509",
-                          f".{attr}() draws from an RNG stream in an "
-                          "introspection module; a single draw here "
-                          "shifts every subsequent generator draw")
-            elif attr in self._MUTATORS:
-                self.flag(node, "RPL509",
-                          f".{attr}() mutates the metrics registry in an "
-                          "introspection module; read the state via "
-                          "registry.snapshot() instead")
         self.generic_visit(node)
 
 

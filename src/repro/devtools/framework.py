@@ -226,7 +226,7 @@ class LintConfig:
     atomic_write_module_prefixes: tuple[str, ...] = (
         "repro.dist", "repro.util")
     #: Call names whose result is a deterministic RNG stream, for the
-    #: flow-sensitive rng-stream-flow analysis and RPL509.
+    #: flow-sensitive rng-stream-flow analysis.
     rng_stream_constructors: frozenset[str] = frozenset(
         {"stream", "default_rng"})
     #: Generator methods that *draw* from a stream (advance its state).
@@ -244,19 +244,6 @@ class LintConfig:
     #: worker callables crossing a spawn boundary must be picklable
     #: top-level functions.
     spawn_module_prefixes: tuple[str, ...] = ("repro.dist",)
-    #: Module prefixes holding *read-only live introspection* (RPL509):
-    #: the flight recorder, the telemetry HTTP server, and the trace
-    #: exporter observe a running generation, so any write they perform
-    #: — an RNG draw, a registry mutation, importing generator code —
-    #: could perturb the run they are watching.
-    introspection_module_prefixes: tuple[str, ...] = (
-        "repro.telemetry.flight", "repro.telemetry.server",
-        "repro.telemetry.traceview")
-    #: Import prefixes forbidden inside introspection modules: pulling
-    #: in generator machinery gives read-only code a path to the hot
-    #: loop (and its RNG streams).
-    introspection_forbidden_imports: tuple[str, ...] = (
-        "repro.core", "repro.models")
     #: Violation codes switched off wholesale (per-directory profiles).
     disabled_codes: frozenset[str] = frozenset()
 

@@ -26,7 +26,6 @@ start methods round-trip identically.
 
 from __future__ import annotations
 
-import json
 import multiprocessing as mp
 import os
 import time
@@ -41,7 +40,6 @@ from ..errors import TaskTimeout, TrillionGError, WorkerError
 from ..telemetry import (Stopwatch, absorb_telemetry, get_logger,
                          record_worker_report, registry, reset_telemetry,
                          snapshot_telemetry, span)
-from ..telemetry.flight import FlightRecorder
 
 _log = get_logger("dist.faults")
 
@@ -189,11 +187,6 @@ class TaskAttempt:
     in_process: bool = False  #: ran in the supervisor (degraded mode)
     error: str | None = None
     injected: str | None = None   #: fault the plan injected, if any
-    #: Flight-recorder forensics for failed attempts when the worker ran
-    #: one (``run_tasks(flight=...)``): the tail of its time series, either
-    #: shipped with a clean error snapshot or recovered from the
-    #: ``<output>.flight`` dump a SIGKILL'd/hung worker left behind.
-    flight: dict | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -210,42 +203,18 @@ def _task_output_path(task: Any) -> str | None:
     return None
 
 
-def _flight_dump_path(task: Any) -> Path | None:
-    """Where a worker's flight recorder dumps its tail for forensics:
-    next to the task's output file (the one path both sides know)."""
-    out_path = _task_output_path(task)
-    return Path(f"{out_path}.flight") if out_path is not None else None
-
-
-def _start_worker_flight(task: Any, interval: float | None
-                         ) -> FlightRecorder | None:
-    """A worker-local flight recorder sampling every ``interval``
-    seconds (``None`` = off), dumping its tail next to the task's
-    output file."""
-    if interval is None:
-        return None
-    return FlightRecorder(interval,
-                          dump_path=_flight_dump_path(task)).start()
-
-
-def _tagged_snapshot(index: int, attempt: int,
-                     recorder: FlightRecorder | None) -> dict:
+def _tagged_snapshot(index: int, attempt: int) -> dict:
     """The worker's outcome snapshot, tagged with its task identity (so
-    the supervisor can keep per-worker trace tracks) and carrying the
-    flight-recorder tail when one is running."""
+    the supervisor can keep per-worker trace tracks)."""
     snap = snapshot_telemetry()
     snap["task_index"] = index
     snap["attempt"] = attempt
-    if recorder is not None:
-        recorder.sample()
-        snap["flight"] = recorder.snapshot()
     return snap
 
 
 def _attempt_entry(conn: Any, worker: Callable[[Any], Any], index: int,
                    task: Any, attempt: int,
-                   faults: FaultPlan | None,
-                   flight: float | None) -> None:
+                   faults: FaultPlan | None) -> None:
     """Subprocess entry: run one attempt, apply injected faults, and ship
     the outcome over the pipe.  Must catch everything — the process
     boundary is the one place errors can only travel as data.
@@ -254,15 +223,9 @@ def _attempt_entry(conn: Any, worker: Callable[[Any], Any], index: int,
     parent's live registry — re-reporting it would double-count on merge)
     and a snapshot rides along with *every* outcome message, so even a
     failed or corrupted attempt contributes its partial metrics to the
-    supervisor's aggregate.  With a ``flight`` interval the attempt
-    also runs its own flight recorder: its tail travels inside the
-    snapshot, and its on-disk dump is kept only when no snapshot made it
-    out — the SIGKILL/hang forensics the supervisor collects in
-    :func:`run_tasks`.
+    supervisor's aggregate.
     """
     reset_telemetry()
-    recorder = _start_worker_flight(task, flight)
-    snapshot_sent = False
     try:
         action = faults.action(index, attempt) if faults is not None \
             else None
@@ -277,19 +240,14 @@ def _attempt_entry(conn: Any, worker: Callable[[Any], Any], index: int,
             out_path = _task_output_path(task)
             if out_path is not None and Path(out_path).is_file():
                 corrupt_file(out_path)
-        conn.send(("ok", result, _tagged_snapshot(index, attempt,
-                                                  recorder)))
-        snapshot_sent = True
+        conn.send(("ok", result, _tagged_snapshot(index, attempt)))
     except BaseException as exc:  # reprolint: disable=RPL402
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}",
-                       _tagged_snapshot(index, attempt, recorder)))
-            snapshot_sent = True
+                       _tagged_snapshot(index, attempt)))
         except (BrokenPipeError, OSError):
             pass
     finally:
-        if recorder is not None:
-            recorder.stop(remove_dump=snapshot_sent)
         conn.close()
 
 
@@ -343,21 +301,6 @@ def _kill(entry: _Running) -> None:
     entry.conn.close()
 
 
-def _collect_flight_dump(task: Any) -> dict | None:
-    """Recover (and consume) the flight dump a dead worker left next to
-    its output file — the only forensics channel for a worker that never
-    got to send a snapshot (SIGKILL, hang past timeout, hard crash)."""
-    dump = _flight_dump_path(task)
-    if dump is None:
-        return None
-    try:
-        doc = json.loads(dump.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    dump.unlink(missing_ok=True)
-    return doc if isinstance(doc, dict) else None
-
-
 def _fail_task(index: int, attempts: Sequence[TaskAttempt],
                policy: RetryPolicy) -> TrillionGError:
     """Build the terminal error for a task that exhausted its budget."""
@@ -409,7 +352,6 @@ def run_tasks(tasks: Sequence[Any], worker: Callable[[Any], Any], *,
               validate: Callable[[Any, Any], None] | None = None,
               on_result: Callable[[int, Any], None] | None = None,
               mp_context: Any = None,
-              flight: float | None = None,
               ) -> tuple[list[Any], dict[int, list[TaskAttempt]]]:
     """Run every task to completion under retry/timeout supervision.
 
@@ -435,10 +377,6 @@ def run_tasks(tasks: Sequence[Any], worker: Callable[[Any], Any], *,
     mp_context:
         A ``multiprocessing`` context; defaults to
         :func:`pick_start_method`.
-    flight:
-        Sampling interval in seconds of a flight recorder run inside
-        every subprocess attempt (``None`` = off); a failed attempt's
-        tail lands on its :class:`TaskAttempt`.
 
     Returns
     -------
@@ -481,7 +419,7 @@ def run_tasks(tasks: Sequence[Any], worker: Callable[[Any], Any], *,
         proc = ctx.Process(
             target=_attempt_entry,
             args=(send_conn, worker, index, tasks[index],
-                  attempt_no[index], faults, flight),
+                  attempt_no[index], faults),
             daemon=True)
         proc.start()
         send_conn.close()
@@ -492,13 +430,11 @@ def run_tasks(tasks: Sequence[Any], worker: Callable[[Any], Any], *,
                                   now, deadline)
 
     def settle(index: int, outcome: str, attempt: int, elapsed: float,
-               payload: Any, error: str | None,
-               forensics: dict | None = None) -> None:
+               payload: Any, error: str | None) -> None:
         injected = (faults.action(index, attempt)
                     if faults is not None else None)
         history[index].append(TaskAttempt(
-            attempt, outcome, elapsed, error=error, injected=injected,
-            flight=forensics if outcome != "ok" else None))
+            attempt, outcome, elapsed, error=error, injected=injected))
         reg = registry()
         reg.counter("sched.attempts").inc()
         if outcome == "ok":
@@ -579,11 +515,6 @@ def run_tasks(tasks: Sequence[Any], worker: Callable[[Any], Any], *,
                         # so trace export can keep per-worker tracks.
                         absorb_telemetry(snap)
                         record_worker_report(snap)
-                    # Forensics for failed attempts: the flight tail the
-                    # snapshot carried, else the dump a snapshot-less
-                    # death left on disk.
-                    forensics = snap.get("flight") if snap is not None \
-                        else _collect_flight_dump(tasks[index])
                     elapsed = now - entry.started
                     if kind == "ok":
                         error = None
@@ -594,19 +525,17 @@ def run_tasks(tasks: Sequence[Any], worker: Callable[[Any], Any], *,
                                 kind, error = "corrupt", str(exc)
                         settle(index, "ok" if kind == "ok" else kind,
                                entry.attempt, elapsed,
-                               payload if kind == "ok" else None, error,
-                               forensics=forensics)
+                               payload if kind == "ok" else None, error)
                     else:
                         settle(index, "crashed", entry.attempt, elapsed,
-                               None, str(payload), forensics=forensics)
+                               None, str(payload))
                 elif entry.deadline is not None and now >= entry.deadline:
                     _kill(entry)
                     del running[index]
                     settle(index, "timeout", entry.attempt,
                            now - entry.started, None,
                            f"no result within {policy.task_timeout}s; "
-                           "worker killed",
-                           forensics=_collect_flight_dump(tasks[index]))
+                           "worker killed")
     finally:
         for entry in running.values():
             _kill(entry)

@@ -104,18 +104,6 @@ class DistributedResult:
                    if a and a[-1].outcome == "ok" and a[-1].in_process)
 
     @property
-    def flight_forensics(self) -> dict[int, list[dict]]:
-        """Flight-recorder tails left by failed attempts, per task index
-        (runs given ``flight=`` only): the last seconds of a crashed,
-        hung, or errored worker's time series, in attempt order."""
-        forensics: dict[int, list[dict]] = {}
-        for index, attempts in self.task_attempts.items():
-            tails = [a.flight for a in attempts if a.flight is not None]
-            if tails:
-                forensics[index] = tails
-        return forensics
-
-    @property
     def encode_seconds(self) -> float:
         """Total encode wall time summed across workers."""
         return sum(w.encode_seconds for w in self.workers)
@@ -287,7 +275,6 @@ class LocalCluster:
                         fmt_name: str,
                         start_method: str | None,
                         on_result=None,
-                        flight: float | None = None,
                         ) -> tuple[list[WorkerResult],
                                    dict[int, list[TaskAttempt]]]:
         """Shared scatter path: resolve policy/faults/context, run the
@@ -299,7 +286,7 @@ class LocalCluster:
         results, history = run_tasks(
             tasks, worker, pool_size=pool_size, policy=policy,
             faults=faults, validate=self._make_validator(fmt_name, faults),
-            on_result=on_result, mp_context=ctx, flight=flight)
+            on_result=on_result, mp_context=ctx)
         for index, task in enumerate(tasks):
             check_worker_result(results[index],
                                 start=task[1], stop=task[2])
@@ -316,7 +303,6 @@ class LocalCluster:
                           faults: FaultPlan | None = None,
                           start_method: str | None = None,
                           progress: Callable[[int], None] | None = None,
-                          flight: float | None = None,
                           ) -> DistributedResult:
         """Partition, scatter, and generate part files in parallel.
 
@@ -327,9 +313,7 @@ class LocalCluster:
         ``TRILLIONG_FAULT_SEED`` are honoured (unset means no injection).
         ``start_method`` forces ``fork``/``spawn`` (default: fork where
         available, spawn otherwise).  ``progress`` is called with the
-        cumulative edge count as each partition lands.  ``flight`` is
-        the sampling interval in seconds of a flight recorder run inside
-        every worker (``None`` = off).
+        cumulative edge count as each partition lands.
         """
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -345,7 +329,7 @@ class LocalCluster:
             result.workers, result.task_attempts = self._run_supervised(
                 tasks, _worker_generate, pool_size, retry, faults,
                 fmt_name, start_method,
-                on_result=_progress_hook(progress), flight=flight)
+                on_result=_progress_hook(progress))
         result.elapsed_seconds = sp.seconds + result.partition_seconds
         return result
 
@@ -359,7 +343,6 @@ class LocalCluster:
                               start_method: str | None = None,
                               progress: Callable[[int], None]
                               | None = None,
-                              flight: float | None = None,
                               ) -> DistributedResult:
         """Parallel *and* resumable generation: chunked like
         :class:`~repro.dist.checkpoint.CheckpointedRun`, scattered like
@@ -398,7 +381,7 @@ class LocalCluster:
         with span("scatter", tasks=len(tasks), pool=pool_size) as sp:
             result.workers, result.task_attempts = self._run_supervised(
                 tasks, _worker_chunk, pool_size, retry, faults, fmt_name,
-                start_method, on_result=record, flight=flight)
+                start_method, on_result=record)
         result.elapsed_seconds = sp.seconds
         return result
 

@@ -29,13 +29,7 @@ from ..sanitize import record_write, sanitize_enabled
 from ..telemetry import Stopwatch, registry
 from ..telemetry.progress import QUEUE_GAUGE
 
-#: Instantaneous in-flight buffer count (last-write-wins gauge): the
-#: live companion to the :data:`QUEUE_GAUGE` high-water mark, so the
-#: flight recorder's time series shows backpressure as it happens
-#: rather than only its historical maximum.
-QUEUE_DEPTH_GAUGE = "pipeline.queue_depth"
-
-__all__ = ["DEFAULT_PIPELINE_DEPTH", "QUEUE_DEPTH_GAUGE", "ThreadedSink"]
+__all__ = ["DEFAULT_PIPELINE_DEPTH", "ThreadedSink"]
 
 #: Number of encoded buffers the background writer may hold.
 DEFAULT_PIPELINE_DEPTH = 8
@@ -69,7 +63,6 @@ class ThreadedSink:
         self._closed = False
         self._watch = Stopwatch()
         self._queue_gauge = registry().gauge(QUEUE_GAUGE, mode="max")
-        self._depth_gauge = registry().gauge(QUEUE_DEPTH_GAUGE)
         self._trace = sanitize_enabled()
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name="trilliong-writer")
@@ -103,7 +96,6 @@ class ThreadedSink:
                         self._error = exc
                 self._watch.stop()
             self._queue.task_done()
-            self._depth_gauge.set(self._queue.qsize())
 
     def _check(self) -> None:
         with self._error_lock:
@@ -122,11 +114,8 @@ class ThreadedSink:
             record_write(self._file, data)
         # High-water mark of in-flight buffers: sampled before the put so
         # a full queue (producer about to block on backpressure) reads as
-        # depth, not depth - 1.  The depth gauge mirrors the same reading
-        # live (last-write-wins; the writer thread lowers it as it drains).
-        depth = self._queue.qsize() + 1
-        self._queue_gauge.set(depth)
-        self._depth_gauge.set(depth)
+        # depth, not depth - 1.
+        self._queue_gauge.set(self._queue.qsize() + 1)
         self._queue.put(data)
 
     def drain(self) -> None:

@@ -15,9 +15,8 @@ from .core.generator import (AdjacencyBlock, IdeaToggles,
                              RecursiveVectorGenerator)
 from .core.seed import GRAPH500, SeedMatrix
 from .formats import WriteResult, get_format
-from .telemetry import (build_report, span, telemetry_enabled,
-                        worker_reports)
-from .telemetry.flight import flight_session
+from .telemetry import (build_report, reset_telemetry, span,
+                        telemetry_enabled, worker_reports)
 
 if TYPE_CHECKING:
     from .dist.faults import FaultPlan, RetryPolicy
@@ -89,9 +88,7 @@ class TrillionG:
                  block_size: int = 4096,
                  cluster: ClusterSpec | None = None,
                  retry: RetryPolicy | None = None,
-                 faults: FaultPlan | None = None,
-                 flight: bool | float | None = None,
-                 serve_telemetry: int | None = None) -> None:
+                 faults: FaultPlan | None = None) -> None:
         self.generator = RecursiveVectorGenerator(
             scale, edge_factor,
             seed_matrix if seed_matrix is not None else GRAPH500,
@@ -100,14 +97,6 @@ class TrillionG:
         self.cluster = cluster
         self.retry = retry
         self.faults = faults
-        #: Flight recorder: ``None``/``False`` is off, ``True`` the
-        #: default cadence, a number sets the sampling interval in
-        #: seconds.  The recorder's time series lands under
-        #: ``telemetry["flight"]`` on the result.
-        self.flight = flight
-        #: Introspection HTTP port for the duration of ``generate_to``
-        #: (``0`` = ephemeral); ``None`` is off.
-        self.serve_telemetry = serve_telemetry
 
     @property
     def num_vertices(self) -> int:
@@ -142,44 +131,15 @@ class TrillionG:
         pass a :class:`repro.telemetry.ProgressReporter` for a live
         terminal line.
 
-        Live introspection (both read-only — they cannot change the
-        output bytes): with ``flight=...`` a flight recorder samples the
-        run (and, on a cluster, each worker samples itself — the
-        interval is passed down as a task argument); with
-        ``serve_telemetry=...`` an HTTP server exposes ``/metrics``
-        ``/progress`` ``/spans`` ``/flight`` while the run is in
-        progress.
+        ``telemetry`` on the result covers this call only: the
+        process-wide metrics, span tree and worker reports are cleared
+        on entry, so a second run in the same process does not report
+        the first run's work.
         """
-        session = flight_session(self.flight)
-        with session as recorder:
-            server = None
-            if self.serve_telemetry is not None:
-                from .telemetry.server import start_server
-                server = start_server(self.serve_telemetry,
-                                      total_edges=self.num_edges)
-            try:
-                result = self._generate(path, fmt, processes,
-                                        resume=resume,
-                                        blocks_per_chunk=blocks_per_chunk,
-                                        progress=progress,
-                                        flight=session.interval)
-            finally:
-                if server is not None:
-                    server.stop()
-            if recorder is not None and result.telemetry is not None:
-                recorder.sample()
-                result.telemetry["flight"] = recorder.snapshot()
-        return result
-
-    def _generate(self, path: Path | str, fmt: str,
-                  processes: int | None, *, resume: bool,
-                  blocks_per_chunk: int,
-                  progress: Callable[[int], None] | None,
-                  flight: float | None) -> TrillionGResult:
+        reset_telemetry()
         if resume:
             return self._generate_resumable(path, fmt, processes,
-                                            blocks_per_chunk, progress,
-                                            flight)
+                                            blocks_per_chunk, progress)
         if self.cluster is None:
             with span("generate", scale=self.generator.scale,
                       fmt=fmt) as sp:
@@ -198,8 +158,7 @@ class TrillionG:
             runner = LocalCluster(self.cluster)
             dist = runner.generate_to_files(
                 self.generator, path, fmt, processes=processes,
-                retry=self.retry, faults=self.faults, progress=progress,
-                flight=flight)
+                retry=self.retry, faults=self.faults, progress=progress)
         total_bytes = sum(p.stat().st_size for p in dist.paths)
         return TrillionGResult(dist.paths, self.num_vertices,
                                dist.num_edges, total_bytes,
@@ -211,8 +170,8 @@ class TrillionG:
     def _generate_resumable(self, path: Path | str, fmt: str,
                             processes: int | None,
                             blocks_per_chunk: int,
-                            progress: Callable[[int], None] | None,
-                            flight: float | None) -> TrillionGResult:
+                            progress: Callable[[int], None] | None
+                            ) -> TrillionGResult:
         """Checkpointed generation: sequential without a cluster, the
         supervised parallel scatter with one."""
         if self.cluster is None:
@@ -237,7 +196,7 @@ class TrillionG:
             dist = runner.generate_checkpointed(
                 self.generator, path, fmt, blocks_per_chunk,
                 processes=processes, retry=self.retry,
-                faults=self.faults, progress=progress, flight=flight)
+                faults=self.faults, progress=progress)
         run = dist.checkpoint
         assert run is not None
         paths = run.chunk_paths()

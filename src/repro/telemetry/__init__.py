@@ -1,4 +1,4 @@
-"""repro.telemetry — unified metrics, spans, progress, and live introspection.
+"""repro.telemetry — unified metrics, spans, progress, and the run report.
 
 The zero-dependency observability layer the rest of the pipeline reports
 through (stdlib only — no numpy, no repro imports):
@@ -12,22 +12,13 @@ through (stdlib only — no numpy, no repro imports):
 - :func:`snapshot_telemetry` / :func:`absorb_telemetry` — the
   cross-process protocol: workers snapshot, the supervisor absorbs, and
   a distributed run yields one coherent report.
-- :mod:`.flight` — the flight recorder: a bounded ring-buffer sampler
-  thread over the registry + process vitals (``--flight``).
-- :mod:`.server` — the read-only introspection HTTP server
-  (``/metrics`` ``/healthz`` ``/progress`` ``/spans`` ``/flight``).
-- :mod:`.traceview` — Chrome Trace Event Format export for
-  Perfetto/chrome://tracing.
-- :mod:`.export` — structured ``repro.*`` logging, JSON report,
-  Prometheus text format; :mod:`.progress` — the human ``--progress``
-  line.
+- :mod:`.traceview` — offline Chrome Trace Event Format export of a
+  finished report, for Perfetto/chrome://tracing (imported from its
+  submodule by ``--trace-out``, not re-exported here).
+- :mod:`.export` — structured ``repro.*`` logging and the JSON report;
+  :mod:`.progress` — the human ``--progress`` line.
 
-``flight``, ``server`` and ``traceview`` are imported from their
-submodules by the runs that ask for them, not re-exported here: a plain
-``generate`` does not pay for ``http.server`` at start-up.
-
-See ``docs/observability.md`` for the metric catalog, span taxonomy,
-and the live-introspection endpoint catalog.
+See ``docs/observability.md`` for the metric catalog and span taxonomy.
 """
 
 from __future__ import annotations
@@ -36,9 +27,8 @@ import threading
 from typing import Mapping
 
 from .export import (LOG_LEVEL_ENV_VAR, SCHEMA_VERSION, build_report,
-                     configure_logging, escape_label_value, get_logger,
-                     log_report, merge_reports, to_prometheus,
-                     write_json_report)
+                     configure_logging, get_logger, log_report,
+                     merge_reports, write_json_report)
 from .metrics import (ENV_VAR, NULL_REGISTRY, POW2_BUCKETS,
                       RECURSION_BUCKETS, Counter, Gauge, Histogram,
                       MetricsRegistry, NullRegistry, enable_telemetry,
@@ -63,7 +53,7 @@ __all__ = [
     "record_worker_report", "worker_reports",
     # exporters / progress
     "SCHEMA_VERSION", "build_report", "merge_reports", "write_json_report",
-    "to_prometheus", "escape_label_value", "log_report",
+    "log_report",
     "configure_logging", "get_logger", "ProgressReporter", "human_count",
 ]
 

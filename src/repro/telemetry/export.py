@@ -1,4 +1,4 @@
-"""Exporters: structured logging, JSON report, Prometheus text format.
+"""Exporters: structured logging and the JSON report.
 
 One *report* is the JSON-able pair of the metric snapshot and the span
 trees, stamped with the report schema version::
@@ -32,8 +32,6 @@ __all__ = [
     "build_report",
     "merge_reports",
     "write_json_report",
-    "to_prometheus",
-    "escape_label_value",
     "log_report",
 ]
 
@@ -169,63 +167,9 @@ def write_json_report(path: Path | str,
     return path
 
 
-def _prom_name(name: str) -> str:
-    """Sanitize to a legal Prometheus metric name.
-
-    The exposition format allows ``[a-zA-Z_:][a-zA-Z0-9_:]*``; runs of
-    anything else collapse to a single ``_`` so ``gen.alias.build++``
-    reads ``trilliong_gen_alias_build_`` rather than sprouting one
-    underscore per bad character.  The ``trilliong_`` prefix also
-    guarantees the first character is legal.
-    """
-    cleaned = "".join(c if (c.isascii() and c.isalnum()) or c in "_:"
-                      else "_" for c in name)
-    while "__" in cleaned:
-        cleaned = cleaned.replace("__", "_")
-    return f"trilliong_{cleaned}"
-
-
-def escape_label_value(value: str) -> str:
-    """Escape a label value per the Prometheus text exposition format:
-    backslash, double-quote, and newline must be escaped inside the
-    double-quoted label value."""
-    return (str(value).replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
-def to_prometheus(metrics: Mapping[str, Mapping] | None = None) -> str:
-    """Render a metric snapshot in the Prometheus text exposition
-    format (histograms as cumulative ``_bucket``/``_sum``/``_count``)."""
-    if metrics is None:
-        metrics = global_registry().snapshot()
-    lines: list[str] = []
-    for name in sorted(metrics):
-        data = metrics[name]
-        prom = _prom_name(name)
-        kind = data.get("type")
-        if kind == "counter":
-            lines.append(f"# TYPE {prom} counter")
-            lines.append(f"{prom} {_num(data['value'])}")
-        elif kind == "gauge":
-            lines.append(f"# TYPE {prom} gauge")
-            lines.append(f"{prom} {_num(data['value'])}")
-        elif kind == "histogram":
-            lines.append(f"# TYPE {prom} histogram")
-            cumulative = 0
-            for bound, count in zip(data["bounds"], data["counts"]):
-                cumulative += count
-                lines.append(
-                    f'{prom}_bucket{{le="{_num(bound)}"}} {cumulative}')
-            cumulative += data["counts"][-1]
-            lines.append(f'{prom}_bucket{{le="+Inf"}} {cumulative}')
-            lines.append(f"{prom}_sum {_num(data['sum'])}")
-            lines.append(f"{prom}_count {data['count']}")
-    return "\n".join(lines) + "\n"
-
-
 def _num(value: float) -> str:
-    """Render floats Prometheus-style: integral values without the
-    trailing ``.0`` so counters read naturally."""
+    """Render integral floats without the trailing ``.0`` so counters
+    read naturally."""
     f = float(value)
     return str(int(f)) if f.is_integer() else repr(f)
 

@@ -193,11 +193,6 @@ class Tracer:
         self._local = threading.local()
         self._lock = threading.Lock()
         self.roots: dict[str, SpanNode] = {}
-        # ident -> (thread name, that thread's live frame stack).  Lets
-        # read-only introspection (flight recorder, /spans) see every
-        # thread's active phase; each list is only ever mutated by its
-        # owning thread, so readers just copy it.
-        self._stacks: dict[int, tuple[str, list[_Frame]]] = {}
 
     # -- stack machinery -------------------------------------------------
 
@@ -205,9 +200,6 @@ class Tracer:
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = self._local.stack = []
-            thread = threading.current_thread()
-            with self._lock:
-                self._stacks[thread.ident or 0] = (thread.name, stack)
         return stack
 
     def _enter(self, name: str, attrs: Mapping[str, object]) -> _Frame:
@@ -256,25 +248,6 @@ class Tracer:
         stack = self._stack()
         return stack[-1].node if stack else None
 
-    def active_stacks(self) -> dict[str, list[str]]:
-        """Live span stacks of every thread, outermost first, keyed by
-        thread name — the "what phase is each thread in right now" view
-        the flight recorder and ``/spans`` serve.  Read-only: copies the
-        per-thread lists, prunes registry entries for dead threads, and
-        never touches the trace tree.
-        """
-        live = {t.ident for t in threading.enumerate()}
-        active: dict[str, list[str]] = {}
-        with self._lock:
-            for ident in [i for i in self._stacks if i not in live]:
-                del self._stacks[ident]
-            entries = list(self._stacks.values())
-        for name, stack in entries:
-            frames = list(stack)
-            if frames:
-                active[name] = [frame.name for frame in frames]
-        return active
-
     def snapshot(self) -> list[dict]:
         """JSON-able copy of the finished trace tree (roots, sorted)."""
         with self._lock:
@@ -311,7 +284,6 @@ class Tracer:
     def reset(self) -> None:
         with self._lock:
             self.roots.clear()
-            self._stacks.clear()
         self._local = threading.local()
 
 

@@ -1,9 +1,9 @@
 """Chrome Trace Event Format export (Perfetto / chrome://tracing).
 
-Renders a telemetry report — merged span trees, per-worker span trees,
-and flight-recorder counter series — to the Trace Event JSON format, so
-a run can be inspected on a zoomable timeline instead of as nested
-count/seconds dicts.
+Renders a finished telemetry report — merged span trees and per-worker
+span trees — to the Trace Event JSON format, so a run can be inspected
+afterwards on a zoomable timeline instead of as nested count/seconds
+dicts.
 
 The span trees are *aggregates* (PR 4): a node holds count and total
 seconds, not individual begin/end timestamps.  The exporter therefore
@@ -19,8 +19,6 @@ Track layout:
 - ``tid 101 + task_index`` — one track per distributed worker report
   (the tagged snapshots collected by :func:`record_worker_report`), so
   per-worker skew is visible instead of vanishing into the merge.
-- Flight samples become ``C`` (counter) events at their true elapsed
-  time: RSS, I/O bytes, and every flattened metric series.
 
 All events live in one synthetic process (``pid 1``) named after the
 run.  Load the file with Perfetto (ui.perfetto.dev) or
@@ -91,38 +89,19 @@ def _emit_trees(trees: Iterable[Mapping], tid: int,
         ts = _emit_tree(root, ts, tid, events)
 
 
-def _emit_flight(flight: Mapping, events: list[dict]) -> None:
-    """Flight samples as counter tracks at their true elapsed offsets."""
-    for sample in flight.get("samples", ()):
-        ts = _us(float(sample.get("elapsed", 0.0)))
-        for key in ("rss_bytes", "io_read_bytes", "io_write_bytes"):
-            if key in sample:
-                events.append({"ph": "C", "name": f"vitals.{key}",
-                               "cat": "flight", "pid": _PID, "tid": 0,
-                               "ts": ts, "args": {key: sample[key]}})
-        for name, value in sample.get("metrics", {}).items():
-            events.append({"ph": "C", "name": name, "cat": "flight",
-                           "pid": _PID, "tid": 0, "ts": ts,
-                           "args": {"value": value}})
-
-
 def build_trace(report: Mapping | None = None, *,
                 worker_reports: Sequence[Mapping] = (),
-                flight: Mapping | None = None,
                 label: str = "trilliong") -> dict:
     """Assemble the Trace Event JSON document (as a dict).
 
     ``report`` is a PR 4 report (``{"metrics", "spans", ...}``);
     ``worker_reports`` are the tagged per-worker snapshots (each with
-    ``task_index``/``attempt`` keys); ``flight`` is a
-    :meth:`FlightRecorder.snapshot`.  Any of them may be omitted.
+    ``task_index``/``attempt`` keys).  Either may be omitted.
     """
     events: list[dict] = [_meta("process_name", 0, label),
                           _meta("thread_name", SUPERVISOR_TID, "supervisor")]
     if report is not None:
         _emit_trees(report.get("spans", ()), SUPERVISOR_TID, events)
-        if flight is None and isinstance(report.get("flight"), Mapping):
-            flight = report["flight"]
         if not worker_reports and isinstance(
                 report.get("worker_reports"), Sequence):
             worker_reports = report["worker_reports"]
@@ -141,9 +120,6 @@ def build_trace(report: Mapping | None = None, *,
             name += f" (attempt {attempt})"
         events.append(_meta("thread_name", tid, name))
         _emit_trees(worker.get("spans", ()), tid, events)
-    if flight is not None:
-        events.append(_meta("thread_name", 0, "flight counters"))
-        _emit_flight(flight, events)
     return {"traceEvents": events, "displayTimeUnit": "ms",
             "otherData": {"generator": label,
                           "layout": "synthetic-proportional"}}
@@ -151,13 +127,12 @@ def build_trace(report: Mapping | None = None, *,
 
 def write_trace(path: Path | str, report: Mapping | None = None, *,
                 worker_reports: Sequence[Mapping] = (),
-                flight: Mapping | None = None,
                 label: str = "trilliong") -> Path:
     """Build and atomically write a trace file (tmp + rename, so a
     crash mid-export never leaves a truncated JSON behind)."""
     path = Path(path)
     doc = build_trace(report, worker_reports=worker_reports,
-                      flight=flight, label=label)
+                      label=label)
     tmp = path.with_name(f"{path.name}.partial.{os.getpid()}")
     try:
         tmp.write_text(json.dumps(doc) + "\n", encoding="utf-8")

@@ -429,87 +429,3 @@ def test_telemetry_layering_rule_blocks_upward_imports(tmp_path):
                 "from repro.formats import get_format\n",
                 module="repro.telemetry.export")
     assert codes(found) == ["RPL201"]
-
-
-# ---------------------------------------------------------------------------
-# read-only-introspection (RPL509)
-# ---------------------------------------------------------------------------
-
-INTROSPECTION_FLAG = [
-    # Generator machinery imports: absolute, from-form, and relative.
-    "import repro.core.generator\n",
-    "from repro.core import generator\n",
-    "from repro.models import RMatModel\n",
-    "from ..core.rng import stream\n",
-    # RNG construction / draws.
-    "def sample(rng_root):\n    s = stream(rng_root, 'flight')\n",
-    "def jitter(rng):\n    return rng.random()\n",
-    "def pick(rng, n):\n    return rng.integers(n)\n",
-    # Registry mutation, including instrument-creating accessors.
-    "def tick(reg):\n    reg.counter('flight.ticks').inc()\n",
-    "def tick(reg):\n    reg.gauge('flight.rss').set(1)\n",
-    "def note(h):\n    h.observe(0.5)\n",
-    "def fold(reg, other):\n    reg.merge(other)\n",
-    "def clear(reg):\n    reg.reset()\n",
-]
-
-INTROSPECTION_PASS = [
-    # Read-only views are the sanctioned surface.
-    "from repro.telemetry.metrics import global_registry\n"
-    "def view():\n    return global_registry().snapshot()\n",
-    "from ..spans import tracer\n"
-    "def active():\n    return tracer().active_stacks()\n",
-    # threading.Event.set() is lifecycle, not a gauge write.
-    "import threading\n"
-    "ev = threading.Event()\nev.set()\n",
-    # Stdlib imports and pure dict shuffling are fine.
-    "import json\nimport os\n"
-    "def vitals():\n    return dict(os.environ)\n",
-]
-
-
-@pytest.mark.parametrize("code", INTROSPECTION_FLAG)
-def test_introspection_flags_in_observer_modules(tmp_path, code):
-    for module in ("repro.telemetry.flight", "repro.telemetry.server",
-                   "repro.telemetry.traceview"):
-        found = [v for v in run(tmp_path, "read-only-introspection",
-                                code, module=module)
-                 if v.code == "RPL509"]
-        assert found, (module, code)
-
-
-@pytest.mark.parametrize("code", INTROSPECTION_PASS)
-def test_introspection_passes_read_only_views(tmp_path, code):
-    found = run(tmp_path, "read-only-introspection", code,
-                module="repro.telemetry.flight")
-    assert found == [], found
-
-
-@pytest.mark.parametrize("code", INTROSPECTION_FLAG)
-def test_introspection_scoped_to_observer_modules(tmp_path, code):
-    # The same constructs are legitimate elsewhere (e.g. the registry
-    # implementation itself, or generator code).
-    for module in ("repro.telemetry.metrics", "repro.core.generator",
-                   "repro.system"):
-        assert run(tmp_path, "read-only-introspection", code,
-                   module=module) == [], (module, code)
-
-
-def test_introspection_prefixes_configurable(tmp_path):
-    config = config_with(
-        introspection_module_prefixes=("mypkg.observe",),
-        introspection_forbidden_imports=("mypkg.engine",))
-    found = run(tmp_path, "read-only-introspection",
-                "from mypkg.engine import spin\n",
-                module="mypkg.observe.view", config=config)
-    assert codes(found) == ["RPL509"]
-    assert run(tmp_path, "read-only-introspection",
-               "from mypkg.engine import spin\n",
-               module="mypkg.other", config=config) == []
-
-
-def test_introspection_pragma_suppression(tmp_path):
-    code = ("def tick(reg):\n"
-            "    reg.counter('x').inc()  # reprolint: disable=RPL509\n")
-    assert run(tmp_path, "read-only-introspection", code,
-               module="repro.telemetry.flight") == []

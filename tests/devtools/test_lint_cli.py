@@ -110,7 +110,6 @@ def test_list_checkers(capsys):
         "RPL301", "RPL302", "RPL310", "RPL311", "RPL320",
         "RPL401", "RPL402", "RPL403", "RPL404",
         "RPL501", "RPL502", "RPL503", "RPL504", "RPL507", "RPL508",
-        "RPL509",
         "RPL601", "RPL610", "RPL611", "RPL620", "RPL701"}
 
 

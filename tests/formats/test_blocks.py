@@ -23,7 +23,7 @@ from repro.formats import (GraphFormat, ThreadedSink, TsvFormat,
                            blocks_from_adjacency, get_format,
                            id6_byte_view, pipeline, write_many,
                            write_many_blocks)
-from repro.telemetry import Counter
+from repro.telemetry import Counter, Stopwatch
 
 FORMATS = ["adj6", "csr6", "tsv"]
 
@@ -510,16 +510,18 @@ class TestThreadedSink:
         file = SecondWriteFails()
         sink = ThreadedSink(file, depth=8)
 
-        class PauseAfterFailure:
+        class PauseAfterFailure(Stopwatch):
             """Holds the writer thread right after the failed write."""
 
-            def set(self, value):
+            def stop(self):
+                seconds = super().stop()
                 if (threading.current_thread() is sink._thread
                         and file.writes == 2 and not paused.is_set()):
                     paused.set()
                     resume.wait(10)
+                return seconds
 
-        sink._depth_gauge = PauseAfterFailure()
+        sink._watch = PauseAfterFailure()
         for buffer in (b"A", b"B", b"C", b"D"):
             sink.write(buffer)
         all_queued.set()

@@ -114,49 +114,31 @@ def test_worker_reports_retained_verbatim(tmp_path):
         assert "worker.generate" in names
 
 
-def test_sequential_flight_rides_result_telemetry(tmp_path):
-    tg = TrillionG(SCALE, edge_factor=16, seed=7, block_size=BLOCK,
-                   flight=0.02)
-    result = tg.generate_to(tmp_path / "g.adj6", fmt="adj6")
-    flight = result.telemetry["flight"]
-    assert flight["interval_seconds"] == 0.02
-    assert flight["samples"]                 # final stop-time sample
-    last = flight["samples"][-1]
-    assert last["metrics"]["generator.edges"] == result.num_edges
-    # The recorder died with the session: nothing keeps sampling.
-    from repro.telemetry.flight import current_recorder
-    assert current_recorder() is None
+def _metric(report, name):
+    return report["metrics"][name]["value"]
 
 
-def test_flight_forensics_attached_to_failed_attempts(tmp_path):
-    """A crashed attempt leaves its flight tail on the TaskAttempt; the
-    clean retry does not, and no dump files survive on disk."""
-    from repro.dist.runner import LocalCluster
-    generator = TrillionG(SCALE, edge_factor=16, seed=7,
-                          block_size=BLOCK).generator
-    cluster = LocalCluster(num_workers=4)
-    res = cluster.generate_to_files(
-        generator, tmp_path, "adj6", processes=2,
-        retry=RetryPolicy(retries=2, backoff_base=0.01,
-                          backoff_max=0.05, jitter=0.0),
-        faults=FaultPlan(crash_tasks=frozenset({0})), flight=0.02)
-    attempts = res.task_attempts[0]
-    assert [a.outcome for a in attempts] == ["crashed", "ok"]
-    forensics = attempts[0].flight
-    assert forensics is not None and forensics["samples"]
-    assert forensics["interval_seconds"] == 0.02
-    assert attempts[1].flight is None        # success carries no tail
-    assert res.flight_forensics == {0: [forensics]}
-    assert list(tmp_path.glob("*.flight*")) == []
-
-
-def test_worker_flight_tails_ride_worker_reports(tmp_path):
-    tg = _system(flight=0.02)
-    result = tg.generate_to(tmp_path / "out", fmt="adj6", processes=4)
-    for report in result.telemetry["worker_reports"]:
-        assert report["flight"]["samples"]
-    # The supervisor's own series is there too.
-    assert result.telemetry["flight"]["samples"]
+@pytest.mark.parametrize("threads", [1, 2])
+def test_second_run_reports_only_its_own_work(tmp_path, threads):
+    """``result.telemetry`` is the report for *that* run: a second
+    ``generate_to`` in the same process does not carry the first run's
+    counters, span counts or worker reports."""
+    cluster = (ClusterSpec(machines=1, threads_per_machine=threads)
+               if threads > 1 else None)
+    tg = TrillionG(10, edge_factor=16, seed=7, cluster=cluster,
+                   block_size=BLOCK)
+    for run in ("first", "second"):
+        result = tg.generate_to(tmp_path / run, fmt="adj6",
+                                processes=threads)
+        report = result.telemetry
+        assert _metric(report, "generator.edges") == result.num_edges
+        assert _span_root(report, "generate")["count"] == 1
+        attempts = 0
+        if cluster is not None:
+            # One per task, more only if fault injection is armed.
+            attempts = int(_metric(report, "sched.attempts"))
+            assert attempts >= threads
+        assert len(report.get("worker_reports", ())) == attempts
 
 
 @pytest.mark.parametrize("fmt", ["adj6", "tsv"])

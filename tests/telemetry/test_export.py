@@ -1,19 +1,18 @@
-"""Exporter coverage: JSON reports, Prometheus rendering, the logger
-hierarchy, and the progress line."""
+"""Exporter coverage: JSON reports, the logger hierarchy, and the
+progress line."""
 
 from __future__ import annotations
 
 import io
 import json
 import logging
-import re
 
 import pytest
 
 from repro.telemetry import (SCHEMA_VERSION, ProgressReporter,
-                             build_report, escape_label_value, get_logger,
-                             global_registry, log_report, merge_reports,
-                             span, to_prometheus, write_json_report)
+                             build_report, get_logger, global_registry,
+                             log_report, merge_reports, span,
+                             write_json_report)
 from repro.telemetry.progress import QUEUE_GAUGE, human_count
 
 
@@ -47,74 +46,6 @@ def test_merge_reports_combines_both_halves():
     assert merged["metrics"]["generator.edges"]["value"] == 2048.0
     (root,) = merged["spans"]
     assert root["count"] == 2
-
-
-def test_prometheus_rendering():
-    _populate()
-    text = to_prometheus()
-    assert "# TYPE trilliong_generator_edges counter" in text
-    assert "trilliong_generator_edges 1024" in text
-    assert "trilliong_pipeline_queue_high_water 3" in text
-    # Histogram buckets are cumulative and end with +Inf.
-    assert 'trilliong_generator_scope_size_bucket{le="1"} 0' in text
-    assert 'trilliong_generator_scope_size_bucket{le="2"} 1' in text
-    assert 'trilliong_generator_scope_size_bucket{le="+Inf"} 1' in text
-    assert "trilliong_generator_scope_size_count 1" in text
-
-
-#: Legal exposition-format sample line: ``name{labels} value`` with the
-#: metric name drawn from ``[a-zA-Z_:][a-zA-Z0-9_:]*``.
-_SAMPLE = re.compile(
-    r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{le="[^"]+"\})? -?[0-9].*$')
-
-
-def test_prometheus_names_stay_legal_for_hostile_inputs():
-    reg = global_registry()
-    # Real metric families under names the sanitizer must rewrite.
-    reg.counter("gen.alias.build++").inc(2)
-    reg.counter("a..b").inc(1)
-    reg.gauge("weird-name!.depth").set(4)
-    reg.histogram("päth.größe", bounds=(1.0,)).observe(0.5)
-    text = to_prometheus()
-    for line in text.splitlines():
-        if line.startswith("#"):
-            assert re.match(r"^# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* "
-                            r"(counter|gauge|histogram)$", line), line
-        else:
-            assert _SAMPLE.match(line), line
-    # Runs of illegal characters collapse to one underscore each.
-    assert "trilliong_gen_alias_build_ 2" in text
-    assert "trilliong_a_b 1" in text
-    assert "trilliong_weird_name_depth 4" in text
-    assert "trilliong_p_th_gr_e_count 1" in text
-
-
-def test_prometheus_round_trips_every_real_family():
-    """Render the full populated registry and parse it back: every
-    non-comment line must be a legal sample, and every registered
-    metric must surface at least one sample."""
-    _populate()
-    snapshot = global_registry().snapshot()
-    text = to_prometheus(snapshot)
-    parsed: dict[str, float] = {}
-    for line in text.splitlines():
-        if line.startswith("#"):
-            continue
-        assert _SAMPLE.match(line), line
-        name = line.split("{")[0].split(" ")[0]
-        parsed[name] = float(line.rsplit(" ", 1)[1])
-    assert parsed["trilliong_generator_edges"] == 1024.0
-    assert parsed["trilliong_pipeline_queue_high_water"] == 3.0
-    assert parsed["trilliong_generator_scope_size_count"] == 1.0
-    # Exactly one TYPE header per family, each before its samples.
-    assert text.count("# TYPE") == len(snapshot)
-
-
-def test_escape_label_value():
-    assert escape_label_value('a"b') == 'a\\"b'
-    assert escape_label_value("a\\b") == "a\\\\b"
-    assert escape_label_value("a\nb") == "a\\nb"
-    assert escape_label_value("plain") == "plain"
 
 
 def test_build_report_stamps_schema_version():

@@ -3,7 +3,6 @@ re-entry, disabled-mode measurement, and the merge/attach algebra."""
 
 from __future__ import annotations
 
-import threading
 import time
 
 from repro.telemetry import (SpanNode, Stopwatch, enable_telemetry,
@@ -156,55 +155,6 @@ def test_merge_span_trees_ignores_sibling_order():
     (root,) = forward
     counts = {c["name"]: c["count"] for c in root["children"]}
     assert counts == {"a": 2, "b": 2, "c": 2}
-
-
-def test_active_stacks_reports_live_frames_per_thread():
-    assert tracer().active_stacks() == {}
-    with span("generate"):
-        with span("format.write_blocks"):
-            stacks = tracer().active_stacks()
-            (stack,) = stacks.values()
-            assert stack == ["generate", "format.write_blocks"]
-            name = next(iter(stacks))
-            assert name == threading.current_thread().name
-        (stack,) = tracer().active_stacks().values()
-        assert stack == ["generate"]
-    assert tracer().active_stacks() == {}
-
-
-def test_active_stacks_sees_other_threads():
-    entered = threading.Event()
-    release = threading.Event()
-
-    def work():
-        with span("worker.generate"):
-            entered.set()
-            release.wait(5)
-
-    thread = threading.Thread(target=work, name="bg-worker")
-    thread.start()
-    try:
-        assert entered.wait(5)
-        assert tracer().active_stacks()["bg-worker"] == \
-            ["worker.generate"]
-    finally:
-        release.set()
-        thread.join()
-    assert "bg-worker" not in tracer().active_stacks()
-
-
-def test_active_stacks_prunes_dead_threads():
-    """A thread that dies mid-span (crash, abandoned frame) must not
-    haunt the active view forever."""
-    def abandon():
-        span("ghost").__enter__()            # never exited
-
-    thread = threading.Thread(target=abandon, name="dying")
-    thread.start()
-    thread.join()
-    # The dead thread's ident is no longer live, so its stale frame is
-    # dropped rather than reported.
-    assert "dying" not in tracer().active_stacks()
 
 
 def test_attach_grafts_under_current_span_without_exclusive_charge():

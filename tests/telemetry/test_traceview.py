@@ -1,5 +1,5 @@
 """Chrome Trace Event export: synthetic-proportional layout, per-worker
-tracks, flight counter series, and atomic file writes."""
+tracks, and atomic file writes."""
 
 from __future__ import annotations
 
@@ -78,42 +78,17 @@ def test_worker_reports_get_distinct_tracks_and_retry_bump():
         assert len(_events(doc, ph="X", tid=tid)) == 1
 
 
-def test_flight_samples_become_counter_events():
-    flight = {"samples": [
-        {"elapsed": 0.5, "rss_bytes": 1000,
-         "metrics": {"generator.edges": 10.0}},
-        {"elapsed": 1.0, "rss_bytes": 2000, "io_write_bytes": 4096,
-         "metrics": {"generator.edges": 20.0}},
-    ]}
-    doc = build_trace(flight=flight)
-    counters = _events(doc, ph="C")
-    by_name: dict = {}
-    for event in counters:
-        by_name.setdefault(event["name"], []).append(event)
-    assert [e["ts"] for e in by_name["vitals.rss_bytes"]] == \
-        [500_000, 1_000_000]
-    assert by_name["vitals.io_write_bytes"][0]["args"] == \
-        {"io_write_bytes": 4096}
-    assert [e["args"]["value"] for e in by_name["generator.edges"]] == \
-        [10.0, 20.0]
-    names = {e["args"]["name"] for e in _events(doc, ph="M")}
-    assert "flight counters" in names
-
-
-def test_report_embedded_flight_and_workers_are_fallbacks():
+def test_report_embedded_workers_are_fallbacks():
     report = {
         "spans": [_span_tree("generate", 1.0)],
-        "flight": {"samples": [{"elapsed": 0.1, "metrics": {"m": 1.0}}]},
         "worker_reports": [{"task_index": 0,
                             "spans": [_span_tree("worker.generate", 1.0)]}],
     }
     doc = build_trace(report)
-    assert _events(doc, ph="C")
     assert _events(doc, ph="X", tid=WORKER_TID_BASE)
-    # Explicit arguments win over the embedded fallbacks.
-    override = build_trace(report, flight={"samples": []},
+    # An explicit argument wins over the embedded fallback.
+    override = build_trace(report,
                            worker_reports=[{"task_index": 3, "spans": []}])
-    assert _events(override, ph="C") == []
     assert _events(override, ph="X", tid=WORKER_TID_BASE) == []
 
 

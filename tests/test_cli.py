@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import argparse
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +56,59 @@ class TestGenerate:
     def test_noise(self, tmp_path):
         assert main(["generate", "--scale", "9", "--noise", "0.1",
                      "--output", str(tmp_path / "n.adj6")]) == 0
+
+    def test_run_report_and_trace(self, tmp_path, capsys, monkeypatch):
+        """``--metrics-out`` and ``--trace-out`` through the CLI: the
+        report counts exactly the printed graph, keeps one snapshot per
+        worker attempt, and the trace draws a track per worker."""
+        monkeypatch.setenv("TRILLIONG_TELEMETRY", "1")
+        metrics, trace = tmp_path / "m.json", tmp_path / "t.json"
+        # Scale 13 is two 4096-vertex blocks: one task per thread.
+        assert main(["generate", "--scale", "13", "--threads", "2",
+                     "--output", str(tmp_path / "parts"),
+                     "--metrics-out", str(metrics),
+                     "--trace-out", str(trace)]) == 0
+        out = capsys.readouterr().out
+        printed = int(re.search(r"\|E\|=(\d+)", out).group(1))
+        report = json.loads(metrics.read_text())
+        assert report["metrics"]["generator.edges"]["value"] == printed
+        workers = report["worker_reports"]
+        # One per task; more only if fault injection is armed.
+        assert len(workers) == report["metrics"]["sched.attempts"]["value"]
+        assert {w["task_index"] for w in workers} == {0, 1}
+        doc = json.loads(trace.read_text())
+        tracks = [e["args"]["name"] for e in doc["traceEvents"]
+                  if e["ph"] == "M" and e["name"] == "thread_name"]
+        assert "supervisor" in tracks
+        worker_tracks = [t for t in tracks if t.startswith("worker")]
+        assert len(worker_tracks) == len(workers)
+        assert {"worker 0", "worker 1"} <= set(worker_tracks)
+        assert "flight" not in report and "flight" not in doc
+        # The report is the one instrument: no live-observer flags.
+        generate = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)).choices["generate"]
+        flags = {opt for action in generate._actions
+                 for opt in action.option_strings}
+        assert flags == {
+            "-h", "--help", "--scale", "--edge-factor", "--matrix",
+            "--noise", "--engine", "--seed", "--format", "--output",
+            "--machines", "--threads", "--retries", "--task-timeout",
+            "--resume", "--blocks-per-chunk", "--metrics-out",
+            "--sanitize-trace", "--progress", "--trace-out"}
+
+    def test_report_flags_skipped_when_telemetry_off(self, tmp_path,
+                                                     capsys, monkeypatch):
+        monkeypatch.setenv("TRILLIONG_TELEMETRY", "0")
+        metrics, trace = tmp_path / "m.json", tmp_path / "t.json"
+        assert main(["generate", "--scale", "8",
+                     "--output", str(tmp_path / "g.adj6"),
+                     "--metrics-out", str(metrics),
+                     "--trace-out", str(trace)]) == 0
+        err = capsys.readouterr().err
+        assert not metrics.exists() and not trace.exists()
+        for flag in ("--metrics-out", "--trace-out"):
+            assert f"{flag} skipped: telemetry is disabled" in err
 
 
 class TestOtherCommands:
