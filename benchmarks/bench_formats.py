@@ -7,7 +7,7 @@ smaller than TSV at scale (here sizes invert only because small-scale ids
 are short — the size ordering at realistic id widths is asserted in
 ``tests/formats``).
 
-Two artifacts matter beyond the printed tables:
+Three artifacts matter beyond the printed tables:
 
 - ``test_block_adj6_beats_per_vertex`` and
   ``test_block_tsv_beats_per_vertex`` are the CI perf-smoke gates for
@@ -20,9 +20,6 @@ Two artifacts matter beyond the printed tables:
 - ``test_telemetry_overhead_gate`` is the CI gate for the telemetry
   layer: generation+write throughput with telemetry on must stay within
   95% of telemetry off, recorded into ``BENCH_telemetry.json``.
-- ``test_sanitize_overhead_gate`` is the same gate for the determinism
-  sanitizer: off-mode (the production default) must keep >= 98% of the
-  faster mode's throughput, recorded into ``BENCH_sanitize.json``.
 """
 
 import json
@@ -302,61 +299,3 @@ def test_telemetry_overhead_gate(tmp_path, table):
         f"telemetry-on throughput only {ratio:.3f} of telemetry-off; "
         "the recording path regressed")
 
-
-def test_sanitize_overhead_gate(tmp_path, table):
-    """CI gate for the determinism sanitizer's *off-mode* cost: with the
-    sanitizer disabled (the production default) the full pipeline must
-    keep >= 98% of the throughput measured before the hooks existed —
-    i.e. disabled-vs-disabled-with-hooks is approximated by comparing
-    sanitizer-off against sanitizer-on, and off must not pay for on.
-    Off-mode is one boolean check per derivation and per sink write.
-    Best-of-3 per mode, modes interleaved; recorded into
-    ``BENCH_sanitize.json``.
-    """
-    from repro.sanitize import enable_sanitize, reset_sanitizer
-
-    fmt = get_format("adj6")
-
-    def one_run(label):
-        gen = RecursiveVectorGenerator(SCALE, 16, seed=9)
-        t0 = time.perf_counter()
-        result = fmt.write_blocks(tmp_path / f"san.{label}",
-                                  gen.iter_blocks(), gen.num_vertices)
-        return result, time.perf_counter() - t0
-
-    best = {"on": float("inf"), "off": float("inf")}
-    edges = 0
-    try:
-        for _ in range(3):
-            for mode in ("on", "off"):
-                enable_sanitize(mode == "on")
-                reset_sanitizer()
-                result, seconds = one_run(mode)
-                best[mode] = min(best[mode], seconds)
-                edges = result.num_edges
-    finally:
-        enable_sanitize(None)
-        reset_sanitizer()
-
-    off_rate = edges / best["off"]
-    on_rate = edges / best["on"]
-    ratio = off_rate / max(off_rate, on_rate)
-    records = [{
-        "scale": SCALE,
-        "format": "adj6",
-        "sanitize": mode,
-        "edges_per_second": round(edges / best[mode]),
-        "seconds": round(best[mode], 4),
-    } for mode in ("off", "on")]
-    records.append({"scale": SCALE, "format": "adj6",
-                    "sanitize": "ratio",
-                    "off_over_best": round(ratio, 4)})
-    (_REPO_ROOT / "BENCH_sanitize.json").write_text(
-        json.dumps(records, indent=2) + "\n")
-    table(f"Sanitizer overhead (scale {SCALE}, adj6, best of 3)",
-          ["sanitize", "seconds", "edges/s"],
-          [[m, round(best[m], 4), f"{edges / best[m]:,.0f}"]
-           for m in ("off", "on")] + [["off/best", f"{ratio:.3f}", ""]])
-    assert ratio >= 0.98, (
-        f"sanitizer-off throughput only {ratio:.3f} of the faster mode; "
-        "the off-mode hook cost regressed beyond the 2% budget")

@@ -72,11 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--metrics-out", default=None,
                      help="write the run's telemetry report (metrics + "
                           "span tree, merged across workers) as JSON")
-    gen.add_argument("--sanitize-trace", default=None, metavar="PATH",
-                     help="run under the determinism sanitizer and write "
-                          "its trace (draws, derivations, block write "
-                          "order) as JSON; compare two traces with "
-                          "`python -m repro.sanitize.diff`")
     gen.add_argument("--progress", action="store_true",
                      help="live progress line on stderr "
                           "(edges/s, ETA, pipeline queue depth)")
@@ -235,10 +230,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         retry = RetryPolicy(
             retries=args.retries if args.retries is not None else 3,
             task_timeout=args.task_timeout)
-    if args.sanitize_trace is not None:
-        from .sanitize import enable_sanitize, reset_sanitizer
-        enable_sanitize(True)
-        reset_sanitizer()
     tg = TrillionG(args.scale, args.edge_factor,
                    _parse_matrix(args.matrix), noise=args.noise,
                    engine=args.engine, seed=args.seed,
@@ -264,14 +255,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             from .telemetry import write_json_report
             write_json_report(args.metrics_out, result.telemetry)
         if args.trace_out is not None:
-            from .telemetry.traceview import write_trace as _write_chrome
-            _write_chrome(args.trace_out, result.telemetry,
+            from .telemetry.traceview import write_trace
+            write_trace(args.trace_out, result.telemetry,
                           label=f"trilliong scale={args.scale}")
             print(f"chrome trace -> {args.trace_out}")
-    if args.sanitize_trace is not None:
-        from .sanitize import write_trace
-        write_trace(args.sanitize_trace)
-        print(f"sanitizer trace -> {args.sanitize_trace}")
     print(f"generated |V|={result.num_vertices} "
           f"|E|={result.num_edges} "
           f"bytes={result.bytes_written} "

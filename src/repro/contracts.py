@@ -39,7 +39,6 @@ __all__ = [
     "check_worker_result",
     "check_attempt_history",
     "check_write_result",
-    "check_sanitizer_trace",
 ]
 
 #: Environment variable consulted when no programmatic override is set.
@@ -185,44 +184,6 @@ def check_write_result(result: object, *, tol: float = 1e-6) -> None:
     if write > bound:
         _fail(f"write result: write_seconds {write!r} exceeds "
               f"elapsed_seconds {elapsed!r}")
-
-
-def check_sanitizer_trace(doc: object) -> None:
-    """Assert a determinism-sanitizer trace document is internally
-    coherent: every event category carries strictly increasing global
-    sequence numbers, and each file's block write sequence is dense from
-    0 (block k is the (k+1)-th write to that file — a hole means a block
-    was recorded out of order or lost).
-
-    ``doc`` is the plain dict produced by
-    ``repro.sanitize.write_trace`` / ``load_trace``; working on the dict
-    keeps this bottom layer free of a sanitizer import.  No-op when
-    disabled.
-    """
-    if not contracts_enabled():
-        return
-    if not isinstance(doc, dict):
-        _fail(f"sanitizer trace: not a mapping ({type(doc).__name__})")
-    for category in ("derivations", "draws", "writes", "violations"):
-        events = doc.get(category)
-        if not isinstance(events, list):
-            _fail(f"sanitizer trace: missing event list {category!r}")
-        previous = -1
-        for event in events:
-            seq = event.get("seq")
-            if not isinstance(seq, int) or seq <= previous:
-                _fail(f"sanitizer trace: {category} seq {seq!r} after "
-                      f"{previous} (must strictly increase)")
-            previous = seq
-    cursors: dict[str, int] = {}
-    for event in doc["writes"]:
-        name = str(event.get("file"))
-        expected = cursors.get(name, 0)
-        if event.get("file_seq") != expected:
-            _fail(f"sanitizer trace: write {event.get('file_seq')!r} to "
-                  f"{name} arrived at position {expected} (block order "
-                  f"hole)")
-        cursors[name] = expected + 1
 
 
 def check_attempt_history(attempts: Sequence[object]) -> None:

@@ -32,6 +32,7 @@ from decimal import Decimal
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from .bits import bits_array
 from .probability import edge_probability, row_probability
 from .seed import SeedMatrix
@@ -157,6 +158,20 @@ def sigma_from_recvec(recvec, k: int) -> float:
 # Edge determination (Theorem 2 / Algorithm 5)
 # ---------------------------------------------------------------------------
 
+def _zero_entry(k: int) -> ConfigurationError:
+    """The error for a walk that would divide by ``RecVec[k] == 0``.
+
+    A zero entry means the seed has ``p(u_j, 0) = 0`` at some level
+    ``j >= k``; every entry below it is then zero too and carries no
+    information about the lower destination bits, so Algorithm 5 cannot
+    invert the CDF there.
+    """
+    return ConfigurationError(
+        f"RecVec[{k}] is exactly zero: the seed forbids destination bit 0 "
+        "at a level of this source, so Algorithm 5 cannot recover the "
+        "lower bits; sample such seeds with repro.core.tables.ScopeSampler")
+
+
 def determine_edge(x, recvec) -> int:
     """Determine the destination vertex for random value ``x`` (Algorithm 5).
 
@@ -167,6 +182,8 @@ def determine_edge(x, recvec) -> int:
     ``x < RecVec[0]`` the remaining destination suffix is 0.
 
     Accepts either a numpy float row or a list of :class:`~decimal.Decimal`.
+    Raises :class:`~repro.errors.ConfigurationError` instead of dividing
+    by a zero entry (a seed with a zero in column 0).
     """
     top = len(recvec) - 1
     v = 0
@@ -177,6 +194,8 @@ def determine_edge(x, recvec) -> int:
         # bisect_right gives the first index whose value exceeds x; the
         # paper's k is one to its left.  Clamp for x == RecVec[top] edge case.
         k = min(bisect_right(recvec, x) - 1, last_k - 1)
+        if not recvec[k]:
+            raise _zero_entry(k)
         sigma = (recvec[k + 1] - recvec[k]) / recvec[k]
         x = (x - recvec[k]) / sigma
         v += 1 << k
@@ -195,6 +214,8 @@ def determine_edge_recursive(x, recvec, _last_k: int | None = None) -> int:
     if x < recvec[0] or _last_k == 0:
         return 0
     k = min(bisect_right(recvec, x) - 1, _last_k - 1)
+    if not recvec[k]:
+        raise _zero_entry(k)
     sigma = (recvec[k + 1] - recvec[k]) / recvec[k]
     return (1 << k) + determine_edge_recursive((x - recvec[k]) / sigma,
                                                recvec, k)
@@ -225,11 +246,15 @@ def determine_edges(xs: np.ndarray, recvec: np.ndarray) -> np.ndarray:
 
     Runs the translation loop simultaneously over all values; each pass
     peels one 1 bit from every still-active value, so the number of passes
-    is the maximum destination popcount.
+    is the maximum destination popcount.  Raises
+    :class:`~repro.errors.ConfigurationError` instead of dividing by a
+    zero entry, like :func:`determine_edge`.
     """
     top = recvec.size - 1
-    # sigma[k] for every k, precomputed once (Idea #1 at vector granularity).
-    sigmas = (recvec[1:] - recvec[:-1]) / recvec[:-1]
+    # sigma[k] for every k, precomputed once (Idea #1 at vector granularity);
+    # a zero entry's sigma is never used, the walk raises before.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigmas = (recvec[1:] - recvec[:-1]) / recvec[:-1]
     x = np.asarray(xs, dtype=np.float64).copy()
     v = np.zeros(x.shape, dtype=np.int64)
     last_k = np.full(x.shape, top, dtype=np.int64)
@@ -238,7 +263,10 @@ def determine_edges(xs: np.ndarray, recvec: np.ndarray) -> np.ndarray:
         xa = x[active]
         k = np.searchsorted(recvec, xa, side="right") - 1
         np.minimum(k, last_k[active] - 1, out=k)
-        x[active] = (xa - recvec[k]) / sigmas[k]
+        base = recvec[k]
+        if not base.all():
+            raise _zero_entry(int(k[np.argmin(base)]))
+        x[active] = (xa - base) / sigmas[k]
         v[active] += np.int64(1) << k.astype(np.int64)
         last_k[active] = k
         active = (x >= recvec[0]) & (last_k > 0)

@@ -21,17 +21,11 @@ the entropy list.  Consequently ``spawn_streams(seed, n)[i]`` and
 disjoint by construction and must never be substituted for one another.
 The golden-digest tests in ``tests/core/test_rng_golden.py`` freeze
 both schemes.
-
-With ``TRILLIONG_SANITIZE=1`` every derivation is recorded in the
-:mod:`repro.sanitize` ledger and returned generators are wrapped so
-draws are traced too; off-mode pays one boolean check per derivation.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from ..sanitize import record_derivation, sanitize_enabled, trace_stream
 
 __all__ = ["stream", "spawn_streams", "derive_seed"]
 
@@ -44,10 +38,7 @@ def stream(seed: int, *labels: int) -> np.random.Generator:
     key is ``SeedSequence([seed, *labels])`` — see the module docstring
     for how this differs from :func:`spawn_streams`.
     """
-    gen = np.random.default_rng(np.random.SeedSequence([seed, *labels]))
-    if sanitize_enabled():
-        return trace_stream(gen, "stream", seed, labels)
-    return gen
+    return np.random.default_rng(np.random.SeedSequence([seed, *labels]))
 
 
 def spawn_streams(seed: int, count: int) -> list[np.random.Generator]:
@@ -58,11 +49,7 @@ def spawn_streams(seed: int, count: int) -> list[np.random.Generator]:
     ``spawn_streams(seed, n)[i]`` is **not** ``stream(seed, i)``.
     """
     children = np.random.SeedSequence([seed]).spawn(count)
-    gens = [np.random.default_rng(child) for child in children]
-    if sanitize_enabled():
-        return [trace_stream(gen, "spawn", seed, (i,))
-                for i, gen in enumerate(gens)]
-    return gens
+    return [np.random.default_rng(child) for child in children]
 
 
 def derive_seed(seed: int, *labels: int) -> int:
@@ -72,7 +59,5 @@ def derive_seed(seed: int, *labels: int) -> int:
     so a worker re-deriving streams from the sub-seed stays on the same
     entropy tree.
     """
-    if sanitize_enabled():
-        record_derivation("derive_seed", seed, labels)
     seq = np.random.SeedSequence([seed, *labels])
     return int(seq.generate_state(1, np.uint64)[0] >> np.uint64(1))

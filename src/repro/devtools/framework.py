@@ -181,13 +181,7 @@ class LintConfig:
         # so it must import none of them (or instrumentation would cycle).
         "repro.telemetry": ("repro.core", "repro.models", "repro.dist",
                             "repro.formats", "repro.cluster", "repro.cli",
-                            "repro.system", "repro.util",
-                            "repro.sanitize"),
-        # the sanitizer sits beside telemetry at the bottom: rng and the
-        # format pipeline call into it, so it may import nothing above.
-        "repro.sanitize": ("repro.core", "repro.models", "repro.dist",
-                           "repro.formats", "repro.cluster", "repro.cli",
-                           "repro.system", "repro.util", "repro.telemetry"),
+                            "repro.system", "repro.util"),
     })
     #: Modules whose Decimal high-precision paths must not round-trip
     #: through ``float()``.
@@ -216,10 +210,8 @@ class LintConfig:
         "repro.system", "repro.dist", "repro.formats")
     #: Module prefixes allowed to call bare ``print()`` — the CLI owns
     #: stdout; everything else reports through the ``repro.*`` loggers.
-    #: ``repro.sanitize.diff`` is the trace-diff command-line entry
-    #: (``python -m repro.sanitize.diff``), so it owns its stdout too.
     print_allowed_module_prefixes: tuple[str, ...] = (
-        "repro.cli", "repro.devtools", "repro.sanitize.diff")
+        "repro.cli", "repro.devtools")
     #: Module prefixes that must follow the atomic-write protocol
     #: (write temp -> flush -> fsync -> close -> rename): the checkpoint
     #: and spill-file layers, where a torn write corrupts a resumable run.

@@ -26,6 +26,7 @@ start methods round-trip identically.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
 import time
@@ -36,7 +37,8 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from ..core.rng import stream
-from ..errors import TaskTimeout, TrillionGError, WorkerError
+from ..errors import (ConfigurationError, TaskTimeout, TrillionGError,
+                      WorkerError)
 from ..telemetry import (Stopwatch, absorb_telemetry, get_logger,
                          record_worker_report, registry, reset_telemetry,
                          snapshot_telemetry, span)
@@ -128,12 +130,26 @@ class FaultPlan:
     def from_env(cls) -> "FaultPlan | None":
         """A seeded-probability crash plan from ``TRILLIONG_FAULT_PROB``
         / ``TRILLIONG_FAULT_SEED``; ``None`` when the probability is
-        unset or zero (the common case)."""
-        prob = float(os.environ.get(_ENV_PROB, "0") or "0")
-        if prob <= 0.0:
+        unset or zero (the common case).  A probability that is not a
+        finite float in ``[0, 1]``, or a seed that is not an integer,
+        raises :class:`~repro.errors.ConfigurationError`."""
+        raw_prob = os.environ.get(_ENV_PROB, "0") or "0"
+        try:
+            prob = float(raw_prob)
+        except ValueError:
+            prob = math.nan
+        if not 0.0 <= prob <= 1.0:
+            raise ConfigurationError(
+                f"{_ENV_PROB}={raw_prob!r} is not a probability in [0, 1]")
+        raw_seed = os.environ.get(_ENV_SEED, "0") or "0"
+        try:
+            seed = int(raw_seed)
+        except ValueError:
+            raise ConfigurationError(
+                f"{_ENV_SEED}={raw_seed!r} is not an integer") from None
+        if prob == 0.0:
             return None
-        return cls(crash_probability=prob,
-                   seed=int(os.environ.get(_ENV_SEED, "0") or "0"))
+        return cls(crash_probability=prob, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ import queue
 import threading
 from typing import IO, Any
 
-from ..sanitize import record_write, sanitize_enabled
 from ..telemetry import Stopwatch, registry
 from ..telemetry.progress import QUEUE_GAUGE
 
@@ -63,7 +62,6 @@ class ThreadedSink:
         self._closed = False
         self._watch = Stopwatch()
         self._queue_gauge = registry().gauge(QUEUE_GAUGE, mode="max")
-        self._trace = sanitize_enabled()
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name="trilliong-writer")
         self._thread.start()
@@ -108,10 +106,6 @@ class ThreadedSink:
         if self._closed:
             raise ValueError("write to a closed sink")
         self._check()
-        if self._trace:
-            # Recorded at submission: the writer thread preserves
-            # submission order, so this *is* the on-disk block order.
-            record_write(self._file, data)
         # High-water mark of in-flight buffers: sampled before the put so
         # a full queue (producer about to block on backpressure) reads as
         # depth, not depth - 1.

@@ -13,9 +13,7 @@ This module owns their durability discipline:
   hands the whole set to the partitioned pass
   (:func:`~repro.util.external_sort.iter_unique_keys`) in one call;
 - every spill is counted in the ``extsort.*`` telemetry family
-  (``docs/observability.md``) and, under ``TRILLIONG_SANITIZE=1``,
-  recorded on the sanitizer write ledger in submission order — which is
-  disk order, exactly the discipline of the format write pipeline.
+  (``docs/observability.md``).
 
 ``fsync_file`` / ``fsync_dir`` live here (the bottom layer) so both the
 spill path and the checkpoint manifests in :mod:`repro.dist.checkpoint`
@@ -30,7 +28,6 @@ from typing import Iterator
 
 import numpy as np
 
-from ..sanitize import record_write, sanitize_enabled
 from ..telemetry import registry
 
 __all__ = ["fsync_file", "fsync_dir", "write_run", "SpillStore"]
@@ -63,17 +60,6 @@ def fsync_dir(path: Path | str) -> None:
         os.close(fd)
 
 
-class _RunLabel:
-    """Stand-in passed to the sanitizer so a spill is recorded under its
-    *final* name: the ``.partial.<pid>`` temporary the bytes physically
-    go through embeds the pid and would make traces non-comparable."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-
 def write_run(keys: np.ndarray, path: Path | str) -> Path:
     """Spill one sorted run of int64 keys to ``path`` atomically.
 
@@ -84,8 +70,6 @@ def write_run(keys: np.ndarray, path: Path | str) -> Path:
     path = Path(path)
     tmp = path.with_name(f"{path.name}.partial.{os.getpid()}")
     arr = np.ascontiguousarray(np.asarray(keys, dtype=np.int64))
-    if arr.size and sanitize_enabled():
-        record_write(_RunLabel(path.name), arr)
     try:
         with open(tmp, "wb") as handle:
             handle.write(memoryview(arr))

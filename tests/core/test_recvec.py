@@ -15,6 +15,7 @@ from repro.core.recvec import (build_recvec, build_recvec_decimal,
                                determine_edge_recursive, determine_edges,
                                scale_symmetry_ratio, sigma_from_recvec)
 from repro.core.seed import GRAPH500, SeedMatrix
+from repro.errors import ConfigurationError
 
 FIG3 = SeedMatrix.rmat(0.5, 0.2, 0.2, 0.1)
 
@@ -204,6 +205,27 @@ class TestVectorizedDetermine:
     def test_empty_input(self):
         rv = build_recvec(GRAPH500, 0, 4)
         assert determine_edges(np.array([]), rv).size == 0
+
+
+@pytest.mark.parametrize("entries", [[[0.0, 0.6], [0.3, 0.1]],
+                                     [[0.6, 0.3], [0.0, 0.1]]])
+def test_exact_zero_seed_inverts_cdf_or_raises(entries):
+    """A zero in column 0 zeroes RecVec entries, which then say nothing
+    about the lower bits: Algorithm 5 must invert the CDF or raise a
+    ConfigurationError, never return a wrong vertex."""
+    seed = SeedMatrix(entries)
+    for u in range(8):
+        rv = build_recvec(seed, u, 3)
+        cdf = brute_force_cdf(seed, u, 3)
+        xs = np.linspace(0.0, rv[-1], 200, endpoint=False)
+        want = [determine_edge_cdf(x, cdf) for x in xs]
+        for search in (determine_edge, determine_edge_recursive,
+                       lambda x, rv: determine_edges(np.array([x]), rv)[0]):
+            for x, v in zip(xs, want):
+                try:
+                    assert search(x, rv) == v
+                except ConfigurationError as err:
+                    assert "ScopeSampler" in str(err)
 
 
 @settings(max_examples=25, deadline=None)

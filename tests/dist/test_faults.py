@@ -13,7 +13,7 @@ from repro.core.generator import RecursiveVectorGenerator
 from repro.dist.faults import (FaultPlan, RetryPolicy, TaskAttempt,
                                corrupt_file, pick_start_method, run_tasks)
 from repro.dist.runner import LocalCluster, _worker_generate
-from repro.errors import TaskTimeout, WorkerError
+from repro.errors import ConfigurationError, TaskTimeout, WorkerError
 
 FORK_AVAILABLE = "fork" in mp.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not FORK_AVAILABLE,
@@ -94,6 +94,17 @@ class TestFaultPlan:
                                                  seed=9)
         monkeypatch.delenv("TRILLIONG_FAULT_SEED")
         assert FaultPlan.from_env() == FaultPlan(crash_probability=0.25)
+
+    @pytest.mark.parametrize("prob, seed", [
+        ("abc", "0"), ("nan", "0"), ("-0.1", "0"), ("1.5", "0"),
+        ("0.25", "x")])
+    def test_from_env_rejects_invalid_values(self, monkeypatch, prob, seed):
+        monkeypatch.setenv("TRILLIONG_FAULT_PROB", prob)
+        monkeypatch.setenv("TRILLIONG_FAULT_SEED", seed)
+        bad = ("TRILLIONG_FAULT_SEED" if seed == "x"
+               else "TRILLIONG_FAULT_PROB")
+        with pytest.raises(ConfigurationError, match=bad):
+            FaultPlan.from_env()
 
     def test_plan_is_picklable(self):
         plan = FaultPlan(crash_tasks=frozenset({1}),

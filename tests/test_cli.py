@@ -95,7 +95,7 @@ class TestGenerate:
             "--noise", "--engine", "--seed", "--format", "--output",
             "--machines", "--threads", "--retries", "--task-timeout",
             "--resume", "--blocks-per-chunk", "--metrics-out",
-            "--sanitize-trace", "--progress", "--trace-out"}
+            "--progress", "--trace-out"}
 
     def test_report_flags_skipped_when_telemetry_off(self, tmp_path,
                                                      capsys, monkeypatch):

@@ -1,6 +1,6 @@
-"""The environment surface of ``src/repro`` (outside ``devtools``): six
+"""The environment surface of ``src/repro`` (outside ``devtools``): five
 variables, each read in one function, none ever written — and the doc
-table lists exactly those six.  Everything else is a flag or a kwarg."""
+table lists exactly those five.  Everything else is a flag or a kwarg."""
 
 import ast
 import re
@@ -9,10 +9,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = [path for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
            if "devtools" not in path.parts]
-VARIABLES = {"TRILLIONG_CONTRACTS", "TRILLIONG_SANITIZE",
+VARIABLES = {"TRILLIONG_CONTRACTS",
              "TRILLIONG_TELEMETRY", "TRILLIONG_LOG_LEVEL",
              "TRILLIONG_FAULT_PROB", "TRILLIONG_FAULT_SEED"}
-READERS = {"contracts_enabled", "sanitize_enabled", "telemetry_enabled",
+READERS = {"contracts_enabled", "telemetry_enabled",
            "configure_logging", "FaultPlan.from_env"}
 
 
