@@ -39,7 +39,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..errors import ConfigurationError, GenerationError
+from ..errors import ConfigurationError, GenerationError, SeedMatrixError
 from ..telemetry import RECURSION_BUCKETS, registry
 from .process import EdgeProcess, make_process
 from .rng import stream
@@ -139,6 +139,20 @@ class AdjacencyBlock:
         return np.column_stack([src, self.destinations])
 
 
+def _require_scope_lines(matrix: SeedMatrix, direction: str) -> None:
+    """Refuse a seed with an all-zero scope line: row ``i`` for AVS-O,
+    column ``i`` for AVS-I (``matrix`` is already transposed for it).
+    A scope through that line has no destination-bit distribution to
+    draw from.  :class:`SeedMatrix` itself allows such seeds, which the
+    RMAT-family models use."""
+    line = "row" if direction == "out" else "column"
+    for i, total in enumerate(matrix.row_sums()):
+        if total <= 0.0:
+            raise SeedMatrixError(
+                f"seed {line} {i} is all zero: a direction={direction!r} "
+                f"scope through it has no destination distribution")
+
+
 class RecursiveVectorGenerator:
     """TrillionG's per-scope generator over a range of source vertices.
 
@@ -215,6 +229,7 @@ class RecursiveVectorGenerator:
         self.seed_matrix = base
         self.direction = direction
         matrix = base if direction == "out" else base.transpose()
+        _require_scope_lines(matrix, direction)
         self.engine = engine
         self.ideas = ideas if ideas is not None else IdeaToggles()
         self.dedup = dedup

@@ -3,13 +3,16 @@ edge).  Verbose, as the paper notes (1.8x the bytes of ADJ6 at scale 18,
 3-4x at paper-scale id widths), but it is the only format most generators
 support, so it is the interchange default.  The block encoder builds the
 bytes of an :class:`~repro.core.generator.AdjacencyBlock` directly, the
-way the ADJ6 encoder does: a fixed-width ``uint8`` matrix holds one line
-per row — right-aligned decimal digits of the source, a tab, the digits
-of the destination, a newline — filled one digit column at a time, and a
-boolean mask drops every id's leading pad, so the block costs a handful
-of C passes and one ``write()`` and no Python object per edge.  The
-reader parses the file in bulk and falls back to the line reader for the
-error message when the bulk parse refuses it."""
+way the ADJ6 encoder does, by table lookup: every id is a row of
+little-endian ``uint32`` lanes, three decimal digits per lane taken from
+a small lane table, with NUL for every pad byte and the separator (tab or
+newline) in the lowest lane's fourth byte.  A fixed-width row of lanes is
+one line, and ``bytes.translate`` deleting the NULs turns the rows into
+text in one C pass — digits, tab and newline are never NUL.  The block is
+encoded a bounded slice of edges at a time, so the scratch stays
+cache-sized however large the block is, and there is no Python object
+per edge.  The reader parses the file in bulk and falls back to the line
+reader for the error message when the bulk parse refuses it."""
 
 from __future__ import annotations
 
@@ -27,7 +30,30 @@ from .pipeline import ThreadedSink
 __all__ = ["TsvFormat"]
 
 
-_TAB, _NEWLINE, _ZERO = 0x09, 0x0A, 0x30
+#: Edges encoded per pass.  The lanes, the text and the lookup rows of
+#: one slice stay about a MiB at scale 18 whatever the block's size, so a
+#: hub block costs its encoded bytes and not several block-sized arrays.
+_SLICE_EDGES = 1 << 16
+
+
+def _lane_table(separator: str) -> np.ndarray:
+    """Every three-digit chunk ``c`` as a little-endian ``uint32`` lane,
+    twice: row ``c`` is ``c`` NUL-padded on the left (an id's leading
+    lane), row ``1000 + c`` is ``c`` zero-padded (every lane below it).
+    Every lane's fourth byte is ``separator``."""
+    rows = [str(c).rjust(3, "\0") for c in range(1000)]
+    rows += [f"{c:03d}" for c in range(1000)]
+    text = "".join(row + separator for row in rows)
+    return np.frombuffer(text.encode("ascii"), dtype="<u4").copy()
+
+
+#: Lanes above an id's lowest one: no separator, and row 0 (a lane above
+#: the id's leading digit) is all pad.  The lowest lane carries the
+#: separator and keeps row 0's ``"0"``: the id 0 is one digit, not pad.
+_LANES = _lane_table("\0")
+_LANES[0] = 0
+_TAB_LANES = _lane_table("\t")
+_NEWLINE_LANES = _lane_table("\n")
 
 
 def _refuse_negative(lowest: int, what: str) -> None:
@@ -45,29 +71,35 @@ def _largest_id(vertex_ids: np.ndarray, what: str) -> int:
     return int(vertex_ids.max())
 
 
-def _render_decimal(vertex_ids: np.ndarray, largest: int,
-                    digits: np.ndarray, keep: np.ndarray) -> None:
-    """Right-aligned ascii decimal digits of non-negative ``vertex_ids``
-    into the ``uint8`` columns ``digits`` (zero-padded on the left, wide
-    enough for ``largest``); ``keep`` is set where a column is part of
-    the number rather than pad.
+def _lane_count(largest: int) -> int:
+    """Three-digit lanes of the widest id, ``largest``."""
+    return (len(str(largest)) + 2) // 3
 
-    One division per digit column over the whole array, peeling digits
-    from the right; what is left of an id at a column is non-zero exactly
-    when that column is not leading pad.  The loop runs in ``uint32``
-    when every id fits, where numpy divides about 4x faster.
+
+def _render_lanes(vertex_ids: np.ndarray, largest: int,
+                  lowest: np.ndarray, lanes: np.ndarray) -> None:
+    """Right-aligned decimal text of non-negative ``vertex_ids`` into the
+    ``uint32`` columns ``lanes``, most significant lane first, wide enough
+    for ``largest``; the lowest lane comes from the table ``lowest``.
+
+    One division by 1000 per lane below the first: the quotient is what
+    the lanes above hold, so a lane whose quotient is 0 leads the id and
+    takes the NUL-padded row of what is left, and every other lane the
+    zero-padded row of its chunk.  In ``uint32`` when every id fits.
     """
     rest = vertex_ids.astype(np.uint32 if largest < 1 << 32 else np.uint64)
-    ten = rest.dtype.type(10)
-    last = digits.shape[1] - 1
-    for col in range(last, -1, -1):
-        np.not_equal(rest, 0, out=keep[:, col])
-        quotient = rest // ten
-        np.subtract(rest, quotient * ten, out=digits[:, col],
-                    casting="unsafe")
-        rest = quotient
-    keep[:, last] = True                # "0" is one digit, not all pad
-    digits += _ZERO
+    thousand = rest.dtype.type(1000)
+    table = lowest
+    for col in range(lanes.shape[1] - 1, 0, -1):
+        above = rest // thousand
+        # rest - 1000 * (above - 1), the chunk plus 1000, when lanes above
+        # hold digits; rest itself when this lane leads.  Unsigned wrap
+        # cancels out: the row is always below 2000.
+        row = rest + thousand
+        row -= np.maximum(above, 1) * thousand
+        np.take(table, row, out=lanes[:, col], mode="clip")
+        table, rest = _LANES, above
+    np.take(table, rest, out=lanes[:, 0], mode="clip")
 
 
 class _TsvWriter(StreamWriter):
@@ -94,29 +126,35 @@ class _TsvWriter(StreamWriter):
         self._sink.write(buffer)
         self.num_edges += block.num_edges
 
-    def _encode_block(self, block: AdjacencyBlock) -> np.ndarray:
+    def _encode_block(self, block: AdjacencyBlock) -> bytearray:
         sources = np.asarray(block.sources, dtype=np.int64)
         dests = np.asarray(block.destinations, dtype=np.int64)
-        degrees = block.degrees
+        offsets = block.offsets
         top_source = _largest_id(sources, "source")
         top_dest = _largest_id(dests, "destination")
-        ws, wd = len(str(top_source)), len(str(top_dest))
-        # One line per row: ws source digits, tab, wd destination digits,
-        # newline.  Sources are rendered once per source and gathered per
-        # edge; destinations are rendered in place.
-        lines = np.empty((dests.size, ws + 1 + wd + 1), dtype=np.uint8)
-        keep = np.empty(lines.shape, dtype=bool)
-        source_digits = np.empty((sources.size, ws), dtype=np.uint8)
-        source_keep = np.empty(source_digits.shape, dtype=bool)
-        _render_decimal(sources, top_source, source_digits, source_keep)
-        lines[:, :ws] = np.repeat(source_digits, degrees, axis=0)
-        keep[:, :ws] = np.repeat(source_keep, degrees, axis=0)
-        _render_decimal(dests, top_dest,
-                        lines[:, ws + 1:-1], keep[:, ws + 1:-1])
-        lines[:, ws] = _TAB
-        lines[:, -1] = _NEWLINE
-        keep[:, ws] = keep[:, -1] = True
-        return lines[keep]
+        ls, ld = _lane_count(top_source), _lane_count(top_dest)
+        # Sources are rendered once per source and repeated per edge as
+        # one V(4 ls) item; destinations are rendered in place.
+        source_lanes = np.empty((sources.size, ls), dtype="<u4")
+        _render_lanes(sources, top_source, _TAB_LANES, source_lanes)
+        source_items = source_lanes.view(f"V{4 * ls}").ravel()
+        lines = np.empty((min(dests.size, _SLICE_EDGES), ls + ld),
+                         dtype="<u4")
+        text = bytearray()
+        for first in range(0, dests.size, _SLICE_EDGES):
+            stop = min(first + _SLICE_EDGES, dests.size)
+            # The sources whose edges meet [first, stop), and how many of
+            # each one's edges fall inside it.
+            lo = int(np.searchsorted(offsets, first, "right")) - 1
+            hi = int(np.searchsorted(offsets, stop, "left"))
+            repeats = np.diff(np.clip(offsets[lo:hi + 1], first, stop))
+            rows = lines[:stop - first]
+            rows[:, :ls].view(f"V{4 * ls}")[:, 0] = np.repeat(
+                source_items[lo:hi], repeats)
+            _render_lanes(dests[first:stop], top_dest, _NEWLINE_LANES,
+                          rows[:, ls:])
+            text += rows.tobytes().translate(None, b"\0")
+        return text
 
     def _finalize(self) -> WriteResult:
         # A deferred pipeline I/O error re-raises out of sink.close();

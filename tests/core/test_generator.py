@@ -6,7 +6,7 @@ import pytest
 from repro.core.generator import (AdjacencyBlock, IdeaToggles,
                                   RecursiveVectorGenerator)
 from repro.core.seed import GRAPH500, SeedMatrix
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SeedMatrixError
 
 
 class TestConstruction:
@@ -48,6 +48,31 @@ class TestConstruction:
                 ["generate", "--scale", "8", "--sampler", "bitwise",
                  "--output", str(tmp_path / "g.adj6")])
         assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("entries, direction, line", [
+        ([[.5, .5], [0, 0]], "out", "row 1"),
+        ([[0, 0], [0, 1]], "out", "row 0"),
+        ([[.5, 0], [.5, 0]], "in", "column 1"),
+    ])
+    def test_rejects_an_all_zero_scope_line(self, entries, direction, line):
+        """A seed row (AVS-O) or column (AVS-I) with no mass is refused
+        by name at construction, not by a division inside a block."""
+        seed = SeedMatrix(entries)          # the seed itself is legal
+        with pytest.raises(SeedMatrixError, match=line):
+            RecursiveVectorGenerator(6, seed_matrix=seed,
+                                     direction=direction)
+
+    @pytest.mark.parametrize("entries, direction", [
+        ([[.5, 0], [.5, 0]], "out"),
+        ([[.5, .5], [0, 0]], "in"),
+    ])
+    def test_zero_line_across_the_scopes_is_allowed(self, entries,
+                                                    direction):
+        """A zero column under AVS-O (a zero row under AVS-I) only
+        restricts the destinations."""
+        g = RecursiveVectorGenerator(6, seed_matrix=SeedMatrix(entries),
+                                     direction=direction, seed=7)
+        assert sum(b.num_edges for b in g.iter_blocks()) > 0
 
     def test_rejects_bad_block_size(self):
         with pytest.raises(ConfigurationError):

@@ -8,6 +8,9 @@ rows that need tens of rounds) to happen; these two digests cover that
 path.  A change that claims to be byte-neutral keeps them; a change of the
 scope-size law or of the kernel re-freezes them with the others.
 
+The ``seq-tsv`` workload writes the same graph as text; its bytes are
+pinned so an encoder change is byte-neutral by test, not by inspection.
+
 The ``extmem-rmat-disk`` workload runs ``trilliong baseline --model
 RMAT-disk --scale 19 --format adj6 --seed 7``; its graph is pinned too,
 and does not depend on ``batch_edges``.
@@ -32,6 +35,13 @@ def test_scale18_adj6_bytes(tmp_path, noise):
     TrillionG(18, seed=7, noise=noise).generate_to(path, fmt="adj6")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == SCALE18_DIGESTS[noise]
+
+
+def test_scale18_tsv_bytes(tmp_path):
+    path = tmp_path / "g.tsv"
+    TrillionG(18, seed=7).generate_to(path, fmt="tsv")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "709f4025a7d0eb69761ddbd1a8fed953b83dfe9ca44659173e8c60a0d0409caa")
 
 
 def test_extmem_rmat_disk_adj6_bytes(tmp_path):

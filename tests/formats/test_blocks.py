@@ -9,6 +9,7 @@ first/last blocks, and the AVS-I flipped direction.
 """
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.formats import (GraphFormat, ThreadedSink, TsvFormat,
                            blocks_from_adjacency, get_format,
                            id6_byte_view, pipeline, write_many,
                            write_many_blocks)
+from repro.formats import tsv
 from repro.telemetry import Counter, Stopwatch
 
 FORMATS = ["adj6", "csr6", "tsv"]
@@ -170,8 +172,8 @@ WIDTH_BOUNDARIES = sorted(
 
 
 class TestTsvBlockEncoder:
-    """The digit-matrix encoder against ``str(int)``: every id width, the
-    pad mask of each column, and the ids it must refuse."""
+    """The lane-table encoder against ``str(int)``: every id width, the
+    pad of each lane, edge slices, and the ids it must refuse."""
 
     @pytest.mark.parametrize("top", WIDTH_BOUNDARIES)
     def test_one_edge_block_at_every_width_boundary(self, top, tmp_path):
@@ -228,6 +230,53 @@ class TestTsvBlockEncoder:
         path = tmp_path_factory.mktemp("tsv") / "g"
         assert block_bytes("tsv", path, blocks, 1 << 63) \
             == tsv_text(blocks)
+
+    def test_slices_join_where_a_source_straddles_them(self, tmp_path):
+        """Four slices: sources' edges cross the first and third slice
+        boundaries; the second falls between two sources, on a degree-0
+        one."""
+        size = tsv._SLICE_EDGES
+        rng = np.random.default_rng(3)
+
+        def ids(count):
+            return rng.integers(0, 10 ** rng.integers(1, 13, count))
+
+        lists = [ids(size - 5), ids(10), [], ids(size - 5), [],
+                 ids(size + 10)]
+        blocks = [hand_block([3, 42, 0, 999999, 7, 10 ** 12], lists)]
+        assert blocks[0].offsets.tolist() == [
+            0, size - 5, size + 5, size + 5, 2 * size, 2 * size,
+            3 * size + 10]
+        assert block_bytes("tsv", tmp_path / "g", blocks, 10 ** 13) \
+            == tsv_text(blocks)
+
+    @pytest.mark.parametrize("slice_edges", [1, 5, 64])
+    def test_small_slices(self, slice_edges, tmp_path, monkeypatch):
+        monkeypatch.setattr(tsv, "_SLICE_EDGES", slice_edges)
+        gen = make_generator(scale=8)
+        blocks = list(gen.iter_blocks())
+        assert block_bytes("tsv", tmp_path / "g", blocks,
+                           gen.num_vertices) == tsv_text(blocks)
+
+    def test_hub_block_scratch_is_bounded_by_the_slice(self, tmp_path):
+        """Encoding the scale-18 hub block (808 K edges) allocates its
+        text plus slice-sized scratch, not block-sized lanes.  The text
+        is a ``bytearray`` grown a slice at a time, so an eighth of it
+        may be growth slack."""
+        gen = RecursiveVectorGenerator(18, seed=7)
+        per_block = gen.degrees().reshape(-1, gen.block_size).sum(axis=1)
+        hub = gen.generate_block(int(per_block.argmax()))
+        writer = get_format("tsv").open_writer(tmp_path / "g",
+                                               gen.num_vertices)
+        tracemalloc.start()
+        try:
+            text = writer._encode_block(hub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            writer.close()
+        assert hub.num_edges > 10 * tsv._SLICE_EDGES
+        assert peak <= len(text) + len(text) // 8 + 64 * tsv._SLICE_EDGES
 
     @pytest.mark.parametrize("sources,lists", [
         ([3, -4], [[1], [2]]),
