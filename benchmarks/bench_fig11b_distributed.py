@@ -18,6 +18,7 @@ from repro.cluster import PAPER_CLUSTER, CostModel
 from repro.core.generator import RecursiveVectorGenerator
 from repro.dist import ClusterSpec, LocalCluster
 from repro.models import WespDiskGenerator, WespMemGenerator
+from tests.faultinject import FaultInjector, needs_fork
 
 SCALE = 14
 WORKERS = 4
@@ -117,35 +118,35 @@ def test_headline_gap_at_scale31(benchmark):
     assert 50 < ratio < 200
 
 
-def test_measured_faulty_run_overhead(benchmark, tmp_path, table):
+@needs_fork
+def test_measured_faulty_run_overhead(benchmark, tmp_path, monkeypatch,
+                                      table):
     """Fault-tolerance column: the same distributed run with an injected
     crash and hang recovers via retries and yields the identical graph,
     at a bounded wall-clock premium."""
-    from repro.dist import FaultPlan, RetryPolicy
+    from repro.dist import RetryPolicy, runner
 
     def sort_edges(edges):
         return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
 
-    def run_one(out_dir, faults):
+    def run_one(out_dir):
         g = RecursiveVectorGenerator(SCALE, 16, seed=4, block_size=128)
         cluster = LocalCluster(ClusterSpec(machines=2,
                                            threads_per_machine=2))
-        policy = RetryPolicy(task_timeout=6.0, backoff_base=0.01,
-                             backoff_max=0.05, jitter=0.0)
         t0 = time.perf_counter()
-        result = cluster.generate_to_files(g, out_dir, "adj6",
-                                           processes=2, retry=policy,
-                                           faults=faults)
+        result = cluster.generate_to_files(
+            g, out_dir, "adj6", processes=2,
+            retry=RetryPolicy(task_timeout=6.0))
         elapsed = time.perf_counter() - t0
         edges = cluster.read_all_edges(result, "adj6")
         return result, elapsed, sort_edges(edges)
 
     def run():
-        clean = run_one(tmp_path / "clean", FaultPlan())
-        faulty = run_one(tmp_path / "faulty",
-                         FaultPlan(crash_tasks=frozenset({0}),
-                                   hang_tasks=frozenset({1}),
-                                   hang_seconds=120.0))
+        clean = run_one(tmp_path / "clean")
+        FaultInjector(tmp_path / "markers", crash=frozenset({0}),
+                      hang=frozenset({1}), hang_seconds=120.0).patch(
+            monkeypatch, runner, "_worker_generate")
+        faulty = run_one(tmp_path / "faulty")
         return clean, faulty
 
     clean, faulty = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -153,8 +154,8 @@ def test_measured_faulty_run_overhead(benchmark, tmp_path, table):
     for label, (result, elapsed, _) in (("clean", clean),
                                         ("crash+hang injected", faulty)):
         rows.append([label, result.num_edges, round(elapsed, 3),
-                     result.num_retries, result.num_fallbacks])
+                     result.num_retries])
     table("Figure 11(b) measured: fault-tolerant run vs clean run",
-          ["run", "edges", "seconds", "retries", "fallbacks"], rows)
+          ["run", "edges", "seconds", "retries"], rows)
     np.testing.assert_array_equal(clean[2], faulty[2])
     assert faulty[0].num_retries >= 2

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .core.seed import SeedMatrix
+from .errors import ConfigurationError
 from .formats import available_formats, get_format
 from .system import TrillionG
 
@@ -227,9 +228,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     retry = None
     if args.retries is not None or args.task_timeout is not None:
         from .dist.faults import RetryPolicy
-        retry = RetryPolicy(
-            retries=args.retries if args.retries is not None else 3,
-            task_timeout=args.task_timeout)
+        try:
+            retry = RetryPolicy(
+                retries=args.retries if args.retries is not None else 3,
+                task_timeout=args.task_timeout)
+        except ConfigurationError as exc:
+            raise SystemExit(f"--retries/--task-timeout: {exc}") from None
     tg = TrillionG(args.scale, args.edge_factor,
                    _parse_matrix(args.matrix), noise=args.noise,
                    engine=args.engine, seed=args.seed,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..contracts import check_seed_matrix
 from ..errors import ConfigurationError
 from .seed import SeedMatrix
 
@@ -58,8 +57,6 @@ def noisy_seed_matrices(seed: SeedMatrix, levels: int, noise: float,
         shrink = 1.0 - 2.0 * mu / (a + d)
         matrices.append(SeedMatrix.rmat(a * shrink, b + mu,
                                         c + mu, d * shrink))
-        # Definition 3's perturbation is mass-preserving (Lemmas 7-8).
-        check_seed_matrix(matrices[-1])
     return matrices
 
 

@@ -4,8 +4,7 @@ hash shuffle, external sort, and the local multiprocessing cluster."""
 from .checkpoint import CheckpointedRun, CheckpointState
 from ..util.external_sort import (external_sort_unique, iter_unique_keys,
                                   write_run)
-from .faults import (FaultPlan, RetryPolicy, TaskAttempt,
-                     pick_start_method, run_tasks)
+from .faults import RetryPolicy, TaskAttempt, pick_start_method, run_tasks
 from .merge_parts import merge_parts
 from .partition import Bin, combine, range_partition, repartition
 from .runner import ClusterSpec, DistributedResult, LocalCluster, WorkerResult
@@ -15,7 +14,7 @@ from .wesp_runner import WespDistributedResult, run_wesp_distributed
 __all__ = [
     "CheckpointedRun", "CheckpointState",
     "external_sort_unique", "iter_unique_keys", "write_run",
-    "FaultPlan", "RetryPolicy", "TaskAttempt",
+    "RetryPolicy", "TaskAttempt",
     "pick_start_method", "run_tasks",
     "Bin", "combine", "range_partition", "repartition", "merge_parts",
     "ClusterSpec", "DistributedResult", "LocalCluster", "WorkerResult",

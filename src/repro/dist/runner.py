@@ -9,9 +9,8 @@ configuration.
 
 Execution is supervised by the fault-tolerance layer
 (:mod:`repro.dist.faults`): each partition runs under a per-attempt
-timeout, crashed or hung workers are killed and retried with backoff, a
-partition whose worker died repeatedly falls back to in-process
-execution, and the full per-task attempt history is recorded on the
+timeout, crashed or hung workers are killed and retried with backoff,
+and the full per-task attempt history is recorded on the
 :class:`DistributedResult`.  :meth:`LocalCluster.generate_checkpointed`
 additionally journals every finished chunk into a
 :class:`~repro.dist.checkpoint.CheckpointedRun` manifest, so a killed
@@ -27,14 +26,12 @@ from typing import Callable
 
 import numpy as np
 
-from ..contracts import check_attempt_history, check_worker_result
 from ..core.generator import RecursiveVectorGenerator
-from ..errors import FormatError, WorkerError
+from ..errors import WorkerError
 from ..formats import get_format
 from ..telemetry import span
 from .checkpoint import CheckpointedRun, fsync_dir, fsync_file
-from .faults import (FaultPlan, RetryPolicy, TaskAttempt,
-                     pick_start_method, run_tasks)
+from .faults import RetryPolicy, TaskAttempt, pick_start_method, run_tasks
 from .partition import Bin, range_partition
 
 __all__ = ["ClusterSpec", "WorkerResult", "DistributedResult",
@@ -96,12 +93,6 @@ class DistributedResult:
         """Attempts beyond the first, across all tasks."""
         return sum(max(0, len(a) - 1)
                    for a in self.task_attempts.values())
-
-    @property
-    def num_fallbacks(self) -> int:
-        """Tasks that completed in-process after worker deaths."""
-        return sum(1 for a in self.task_attempts.values()
-                   if a and a[-1].outcome == "ok" and a[-1].in_process)
 
     @property
     def encode_seconds(self) -> float:
@@ -230,37 +221,17 @@ class LocalCluster:
         ]
 
     @staticmethod
-    def _make_validator(fmt_name: str, faults: FaultPlan | None):
-        """Part-file validator run in the supervisor after each success.
-
-        Existence/size are always checked; a full read-back (edge count
-        vs. the worker's report) runs when fault injection is active,
-        where corrupt output is an expected failure mode.
-        """
-        fmt = get_format(fmt_name)
-        deep = faults is not None and not faults.empty
-
-        def validate(task: tuple, result: WorkerResult) -> None:
-            path = Path(result.path)
-            if not path.exists():
-                raise WorkerError(
-                    f"worker reported success but {path} is missing")
-            if result.num_edges > 0 and path.stat().st_size == 0:
-                raise WorkerError(
-                    f"worker reported {result.num_edges} edges but "
-                    f"{path} is empty")
-            if deep:
-                try:
-                    edges = fmt.read_edges(path)
-                except (FormatError, ValueError, OSError) as exc:
-                    raise WorkerError(
-                        f"{path} is unreadable: {exc}") from exc
-                if edges.shape[0] != result.num_edges:
-                    raise WorkerError(
-                        f"{path} holds {edges.shape[0]} edges, worker "
-                        f"reported {result.num_edges}")
-
-        return validate
+    def _validate_part(task: tuple, result: WorkerResult) -> None:
+        """Part-file check run in the supervisor after each success: the
+        file exists, and is non-empty when edges were reported."""
+        path = Path(result.path)
+        if not path.exists():
+            raise WorkerError(
+                f"worker reported success but {path} is missing")
+        if result.num_edges > 0 and path.stat().st_size == 0:
+            raise WorkerError(
+                f"worker reported {result.num_edges} edges but "
+                f"{path} is empty")
 
     @staticmethod
     def _pool_size(processes: int | None, num_tasks: int,
@@ -271,27 +242,17 @@ class LocalCluster:
 
     def _run_supervised(self, tasks: list[tuple], worker, pool_size: int,
                         retry: RetryPolicy | None,
-                        faults: FaultPlan | None,
-                        fmt_name: str,
                         start_method: str | None,
                         on_result=None,
                         ) -> tuple[list[WorkerResult],
                                    dict[int, list[TaskAttempt]]]:
-        """Shared scatter path: resolve policy/faults/context, run the
-        scheduler, and check the per-task contracts."""
-        faults = faults if faults is not None else FaultPlan.from_env()
-        policy = retry if retry is not None else RetryPolicy()
+        """Shared scatter path: resolve the start method and run the
+        scheduler with the part-file check."""
         ctx = mp.get_context(start_method if start_method is not None
                              else pick_start_method())
-        results, history = run_tasks(
-            tasks, worker, pool_size=pool_size, policy=policy,
-            faults=faults, validate=self._make_validator(fmt_name, faults),
-            on_result=on_result, mp_context=ctx)
-        for index, task in enumerate(tasks):
-            check_worker_result(results[index],
-                                start=task[1], stop=task[2])
-            check_attempt_history(history[index])
-        return results, history
+        return run_tasks(tasks, worker, pool_size=pool_size, policy=retry,
+                         validate=self._validate_part, on_result=on_result,
+                         mp_context=ctx)
 
     # ------------------------------------------------------------------
 
@@ -300,7 +261,6 @@ class LocalCluster:
                           fmt_name: str = "adj6",
                           processes: int | None = None, *,
                           retry: RetryPolicy | None = None,
-                          faults: FaultPlan | None = None,
                           start_method: str | None = None,
                           progress: Callable[[int], None] | None = None,
                           ) -> DistributedResult:
@@ -308,10 +268,8 @@ class LocalCluster:
 
         ``processes`` caps the real OS processes (defaults to the logical
         worker count; the logical partitioning is unaffected).  ``retry``
-        and ``faults`` configure the fault-tolerance layer; when
-        ``faults`` is omitted, ``TRILLIONG_FAULT_PROB`` /
-        ``TRILLIONG_FAULT_SEED`` are honoured (unset means no injection).
-        ``start_method`` forces ``fork``/``spawn`` (default: fork where
+        configures the fault-tolerance layer (retries and the per-attempt
+        timeout).  ``start_method`` forces ``fork``/``spawn`` (default: fork where
         available, spawn otherwise).  ``progress`` is called with the
         cumulative edge count as each partition lands.
         """
@@ -327,8 +285,7 @@ class LocalCluster:
                                     self.spec.num_workers)
         with span("scatter", tasks=len(tasks), pool=pool_size) as sp:
             result.workers, result.task_attempts = self._run_supervised(
-                tasks, _worker_generate, pool_size, retry, faults,
-                fmt_name, start_method,
+                tasks, _worker_generate, pool_size, retry, start_method,
                 on_result=_progress_hook(progress))
         result.elapsed_seconds = sp.seconds + result.partition_seconds
         return result
@@ -339,7 +296,6 @@ class LocalCluster:
                               blocks_per_chunk: int = 16,
                               processes: int | None = None, *,
                               retry: RetryPolicy | None = None,
-                              faults: FaultPlan | None = None,
                               start_method: str | None = None,
                               progress: Callable[[int], None]
                               | None = None,
@@ -380,8 +336,8 @@ class LocalCluster:
                                     self.spec.num_workers)
         with span("scatter", tasks=len(tasks), pool=pool_size) as sp:
             result.workers, result.task_attempts = self._run_supervised(
-                tasks, _worker_chunk, pool_size, retry, faults, fmt_name,
-                start_method, on_result=record)
+                tasks, _worker_chunk, pool_size, retry, start_method,
+                on_result=record)
         result.elapsed_seconds = sp.seconds
         return result
 

@@ -39,7 +39,7 @@ from ..models.wesp import worker_task
 from ..util.external_sort import iter_unique_keys, write_run
 from ..util.shuffle import hash_partition, partition_skew
 from ..util.spill import fsync_dir
-from .faults import FaultPlan, RetryPolicy, pick_start_method, run_tasks
+from .faults import RetryPolicy, pick_start_method, run_tasks
 
 __all__ = ["WespDistributedResult", "run_wesp_distributed"]
 
@@ -150,7 +150,6 @@ def run_wesp_distributed(scale: int, edge_factor: int = 16,
                          seed: int = 0, work_dir: Path | str,
                          processes: int | None = None,
                          retry: RetryPolicy | None = None,
-                         faults: FaultPlan | None = None,
                          fmt_name: str | None = None
                          ) -> WespDistributedResult:
     """Run the full WES/p dataflow across worker processes.
@@ -176,7 +175,6 @@ def run_wesp_distributed(scale: int, edge_factor: int = 16,
     pool_size = processes if processes is not None \
         else min(num_workers, mp.cpu_count())
     ctx = mp.get_context(pick_start_method())
-    faults = faults if faults is not None else FaultPlan.from_env()
     map_args = [
         (w, scale, num_edges, seed_matrix.entries.tolist(), seed,
          num_workers, epsilon, str(shuffle_dir))
@@ -185,20 +183,18 @@ def run_wesp_distributed(scale: int, edge_factor: int = 16,
     with span("wesp.map", workers=num_workers) as sp:
         map_outputs, _ = run_tasks(map_args, _map_task,
                                    pool_size=pool_size, policy=retry,
-                                   faults=faults, mp_context=ctx)
+                                   mp_context=ctx)
     result.generate_seconds = sp.seconds
 
     # Group runs by reducer.
     reduce_args = []
     for reducer in range(num_workers):
         runs = [path for paths in map_outputs for path in paths[reducer]]
-        # Not ending in a string: to the scheduler's fault hooks a task
-        # tuple's trailing string names its output file.
         reduce_args.append((reducer, runs, str(work_dir), fmt_name, scale))
     with span("wesp.reduce", workers=num_workers) as sp:
         reduce_outputs, _ = run_tasks(reduce_args, _reduce_task,
                                       pool_size=pool_size, policy=retry,
-                                      faults=faults, mp_context=ctx)
+                                      mp_context=ctx)
     result.merge_seconds = sp.seconds
 
     for path, count in reduce_outputs:

@@ -19,7 +19,6 @@ __all__ = [
     "GenerationError",
     "WorkerError",
     "TaskTimeout",
-    "ContractViolation",
 ]
 
 
@@ -82,9 +81,9 @@ class WorkerError(TrillionGError, RuntimeError):
 
     Raised by the fault-tolerant scheduler (:mod:`repro.dist.faults`) once
     a task has exhausted its retry budget, or by output validation when a
-    worker reported success but its part file is missing/corrupt.  Carries
-    the task index and the full per-attempt history so callers can see
-    every crash, timeout, and fallback that led here.
+    worker reported success but its part file is missing or empty.
+    Carries the task index and the full per-attempt history so callers
+    can see every crash and timeout that led here.
     """
 
     def __init__(self, message: str, *, task_index: int | None = None,
@@ -104,11 +103,3 @@ class TaskTimeout(WorkerError):
         super().__init__(message, task_index=task_index, attempts=attempts)
         self.timeout_seconds = timeout_seconds
 
-
-class ContractViolation(TrillionGError, AssertionError):
-    """A runtime invariant checked by :mod:`repro.contracts` failed.
-
-    Raised only when contract checking is enabled (``TRILLIONG_CONTRACTS=1``
-    or :func:`repro.contracts.enable_contracts`); production runs pay no
-    cost for disabled contracts.
-    """

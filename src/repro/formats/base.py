@@ -23,7 +23,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..contracts import check_write_result
 from ..core.generator import AdjacencyBlock
 from ..errors import FormatError
 from ..telemetry import Stopwatch, registry, span
@@ -147,7 +146,6 @@ class StreamWriter(ABC):
         reg = registry()
         reg.counter("format.bytes_written").inc(bytes_written)
         reg.counter("format.edges_written").inc(self.num_edges)
-        check_write_result(result)
         return result
 
     def __enter__(self) -> "StreamWriter":

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
-from ..contracts import check_seed_matrix
 from ..core.rng import stream
 from ..core.seed import GRAPH500, SeedMatrix
 from ..errors import ConfigurationError, GenerationError, OutOfMemoryError
@@ -149,7 +148,6 @@ class ScopeBasedGenerator(ABC):
             raise ConfigurationError("num_edges must be positive")
         self.seed_matrix = (seed_matrix if seed_matrix is not None
                             else GRAPH500)
-        check_seed_matrix(self.seed_matrix)
         self.seed = seed
         self.memory_budget = memory_budget
         self.report = GenerationReport(model=self.name,

@@ -19,7 +19,7 @@ from .telemetry import (build_report, reset_telemetry, span,
                         telemetry_enabled, worker_reports)
 
 if TYPE_CHECKING:
-    from .dist.faults import FaultPlan, RetryPolicy
+    from .dist.faults import RetryPolicy
     from .dist.runner import ClusterSpec
 
 __all__ = ["TrillionG", "TrillionGResult"]
@@ -87,8 +87,7 @@ class TrillionG:
                  seed: int = 0,
                  block_size: int = 4096,
                  cluster: ClusterSpec | None = None,
-                 retry: RetryPolicy | None = None,
-                 faults: FaultPlan | None = None) -> None:
+                 retry: RetryPolicy | None = None) -> None:
         self.generator = RecursiveVectorGenerator(
             scale, edge_factor,
             seed_matrix if seed_matrix is not None else GRAPH500,
@@ -96,7 +95,6 @@ class TrillionG:
             ideas=ideas, seed=seed, block_size=block_size)
         self.cluster = cluster
         self.retry = retry
-        self.faults = faults
 
     @property
     def num_vertices(self) -> int:
@@ -158,7 +156,7 @@ class TrillionG:
             runner = LocalCluster(self.cluster)
             dist = runner.generate_to_files(
                 self.generator, path, fmt, processes=processes,
-                retry=self.retry, faults=self.faults, progress=progress)
+                retry=self.retry, progress=progress)
         total_bytes = sum(p.stat().st_size for p in dist.paths)
         return TrillionGResult(dist.paths, self.num_vertices,
                                dist.num_edges, total_bytes,
@@ -196,7 +194,7 @@ class TrillionG:
             dist = runner.generate_checkpointed(
                 self.generator, path, fmt, blocks_per_chunk,
                 processes=processes, retry=self.retry,
-                faults=self.faults, progress=progress)
+                progress=progress)
         run = dist.checkpoint
         assert run is not None
         paths = run.chunk_paths()

@@ -190,12 +190,10 @@ class TestKillResume:
         out = tmp_path / "out"
         code = (
             "from repro.core.generator import RecursiveVectorGenerator\n"
-            "from repro.dist.faults import FaultPlan\n"
             "from repro.dist.runner import LocalCluster\n"
             f"g = RecursiveVectorGenerator(13, 8, seed=11, block_size=64)\n"
             f"LocalCluster(num_workers=2).generate_checkpointed(\n"
-            f"    g, {str(out)!r}, blocks_per_chunk=2, processes=2,\n"
-            "    faults=FaultPlan())\n"
+            f"    g, {str(out)!r}, blocks_per_chunk=2, processes=2)\n"
         )
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.Popen([sys.executable, "-c", code], env=env,

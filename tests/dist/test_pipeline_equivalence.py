@@ -16,9 +16,11 @@ from pathlib import Path
 
 from repro.core.generator import RecursiveVectorGenerator
 from repro.dist.checkpoint import CheckpointedRun
-from repro.dist.faults import FaultPlan, RetryPolicy
+from repro.dist import runner
+from repro.dist.faults import RetryPolicy
 from repro.dist.runner import LocalCluster
 from repro.formats import get_format
+from tests.faultinject import FaultInjector, needs_fork
 
 
 def make_generator():
@@ -36,22 +38,24 @@ def test_distributed_parts_identical_to_sequential(tmp_path):
         tmp_path / "seq.adj6", gen.iter_blocks(), gen.num_vertices)
     for workers in (2, 3):
         parts = LocalCluster(num_workers=workers).generate_to_files(
-            gen, tmp_path / f"w{workers}", processes=2,
-            faults=FaultPlan())
+            gen, tmp_path / f"w{workers}", processes=2)
         assert parts.num_edges == sequential.num_edges
         assert b"".join(p.read_bytes() for p in parts.paths) == \
             sequential.path.read_bytes()
 
 
-def test_checkpointed_chunks_identical_under_fault_injection(tmp_path):
+@needs_fork
+def test_checkpointed_chunks_identical_under_fault_injection(tmp_path,
+                                                             monkeypatch):
     """Crash-injected retries still land the same chunk bytes as a clean
     sequential run."""
     gen = make_generator()
-    faults = FaultPlan(crash_probability=0.4, seed=3)
-    retry = RetryPolicy(retries=4, backoff_base=0.01, backoff_max=0.05)
+    FaultInjector(tmp_path / "markers", crash_probability=0.4,
+                  seed=3).patch(monkeypatch, runner, "_worker_chunk")
     injected = LocalCluster(num_workers=2).generate_checkpointed(
         gen, tmp_path / "faulty", blocks_per_chunk=2, processes=2,
-        retry=retry, faults=faults)
+        retry=RetryPolicy(retries=4))
+    assert injected.num_retries > 0
     assert injected.checkpoint is not None
     assert injected.checkpoint.complete
 
@@ -71,12 +75,10 @@ def test_sigkill_mid_chunk_resume_identical(tmp_path):
     out = tmp_path / "out"
     code = (
         "from repro.core.generator import RecursiveVectorGenerator\n"
-        "from repro.dist.faults import FaultPlan\n"
         "from repro.dist.runner import LocalCluster\n"
         "g = RecursiveVectorGenerator(13, 8, seed=11, block_size=64)\n"
         f"LocalCluster(num_workers=2).generate_checkpointed(\n"
-        f"    g, {str(out)!r}, blocks_per_chunk=2, processes=2,\n"
-        "    faults=FaultPlan())\n"
+        f"    g, {str(out)!r}, blocks_per_chunk=2, processes=2)\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.Popen([sys.executable, "-c", code], env=env,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.generator import RecursiveVectorGenerator
+from repro.dist.partition import range_partition
 from repro.dist.runner import ClusterSpec, DistributedResult, LocalCluster
 
 
@@ -55,6 +56,9 @@ class TestLocalCluster:
             g, tmp_path, "adj6", processes=1)
         assert res.workers[0].start == 0
         assert res.workers[-1].stop == g.num_vertices
+        # Each worker reports exactly the range it was assigned.
+        assert [(w.start, w.stop) for w in res.workers] == \
+            [(r.start, r.stop) for r in range_partition(g, 2)]
         assert all(w.elapsed_seconds >= 0 for w in res.workers)
         assert res.elapsed_seconds > 0
 
@@ -104,13 +108,11 @@ class TestGenerateCheckpointed:
         return RecursiveVectorGenerator(scale, ef, **defaults)
 
     def test_parallel_checkpointed_bit_identical(self, tmp_path):
-        from repro.dist.faults import FaultPlan
         g = self.make_generator()
         cluster = LocalCluster(num_workers=2)
         res = cluster.generate_checkpointed(g, tmp_path,
                                             blocks_per_chunk=2,
-                                            processes=2,
-                                            faults=FaultPlan())
+                                            processes=2)
         assert res.checkpoint is not None and res.checkpoint.complete
         merged = cluster.read_all_edges(res, "adj6")
         seq = self.make_generator().edges()
@@ -118,29 +120,23 @@ class TestGenerateCheckpointed:
                                       sort_edges(seq))
 
     def test_resume_after_completion_is_noop(self, tmp_path):
-        from repro.dist.faults import FaultPlan
         cluster = LocalCluster(num_workers=2)
         cluster.generate_checkpointed(self.make_generator(), tmp_path,
-                                      blocks_per_chunk=2, processes=2,
-                                      faults=FaultPlan())
+                                      blocks_per_chunk=2, processes=2)
         again = cluster.generate_checkpointed(self.make_generator(),
                                               tmp_path,
                                               blocks_per_chunk=2,
-                                              processes=2,
-                                              faults=FaultPlan())
+                                              processes=2)
         assert again.workers == []          # nothing left to generate
         assert again.checkpoint.complete
 
     def test_clean_run_attempt_history(self, tmp_path):
         """Without injected faults every task completes on attempt 1."""
-        from repro.dist.faults import FaultPlan
         cluster = LocalCluster(num_workers=3)
         res = cluster.generate_to_files(self.make_generator(), tmp_path,
-                                        "adj6", processes=2,
-                                        faults=FaultPlan())
+                                        "adj6", processes=2)
         assert set(res.task_attempts) == {0, 1, 2}
         assert res.num_retries == 0
-        assert res.num_fallbacks == 0
         for trail in res.task_attempts.values():
             assert [a.attempt for a in trail] == [1]
             assert trail[0].outcome == "ok"

@@ -165,12 +165,16 @@ class TestRepartition:
 
 class TestRangePartition:
     def test_covers_vertex_range(self):
-        g = RecursiveVectorGenerator(12, 16, seed=1, block_size=128)
-        ranges = range_partition(g, 5)
-        assert ranges[0].start == 0
-        assert ranges[-1].stop == g.num_vertices
-        for a, b in zip(ranges, ranges[1:]):
-            assert a.stop == b.start
+        # (9, 4096): one block wider than |V|, whose bin is cut at |V|.
+        for scale, block_size in ((12, 128), (9, 4096)):
+            g = RecursiveVectorGenerator(scale, 16, seed=1,
+                                         block_size=block_size)
+            ranges = range_partition(g, 5)
+            assert ranges[0].start == 0
+            assert ranges[-1].stop == g.num_vertices
+            for a, b in zip(ranges, ranges[1:]):
+                assert a.stop == b.start
+            assert all(r.start < r.stop for r in ranges)
 
     def test_block_aligned(self):
         g = RecursiveVectorGenerator(12, 16, seed=1, block_size=128)

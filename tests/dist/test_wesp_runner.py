@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.dist import faults, wesp_runner
+from tests.faultinject import FaultInjector
 from repro.dist.wesp_runner import run_wesp_distributed
 from repro.formats import get_format
 from repro.models import WespDiskGenerator, WespMemGenerator
@@ -87,9 +88,9 @@ def test_reducer_killed_mid_merge_and_retried_writes_identical_part(
     """A reducer that dies with half its part written leaves nothing a
     retry could trip over or would need: the engine writes no
     intermediate state, so the retried attempt re-reads its map runs and
-    the part comes out byte for byte an undisturbed run's.  A
-    ``FaultPlan`` crash fires before its task starts (task 1 of either
-    phase here); the reducer that gets furthest first is SIGKILLed after
+    the part comes out byte for byte an undisturbed run's.  An injected
+    crash fires before its task starts (task 1 of either phase here); the
+    reducer that gets furthest first is SIGKILLed after
     its first chunk reached the part's temporary."""
     if faults.pick_start_method() != "fork":
         pytest.skip("the dying reducer is patched in, which needs fork")
@@ -109,10 +110,12 @@ def test_reducer_killed_mid_merge_and_retried_writes_identical_part(
         yield from stream
 
     monkeypatch.setattr(wesp_runner, "iter_unique_keys", dying_stream)
+    for phase in ("_map_task", "_reduce_task"):
+        FaultInjector(tmp_path / phase, crash=frozenset({1})).patch(
+            monkeypatch, wesp_runner, phase)
     retried = run_wesp_distributed(
         10, 8, seed=4, num_workers=2, work_dir=tmp_path / "retried",
-        processes=2, faults=faults.FaultPlan(crash_tasks=frozenset({1})),
-        retry=faults.RetryPolicy(retries=3, backoff_base=0.0))
+        processes=2, retry=faults.RetryPolicy(retries=3))
     assert died.exists()
     assert [p.name for p in retried.part_paths] == \
         [p.name for p in calm.part_paths]

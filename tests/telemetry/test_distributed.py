@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dist.faults import FaultPlan, RetryPolicy
+from repro.dist import runner
+from repro.dist.faults import RetryPolicy
 from repro.dist.runner import ClusterSpec
 from repro.system import TrillionG
+from tests.faultinject import FaultInjector, needs_fork
 
 SCALE = 11
 CLUSTER = ClusterSpec(machines=2, threads_per_machine=2)
@@ -43,10 +45,8 @@ def test_distributed_run_merges_worker_reports(tmp_path):
     # Worker-side counters arrived in the supervisor's registry.
     assert metrics["generator.edges"]["value"] == result.num_edges
     assert metrics["format.edges_written"]["value"] == result.num_edges
-    # One attempt per worker (more when the ambient TRILLIONG_FAULT_*
-    # plan injects crashes — crashed attempts raise before generating,
-    # so the worker counts below stay exact).
-    assert metrics["sched.attempts"]["value"] >= 4
+    # One attempt per worker: nothing injects faults here.
+    assert metrics["sched.attempts"]["value"] == 4
     # Worker span trees grafted under the scheduler span.
     generate = _span_root(report, "generate")
     worker = _find(generate, "scatter", "sched.run_tasks",
@@ -55,9 +55,15 @@ def test_distributed_run_merges_worker_reports(tmp_path):
     assert _find(worker, "format.write_blocks")["count"] == 4
 
 
-def test_crashed_attempts_count_and_retry(tmp_path):
-    tg = _system(faults=FaultPlan(crash_tasks=frozenset({0})),
-                 retry=RetryPolicy(retries=2))
+def _inject(tmp_path, monkeypatch, **faults):
+    FaultInjector(tmp_path / "markers", **faults).patch(
+        monkeypatch, runner, "_worker_generate")
+
+
+@needs_fork
+def test_crashed_attempts_count_and_retry(tmp_path, monkeypatch):
+    _inject(tmp_path, monkeypatch, crash=frozenset({0}))
+    tg = _system(retry=RetryPolicy(retries=2))
     result = tg.generate_to(tmp_path / "out", fmt="adj6",
                             processes=4)
     metrics = result.telemetry["metrics"]
@@ -69,11 +75,12 @@ def test_crashed_attempts_count_and_retry(tmp_path):
     assert metrics["generator.edges"]["value"] == result.num_edges
 
 
-def test_corrupt_attempt_merges_partial_metrics(tmp_path):
+@needs_fork
+def test_corrupt_attempt_merges_partial_metrics(tmp_path, monkeypatch):
     """A corrupted attempt generated real work before failing output
     validation; its snapshot must still fold into the aggregate."""
-    tg = _system(faults=FaultPlan(corrupt_tasks=frozenset({1})),
-                 retry=RetryPolicy(retries=2))
+    _inject(tmp_path, monkeypatch, empty=frozenset({1}))
+    tg = _system(retry=RetryPolicy(retries=2))
     result = tg.generate_to(tmp_path / "out", fmt="adj6",
                             processes=4)
     metrics = result.telemetry["metrics"]
@@ -83,13 +90,14 @@ def test_corrupt_attempt_merges_partial_metrics(tmp_path):
     assert metrics["generator.edges"]["value"] > result.num_edges
 
 
-def test_byte_identity_under_faults(tmp_path):
+@needs_fork
+def test_byte_identity_under_faults(tmp_path, monkeypatch):
     clean = _system()
     clean_result = clean.generate_to(tmp_path / "clean", fmt="adj6",
                                      processes=4)
-    faulty = _system(faults=FaultPlan(crash_tasks=frozenset({0}),
-                                      corrupt_tasks=frozenset({2})),
-                     retry=RetryPolicy(retries=2))
+    _inject(tmp_path, monkeypatch, crash=frozenset({0}),
+            empty=frozenset({2}))
+    faulty = _system(retry=RetryPolicy(retries=2))
     faulty_result = faulty.generate_to(tmp_path / "faulty",
                                        fmt="adj6", processes=4)
     assert clean_result.num_edges == faulty_result.num_edges
@@ -135,9 +143,9 @@ def test_second_run_reports_only_its_own_work(tmp_path, threads):
         assert _span_root(report, "generate")["count"] == 1
         attempts = 0
         if cluster is not None:
-            # One per task, more only if fault injection is armed.
+            # One per task: nothing injects faults here.
             attempts = int(_metric(report, "sched.attempts"))
-            assert attempts >= threads
+            assert attempts == threads
         assert len(report.get("worker_reports", ())) == attempts
 
 

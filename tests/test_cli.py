@@ -47,6 +47,20 @@ class TestGenerate:
             main(["generate", "--scale", "8", "--matrix", "0.5,0.5",
                   "--output", str(tmp_path / "x")])
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--task-timeout", "0"), ("--task-timeout", "-1"),
+        ("--retries", "-3")])
+    def test_bad_retry_input_exits_with_one_line(self, tmp_path, flag,
+                                                 value):
+        out = tmp_path / "parts"
+        with pytest.raises(SystemExit) as info:
+            main(["generate", "--scale", "14", "--threads", "2",
+                  flag, value, "--output", str(out)])
+        message = str(info.value.code)
+        assert flag.lstrip("-").replace("-", "_") in message
+        assert "\n" not in message
+        assert not out.exists()
+
     def test_distributed(self, tmp_path, capsys):
         out = tmp_path / "parts"
         assert main(["generate", "--scale", "10", "--machines", "2",
@@ -73,7 +87,7 @@ class TestGenerate:
         report = json.loads(metrics.read_text())
         assert report["metrics"]["generator.edges"]["value"] == printed
         workers = report["worker_reports"]
-        # One per task; more only if fault injection is armed.
+        # One per task: nothing failed, so nothing was retried.
         assert len(workers) == report["metrics"]["sched.attempts"]["value"]
         assert {w["task_index"] for w in workers} == {0, 1}
         doc = json.loads(trace.read_text())

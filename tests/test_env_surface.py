@@ -1,6 +1,6 @@
-"""The environment surface of ``src/repro`` (outside ``devtools``): five
+"""The environment surface of ``src/repro`` (outside ``devtools``): two
 variables, each read in one function, none ever written — and the doc
-table lists exactly those five.  Everything else is a flag or a kwarg."""
+table lists exactly those two.  Everything else is a flag or a kwarg."""
 
 import ast
 import re
@@ -9,14 +9,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = [path for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
            if "devtools" not in path.parts]
-VARIABLES = {"TRILLIONG_CONTRACTS",
-             "TRILLIONG_TELEMETRY", "TRILLIONG_LOG_LEVEL",
-             "TRILLIONG_FAULT_PROB", "TRILLIONG_FAULT_SEED"}
-READERS = {"contracts_enabled", "telemetry_enabled",
-           "configure_logging", "FaultPlan.from_env"}
+VARIABLES = {"TRILLIONG_TELEMETRY", "TRILLIONG_LOG_LEVEL"}
+READERS = {"telemetry_enabled", "configure_logging"}
 
 
-def test_variables_named_in_source_are_the_documented_six():
+def test_variables_named_in_source_are_the_documented_two():
     named = {name for path in SOURCES
              for name in re.findall(r"TRILLIONG_[A-Z_]+", path.read_text())}
     table = set(re.findall(r"^\| `(TRILLIONG_[A-Z_]+)",
@@ -41,7 +38,7 @@ def _environment_uses(node, scope=()):
             child, scope + (child.name,) if named else scope)
 
 
-def test_environment_is_read_in_five_functions_and_never_written():
+def test_environment_is_read_in_two_functions_and_never_written():
     uses = []
     for path in SOURCES:
         text = path.read_text()
