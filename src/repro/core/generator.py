@@ -41,6 +41,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, GenerationError, SeedMatrixError
 from ..telemetry import RECURSION_BUCKETS, registry
+from . import tables
 from .process import EdgeProcess, make_process
 from .rng import stream
 from .scope import sample_scope_sizes
@@ -332,7 +333,13 @@ class RecursiveVectorGenerator:
         if block.destinations.size:
             # Theorem 2: Algorithm 5 recurses once per 1-bit of the
             # destination, so the per-edge recursion count is popcount(v).
-            counts = np.bincount(_popcount64(block.destinations))
+            # A slice at a time: ``bincount`` casts its input to intp.
+            dests = block.destinations
+            counts = np.zeros(64, dtype=np.int64)
+            for first in range(0, dests.size, tables._SLICE_KEYS):
+                part = np.bincount(_popcount64(
+                    dests[first:first + tables._SLICE_KEYS]))
+                counts[:part.size] += part
             values = np.nonzero(counts)[0]
             reg.histogram("generator.recursions_per_edge",
                           bounds=RECURSION_BUCKETS).observe_bulk(
@@ -347,7 +354,8 @@ class RecursiveVectorGenerator:
         """Yield :class:`AdjacencyBlock` objects covering ``[start, stop)``.
 
         Partial first/last blocks are generated whole (determinism is per
-        block) and then sliced to the requested range.
+        block) and then sliced to the requested range.  A block is let go
+        once the consumer resumes, before the next one is drawn.
         """
         start, stop = self._check_range(start, stop)
         if start == stop:
@@ -358,14 +366,13 @@ class RecursiveVectorGenerator:
             base = block_index * self.block_size
             lo = max(start - base, 0)
             hi = min(stop - base, len(block.sources))
-            if lo == 0 and hi == len(block.sources):
-                yield block
-            else:
+            if lo != 0 or hi != len(block.sources):
                 offs = block.offsets
-                dests = block.destinations[offs[lo]:offs[hi]]
-                yield AdjacencyBlock(block.sources[lo:hi],
-                                     offs[lo:hi + 1] - offs[lo],
-                                     dests)
+                block = AdjacencyBlock(
+                    block.sources[lo:hi], offs[lo:hi + 1] - offs[lo],
+                    block.destinations[offs[lo]:offs[hi]])
+            yield block
+            del block
 
     def iter_adjacency(self, start: int = 0, stop: int | None = None
                        ) -> Iterator[tuple[int, np.ndarray]]:
@@ -404,7 +411,9 @@ class RecursiveVectorGenerator:
         if self.dedup and saturated.any():
             return self._generate_block_with_saturated(sources, degrees,
                                                        saturated, rng)
-        # Keys are ``row << scale | dest``: one sort orders the block.
+        # Keys are ``row << scale | dest``: one sort orders the block,
+        # and the drawn array, stripped of its row bits, is the block's
+        # destinations.
         keys = self._draw_keys(sources, degrees, rng)
         keys.sort()
         counts = degrees
@@ -412,10 +421,10 @@ class RecursiveVectorGenerator:
             keys, counts, dups = self._dedup_topup(keys, degrees, rng,
                                                    sources)
             self.stats.duplicates_discarded += dups
+        keys &= np.int64(self.num_vertices - 1)
         offsets = np.zeros(sources.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        return AdjacencyBlock(sources, offsets,
-                              keys & np.int64(self.num_vertices - 1))
+        return AdjacencyBlock(sources, offsets, keys)
 
     def _draw_keys(self, sources: np.ndarray, counts: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
@@ -436,10 +445,13 @@ class RecursiveVectorGenerator:
         whole block at once: duplicates are dropped (set union), shortfalls
         are refilled by drawing again, until every scope reaches its size.
         ``keys`` are the sorted first-pass keys ``row << scale | dest``.
-        They are sorted once, and a round costs what it draws: only the
-        rows still short are drawn, their candidates are looked up in the
-        first-pass keys and in ``extra`` (the sorted keys earlier rounds
-        added), and the fresh ones are merged into ``extra``.
+        They are sorted once and their repeats are compacted out in
+        place, and a round costs what it draws: only the rows still short
+        are drawn, their candidates are looked up in the first-pass keys
+        and in ``extra`` (the sorted keys earlier rounds added), and the
+        fresh ones are merged into ``extra``.  ``extra`` is then merged
+        back into ``keys`` in place: a finished block holds
+        ``degrees.sum()`` distinct keys, exactly what the first pass drew.
         A round that draws only duplicates is just a round; scopes still
         short after ``_MAX_TOPUP_ROUNDS`` (a row whose support is smaller
         than its size, or so skewed that the last distinct draws are a
@@ -449,9 +461,11 @@ class RecursiveVectorGenerator:
         """
         shift = self.scale
         low = np.int64(self.num_vertices - 1)
-        first, repeats = _split_repeats(keys)
+        kept, repeats = _drop_repeats(keys)
+        first = keys[:kept]
         duplicates = repeats.size
         have = degrees - np.bincount(repeats >> shift, minlength=degrees.size)
+        del repeats     # the rounds need only the counts
         extra = np.empty(0, dtype=np.int64)
         for _ in range(_MAX_TOPUP_ROUNDS):
             short = np.flatnonzero(have != degrees)
@@ -460,7 +474,7 @@ class RecursiveVectorGenerator:
             shortfall = degrees[short] - have[short]
             drawn = self._draw_keys(sources[short], shortfall, rng)
             drawn.sort()
-            drawn = _split_repeats(drawn)[0]
+            drawn = drawn[:_drop_repeats(drawn)[0]]
             rows = drawn >> shift
             # Rows of ``short`` back to rows of the block: ``short``
             # ascends, so the keys stay sorted.
@@ -469,7 +483,7 @@ class RecursiveVectorGenerator:
             extra = _merge_sorted(extra, drawn[fresh])
             have[short] += np.bincount(rows[fresh], minlength=short.size)
             duplicates += int(shortfall.sum()) - int(fresh.sum())
-        keys = _merge_sorted(first, extra)
+        keys = _merge_back(keys, kept, extra)
         # Rounds exhausted: finish the remaining scopes exactly, all of
         # them in one fold.
         stalled = np.flatnonzero(have != degrees)
@@ -660,15 +674,53 @@ def _popcount64(values: np.ndarray) -> np.ndarray:
             >> np.uint64(56)).astype(np.int64)
 
 
-def _split_repeats(sorted_keys: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys of a sorted array, and one entry per repeat:
-    one adjacent compare, no hashing as in ``np.unique``."""
-    first = np.empty(sorted_keys.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
-    repeats = sorted_keys[~first]    # before the large copy: lower peak
-    return sorted_keys[first], repeats
+def _drop_repeats(sorted_keys: np.ndarray) -> tuple[int, np.ndarray]:
+    """Move the distinct keys of a sorted array, in order, to its front;
+    return their count and one entry per repeat.  One adjacent compare a
+    slice at a time, no hashing as in ``np.unique`` and no array as long
+    as the input."""
+    kept = 0
+    repeats = [np.empty(0, dtype=sorted_keys.dtype)]
+    for first in range(0, sorted_keys.size, tables._SLICE_KEYS):
+        part = sorted_keys[first:first + tables._SLICE_KEYS]
+        fresh = np.empty(part.size, dtype=bool)
+        # Only [0, kept) has been written, and kept <= first - 1 unless
+        # nothing repeated so far: key first - 1 is still the input's.
+        fresh[0] = first == 0 or part[0] != sorted_keys[first - 1]
+        np.not_equal(part[1:], part[:-1], out=fresh[1:])
+        repeats.append(part[~fresh])
+        taken = part[fresh]
+        sorted_keys[kept:kept + taken.size] = taken
+        kept += taken.size
+    return kept, np.concatenate(repeats)
+
+
+def _merge_back(keys: np.ndarray, kept: int, extra: np.ndarray
+                ) -> np.ndarray:
+    """The sorted union of ``keys[:kept]`` and ``extra`` (sorted and
+    disjoint), merged in place into ``keys[:kept + extra.size]``.
+
+    From the back, a window at a time: the window takes the largest
+    slice of the kept keys not yet placed and the extra keys above the
+    kept key below it — or, where those are more than a slice, the
+    largest slice of the extra keys and the kept keys above the extra
+    key below it.  Either way it holds the largest keys left, at most
+    two slices, and is merged (:func:`_merge_sorted`) to the top of the
+    positions left, which all lie above every kept key it has not read.
+    """
+    size = tables._SLICE_KEYS
+    i, j = kept, extra.size
+    while j:
+        i0 = max(i - size, 0)
+        j0 = int(np.searchsorted(extra[:j], keys[i0 - 1])) if i0 else 0
+        if j - j0 > size:
+            j0 = j - size
+            i0 = int(np.searchsorted(keys[:i], extra[j0 - 1]))
+        # A window of kept keys alone is a view; numpy copies it out
+        # before the shifted assignment overlaps it.
+        keys[i0 + j0:i + j] = _merge_sorted(keys[i0:i], extra[j0:j])
+        i, j = i0, j0
+    return keys[:kept + extra.size]
 
 
 def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:

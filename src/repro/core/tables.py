@@ -4,10 +4,14 @@ The linear-work R-MAT construction of Hübschle-Schneider & Sanders
 (PAPERS.md): table whole chunks of the recursion and sample each in
 O(1).  :func:`_alias_table` is the Vose build both samplers of the repo
 use — :class:`repro.models.rmat.PathSampler` over quadrant paths (WES)
-and :class:`ScopeSampler` here, its conditional form for AVS.
+and :class:`ScopeSampler` here, its conditional form for AVS — and
+:func:`_slices` is the stream rule by which both draw one call a slice
+at a time.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -24,6 +28,48 @@ __all__ = ["ScopeSampler"]
 #: 6 MB of tables).  6 to 8 are three chunks each at scale 18 and within
 #: run-to-run spread of each other; 7 stays at three up to scale 21.
 _CHUNK_BITS = 7
+
+#: Keys :meth:`ScopeSampler.keys` draws per pass.  The uniforms, slots
+#: and gathers of one slice are about 2 MiB, so a hub block's draw costs
+#: its key array plus that, and not four block-sized arrays.
+_SLICE_KEYS = 1 << 16
+
+
+def _slices(count: int, size: int, rng: np.random.Generator
+            ) -> Iterator[tuple[int, int, Callable[[int], None]]]:
+    """The slices ``[first, stop)`` of a call that draws ``count`` keys
+    from one uniform per key and chunk, ``size`` keys at a time, each
+    with ``seek(chunk)``, which positions ``rng`` for that chunk's draw
+    of the slice.
+
+    The slice rule: in one call, chunk ``c`` of key ``i`` is stream
+    position ``c * count + i`` (a double is one PCG64 step), so ``seek``
+    rewinds the stream and advances it there.  The last slice's last
+    chunk ends where the one call's does, and a call of at most one
+    slice never seeks: it draws exactly as one call.
+    """
+    if count <= size:
+        if count:
+            yield 0, count, lambda chunk: None
+        return
+    start = rng.bit_generator.state
+    for first in range(0, count, size):
+        def seek(chunk: int, first: int = first) -> None:
+            rng.bit_generator.state = start
+            rng.bit_generator.advance(chunk * count + first)
+        yield first, min(first + size, count), seek
+
+
+def _slice_rows(offsets: np.ndarray, first: int, stop: int
+                ) -> tuple[int, int, np.ndarray]:
+    """The rows ``[lo, hi)`` whose items meet ``[first, stop)``, of rows
+    whose items are ``[offsets[j], offsets[j + 1])``, and how many of
+    each one's fall inside it (0 for an empty row between two others)."""
+    lo = int(np.searchsorted(offsets, first, "right")) - 1
+    hi = int(np.searchsorted(offsets, stop, "left"))
+    inside = np.minimum(offsets[lo + 1:hi + 1], stop)
+    inside -= np.maximum(offsets[lo:hi], first)
+    return lo, hi, inside
 
 
 def _alias_table(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -63,12 +109,13 @@ class ScopeSampler:
     ``process.bit_probabilities``, so NSKG's per-level seeds need nothing
     of their own, and a bit the seed forbids is a threshold-0 slot.
 
-    Determinism key: :meth:`keys` consumes exactly one
-    ``rng.random(out=buf)`` of ``counts.sum()`` uniforms per chunk,
-    chunks in order from the most significant bits down; edge ``i`` takes
-    element ``i`` of each.  The uniform's high ``w`` bits pick the slot
-    of the source's row and the remaining fraction decides between the
-    slot's own value and its alias.
+    Determinism key: :meth:`keys` consumes the uniforms of one
+    ``rng.random(counts.sum())`` per chunk, chunks in order from the
+    most significant bits down; edge ``i`` takes element ``i`` of each.
+    It draws them ``_SLICE_KEYS`` keys at a time by :func:`_slices`, so
+    the slice size changes no key.  The uniform's high ``w`` bits pick
+    the slot of the source's row and the remaining fraction decides
+    between the slot's own value and its alias.
     """
 
     def __init__(self, process: EdgeProcess) -> None:
@@ -99,18 +146,31 @@ class ScopeSampler:
     def keys(self, sources: np.ndarray, counts: np.ndarray, shift: int,
              rng: np.random.Generator) -> np.ndarray:
         """``counts[j]`` packed keys ``j << shift | destination`` for each
-        source ``j``, rows in order (repeats possible)."""
-        key = np.repeat(np.arange(sources.size, dtype=np.int64) << shift,
-                        counts)
-        r = np.empty(key.size, dtype=np.float64)
-        for lo, w, threshold, contrib in self._chunks:
-            rng.random(out=r)
-            r *= 1 << w
-            slot = r.astype(np.int64)
-            r -= slot
-            slot += np.repeat((sources >> lo & ((1 << w) - 1)) << w, counts)
-            own = r < threshold[slot]
-            slot <<= 1
-            slot += own
-            key += contrib[slot]
+        source ``j``, rows in order (repeats possible).  The key array is
+        the only allocation as long as the call; a row may straddle
+        slices."""
+        offsets = np.zeros(sources.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        key = np.empty(int(offsets[-1]), dtype=np.int64)
+        r = np.empty(min(key.size, _SLICE_KEYS), dtype=np.float64)
+        for first, stop, seek in _slices(key.size, _SLICE_KEYS, rng):
+            lo, hi, repeats = _slice_rows(offsets, first, stop)
+            rows = sources[lo:hi]
+            part = key[first:stop]
+            part[:] = np.repeat(np.arange(lo, hi, dtype=np.int64) << shift,
+                                repeats)
+            u = r[:stop - first]
+            for chunk, (lo_bit, w, threshold, contrib) in enumerate(
+                    self._chunks):
+                seek(chunk)
+                rng.random(out=u)
+                u *= 1 << w
+                slot = u.astype(np.int64)
+                u -= slot
+                slot += np.repeat((rows >> lo_bit & ((1 << w) - 1)) << w,
+                                  repeats)
+                own = u < threshold[slot]
+                slot <<= 1
+                slot += own
+                part += contrib[slot]
         return key

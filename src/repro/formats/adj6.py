@@ -10,9 +10,10 @@ ADJ6 is TrillionG's preferred format: each vertex's neighbours are
 generated on the same worker, so records stream straight to disk, and the
 file is 3-4x smaller than the equivalent TSV.  The block encoder
 assembles every record of an :class:`~repro.core.generator.AdjacencyBlock`
-into one buffer — the 10-byte headers and the 6-byte neighbours are each
-placed with one fancy assignment into a byte-window view of it — and
-emits a single ``write()`` per block.
+into one buffer — the 10-byte headers with one fancy assignment into a
+byte-window view of it, the 6-byte neighbours with one such assignment
+per bounded slice of edges, so the scratch stays slice-sized however
+large the block is — and emits a single ``write()`` per block.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from ..core.generator import AdjacencyBlock
+from ..core.tables import _slice_rows
 from ..errors import FormatError
 from .base import (SIX_BYTES, GraphFormat, StreamWriter, WriteResult,
                    decode_id6, encode_id6, id6_byte_view, register_format)
@@ -34,6 +36,10 @@ __all__ = ["Adj6Format"]
 _DEGREE = struct.Struct("<I")
 _MAX_DEGREE = 0xFFFFFFFF
 _HEADER_BYTES = SIX_BYTES + _DEGREE.size
+
+#: Edges placed per pass.  The byte offsets of one slice are half a MiB,
+#: so a hub block costs its encoded bytes and not block-sized offsets.
+_SLICE_EDGES = 1 << 16
 
 
 def _windows(out: np.ndarray, width: int) -> np.ndarray:
@@ -91,20 +97,24 @@ class _Adj6Writer(StreamWriter):
             deg.astype("<u4").view(np.uint8).reshape(-1, 4))
         # Records sit back to back: header r at byte 10 r + 6 (edges
         # before r), neighbour i of record r at byte 6 i + 10 (r + 1).
-        record_starts = np.zeros(k, dtype=np.int64)
-        np.cumsum(_HEADER_BYTES + SIX_BYTES * deg[:-1],
-                  out=record_starts[1:])
+        offsets = block.offsets
         out = np.empty(_HEADER_BYTES * k + SIX_BYTES * m, dtype=np.uint8)
-        _windows(out, _HEADER_BYTES)[record_starts] = (
-            headers.view(f"V{_HEADER_BYTES}")[:, 0])
+        _windows(out, _HEADER_BYTES)[
+            _HEADER_BYTES * np.arange(k) + SIX_BYTES * offsets[:-1][mask]] = (
+                headers.view(f"V{_HEADER_BYTES}")[:, 0])
         id6_byte_view(dests)  # rejects ids outside [0, 2^48)
         # Low six bytes of each `<i8`, from `dests` itself (not `.base`).
         neighbours = np.ndarray((m,), dtype=f"V{SIX_BYTES}", buffer=dests,
                                 strides=(8,))
-        _windows(out, SIX_BYTES)[
-            np.arange(0, SIX_BYTES * m, SIX_BYTES)
-            + np.repeat(_HEADER_BYTES * np.arange(1, k + 1), deg)] = (
-                neighbours)
+        slots = _windows(out, SIX_BYTES)
+        # 10 (r + 1) per vertex, r + 1 the non-empty records up to it.
+        headers_through = _HEADER_BYTES * np.cumsum(mask)
+        for first in range(0, m, _SLICE_EDGES):
+            stop = min(first + _SLICE_EDGES, m)
+            lo, hi, inside = _slice_rows(offsets, first, stop)
+            at = np.repeat(headers_through[lo:hi], inside)
+            at += np.arange(SIX_BYTES * first, SIX_BYTES * stop, SIX_BYTES)
+            slots[at] = neighbours[first:stop]
         return out
 
     def _finalize(self) -> WriteResult:

@@ -183,13 +183,15 @@ class GraphFormat(ABC):
         """Write a stream of :class:`AdjacencyBlock`s to ``path``.
 
         This is the fast path: each block is encoded as one buffer and
-        written in bulk, pipelined with generation.
+        written in bulk, pipelined with generation.  A block is let go
+        once it is encoded, before the next one is drawn.
         """
         with span("format.write_blocks", format=self.name):
             writer = self.open_writer(path, num_vertices)
             with writer:
                 for block in blocks:
                     writer.add_block(block)
+                    del block
         assert writer.result is not None
         return writer.result
 

@@ -23,6 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from ..core.generator import AdjacencyBlock
+from ..core.tables import _slice_rows
 from ..errors import FormatError
 from .base import GraphFormat, StreamWriter, WriteResult, register_format
 from .pipeline import ThreadedSink
@@ -143,11 +144,7 @@ class _TsvWriter(StreamWriter):
         text = bytearray()
         for first in range(0, dests.size, _SLICE_EDGES):
             stop = min(first + _SLICE_EDGES, dests.size)
-            # The sources whose edges meet [first, stop), and how many of
-            # each one's edges fall inside it.
-            lo = int(np.searchsorted(offsets, first, "right")) - 1
-            hi = int(np.searchsorted(offsets, stop, "left"))
-            repeats = np.diff(np.clip(offsets[lo:hi + 1], first, stop))
+            lo, hi, repeats = _slice_rows(offsets, first, stop)
             rows = lines[:stop - first]
             rows[:, :ls].view(f"V{4 * ls}")[:, 0] = np.repeat(
                 source_items[lo:hi], repeats)

@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from ..core.seed import SeedMatrix
-from ..core.tables import _alias_table
+from ..core.tables import _alias_table, _slices
 from ..errors import ConfigurationError
 from ..util.external_sort import unique_sorted
 from .base import (BATCH_EDGES, Complexity, ScopeBasedGenerator,
@@ -100,22 +100,14 @@ class PathSampler:
 
     def batches(self, count: int, rng: np.random.Generator, batch: int
                 ) -> Iterator[np.ndarray]:
-        """The keys of one ``keys(count, rng)`` call, ``batch`` at a time.
-
-        The slice rule: there chunk ``c`` of key ``i`` is stream position
-        ``c * count + i`` (a double is one PCG64 step), so keys ``[a, b)``
-        rewind the stream and advance it to ``c * count + a`` before each
-        chunk's draw; the last draw ends where the one call's does.
-        """
-        start = rng.bit_generator.state if count > batch else None
-        for first in range(0, count, batch):
-            size = min(batch, count - first)
-            key = np.zeros(size, dtype=np.int64)
+        """The keys of one ``keys(count, rng)`` call, ``batch`` at a time,
+        each chunk's draw of a batch positioned by the slice rule
+        (:func:`repro.core.tables._slices`)."""
+        for first, stop, seek in _slices(count, batch, rng):
+            key = np.zeros(stop - first, dtype=np.int64)
             for chunk, (slots, threshold, contrib) in enumerate(self._tables):
-                if start is not None:
-                    rng.bit_generator.state = start
-                    rng.bit_generator.advance(chunk * count + first)
-                r = rng.random(size)
+                seek(chunk)
+                r = rng.random(stop - first)
                 r *= slots
                 slot = r.astype(np.int64)
                 r -= slot

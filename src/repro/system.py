@@ -206,12 +206,14 @@ class TrillionG:
     def _blocks_with_progress(
             self, progress: Callable[[int], None] | None
     ) -> Iterator[AdjacencyBlock]:
-        """Yield blocks, reporting the cumulative edge count per block."""
+        """Yield blocks, reporting the cumulative edge count per block.
+        A block is let go once the consumer resumes."""
         done = 0
         for block in self.generator.iter_blocks():
+            done += block.num_edges
             yield block
+            del block
             if progress is not None:
-                done += block.num_edges
                 progress(done)
 
     @staticmethod

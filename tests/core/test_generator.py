@@ -1,8 +1,11 @@
 """Unit tests for repro.core.generator (the AVS engine, Algorithms 4-5)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core import tables
 from repro.core.generator import (AdjacencyBlock, IdeaToggles,
                                   RecursiveVectorGenerator)
 from repro.core.seed import GRAPH500, SeedMatrix
@@ -451,7 +454,9 @@ class TestDedupTopup:
 
         def spy(sources, counts, rng):
             keys = draw(sources, counts, rng)
-            calls.append((sources, counts, keys))
+            # A copy: the kernel sorts, compacts and strips the drawn
+            # array in place, and the first pass's becomes the block's.
+            calls.append((sources, counts, keys.copy()))
             return keys
 
         g._draw_keys = spy
@@ -489,6 +494,35 @@ class TestDedupTopup:
         merged = _merge_sorted(a, b)
         assert merged.dtype == np.int64
         np.testing.assert_array_equal(merged, np.sort(np.concatenate([a, b])))
+
+    #: Which of 800 distinct keys are the top-up's ``extra``: scattered;
+    #: a run denser than a slice; all above or all below the kept keys.
+    EXTRA = {"none": slice(0), "scattered": slice(None, None, 10),
+             "dense-run": slice(100, 400), "above": slice(-300, None),
+             "below": slice(300)}
+
+    @pytest.mark.parametrize("slice_keys", [1, 5, 97, 1 << 16])
+    @pytest.mark.parametrize("case", sorted(EXTRA))
+    def test_in_place_dedup_and_merge_back(self, case, slice_keys,
+                                           monkeypatch):
+        """``_drop_repeats`` leaves the distinct keys at the front of the
+        array and ``_merge_back`` merges ``extra`` into it, at any slice
+        size; the array is as long as the union or longer."""
+        from repro.core.generator import _drop_repeats, _merge_back
+        monkeypatch.setattr(tables, "_SLICE_KEYS", slice_keys)
+        rng = np.random.default_rng(11)
+        union = np.unique(rng.integers(0, 1 << 40, 800))
+        chosen = np.zeros(union.size, dtype=bool)
+        chosen[self.EXTRA[case]] = True
+        kept, extra = union[~chosen], union[chosen]
+        copies = rng.integers(1, 4, kept.size)
+        copies[0] += max(0, union.size - int(copies.sum()))
+        keys = np.repeat(kept, copies)
+        distinct, repeats = _drop_repeats(keys)
+        np.testing.assert_array_equal(keys[:distinct], kept)
+        np.testing.assert_array_equal(repeats, np.repeat(kept, copies - 1))
+        np.testing.assert_array_equal(_merge_back(keys, distinct, extra),
+                                      union)
 
 
 class TestFruitlessRound:
@@ -625,3 +659,24 @@ class TestDegenerateSeedEntries:
         # Bit 3 forced to 1, bits 2 and 0 forced to 0; x == 1.0 lands in
         # the upper branch of the one live level (bit 1).
         assert v == 0b1010
+
+
+class TestBlockWorkingSet:
+    """A block's working set is its own key array: the draw fills it a
+    slice at a time, dedup compacts it and the top-up keys are merged
+    back into it in place, and it becomes the block's destinations."""
+
+    def test_the_hub_block_peaks_near_its_key_array(self):
+        # The scale-18 hub block holds 19 % of |E|, 808 183 edges.
+        gen = RecursiveVectorGenerator(18, seed=7)
+        per_block = gen.degrees().reshape(-1, gen.block_size).sum(axis=1)
+        hub = int(per_block.argmax())
+        tracemalloc.start()
+        try:
+            block = gen.generate_block(hub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        edges = block.num_edges
+        assert edges == per_block[hub] > 10 * tables._SLICE_KEYS
+        assert peak <= 2.5 * 8 * edges

@@ -255,3 +255,35 @@ def test_generator_builds_its_tables_on_the_first_block_that_draws():
     sampler = g._sampler
     g.generate_block(1)
     assert g._sampler is sampler
+
+
+#: Row counts of one ``keys`` call: a row many slices long between short
+#: and empty ones; a call of exactly three slices at the forced size; and
+#: a call the size of a typical top-up round, under one slice at any size.
+SLICED_CALLS = {
+    "long-row": [5, 900, 0, 3, 250],
+    "whole-slices": [97, 0, 150, 44],
+    "top-up-round": [2, 1, 0, 20],
+}
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.1])
+@pytest.mark.parametrize("call", sorted(SLICED_CALLS))
+def test_the_slice_size_changes_no_key_and_no_stream_position(
+        call, noise, monkeypatch):
+    """Each (slice, chunk) starts at stream position ``chunk * N +
+    first``, so a small odd slice draws the keys of one whole call and
+    leaves the stream where that call does."""
+    counts = np.array(SLICED_CALLS[call], dtype=np.int64)
+    sources = np.random.default_rng(2).integers(0, 1 << 18, counts.size)
+    sampler = ScopeSampler(process_of(GRAPH500, 18, noise))
+    drawn = []
+    for size in (tables._SLICE_KEYS, 97):
+        monkeypatch.setattr(tables, "_SLICE_KEYS", size)
+        rng = np.random.default_rng(9)
+        keys = sampler.keys(sources, counts, 18, rng)
+        drawn.append((keys, rng.bit_generator.state))
+    (whole, state), (sliced, sliced_state) = drawn
+    assert whole.size == counts.sum()
+    np.testing.assert_array_equal(sliced, whole)
+    assert sliced_state == state

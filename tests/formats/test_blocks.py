@@ -24,13 +24,22 @@ from repro.formats import (GraphFormat, ThreadedSink, TsvFormat,
                            blocks_from_adjacency, get_format,
                            id6_byte_view, pipeline, write_many,
                            write_many_blocks)
-from repro.formats import tsv
+from repro.core import tables
+from repro.formats import adj6, tsv
 from repro.telemetry import Counter, Stopwatch
 
 FORMATS = ["adj6", "csr6", "tsv"]
 
 #: Writer queue depths: constant back-pressure, the default, never full.
 QUEUE_DEPTHS = [1, 8, 64]
+
+
+@pytest.fixture(scope="module")
+def hub_block():
+    """The scale-18 hub block (19 % of |E|) and the graph's |V|."""
+    gen = RecursiveVectorGenerator(18, seed=7)
+    per_block = gen.degrees().reshape(-1, gen.block_size).sum(axis=1)
+    return gen.generate_block(int(per_block.argmax())), gen.num_vertices
 
 
 def make_generator(scale=10, **kwargs):
@@ -258,16 +267,14 @@ class TestTsvBlockEncoder:
         assert block_bytes("tsv", tmp_path / "g", blocks,
                            gen.num_vertices) == tsv_text(blocks)
 
-    def test_hub_block_scratch_is_bounded_by_the_slice(self, tmp_path):
+    def test_hub_block_scratch_is_bounded_by_the_slice(self, hub_block,
+                                                       tmp_path):
         """Encoding the scale-18 hub block (808 K edges) allocates its
         text plus slice-sized scratch, not block-sized lanes.  The text
         is a ``bytearray`` grown a slice at a time, so an eighth of it
         may be growth slack."""
-        gen = RecursiveVectorGenerator(18, seed=7)
-        per_block = gen.degrees().reshape(-1, gen.block_size).sum(axis=1)
-        hub = gen.generate_block(int(per_block.argmax()))
-        writer = get_format("tsv").open_writer(tmp_path / "g",
-                                               gen.num_vertices)
+        hub, num_vertices = hub_block
+        writer = get_format("tsv").open_writer(tmp_path / "g", num_vertices)
         tracemalloc.start()
         try:
             text = writer._encode_block(hub)
@@ -303,6 +310,61 @@ class TestTsvBlockEncoder:
         # Per-vertex granularity: the adjacency before the bad one stays.
         assert (tmp_path / "pv").read_bytes().startswith(b"1\t2\n")
         assert b"-" not in (tmp_path / "pv").read_bytes()
+
+
+class TestAdj6BlockEncoder:
+    """The neighbours are placed a bounded slice of edges at a time into
+    the one output buffer: any slice size writes the per-vertex bytes."""
+
+    @pytest.mark.parametrize("slice_edges", [1, 5, 97])
+    def test_small_slices(self, slice_edges, tmp_path, monkeypatch):
+        monkeypatch.setattr(adj6, "_SLICE_EDGES", slice_edges)
+        gen = make_generator(scale=8)
+        blocks = list(gen.iter_blocks())
+        blocks.append(hand_block([3, 42, 0, 999999, 7, 10 ** 12],
+                                 [range(150), range(10), [], range(94),
+                                  [], range(200)]))
+        expected = per_vertex_bytes("adj6", tmp_path / "pv", blocks,
+                                    10 ** 13)
+        assert block_bytes("adj6", tmp_path / "blk", blocks, 10 ** 13) \
+            == expected
+
+    def test_hub_block_scratch_is_bounded_by_the_slice(self, hub_block,
+                                                       tmp_path):
+        """Encoding the scale-18 hub block allocates its output plus
+        slice-sized scratch, not block-sized byte offsets."""
+        hub, num_vertices = hub_block
+        writer = get_format("adj6").open_writer(tmp_path / "g",
+                                                num_vertices)
+        tracemalloc.start()
+        try:
+            out = writer._encode_block(hub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            writer.close()
+        assert hub.num_edges > 10 * adj6._SLICE_EDGES
+        assert peak <= out.nbytes + 64 * adj6._SLICE_EDGES
+
+
+@pytest.mark.parametrize("fmt_name", ["adj6", "tsv"])
+def test_slice_sizes_change_no_byte_of_a_graph(fmt_name, tmp_path,
+                                               monkeypatch):
+    """The kernel draws, dedups and merges its keys, and the encoders
+    place them, a slice at a time; a small odd slice everywhere writes
+    the scale-12 graph byte for byte."""
+    def write(path):
+        gen = RecursiveVectorGenerator(12, seed=3)
+        get_format(fmt_name).write_blocks(path, gen.iter_blocks(),
+                                          gen.num_vertices)
+        return path.read_bytes()
+
+    expected = write(tmp_path / "whole")
+    for module, name in ((tables, "_SLICE_KEYS"), (adj6, "_SLICE_EDGES"),
+                         (tsv, "_SLICE_EDGES")):
+        assert getattr(module, name) == 1 << 16
+        monkeypatch.setattr(module, name, 97)
+    assert write(tmp_path / "sliced") == expected
 
 
 class TestTsvBulkRead:
