@@ -11,7 +11,7 @@ multi-pass k-way merge; these benchmarks keep it honest:
   tripwire, not a target).
 - ``test_spill_exceeds_rss_cap`` is the bounded-memory proof: a fresh
   subprocess spills and sorts more than twice the bytes of a hard
-  peak-RSS cap, and ``resource.getrusage`` must show the process never
+  peak-RSS cap, and its own ``VmHWM`` must show the process never
   grew past the cap while ``extsort.spill_bytes`` shows the volume
   really went through disk — once: no pass rewrites it.
 - ``test_wesp_disk_stays_under_rss_cap`` is the same proof end to end
@@ -114,10 +114,17 @@ def _measure(total_keys):
     }
 
 
+#: A fresh-process proof's own peak RSS in KiB, as a Python expression.
+#: ``ru_maxrss`` would not do: a child that ``subprocess`` vforks from
+#: this process starts at this process's peak.
+_VMHWM_KB = ("int(next(line.split()[1] for line in open('/proc/self/status')"
+             " if line.startswith('VmHWM:')))")
+
+
 def _rss_proof_code(work_dir):
     """Script for the fresh-process bounded-RSS proof run."""
     return (
-        "import json, resource, sys\n"
+        "import json, sys\n"
         "from pathlib import Path\n"
         "import numpy as np\n"
         "from repro.telemetry import registry\n"
@@ -132,7 +139,7 @@ def _rss_proof_code(work_dir):
         "unique = 0\n"
         "for chunk in store.iter_unique(chunk_items=1 << 20):\n"
         "    unique += int(chunk.size)\n"
-        "rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"rss_kb = {_VMHWM_KB}\n"
         "spilled = registry().counter('extsort.spill_bytes').value\n"
         "json.dump({'unique': unique, 'rss_bytes': rss_kb * 1024,\n"
         "           'spill_bytes': spilled}, sys.stdout)\n"
@@ -161,12 +168,11 @@ def _run_wesp_disk_proof():
     returns (realized edges, peak RSS bytes)."""
     with tempfile.TemporaryDirectory(prefix="bench-extmem-wesp-") as work:
         out = _run_fresh(
-            "import resource\n"
             "from repro.cli import main\n"
             "main(['baseline', '--model', 'RMAT/p-disk', '--scale',\n"
             f"      '{WESP_SCALE}', '--format', 'adj6', '--seed', '7',\n"
             f"      '--output', {str(Path(work) / 'g.adj6')!r}])\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            f"print({_VMHWM_KB})\n")
     edges = int(re.search(r"\|E\|=(\d+)", out).group(1))
     return edges, int(out.split()[-1]) * 1024
 

@@ -9,11 +9,12 @@ Record layout (little-endian), one record per vertex with degree > 0::
 ADJ6 is TrillionG's preferred format: each vertex's neighbours are
 generated on the same worker, so records stream straight to disk, and the
 file is 3-4x smaller than the equivalent TSV.  The block encoder
-assembles every record of an :class:`~repro.core.generator.AdjacencyBlock`
-into one buffer — the 10-byte headers with one fancy assignment into a
-byte-window view of it, the 6-byte neighbours with one such assignment
-per bounded slice of edges, so the scratch stays slice-sized however
-large the block is — and emits a single ``write()`` per block.
+assembles the records of an :class:`~repro.core.generator.AdjacencyBlock`
+one bounded slice of edges at a time: a slice's buffer holds its 6-byte
+neighbours and the 10-byte header of every record whose first edge falls
+in it, each placed with one fancy assignment into a byte-window view of
+the buffer, and goes to the sink on its own.  The scratch and the bytes
+in hand stay slice-sized however large the block is.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ _DEGREE = struct.Struct("<I")
 _MAX_DEGREE = 0xFFFFFFFF
 _HEADER_BYTES = SIX_BYTES + _DEGREE.size
 
-#: Edges placed per pass.  The byte offsets of one slice are half a MiB,
-#: so a hub block costs its encoded bytes and not block-sized offsets.
+#: Edges placed per slice.  The byte offsets of one slice are half a MiB,
+#: so a hub block costs a few slices and not its whole record buffer.
 _SLICE_EDGES = 1 << 16
 
 
@@ -68,19 +69,12 @@ class _Adj6Writer(StreamWriter):
             + encode_id6(np.asarray(neighbours, dtype=np.int64)))
         self.num_edges += degree
 
-    def add_block(self, block: AdjacencyBlock) -> None:
-        with self._encode_watch:
-            buffer = self._encode_block(block)
-        self._blocks_counter.inc()
-        if buffer is not None:
-            self._sink.write(buffer)
-        self.num_edges += block.num_edges
-
-    def _encode_block(self, block: AdjacencyBlock) -> np.ndarray | None:
+    def _encode_slices(self, block: AdjacencyBlock
+                       ) -> Iterator[np.ndarray]:
         degrees = block.degrees
         mask = degrees > 0
         if not mask.any():
-            return None
+            return
         sources = np.ascontiguousarray(block.sources, dtype=np.int64)[mask]
         deg = degrees[mask].astype(np.int64)
         if int(deg.max()) > _MAX_DEGREE:
@@ -89,33 +83,41 @@ class _Adj6Writer(StreamWriter):
                 f"degree {int(deg.max())} of vertex {vertex} exceeds the "
                 f"ADJ6 uint32 degree field (max {_MAX_DEGREE})")
         # The guard above makes the `<u4` degree view below a safe cast.
-        dests = np.ascontiguousarray(block.destinations, dtype="<i8")
-        k, m = sources.size, dests.size
-        headers = np.empty((k, _HEADER_BYTES), dtype=np.uint8)
+        headers = np.empty((sources.size, _HEADER_BYTES), dtype=np.uint8)
         headers[:, :SIX_BYTES] = id6_byte_view(sources)
         headers[:, SIX_BYTES:] = (
             deg.astype("<u4").view(np.uint8).reshape(-1, 4))
-        # Records sit back to back: header r at byte 10 r + 6 (edges
-        # before r), neighbour i of record r at byte 6 i + 10 (r + 1).
-        offsets = block.offsets
-        out = np.empty(_HEADER_BYTES * k + SIX_BYTES * m, dtype=np.uint8)
-        _windows(out, _HEADER_BYTES)[
-            _HEADER_BYTES * np.arange(k) + SIX_BYTES * offsets[:-1][mask]] = (
-                headers.view(f"V{_HEADER_BYTES}")[:, 0])
+        header_items = headers.view(f"V{_HEADER_BYTES}")[:, 0]
+        dests = np.ascontiguousarray(block.destinations, dtype="<i8")
         id6_byte_view(dests)  # rejects ids outside [0, 2^48)
         # Low six bytes of each `<i8`, from `dests` itself (not `.base`).
-        neighbours = np.ndarray((m,), dtype=f"V{SIX_BYTES}", buffer=dests,
-                                strides=(8,))
-        slots = _windows(out, SIX_BYTES)
+        neighbours = np.ndarray((dests.size,), dtype=f"V{SIX_BYTES}",
+                                buffer=dests, strides=(8,))
+        # Records sit back to back: header r at byte 10 r + 6 (edges
+        # before r), neighbour i of record r at byte 6 i + 10 (r + 1).
+        # A slice of edges [first, stop) is the bytes from 10 h0 + 6 first
+        # on, h0 the records that start before it: its neighbours and the
+        # headers of the records that start inside it.
+        offsets = block.offsets
+        starts = offsets[:-1][mask]
         # 10 (r + 1) per vertex, r + 1 the non-empty records up to it.
         headers_through = _HEADER_BYTES * np.cumsum(mask)
-        for first in range(0, m, _SLICE_EDGES):
-            stop = min(first + _SLICE_EDGES, m)
+        for first in range(0, dests.size, _SLICE_EDGES):
+            stop = min(first + _SLICE_EDGES, dests.size)
+            h0, h1 = np.searchsorted(starts, (first, stop)).tolist()
+            out = np.empty(_HEADER_BYTES * (h1 - h0)
+                           + SIX_BYTES * (stop - first), dtype=np.uint8)
+            if h1 > h0:     # else out may be narrower than one header
+                _windows(out, _HEADER_BYTES)[
+                    _HEADER_BYTES * np.arange(h1 - h0)
+                    + SIX_BYTES * (starts[h0:h1] - first)] = (
+                        header_items[h0:h1])
             lo, hi, inside = _slice_rows(offsets, first, stop)
-            at = np.repeat(headers_through[lo:hi], inside)
-            at += np.arange(SIX_BYTES * first, SIX_BYTES * stop, SIX_BYTES)
-            slots[at] = neighbours[first:stop]
-        return out
+            at = np.repeat(headers_through[lo:hi] - _HEADER_BYTES * h0,
+                           inside)
+            at += np.arange(0, SIX_BYTES * (stop - first), SIX_BYTES)
+            _windows(out, SIX_BYTES)[at] = neighbours[first:stop]
+            yield out
 
     def _finalize(self) -> WriteResult:
         # A deferred pipeline I/O error re-raises out of sink.close();

@@ -4,14 +4,15 @@ TrillionG supports three formats: the edge-list text format (TSV), the
 6-byte adjacency-list binary format (ADJ6), and the 6-byte Compressed
 Sparse Row binary format (CSR6).  The unit of the write path is the
 :class:`~repro.core.generator.AdjacencyBlock` — the CSR-like triplet the
-AVS engines produce natively — so whole blocks are encoded with
-vectorized numpy buffer assembly and hit the disk as one ``write()``
-each (see ``docs/formats.md``).  ``(vertex, neighbours)`` pairs remain
-supported as the compatibility surface: :meth:`StreamWriter.add` is the
-per-vertex fallback, and :meth:`GraphFormat.write` batches pair streams
-into blocks internally.  Readers provide both full-edge materialization
-and adjacency streaming, and are used by tests and the example
-applications.
+AVS engines produce natively — and a block is encoded with vectorized
+numpy buffer assembly a bounded slice of edges at a time, each slice
+handed to the background writer as soon as it is encoded, so nothing
+block-sized is built on the way to disk (see ``docs/formats.md``).
+``(vertex, neighbours)`` pairs remain supported as the compatibility
+surface: :meth:`StreamWriter.add` is the per-vertex fallback, and
+:meth:`GraphFormat.write` batches pair streams into blocks internally.
+Readers provide both full-edge materialization and adjacency streaming,
+and are used by tests and the example applications.
 """
 
 from __future__ import annotations
@@ -88,6 +89,9 @@ class StreamWriter(ABC):
     outcome of a ``with`` block is never lost.
     """
 
+    #: The ordered background writer every encoded slice goes to.
+    _sink: ThreadedSink
+
     def __init__(self, path: Path | str, num_vertices: int) -> None:
         self.path = Path(path)
         self.num_vertices = num_vertices
@@ -112,14 +116,34 @@ class StreamWriter(ABC):
         """Append one vertex's adjacency (per-vertex fallback path)."""
 
     def add_block(self, block: AdjacencyBlock) -> None:
-        """Append one generated block.
+        """Append one generated block, a bounded slice at a time.
 
-        Format writers override this with a vectorized whole-block
-        encoder; the base implementation falls back to per-vertex
-        :meth:`add` calls and produces byte-identical output.
+        Each slice of :meth:`_encode_slices` goes to the sink as soon as
+        it is encoded, so nothing block-sized is built; only the
+        ``next()`` calls are timed as encoding, never the sink's
+        backpressure.  A block is counted once, when it wrote a slice.
         """
-        for vertex, neighbours in block.iter_adjacency():
-            self.add(vertex, neighbours)
+        slices = self._encode_slices(block)
+        wrote = False
+        while True:
+            with self._encode_watch:
+                buffer = next(slices, None)
+            if buffer is None:
+                break
+            self._sink.write(buffer)
+            wrote = True
+        if wrote:
+            self._blocks_counter.inc()
+        self.num_edges += block.num_edges
+
+    def _encode_slices(self, block: AdjacencyBlock
+                       ) -> Iterator[bytes | np.ndarray]:
+        """The format bytes of ``block`` (``bytes`` or ``uint8`` arrays),
+        in slices of a bounded number of edges, byte-identical to
+        per-vertex :meth:`add` calls.  Every check over the whole block
+        runs before the first slice."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no block encoder")
 
     @abstractmethod
     def _finalize(self) -> WriteResult:
@@ -182,9 +206,9 @@ class GraphFormat(ABC):
                      num_vertices: int) -> WriteResult:
         """Write a stream of :class:`AdjacencyBlock`s to ``path``.
 
-        This is the fast path: each block is encoded as one buffer and
-        written in bulk, pipelined with generation.  A block is let go
-        once it is encoded, before the next one is drawn.
+        This is the fast path: each block is encoded a slice at a time
+        and written in bulk, pipelined with generation.  A block is let
+        go once it is encoded, before the next one is drawn.
         """
         with span("format.write_blocks", format=self.name):
             writer = self.open_writer(path, num_vertices)
@@ -254,12 +278,16 @@ def block_from_edges(sorted_edges: np.ndarray) -> AdjacencyBlock:
 def _block_from_keys(keys: np.ndarray, n: np.int64) -> AdjacencyBlock:
     """One block straight from ascending packed keys ``u * n + v``, with
     one division: building an ``(m, 2)`` edge array for
-    :func:`block_from_edges` to slice apart again costs twice as much."""
-    sources_all = keys // n
-    boundaries = np.flatnonzero(sources_all[1:] != sources_all[:-1]) + 1
+    :func:`block_from_edges` to slice apart again costs twice as much.
+    The quotient buffer becomes the destinations, so the only key-sized
+    allocations are it and one boolean mask."""
+    quotient = keys // n
+    boundaries = np.flatnonzero(quotient[1:] != quotient[:-1]) + 1
     offsets = np.concatenate([[0], boundaries, [keys.size]])
-    return AdjacencyBlock(sources_all[offsets[:-1]], offsets,
-                          keys - sources_all * n)
+    sources = quotient[offsets[:-1]]
+    np.multiply(quotient, n, out=quotient)
+    np.subtract(keys, quotient, out=quotient)
+    return AdjacencyBlock(sources, offsets, quotient)
 
 
 def blocks_from_sorted_keys(chunks: Iterable[np.ndarray],
@@ -274,9 +302,11 @@ def blocks_from_sorted_keys(chunks: Iterable[np.ndarray],
     :func:`block_from_edges` pass: a chunk boundary falling inside one
     source's neighbour list would split that source across two blocks
     (and, for per-source formats like ADJ6, change the output bytes), so
-    the trailing partial source group of every chunk is held back and
-    prepended to the next.  Peak memory is one chunk plus one source's
-    neighbours.
+    the trailing partial source group of every chunk is held back (as a
+    copy) and prepended to the next.  The chunk is let go once its block
+    is built, and the block as soon as the consumer asks for the next
+    one, so what this holds while a block is consumed is that block plus
+    one source's neighbours.
     """
     n = np.int64(num_vertices)
     held = np.empty(0, dtype=np.int64)
@@ -284,12 +314,17 @@ def blocks_from_sorted_keys(chunks: Iterable[np.ndarray],
         chunk = np.asarray(chunk, dtype=np.int64)
         if chunk.size == 0:
             continue
-        current = np.concatenate([held, chunk]) if held.size else chunk
-        last_source = current[-1] // n
-        cut = int(np.searchsorted(current, last_source * n, side="left"))
-        if cut:
-            yield _block_from_keys(current[:cut], n)
-        held = current[cut:]
+        if held.size:
+            chunk = np.concatenate([held, chunk])
+        cut = int(np.searchsorted(chunk, chunk[-1] // n * n, side="left"))
+        if not cut:
+            held = chunk
+            continue
+        held = chunk[cut:].copy()
+        block = _block_from_keys(chunk[:cut], n)
+        del chunk
+        yield block
+        del block
     if held.size:
         yield _block_from_keys(held, n)
 

@@ -10,10 +10,11 @@ Layout (little-endian)::
 
 CSR requires vertices in order and each adjacency list sorted — which is
 exactly how the AVS generator emits them, so TrillionG writes CSR6 in one
-streaming pass.  The block encoder validates ordering for a whole
+streaming pass.  The block encoder validates the ordering of a whole
 :class:`~repro.core.generator.AdjacencyBlock` with vectorized
-comparisons and emits its destination ids as one 6-byte-packed buffer
-per block.
+comparisons, a bounded slice of edges at a time, before any of it is
+written, then hands the sink its destination ids 6-byte-packed, one
+slice at a time.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ __all__ = ["Csr6Format"]
 
 _MAGIC = b"CSR6"
 _HEADER = struct.Struct("<4sQQ")
+
+#: Edges checked and packed per slice: 384 KiB of ids, however large
+#: the block.
+_SLICE_EDGES = 1 << 16
 
 
 class _Csr6Writer(StreamWriter):
@@ -64,24 +69,21 @@ class _Csr6Writer(StreamWriter):
 
     @staticmethod
     def _check_sorted_rows(block: AdjacencyBlock) -> None:
-        """Vectorized per-row sortedness: a negative step in the
-        concatenated destinations is legal only at a row boundary."""
-        dests = block.destinations
-        if dests.size < 2:
-            return
-        descending = np.diff(dests) < 0
-        interior = block.offsets[1:-1]
-        interior = interior[(interior > 0) & (interior < dests.size)]
-        boundary = np.zeros(dests.size - 1, dtype=bool)
-        boundary[interior - 1] = True
-        bad = descending & ~boundary
-        if bad.any():
-            position = int(np.nonzero(bad)[0][0])
-            row = int(np.searchsorted(block.offsets, position,
-                                      side="right")) - 1
-            raise FormatError(
-                "CSR6 requires sorted adjacency lists "
-                f"(vertex {int(block.sources[row])})")
+        """Vectorized per-row sortedness, a slice of edges at a time: a
+        drop in the concatenated destinations is legal only where a row
+        starts."""
+        dests, offsets = block.destinations, block.offsets
+        for first in range(1, dests.size, _SLICE_EDGES):
+            stop = min(first + _SLICE_EDGES, dests.size)
+            drops = np.flatnonzero(
+                dests[first:stop] < dests[first - 1:stop - 1]) + first
+            inside = drops[offsets[np.searchsorted(offsets, drops)] != drops]
+            if inside.size:
+                row = int(np.searchsorted(offsets, inside[0],
+                                          side="right")) - 1
+                raise FormatError(
+                    "CSR6 requires sorted adjacency lists "
+                    f"(vertex {int(block.sources[row])})")
 
     def add(self, vertex: int, neighbours: np.ndarray) -> None:
         if vertex <= self._last_u:
@@ -101,19 +103,18 @@ class _Csr6Writer(StreamWriter):
         self._sink.write(encode_id6(vs))
         self.num_edges += int(vs.size)
 
-    def add_block(self, block: AdjacencyBlock) -> None:
+    def _encode_slices(self, block: AdjacencyBlock) -> Iterator[bytes]:
         sources = np.ascontiguousarray(block.sources, dtype=np.int64)
         if sources.size == 0:
             return
-        with self._encode_watch:
-            self._check_sources(sources)
-            self._check_sorted_rows(block)
-            buffer = id6_byte_view(block.destinations).tobytes()
-        self._blocks_counter.inc()
+        self._check_sources(sources)
+        self._check_sorted_rows(block)
+        # Rejects ids outside [0, 2^48) before the first slice.
+        ids = id6_byte_view(block.destinations)
         self._degrees[sources] = block.degrees
         self._last_u = int(sources[-1])
-        self._sink.write(buffer)
-        self.num_edges += block.num_edges
+        for first in range(0, len(ids), _SLICE_EDGES):
+            yield ids[first:first + _SLICE_EDGES].tobytes()
 
     def _finalize(self) -> WriteResult:
         # A deferred pipeline I/O error re-raises out of sink.close();

@@ -1,10 +1,11 @@
 """Pipelined disk writes: overlap format encoding with file I/O.
 
 The block encoders (:meth:`repro.formats.base.StreamWriter.add_block`)
-turn a whole :class:`~repro.core.generator.AdjacencyBlock` into one
-buffer and hand it to a :class:`ThreadedSink`, a bounded-queue
-background thread: while the writer thread pushes encoded block ``i``
-to disk, the generator is already producing and encoding block ``i+1``.
+turn an :class:`~repro.core.generator.AdjacencyBlock` into buffers of a
+bounded slice of edges each and hand every one to a
+:class:`ThreadedSink`, a bounded-queue background thread: while the
+writer thread pushes encoded slice ``i`` to disk, the producer is
+already encoding slice ``i+1`` or generating the next block.
 Semantics stay single-threaded — buffers are written strictly in
 submission order, so the file bytes do not depend on the queue depth —
 and any error raised in the background is re-raised to the producer on
@@ -12,11 +13,11 @@ its next ``write``/``drain``/``close``.
 
 Sizing
 ------
-The queue holds at most :data:`DEFAULT_PIPELINE_DEPTH` encoded buffers.
-A block of 4096 sources at edge factor 16 encodes to ~400 KB of ADJ6,
-so the depth bounds pipeline memory to a few MB while still absorbing
-disk latency spikes (the measured high-water mark is 1-2 on every
-benchmark workload).
+The queue holds at most :data:`DEFAULT_PIPELINE_DEPTH` encoded slices.
+A slice is at most 2^16 edges — about 0.4 MiB of ADJ6 and 0.6 MiB of
+TSV at scale 18, however large its block — so the depth bounds pipeline
+memory to a few MiB while still absorbing disk latency spikes (the
+measured high-water mark is 1-2 on every benchmark workload).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from ..telemetry.progress import QUEUE_GAUGE
 
 __all__ = ["DEFAULT_PIPELINE_DEPTH", "ThreadedSink"]
 
-#: Number of encoded buffers the background writer may hold.
+#: Number of encoded slices the background writer may hold.
 DEFAULT_PIPELINE_DEPTH = 8
 
 

@@ -9,10 +9,11 @@ a small lane table, with NUL for every pad byte and the separator (tab or
 newline) in the lowest lane's fourth byte.  A fixed-width row of lanes is
 one line, and ``bytes.translate`` deleting the NULs turns the rows into
 text in one C pass — digits, tab and newline are never NUL.  The block is
-encoded a bounded slice of edges at a time, so the scratch stays
-cache-sized however large the block is, and there is no Python object
-per edge.  The reader parses the file in bulk and falls back to the line
-reader for the error message when the bulk parse refuses it."""
+encoded a bounded slice of edges at a time and each slice's text goes to
+the sink on its own, so the scratch and the text in hand stay slice-sized
+however large the block is, and there is no Python object per edge.  The
+reader parses the file in bulk and falls back to the line reader for the
+error message when the bulk parse refuses it."""
 
 from __future__ import annotations
 
@@ -31,9 +32,9 @@ from .pipeline import ThreadedSink
 __all__ = ["TsvFormat"]
 
 
-#: Edges encoded per pass.  The lanes, the text and the lookup rows of
+#: Edges encoded per slice.  The lanes, the text and the lookup rows of
 #: one slice stay about a MiB at scale 18 whatever the block's size, so a
-#: hub block costs its encoded bytes and not several block-sized arrays.
+#: hub block costs a few slices and not its whole text.
 _SLICE_EDGES = 1 << 16
 
 
@@ -118,16 +119,9 @@ class _TsvWriter(StreamWriter):
             "".join(f"{vertex}\t{v}\n" for v in neighbours).encode("ascii"))
         self.num_edges += len(neighbours)
 
-    def add_block(self, block: AdjacencyBlock) -> None:
+    def _encode_slices(self, block: AdjacencyBlock) -> Iterator[bytes]:
         if block.num_edges == 0:
             return
-        with self._encode_watch:
-            buffer = self._encode_block(block)
-        self._blocks_counter.inc()
-        self._sink.write(buffer)
-        self.num_edges += block.num_edges
-
-    def _encode_block(self, block: AdjacencyBlock) -> bytearray:
         sources = np.asarray(block.sources, dtype=np.int64)
         dests = np.asarray(block.destinations, dtype=np.int64)
         offsets = block.offsets
@@ -141,7 +135,6 @@ class _TsvWriter(StreamWriter):
         source_items = source_lanes.view(f"V{4 * ls}").ravel()
         lines = np.empty((min(dests.size, _SLICE_EDGES), ls + ld),
                          dtype="<u4")
-        text = bytearray()
         for first in range(0, dests.size, _SLICE_EDGES):
             stop = min(first + _SLICE_EDGES, dests.size)
             lo, hi, repeats = _slice_rows(offsets, first, stop)
@@ -150,8 +143,7 @@ class _TsvWriter(StreamWriter):
                 source_items[lo:hi], repeats)
             _render_lanes(dests[first:stop], top_dest, _NEWLINE_LANES,
                           rows[:, ls:])
-            text += rows.tobytes().translate(None, b"\0")
-        return text
+            yield rows.tobytes().translate(None, b"\0")
 
     def _finalize(self) -> WriteResult:
         # A deferred pipeline I/O error re-raises out of sink.close();

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..errors import ConfigurationError, DataError
-from ..telemetry import registry
+from ..telemetry import Gauge, registry
 from .spill import write_run
 
 __all__ = ["DEFAULT_CHUNK_ITEMS", "write_run", "unique_sorted",
@@ -86,7 +86,9 @@ def iter_unique_keys(paths: Iterable[Path], *,
     is read (one slice per run), sorted, stripped of equal neighbours
     and yielded; the largest bucket before deduplication is the
     ``extsort.peak_buffered_items`` max-gauge.  Nothing is yielded
-    before every run's size has been checked.
+    before every run's size has been checked, and nothing of a bucket
+    but the yielded keys outlives its yield: while the consumer holds
+    a bucket, this holds only the splitters and the cuts.
     """
     if chunk_items < 1:
         raise ConfigurationError("chunk_items must be >= 1")
@@ -102,6 +104,7 @@ def iter_unique_keys(paths: Iterable[Path], *,
         del keys
     every = max(1, chunk_items // stride)
     splitters = np.sort(np.concatenate(samples))[every - 1::every]
+    del samples
     cuts = []
     for path in runs:
         keys = np.memmap(path, dtype=np.int64, mode="r")
@@ -110,15 +113,23 @@ def iter_unique_keys(paths: Iterable[Path], *,
         del keys
     peak_gauge = registry().gauge("extsort.peak_buffered_items", mode="max")
     for bucket in range(splitters.size + 1):
-        parts = [_read_slice(path, cut[bucket], cut[bucket + 1])
+        spans = [(path, cut[bucket], cut[bucket + 1])
                  for path, cut in zip(runs, cuts)
                  if cut[bucket] < cut[bucket + 1]]
-        if not parts:
-            continue
-        merged = np.concatenate(parts)
-        merged.sort()
-        peak_gauge.set(float(merged.size))
-        yield unique_sorted(merged)
+        if spans:
+            # Yielded straight from the call: this frame keeps no
+            # reference to the bucket while the consumer holds it.
+            yield _unique_bucket(spans, peak_gauge)
+
+
+def _unique_bucket(spans: list[tuple[Path, int, int]],
+                   peak_gauge: Gauge) -> np.ndarray:
+    """The sorted, duplicate-free keys of one bucket's run slices; the
+    slices are let go once concatenated."""
+    merged = np.concatenate([_read_slice(*span) for span in spans])
+    merged.sort()
+    peak_gauge.set(float(merged.size))
+    return unique_sorted(merged)
 
 
 def collect_chunks(chunks: Iterable[np.ndarray]) -> np.ndarray:

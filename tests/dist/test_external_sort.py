@@ -1,6 +1,7 @@
 """Tests for the external sort / merge-dedup substrate."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DataError
+from repro.formats import blocks_from_sorted_keys
+from repro.formats.base import _block_from_keys
 from repro.util.external_sort import (external_sort_unique,
                                       iter_unique_keys, write_run)
 
@@ -146,6 +149,77 @@ class TestReaderHandleLifecycle:
         assert open_descriptors() == before
         stream.close()         # generator finalization mid-pass
         assert open_descriptors() == before
+
+
+class TestBucketLifetimes:
+    """Nothing bucket-sized outlives its use: the pass, the block
+    builder and the regrouping each let go of what they are done with
+    before the consumer gets the next thing."""
+
+    #: Interpreter objects the pass keeps besides numpy buffers: paths,
+    #: the telemetry gauge, the generator frames.
+    SLACK = 64 << 10
+
+    def test_a_held_bucket_is_all_the_pass_holds(self, tmp_path):
+        rng = np.random.default_rng(5)
+        runs, chunk_items = 8, 1 << 14
+        paths = make_runs(tmp_path, [rng.integers(0, 1 << 24, 50_000)
+                                     for _ in range(runs)])
+        # Every stride-th key of each run is a sample; a run's cuts are
+        # one per splitter, one per chunk_items // stride samples, + 2.
+        stride = chunk_items // (2 * runs)
+        samples = 8 * runs * (50_000 // stride)
+        cuts = 8 * runs * (2 + samples // 8 // (chunk_items // stride))
+        held = []
+        tracemalloc.start()
+        try:
+            for keys in iter_unique_keys(paths, chunk_items=chunk_items):
+                held.append((tracemalloc.get_traced_memory()[0],
+                             keys.nbytes + samples + cuts + self.SLACK))
+                del keys
+        finally:
+            tracemalloc.stop()
+        assert len(held) > 10
+        assert all(traced <= bound for traced, bound in held), held
+
+    def test_block_from_keys_reuses_its_quotient(self):
+        n = np.int64(1 << 12)
+        rng = np.random.default_rng(6)
+        keys = np.unique(rng.integers(0, n * n, 1 << 20))
+        tracemalloc.start()
+        try:
+            block = _block_from_keys(keys, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * keys.nbytes + block.offsets.nbytes
+        np.testing.assert_array_equal(
+            block.destinations, keys - np.repeat(block.sources,
+                                                 block.degrees) * n)
+
+    def test_regrouping_holds_one_chunk_and_one_source(self):
+        n = 1 << 10
+        rng = np.random.default_rng(7)
+        keys = np.unique(rng.integers(0, n * n, 1 << 19))
+        chunk_items = 1 << 15
+        widest = 8 * int(np.bincount(keys // n).max())
+
+        def chunks():
+            for first in range(0, keys.size, chunk_items):
+                yield keys[first:first + chunk_items].copy()
+
+        held = []
+        tracemalloc.start()
+        try:
+            for block in blocks_from_sorted_keys(chunks(), n):
+                bound = (8 * chunk_items + widest + block.sources.nbytes
+                         + block.offsets.nbytes + self.SLACK)
+                held.append((tracemalloc.get_traced_memory()[0], bound))
+                del block
+        finally:
+            tracemalloc.stop()
+        assert len(held) > 10
+        assert all(traced <= bound for traced, bound in held), held
 
 
 def test_run_truncated_mid_pass_raises_naming_it(tmp_path):

@@ -25,7 +25,7 @@ from repro.formats import (GraphFormat, ThreadedSink, TsvFormat,
                            id6_byte_view, pipeline, write_many,
                            write_many_blocks)
 from repro.core import tables
-from repro.formats import adj6, tsv
+from repro.formats import adj6, csr6, tsv
 from repro.telemetry import Counter, Stopwatch
 
 FORMATS = ["adj6", "csr6", "tsv"]
@@ -74,6 +74,58 @@ def hand_block(sources, lists):
              if any(counts) else np.empty(0, dtype=np.int64))
     return AdjacencyBlock(np.array(sources, dtype=np.int64), offsets,
                           dests)
+
+
+def assert_add_block_is_slice_bounded(fmt_name, module, hub_block,
+                                      tmp_path, monkeypatch):
+    """``add_block``'s traced peak, the sink one slice deep, is a few of
+    the block's slices plus slice-sized scratch: it holds no more on a
+    block four times the scale-18 hub block (808 183 edges) than on the
+    hub block itself.  The writer thread may be behind by the queued
+    slice and the one it writes, or not, as the interpreter schedules
+    it, so the two peaks agree within 10 % or two slices."""
+    hub, num_vertices = hub_block
+    quadruple = AdjacencyBlock(hub.sources, 4 * hub.offsets,
+                               np.repeat(hub.destinations, 4))
+    monkeypatch.setattr(pipeline, "DEFAULT_PIPELINE_DEPTH", 1)
+    peaks = []
+    for name, block in (("hub", hub), ("quadruple", quadruple)):
+        writer = get_format(fmt_name).open_writer(tmp_path / f"{name}.s",
+                                                  num_vertices)
+        slice_bytes = max(memoryview(piece).nbytes
+                          for piece in writer._encode_slices(block))
+        writer.close()
+        writer = get_format(fmt_name).open_writer(tmp_path / name,
+                                                  num_vertices)
+        tracemalloc.start()
+        try:
+            writer.add_block(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            writer.close()
+        assert block.num_edges > 10 * module._SLICE_EDGES
+        # One slice queued, one being written, one being encoded.
+        assert peak <= 3 * slice_bytes + 64 * module._SLICE_EDGES
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) <= max(peaks[0] / 10,
+                                           2 * slice_bytes), peaks
+
+
+def assert_refused_before_the_first_slice(fmt_name, bad, num_vertices,
+                                          tmp_path, match):
+    """Write a good block, then ``bad``: ``FormatError`` naming
+    ``match``, and the file holds the good block's bytes only."""
+    good = hand_block([0], [[1]])
+    expected = block_bytes(fmt_name, tmp_path / "good", [good],
+                           num_vertices)
+    writer = get_format(fmt_name).open_writer(tmp_path / "g", num_vertices)
+    writer.add_block(good)
+    with pytest.raises(FormatError, match=match):
+        writer.add_block(bad)
+    writer.close()
+    assert (tmp_path / "g").read_bytes() == expected
+    assert writer.result.num_edges == 1
 
 
 class TestByteIdentity:
@@ -259,7 +311,7 @@ class TestTsvBlockEncoder:
         assert block_bytes("tsv", tmp_path / "g", blocks, 10 ** 13) \
             == tsv_text(blocks)
 
-    @pytest.mark.parametrize("slice_edges", [1, 5, 64])
+    @pytest.mark.parametrize("slice_edges", [1, 5, 64, 97])
     def test_small_slices(self, slice_edges, tmp_path, monkeypatch):
         monkeypatch.setattr(tsv, "_SLICE_EDGES", slice_edges)
         gen = make_generator(scale=8)
@@ -267,30 +319,19 @@ class TestTsvBlockEncoder:
         assert block_bytes("tsv", tmp_path / "g", blocks,
                            gen.num_vertices) == tsv_text(blocks)
 
-    def test_hub_block_scratch_is_bounded_by_the_slice(self, hub_block,
-                                                       tmp_path):
-        """Encoding the scale-18 hub block (808 K edges) allocates its
-        text plus slice-sized scratch, not block-sized lanes.  The text
-        is a ``bytearray`` grown a slice at a time, so an eighth of it
-        may be growth slack."""
-        hub, num_vertices = hub_block
-        writer = get_format("tsv").open_writer(tmp_path / "g", num_vertices)
-        tracemalloc.start()
-        try:
-            text = writer._encode_block(hub)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-            writer.close()
-        assert hub.num_edges > 10 * tsv._SLICE_EDGES
-        assert peak <= len(text) + len(text) // 8 + 64 * tsv._SLICE_EDGES
+    def test_hub_block_scratch_is_bounded_by_the_slice(
+            self, hub_block, tmp_path, monkeypatch):
+        assert_add_block_is_slice_bounded("tsv", tsv, hub_block, tmp_path,
+                                          monkeypatch)
 
     @pytest.mark.parametrize("sources,lists", [
-        ([3, -4], [[1], [2]]),
-        ([3, 4], [[1], [2, -1]]),
+        ([3, -4], [[1, 5, 6], [2]]),
+        ([3, 4], [[1, 5], [2, -1]]),
     ])
     def test_negative_id_is_refused_before_anything_is_written(
-            self, sources, lists, tmp_path):
+            self, sources, lists, tmp_path, monkeypatch):
+        """One edge a slice: the negative id is in the block's last."""
+        monkeypatch.setattr(tsv, "_SLICE_EDGES", 1)
         good = hand_block([1], [[2]])
         bad = hand_block(sources, lists)
         writer = get_format("tsv").open_writer(tmp_path / "blk", 8)
@@ -329,25 +370,28 @@ class TestAdj6BlockEncoder:
         assert block_bytes("adj6", tmp_path / "blk", blocks, 10 ** 13) \
             == expected
 
-    def test_hub_block_scratch_is_bounded_by_the_slice(self, hub_block,
-                                                       tmp_path):
-        """Encoding the scale-18 hub block allocates its output plus
-        slice-sized scratch, not block-sized byte offsets."""
-        hub, num_vertices = hub_block
-        writer = get_format("adj6").open_writer(tmp_path / "g",
-                                                num_vertices)
-        tracemalloc.start()
-        try:
-            out = writer._encode_block(hub)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-            writer.close()
-        assert hub.num_edges > 10 * adj6._SLICE_EDGES
-        assert peak <= out.nbytes + 64 * adj6._SLICE_EDGES
+    def test_hub_block_scratch_is_bounded_by_the_slice(
+            self, hub_block, tmp_path, monkeypatch):
+        assert_add_block_is_slice_bounded("adj6", adj6, hub_block,
+                                          tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("bad,match", [
+        (hand_block([3, 4], [range(5), [6, 7, 1 << 48]]), "6-byte range"),
+        (hand_block([3, 4], [range(5), [6, 7, -1]]), "6-byte range"),
+        (AdjacencyBlock(np.array([3, 4, 5], dtype=np.int64),
+                        np.array([0, 5, 8, 9 + (1 << 32)], dtype=np.int64),
+                        np.broadcast_to(np.int64(0), (9 + (1 << 32),))),
+         "degree 4294967297 of vertex 5"),
+    ])
+    def test_bad_block_is_refused_before_its_first_slice(
+            self, bad, match, tmp_path, monkeypatch):
+        """Slices of two edges; what is wrong is in the last one."""
+        monkeypatch.setattr(adj6, "_SLICE_EDGES", 2)
+        assert_refused_before_the_first_slice("adj6", bad, 1 << 20,
+                                              tmp_path, match)
 
 
-@pytest.mark.parametrize("fmt_name", ["adj6", "tsv"])
+@pytest.mark.parametrize("fmt_name", FORMATS)
 def test_slice_sizes_change_no_byte_of_a_graph(fmt_name, tmp_path,
                                                monkeypatch):
     """The kernel draws, dedups and merges its keys, and the encoders
@@ -361,7 +405,7 @@ def test_slice_sizes_change_no_byte_of_a_graph(fmt_name, tmp_path,
 
     expected = write(tmp_path / "whole")
     for module, name in ((tables, "_SLICE_KEYS"), (adj6, "_SLICE_EDGES"),
-                         (tsv, "_SLICE_EDGES")):
+                         (csr6, "_SLICE_EDGES"), (tsv, "_SLICE_EDGES")):
         assert getattr(module, name) == 1 << 16
         monkeypatch.setattr(module, name, 97)
     assert write(tmp_path / "sliced") == expected
@@ -539,6 +583,34 @@ class TestCsr6BlockValidation:
         with pytest.raises(FormatError, match="range"):
             writer.add_block(hand_block([9], [[0]]))
         writer.close()
+
+    @pytest.mark.parametrize("slice_edges", [1, 5, 97])
+    def test_small_slices(self, slice_edges, tmp_path, monkeypatch):
+        monkeypatch.setattr(csr6, "_SLICE_EDGES", slice_edges)
+        gen = make_generator(scale=8)
+        blocks = list(gen.iter_blocks())
+        blocks.append(hand_block([1 << 8, 300, 301, 400],
+                                 [range(150), [], range(94), range(200)]))
+        expected = per_vertex_bytes("csr6", tmp_path / "pv", blocks, 401)
+        assert block_bytes("csr6", tmp_path / "blk", blocks, 401) \
+            == expected
+
+    def test_hub_block_scratch_is_bounded_by_the_slice(
+            self, hub_block, tmp_path, monkeypatch):
+        assert_add_block_is_slice_bounded("csr6", csr6, hub_block,
+                                          tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("bad,match", [
+        (hand_block([3, 4], [range(5), [6, 7, 1 << 48]]), "6-byte range"),
+        (hand_block([3, 4], [range(5), [6, 8, 7]]), "vertex 4"),
+        (hand_block([3, 4, 5], [range(5), [6, 7], [9, 8]]), "vertex 5"),
+    ])
+    def test_bad_block_is_refused_before_its_first_slice(
+            self, bad, match, tmp_path, monkeypatch):
+        """Slices of two edges; what is wrong is in the last one."""
+        monkeypatch.setattr(csr6, "_SLICE_EDGES", 2)
+        assert_refused_before_the_first_slice("csr6", bad, 8, tmp_path,
+                                              match)
 
     def test_leading_degree_zero_rows(self, tmp_path):
         # Regression: boundary mask must not wrap around offsets[1:]-1
