@@ -41,6 +41,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, GenerationError, SeedMatrixError
 from ..telemetry import RECURSION_BUCKETS, registry
+from ..util.external_sort import unique_sorted
 from . import tables
 from .process import EdgeProcess, make_process
 from .rng import stream
@@ -461,11 +462,12 @@ class RecursiveVectorGenerator:
         """
         shift = self.scale
         low = np.int64(self.num_vertices - 1)
-        kept, repeats = _drop_repeats(keys)
-        first = keys[:kept]
-        duplicates = repeats.size
-        have = degrees - np.bincount(repeats >> shift, minlength=degrees.size)
-        del repeats     # the rounds need only the counts
+        first = unique_sorted(keys)
+        kept = first.size
+        duplicates = keys.size - kept
+        # The repeats lie behind the distinct keys.
+        have = degrees - np.bincount(keys[kept:] >> shift,
+                                     minlength=degrees.size)
         extra = np.empty(0, dtype=np.int64)
         for _ in range(_MAX_TOPUP_ROUNDS):
             short = np.flatnonzero(have != degrees)
@@ -474,7 +476,7 @@ class RecursiveVectorGenerator:
             shortfall = degrees[short] - have[short]
             drawn = self._draw_keys(sources[short], shortfall, rng)
             drawn.sort()
-            drawn = drawn[:_drop_repeats(drawn)[0]]
+            drawn = unique_sorted(drawn)
             rows = drawn >> shift
             # Rows of ``short`` back to rows of the block: ``short``
             # ascends, so the keys stay sorted.
@@ -672,27 +674,6 @@ def _popcount64(values: np.ndarray) -> np.ndarray:
     v = (v + (v >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
     return ((v * np.uint64(0x0101010101010101))
             >> np.uint64(56)).astype(np.int64)
-
-
-def _drop_repeats(sorted_keys: np.ndarray) -> tuple[int, np.ndarray]:
-    """Move the distinct keys of a sorted array, in order, to its front;
-    return their count and one entry per repeat.  One adjacent compare a
-    slice at a time, no hashing as in ``np.unique`` and no array as long
-    as the input."""
-    kept = 0
-    repeats = [np.empty(0, dtype=sorted_keys.dtype)]
-    for first in range(0, sorted_keys.size, tables._SLICE_KEYS):
-        part = sorted_keys[first:first + tables._SLICE_KEYS]
-        fresh = np.empty(part.size, dtype=bool)
-        # Only [0, kept) has been written, and kept <= first - 1 unless
-        # nothing repeated so far: key first - 1 is still the input's.
-        fresh[0] = first == 0 or part[0] != sorted_keys[first - 1]
-        np.not_equal(part[1:], part[:-1], out=fresh[1:])
-        repeats.append(part[~fresh])
-        taken = part[fresh]
-        sorted_keys[kept:kept + taken.size] = taken
-        kept += taken.size
-    return kept, np.concatenate(repeats)
 
 
 def _merge_back(keys: np.ndarray, kept: int, extra: np.ndarray

@@ -4,9 +4,9 @@ The linear-work R-MAT construction of Hübschle-Schneider & Sanders
 (PAPERS.md): table whole chunks of the recursion and sample each in
 O(1).  :func:`_alias_table` is the Vose build both samplers of the repo
 use — :class:`repro.models.rmat.PathSampler` over quadrant paths (WES)
-and :class:`ScopeSampler` here, its conditional form for AVS — and
+and :class:`ScopeSampler` here, its conditional form for AVS —
 :func:`_slices` is the stream rule by which both draw one call a slice
-at a time.
+at a time, and :func:`_draw_slice` is the one loop that draws a slice.
 """
 
 from __future__ import annotations
@@ -35,12 +35,13 @@ _CHUNK_BITS = 7
 _SLICE_KEYS = 1 << 16
 
 
-def _slices(count: int, size: int, rng: np.random.Generator
+def _slices(count: int, size: int, rng: np.random.Generator,
+            batch: int | None = None
             ) -> Iterator[tuple[int, int, Callable[[int], None]]]:
     """The slices ``[first, stop)`` of a call that draws ``count`` keys
-    from one uniform per key and chunk, ``size`` keys at a time, each
-    with ``seek(chunk)``, which positions ``rng`` for that chunk's draw
-    of the slice.
+    from one uniform per key and chunk, ``size`` keys at a time and none
+    across a multiple of ``batch``, each with ``seek(chunk)``, which
+    positions ``rng`` for that chunk's draw of the slice.
 
     The slice rule: in one call, chunk ``c`` of key ``i`` is stream
     position ``c * count + i`` (a double is one PCG64 step), so ``seek``
@@ -48,16 +49,51 @@ def _slices(count: int, size: int, rng: np.random.Generator
     chunk ends where the one call's does, and a call of at most one
     slice never seeks: it draws exactly as one call.
     """
-    if count <= size:
+    batch = batch or count
+    if count <= min(size, batch):
         if count:
             yield 0, count, lambda chunk: None
         return
     start = rng.bit_generator.state
-    for first in range(0, count, size):
-        def seek(chunk: int, first: int = first) -> None:
-            rng.bit_generator.state = start
-            rng.bit_generator.advance(chunk * count + first)
-        yield first, min(first + size, count), seek
+    for lo in range(0, count, batch):
+        hi = min(lo + batch, count)
+        for first in range(lo, hi, size):
+            def seek(chunk: int, first: int = first) -> None:
+                rng.bit_generator.state = start
+                rng.bit_generator.advance(chunk * count + first)
+            yield first, min(first + size, hi), seek
+
+
+def _draw_slice(part: np.ndarray, chunks: list[tuple[float, np.ndarray,
+                                                        np.ndarray]],
+                seek: Callable[[int], None], rng: np.random.Generator,
+                u: np.ndarray, slot: np.ndarray,
+                row_slots: Callable[[int], np.ndarray] | None = None
+                ) -> None:
+    """The one draw loop of both samplers: add each chunk's lookup to the
+    keys ``part`` of one slice, chunks in order, each from one
+    ``rng.random(out=u)`` after ``seek(chunk)``.
+
+    A chunk's table is ``(slots, threshold, contrib)``: the uniform's
+    high bits pick one of ``slots`` (a power of two, so ``u * slots`` is
+    exact) — offset by ``row_slots(chunk)``, the first slot of each
+    key's row, where the table has rows — and the remaining fraction
+    decides between the slot's own entry and its alias, interleaved in
+    ``contrib`` as ``[alias's, own]``.  ``u`` and ``slot`` are scratch
+    as long as ``part``; the gathers are the only other temporaries.
+    """
+    for chunk, (slots, threshold, contrib) in enumerate(chunks):
+        seek(chunk)
+        rng.random(out=u)
+        u *= slots
+        np.copyto(slot, u, casting="unsafe")     # u >= 0: the floor
+        u -= slot
+        if row_slots is not None:
+            slot += row_slots(chunk)
+        own = u < threshold[slot]
+        slot <<= 1
+        slot += own
+        part += contrib[slot]
 
 
 def _slice_rows(offsets: np.ndarray, first: int, stop: int
@@ -119,9 +155,11 @@ class ScopeSampler:
     """
 
     def __init__(self, process: EdgeProcess) -> None:
-        #: Per chunk: ``lo``, ``w``, the thresholds of all rows, and the
-        #: contributions interleaved as ``[alias's, own]`` per slot.
-        self._chunks: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+        #: Per chunk: ``lo`` and ``w``, and the :func:`_draw_slice`
+        #: table — ``2^w`` slots per row, the thresholds of all rows,
+        #: and the contributions interleaved as ``[alias's, own]``.
+        self._bits: list[tuple[int, int]] = []
+        self._tables: list[tuple[float, np.ndarray, np.ndarray]] = []
         hi = process.levels
         while hi > 0:
             w = min(_CHUNK_BITS, hi)
@@ -134,14 +172,15 @@ class ScopeSampler:
             thresholds, aliases = zip(*(_alias_table(row) for row in pmf))
             alias = np.concatenate(aliases)
             own = np.tile(values, values.size)
-            self._chunks.append((lo, w, np.concatenate(thresholds),
+            self._bits.append((lo, w))
+            self._tables.append((float(1 << w), np.concatenate(thresholds),
                                  np.column_stack([alias << lo,
                                                   own << lo]).ravel()))
             hi = lo
 
     @property
     def uniforms_per_edge(self) -> int:
-        return len(self._chunks)
+        return len(self._tables)
 
     def keys(self, sources: np.ndarray, counts: np.ndarray, shift: int,
              rng: np.random.Generator) -> np.ndarray:
@@ -152,25 +191,20 @@ class ScopeSampler:
         offsets = np.zeros(sources.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         key = np.empty(int(offsets[-1]), dtype=np.int64)
-        r = np.empty(min(key.size, _SLICE_KEYS), dtype=np.float64)
+        u = np.empty(min(key.size, _SLICE_KEYS), dtype=np.float64)
+        slot = np.empty(u.size, dtype=np.int64)
         for first, stop, seek in _slices(key.size, _SLICE_KEYS, rng):
             lo, hi, repeats = _slice_rows(offsets, first, stop)
             rows = sources[lo:hi]
             part = key[first:stop]
             part[:] = np.repeat(np.arange(lo, hi, dtype=np.int64) << shift,
                                 repeats)
-            u = r[:stop - first]
-            for chunk, (lo_bit, w, threshold, contrib) in enumerate(
-                    self._chunks):
-                seek(chunk)
-                rng.random(out=u)
-                u *= 1 << w
-                slot = u.astype(np.int64)
-                u -= slot
-                slot += np.repeat((rows >> lo_bit & ((1 << w) - 1)) << w,
-                                  repeats)
-                own = u < threshold[slot]
-                slot <<= 1
-                slot += own
-                part += contrib[slot]
+
+            def row_slots(chunk: int) -> np.ndarray:
+                lo_bit, w = self._bits[chunk]
+                return np.repeat((rows >> lo_bit & ((1 << w) - 1)) << w,
+                                 repeats)
+
+            _draw_slice(part, self._tables, seek, rng, u[:part.size],
+                        slot[:part.size], row_slots)
         return key

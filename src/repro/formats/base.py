@@ -24,6 +24,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from ..core import tables
 from ..core.generator import AdjacencyBlock
 from ..errors import FormatError
 from ..telemetry import Stopwatch, registry, span
@@ -276,18 +277,29 @@ def block_from_edges(sorted_edges: np.ndarray) -> AdjacencyBlock:
 
 
 def _block_from_keys(keys: np.ndarray, n: np.int64) -> AdjacencyBlock:
-    """One block straight from ascending packed keys ``u * n + v``, with
-    one division: building an ``(m, 2)`` edge array for
-    :func:`block_from_edges` to slice apart again costs twice as much.
-    The quotient buffer becomes the destinations, so the only key-sized
-    allocations are it and one boolean mask."""
-    quotient = keys // n
-    boundaries = np.flatnonzero(quotient[1:] != quotient[:-1]) + 1
-    offsets = np.concatenate([[0], boundaries, [keys.size]])
-    sources = quotient[offsets[:-1]]
-    np.multiply(quotient, n, out=quotient)
-    np.subtract(keys, quotient, out=quotient)
-    return AdjacencyBlock(sources, offsets, quotient)
+    """One block straight from ascending packed keys ``u * n + v``, which
+    it consumes: a slice at a time, one division finds the slice's
+    sources and turns each key into its destination in place, so
+    ``keys`` becomes the block's destinations and nothing key-sized is
+    allocated (an ``(m, 2)`` edge array for :func:`block_from_edges` to
+    slice apart again would cost twice the keys)."""
+    starts, sources = [], []
+    last = np.int64(-1)
+    scratch = np.empty(min(keys.size, tables._SLICE_KEYS), dtype=np.int64)
+    for first in range(0, keys.size, tables._SLICE_KEYS):
+        part = keys[first:first + tables._SLICE_KEYS]
+        quotient = np.floor_divide(part, n, out=scratch[:part.size])
+        opens = np.flatnonzero(quotient[1:] != quotient[:-1]) + 1
+        if quotient[0] != last:
+            opens = np.concatenate([[0], opens])
+        starts.append(opens + first)
+        sources.append(quotient[opens])
+        last = quotient[-1]
+        quotient *= n
+        part -= quotient
+    offsets = np.concatenate([*starts, [keys.size]])
+    return AdjacencyBlock(np.concatenate([*sources, np.empty(0, np.int64)]),
+                          offsets, keys)
 
 
 def blocks_from_sorted_keys(chunks: Iterable[np.ndarray],
@@ -302,11 +314,12 @@ def blocks_from_sorted_keys(chunks: Iterable[np.ndarray],
     :func:`block_from_edges` pass: a chunk boundary falling inside one
     source's neighbour list would split that source across two blocks
     (and, for per-source formats like ADJ6, change the output bytes), so
-    the trailing partial source group of every chunk is held back (as a
-    copy) and prepended to the next.  The chunk is let go once its block
-    is built, and the block as soon as the consumer asks for the next
-    one, so what this holds while a block is consumed is that block plus
-    one source's neighbours.
+    the trailing source of every chunk is held back (as a copy) until
+    the chunk that ends it, and then goes out as a block of its own.
+    Each chunk is consumed: the block built from it
+    (:func:`_block_from_keys`) is the chunk, its keys turned into
+    destinations, so what this holds while a block is consumed is that
+    block plus one source's neighbours.
     """
     n = np.int64(num_vertices)
     held = np.empty(0, dtype=np.int64)
@@ -315,15 +328,20 @@ def blocks_from_sorted_keys(chunks: Iterable[np.ndarray],
         if chunk.size == 0:
             continue
         if held.size:
-            chunk = np.concatenate([held, chunk])
+            # The held source's keys that open this chunk.
+            ends = int(np.searchsorted(chunk, (held[0] // n + 1) * n))
+            if ends == chunk.size:
+                held = np.concatenate([held, chunk])
+                del chunk
+                continue
+            yield _block_from_keys(np.concatenate([held, chunk[:ends]]), n)
+            chunk = chunk[ends:]
         cut = int(np.searchsorted(chunk, chunk[-1] // n * n, side="left"))
-        if not cut:
-            held = chunk
-            continue
         held = chunk[cut:].copy()
         block = _block_from_keys(chunk[:cut], n)
         del chunk
-        yield block
+        if block.num_edges:     # not a chunk of one source
+            yield block
         del block
     if held.size:
         yield _block_from_keys(held, n)

@@ -83,7 +83,8 @@ class GenerationReport:
     def time_each(self, name: str, items: Iterator) -> Iterator:
         """Yield from ``items``, billing phase ``name`` for producing each
         item only: a timer left open across the ``yield`` would bill the
-        consumer's time to the producer."""
+        consumer's time to the producer.  An item is let go once it is
+        yielded, so it is not resident while the next one is made."""
         while True:
             with self.time_phase(name):
                 try:
@@ -91,6 +92,7 @@ class GenerationReport:
                 except StopIteration:
                     return
             yield item
+            del item
 
 
 class _PhaseTimer:
@@ -221,6 +223,7 @@ class ScopeBasedGenerator(ABC):
                     sampler, rng, count, batch_edges)):
                 self._route(batch)
                 yield batch
+                del batch
 
     def _route(self, batch: np.ndarray) -> None:
         """Account one map batch (RMAT/p counts its hash partitions)."""
@@ -281,10 +284,13 @@ class StreamingDedupMixin(ScopeBasedGenerator):
             for batch in self._map_batches(tasks, self.batch_edges):
                 with report.time_phase("generate"):
                     store.add_run(batch)
+                del batch
             for chunk in report.time_each(self.sort_phase, store.iter_unique(
                     chunk_items=self.batch_edges)):
                 emitted += int(chunk.size)
+                # The consumer owns the bucket: this frame lets go of it.
                 yield chunk
+                del chunk
         report.duplicates_discarded = sum(n for _, n in tasks) - emitted
         report.realized_edges = emitted
         report.peak_memory_bytes = self.estimated_peak_bytes()

@@ -23,8 +23,9 @@ from typing import Iterator
 
 import numpy as np
 
+from ..core import tables
 from ..core.seed import SeedMatrix
-from ..core.tables import _alias_table, _slices
+from ..core.tables import _alias_table
 from ..errors import ConfigurationError
 from ..util.external_sort import unique_sorted
 from .base import (BATCH_EDGES, Complexity, ScopeBasedGenerator,
@@ -57,10 +58,12 @@ class PathSampler:
     entries already hold the path's contribution to the key (the
     Hübschle-Schneider & Sanders linear-work R-MAT construction).
 
-    Determinism key: :meth:`keys` consumes exactly one
+    Determinism key: :meth:`keys` consumes the uniforms of one
     ``rng.random(count)`` per chunk, chunks in order from the most
-    significant levels down; edge ``i`` takes element ``i`` of each
-    (:meth:`batches` draws the same keys a slice at a time).
+    significant levels down; edge ``i`` takes element ``i`` of each.
+    It draws them a slice at a time by the slice rule, through the
+    draw loop :class:`~repro.core.tables.ScopeSampler` uses too, so
+    neither the slice nor the batch size changes a key.
     The uniform's high bits pick the slot (``r * slots`` is exact, the
     slot count being a power of two) and the remaining fraction decides
     between the slot's own path and its alias.
@@ -100,32 +103,40 @@ class PathSampler:
 
     def batches(self, count: int, rng: np.random.Generator, batch: int
                 ) -> Iterator[np.ndarray]:
-        """The keys of one ``keys(count, rng)`` call, ``batch`` at a time,
-        each chunk's draw of a batch positioned by the slice rule
-        (:func:`repro.core.tables._slices`)."""
-        for first, stop, seek in _slices(count, batch, rng):
-            key = np.zeros(stop - first, dtype=np.int64)
-            for chunk, (slots, threshold, contrib) in enumerate(self._tables):
-                seek(chunk)
-                r = rng.random(stop - first)
-                r *= slots
-                slot = r.astype(np.int64)
-                r -= slot
-                own = r < threshold[slot]
-                slot <<= 1
-                slot += own
-                key += contrib[slot]
-            yield key
+        """The keys of one ``keys(count, rng)`` call, ``batch`` at a time.
+
+        Each batch's key array is filled ``_SLICE_KEYS`` keys at a time
+        by :func:`repro.core.tables._draw_slice`, every (slice, chunk)
+        draw positioned by the slice rule
+        (:func:`repro.core.tables._slices`), so the batch and slice sizes
+        change no key.  The key array is the only batch-sized allocation,
+        and this generator lets go of it once it is yielded."""
+        size = min(count, batch, tables._SLICE_KEYS)
+        u = np.empty(size, dtype=np.float64)
+        slot = np.empty(size, dtype=np.int64)
+        for first, stop, seek in tables._slices(count, tables._SLICE_KEYS,
+                                                rng, batch):
+            at = first % batch
+            if not at:
+                key = np.zeros(min(batch, count - first), dtype=np.int64)
+            part = key[at:at + stop - first]
+            tables._draw_slice(part, self._tables, seek, rng,
+                               u[:part.size], slot[:part.size])
+            if at + part.size == key.size:
+                yield key
+                del key, part
 
 
 def map_task(sampler: PathSampler, rng: np.random.Generator, count: int,
              batch_edges: int = BATCH_EDGES) -> Iterator[np.ndarray]:
     """The WES map step: the ``count`` keys of one ``sampler.keys(count,
-    rng)`` call, ``batch_edges`` at a time, each batch sorted and without
-    repeats.  The batch size bounds memory and changes no key."""
+    rng)`` call, ``batch_edges`` at a time, each batch sorted and
+    compacted in place to its distinct keys.  The batch size bounds
+    memory and changes no key."""
     for keys in sampler.batches(count, rng, batch_edges):
         keys.sort()
         yield unique_sorted(keys)
+        del keys
 
 
 def rmat_edge_batch(seed_matrix: SeedMatrix, levels: int, count: int,

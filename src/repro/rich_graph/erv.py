@@ -27,6 +27,7 @@ from ..core.rng import stream
 from ..core.scope import sample_scope_sizes
 from ..core.seed import SeedMatrix
 from ..errors import ConfigurationError
+from ..util.external_sort import unique_sorted
 from .distributions import (DegreeDistribution, Empirical, Gaussian,
                             Uniform, Zipfian, seed_for_in_slope,
                             seed_for_out_slope)
@@ -207,7 +208,7 @@ class ErvGenerator:
             return np.column_stack([sources, dests])
         span = np.int64(self.num_destinations)
         keys = np.sort(sources * span + dests)
-        keys = _unique_sorted(keys)
+        keys = unique_sorted(keys)
         for _ in range(_MAX_TOPUP):
             have = np.bincount((keys // span).astype(np.int64),
                                minlength=self.num_sources)
@@ -222,18 +223,10 @@ class ErvGenerator:
             # rejection; clip their demand to what remains reachable.
             new = refill_src * span + sampler.sample(refill_src.size, rng)
             merged = np.sort(np.concatenate([keys, new]))
-            new_keys = _unique_sorted(merged)
+            new_keys = unique_sorted(merged)
             if new_keys.size == keys.size:
                 # No progress: remaining shortfalls are saturated scopes.
                 break
             keys = new_keys
         return np.column_stack([keys // span, keys % span])
 
-
-def _unique_sorted(sorted_keys: np.ndarray) -> np.ndarray:
-    if sorted_keys.size <= 1:
-        return sorted_keys
-    keep = np.empty(sorted_keys.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=keep[1:])
-    return sorted_keys[keep]

@@ -31,15 +31,40 @@ __all__ = ["DEFAULT_CHUNK_ITEMS", "write_run", "unique_sorted",
 #: Target keys per bucket (512 KiB of int64) when the caller names none.
 DEFAULT_CHUNK_ITEMS = 1 << 16
 
+#: Keys :func:`unique_sorted` compares per pass: its temporaries are one
+#: slice's mask and distinct keys, whatever the array's length.
+_SLICE_KEYS = 1 << 16
+
 
 def unique_sorted(keys: np.ndarray) -> np.ndarray:
-    """``keys`` (ascending) with equal neighbours dropped."""
-    if keys.size == 0:
-        return keys
-    keep = np.empty(keys.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
+    """``keys`` (ascending) with equal neighbours dropped, in place.
+
+    The distinct keys move, in order, to the front of ``keys``, and the
+    front is returned as a view; the repeats, one per dropped copy and
+    in order, fill the rest.  One adjacent compare a slice at a time,
+    with no hashing as in ``np.unique`` and no array as long as the
+    input: the temporaries are one slice's mask and distinct keys, and
+    the repeats.
+    """
+    kept = 0
+    fresh = np.empty(min(keys.size, _SLICE_KEYS), dtype=bool)
+    repeats = []
+    for first in range(0, keys.size, _SLICE_KEYS):
+        part = keys[first:first + _SLICE_KEYS]
+        mask = fresh[:part.size]
+        # Only [0, kept) has been written, and kept <= first - 1 unless
+        # nothing repeated so far: key first - 1 is still the input's.
+        mask[0] = first == 0 or part[0] != keys[first - 1]
+        np.not_equal(part[1:], part[:-1], out=mask[1:])
+        taken = part[mask]
+        if taken.size < part.size:
+            repeats.append(part[~mask])
+        keys[kept:kept + taken.size] = taken
+        kept += taken.size
+        del taken       # before the next slice's is made
+    if repeats:
+        keys[kept:] = np.concatenate(repeats)
+    return keys[:kept]
 
 
 def _run_items(path: Path) -> int:
@@ -56,19 +81,19 @@ def _run_items(path: Path) -> int:
     return size // 8
 
 
-def _read_slice(path: Path, start: int, stop: int) -> np.ndarray:
-    """Keys ``[start, stop)`` of one run: a plain positioned read, the
-    file open only for its duration.  ``np.fromfile`` returns whatever
-    is there, so a run that shrank since its cuts were taken raises
-    instead of silently losing keys."""
+def _read_slice(path: Path, start: int, out: np.ndarray) -> None:
+    """Read keys ``[start, start + out.size)`` of one run into ``out``: a
+    plain positioned read, the file open only for its duration.  A run
+    that shrank since its cuts were taken raises instead of silently
+    losing keys."""
     with open(path, "rb") as handle:
         handle.seek(start * 8)
-        keys = np.fromfile(handle, dtype=np.int64, count=stop - start)
-    if keys.size != stop - start:
+        read = handle.readinto(memoryview(out).cast("B")) // 8
+    if read != out.size:
         raise DataError(
             f"spill run {path.name} shrank during the pass: keys "
-            f"[{start}, {stop}) asked, {keys.size} read; regenerate")
-    return keys
+            f"[{start}, {start + out.size}) asked, {read} read; "
+            "regenerate")
 
 
 def iter_unique_keys(paths: Iterable[Path], *,
@@ -124,12 +149,20 @@ def iter_unique_keys(paths: Iterable[Path], *,
 
 def _unique_bucket(spans: list[tuple[Path, int, int]],
                    peak_gauge: Gauge) -> np.ndarray:
-    """The sorted, duplicate-free keys of one bucket's run slices; the
-    slices are let go once concatenated."""
-    merged = np.concatenate([_read_slice(*span) for span in spans])
-    merged.sort()
-    peak_gauge.set(float(merged.size))
-    return unique_sorted(merged)
+    """The sorted, duplicate-free keys of one bucket's run slices, read
+    straight into one array, sorted and compacted in place, and shrunk
+    to its distinct keys."""
+    bucket = np.empty(sum(stop - start for _, start, stop in spans),
+                      dtype=np.int64)
+    at = 0
+    for path, start, stop in spans:
+        _read_slice(path, start, bucket[at:at + stop - start])
+        at += stop - start
+    bucket.sort()
+    peak_gauge.set(float(bucket.size))
+    # No view of ``bucket`` is left, so it may shrink where it lies.
+    bucket.resize(unique_sorted(bucket).size, refcheck=False)
+    return bucket
 
 
 def collect_chunks(chunks: Iterable[np.ndarray]) -> np.ndarray:

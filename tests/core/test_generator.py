@@ -505,11 +505,13 @@ class TestDedupTopup:
     @pytest.mark.parametrize("case", sorted(EXTRA))
     def test_in_place_dedup_and_merge_back(self, case, slice_keys,
                                            monkeypatch):
-        """``_drop_repeats`` leaves the distinct keys at the front of the
+        """``unique_sorted`` leaves the distinct keys at the front of the
         array and ``_merge_back`` merges ``extra`` into it, at any slice
         size; the array is as long as the union or longer."""
-        from repro.core.generator import _drop_repeats, _merge_back
+        from repro.core.generator import _merge_back
+        from repro.util import external_sort
         monkeypatch.setattr(tables, "_SLICE_KEYS", slice_keys)
+        monkeypatch.setattr(external_sort, "_SLICE_KEYS", slice_keys)
         rng = np.random.default_rng(11)
         union = np.unique(rng.integers(0, 1 << 40, 800))
         chosen = np.zeros(union.size, dtype=bool)
@@ -518,11 +520,13 @@ class TestDedupTopup:
         copies = rng.integers(1, 4, kept.size)
         copies[0] += max(0, union.size - int(copies.sum()))
         keys = np.repeat(kept, copies)
-        distinct, repeats = _drop_repeats(keys)
-        np.testing.assert_array_equal(keys[:distinct], kept)
-        np.testing.assert_array_equal(repeats, np.repeat(kept, copies - 1))
-        np.testing.assert_array_equal(_merge_back(keys, distinct, extra),
-                                      union)
+        distinct = external_sort.unique_sorted(keys)
+        assert distinct.base is keys
+        np.testing.assert_array_equal(distinct, kept)
+        np.testing.assert_array_equal(keys[distinct.size:],
+                                      np.repeat(kept, copies - 1))
+        np.testing.assert_array_equal(
+            _merge_back(keys, distinct.size, extra), union)
 
 
 class TestFruitlessRound:

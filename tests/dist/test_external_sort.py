@@ -8,9 +8,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import tables
 from repro.errors import DataError
 from repro.formats import blocks_from_sorted_keys
 from repro.formats.base import _block_from_keys
+from repro.models import RmatDiskGenerator
+from repro.telemetry import registry, reset_telemetry
 from repro.util.external_sort import (external_sort_unique,
                                       iter_unique_keys, write_run)
 
@@ -182,20 +185,55 @@ class TestBucketLifetimes:
         assert len(held) > 10
         assert all(traced <= bound for traced, bound in held), held
 
+    def test_disk_blocks_hold_one_bucket_at_a_time(self):
+        """Through ``RmatDiskGenerator.iter_blocks``: while the next
+        bucket is read, sorted and regrouped, nothing of the previous one
+        is left, so the peak between two blocks is one bucket (its keys
+        before dedup) plus slice-sized scratch and the block's sources
+        and offsets — not two buckets, as when a generator on the way
+        keeps the one it yielded while it makes the next."""
+        reset_telemetry()
+        batch = 1 << 17
+        blocks = RmatDiskGenerator(17, 16, seed=3,
+                                   batch_edges=batch).iter_blocks()
+        next(blocks)                    # the map phase and one bucket
+        peaks = []
+        tracemalloc.start()
+        try:
+            for block in blocks:
+                peaks.append((tracemalloc.get_traced_memory()[1],
+                              24 * block.sources.size))
+                del block
+                tracemalloc.reset_peak()
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) > 10
+        bucket = 8 * registry().gauge("extsort.peak_buffered_items",
+                                      mode="max").value
+        assert bucket <= 8 * (2 * batch + 17)
+        scratch = 2 * 8 * tables._SLICE_KEYS + self.SLACK
+        assert all(peak <= bucket + scratch + block
+                   for peak, block in peaks), (bucket, peaks)
+
     def test_block_from_keys_reuses_its_quotient(self):
+        """The keys become the destinations in place, a slice at a time:
+        the call consumes its input and allocates one slice of scratch
+        and the block's sources and offsets."""
         n = np.int64(1 << 12)
         rng = np.random.default_rng(6)
         keys = np.unique(rng.integers(0, n * n, 1 << 20))
+        sources, destinations = np.divmod(keys, n)
         tracemalloc.start()
         try:
             block = _block_from_keys(keys, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * keys.nbytes + block.offsets.nbytes
+        assert peak <= 2 * 8 * tables._SLICE_KEYS + 4 * block.offsets.nbytes
+        assert block.destinations is keys
+        np.testing.assert_array_equal(block.destinations, destinations)
         np.testing.assert_array_equal(
-            block.destinations, keys - np.repeat(block.sources,
-                                                 block.degrees) * n)
+            np.repeat(block.sources, block.degrees), sources)
 
     def test_regrouping_holds_one_chunk_and_one_source(self):
         n = 1 << 10
@@ -222,6 +260,28 @@ class TestBucketLifetimes:
         assert all(traced <= bound for traced, bound in held), held
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 63), max_size=200),
+       st.lists(st.integers(0, 200), max_size=12))
+def test_regrouping_never_splits_a_source(values, cuts):
+    """However a sorted key stream is cut into chunks — empty ones, one
+    source over many, a cut on a source boundary — the blocks hold every
+    edge once, in order, each source in one block only."""
+    n = 8
+    keys = np.unique(np.array(values, dtype=np.int64))
+    bounds = sorted({min(c, keys.size) for c in cuts} | {0, keys.size})
+    chunks = [keys[a:b].copy() for a, b in zip(bounds[:-1], bounds[1:])]
+    chunks.insert(len(chunks) // 2, np.empty(0, dtype=np.int64))
+    blocks = list(blocks_from_sorted_keys(chunks, n))
+    assert all(block.num_edges for block in blocks)
+    sources = np.concatenate([b.sources for b in blocks] + [[]])
+    assert (np.diff(sources) > 0).all()
+    edges = np.concatenate([b.edge_array() for b in blocks]
+                           + [np.empty((0, 2), dtype=np.int64)])
+    np.testing.assert_array_equal(edges, np.column_stack(np.divmod(keys,
+                                                                   n)))
+
+
 def test_run_truncated_mid_pass_raises_naming_it(tmp_path):
     """A run cut short after the splitters were taken used to lose its
     tail silently: the pass emitted 3 000 of 4 000 keys."""
@@ -232,6 +292,24 @@ def test_run_truncated_mid_pass_raises_naming_it(tmp_path):
     with open(paths[1], "r+b") as handle:
         handle.truncate(1000 * 8)
     with pytest.raises(DataError, match=paths[1].name):
+        list(stream)
+
+
+@pytest.mark.parametrize("keep", [0, 1, 512])
+def test_a_run_that_shrinks_between_buckets_raises(tmp_path, keep):
+    """A run cut after the cuts were taken, between two buckets: the
+    next bucket's read into its one array comes up short and says how
+    short, whether that bucket's slice of the run is gone or cut short.
+    The bucket before it was whole."""
+    paths = make_runs(tmp_path, [np.arange(0, 8000, 2),
+                                 np.arange(1, 8000, 2)])
+    stream = iter_unique_keys(paths, chunk_items=2048)
+    first = next(stream)
+    np.testing.assert_array_equal(first, np.arange(first.size))
+    with open(paths[0], "r+b") as handle:
+        handle.truncate(8 * (first.size // 2 + keep))
+    with pytest.raises(DataError, match=rf"{paths[0].name} shrank during "
+                       r"the pass: keys \[\d+, \d+\) asked, \d+ read"):
         list(stream)
 
 

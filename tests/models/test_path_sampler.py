@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from repro.core import tables
 from repro.core.seed import GRAPH500, UNIFORM, SeedMatrix
 from repro.models import fast_kronecker_edge_batch, rmat_edge_batch
 from repro.models import rmat
@@ -107,8 +108,9 @@ class _GridRng:
     draw that tells ``<`` from ``<=`` on a threshold of 0 and that a
     random stream produces once in 2^39 draws."""
 
-    def random(self, count):
-        return np.arange(count) / count
+    def random(self, out):
+        out[:] = np.arange(out.size) / out.size
+        return out
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 7])
@@ -156,9 +158,9 @@ class _CountingRng:
         self.rng = np.random.default_rng(seed)
         self.calls = []
 
-    def random(self, count):
-        self.calls.append(count)
-        return self.rng.random(count)
+    def random(self, out):
+        self.calls.append(out.size)
+        return self.rng.random(out=out)
 
 
 def test_draw_order_is_one_uniform_array_per_chunk():
@@ -184,14 +186,45 @@ def test_edge_batches_are_views_of_the_keys():
                                       keys)
 
 
-@pytest.mark.parametrize("batch", [1, 7, 500])
+def one_call_keys(sampler, count, rng):
+    """The determinism key spelled out: one ``rng.random(count)`` per
+    chunk, each looked up whole."""
+    key = np.zeros(count, dtype=np.int64)
+    for slots, threshold, contrib in sampler._tables:
+        r = rng.random(count) * slots
+        slot = r.astype(np.int64)
+        key += contrib[2 * slot + (r - slot < threshold[slot])]
+    return key
+
+
+@pytest.mark.parametrize("batch", [1, 7, 500, (1 << 16) - 1, (1 << 16) + 1,
+                                   100_003])
 def test_batches_are_slices_of_one_keys_call(batch):
-    """The slice rule: batches of any size concatenate to the one call's
-    keys and leave the stream where that call leaves it."""
+    """The slice rule: batches of any size, each drawn a slice at a time,
+    concatenate to the one call's keys and leave the stream where that
+    call leaves it.  Past ``2^16`` keys a batch straddles slices, and a
+    batch size that is no multiple of the slice moves every boundary."""
+    count = 500 if batch <= 500 else 2 * batch + 3
     sampler = PathSampler(GRAPH500, 19)
-    whole_rng, sliced_rng = np.random.default_rng(10), \
-        np.random.default_rng(10)
-    whole = sampler.keys(500, whole_rng)
-    sliced = np.concatenate(list(sampler.batches(500, sliced_rng, batch)))
-    np.testing.assert_array_equal(sliced, whole)
-    assert sliced_rng.bit_generator.state == whole_rng.bit_generator.state
+    whole_rng = np.random.default_rng(10)
+    whole = one_call_keys(sampler, count, whole_rng)
+    for draw in (lambda rng: sampler.keys(count, rng),
+                 lambda rng: np.concatenate(list(sampler.batches(
+                     count, rng, batch)))):
+        rng = np.random.default_rng(10)
+        np.testing.assert_array_equal(draw(rng), whole)
+        assert rng.bit_generator.state == whole_rng.bit_generator.state
+
+
+def test_the_slice_size_changes_no_key(monkeypatch):
+    """Under the slice rule a small odd slice draws the same keys, in
+    batches that are and are not multiples of it."""
+    sampler = PathSampler(GRAPH500, 19)
+    whole = one_call_keys(sampler, 5000, np.random.default_rng(11))
+    monkeypatch.setattr(tables, "_SLICE_KEYS", 97)
+    for batch in (97 * 3, 1000, 5000):
+        batches = list(sampler.batches(5000, np.random.default_rng(11),
+                                       batch))
+        assert [b.size for b in batches[:-1]] == [batch] * (len(batches)
+                                                             - 1)
+        np.testing.assert_array_equal(np.concatenate(batches), whole)
