@@ -92,12 +92,13 @@ def test_dedup_cost(benchmark, table):
 
 
 def test_degree_method_ablation(benchmark, table):
-    """Theorem 1's normal approximation vs exact binomial vs Poisson:
-    all three must deliver ~|E| edges with similar degree spread."""
+    """Theorem 1's normal approximation vs the exact binomial split vs
+    TeG's deterministic sizes: all three must deliver ~|E| edges with
+    similar degree spread, and the split exactly |E|."""
 
     def run():
         out = []
-        for method in ("normal", "binomial", "poisson"):
+        for method in ("normal", "split", "deterministic"):
             g = RecursiveVectorGenerator(SCALE, 16, seed=5,
                                          degree_method=method)
             edges = g.edges()
@@ -111,5 +112,6 @@ def test_degree_method_ablation(benchmark, table):
     target = 16 * (1 << SCALE)
     for method, count, _ in rows:
         assert abs(count - target) / target < 0.05, method
+    assert {m: count for m, count, _ in rows}["split"] == target
     stds = [r[2] for r in rows]
     assert max(stds) / min(stds) < 1.2

@@ -15,9 +15,10 @@ Three artifacts matter beyond the printed tables:
   must beat the per-vertex ``writer.add`` loop at scale 18 (ADJ6 2x,
   TSV 5x).
 - ``test_generate_stays_under_rss_cap`` is the CI perf-smoke gate for a
-  block's working set: a fresh ``trilliong generate --scale 20`` process,
-  ADJ6 and TSV, must peak below a cap that the whole-block scratch and
-  the whole-block encode of before exceeded.
+  block's working set: a fresh ``trilliong generate`` process at scales
+  20 and 22, ADJ6 and TSV, must peak below one cap, which the
+  whole-block scratch, the whole-block encode and the whole hub block
+  of before each exceeded.
 - ``test_emit_bench_json`` writes ``BENCH_formats.json`` at the repo root
   (scale, format, engine, edges/s, MB/s) so later PRs have a perf
   trajectory to compare against.
@@ -35,20 +36,24 @@ from pathlib import Path
 import pytest
 
 from benchmarks.bench_extmem import _VMHWM_KB, _run_fresh
-from repro.core.generator import RecursiveVectorGenerator
+from repro.core.generator import _BLOCK_EDGES, RecursiveVectorGenerator
 from repro.formats import get_format, write_many
 
 SCALE = 13
 SMOKE_SCALE = 18
 
-#: ``generate --scale 20`` in a fresh process, default allocator: its
+#: ``generate`` in a fresh process, default allocator.  At scale 20 the
 #: hub block holds 1.9 M edges.  ADJ6 peaked at 99 MiB while a block's
 #: scratch was four arrays as long as its draw, and at 66 MiB with the
 #: key array as the working set; TSV at 78 MiB while its encoder built a
 #: block's whole text, and both at about 62 MiB once a block leaves the
-#: encoder a slice at a time (2 vCPUs, numpy 2.4).
-RSS_SCALE = 20
-RSS_CAP_BYTES = 72 * 1024 * 1024
+#: encoder a slice at a time.  A block was then still whole in memory,
+#: so scale 22 (4.3 M hub edges) peaked at 89 MiB.  Since a block is
+#: generated in runs of at most ``_BLOCK_EDGES`` edges, ADJ6 peaks at
+#: 43.6 MiB at scale 20 and 45.0 at 22, TSV at 46.6 and 48.0 (2 vCPUs,
+#: numpy 2.4; ``import repro.cli, numpy.random`` alone is 37.6 MiB).
+RSS_SCALES = (20, 22)
+RSS_CAP_BYTES = 56 * 1024 * 1024
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -231,37 +236,38 @@ def test_block_tsv_beats_per_vertex(tmp_path, table):
         f"{SMOKE_SCALE}; the lane-table encoder regressed")
 
 
+@pytest.mark.parametrize("scale", RSS_SCALES)
 @pytest.mark.parametrize("fmt_name", ["adj6", "tsv"])
-def test_generate_stays_under_rss_cap(fmt_name, table):
-    """CI perf smoke: a block's working set is its key array plus
+def test_generate_stays_under_rss_cap(fmt_name, scale, table):
+    """CI perf smoke: a block is generated in runs of at most
+    ``_BLOCK_EDGES`` edges, a run's working set is its key array plus
     slice-sized scratch, and its bytes leave the encoder a slice at a
-    time, so ``generate --scale 20`` in a fresh process peaks below the
-    cap."""
-    gen = RecursiveVectorGenerator(RSS_SCALE, 16, seed=7)
-    hub_edges = int(gen.degrees().reshape(-1, gen.block_size)
-                    .sum(axis=1).max())
+    time, so ``generate`` in a fresh process peaks below one cap at
+    every scale — the hub block's growth no longer shows."""
+    gen = RecursiveVectorGenerator(scale, 16, seed=7)
+    hub_edges = gen.block_total(0)
     with tempfile.TemporaryDirectory(prefix="bench-formats-rss-") as work:
         out = _run_fresh(
             "from repro.cli import main\n"
             "main(['generate', '--scale',\n"
-            f"      '{RSS_SCALE}', '--format', '{fmt_name}',\n"
+            f"      '{scale}', '--format', '{fmt_name}',\n"
             "      '--seed', '7',\n"
             f"      '--output', {str(Path(work) / 'g')!r}])\n"
             f"print({_VMHWM_KB})\n")
     edges = int(re.search(r"\|E\|=(\d+)", out).group(1))
     rss = int(out.split()[-1]) * 1024
-    table(f"generate peak RSS (scale {RSS_SCALE}, {fmt_name}, "
+    table(f"generate peak RSS (scale {scale}, {fmt_name}, "
           "fresh process)",
           ["metric", "value"],
           [["|E|", f"{edges:,}"],
            ["hub block edges", f"{hub_edges:,}"],
-           ["8 x hub edges", f"{8 * hub_edges / 2**20:,.1f} MiB"],
+           ["edges per run", f"<= {_BLOCK_EDGES:,} or one scope"],
            ["peak RSS", f"{rss / 2**20:,.1f} MiB"],
            ["RSS cap", f"{RSS_CAP_BYTES / 2**20:,.0f} MiB"]])
     assert rss < RSS_CAP_BYTES, (
-        f"generate --format {fmt_name} peaked at {rss / 2**20:.0f} MiB, "
-        f"over the {RSS_CAP_BYTES / 2**20:.0f} MiB cap: a block's scratch "
-        "or its encoded bytes are no longer bounded by the slice")
+        f"generate --scale {scale} --format {fmt_name} peaked at "
+        f"{rss / 2**20:.0f} MiB, over the {RSS_CAP_BYTES / 2**20:.0f} MiB "
+        "cap: a run's scratch or its encoded bytes are no longer bounded")
 
 
 def test_emit_bench_json(tmp_path, table):

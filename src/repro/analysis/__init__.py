@@ -7,6 +7,7 @@ from .degree import (DegreeHistogram, ccdf, degree_histogram, in_degrees,
                      log_binned_histogram, out_degrees)
 from .fitting import (GaussianFit, fit_gaussian, fit_kronecker_class_slope,
                       fit_zipf_slope, oscillation_score)
+from .oracle import ScopeLawReport, check_scope_law
 from .stats import GraphStats, graph_stats
 from .theory import (binomial_pmf, expected_degree_ccdf,
                      expected_degree_distribution)
@@ -24,7 +25,7 @@ __all__ = [
     "ks_two_sample", "DegreeHistogram", "ccdf", "degree_histogram",
     "in_degrees", "log_binned_histogram", "out_degrees", "GaussianFit",
     "fit_gaussian", "fit_zipf_slope", "fit_kronecker_class_slope",
-    "oscillation_score", "GraphStats",
+    "oscillation_score", "ScopeLawReport", "check_scope_law", "GraphStats",
     "graph_stats", "induced_subgraph", "permute_vertices", "relabel",
     "remove_self_loops", "sample_edges", "symmetrize", "to_networkx",
     "bfs_levels", "bfs_parents", "build_csr", "reachable_count",

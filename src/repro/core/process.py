@@ -40,6 +40,12 @@ class EdgeProcess(ABC):
         """``P(u->)`` for each source (Lemma 1 / Lemma 7)."""
 
     @abstractmethod
+    def zero_probabilities(self) -> np.ndarray:
+        """``P(source bit = 0)`` per level, shape ``(levels,)``, level 0
+        the most significant bit: the row sum of the level's seed over
+        its mass (Lemma 1 / Lemma 7)."""
+
+    @abstractmethod
     def build_recvecs(self, sources: np.ndarray) -> np.ndarray:
         """RecVec rows, shape ``(n, levels + 1)`` (Lemma 2 / Lemma 8)."""
 
@@ -72,6 +78,10 @@ class PlainProcess(EdgeProcess):
         ab, cd = self._row_sums
         return np.power(ab, self.levels - ones) * np.power(cd, ones)
 
+    def zero_probabilities(self) -> np.ndarray:
+        ab, cd = self._row_sums
+        return np.full(self.levels, ab / (ab + cd))
+
     def build_recvecs(self, sources: np.ndarray) -> np.ndarray:
         return build_recvecs(self.seed_matrix, sources, self.levels)
 
@@ -96,6 +106,9 @@ class NoisyProcess(EdgeProcess):
 
     def row_probabilities(self, sources: np.ndarray) -> np.ndarray:
         return self.stack.row_probabilities(sources)
+
+    def zero_probabilities(self) -> np.ndarray:
+        return self.stack.zero_probabilities()
 
     def build_recvecs(self, sources: np.ndarray) -> np.ndarray:
         return self.stack.build_recvecs(sources)

@@ -2,8 +2,17 @@
 
 The size of the scope ``S(u, V)`` (the out-degree of ``u``) is the number of
 successes among ``n = |E|`` Bernoulli trials each succeeding with probability
-``p = P(u->)``; Theorem 1 approximates the Binomial(n, p) with
-``Normal(np, np(1-p))``.  TeG's failure (Figure 8) comes precisely from
+``p = P(u->)``.  Drawn jointly for every scope, the ``|E|`` trials are one
+multinomial over the sources, and Lemma 1 factorises it over source bits:
+bit ``l`` of a draw's source is 0 with probability ``alpha_l + beta_l``
+whatever its other bits are (Lemma 7 keeps that per level under NSKG
+noise).  So the multinomial is a recursive binomial split, which
+:func:`split_scope_sizes` performs below one node of the source tree — the
+``"split"`` method, whose sizes add up to ``|E|`` exactly.
+
+Theorem 1 approximates each marginal Binomial(n, p) independently with
+``Normal(np, np(1-p))`` (``"normal"``, the paper's method), whose sum only
+concentrates around ``|E|``.  TeG's failure (Figure 8) comes precisely from
 replacing this stochastic draw with the deterministic mean, so the sampler
 also exposes a ``"deterministic"`` method for that baseline.
 """
@@ -12,16 +21,22 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sample_scope_sizes", "SCOPE_SIZE_METHODS"]
+__all__ = ["sample_scope_sizes", "split_scope_sizes", "SCOPE_SIZE_METHODS",
+           "DEGREE_METHODS"]
 
-SCOPE_SIZE_METHODS = ("normal", "binomial", "poisson", "deterministic")
+#: Methods that size each scope on its own, from its own probability.
+SCOPE_SIZE_METHODS = ("normal", "deterministic")
+
+#: Every ``degree_method`` of the AVS generator; ``"split"`` draws all
+#: scopes jointly and is the default.
+DEGREE_METHODS = ("split",) + SCOPE_SIZE_METHODS
 
 
 def sample_scope_sizes(probabilities: np.ndarray, num_edges: int,
                        rng: np.random.Generator,
                        method: str = "normal",
                        max_size: int | None = None) -> np.ndarray:
-    """Draw scope sizes for a batch of scopes.
+    """Draw scope sizes for a batch of scopes, each on its own.
 
     Parameters
     ----------
@@ -36,9 +51,6 @@ def sample_scope_sizes(probabilities: np.ndarray, num_edges: int,
     method:
         - ``"normal"`` — Theorem 1's Normal(np, np(1-p)) approximation,
           rounded to the nearest integer (the paper's method);
-        - ``"binomial"`` — exact Binomial(n, p) (used by tests to bound the
-          approximation error);
-        - ``"poisson"`` — Poisson(np), the classic sparse-graph limit;
         - ``"deterministic"`` — ``round(np)`` with no randomness (the TeG
           baseline's static early fixing).
     max_size:
@@ -57,10 +69,6 @@ def sample_scope_sizes(probabilities: np.ndarray, num_edges: int,
     if method == "normal":
         std = np.sqrt(mean * (1.0 - p))
         sizes = np.rint(rng.normal(mean, std)).astype(np.int64)
-    elif method == "binomial":
-        sizes = rng.binomial(num_edges, p).astype(np.int64)
-    elif method == "poisson":
-        sizes = rng.poisson(mean).astype(np.int64)
     elif method == "deterministic":
         sizes = np.rint(mean).astype(np.int64)
     else:
@@ -71,3 +79,21 @@ def sample_scope_sizes(probabilities: np.ndarray, num_edges: int,
     if max_size is not None:
         np.minimum(sizes, max_size, out=sizes)
     return sizes
+
+
+def split_scope_sizes(count: int, zero_probabilities: np.ndarray,
+                      rng: np.random.Generator) -> np.ndarray:
+    """The sizes of the ``2^k`` scopes below one node of the source tree
+    that holds ``count`` draws, ``k = len(zero_probabilities)``.
+
+    Level by level from the node down, every node sends
+    ``Binomial(c, zero_probabilities[i])`` of its ``c`` draws to its
+    0-child and the rest to its 1-child: one ``rng.binomial`` call per
+    level over the level's nodes in order.  The sizes add up to
+    ``count``.
+    """
+    counts = np.array([count], dtype=np.int64)
+    for p in zero_probabilities:
+        zero = rng.binomial(counts, p)
+        counts = np.column_stack([zero, counts - zero]).ravel()
+    return counts

@@ -6,8 +6,8 @@ vertices), not edges, before generation: every worker receives a contiguous
 vertex range whose expected edge mass is ~|E|/P.  The four steps:
 
 1. **combine** — each worker takes an equal slice of the vertex range,
-   evaluates its scopes' sizes (Theorem 1), and combines consecutive scopes
-   into bins of roughly ``|E|/p`` edges;
+   reads its blocks' edge totals, and combines consecutive blocks into
+   bins of roughly ``|E|/p`` edges;
 2. **gather** — bin summaries (start, stop, mass — tiny metadata, not
    edges) travel to the master;
 3. **repartition** — the master re-cuts the concatenated bins into exactly
@@ -109,9 +109,12 @@ def range_partition(generator: RecursiveVectorGenerator,
     """Run the full Figure 6 pipeline for an AVS generator.
 
     Returns ``<= num_workers`` block-aligned vertex ranges whose realized
-    edge masses are nearly equal.  Uses the generator's own Theorem 1 draws
-    (which are deterministic per block), so the partition is exact with
-    respect to the graph that will actually be generated.
+    edge masses are nearly equal.  A block's mass is the generator's own
+    :meth:`~repro.core.generator.RecursiveVectorGenerator.block_total`
+    (deterministic per block; under the default ``split`` sizes a few
+    draws down the block's root path, not a draw per scope), so the
+    partition is exact with respect to the graph that will actually be
+    generated, up to scopes capped at ``|V|``.
     """
     if num_workers < 1:
         raise ValueError("num_workers must be >= 1")
@@ -128,9 +131,8 @@ def range_partition(generator: RecursiveVectorGenerator,
     bin_target = total_edges / num_workers / 8
     for w_start in range(0, num_blocks, blocks_per_worker):
         w_stop = min(w_start + blocks_per_worker, num_blocks)
-        masses = np.array([
-            float(generator.block_degrees(b).sum())
-            for b in range(w_start, w_stop)])
+        masses = np.array([float(generator.block_total(b))
+                           for b in range(w_start, w_stop)])
         # Step 2 (gather) is implicit: bins are tiny metadata.
         all_bins.extend(combine(masses, block_size,
                                 w_start * block_size, bin_target))

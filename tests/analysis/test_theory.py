@@ -90,9 +90,10 @@ class TestTheoryVsGenerated:
         return stat / dof, float(sps.chi2.sf(stat, dof))
 
     def test_exact_binomial_method_matches_theory(self):
-        """End-to-end correctness: generated degrees under the exact
-        Theorem 1 sampling match the closed-form mixture."""
-        chi2_per_dof, p = self.chi2("binomial", seed=1)
+        """End-to-end correctness: generated degrees under the default
+        ``split`` sizes — Theorem 1's exact binomials, drawn jointly —
+        match the closed-form mixture."""
+        chi2_per_dof, p = self.chi2("split", seed=1)
         assert p > 1e-3, f"chi2/dof={chi2_per_dof:.2f}"
 
     def test_normal_approximation_error_is_measurable(self):

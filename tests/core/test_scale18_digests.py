@@ -5,8 +5,10 @@
 ``test_rng_golden.py`` stop at scale 8, where no scope is large enough
 for the top-up rounds of a scale-18 hub block (rounds of 100 000 keys, and
 rows that need tens of rounds) to happen; these two digests cover that
-path.  A change that claims to be byte-neutral keeps them; a change of the
-scope-size law or of the kernel re-freezes them with the others.
+path, and the hub block's cut into runs of at most ``_BLOCK_EDGES``
+edges (block 0 holds ≈ 0.8 M edges at scale 18).  A change that claims to
+be byte-neutral keeps them; a change of the scope-size law or of the
+kernel re-freezes them with the others.
 
 The ``seq-tsv`` workload writes the same graph as text; its bytes are
 pinned so an encoder change is byte-neutral by test, not by inspection.
@@ -24,8 +26,8 @@ from repro import TrillionG
 from repro.models import RmatDiskGenerator
 
 SCALE18_DIGESTS = {
-    0.0: "f2538c13f98d661aaa92f2e01d3e5d099f14cc02f1ccbe03b34e0e8062036b67",
-    0.01: "6794ed81e3dbafe5cfe9d66dc9409ee0a2ad575ed8e4f5a6b34e48f9907bb458",
+    0.0: "caa93fbb2e3e785ad4a93def6e8fb780ba33608d72a693083b176bada755e12b",
+    0.01: "c02fc247d0c7b93c140899a63cebcbf8b00821f36914011957a1b3b7c2f59d86",
 }
 
 
@@ -41,7 +43,7 @@ def test_scale18_tsv_bytes(tmp_path):
     path = tmp_path / "g.tsv"
     TrillionG(18, seed=7).generate_to(path, fmt="tsv")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "709f4025a7d0eb69761ddbd1a8fed953b83dfe9ca44659173e8c60a0d0409caa")
+        "2c7a2d8f0a233a1df8b54d19ad3f52a89d475f46ea32ea227c68a2e2e9abf623")
 
 
 def test_extmem_rmat_disk_adj6_bytes(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.probability import row_probabilities
-from repro.core.scope import SCOPE_SIZE_METHODS, sample_scope_sizes
+from repro.core.scope import (SCOPE_SIZE_METHODS, sample_scope_sizes,
+                              split_scope_sizes)
 from repro.core.seed import GRAPH500
 
 
@@ -31,14 +32,9 @@ class TestSampleScopeSizes:
         p = np.full(30000, 5e-4)
         n = 64000
         normal = sample_scope_sizes(p, n, rng(), method="normal")
-        binom = sample_scope_sizes(p, n, rng(), method="binomial")
+        binom = rng().binomial(n, p)
         assert abs(normal.mean() - binom.mean()) < 0.3
         assert abs(normal.std() - binom.std()) < 0.5
-
-    def test_poisson_method(self):
-        p = np.full(20000, 1e-4)
-        sizes = sample_scope_sizes(p, 100000, rng(), method="poisson")
-        assert abs(sizes.mean() - 10.0) < 0.3
 
     def test_deterministic_method(self):
         p = np.array([0.25, 0.1])
@@ -91,3 +87,28 @@ class TestSampleScopeSizes:
         sizes = sample_scope_sizes(p, 16 << levels, rng(),
                                    max_size=1 << levels)
         assert sizes.argmax() == 0
+
+
+class TestSplitScopeSizes:
+    def test_sizes_add_up_to_the_node_count(self):
+        zero = np.array([0.57, 0.6, 0.7, 0.45])
+        for count in (0, 1, 17, 10**6):
+            sizes = split_scope_sizes(count, zero, rng())
+            assert sizes.size == 16
+            assert sizes.min() >= 0
+            assert int(sizes.sum()) == count
+
+    def test_marginals_are_theorem1_binomials(self):
+        """Each leaf's size is Binomial(count, P(leaf)), P the product of
+        its per-level branch probabilities (Lemma 1)."""
+        zero = np.array([0.76, 0.76, 0.76])
+        count, trials = 200, 4000
+        gen = rng()
+        sizes = np.array([split_scope_sizes(count, zero, gen)
+                          for _ in range(trials)])
+        ones = np.array([bin(v).count("1") for v in range(8)])
+        p = 0.76 ** (3 - ones) * 0.24 ** ones
+        sem = np.sqrt(count * p * (1 - p) / trials)
+        assert np.all(np.abs(sizes.mean(axis=0) - count * p) < 5 * sem)
+        np.testing.assert_allclose(sizes.var(axis=0),
+                                   count * p * (1 - p), rtol=0.1)
