@@ -27,7 +27,7 @@ def main() -> None:
           f"{spec.threads_per_machine} threads = {spec.num_workers} "
           "workers")
 
-    print("\nStep 1-3 (combine/gather/repartition):")
+    print("\nStep 1-3 (one bin per block, cut into equal-mass ranges):")
     ranges = range_partition(generator, spec.num_workers)
     for i, r in enumerate(ranges):
         print(f"  worker {i}: vertices [{r.start:>6}, {r.stop:>6})  "

@@ -3,19 +3,23 @@
 Each checker guards one invariant the paper's correctness argument relies
 on; ``docs/static_analysis.md`` documents the catalogue in prose.
 
-==================  =======  ==================================================
-checker             codes    invariant
-==================  =======  ==================================================
-rng-determinism     RPL101+  all entropy flows through ``repro.core.rng``
-layering            RPL201   ``core``/``models`` stay importable bottom-up
-numerical-safety    RPL301+  no float ``==`` on probabilities, no
-                             Decimal->float round-trips on precision paths
-exception-hygiene   RPL401+  no bare/broad ``except`` outside the allowlist
-api-completeness    RPL501+  every module declares a consistent ``__all__``
-telemetry           RPL507+  pipeline timing goes through ``span``/``Stopwatch``;
-                             only the CLI and devtools print
-mutable-defaults    RPL601   no mutable default arguments
-==================  =======  ==================================================
+===================  =======  ==================================================
+checker              codes    invariant
+===================  =======  ==================================================
+rng-determinism      RPL101+  all entropy flows through ``repro.core.rng``
+layering             RPL201   ``core``/``models`` stay importable bottom-up
+numerical-safety     RPL301+  no float ``==`` on probabilities, no
+                              Decimal->float round-trips on precision paths
+exception-hygiene    RPL401+  no bare/broad ``except`` outside the allowlist
+api-completeness     RPL501+  every module declares a consistent ``__all__``
+telemetry            RPL507+  pipeline timing goes through ``span``/``Stopwatch``;
+                              only the CLI and devtools print
+mutable-defaults     RPL601   no mutable default arguments
+thread-shared-state  RPL610   attributes shared with a thread are written
+                              under a lock
+spawn-hygiene        RPL620   worker callables are picklable top-level
+                              functions
+===================  =======  ==================================================
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ __all__ = [
     "ApiCompletenessChecker",
     "TelemetryChecker",
     "MutableDefaultsChecker",
+    "ThreadSharedStateChecker",
+    "SpawnHygieneChecker",
 ]
 
 _NUMPY_ALIASES = {"numpy", "np"}
@@ -596,4 +602,259 @@ class MutableDefaultsChecker(Checker):
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         self._check_args(node)
+        self.generic_visit(node)
+
+
+#: Constructors whose instances synchronize access on their own: an
+#: attribute holding one of these is a sanctioned cross-thread channel.
+_SYNC_TYPES = frozenset({"Lock", "RLock", "Condition", "Semaphore",
+                         "BoundedSemaphore", "Barrier", "Event"})
+_QUEUE_TYPES = frozenset({"Queue", "SimpleQueue", "LifoQueue",
+                          "PriorityQueue", "JoinableQueue", "deque"})
+
+
+def _self_attr(node: ast.expr) -> str | None:
+    """``attr`` for a plain ``self.attr`` expression, else ``None``."""
+    if (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"):
+        return node.attr
+    return None
+
+
+def _attr_write_targets(stmt: ast.stmt) -> list[tuple[str, int]]:
+    """``self.X`` attributes this statement assigns (plain, tuple, or
+    augmented assignment)."""
+    out: list[tuple[str, int]] = []
+    if isinstance(stmt, ast.Assign):
+        targets: list[ast.expr] = list(stmt.targets)
+    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+        targets = [stmt.target]
+    else:
+        return out
+    for target in targets:
+        for sub in ast.walk(target):
+            attr = _self_attr(sub)
+            if attr is not None and isinstance(sub.ctx, ast.Store):
+                out.append((attr, stmt.lineno))
+    return out
+
+
+class _MethodScan:
+    """One method's facts for the shared-state analysis."""
+
+    def __init__(self, node: ast.FunctionDef | ast.AsyncFunctionDef,
+                 lock_attrs: set[str]) -> None:
+        self.name = node.name
+        #: ``self.M()`` calls — intra-class call edges
+        self.self_calls: set[str] = set()
+        #: ``self.M`` handed to ``Thread(target=...)``
+        self.thread_targets: set[str] = set()
+        #: attribute writes: ``(attr, line, guarded_by_lock)``
+        self.writes: list[tuple[str, int, bool]] = []
+        self._lock_attrs = lock_attrs
+        for stmt in node.body:
+            self._walk(stmt, guarded=False)
+
+    def _walk(self, stmt: ast.stmt, guarded: bool) -> None:
+        for attr, line in _attr_write_targets(stmt):
+            self.writes.append((attr, line, guarded))
+        for sub in ast.walk(stmt):
+            if isinstance(sub, ast.Call):
+                attr = _self_attr(sub.func)
+                if attr is not None:
+                    self.self_calls.add(attr)
+                chain = _attr_chain(sub.func)
+                if chain and chain[-1] == "Thread":
+                    for kw in sub.keywords:
+                        if kw.arg == "target":
+                            target = _self_attr(kw.value)
+                            if target is not None:
+                                self.thread_targets.add(target)
+        # nested blocks: only ``with self.<lock>:`` upgrades the guard;
+        # re-walk the bodies of compound statements with the right flag.
+        for child_body, child_guard in self._child_blocks(stmt, guarded):
+            for child in child_body:
+                self._walk(child, child_guard)
+
+    def _child_blocks(self, stmt: ast.stmt, guarded: bool):
+        if isinstance(stmt, (ast.With, ast.AsyncWith)):
+            locked = guarded or any(
+                (attr := _self_attr(item.context_expr)) is not None
+                and attr in self._lock_attrs
+                for item in stmt.items)
+            yield stmt.body, locked
+            return
+        for field_name in ("body", "orelse", "finalbody"):
+            body = getattr(stmt, field_name, None)
+            if body:
+                yield body, guarded
+        for handler in getattr(stmt, "handlers", []) or []:
+            yield handler.body, guarded
+
+
+@register_checker
+class ThreadSharedStateChecker(Checker):
+    """Attributes written on both sides of an in-class thread boundary
+    must be lock-guarded (or be a synchronizing queue).
+
+    A class that hands one of its own methods to
+    ``threading.Thread(target=...)`` shares every ``self`` attribute
+    between the spawned thread and its other methods.  An attribute
+    *assigned* both inside the thread-reachable methods and outside them
+    is a cross-thread write race unless every such assignment sits under
+    ``with self.<lock>:`` (or the attribute is a ``queue.Queue``-like
+    handoff, which synchronizes internally).
+    """
+
+    name = "thread-shared-state"
+    codes = {"RPL610": "attribute written by both the spawned thread "
+                       "and other methods without a lock"}
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._check_class(node)
+        self.generic_visit(node)
+
+    def _check_class(self, node: ast.ClassDef) -> None:
+        methods = {m.name: m for m in node.body
+                   if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        lock_attrs, safe_attrs = self._channel_attrs(methods.values())
+        scans = {name: _MethodScan(fn, lock_attrs)
+                 for name, fn in methods.items()}
+
+        roots = {t for scan in scans.values() for t in scan.thread_targets}
+        if not roots:
+            return
+        reachable = set()
+        frontier = list(roots & set(scans))
+        while frontier:
+            name = frontier.pop()
+            if name in reachable:
+                continue
+            reachable.add(name)
+            frontier.extend(scans[name].self_calls & set(scans))
+
+        flagged: set[str] = set()
+        for attr in sorted({a for scan in scans.values()
+                            for a, _, _ in scan.writes}):
+            if attr in safe_attrs or attr in lock_attrs or attr in flagged:
+                continue
+            inside = [(s.name, line, guarded)
+                      for s in scans.values() if s.name in reachable
+                      for a, line, guarded in s.writes if a == attr]
+            outside = [(s.name, line, guarded)
+                       for s in scans.values()
+                       if s.name not in reachable and s.name != "__init__"
+                       for a, line, guarded in s.writes if a == attr]
+            if not inside or not outside:
+                continue
+            unguarded = [(m, line) for m, line, guarded
+                         in inside + outside if not guarded]
+            if not unguarded:
+                continue
+            flagged.add(attr)
+            line = min(w[1] for w in unguarded)
+            thread_side = ", ".join(sorted({m for m, _, _ in inside}))
+            caller_side = ", ".join(sorted({m for m, _, _ in outside}))
+            self.flag(line, "RPL610",
+                      f"attribute 'self.{attr}' is written by the spawned "
+                      f"thread (via {thread_side}) and by {caller_side} "
+                      f"without a lock: guard every write with "
+                      f"`with self.<lock>:` or hand the value over "
+                      f"through a queue")
+
+    @staticmethod
+    def _channel_attrs(methods) -> tuple[set[str], set[str]]:
+        locks: set[str] = set()
+        queues: set[str] = set()
+        for fn in methods:
+            for stmt in ast.walk(fn):
+                if not isinstance(stmt, ast.Assign):
+                    continue
+                if not isinstance(stmt.value, ast.Call):
+                    continue
+                chain = _attr_chain(stmt.value.func)
+                tail = chain[-1] if chain else ""
+                for target in stmt.targets:
+                    attr = _self_attr(target)
+                    if attr is None:
+                        continue
+                    if tail in _SYNC_TYPES:
+                        locks.add(attr)
+                    elif tail in _QUEUE_TYPES:
+                        queues.add(attr)
+        return locks, queues
+
+
+def _nested_defs(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+    """Names of the functions defined directly inside ``func``."""
+    names: set[str] = set()
+    todo: list[ast.AST] = list(func.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif not isinstance(node, (ast.ClassDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+@register_checker
+class SpawnHygieneChecker(Checker):
+    """Worker callables must be picklable top-level functions.
+
+    In the ``spawn_module_prefixes`` layers, the worker callable at a
+    spawn site must be a module-level function, not a lambda or a nested
+    ``def``: ``spawn``-context pickling fails at runtime, and even under
+    ``fork`` the closure smuggles parent state into the worker.
+    """
+
+    name = "spawn-hygiene"
+    codes = {
+        "RPL620": "non-picklable worker callable crosses a spawn boundary",
+    }
+
+    def __init__(self, source, config) -> None:
+        super().__init__(source, config)
+        #: ``(name, directly nested def names)`` per enclosing function
+        self._scopes: list[tuple[str, set[str]]] = []
+
+    def run(self) -> list[Violation]:
+        if _module_under(self.source.module,
+                         self.config.spawn_module_prefixes):
+            self.visit(self.source.tree)
+        return self.violations
+
+    def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef
+                        ) -> None:
+        self._scopes.append((node.name, _nested_defs(node)))
+        self.generic_visit(node)
+        self._scopes.pop()
+
+    visit_FunctionDef = _visit_function
+    visit_AsyncFunctionDef = _visit_function
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        tail = (func.attr if isinstance(func, ast.Attribute)
+                else func.id if isinstance(func, ast.Name) else None)
+        if tail in self.config.worker_submit_calls:
+            callee = ast.unparse(func)
+            workers = [kw.value for kw in node.keywords
+                       if kw.arg == "target"] + list(node.args)
+            for worker in workers:
+                if isinstance(worker, ast.Lambda):
+                    self.flag(node, "RPL620",
+                              f"lambda passed to {callee}(): lambdas do "
+                              f"not pickle, so spawn-context workers crash "
+                              f"at submission — use a module-level function")
+                elif (isinstance(worker, ast.Name) and self._scopes
+                        and worker.id in self._scopes[-1][1]):
+                    enclosing = self._scopes[-1][0]
+                    self.flag(node, "RPL620",
+                              f"nested function '{worker.id}' (defined "
+                              f"inside {enclosing}) passed to {callee}(): "
+                              f"nested defs do not pickle and capture "
+                              f"parent state — move the worker to module "
+                              f"level")
         self.generic_visit(node)

@@ -44,8 +44,6 @@ ALL = "all"
 #: tables, and skip ``__all__`` declarations.
 RELAXED_CODES = frozenset({
     "RPL101", "RPL102", "RPL103",            # ad-hoc RNGs in fixtures
-    "RPL111",                                # determinism tests *assert*
-                                             # same-seed streams match
     "RPL301",                                # exact-value asserts
     "RPL501", "RPL502", "RPL503", "RPL504",  # no __all__ contract
     "RPL508",                                # print() in harness output
@@ -182,6 +180,8 @@ class LintConfig:
         "repro.telemetry": ("repro.core", "repro.models", "repro.dist",
                             "repro.formats", "repro.cluster", "repro.cli",
                             "repro.system", "repro.util"),
+        # the durable-write helper sits below telemetry: stdlib only.
+        "repro.atomic": ("repro",),
     })
     #: Modules whose Decimal high-precision paths must not round-trip
     #: through ``float()``.
@@ -212,23 +212,8 @@ class LintConfig:
     #: stdout; everything else reports through the ``repro.*`` loggers.
     print_allowed_module_prefixes: tuple[str, ...] = (
         "repro.cli", "repro.devtools")
-    #: Module prefixes that must follow the atomic-write protocol
-    #: (write temp -> flush -> fsync -> close -> rename): the checkpoint
-    #: and spill-file layers, where a torn write corrupts a resumable run.
-    atomic_write_module_prefixes: tuple[str, ...] = (
-        "repro.dist", "repro.util")
-    #: Call names whose result is a deterministic RNG stream, for the
-    #: flow-sensitive rng-stream-flow analysis.
-    rng_stream_constructors: frozenset[str] = frozenset(
-        {"stream", "default_rng"})
-    #: Generator methods that *draw* from a stream (advance its state).
-    rng_draw_methods: frozenset[str] = frozenset(
-        {"random", "integers", "normal", "standard_normal", "uniform",
-         "choice", "shuffle", "permutation", "permuted", "exponential",
-         "poisson", "binomial", "geometric", "bytes"})
     #: Callable names that ship their arguments to another process /
-    #: pickle them into a task (worker boundary for rng-stream-flow and
-    #: spawn-hygiene).
+    #: pickle them into a task (the worker boundary for spawn-hygiene).
     worker_submit_calls: frozenset[str] = frozenset(
         {"Process", "apply_async", "submit", "run_tasks",
          "map_async", "starmap_async", "dumps"})
@@ -343,8 +328,6 @@ def register_checker(cls: Type[Checker]) -> Type[Checker]:
 def all_checkers() -> dict[str, Type[Checker]]:
     """Registered checkers by name (importing the bundled set)."""
     from . import checkers as _file_rules            # noqa: F401
-    from .engine import concurrency_checkers as _conc_rules  # noqa: F401
-    from .engine import flow_checkers as _flow_rules  # noqa: F401
     return dict(_CHECKERS)
 
 

@@ -5,10 +5,9 @@ Exit codes: 0 clean, 1 findings, 2 usage / unreadable / unparseable
 input, 3 internal engine error (a crash in the analysis itself, never
 a property of the linted code).
 
-Every file is linted in one pass — the syntactic checkers, the
-flow-sensitive and concurrency checkers, then the dead-pragma sweep —
-and files under ``tests``/``benchmarks``/``examples`` get the relaxed
-policy.
+Every file is linted in one pass — the checkers, then the dead-pragma
+sweep — and files under ``tests``/``benchmarks``/``examples`` get the
+relaxed policy.
 """
 
 from __future__ import annotations
@@ -34,11 +33,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trilliong-lint",
         description="Project-specific static analysis for the TrillionG "
-                    "reproduction: RNG determinism and stream flow, "
-                    "layering, numerical safety, atomic writes, resource "
-                    "and thread lifecycles, exception hygiene, API "
-                    "completeness, mutable defaults, spawn hygiene and "
-                    "dead pragmas. Exit codes: 0 clean, 1 findings, "
+                    "reproduction: RNG determinism, layering, numerical "
+                    "safety, exception hygiene, API completeness, "
+                    "telemetry, mutable defaults, thread-shared state, "
+                    "spawn hygiene and dead pragmas. Exit codes: 0 clean, 1 findings, "
                     "2 bad input, 3 internal engine error.")
     parser.add_argument("paths", nargs="*", type=Path,
                         help="files or directories to lint "

@@ -6,7 +6,7 @@ from ..util.external_sort import (external_sort_unique, iter_unique_keys,
                                   write_run)
 from .faults import RetryPolicy, TaskAttempt, pick_start_method, run_tasks
 from .merge_parts import merge_parts
-from .partition import Bin, combine, range_partition, repartition
+from .partition import Bin, range_partition, repartition
 from .runner import ClusterSpec, DistributedResult, LocalCluster, WorkerResult
 from ..util.shuffle import hash_partition, mix64, partition_sizes
 from .wesp_runner import WespDistributedResult, run_wesp_distributed
@@ -16,7 +16,7 @@ __all__ = [
     "external_sort_unique", "iter_unique_keys", "write_run",
     "RetryPolicy", "TaskAttempt",
     "pick_start_method", "run_tasks",
-    "Bin", "combine", "range_partition", "repartition", "merge_parts",
+    "Bin", "range_partition", "repartition", "merge_parts",
     "ClusterSpec", "DistributedResult", "LocalCluster", "WorkerResult",
     "hash_partition", "mix64", "partition_sizes",
     "WespDistributedResult", "run_wesp_distributed",

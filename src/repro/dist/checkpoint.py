@@ -9,15 +9,16 @@ chunks — producing bit-identical output to an uninterrupted run.
 
 Crash-safety guarantees (see ``docs/fault_tolerance.md``):
 
-- a chunk becomes visible under its final name only via an atomic rename
-  of a fully-written, fsynced temporary file;
-- the manifest is written via fsync + atomic rename, so power loss never
-  surfaces a truncated ``manifest.json``;
+- chunks and the manifest are published by
+  :func:`repro.atomic.atomic_write` (a fully-written, fsynced
+  ``*.partial.<pid>`` temporary renamed into place), so a crash or power
+  loss never surfaces a torn chunk or a truncated ``manifest.json``;
 - on resume, completed chunk files missing from the manifest (a kill in
   the rename -> manifest window, or a parallel supervisor killed after a
   worker renamed) are *adopted* after verifying they parse, instead of
   being regenerated;
-- stale ``*.partial*`` temporaries are swept on resume;
+- stale ``*.partial*`` temporaries, of chunks and of the manifest, are
+  swept on resume;
 - an unparsable manifest (torn write on a non-atomic filesystem) is
   rebuilt by verifying the chunk files on disk rather than aborting.
 """
@@ -25,23 +26,18 @@ Crash-safety guarantees (see ``docs/fault_tolerance.md``):
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..atomic import atomic_write
 from ..core.generator import RecursiveVectorGenerator
 from ..errors import ConfigurationError, FormatError
 from ..formats import get_format
 from ..telemetry import get_logger, registry, span
-# The fsync protocol lives with the spill layer (repro.util.spill) so
-# checkpoint manifests and spill runs share one durability
-# implementation; re-exported here for compatibility.
-from ..util.spill import fsync_dir, fsync_file
 
 _log = get_logger("dist.checkpoint")
 
-__all__ = ["CheckpointedRun", "CheckpointState",
-           "fsync_file", "fsync_dir"]
+__all__ = ["CheckpointedRun", "CheckpointState"]
 
 _MANIFEST = "manifest.json"
 
@@ -161,18 +157,9 @@ class CheckpointedRun:
             self._save()
 
     def _save(self) -> None:
-        tmp = self.manifest_path.with_suffix(".tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(self.state.to_json(), indent=2))
-                handle.flush()
-                os.fsync(handle.fileno())
-            tmp.replace(self.manifest_path)
-        finally:
-            # a failed write must not strand the .tmp manifest (the
-            # recovery sweep only adopts *.partial* chunk files)
-            tmp.unlink(missing_ok=True)
-        fsync_dir(self.out_dir)
+        with atomic_write(self.manifest_path) as tmp:
+            tmp.write_text(json.dumps(self.state.to_json(), indent=2),
+                           encoding="utf-8")
 
     # ------------------------------------------------------------------
 
@@ -221,18 +208,11 @@ class CheckpointedRun:
         for name, lo, hi in self.pending():
             if max_chunks is not None and done >= max_chunks:
                 break
-            final_path = self.out_dir / name
-            tmp_path = self.out_dir / f"{name}.partial.{os.getpid()}"
             with span("checkpoint.chunk"):
-                try:
+                with atomic_write(self.out_dir / name) as tmp:
                     result = fmt.write_blocks(
-                        tmp_path, self.generator.iter_blocks(lo, hi),
+                        tmp, self.generator.iter_blocks(lo, hi),
                         self.generator.num_vertices)
-                    fsync_file(tmp_path)
-                    tmp_path.replace(final_path)
-                finally:
-                    tmp_path.unlink(missing_ok=True)
-                fsync_dir(self.out_dir)
                 self.mark_complete(name, result.num_edges)
             done += 1
         return done

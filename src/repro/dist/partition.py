@@ -3,15 +3,14 @@ scatter pipeline.
 
 TrillionG avoids WES/p's shuffle skew by partitioning *scopes* (source
 vertices), not edges, before generation: every worker receives a contiguous
-vertex range whose expected edge mass is ~|E|/P.  The four steps:
+vertex range whose edge mass is ~|E|/P.  The four steps:
 
-1. **combine** — each worker takes an equal slice of the vertex range,
-   reads its blocks' edge totals, and combines consecutive blocks into
-   bins of roughly ``|E|/p`` edges;
+1. **combine** — every randomness block becomes one bin whose mass is
+   the block's edge total, read off its root path;
 2. **gather** — bin summaries (start, stop, mass — tiny metadata, not
-   edges) travel to the master;
-3. **repartition** — the master re-cuts the concatenated bins into exactly
-   ``p`` contiguous ranges of nearly equal mass;
+   edges) reach the master; here they are already in one process;
+3. **repartition** — the master re-cuts the bins into exactly ``p``
+   contiguous ranges of nearly equal mass;
 4. **scatter** — each worker receives its range and generates it.
 
 Ranges are aligned to the generator's randomness blocks so that the
@@ -22,11 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.generator import RecursiveVectorGenerator
 
-__all__ = ["Bin", "combine", "repartition", "range_partition"]
+__all__ = ["Bin", "repartition", "range_partition"]
 
 
 @dataclass(frozen=True)
@@ -40,30 +37,6 @@ class Bin:
     def __post_init__(self) -> None:
         if self.stop <= self.start:
             raise ValueError("empty bin")
-
-
-def combine(block_masses: np.ndarray, block_size: int, start_vertex: int,
-            target_mass: float) -> list[Bin]:
-    """Combine consecutive blocks into bins of ~``target_mass`` edges.
-
-    ``block_masses[i]`` is the edge mass of the block starting at
-    ``start_vertex + i * block_size``.  The final bin is usually lighter,
-    as the paper notes.
-    """
-    bins: list[Bin] = []
-    acc = 0.0
-    bin_start = start_vertex
-    cursor = start_vertex
-    for mass in block_masses:
-        acc += float(mass)
-        cursor += block_size
-        if acc >= target_mass:
-            bins.append(Bin(bin_start, cursor, acc))
-            bin_start = cursor
-            acc = 0.0
-    if cursor > bin_start:
-        bins.append(Bin(bin_start, cursor, acc))
-    return bins
 
 
 def repartition(bins: list[Bin], num_workers: int) -> list[Bin]:
@@ -119,28 +92,11 @@ def range_partition(generator: RecursiveVectorGenerator,
     if num_workers < 1:
         raise ValueError("num_workers must be >= 1")
     n = generator.num_vertices
-    block_size = generator.block_size
-    num_blocks = (n + block_size - 1) // block_size
-    total_edges = generator.num_edges
-    # Step 1: combine, with each logical worker scanning an equal slice of
-    # the block grid.
-    blocks_per_worker = max(num_blocks // num_workers, 1)
-    all_bins: list[Bin] = []
-    # Bins 8x finer than the final per-worker target give the master enough
-    # granularity to cut balanced ranges (bins stay atomic in step 3).
-    bin_target = total_edges / num_workers / 8
-    for w_start in range(0, num_blocks, blocks_per_worker):
-        w_stop = min(w_start + blocks_per_worker, num_blocks)
-        masses = np.array([float(generator.block_total(b))
-                           for b in range(w_start, w_stop)])
-        # Step 2 (gather) is implicit: bins are tiny metadata.
-        all_bins.extend(combine(masses, block_size,
-                                w_start * block_size, bin_target))
-    # Fix the final bin of the grid to end exactly at |V|.
-    last = all_bins[-1]
-    if last.stop > n:
-        all_bins[-1] = Bin(last.start, n, last.mass)
-    # Step 3: repartition on the master.
-    ranges = repartition(all_bins, num_workers)
-    # Step 4 (scatter) is the caller handing ranges to workers.
-    return ranges
+    size = generator.block_size
+    # Steps 1-2: one bin per block of the grid (the last one ends at |V|).
+    bins = [Bin(start, min(start + size, n),
+                float(generator.block_total(start // size)))
+            for start in range(0, n, size)]
+    # Step 3: repartition on the master.  Step 4 (scatter) is the caller
+    # handing the ranges to workers.
+    return repartition(bins, num_workers)

@@ -26,11 +26,12 @@ from typing import Callable
 
 import numpy as np
 
+from ..atomic import atomic_write
 from ..core.generator import RecursiveVectorGenerator
 from ..errors import WorkerError
 from ..formats import get_format
 from ..telemetry import span
-from .checkpoint import CheckpointedRun, fsync_dir, fsync_file
+from .checkpoint import CheckpointedRun
 from .faults import RetryPolicy, TaskAttempt, pick_start_method, run_tasks
 from .partition import Bin, range_partition
 
@@ -141,26 +142,18 @@ def _worker_generate(args: tuple) -> WorkerResult:
 
 
 def _worker_chunk(args: tuple) -> WorkerResult:
-    """Subprocess entry point for one checkpoint chunk: write to a
-    temporary, fsync, and atomically rename — the parent records the
-    chunk in the manifest only after this returns."""
+    """Subprocess entry point for one checkpoint chunk, published by
+    :func:`~repro.atomic.atomic_write` — the parent records the chunk in
+    the manifest only after this returns."""
     (chunk, start, stop, gen_kwargs, fmt_name, final_path) = args
     with span("worker.chunk", chunk=chunk) as sp:
         generator = RecursiveVectorGenerator(**gen_kwargs)
         fmt = get_format(fmt_name)
-        final = Path(final_path)
-        tmp = final.with_name(
-            f"{final.name}.partial.{mp.current_process().pid}")
-        try:
+        with atomic_write(final_path) as tmp:
             result = fmt.write_blocks(tmp, generator.iter_blocks(start, stop),
                                       generator.num_vertices)
-            fsync_file(tmp)
-            tmp.replace(final)
-        finally:
-            tmp.unlink(missing_ok=True)
-        fsync_dir(final.parent)
     return WorkerResult(chunk, start, stop, result.num_edges,
-                        str(final), sp.seconds,
+                        str(final_path), sp.seconds,
                         encode_seconds=result.encode_seconds,
                         write_seconds=result.write_seconds)
 

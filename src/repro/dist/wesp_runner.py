@@ -31,6 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ..atomic import atomic_write
 from ..core.seed import SeedMatrix
 from ..telemetry import span
 from ..formats import blocks_from_sorted_keys, get_format
@@ -38,7 +39,6 @@ from ..models.rmat import PathSampler, map_task
 from ..models.wesp import worker_task
 from ..util.external_sort import iter_unique_keys, write_run
 from ..util.shuffle import hash_partition, partition_skew
-from ..util.spill import fsync_dir
 from .faults import RetryPolicy, pick_start_method, run_tasks
 
 __all__ = ["WespDistributedResult", "run_wesp_distributed"]
@@ -80,14 +80,12 @@ def _write_npy_stream(chunks: Iterable[np.ndarray], path: Path,
 
     ``np.save`` needs the row count up front, so the unpacked edge rows
     stream into a payload temporary first; once the count is known the
-    header plus payload are assembled into a second temporary and
-    renamed into place (flush + fsync + atomic rename, the spill-layer
-    protocol), copying in bounded chunks.  Peak memory stays one chunk.
-    Returns the number of edges written.
+    header plus payload are published by
+    :func:`~repro.atomic.atomic_write`, copying in bounded chunks.  Peak
+    memory stays one chunk.  Returns the number of edges written.
     """
     n = np.int64(num_vertices)
     payload = path.with_name(f"{path.name}.payload.{os.getpid()}")
-    tmp = path.with_name(f"{path.name}.partial.{os.getpid()}")
     count = 0
     try:
         with open(payload, "wb") as body:
@@ -96,20 +94,14 @@ def _write_npy_stream(chunks: Iterable[np.ndarray], path: Path,
                     np.column_stack([keys // n, keys % n]))
                 body.write(memoryview(edges))
                 count += int(keys.size)
-            body.flush()
-        with open(tmp, "wb") as out:
+        with atomic_write(path) as tmp, open(tmp, "wb") as out:
             np.lib.format.write_array_header_1_0(
                 out, {"descr": "<i8", "fortran_order": False,
                       "shape": (count, 2)})
             with open(payload, "rb") as body:
                 shutil.copyfileobj(body, out, 1 << 20)
-            out.flush()
-            os.fsync(out.fileno())
-        tmp.replace(path)
     finally:
-        tmp.unlink(missing_ok=True)
         payload.unlink(missing_ok=True)
-    fsync_dir(path.parent)
     return count
 
 

@@ -6,10 +6,8 @@ trees, stamped with the report schema version::
     {"schema_version": 1, "metrics": {...}, "spans": [...]}
 
 Everything here renders or ships that shape; nothing in this module is
-on a hot path.  Reports are written atomically (tmp + fsync + rename —
-the same discipline as ``repro.util.spill``, re-implemented locally
-because the telemetry layer sits below ``repro.util`` in the import
-layering), so a crash mid-dump never leaves a truncated report behind.
+on a hot path.  Reports are published by :func:`repro.atomic.atomic_write`,
+so a crash mid-dump never leaves a truncated report behind.
 """
 
 from __future__ import annotations
@@ -21,6 +19,7 @@ import sys
 from pathlib import Path
 from typing import Mapping
 
+from ..atomic import atomic_write
 from .metrics import global_registry, merge_metrics
 from .spans import merge_span_trees, tracer
 
@@ -139,31 +138,15 @@ def merge_reports(*reports: Mapping) -> dict:
 def write_json_report(path: Path | str,
                       report: Mapping | None = None) -> Path:
     """Dump a report (default: a fresh :func:`build_report`) as JSON,
-    atomically: ``.partial.<pid>`` + fsync + rename, then fsync the
-    directory, so a crash mid-dump never leaves a truncated report and
-    a rename survives power loss."""
+    published by :func:`~repro.atomic.atomic_write`."""
     path = Path(path)
     if report is None:
         report = build_report()
     doc = dict(report)
     doc.setdefault("schema_version", SCHEMA_VERSION)
-    tmp = path.with_name(f"{path.name}.partial.{os.getpid()}")
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        tmp.replace(path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    try:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-    except OSError:
-        return path  # platform without directory fds; rename still atomic
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+    with atomic_write(path) as tmp:
+        tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                       encoding="utf-8")
     return path
 
 

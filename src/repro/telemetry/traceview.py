@@ -28,9 +28,10 @@ run.  Load the file with Perfetto (ui.perfetto.dev) or
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+from ..atomic import atomic_write
 
 __all__ = [
     "build_trace",
@@ -128,15 +129,12 @@ def build_trace(report: Mapping | None = None, *,
 def write_trace(path: Path | str, report: Mapping | None = None, *,
                 worker_reports: Sequence[Mapping] = (),
                 label: str = "trilliong") -> Path:
-    """Build and atomically write a trace file (tmp + rename, so a
-    crash mid-export never leaves a truncated JSON behind)."""
+    """Build a trace file and publish it with
+    :func:`~repro.atomic.atomic_write`, so a crash mid-export never
+    leaves a truncated JSON behind."""
     path = Path(path)
     doc = build_trace(report, worker_reports=worker_reports,
                       label=label)
-    tmp = path.with_name(f"{path.name}.partial.{os.getpid()}")
-    try:
+    with atomic_write(path) as tmp:
         tmp.write_text(json.dumps(doc) + "\n", encoding="utf-8")
-        tmp.replace(path)
-    finally:
-        tmp.unlink(missing_ok=True)
     return path

@@ -13,11 +13,11 @@ from .external_sort import (DEFAULT_CHUNK_ITEMS, collect_chunks,
                             unique_sorted, write_run)
 from .shuffle import (hash_partition, mix64, partition_sizes,
                       partition_slices)
-from .spill import SpillStore, fsync_dir, fsync_file
+from .spill import SpillStore
 
 __all__ = [
     "DEFAULT_CHUNK_ITEMS", "collect_chunks", "external_sort_unique",
     "iter_unique_keys", "unique_sorted", "write_run",
-    "SpillStore", "fsync_file", "fsync_dir",
+    "SpillStore",
     "hash_partition", "mix64", "partition_sizes", "partition_slices",
 ]

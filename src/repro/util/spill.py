@@ -4,8 +4,7 @@ The engine in :mod:`repro.util.external_sort` works over *runs*: flat
 little-endian int64 files of sorted packed edge keys (``u * |V| + v``).
 This module owns their durability discipline:
 
-- every run becomes visible under its final name only via an atomic
-  rename of a fully-written, flushed, fsynced ``*.partial`` temporary —
+- every run is published through :func:`repro.atomic.atomic_write`, so
   a crash can never leave a torn run that a later pass would consume
   silently (the engine additionally rejects size-not-multiple-of-8
   files with :class:`~repro.errors.DataError`);
@@ -14,71 +13,31 @@ This module owns their durability discipline:
   (:func:`~repro.util.external_sort.iter_unique_keys`) in one call;
 - every spill is counted in the ``extsort.*`` telemetry family
   (``docs/observability.md``).
-
-``fsync_file`` / ``fsync_dir`` live here (the bottom layer) so both the
-spill path and the checkpoint manifests in :mod:`repro.dist.checkpoint`
-share one implementation.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
+from ..atomic import atomic_write
 from ..telemetry import registry
 
-__all__ = ["fsync_file", "fsync_dir", "write_run", "SpillStore"]
-
-
-def fsync_file(path: Path | str) -> None:
-    """Flush ``path``'s data to stable storage."""
-    fd = os.open(str(path), os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def fsync_dir(path: Path | str) -> None:
-    """Flush a directory entry (after a rename) to stable storage.
-
-    Best-effort: some platforms/filesystems refuse to fsync a directory
-    handle; a rename there is as durable as it gets.
-    """
-    try:
-        fd = os.open(str(path), os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
+__all__ = ["write_run", "SpillStore"]
 
 
 def write_run(keys: np.ndarray, path: Path | str) -> Path:
     """Spill one sorted run of int64 keys to ``path`` atomically.
 
-    Writes to ``<path>.partial.<pid>``, flushes, fsyncs, then renames
-    into place (and fsyncs the directory entry), so ``path`` either does
-    not exist or holds a complete run.
+    :func:`~repro.atomic.atomic_write` publishes it, so ``path`` either
+    does not exist or holds a complete run.
     """
     path = Path(path)
-    tmp = path.with_name(f"{path.name}.partial.{os.getpid()}")
     arr = np.ascontiguousarray(np.asarray(keys, dtype=np.int64))
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(memoryview(arr))
-            handle.flush()
-            os.fsync(handle.fileno())
-        tmp.replace(path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    fsync_dir(path.parent)
+    with atomic_write(path) as tmp, open(tmp, "wb") as handle:
+        handle.write(memoryview(arr))
     reg = registry()
     reg.counter("extsort.runs_spilled").inc()
     reg.counter("extsort.spill_bytes").inc(arr.nbytes)

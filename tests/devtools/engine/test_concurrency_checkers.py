@@ -1,6 +1,5 @@
-"""Flagging and passing fixtures for the RPL6xx concurrency family:
-thread-shared-state (RPL610), thread-lifecycle (RPL611), and
-spawn-hygiene (RPL620)."""
+"""Flagging and passing fixtures for the RPL6xx concurrency rules:
+thread-shared-state (RPL610) and spawn-hygiene (RPL620)."""
 
 from __future__ import annotations
 
@@ -125,85 +124,6 @@ def test_rpl610_ignores_classes_without_threads(tmp_path):
 
             def reset(self):
                 self._value = 0
-    """)
-    assert found == []
-
-
-# ---------------------------------------------------------------------------
-# thread-lifecycle (RPL611)
-# ---------------------------------------------------------------------------
-
-
-def test_rpl611_flags_started_thread_without_join(tmp_path):
-    found = run(tmp_path, "thread-lifecycle", """
-        import threading
-
-        def fire_and_forget(task):
-            t = threading.Thread(target=task)
-            t.start()
-    """)
-    assert codes(found) == ["RPL611"]
-
-
-def test_rpl611_flags_join_on_only_one_branch(tmp_path):
-    found = run(tmp_path, "thread-lifecycle", """
-        import threading
-
-        def sometimes(task, wait):
-            t = threading.Thread(target=task)
-            t.start()
-            if wait:
-                t.join()
-    """)
-    assert codes(found) == ["RPL611"]
-
-
-def test_rpl611_passes_when_joined(tmp_path):
-    found = run(tmp_path, "thread-lifecycle", """
-        import threading
-
-        def supervised(task):
-            t = threading.Thread(target=task)
-            t.start()
-            try:
-                work = 1
-            finally:
-                t.join()
-            return work
-    """)
-    assert found == []
-
-
-def test_rpl611_passes_when_thread_escapes(tmp_path):
-    found = run(tmp_path, "thread-lifecycle", """
-        import threading
-
-        def handoff(task, registry):
-            t = threading.Thread(target=task)
-            t.start()
-            registry.append(t)
-
-        def returned(task):
-            t = threading.Thread(target=task)
-            t.start()
-            return t
-    """)
-    assert found == []
-
-
-def test_rpl611_ignores_attribute_stored_threads(tmp_path):
-    # ``self._thread = Thread(...)`` hands the lifetime to the object
-    # (closed elsewhere); no local fact, no flag.
-    found = run(tmp_path, "thread-lifecycle", """
-        import threading
-
-        class Sink:
-            def __init__(self):
-                self._thread = threading.Thread(target=self._run)
-                self._thread.start()
-
-            def _run(self):
-                return None
     """)
     assert found == []
 

@@ -34,34 +34,33 @@ def lint_project(tmp_path, modules, config, enabled):
 
 def test_rpl701_flags_pragma_that_suppresses_nothing(tmp_path):
     violations = lint_project(tmp_path, {
-        "pkg.mod": "x = 1  # reprolint: disable=RPL320\n",
-    }, LintConfig(), ["resource-lifecycle", "dead-pragma"])
+        "pkg.mod": "x = 1  # reprolint: disable=RPL601\n",
+    }, LintConfig(), ["mutable-defaults", "dead-pragma"])
     assert [v.code for v in violations] == ["RPL701"]
 
 
 def test_rpl701_quiet_when_pragma_is_used(tmp_path):
     violations = lint_project(tmp_path, {
-        "pkg.mod": ("def keep(path):\n"
-                    "    fh = open(path)  # reprolint: disable=RPL320\n"
-                    "    return fh.read(1)\n"),
-    }, LintConfig(), ["resource-lifecycle", "dead-pragma"])
+        "pkg.mod": ("def keep(acc=[]):  # reprolint: disable=RPL601\n"
+                    "    return acc\n"),
+    }, LintConfig(), ["mutable-defaults", "dead-pragma"])
     assert violations == []
 
 
 def test_rpl701_not_provable_when_checker_did_not_run(tmp_path):
-    # resource-lifecycle is not in the enabled set, so its silence
+    # mutable-defaults is not in the enabled set, so its silence
     # proves nothing about the pragma
     violations = lint_project(tmp_path, {
-        "pkg.mod": "x = 1  # reprolint: disable=RPL320\n",
+        "pkg.mod": "x = 1  # reprolint: disable=RPL601\n",
     }, LintConfig(), ["rng-determinism", "dead-pragma"])
     assert violations == []
 
 
 def test_rpl701_not_provable_when_code_profile_disabled(tmp_path):
-    config = config_with(disabled_codes=frozenset({"RPL320"}))
+    config = config_with(disabled_codes=frozenset({"RPL601"}))
     violations = lint_project(tmp_path, {
-        "pkg.mod": "x = 1  # reprolint: disable=RPL320\n",
-    }, config, ["resource-lifecycle", "dead-pragma"])
+        "pkg.mod": "x = 1  # reprolint: disable=RPL601\n",
+    }, config, ["mutable-defaults", "dead-pragma"])
     assert violations == []
 
 

@@ -106,11 +106,11 @@ def test_list_checkers(capsys):
     codes = {word.rstrip(",") for word in out.split()
              if word.startswith("RPL")}
     assert codes == {
-        "RPL101", "RPL102", "RPL103", "RPL110", "RPL111", "RPL201",
-        "RPL301", "RPL302", "RPL310", "RPL311", "RPL320",
+        "RPL101", "RPL102", "RPL103", "RPL201", "RPL301", "RPL302",
         "RPL401", "RPL402", "RPL403", "RPL404",
         "RPL501", "RPL502", "RPL503", "RPL504", "RPL507", "RPL508",
-        "RPL601", "RPL610", "RPL611", "RPL620", "RPL701"}
+        "RPL601", "RPL610", "RPL620", "RPL701"}
+    assert len(out.splitlines()) == 10
 
 
 def test_at_least_six_checkers_registered():

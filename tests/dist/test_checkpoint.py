@@ -1,5 +1,7 @@
 """Tests for checkpointed (resumable) generation."""
 
+import multiprocessing as mp
+import os
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from repro.core.generator import RecursiveVectorGenerator
 from repro.dist.checkpoint import CheckpointedRun
 from repro.errors import ConfigurationError
 from repro.formats import get_format
+from tests.faultinject import needs_fork
 
 
 def make_generator(**kw):
@@ -17,6 +20,13 @@ def make_generator(**kw):
     scale = defaults.pop("scale")
     ef = defaults.pop("edge_factor")
     return RecursiveVectorGenerator(scale, ef, **defaults)
+
+
+def _die_in_manifest_save(run):
+    """Child process: save the manifest and die at its fsync, as a
+    SIGKILL between the write and the rename would."""
+    os.fsync = lambda fd: os._exit(9)
+    run._save()
 
 
 def read_all(run):
@@ -171,7 +181,24 @@ class TestCrashWindows:
         run = CheckpointedRun(make_generator(), tmp_path,
                               blocks_per_chunk=4)
         run.run()
-        assert not (tmp_path / "manifest.tmp").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [p.name for p in run.chunk_paths()] + ["manifest.json"])
+
+    @needs_fork
+    def test_killed_manifest_save_swept_on_resume(self, tmp_path):
+        run = CheckpointedRun(make_generator(), tmp_path,
+                              blocks_per_chunk=2)
+        run.run(max_chunks=1)
+        published = sorted(p.name for p in tmp_path.iterdir())
+        child = mp.get_context("fork").Process(
+            target=_die_in_manifest_save, args=(run,))
+        child.start()
+        child.join(60)
+        assert child.exitcode == 9
+        assert len(list(tmp_path.iterdir())) == len(published) + 1
+
+        CheckpointedRun(make_generator(), tmp_path, blocks_per_chunk=2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == published
 
 
 class TestKillResume:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.generator import RecursiveVectorGenerator
-from repro.dist.partition import Bin, combine, range_partition, repartition
+from repro.dist.partition import Bin, range_partition, repartition
 from repro.util.shuffle import (hash_partition, mix64, partition_sizes,
                                 partition_slices)
 
@@ -99,30 +99,10 @@ class TestPartitionSlices:
             partition_slices(np.arange(4), 0)
 
 
-class TestBinAndCombine:
+class TestBin:
     def test_bin_rejects_empty(self):
         with pytest.raises(ValueError):
             Bin(5, 5, 0.0)
-
-    def test_combine_respects_target(self):
-        masses = np.array([10.0] * 10)
-        bins = combine(masses, block_size=4, start_vertex=0,
-                       target_mass=30.0)
-        assert all(b.mass >= 30.0 for b in bins[:-1])
-        assert sum(b.mass for b in bins) == 100.0
-        assert bins[0].start == 0
-        assert bins[-1].stop == 40
-
-    def test_combine_contiguous(self):
-        masses = np.array([5.0, 50.0, 5.0, 5.0])
-        bins = combine(masses, 2, 100, 20.0)
-        for a, b in zip(bins, bins[1:]):
-            assert a.stop == b.start
-
-    def test_combine_trailing_light_bin(self):
-        masses = np.array([30.0, 30.0, 1.0])
-        bins = combine(masses, 1, 0, 30.0)
-        assert bins[-1].mass == 1.0
 
 
 class TestRepartition:
@@ -190,8 +170,9 @@ class TestRangePartition:
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_cut_lands_on_nearer_side_of_bin(self, workers):
-        # Bins are 1/8 of a worker's share, so cutting on the nearer side
-        # of the crossing bin misses the target by at most half a bin.
+        # A bin is one block (past the hub, up to a quarter of a share
+        # here); cutting on the nearer side of the crossing bin keeps the
+        # skew under the 1/16 that bins of an eighth of a share allowed.
         g = RecursiveVectorGenerator(16, 16, seed=7, block_size=1024)
         masses = np.array([r.mass for r in range_partition(g, workers)])
         assert masses.max() / masses.mean() <= 1 + 1 / (2 * 8) + 0.01

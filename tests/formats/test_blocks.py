@@ -741,4 +741,5 @@ class TestThreadedSink:
             for i in range(50):
                 sink.write(bytes([i]))
             sink.close()
+            assert not sink._thread.is_alive()
         assert path.read_bytes() == bytes(range(50))
