@@ -22,9 +22,6 @@ Three artifacts matter beyond the printed tables:
 - ``test_emit_bench_json`` writes ``BENCH_formats.json`` at the repo root
   (scale, format, engine, edges/s, MB/s) so later PRs have a perf
   trajectory to compare against.
-- ``test_telemetry_overhead_gate`` is the CI gate for the telemetry
-  layer: generation+write throughput with telemetry on must stay within
-  95% of telemetry off, recorded into ``BENCH_telemetry.json``.
 """
 
 import json
@@ -297,60 +294,3 @@ def test_emit_bench_json(tmp_path, table):
           [[r["format"], f"{r['edges_per_second']:,}",
             r["mb_per_second"]] for r in records])
     assert all(r["edges_per_second"] > 0 for r in records)
-
-
-def test_telemetry_overhead_gate(tmp_path, table):
-    """CI gate for the observability layer: the full pipeline
-    (generation + adj6 write) with telemetry recording must keep >= 95%
-    of the telemetry-off throughput.  Best-of-3 per mode, modes
-    interleaved so machine noise hits both alike; the result lands in
-    ``BENCH_telemetry.json``.
-    """
-    from repro.telemetry import enable_telemetry, reset_telemetry
-
-    fmt = get_format("adj6")
-
-    def one_run(label):
-        gen = RecursiveVectorGenerator(SCALE, 16, seed=9)
-        t0 = time.perf_counter()
-        result = fmt.write_blocks(tmp_path / f"tel.{label}",
-                                  gen.iter_blocks(), gen.num_vertices)
-        return result, time.perf_counter() - t0
-
-    best = {"on": float("inf"), "off": float("inf")}
-    edges = 0
-    try:
-        for _ in range(3):
-            for mode in ("on", "off"):
-                enable_telemetry(mode == "on")
-                reset_telemetry()
-                result, seconds = one_run(mode)
-                best[mode] = min(best[mode], seconds)
-                edges = result.num_edges
-    finally:
-        enable_telemetry(None)
-        reset_telemetry()
-
-    on_rate = edges / best["on"]
-    off_rate = edges / best["off"]
-    ratio = on_rate / off_rate
-    records = [{
-        "scale": SCALE,
-        "format": "adj6",
-        "telemetry": mode,
-        "edges_per_second": round(edges / best[mode]),
-        "seconds": round(best[mode], 4),
-    } for mode in ("on", "off")]
-    records.append({"scale": SCALE, "format": "adj6",
-                    "telemetry": "ratio",
-                    "on_over_off": round(ratio, 4)})
-    (_REPO_ROOT / "BENCH_telemetry.json").write_text(
-        json.dumps(records, indent=2) + "\n")
-    table(f"Telemetry overhead (scale {SCALE}, adj6, best of 3)",
-          ["telemetry", "seconds", "edges/s"],
-          [[m, round(best[m], 4), f"{edges / best[m]:,.0f}"]
-           for m in ("on", "off")] + [["on/off", f"{ratio:.3f}", ""]])
-    assert ratio >= 0.95, (
-        f"telemetry-on throughput only {ratio:.3f} of telemetry-off; "
-        "the recording path regressed")
-

@@ -47,12 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--noise", type=float, default=0.0,
                      help="NSKG noise parameter N")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--engine", choices=("bitwise", "reference"),
-                     default="bitwise",
-                     help="bitwise = the production kernel (independent "
-                          "destination bits, drawn 7 at a time from "
-                          "chained alias tables); reference = Algorithms "
-                          "4-5 per-edge loop, the test oracle")
     gen.add_argument("--matrix", default=None,
                      help="seed matrix as 'a,b,c,d' (default Graph500)")
     gen.add_argument("--machines", type=int, default=1)
@@ -60,16 +54,19 @@ def build_parser() -> argparse.ArgumentParser:
                      help="threads per machine")
     gen.add_argument("--retries", type=int, default=None,
                      help="max re-attempts per worker task before the "
-                          "run fails (default 3)")
+                          "run fails (default 3; needs more than one "
+                          "worker)")
     gen.add_argument("--task-timeout", type=float, default=None,
                      help="per-attempt wall-clock budget in seconds; "
-                          "hung workers are killed and retried")
+                          "hung workers are killed and retried (needs "
+                          "more than one worker)")
     gen.add_argument("--resume", action="store_true",
                      help="checkpointed generation into the output "
                           "directory; re-run the same command after a "
                           "crash to continue where it stopped")
-    gen.add_argument("--blocks-per-chunk", type=int, default=16,
-                     help="checkpoint granularity with --resume")
+    gen.add_argument("--blocks-per-chunk", type=int, default=None,
+                     help="checkpoint granularity with --resume "
+                          "(default 16)")
     gen.add_argument("--metrics-out", default=None,
                      help="write the run's telemetry report (metrics + "
                           "span tree, merged across workers) as JSON")
@@ -219,7 +216,20 @@ def _parse_matrix(text: str | None) -> SeedMatrix | None:
     return SeedMatrix.rmat(*values)
 
 
+def _refuse_ignored_flags(args: argparse.Namespace) -> None:
+    """Exit on a flag that the requested mode would silently ignore."""
+    if args.machines * args.threads <= 1:
+        for flag, value in (("--retries", args.retries),
+                            ("--task-timeout", args.task_timeout)):
+            if value is not None:
+                raise SystemExit(f"{flag} acts only with more than one "
+                                 "worker (--machines x --threads > 1)")
+    if args.blocks_per_chunk is not None and not args.resume:
+        raise SystemExit("--blocks-per-chunk acts only with --resume")
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
+    _refuse_ignored_flags(args)
     cluster = None
     if args.machines * args.threads > 1:
         from .dist.runner import ClusterSpec
@@ -236,33 +246,25 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             raise SystemExit(f"--retries/--task-timeout: {exc}") from None
     tg = TrillionG(args.scale, args.edge_factor,
                    _parse_matrix(args.matrix), noise=args.noise,
-                   engine=args.engine, seed=args.seed,
-                   cluster=cluster, retry=retry)
+                   seed=args.seed, cluster=cluster, retry=retry)
     reporter = None
     if args.progress:
         from .telemetry import ProgressReporter
         reporter = ProgressReporter(total_edges=tg.num_edges)
+    chunk = 16 if args.blocks_per_chunk is None else args.blocks_per_chunk
     result = tg.generate_to(args.output, fmt=args.format,
-                            resume=args.resume,
-                            blocks_per_chunk=args.blocks_per_chunk,
+                            resume=args.resume, blocks_per_chunk=chunk,
                             progress=reporter)
     if reporter is not None:
         reporter.finish()
-    if result.telemetry is None:
-        for flag, out in (("--metrics-out", args.metrics_out),
-                          ("--trace-out", args.trace_out)):
-            if out is not None:
-                print(f"{flag} skipped: telemetry is disabled "
-                      "(TRILLIONG_TELEMETRY=0)", file=sys.stderr)
-    else:
-        if args.metrics_out is not None:
-            from .telemetry import write_json_report
-            write_json_report(args.metrics_out, result.telemetry)
-        if args.trace_out is not None:
-            from .telemetry.traceview import write_trace
-            write_trace(args.trace_out, result.telemetry,
-                          label=f"trilliong scale={args.scale}")
-            print(f"chrome trace -> {args.trace_out}")
+    if args.metrics_out is not None:
+        from .telemetry import write_json_report
+        write_json_report(args.metrics_out, result.telemetry)
+    if args.trace_out is not None:
+        from .telemetry.traceview import write_trace
+        write_trace(args.trace_out, result.telemetry,
+                    label=f"trilliong scale={args.scale}")
+        print(f"chrome trace -> {args.trace_out}")
     print(f"generated |V|={result.num_vertices} "
           f"|E|={result.num_edges} "
           f"bytes={result.bytes_written} "

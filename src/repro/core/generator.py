@@ -47,7 +47,7 @@ from typing import Iterator
 import numpy as np
 
 from ..errors import ConfigurationError, GenerationError, SeedMatrixError
-from ..telemetry import RECURSION_BUCKETS, registry
+from ..telemetry import registry
 from ..util.external_sort import unique_sorted
 from . import tables
 from .process import EdgeProcess, make_process
@@ -275,6 +275,20 @@ class RecursiveVectorGenerator:
         # block of a sweep shares all but ~2 of them.
         self._splits: dict[tuple[int, int], int] = {}
 
+    def recipe(self) -> dict:
+        """The keyword arguments that rebuild this generator's graph.
+
+        Worker processes are rebuilt from it (spawn-safe: scalars, the
+        seed matrix and the idea toggles), and a checkpoint manifest
+        records it so a resume with a different graph is refused.
+        """
+        return dict(scale=self.scale, num_edges=self.num_edges,
+                    seed_matrix=self.seed_matrix, noise=self.noise,
+                    direction=self.direction, engine=self.engine,
+                    ideas=self.ideas, dedup=self.dedup,
+                    degree_method=self.degree_method, seed=self.seed,
+                    block_size=self.block_size)
+
     # ------------------------------------------------------------------
     # Degree (scope size) sampling — Theorem 1
     # ------------------------------------------------------------------
@@ -421,17 +435,14 @@ class RecursiveVectorGenerator:
     def _record_block_metrics(self, block: AdjacencyBlock,
                               degrees: np.ndarray,
                               before: tuple[int, int, int]) -> None:
-        """Publish per-block telemetry (no-op when telemetry is off).
+        """Publish per-block telemetry.
 
-        Aggregation is vectorized per block — popcounts and bincounts over
-        arrays, then a handful of ``observe_bulk`` calls — so the cost is
-        O(block) numpy work, never a per-edge Python loop.  Nothing here
-        touches the RNG streams, so generated bytes are identical with
-        telemetry on or off.
+        Counters, plus one ``np.unique`` over the run's degrees handed to
+        ``observe_bulk`` — O(sources) numpy work, never a per-edge loop.
+        Nothing here touches the RNG streams (the golden digests, recorded
+        with telemetry on, pin that).
         """
         reg = registry()
-        if not reg.enabled:
-            return
         draws0, builds0, dups0 = before
         stats = self.stats
         draws = stats.random_draws - draws0
@@ -450,20 +461,6 @@ class RecursiveVectorGenerator:
             hits = max(draws - builds, 0)
             reg.counter("generator.recvec_reuse_hits").inc(hits)
             reg.counter("generator.recvec_reuse_misses").inc(draws - hits)
-        if block.destinations.size:
-            # Theorem 2: Algorithm 5 recurses once per 1-bit of the
-            # destination, so the per-edge recursion count is popcount(v).
-            # A slice at a time: ``bincount`` casts its input to intp.
-            dests = block.destinations
-            counts = np.zeros(64, dtype=np.int64)
-            for first in range(0, dests.size, tables._SLICE_KEYS):
-                part = np.bincount(_popcount64(
-                    dests[first:first + tables._SLICE_KEYS]))
-                counts[:part.size] += part
-            values = np.nonzero(counts)[0]
-            reg.histogram("generator.recursions_per_edge",
-                          bounds=RECURSION_BUCKETS).observe_bulk(
-                values.tolist(), counts[values].tolist())
         if degrees.size:
             values, counts = np.unique(degrees, return_counts=True)
             reg.histogram("generator.scope_size").observe_bulk(
@@ -796,20 +793,6 @@ def _run_cuts(degrees: np.ndarray) -> list[int]:
         most = max(offsets[first] + _BLOCK_EDGES, offsets[first + 1])
         cuts.append(int(np.searchsorted(offsets, most, "right")) - 1)
     return cuts
-
-
-def _popcount64(values: np.ndarray) -> np.ndarray:
-    """Per-element popcount of non-negative int64 values."""
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(values)
-    # SWAR fallback for numpy < 2.0.
-    v = values.astype(np.uint64)
-    v = v - ((v >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    v = ((v & np.uint64(0x3333333333333333))
-         + ((v >> np.uint64(2)) & np.uint64(0x3333333333333333)))
-    v = (v + (v >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((v * np.uint64(0x0101010101010101))
-            >> np.uint64(56)).astype(np.int64)
 
 
 def _merge_back(keys: np.ndarray, kept: int, extra: np.ndarray

@@ -26,7 +26,7 @@ Crash-safety guarantees (see ``docs/fault_tolerance.md``):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..atomic import atomic_write
@@ -42,13 +42,20 @@ __all__ = ["CheckpointedRun", "CheckpointState"]
 _MANIFEST = "manifest.json"
 
 
+def _run_spec(generator: RecursiveVectorGenerator) -> dict:
+    """The generator's :meth:`~RecursiveVectorGenerator.recipe` as JSON:
+    the graph a checkpoint directory holds."""
+    spec = generator.recipe()
+    spec["seed_matrix"] = spec["seed_matrix"].entries.tolist()
+    spec["ideas"] = asdict(spec["ideas"])
+    return spec
+
+
 @dataclass
 class CheckpointState:
     """Parsed manifest contents."""
 
-    scale: int
-    num_edges: int
-    seed: int
+    generator: dict  # _run_spec() of the generator that wrote the chunks
     fmt: str
     blocks_per_chunk: int
     completed: dict[str, int] = field(default_factory=dict)
@@ -56,9 +63,7 @@ class CheckpointState:
 
     def to_json(self) -> dict:
         return {
-            "scale": self.scale,
-            "num_edges": self.num_edges,
-            "seed": self.seed,
+            "generator": self.generator,
             "format": self.fmt,
             "blocks_per_chunk": self.blocks_per_chunk,
             "completed": self.completed,
@@ -66,9 +71,22 @@ class CheckpointState:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CheckpointState":
-        return cls(doc["scale"], doc["num_edges"], doc["seed"],
-                   doc["format"], doc["blocks_per_chunk"],
-                   dict(doc["completed"]))
+        # A manifest that records no recipe (an older layout) matches no
+        # generator, so a resume refuses it instead of adopting chunks.
+        return cls(dict(doc.get("generator", {})), doc["format"],
+                   doc["blocks_per_chunk"], dict(doc["completed"]))
+
+    def differences(self, other: "CheckpointState") -> list[str]:
+        """Names of the settings in which ``other`` describes another
+        output: recipe keys, ``format`` and ``blocks_per_chunk``."""
+        names = sorted(self.generator.keys() | other.generator.keys())
+        diff = [name for name in names
+                if self.generator.get(name) != other.generator.get(name)]
+        if self.fmt != other.fmt:
+            diff.append("format")
+        if self.blocks_per_chunk != other.blocks_per_chunk:
+            diff.append("blocks_per_chunk")
+        return diff
 
 
 class CheckpointedRun:
@@ -102,8 +120,7 @@ class CheckpointedRun:
         return self.out_dir / _MANIFEST
 
     def _expected_state(self) -> CheckpointState:
-        g = self.generator
-        return CheckpointState(g.scale, g.num_edges, g.seed, self.fmt,
+        return CheckpointState(_run_spec(self.generator), self.fmt,
                                self.blocks_per_chunk)
 
     def _load_or_init(self) -> CheckpointState:
@@ -116,17 +133,12 @@ class CheckpointedRun:
             # Torn manifest (e.g. power loss on a non-atomic filesystem):
             # re-init; _recover() adopts every chunk file that verifies.
             return self._expected_state()
-        expected = self._expected_state()
-        mismatch = (state.scale != expected.scale
-                    or state.num_edges != expected.num_edges
-                    or state.seed != expected.seed
-                    or state.fmt != expected.fmt
-                    or state.blocks_per_chunk
-                    != expected.blocks_per_chunk)
+        mismatch = state.differences(self._expected_state())
         if mismatch:
             raise ConfigurationError(
                 f"{self.manifest_path} belongs to a different "
-                "configuration; refusing to mix outputs")
+                f"configuration ({', '.join(mismatch)} differ); refusing "
+                "to mix outputs")
         return state
 
     def _recover(self) -> None:

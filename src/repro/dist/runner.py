@@ -186,27 +186,10 @@ class LocalCluster:
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _generator_kwargs(generator: RecursiveVectorGenerator) -> dict:
-        """The picklable recipe a worker needs to rebuild ``generator``
-        (spawn-safe: plain scalars plus the seed matrix)."""
-        return dict(
-            scale=generator.scale,
-            num_edges=generator.num_edges,
-            seed_matrix=generator.seed_matrix,
-            noise=generator.noise,
-            direction=generator.direction,
-            engine=generator.engine,
-            dedup=generator.dedup,
-            degree_method=generator.degree_method,
-            seed=generator.seed,
-            block_size=generator.block_size,
-        )
-
     def _build_tasks(self, generator: RecursiveVectorGenerator,
                      out_dir: Path, ranges: list[Bin],
                      fmt_name: str) -> list[tuple]:
-        gen_kwargs = self._generator_kwargs(generator)
+        gen_kwargs = generator.recipe()
         return [
             (w, r.start, r.stop, gen_kwargs, fmt_name,
              str(out_dir / f"part-{w:04d}.{fmt_name}"))
@@ -307,7 +290,7 @@ class LocalCluster:
         run = CheckpointedRun(generator, out_dir, fmt_name,
                               blocks_per_chunk)
         pending = run.pending()
-        gen_kwargs = self._generator_kwargs(generator)
+        gen_kwargs = generator.recipe()
         chunk_index = {name: i for i, (name, _, _)
                        in enumerate(run.chunk_ranges())}
         tasks = [

@@ -53,8 +53,7 @@ class GraphScaler:
         return self.fit_result.seed_matrix
 
     def generator(self, scale: int, seed: int = 0, *,
-                  noise: float = 0.0,
-                  engine: str = "bitwise") -> RecursiveVectorGenerator:
+                  noise: float = 0.0) -> RecursiveVectorGenerator:
         """Build a generator for the scaled graph (``|V| = 2**scale``),
         preserving the fitted seed and the observed edge density."""
         if scale < 1:
@@ -63,7 +62,7 @@ class GraphScaler:
                                   * (1 << scale))), 1)
         return RecursiveVectorGenerator(
             scale, seed_matrix=self.seed_matrix, num_edges=num_edges,
-            noise=noise, engine=engine, seed=seed)
+            noise=noise, seed=seed)
 
     def scale_to(self, scale: int, seed: int = 0, **kwargs) -> np.ndarray:
         """Generate the scaled graph's edges."""

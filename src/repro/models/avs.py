@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.generator import IdeaToggles, RecursiveVectorGenerator
+from ..core.generator import RecursiveVectorGenerator
 from .base import Complexity, ScopeBasedGenerator
 
 __all__ = ["TrillionGSeqGenerator"]
@@ -23,14 +23,13 @@ class TrillionGSeqGenerator(ScopeBasedGenerator):
     name = "TrillionG/seq"
     complexity = Complexity("O(|E| log|V| / P)", "O(d_max)", "AVS")
 
-    def __init__(self, *args, noise: float = 0.0, engine: str = "bitwise",
-                 ideas: IdeaToggles | None = None, block_size: int = 4096,
+    def __init__(self, *args, noise: float = 0.0, block_size: int = 4096,
                  **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.inner = RecursiveVectorGenerator(
             self.scale, seed_matrix=self.seed_matrix,
-            num_edges=self.num_edges, noise=noise, engine=engine,
-            ideas=ideas, seed=self.seed, block_size=block_size)
+            num_edges=self.num_edges, noise=noise, seed=self.seed,
+            block_size=block_size)
 
     def estimated_peak_bytes(self) -> int:
         """AVS holds one scope (<= d_max destinations) plus RecVec; the

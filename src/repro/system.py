@@ -5,18 +5,16 @@ together — the equivalent of the paper's Spark driver program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
-from .core.generator import (AdjacencyBlock, IdeaToggles,
-                             RecursiveVectorGenerator)
+from .core.generator import AdjacencyBlock, RecursiveVectorGenerator
 from .core.seed import GRAPH500, SeedMatrix
 from .formats import WriteResult, get_format
-from .telemetry import (build_report, reset_telemetry, span,
-                        telemetry_enabled, worker_reports)
+from .telemetry import build_report, reset_telemetry, span, worker_reports
 
 if TYPE_CHECKING:
     from .dist.faults import RetryPolicy
@@ -34,8 +32,7 @@ class TrillionGResult:
     for distributed runs; the two overlap, the write runs on the
     pipeline's background thread).
     ``telemetry`` holds the full metrics + span report for the run
-    (:func:`repro.telemetry.build_report`), or ``None`` when telemetry is
-    disabled via ``TRILLIONG_TELEMETRY=0``.
+    (:func:`repro.telemetry.build_report`).
     """
 
     paths: list[Path]
@@ -46,7 +43,7 @@ class TrillionGResult:
     skew: float = 1.0
     encode_seconds: float = 0.0
     write_seconds: float = 0.0
-    telemetry: dict | None = None
+    telemetry: dict = field(default_factory=dict)
 
     @property
     def edges_per_second(self) -> float:
@@ -73,17 +70,14 @@ class TrillionG:
     >>> result = tg.generate_to("graph.adj6", fmt="adj6")  # doctest: +SKIP
 
     Parameters mirror the paper's configuration surface: Graph500 standard
-    workload by default, optional NSKG noise, ``engine`` (``"bitwise"``,
-    the production kernel, or the ``"reference"`` oracle), and a machines x
-    threads cluster shape for parallel generation.
+    workload by default, optional NSKG noise, and a machines x threads
+    cluster shape for parallel generation.
     """
 
     def __init__(self, scale: int, edge_factor: int = 16,
                  seed_matrix: SeedMatrix | None = None, *,
                  num_edges: int | None = None,
                  noise: float = 0.0,
-                 engine: str = "bitwise",
-                 ideas: IdeaToggles | None = None,
                  seed: int = 0,
                  block_size: int = 4096,
                  cluster: ClusterSpec | None = None,
@@ -91,8 +85,8 @@ class TrillionG:
         self.generator = RecursiveVectorGenerator(
             scale, edge_factor,
             seed_matrix if seed_matrix is not None else GRAPH500,
-            num_edges=num_edges, noise=noise, engine=engine,
-            ideas=ideas, seed=seed, block_size=block_size)
+            num_edges=num_edges, noise=noise, seed=seed,
+            block_size=block_size)
         self.cluster = cluster
         self.retry = retry
 
@@ -217,15 +211,13 @@ class TrillionG:
                 progress(done)
 
     @staticmethod
-    def _report() -> dict | None:
-        """Snapshot the telemetry report, or ``None`` when disabled.
+    def _report() -> dict:
+        """Snapshot the telemetry report.
 
         Distributed runs also carry the verbatim per-worker snapshots
         (``worker_reports``) so trace export can draw one track per
         worker instead of only the merged aggregate.
         """
-        if not telemetry_enabled():
-            return None
         reports = worker_reports()
         extra = {"worker_reports": list(reports)} if reports else None
         return build_report(extra)

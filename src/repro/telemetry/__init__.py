@@ -4,11 +4,10 @@ The zero-dependency observability layer the rest of the pipeline reports
 through (stdlib only — no numpy, no repro imports):
 
 - :func:`registry` / :class:`MetricsRegistry` — counters, gauges,
-  fixed-bucket histograms; a shared no-op registry when
-  ``TRILLIONG_TELEMETRY=0``.
+  fixed-bucket histograms; always recording.
 - :func:`span` / :class:`Stopwatch` — hierarchical phase timing and the
   accumulator primitive that replaced the ad-hoc ``perf_counter()``
-  pairs.  Spans always measure; they only *record* when enabled.
+  pairs.
 - :func:`snapshot_telemetry` / :func:`absorb_telemetry` — the
   cross-process protocol: workers snapshot, the supervisor absorbs, and
   a distributed run yields one coherent report.
@@ -29,22 +28,19 @@ from typing import Mapping
 from .export import (LOG_LEVEL_ENV_VAR, SCHEMA_VERSION, build_report,
                      configure_logging, get_logger, log_report,
                      merge_reports, write_json_report)
-from .metrics import (ENV_VAR, NULL_REGISTRY, POW2_BUCKETS,
-                      RECURSION_BUCKETS, Counter, Gauge, Histogram,
-                      MetricsRegistry, NullRegistry, enable_telemetry,
-                      global_registry, merge_metrics, registry,
-                      reset_metrics, telemetry_enabled)
+from .metrics import (POW2_BUCKETS, Counter, Gauge, Histogram,
+                      MetricsRegistry, merge_metrics, registry,
+                      reset_metrics)
 from .progress import ProgressReporter, human_count
 from .spans import (Span, SpanNode, Stopwatch, Tracer, merge_span_trees,
                     reset_tracer, span, tracer)
 
 __all__ = [
     # switches
-    "ENV_VAR", "LOG_LEVEL_ENV_VAR", "telemetry_enabled", "enable_telemetry",
+    "LOG_LEVEL_ENV_VAR",
     # metrics
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullRegistry",
-    "NULL_REGISTRY", "registry", "global_registry", "reset_metrics",
-    "merge_metrics", "POW2_BUCKETS", "RECURSION_BUCKETS",
+    "Counter", "Gauge", "Histogram", "MetricsRegistry", "registry",
+    "reset_metrics", "merge_metrics", "POW2_BUCKETS",
     # spans
     "span", "Span", "SpanNode", "Stopwatch", "Tracer", "tracer",
     "reset_tracer", "merge_span_trees",
@@ -71,9 +67,7 @@ def absorb_telemetry(snapshot: Mapping) -> None:
     """Merge a worker-process snapshot into this process's live
     telemetry: metrics by their merge semantics, span trees grafted
     under the currently active span (see :meth:`Tracer.attach`)."""
-    if not telemetry_enabled():
-        return
-    global_registry().merge(snapshot.get("metrics", {}))
+    registry().merge(snapshot.get("metrics", {}))
     tracer().attach(snapshot.get("spans", ()))
 
 
@@ -93,8 +87,6 @@ def record_worker_report(snapshot: Mapping) -> None:
     the un-merged original for per-worker trace tracks.  Oldest reports
     are dropped beyond a fixed cap.
     """
-    if not telemetry_enabled():
-        return
     with _worker_reports_lock:
         _worker_reports.append(dict(snapshot))
         if len(_worker_reports) > _WORKER_REPORT_CAP:

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Mapping
 
 from ..atomic import atomic_write
-from .metrics import global_registry, merge_metrics
+from .metrics import merge_metrics, registry
 from .spans import merge_span_trees, tracer
 
 __all__ = [
@@ -95,7 +95,7 @@ def build_report(extra: Mapping[str, object] | None = None) -> dict:
     """Snapshot the live registry + tracer into one report dict."""
     report = {
         "schema_version": SCHEMA_VERSION,
-        "metrics": global_registry().snapshot(),
+        "metrics": registry().snapshot(),
         "spans": tracer().snapshot(),
     }
     if extra:

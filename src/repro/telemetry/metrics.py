@@ -1,14 +1,11 @@
 """Metrics: counters, gauges, and fixed-bucket histograms.
 
-The registry is the cheap always-on half of the telemetry layer: an
-instrument is one dict lookup to obtain (callers cache the handle on hot
-paths) and one lock-protected float add to update — instruments are
-shared between the producer and the pipeline's background writer
-thread, so updates must not be lost to thread switches.  When telemetry
-is disabled
-(``TRILLIONG_TELEMETRY=0``) :func:`registry` returns a no-op registry
-whose instruments discard every update, so instrumented code pays a
-single attribute call and nothing else.
+The registry is the cheap half of the telemetry layer, and it always
+records: an instrument is one dict lookup to obtain (callers cache the
+handle on hot paths) and one lock-protected float add to update —
+instruments are shared between the producer and the pipeline's
+background writer thread, so updates must not be lost to thread
+switches.
 
 Snapshots are plain JSON-able dicts, and :func:`merge_metrics` is
 associative and commutative (counters add, max/min gauges take the
@@ -20,59 +17,23 @@ cross-process aggregation in :mod:`repro.dist.faults` relies on.
 from __future__ import annotations
 
 import bisect
-import os
 import threading
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
-    "ENV_VAR",
-    "telemetry_enabled",
-    "enable_telemetry",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "registry",
-    "global_registry",
     "reset_metrics",
     "merge_metrics",
     "POW2_BUCKETS",
-    "RECURSION_BUCKETS",
 ]
-
-#: Environment variable switching telemetry off (``0/false/no/off``).
-#: Telemetry is *on* by default — the instruments are cheap enough to
-#: leave enabled; the variable is the escape hatch, not the opt-in.
-ENV_VAR = "TRILLIONG_TELEMETRY"
-
-_FALSY = frozenset({"0", "false", "no", "off"})
-
-#: Programmatic override: ``None`` defers to the environment.
-_override: bool | None = None
 
 #: Power-of-two bucket bounds shared by the size-shaped histograms
 #: (scope sizes, degrees): 1, 2, 4, ... 2^48 (the 6-byte id ceiling).
 POW2_BUCKETS: tuple[float, ...] = tuple(float(1 << k) for k in range(49))
-
-#: Linear bucket bounds for small per-edge counts (recursions per edge:
-#: one recursion per 1-bit of the destination, so at most ``scale`` and
-#: the generator caps scale at 56).
-RECURSION_BUCKETS: tuple[float, ...] = tuple(float(k) for k in range(57))
-
-
-def telemetry_enabled() -> bool:
-    """Whether instruments record (override, else env var, default on)."""
-    if _override is not None:
-        return _override
-    return os.environ.get(ENV_VAR, "").strip().lower() not in _FALSY
-
-
-def enable_telemetry(on: bool | None) -> None:
-    """Force telemetry on/off; ``None`` defers back to ``ENV_VAR``."""
-    global _override
-    _override = on
 
 
 class Counter:
@@ -192,12 +153,8 @@ class MetricsRegistry:
     """Name -> instrument table.
 
     Accessors create on first use and are idempotent; hot paths should
-    cache the returned instrument.  ``enabled`` is True so instrumented
-    code can guard optional, more expensive aggregation work with
-    ``if reg.enabled:``.
+    cache the returned instrument.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
@@ -270,71 +227,13 @@ def _merge_histogram_into(hist: Histogram, data: Mapping) -> None:
         hist.count += data["count"]
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        return None
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        return None
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float, count: int = 1) -> None:
-        return None
-
-    def observe_bulk(self, values, counts) -> None:
-        return None
-
-
-class NullRegistry(MetricsRegistry):
-    """The disabled registry: hands out shared no-op instruments."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._counter = _NullCounter()
-        self._gauge = _NullGauge()
-        self._histogram = _NullHistogram((1.0,))
-
-    def counter(self, name: str) -> Counter:
-        return self._counter
-
-    def gauge(self, name: str, mode: str = "last") -> Gauge:
-        return self._gauge
-
-    def histogram(self, name: str,
-                  bounds: Sequence[float] = POW2_BUCKETS) -> Histogram:
-        return self._histogram
-
-    def merge(self, snapshot: Mapping[str, dict]) -> None:
-        return None
-
-
-#: The process-wide shared no-op registry.
-NULL_REGISTRY = NullRegistry()
-
 _GLOBAL = MetricsRegistry()
 
 
-def global_registry() -> MetricsRegistry:
-    """The live process-wide registry, regardless of the enable switch
-    (exporters read it; instrumented code should use :func:`registry`)."""
-    return _GLOBAL
-
-
 def registry() -> MetricsRegistry:
-    """The registry instrumented code should record into *right now*:
-    the live global one, or the no-op registry when telemetry is off."""
-    return _GLOBAL if telemetry_enabled() else NULL_REGISTRY
+    """The live process-wide registry instrumented code records into
+    and the report reads."""
+    return _GLOBAL
 
 
 def reset_metrics() -> None:

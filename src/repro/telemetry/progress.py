@@ -16,7 +16,7 @@ import sys
 import time
 from typing import IO
 
-from .metrics import global_registry
+from .metrics import registry
 
 __all__ = ["ProgressReporter", "human_count"]
 
@@ -100,7 +100,7 @@ class ProgressReporter:
             parts.insert(0, f"{pct:5.1f}%")
         # Read-only registry view: a snapshot lookup, not the gauge
         # accessor, so drawing progress never *creates* the instrument.
-        queue_data = global_registry().snapshot().get(QUEUE_GAUGE)
+        queue_data = registry().snapshot().get(QUEUE_GAUGE)
         queue_high = queue_data["value"] if queue_data else 0.0
         if queue_high:
             parts.append(f"queue<={int(queue_high)}")

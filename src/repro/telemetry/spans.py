@@ -11,10 +11,9 @@ blocks flow through a phase and it merges naturally across processes.
 child spans entered while it was active — the per-phase cost attribution
 the paper's Figure 11/12 phase breakdowns need.
 
-Spans always *measure* (two clock reads — exactly the cost of the ad-hoc
-``perf_counter()`` pairs they replace) so result timing fields stay
-populated even with telemetry off; only the *recording* into the tree is
-skipped when disabled.
+A span costs two clock reads — exactly the cost of the ad-hoc
+``perf_counter()`` pairs it replaces — plus one node lookup, and its
+measured ``seconds`` also fill the result timing fields.
 
 The span stack is thread-local; finished top-level spans land in the
 shared tracer roots.  Background threads (e.g. the pipelined disk
@@ -28,8 +27,6 @@ from __future__ import annotations
 import threading
 import time
 from typing import Iterable, Mapping
-
-from .metrics import telemetry_enabled
 
 __all__ = [
     "Stopwatch",
@@ -151,8 +148,7 @@ class SpanNode:
 class _Frame:
     __slots__ = ("name", "node", "start", "child_seconds")
 
-    def __init__(self, name: str, node: SpanNode | None,
-                 start: float) -> None:
+    def __init__(self, name: str, node: SpanNode, start: float) -> None:
         self.name = name
         self.node = node
         self.start = start
@@ -162,8 +158,7 @@ class _Frame:
 class Span:
     """The handle yielded by :func:`span`.
 
-    ``seconds`` holds the measured wall time once the block exits —
-    usable whether or not telemetry recorded the span into the tree.
+    ``seconds`` holds the measured wall time once the block exits.
     """
 
     __slots__ = ("name", "attrs", "seconds", "_tracer", "_frame")
@@ -204,12 +199,7 @@ class Tracer:
 
     def _enter(self, name: str, attrs: Mapping[str, object]) -> _Frame:
         stack = self._stack()
-        if not telemetry_enabled():
-            # Measure only: a node-less frame still times the phase.
-            frame = _Frame(name, None, time.perf_counter())
-            stack.append(frame)
-            return frame
-        if stack and stack[-1].node is not None:
+        if stack:
             node = stack[-1].node.child(name)
         else:
             with self._lock:
@@ -230,12 +220,11 @@ class Tracer:
         if frame in stack:
             stack.remove(frame)
         node = frame.node
-        if node is not None:
-            node.count += 1
-            node.total_seconds += elapsed
-            node.exclusive_seconds += elapsed - frame.child_seconds
-            if stack and stack[-1].node is not None:
-                stack[-1].child_seconds += elapsed
+        node.count += 1
+        node.total_seconds += elapsed
+        node.exclusive_seconds += elapsed - frame.child_seconds
+        if stack:
+            stack[-1].child_seconds += elapsed
         return elapsed
 
     # -- public surface --------------------------------------------------
@@ -262,8 +251,6 @@ class Tracer:
         time: the child ran in another process, so its wall clock
         overlaps rather than subdivides the parent's.
         """
-        if not telemetry_enabled():
-            return
         parent = self.current()
         for data in trees:
             node = SpanNode.from_dict(data)

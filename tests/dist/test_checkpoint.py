@@ -1,5 +1,6 @@
 """Tests for checkpointed (resumable) generation."""
 
+import json
 import multiprocessing as mp
 import os
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.generator import RecursiveVectorGenerator
+from repro.core.seed import SeedMatrix
 from repro.dist.checkpoint import CheckpointedRun
 from repro.errors import ConfigurationError
 from repro.formats import get_format
@@ -96,6 +98,21 @@ class TestCheckpointedRun:
         with pytest.raises(ConfigurationError):
             CheckpointedRun(make_generator(), tmp_path,
                             blocks_per_chunk=8)
+        # Same scale, |E|, seed and format, but another graph.
+        with pytest.raises(ConfigurationError, match="noise"):
+            CheckpointedRun(make_generator(noise=0.1), tmp_path,
+                            blocks_per_chunk=4)
+        other = SeedMatrix.rmat(0.45, 0.2, 0.2, 0.15)
+        with pytest.raises(ConfigurationError, match="seed_matrix"):
+            CheckpointedRun(make_generator(seed_matrix=other), tmp_path,
+                            blocks_per_chunk=4)
+        # A manifest that records only scale, |E| and seed is refused.
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc.update(doc.pop("generator"))
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError):
+            CheckpointedRun(make_generator(), tmp_path, blocks_per_chunk=4)
 
     def test_edge_count_tracked(self, tmp_path):
         run = CheckpointedRun(make_generator(), tmp_path,
@@ -122,7 +139,6 @@ class TestCrashWindows:
     not yet recorded, a torn manifest, and corrupt strays."""
 
     def _drop_from_manifest(self, run, name):
-        import json
         doc = json.loads(run.manifest_path.read_text())
         del doc["completed"][name]
         run.manifest_path.write_text(json.dumps(doc))

@@ -1,17 +1,15 @@
-"""Telemetry tests mutate process-global state (the registry, the
-tracer, the enable override); reset around every test."""
+"""Telemetry tests mutate process-global state (the registry and the
+tracer); reset around every test."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.telemetry import enable_telemetry, reset_telemetry
+from repro.telemetry import reset_telemetry
 
 
 @pytest.fixture(autouse=True)
 def clean_telemetry():
-    enable_telemetry(True)
     reset_telemetry()
     yield
     reset_telemetry()
-    enable_telemetry(None)

@@ -10,14 +10,14 @@ import logging
 import pytest
 
 from repro.telemetry import (SCHEMA_VERSION, ProgressReporter,
-                             build_report, get_logger, global_registry,
-                             log_report, merge_reports, span,
+                             build_report, get_logger, log_report,
+                             merge_reports, registry, span,
                              write_json_report)
 from repro.telemetry.progress import QUEUE_GAUGE, human_count
 
 
 def _populate():
-    reg = global_registry()
+    reg = registry()
     reg.counter("generator.edges").inc(1024)
     reg.gauge("pipeline.queue_high_water", mode="max").set(3)
     reg.histogram("generator.scope_size", bounds=(1.0, 2.0)).observe(2.0)
@@ -110,7 +110,7 @@ def test_human_count():
 
 
 def test_progress_reporter_renders_rate_and_queue():
-    global_registry().gauge(QUEUE_GAUGE, mode="max").set(5)
+    registry().gauge(QUEUE_GAUGE, mode="max").set(5)
     stream = io.StringIO()
     reporter = ProgressReporter(total_edges=1000, stream=stream,
                                 min_interval=0.0)

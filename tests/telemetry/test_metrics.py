@@ -1,14 +1,12 @@
-"""Registry semantics: instrument behavior, the enable switch, and the
-merge algebra the cross-process aggregation relies on."""
+"""Registry semantics: instrument behavior and the merge algebra the
+cross-process aggregation relies on."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.telemetry import (NULL_REGISTRY, POW2_BUCKETS, Histogram,
-                             MetricsRegistry, enable_telemetry,
-                             global_registry, merge_metrics, registry,
-                             telemetry_enabled)
+from repro.telemetry import (POW2_BUCKETS, Histogram, MetricsRegistry,
+                             merge_metrics)
 
 
 def test_counter_gauge_histogram_roundtrip():
@@ -95,27 +93,3 @@ def test_merge_rejects_mismatched_histogram_bounds():
     s2 = _snap(lambda r: r.histogram("h", bounds=(2.0,)).observe(1.0))
     with pytest.raises(ValueError):
         merge_metrics(s1, s2)
-
-
-def test_disable_switch_routes_to_null_registry():
-    enable_telemetry(False)
-    assert not telemetry_enabled()
-    assert registry() is NULL_REGISTRY
-    reg = registry()
-    reg.counter("edges").inc(1000)
-    reg.gauge("hw", mode="max").set(7)
-    reg.histogram("h").observe(3.0)
-    assert reg.snapshot() == {}          # nothing recorded
-    enable_telemetry(True)
-    assert registry() is global_registry()
-
-
-def test_env_var_falsy_values(monkeypatch):
-    enable_telemetry(None)               # defer to the environment
-    for value in ("0", "false", "NO", " Off "):
-        monkeypatch.setenv("TRILLIONG_TELEMETRY", value)
-        assert not telemetry_enabled()
-    monkeypatch.setenv("TRILLIONG_TELEMETRY", "1")
-    assert telemetry_enabled()
-    monkeypatch.delenv("TRILLIONG_TELEMETRY")
-    assert telemetry_enabled()           # on by default

@@ -1,77 +1,79 @@
-"""End-to-end telemetry behavior on the real pipeline: byte identity
-and overhead of the no-op mode, and the paper-internals counters."""
+"""End-to-end telemetry behavior on the real pipeline: the cost of the
+recording hooks, the paper-internals counters and the span tree."""
 
 from __future__ import annotations
 
 import time
 
+from repro.core.generator import RecursiveVectorGenerator
+from repro.formats import get_format
+from repro.formats.adj6 import _SLICE_EDGES
+from repro.formats.pipeline import QUEUE_GAUGE
 from repro.system import TrillionG
-from repro.telemetry import enable_telemetry, reset_telemetry
+from repro.telemetry import Stopwatch, registry, span
 
-SCALE = 16          # |V| = 65536, |E| = 1M: the issue's identity scale
+SCALE = 16          # |V| = 65536, |E| = 1M
 
 
-def _generate(tmp_path, name, scale=SCALE, engine="bitwise"):
-    tg = TrillionG(scale, edge_factor=16, seed=7, engine=engine)
+def _generate(tmp_path, name, scale=SCALE):
+    tg = TrillionG(scale, edge_factor=16, seed=7)
     return tg.generate_to(tmp_path / name, fmt="adj6")
 
 
-def test_noop_mode_bytes_identical(tmp_path):
-    on = _generate(tmp_path, "on.adj6")
-    reset_telemetry()
-    enable_telemetry(False)
-    off = _generate(tmp_path, "off.adj6")
-    assert on.num_edges == off.num_edges
-    assert (tmp_path / "on.adj6").read_bytes() \
-        == (tmp_path / "off.adj6").read_bytes()
-    # Timing fields stay populated either way; the report only with on.
-    assert on.elapsed_seconds > 0.0 and off.elapsed_seconds > 0.0
-    assert on.telemetry is not None and off.telemetry is None
+def _best_of(repeats, work):
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        work()
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
-def test_noop_mode_overhead_under_two_percent():
-    """With telemetry off, the hooks left in the hot path (the no-op
-    registry calls, the measure-only span, the stopwatches) must add
-    <2% to a scale-16 generation.  End-to-end A/B timing drowns in
-    scheduler noise on small CI boxes, so measure the disabled-path
-    hook cost directly and compare its per-run total against the real
-    per-run wall time."""
-    from repro.telemetry import Stopwatch, registry, span
+def test_recording_hooks_under_five_percent():
+    """Telemetry always records, so its hooks must stay a small share of
+    a scale-16 sweep.  End-to-end A/B timing drowns in scheduler noise
+    on small boxes, so replay the hooks of one sweep directly — every
+    run's generator metrics; per encoded slice the writer's encode
+    stopwatch, the sink's write stopwatch and queue gauge; the block
+    counter and one span per run — and compare their total with the
+    sweep's wall time (best of three each)."""
+    gen = RecursiveVectorGenerator(SCALE, 16, seed=7)
+    runs = []
 
-    enable_telemetry(False)
-    gen = TrillionG(SCALE, edge_factor=16, seed=7).generator
-    t0 = time.perf_counter()
-    num_blocks = sum(1 for _ in gen.iter_blocks())
-    run_seconds = time.perf_counter() - t0
+    def sweep():
+        runs[:] = [(block, block.degrees) for block in gen.iter_blocks()]
 
-    reps = 10_000
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        # The per-block hook inventory: the generator's counter bundle
-        # (guarded by one reg.enabled check), the writer's encode
-        # stopwatch, the sink's write stopwatch + queue gauge, and one
-        # span enter/exit.
+    sweep_seconds = _best_of(3, sweep)
+    before = (0, 0, 0)
+
+    def hooks():
         reg = registry()
-        if reg.enabled:
-            reg.counter("generator.blocks").inc()
-        watch = Stopwatch()
-        with watch:
-            pass
-        with watch:
-            pass
-        reg.gauge("pipeline.queue_high_water", mode="max").set(1)
-        with span("format.write_blocks"):
-            pass
-    hook_seconds = (time.perf_counter() - t0) / reps * num_blocks
-    assert hook_seconds < 0.02 * run_seconds, \
-        (hook_seconds, run_seconds, num_blocks)
+        encode, write = Stopwatch(), Stopwatch()
+        gauge = reg.gauge(QUEUE_GAUGE, mode="max")
+        blocks = reg.counter("format.blocks_encoded")
+        for block, degrees in runs:
+            gen._record_block_metrics(block, degrees, before)
+            for _ in range(block.num_edges // _SLICE_EDGES + 2):
+                with encode:
+                    pass
+                gauge.set(1)
+                write.start()
+                write.stop()
+            blocks.inc()
+            with span("format.write_blocks"):
+                pass
+
+    hook_seconds = _best_of(3, hooks)
+    assert hook_seconds < 0.05 * sweep_seconds, \
+        (hook_seconds, sweep_seconds, len(runs))
 
 
 def test_paper_internal_counters(tmp_path):
     # The reference engine is the only one that builds RecVecs.
-    result = _generate(tmp_path, "counters.adj6", scale=12,
-                       engine="reference")
-    metrics = result.telemetry["metrics"]
+    gen = RecursiveVectorGenerator(12, 16, seed=7, engine="reference")
+    result = get_format("adj6").write_blocks(
+        tmp_path / "counters.adj6", gen.iter_blocks(), gen.num_vertices)
+    metrics = registry().snapshot()
     edges = metrics["generator.edges"]["value"]
     assert edges == result.num_edges
     # RecVec reuse (perf idea #1): hits + misses == draws.
@@ -79,9 +81,6 @@ def test_paper_internal_counters(tmp_path):
     misses = metrics["generator.recvec_reuse_misses"]["value"]
     assert misses > 0
     assert hits + misses == metrics["generator.random_draws"]["value"]
-    # Recursion count per edge (Lemma 5): one observation per edge.
-    recursions = metrics["generator.recursions_per_edge"]
-    assert recursions["count"] == edges
     # Sampled-degree histogram covers every vertex scope.
     assert metrics["generator.scope_size"]["count"] > 0
     # Formats layer: bytes/edges written match the result.

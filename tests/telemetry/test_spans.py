@@ -1,12 +1,12 @@
 """Span-tree semantics: nesting, exclusive-time math, aggregation on
-re-entry, disabled-mode measurement, and the merge/attach algebra."""
+re-entry, and the merge/attach algebra."""
 
 from __future__ import annotations
 
 import time
 
-from repro.telemetry import (SpanNode, Stopwatch, enable_telemetry,
-                             merge_span_trees, span, tracer)
+from repro.telemetry import (SpanNode, Stopwatch, merge_span_trees, span,
+                             tracer)
 
 
 def _root(name):
@@ -75,15 +75,6 @@ def test_out_of_order_exit_does_not_corrupt_peers():
     assert _root("a").count == 1
     # b was entered while a was active, so it is a's child.
     assert _root("a").find("b").count == 1
-
-
-def test_disabled_spans_measure_but_do_not_record():
-    enable_telemetry(False)
-    with span("ghost") as sp:
-        time.sleep(0.01)
-    assert sp.seconds >= 0.01            # timing fields stay populated
-    enable_telemetry(True)
-    assert tracer().roots == {}          # nothing landed in the tree
 
 
 def test_merge_span_trees_is_associative():

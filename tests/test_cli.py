@@ -61,6 +61,22 @@ class TestGenerate:
         assert "\n" not in message
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--retries", "0"], "--retries"),
+        (["--task-timeout", "0.000001"], "--task-timeout"),
+        (["--blocks-per-chunk", "7"], "--blocks-per-chunk")])
+    def test_flag_its_mode_ignores_is_refused(self, tmp_path, flags,
+                                              named):
+        """A sequential run has no worker to retry or time out, and only
+        ``--resume`` writes chunks: such a flag is an error, not a
+        no-op."""
+        out = tmp_path / "g.adj6"
+        with pytest.raises(SystemExit) as info:
+            main(["generate", "--scale", "10", "--output", str(out)]
+                 + flags)
+        assert named in str(info.value.code)
+        assert not out.exists()
+
     def test_distributed(self, tmp_path, capsys):
         out = tmp_path / "parts"
         assert main(["generate", "--scale", "10", "--machines", "2",
@@ -71,11 +87,10 @@ class TestGenerate:
         assert main(["generate", "--scale", "9", "--noise", "0.1",
                      "--output", str(tmp_path / "n.adj6")]) == 0
 
-    def test_run_report_and_trace(self, tmp_path, capsys, monkeypatch):
+    def test_run_report_and_trace(self, tmp_path, capsys):
         """``--metrics-out`` and ``--trace-out`` through the CLI: the
         report counts exactly the printed graph, keeps one snapshot per
         worker attempt, and the trace draws a track per worker."""
-        monkeypatch.setenv("TRILLIONG_TELEMETRY", "1")
         metrics, trace = tmp_path / "m.json", tmp_path / "t.json"
         # Scale 13 is two 4096-vertex blocks: one task per thread.
         assert main(["generate", "--scale", "13", "--threads", "2",
@@ -106,23 +121,10 @@ class TestGenerate:
                  for opt in action.option_strings}
         assert flags == {
             "-h", "--help", "--scale", "--edge-factor", "--matrix",
-            "--noise", "--engine", "--seed", "--format", "--output",
+            "--noise", "--seed", "--format", "--output",
             "--machines", "--threads", "--retries", "--task-timeout",
             "--resume", "--blocks-per-chunk", "--metrics-out",
             "--progress", "--trace-out"}
-
-    def test_report_flags_skipped_when_telemetry_off(self, tmp_path,
-                                                     capsys, monkeypatch):
-        monkeypatch.setenv("TRILLIONG_TELEMETRY", "0")
-        metrics, trace = tmp_path / "m.json", tmp_path / "t.json"
-        assert main(["generate", "--scale", "8",
-                     "--output", str(tmp_path / "g.adj6"),
-                     "--metrics-out", str(metrics),
-                     "--trace-out", str(trace)]) == 0
-        err = capsys.readouterr().err
-        assert not metrics.exists() and not trace.exists()
-        for flag in ("--metrics-out", "--trace-out"):
-            assert f"{flag} skipped: telemetry is disabled" in err
 
 
 class TestOtherCommands:

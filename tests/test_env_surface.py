@@ -1,6 +1,6 @@
-"""The environment surface of ``src/repro`` (outside ``devtools``): two
-variables, each read in one function, none ever written — and the doc
-table lists exactly those two.  Everything else is a flag or a kwarg."""
+"""The environment surface of ``src/repro`` (outside ``devtools``): one
+variable, read in one function, never written — and the doc table lists
+exactly that one.  Everything else is a flag or a kwarg."""
 
 import ast
 import re
@@ -9,8 +9,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = [path for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
            if "devtools" not in path.parts]
-VARIABLES = {"TRILLIONG_TELEMETRY", "TRILLIONG_LOG_LEVEL"}
-READERS = {"telemetry_enabled", "configure_logging"}
+VARIABLES = {"TRILLIONG_LOG_LEVEL"}
+READERS = {"configure_logging"}
 
 
 def test_variables_named_in_source_are_the_documented_two():

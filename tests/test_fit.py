@@ -87,7 +87,7 @@ class TestGraphScaler:
 
     def test_generator_passthrough(self, scaler):
         s, _ = scaler
-        g = s.generator(11, seed=8, noise=0.1, engine="bitwise")
+        g = s.generator(11, seed=8, noise=0.1)
         assert g.noise == 0.1
         assert g.engine == "bitwise"
         assert g.edges().shape[0] > 0
