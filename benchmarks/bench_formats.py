@@ -19,6 +19,10 @@ Three artifacts matter beyond the printed tables:
   20 and 22, ADJ6 and TSV, must peak below one cap, which the
   whole-block scratch, the whole-block encode and the whole hub block
   of before each exceeded.
+- ``test_rich_stays_under_rss_cap`` is the same gate for ``trilliong
+  rich``: its rules are drawn in ERV runs of at most ``_BLOCK_EDGES``
+  edges and leave through the TSV block encoder, where the per-triple
+  f-string loop of before held a whole rule's edges and its text.
 - ``test_emit_bench_json`` writes ``BENCH_formats.json`` at the repo root
   (scale, format, engine, edges/s, MB/s) so later PRs have a perf
   trajectory to compare against.
@@ -51,6 +55,14 @@ SMOKE_SCALE = 18
 #: numpy 2.4; ``import repro.cli, numpy.random`` alone is 37.6 MiB).
 RSS_SCALES = (20, 22)
 RSS_CAP_BYTES = 56 * 1024 * 1024
+
+#: ``rich --vertices 262144 --schema bibliographical --seed 3`` in a fresh
+#: process, default allocator: 1 838 122 triples.  It peaked at 110 MiB
+#: while ERV drew a whole rule at once and its triples were f-strings,
+#: and at 54.6 MiB once a rule is drawn a run at a time and written by
+#: the TSV block encoder; the cap adds the ``generate`` gate's 12 MiB.
+RICH_VERTICES = 1 << 18
+RICH_RSS_CAP_BYTES = 67 * 1024 * 1024
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -265,6 +277,31 @@ def test_generate_stays_under_rss_cap(fmt_name, scale, table):
         f"generate --scale {scale} --format {fmt_name} peaked at "
         f"{rss / 2**20:.0f} MiB, over the {RSS_CAP_BYTES / 2**20:.0f} MiB "
         "cap: a run's scratch or its encoded bytes are no longer bounded")
+
+
+def test_rich_stays_under_rss_cap(table):
+    """CI perf smoke: ``trilliong rich`` in a fresh process peaks below a
+    cap — a rule is drawn a run at a time and its triples leave the TSV
+    block encoder a slice at a time, so no rule is whole in memory."""
+    with tempfile.TemporaryDirectory(prefix="bench-formats-rich-") as work:
+        out = _run_fresh(
+            "from repro.cli import main\n"
+            f"main(['rich', '--vertices', '{RICH_VERTICES}',\n"
+            "      '--schema', 'bibliographical', '--seed', '3',\n"
+            f"      '--output', {str(Path(work) / 'bib.nt')!r}])\n"
+            f"print({_VMHWM_KB})\n")
+    triples = int(re.search(r"triples=(\d+)", out).group(1))
+    rss = int(out.split()[-1]) * 1024
+    table(f"rich peak RSS (|V| = {RICH_VERTICES:,}, bibliographical, "
+          "fresh process)",
+          ["metric", "value"],
+          [["triples", f"{triples:,}"],
+           ["peak RSS", f"{rss / 2**20:,.1f} MiB"],
+           ["RSS cap", f"{RICH_RSS_CAP_BYTES / 2**20:,.0f} MiB"]])
+    assert rss < RICH_RSS_CAP_BYTES, (
+        f"rich --vertices {RICH_VERTICES} peaked at {rss / 2**20:.0f} MiB, "
+        f"over the {RICH_RSS_CAP_BYTES / 2**20:.0f} MiB cap: a rule or its "
+        "triples are held whole again")
 
 
 def test_emit_bench_json(tmp_path, table):

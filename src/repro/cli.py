@@ -251,9 +251,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.progress:
         from .telemetry import ProgressReporter
         reporter = ProgressReporter(total_edges=tg.num_edges)
-    chunk = 16 if args.blocks_per_chunk is None else args.blocks_per_chunk
     result = tg.generate_to(args.output, fmt=args.format,
-                            resume=args.resume, blocks_per_chunk=chunk,
+                            resume=args.resume,
+                            blocks_per_chunk=args.blocks_per_chunk,
                             progress=reporter)
     if reporter is not None:
         reporter.finish()

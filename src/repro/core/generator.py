@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -530,20 +530,13 @@ class RecursiveVectorGenerator:
         if self.dedup and saturated.any():
             return self._generate_block_with_saturated(sources, degrees,
                                                        saturated, rng)
-        # Keys are ``row << scale | dest``: one sort orders the block,
-        # and the drawn array, stripped of its row bits, is the block's
-        # destinations.
-        keys = self._draw_keys(sources, degrees, rng)
-        keys.sort()
-        counts = degrees
-        if self.dedup:
-            keys, counts, dups = self._dedup_topup(keys, degrees, rng,
-                                                   sources)
-            self.stats.duplicates_discarded += dups
-        keys &= np.int64(self.num_vertices - 1)
-        offsets = np.zeros(sources.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return AdjacencyBlock(sources, offsets, keys)
+        block, duplicates = _draw_run(
+            sources, degrees, self.scale, self.dedup,
+            lambda rows, counts: self._draw_keys(sources[rows], counts, rng),
+            lambda row, size: self._sample_scope_exact(int(sources[row]),
+                                                       size, rng))
+        self.stats.duplicates_discarded += duplicates
+        return block
 
     def _draw_keys(self, sources: np.ndarray, counts: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
@@ -554,68 +547,6 @@ class RecursiveVectorGenerator:
         keys = self._sampler.keys(sources, counts, self.scale, rng)
         self.stats.random_draws += keys.size * self._sampler.uniforms_per_edge
         return keys
-
-    def _dedup_topup(self, keys: np.ndarray, degrees: np.ndarray,
-                     rng: np.random.Generator, sources: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Per-scope duplicate elimination with stochastic top-up.
-
-        Implements Algorithm 2's ``while count(edgeSet) <= |S|`` loop for a
-        whole block at once: duplicates are dropped (set union), shortfalls
-        are refilled by drawing again, until every scope reaches its size.
-        ``keys`` are the sorted first-pass keys ``row << scale | dest``.
-        They are sorted once and their repeats are compacted out in
-        place, and a round costs what it draws: only the rows still short
-        are drawn, their candidates are looked up in the first-pass keys
-        and in ``extra`` (the sorted keys earlier rounds added), and the
-        fresh ones are merged into ``extra``.  ``extra`` is then merged
-        back into ``keys`` in place: a finished block holds
-        ``degrees.sum()`` distinct keys, exactly what the first pass drew.
-        A round that draws only duplicates is just a round; scopes still
-        short after ``_MAX_TOPUP_ROUNDS`` (a row whose support is smaller
-        than its size, or so skewed that the last distinct draws are a
-        coupon-collector problem) are finished by the exact PPSWOR sampler.
-        Returns the sorted distinct keys, their count per row, and the
-        number of duplicates discarded.
-        """
-        shift = self.scale
-        low = np.int64(self.num_vertices - 1)
-        first = unique_sorted(keys)
-        kept = first.size
-        duplicates = keys.size - kept
-        # The repeats lie behind the distinct keys.
-        have = degrees - np.bincount(keys[kept:] >> shift,
-                                     minlength=degrees.size)
-        extra = np.empty(0, dtype=np.int64)
-        for _ in range(_MAX_TOPUP_ROUNDS):
-            short = np.flatnonzero(have != degrees)
-            if not short.size:
-                break
-            shortfall = degrees[short] - have[short]
-            drawn = self._draw_keys(sources[short], shortfall, rng)
-            drawn.sort()
-            drawn = unique_sorted(drawn)
-            rows = drawn >> shift
-            # Rows of ``short`` back to rows of the block: ``short``
-            # ascends, so the keys stay sorted.
-            drawn = short[rows] << shift | drawn & low
-            fresh = _absent(first, drawn) & _absent(extra, drawn)
-            extra = _merge_sorted(extra, drawn[fresh])
-            have[short] += np.bincount(rows[fresh], minlength=short.size)
-            duplicates += int(shortfall.sum()) - int(fresh.sum())
-        keys = _merge_back(keys, kept, extra)
-        # Rounds exhausted: finish the remaining scopes exactly, all of
-        # them in one fold.
-        stalled = np.flatnonzero(have != degrees)
-        if stalled.size:
-            exact = [row << shift | self._sample_scope_exact(
-                int(sources[row]), int(degrees[row]), rng) for row in stalled]
-            have[stalled] = [part.size for part in exact]
-            gone = np.zeros(degrees.size, dtype=bool)
-            gone[stalled] = True
-            keys = _merge_sorted(keys[~gone[keys >> shift]],
-                                 np.concatenate(exact))
-        return keys, have, duplicates
 
     # ------------------------------------------------------------------
     # Saturated scopes (small-scale hubs whose size approaches |V|)
@@ -637,21 +568,7 @@ class RecursiveVectorGenerator:
                 "this cannot occur for edge factors <= |V|^(1/4)")
         bit_probs = self.process.bit_probabilities(
             np.array([u], dtype=np.uint64))[0]
-        pmf = np.array([1.0])
-        for x in range(self.scale):
-            p = bit_probs[x]
-            pmf = np.concatenate([pmf * (1.0 - p), pmf * p])
-        # One uniform per destination, as ever; only the support is
-        # scored, since a destination of probability 0 scores -inf.
-        uniforms = rng.random(pmf.size)
-        support = np.flatnonzero(pmf != 0.0)   # 10x faster than on floats
-        size = min(size, support.size)
-        with np.errstate(divide="ignore"):
-            scores = (np.log(pmf[support])
-                      - np.log(-np.log(uniforms[support])))
-        cut = support.size - size
-        top = support[np.argpartition(scores, cut)[cut:]]
-        return np.sort(top).astype(np.int64)
+        return _ppswor(_bits_pmf(bit_probs), size, rng)
 
     def _generate_block_with_saturated(self, sources: np.ndarray,
                                        degrees: np.ndarray,
@@ -793,6 +710,123 @@ def _run_cuts(degrees: np.ndarray) -> list[int]:
         most = max(offsets[first] + _BLOCK_EDGES, offsets[first + 1])
         cuts.append(int(np.searchsorted(offsets, most, "right")) - 1)
     return cuts
+
+
+def _draw_run(sources: np.ndarray, degrees: np.ndarray, shift: int,
+              dedup: bool, draw: Callable[[np.ndarray, np.ndarray],
+                                          np.ndarray],
+              exact: Callable[[int, int], np.ndarray]
+              ) -> tuple[AdjacencyBlock, int]:
+    """The scopes of one run, ``degrees[j]`` destinations for each of
+    ``sources``, and the number of duplicates discarded.
+
+    ``draw(rows, counts)`` draws ``counts[j]`` keys
+    ``j << shift | destination`` for row ``rows[j]`` of the run, rows in
+    order; one sort orders the run, and the sorted array, stripped of its
+    row bits, is its destinations.  With ``dedup`` the scopes are made
+    sets by :func:`_dedup_topup`, which falls back on ``exact``.
+    """
+    keys = draw(np.arange(sources.size), degrees)
+    keys.sort()
+    counts, duplicates = degrees, 0
+    if dedup:
+        keys, counts, duplicates = _dedup_topup(keys, degrees, shift, draw,
+                                                exact)
+    keys &= np.int64((1 << shift) - 1)
+    offsets = np.zeros(sources.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return AdjacencyBlock(sources, offsets, keys), duplicates
+
+
+def _dedup_topup(keys: np.ndarray, degrees: np.ndarray, shift: int,
+                 draw: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 exact: Callable[[int, int], np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per-scope duplicate elimination with stochastic top-up.
+
+    Implements Algorithm 2's ``while count(edgeSet) <= |S|`` loop for a
+    whole run at once: duplicates are dropped (set union), shortfalls
+    are refilled by drawing again, until every scope reaches its size.
+    ``keys`` are the sorted first-pass keys ``row << shift | dest``.
+    They are sorted once and their repeats are compacted out in
+    place, and a round costs what it draws: only the rows still short
+    are drawn (``draw(rows, shortfall)``, keys packed by their position
+    in ``rows``), their candidates are looked up in the first-pass keys
+    and in ``extra`` (the sorted keys earlier rounds added), and the
+    fresh ones are merged into ``extra``.  ``extra`` is then merged
+    back into ``keys`` in place: a finished run holds
+    ``degrees.sum()`` distinct keys, exactly what the first pass drew.
+    A round that draws only duplicates is just a round; scopes still
+    short after ``_MAX_TOPUP_ROUNDS`` (a row whose support is smaller
+    than its size, or so skewed that the last distinct draws are a
+    coupon-collector problem) are finished by ``exact(row, size)``, the
+    sorted destinations of an exact PPSWOR sample (:func:`_ppswor`).
+    Returns the sorted distinct keys, their count per row, and the
+    number of duplicates discarded.
+    """
+    low = np.int64((1 << shift) - 1)
+    first = unique_sorted(keys)
+    kept = first.size
+    duplicates = keys.size - kept
+    # The repeats lie behind the distinct keys.
+    have = degrees - np.bincount(keys[kept:] >> shift,
+                                 minlength=degrees.size)
+    extra = np.empty(0, dtype=np.int64)
+    for _ in range(_MAX_TOPUP_ROUNDS):
+        short = np.flatnonzero(have != degrees)
+        if not short.size:
+            break
+        shortfall = degrees[short] - have[short]
+        drawn = draw(short, shortfall)
+        drawn.sort()
+        drawn = unique_sorted(drawn)
+        rows = drawn >> shift
+        # Rows of ``short`` back to rows of the run: ``short`` ascends,
+        # so the keys stay sorted.
+        drawn = short[rows] << shift | drawn & low
+        fresh = _absent(first, drawn) & _absent(extra, drawn)
+        extra = _merge_sorted(extra, drawn[fresh])
+        have[short] += np.bincount(rows[fresh], minlength=short.size)
+        duplicates += int(shortfall.sum()) - int(fresh.sum())
+    keys = _merge_back(keys, kept, extra)
+    # Rounds exhausted: finish the remaining scopes exactly, all of
+    # them in one fold.
+    stalled = np.flatnonzero(have != degrees)
+    if stalled.size:
+        finished = [row << shift | exact(int(row), int(degrees[row]))
+                    for row in stalled]
+        have[stalled] = [part.size for part in finished]
+        gone = np.zeros(degrees.size, dtype=bool)
+        gone[stalled] = True
+        keys = _merge_sorted(keys[~gone[keys >> shift]],
+                             np.concatenate(finished))
+    return keys, have, duplicates
+
+
+def _bits_pmf(bit_probs: np.ndarray) -> np.ndarray:
+    """The PMF over ``[0, 2^levels)`` of independent destination bits,
+    bit ``x`` set with probability ``bit_probs[x]`` (Lemma 3)."""
+    pmf = np.array([1.0])
+    for p in bit_probs:
+        pmf = np.concatenate([pmf * (1.0 - p), pmf * p])
+    return pmf
+
+
+def _ppswor(pmf: np.ndarray, size: int, rng: np.random.Generator
+            ) -> np.ndarray:
+    """The sorted outcomes of an exact without-replacement sample of
+    ``size`` of them (fewer where ``pmf`` has less support), by the
+    Gumbel top-k trick: one uniform per outcome, as ever, and only the
+    support is scored, since an outcome of probability 0 scores -inf."""
+    uniforms = rng.random(pmf.size)
+    support = np.flatnonzero(pmf != 0.0)   # 10x faster than on floats
+    size = min(size, support.size)
+    with np.errstate(divide="ignore"):
+        scores = (np.log(pmf[support])
+                  - np.log(-np.log(uniforms[support])))
+    cut = support.size - size
+    top = support[np.argpartition(scores, cut)[cut:]]
+    return np.sort(top).astype(np.int64)
 
 
 def _merge_back(keys: np.ndarray, kept: int, extra: np.ndarray

@@ -124,7 +124,12 @@ class StreamWriter(ABC):
         ``next()`` calls are timed as encoding, never the sink's
         backpressure.  A block is counted once, when it wrote a slice.
         """
-        slices = self._encode_slices(block)
+        self._add_slices(self._encode_slices(block), block.num_edges)
+
+    def _add_slices(self, slices: Iterator[bytes | np.ndarray],
+                    num_edges: int) -> None:
+        """Send each encoded slice of one block of ``num_edges`` edges to
+        the sink, timing only the encoding."""
         wrote = False
         while True:
             with self._encode_watch:
@@ -135,7 +140,7 @@ class StreamWriter(ABC):
             wrote = True
         if wrote:
             self._blocks_counter.inc()
-        self.num_edges += block.num_edges
+        self.num_edges += num_edges
 
     def _encode_slices(self, block: AdjacencyBlock
                        ) -> Iterator[bytes | np.ndarray]:

@@ -11,9 +11,11 @@ one line, and ``bytes.translate`` deleting the NULs turns the rows into
 text in one C pass — digits, tab and newline are never NUL.  The block is
 encoded a bounded slice of edges at a time and each slice's text goes to
 the sink on its own, so the scratch and the text in hand stay slice-sized
-however large the block is, and there is no Python object per edge.  The
-reader parses the file in bulk and falls back to the line reader for the
-error message when the bulk parse refuses it."""
+however large the block is, and there is no Python object per edge.  A
+block may carry a label (a rich graph's predicate), rendered once per
+source after its id, which makes each line a triple.  The reader parses
+the file in bulk and falls back to the line reader for the error message
+when the bulk parse refuses it."""
 
 from __future__ import annotations
 
@@ -104,6 +106,18 @@ def _render_lanes(vertex_ids: np.ndarray, largest: int,
     np.take(table, rest, out=lanes[:, 0], mode="clip")
 
 
+def _label_lanes(label: str) -> np.ndarray:
+    """``label`` and a tab as NUL-padded ``uint32`` lanes; none for no
+    label.  A NUL in it would vanish from the file, so it is refused."""
+    if not label:
+        return np.empty(0, dtype="<u4")
+    if "\0" in label:
+        raise FormatError(f"label {label!r} holds a NUL byte")
+    text = (label + "\t").encode("ascii")
+    return np.frombuffer(text.rjust(-(-len(text) // 4) * 4, b"\0"),
+                         dtype="<u4")
+
+
 class _TsvWriter(StreamWriter):
     def __init__(self, path: Path | str, num_vertices: int) -> None:
         super().__init__(path, num_vertices)
@@ -119,7 +133,13 @@ class _TsvWriter(StreamWriter):
             "".join(f"{vertex}\t{v}\n" for v in neighbours).encode("ascii"))
         self.num_edges += len(neighbours)
 
-    def _encode_slices(self, block: AdjacencyBlock) -> Iterator[bytes]:
+    def add_block(self, block: AdjacencyBlock, label: str = "") -> None:
+        """Append one block; with a ``label``, each line is the triple
+        ``source<TAB>label<TAB>destination``."""
+        self._add_slices(self._encode_slices(block, label), block.num_edges)
+
+    def _encode_slices(self, block: AdjacencyBlock,
+                       label: str = "") -> Iterator[bytes]:
         if block.num_edges == 0:
             return
         sources = np.asarray(block.sources, dtype=np.int64)
@@ -127,11 +147,16 @@ class _TsvWriter(StreamWriter):
         offsets = block.offsets
         top_source = _largest_id(sources, "source")
         top_dest = _largest_id(dests, "destination")
-        ls, ld = _lane_count(top_source), _lane_count(top_dest)
-        # Sources are rendered once per source and repeated per edge as
-        # one V(4 ls) item; destinations are rendered in place.
+        label_lanes = _label_lanes(label)
+        ls = _lane_count(top_source) + label_lanes.size
+        ld = _lane_count(top_dest)
+        # Sources, and the label after each, are rendered once per source
+        # and repeated per edge as one V(4 ls) item; destinations are
+        # rendered in place.
         source_lanes = np.empty((sources.size, ls), dtype="<u4")
-        _render_lanes(sources, top_source, _TAB_LANES, source_lanes)
+        _render_lanes(sources, top_source, _TAB_LANES,
+                      source_lanes[:, :ls - label_lanes.size])
+        source_lanes[:, ls - label_lanes.size:] = label_lanes
         source_items = source_lanes.view(f"V{4 * ls}").ravel()
         lines = np.empty((min(dests.size, _SLICE_EDGES), ls + ld),
                          dtype="<u4")
@@ -161,7 +186,7 @@ class TsvFormat(GraphFormat):
     name = "tsv"
 
     def open_writer(self, path: Path | str,
-                    num_vertices: int) -> StreamWriter:
+                    num_vertices: int) -> _TsvWriter:
         return _TsvWriter(path, num_vertices)
 
     def iter_adjacency(self, path: Path | str

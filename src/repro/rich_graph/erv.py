@@ -13,21 +13,30 @@ It also supports different source and destination vertex ranges: sampling
 happens in the power-of-two space ``2^L >= span`` and is scaled to the
 real range with ``round(|Vdst| / 2^L * v)``, the paper's rectangle-matrix
 mapping.
+
+Step 2 runs on the AVS generator's machinery: a rule's sources are cut
+into runs of at most ``_BLOCK_EDGES`` edges (``core.generator._run_cuts``),
+run ``k`` draws from ``stream(seed, 202, k)``, and
+``core.generator._draw_run`` draws, sorts and tops up its scopes exactly
+as it does a run of the AVS kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
-from ..core.recvec import build_recvec, determine_edges
+from ..core.generator import (AdjacencyBlock, _bits_pmf, _draw_run, _ppswor,
+                              _run_cuts)
+from ..core.process import PlainProcess
 from ..core.rng import stream
 from ..core.scope import sample_scope_sizes
 from ..core.seed import SeedMatrix
+from ..core.tables import ScopeSampler
 from ..errors import ConfigurationError
-from ..util.external_sort import unique_sorted
 from .distributions import (DegreeDistribution, Empirical, Gaussian,
                             Uniform, Zipfian, seed_for_in_slope,
                             seed_for_out_slope)
@@ -37,7 +46,6 @@ __all__ = ["ErvGenerator"]
 _TAG_DEGREE = 201
 _TAG_EDGE = 202
 _TAG_POPULARITY = 203
-_MAX_TOPUP = 200
 
 
 def _levels_for(count: int) -> int:
@@ -45,73 +53,86 @@ def _levels_for(count: int) -> int:
     return max(int(math.ceil(math.log2(max(count, 2)))), 1)
 
 
-@dataclass(frozen=True)
 class _InSampler:
-    """Destination sampler realizing a requested in-degree distribution.
+    """Destinations realizing a requested in-degree distribution, drawn
+    as packed keys ``row << levels | destination``.
 
-    For the Zipfian case it uses the actual recursive-vector machinery:
-    the marginal destination distribution of ``Kin`` factorizes per bit
-    with ``P(bit=1) = beta+delta``, which equals the Theorem 2 process of
-    a seed whose every row has that ratio — so the sample is drawn by
-    inverse-CDF on a RecVec, exactly as in Section 4.2.  For the
+    For the Zipfian case it uses the AVS kernel's sampler: the marginal
+    destination distribution of ``Kin`` factorizes per bit with
+    ``P(bit=1) = beta+delta``, which equals the Theorem 2 process of a
+    seed whose every row has that ratio — so every row draws alike from
+    one :class:`~repro.core.tables.ScopeSampler` over the ``2^L`` space,
+    and the rectangle mapping scales the draw onto the range.  For the
     empirical (data-dictionary) case, each destination receives a
     popularity weight drawn from the dictionary and destinations are
     sampled proportionally (inverse-CDF on the popularity prefix sums).
+    Gaussian and Uniform in-degree both arise from uniformly random
+    destinations (binomial in-degree ~ Normal).
     """
 
-    recvec: np.ndarray | None         # Zipfian: RecVec inverse-CDF
-    popularity_cdf: np.ndarray | None  # Empirical: per-destination CDF
-    levels: int
-    num_destinations: int
-
-    @classmethod
-    def for_distribution(cls, dist: DegreeDistribution,
-                         num_destinations: int,
-                         rng: np.random.Generator | None = None
-                         ) -> "_InSampler":
-        levels = _levels_for(num_destinations)
+    def __init__(self, dist: DegreeDistribution, num_destinations: int,
+                 rng: np.random.Generator) -> None:
+        self.levels = _levels_for(num_destinations)
+        self.num_destinations = num_destinations
+        self._bit_one: float | None = None
+        self._scope: ScopeSampler | None = None
+        self._cdf: np.ndarray | None = None
         if isinstance(dist, Zipfian):
             kin = seed_for_in_slope(dist.slope)
-            # Row-uniform seed with the required column marginal: the
-            # destination-bit probability is (beta+delta) of Kin.
-            bd = kin.beta + kin.delta
-            seed = SeedMatrix.rmat(0.5 * (1 - bd), 0.5 * bd,
-                                   0.5 * (1 - bd), 0.5 * bd)
-            recvec = build_recvec(seed, 0, levels)
-            return cls(recvec, None, levels, num_destinations)
-        if isinstance(dist, Empirical):
-            if rng is None:
-                raise ConfigurationError(
-                    "empirical in-distribution needs an rng to draw "
-                    "destination popularities")
+            one = kin.beta + kin.delta
+            self._bit_one = one
+            self._scope = ScopeSampler(PlainProcess(
+                SeedMatrix.rmat(0.5 * (1 - one), 0.5 * one,
+                                0.5 * (1 - one), 0.5 * one), self.levels))
+        elif isinstance(dist, Empirical):
             weights = rng.choice(dist.degrees, size=num_destinations,
                                  p=dist.probabilities).astype(np.float64)
             if weights.sum() <= 0:
                 weights[:] = 1.0
             cdf = np.cumsum(weights)
-            return cls(None, cdf / cdf[-1], levels, num_destinations)
-        # Gaussian and Uniform in-degree both arise from uniformly random
-        # destinations (binomial in-degree ~ Normal).
-        return cls(None, None, levels, num_destinations)
+            self._cdf = cdf / cdf[-1]
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        if self.popularity_cdf is not None:
-            xs = rng.random(count)
-            return np.searchsorted(self.popularity_cdf, xs,
-                                   side="right").astype(np.int64)
-        if self.recvec is None:
-            return rng.integers(0, self.num_destinations, size=count,
-                                dtype=np.int64)
-        xs = rng.random(count) * self.recvec[-1]
-        raw = determine_edges(xs, self.recvec)
-        span = 1 << self.levels
-        if span == self.num_destinations:
-            return raw
-        # Rectangle mapping (Section 6.1): scale the 2^L space onto the
-        # destination range.
-        return np.minimum(
-            np.rint(raw * (self.num_destinations / span)).astype(np.int64),
-            self.num_destinations - 1)
+    def keys(self, counts: np.ndarray, rng: np.random.Generator
+             ) -> np.ndarray:
+        """``counts[j]`` keys ``j << levels | destination`` per row
+        ``j``, rows in order (repeats possible)."""
+        if self._scope is not None:
+            keys = self._scope.keys(np.zeros(counts.size, dtype=np.int64),
+                                    counts, self.levels, rng)
+            if self.num_destinations < 1 << self.levels:
+                raw = keys & np.int64((1 << self.levels) - 1)
+                keys -= raw
+                keys |= self._rectangle(raw)
+            return keys
+        keys = np.repeat(np.arange(counts.size, dtype=np.int64)
+                         << self.levels, counts)
+        if self._cdf is not None:
+            keys |= np.searchsorted(self._cdf, rng.random(keys.size),
+                                    side="right")
+        else:
+            keys |= rng.integers(0, self.num_destinations, size=keys.size,
+                                 dtype=np.int64)
+        return keys
+
+    def _rectangle(self, raw: np.ndarray) -> np.ndarray:
+        """Rectangle mapping (Section 6.1): the ``2^L`` space scaled onto
+        the destination range."""
+        scale = self.num_destinations / (1 << self.levels)
+        return np.minimum(np.rint(raw * scale).astype(np.int64),
+                          self.num_destinations - 1)
+
+    @cached_property
+    def pmf(self) -> np.ndarray:
+        """``P(destination)`` over ``[0, |Vdst|)``, for the exact
+        fallback; built by the first scope that needs it."""
+        n = self.num_destinations
+        if self._bit_one is not None:
+            span = _bits_pmf(np.full(self.levels, self._bit_one))
+            return np.bincount(self._rectangle(np.arange(span.size)),
+                               weights=span, minlength=n)
+        if self._cdf is not None:
+            return np.diff(self._cdf, prepend=0.0)
+        return np.full(n, 1.0 / n)
 
 
 class ErvGenerator:
@@ -145,6 +166,12 @@ class ErvGenerator:
         if dedup and num_edges > num_sources * num_destinations:
             raise ConfigurationError(
                 "edge budget exceeds the rectangle's cell count")
+        # A run's keys pack ``row << L | dest`` into a signed int64.
+        if (num_sources - 1).bit_length() + _levels_for(
+                num_destinations) > 63:
+            raise ConfigurationError(
+                f"{num_sources} x {num_destinations} does not fit an "
+                f"int64 key")
         self.num_sources = num_sources
         self.num_destinations = num_destinations
         self.num_edges = num_edges
@@ -193,40 +220,25 @@ class ErvGenerator:
 
     # -- step 2: destinations (Theorem 2 under Kin) -------------------------
 
+    def runs(self) -> Iterator[AdjacencyBlock]:
+        """The rule's scopes in local IDs, one run of at most
+        ``_BLOCK_EDGES`` edges (or one larger scope) at a time; run ``k``
+        draws from ``stream(seed, 202, k)``.  A run is let go once the
+        consumer resumes."""
+        degrees = self.out_degrees()
+        sampler = _InSampler(self.in_distribution, self.num_destinations,
+                             stream(self.seed, _TAG_POPULARITY))
+        cuts = _run_cuts(degrees)
+        for k, (first, stop) in enumerate(zip(cuts, cuts[1:])):
+            rng = stream(self.seed, _TAG_EDGE, k)
+            run, _ = _draw_run(
+                np.arange(first, stop, dtype=np.int64), degrees[first:stop],
+                sampler.levels, self.dedup,
+                lambda rows, counts: sampler.keys(counts, rng),
+                lambda row, size: _ppswor(sampler.pmf, size, rng))
+            yield run
+            del run
+
     def edges(self) -> np.ndarray:
         """Generate the rule's edges as an ``(m, 2)`` local-ID array."""
-        degrees = self.out_degrees()
-        rng = stream(self.seed, _TAG_EDGE)
-        sampler = _InSampler.for_distribution(
-            self.in_distribution, self.num_destinations,
-            rng=stream(self.seed, _TAG_POPULARITY))
-        total = int(degrees.sum())
-        sources = np.repeat(np.arange(self.num_sources, dtype=np.int64),
-                            degrees)
-        dests = sampler.sample(total, rng)
-        if not self.dedup:
-            return np.column_stack([sources, dests])
-        span = np.int64(self.num_destinations)
-        keys = np.sort(sources * span + dests)
-        keys = unique_sorted(keys)
-        for _ in range(_MAX_TOPUP):
-            have = np.bincount((keys // span).astype(np.int64),
-                               minlength=self.num_sources)
-            shortfall = degrees - have
-            lacking = shortfall > 0
-            if not lacking.any():
-                break
-            refill_src = np.repeat(
-                np.arange(self.num_sources, dtype=np.int64)[lacking],
-                shortfall[lacking])
-            # Saturated scopes (degree ~ |Vdst|) cannot top up by
-            # rejection; clip their demand to what remains reachable.
-            new = refill_src * span + sampler.sample(refill_src.size, rng)
-            merged = np.sort(np.concatenate([keys, new]))
-            new_keys = unique_sorted(merged)
-            if new_keys.size == keys.size:
-                # No progress: remaining shortfalls are saturated scopes.
-                break
-            keys = new_keys
-        return np.column_stack([keys // span, keys % span])
-
+        return np.concatenate([run.edge_array() for run in self.runs()])

@@ -9,11 +9,15 @@ with global vertex IDs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
+from ..core.generator import AdjacencyBlock
 from ..core.rng import derive_seed
+from ..formats.tsv import TsvFormat
 from .config import EdgeRule, GraphConfig
 from .erv import ErvGenerator
 
@@ -48,22 +52,28 @@ class RichGraphGenerator:
         self.config = config
         self.seed = seed
 
-    def generate_rule(self, rule_index: int) -> TypedEdges:
-        """Generate one rule's rectangle."""
+    def _rule_runs(self, rule_index: int) -> Iterator[AdjacencyBlock]:
+        """One rule's rectangle in global IDs, an ERV run at a time."""
         config = self.config
         rule = config.rules[rule_index]
         src_lo, src_hi = config.vertex_range(rule.source)
         dst_lo, dst_hi = config.vertex_range(rule.target)
-        budget = config.rule_edge_budget(rule)
         erv = ErvGenerator(
-            src_hi - src_lo, dst_hi - dst_lo, budget,
+            src_hi - src_lo, dst_hi - dst_lo,
+            config.rule_edge_budget(rule),
             rule.out_distribution, rule.in_distribution,
             seed=derive_seed(self.seed, rule_index))
-        local = erv.edges()
-        edges = np.empty_like(local)
-        edges[:, 0] = local[:, 0] + src_lo
-        edges[:, 1] = local[:, 1] + dst_lo
-        return TypedEdges(rule, config.predicate_id(rule.predicate), edges)
+        for run in erv.runs():
+            yield AdjacencyBlock(run.sources + src_lo, run.offsets,
+                                 run.destinations + dst_lo)
+
+    def generate_rule(self, rule_index: int) -> TypedEdges:
+        """Generate one rule's rectangle."""
+        rule = self.config.rules[rule_index]
+        edges = np.concatenate([run.edge_array()
+                                for run in self._rule_runs(rule_index)])
+        return TypedEdges(rule, self.config.predicate_id(rule.predicate),
+                          edges)
 
     def generate(self) -> list[TypedEdges]:
         """Generate every rule."""
@@ -76,16 +86,14 @@ class RichGraphGenerator:
             return np.empty((0, 3), dtype=np.int64)
         return np.concatenate(parts)
 
-    def write_ntriples(self, path, type_names: bool = True) -> int:
+    def write_ntriples(self, path: Path | str) -> int:
         """Write the graph as line-based triples
         (``<source> predicate <destination>``), the interchange format the
-        semantic benchmarks consume.  Returns the number of lines."""
-        config = self.config
-        count = 0
-        with open(path, "w", encoding="ascii") as f:
-            for typed in self.generate():
-                pred = typed.rule.predicate
-                for u, v in typed.edges:
-                    f.write(f"{u}\t{pred}\t{v}\n")
-                    count += 1
-        return count
+        semantic benchmarks consume, through the TSV block encoder: the
+        predicate is rendered once per source, not per edge.  Returns the
+        number of lines."""
+        with TsvFormat().open_writer(path, self.config.num_vertices) as out:
+            for index, rule in enumerate(self.config.rules):
+                for run in self._rule_runs(index):
+                    out.add_block(run, label=rule.predicate)
+        return out.num_edges

@@ -13,6 +13,7 @@ import numpy as np
 
 from .core.generator import AdjacencyBlock, RecursiveVectorGenerator
 from .core.seed import GRAPH500, SeedMatrix
+from .errors import ConfigurationError
 from .formats import WriteResult, get_format
 from .telemetry import build_report, reset_telemetry, span, worker_reports
 
@@ -71,7 +72,8 @@ class TrillionG:
 
     Parameters mirror the paper's configuration surface: Graph500 standard
     workload by default, optional NSKG noise, and a machines x threads
-    cluster shape for parallel generation.
+    cluster shape for parallel generation.  ``retry`` governs the
+    cluster's workers, so it needs a ``cluster``.
     """
 
     def __init__(self, scale: int, edge_factor: int = 16,
@@ -82,6 +84,10 @@ class TrillionG:
                  block_size: int = 4096,
                  cluster: ClusterSpec | None = None,
                  retry: RetryPolicy | None = None) -> None:
+        if retry is not None and cluster is None:
+            raise ConfigurationError(
+                "retry acts only with a cluster: a sequential run has "
+                "no worker to retry")
         self.generator = RecursiveVectorGenerator(
             scale, edge_factor,
             seed_matrix if seed_matrix is not None else GRAPH500,
@@ -105,7 +111,7 @@ class TrillionG:
     def generate_to(self, path: Path | str, fmt: str = "adj6",
                     processes: int | None = None, *,
                     resume: bool = False,
-                    blocks_per_chunk: int = 16,
+                    blocks_per_chunk: int | None = None,
                     progress: Callable[[int], None] | None = None
                     ) -> TrillionGResult:
         """Generate to disk.
@@ -114,9 +120,11 @@ class TrillionG:
         runs the Figure 6 partitioner and writes one part file per worker
         into the directory ``path``.  With ``resume=True``, generation is
         checkpointed into the directory ``path`` (one chunk file per
-        ``blocks_per_chunk`` blocks plus a manifest) and a killed run can
-        simply be re-invoked: only missing chunks are regenerated, and
-        the final output is bit-identical either way.
+        ``blocks_per_chunk`` blocks, 16 by default, plus a manifest) and a
+        killed run can simply be re-invoked: only missing chunks are
+        regenerated, and the final output is bit-identical either way.
+        ``blocks_per_chunk`` without ``resume`` raises
+        :class:`~repro.errors.ConfigurationError`.
 
         ``progress`` is called with the cumulative edge count as work
         lands (per block sequentially, per worker result distributed) —
@@ -128,10 +136,15 @@ class TrillionG:
         on entry, so a second run in the same process does not report
         the first run's work.
         """
+        if blocks_per_chunk is not None and not resume:
+            raise ConfigurationError(
+                "blocks_per_chunk acts only with resume=True")
         reset_telemetry()
         if resume:
-            return self._generate_resumable(path, fmt, processes,
-                                            blocks_per_chunk, progress)
+            return self._generate_resumable(
+                path, fmt, processes,
+                16 if blocks_per_chunk is None else blocks_per_chunk,
+                progress)
         if self.cluster is None:
             with span("generate", scale=self.generator.scale,
                       fmt=fmt) as sp:

@@ -359,6 +359,17 @@ class TestDrawAccounting:
             (stats.edges + stats.duplicates_discarded) * chunks
 
 
+def _topup(g, keys, degrees, rng, sources):
+    """``_dedup_topup`` over ``g``'s draw and exact fallback, bound as
+    the kernel binds them for a run of ``sources``."""
+    from repro.core.generator import _dedup_topup
+    return _dedup_topup(
+        keys, degrees, g.scale,
+        lambda rows, counts: g._draw_keys(sources[rows], counts, rng),
+        lambda row, size: g._sample_scope_exact(int(sources[row]), size,
+                                                rng))
+
+
 def _sort_everything_topup(g, draw, first_pass, degrees, rng, sources):
     """The dedup/top-up loop as it was before it kept a side array: every
     round re-sorts and re-counts all keys of the block.  ``draw`` is the
@@ -427,8 +438,8 @@ class TestDedupTopup:
                 rng = stream(g.seed, _TAG_EDGE, block)
                 first_pass = g._draw_keys(sources, degrees, rng)
                 if g is new:
-                    keys, have, dups = g._dedup_topup(np.sort(first_pass),
-                                                      degrees, rng, sources)
+                    keys, have, dups = _topup(g, np.sort(first_pass),
+                                              degrees, rng, sources)
                     np.testing.assert_array_equal(
                         have, np.bincount(keys >> g.scale,
                                           minlength=sources.size))
@@ -559,7 +570,7 @@ class TestFruitlessRound:
 
         first = np.array([5, 5], dtype=np.int64) | 3 << g.scale
         g._draw_keys = draw
-        keys, _, duplicates = g._dedup_topup(first, degrees, None, sources)
+        keys, _, duplicates = _topup(g, first, degrees, None, sources)
         assert (keys - (3 << g.scale)).tolist() == [5, 9]
         assert duplicates == 2 and not answers
 

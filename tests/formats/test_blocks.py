@@ -319,6 +319,35 @@ class TestTsvBlockEncoder:
         assert block_bytes("tsv", tmp_path / "g", blocks,
                            gen.num_vertices) == tsv_text(blocks)
 
+    @pytest.mark.parametrize("slice_edges", [1, 5, 1 << 16])
+    @pytest.mark.parametrize("labels", [["a", "bc", "def", "ghij"],
+                                        ["presentedIn", "", "author"]])
+    def test_labelled_blocks_are_triples(self, labels, slice_edges,
+                                         tmp_path, monkeypatch):
+        """A label of every length modulo 4 (its lanes' pad) between the
+        ids, at slice joins; no label is the plain edge list."""
+        monkeypatch.setattr(tsv, "_SLICE_EDGES", slice_edges)
+        gen = make_generator(scale=8)
+        blocks = list(gen.iter_blocks())
+        writer = get_format("tsv").open_writer(tmp_path / "g", 256)
+        with writer:
+            for i, block in enumerate(blocks):
+                writer.add_block(block, label=labels[i % len(labels)])
+        expected = "".join(
+            f"{u}\t{labels[i % len(labels)]}\t{v}\n"
+            if labels[i % len(labels)] else f"{u}\t{v}\n"
+            for i, block in enumerate(blocks)
+            for u, vs in block.iter_adjacency() for v in vs.tolist())
+        assert (tmp_path / "g").read_bytes() == expected.encode("ascii")
+        assert writer.result.num_edges == sum(b.num_edges for b in blocks)
+
+    def test_label_with_a_nul_is_refused(self, tmp_path):
+        writer = get_format("tsv").open_writer(tmp_path / "g", 4)
+        with pytest.raises(FormatError, match="NUL"):
+            writer.add_block(hand_block([1], [[2]]), label="a\0b")
+        writer.close()
+        assert (tmp_path / "g").read_bytes() == b""
+
     def test_hub_block_scratch_is_bounded_by_the_slice(
             self, hub_block, tmp_path, monkeypatch):
         assert_add_block_is_slice_bounded("tsv", tsv, hub_block, tmp_path,

@@ -4,13 +4,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from repro.analysis import (fit_gaussian, fit_kronecker_class_slope,
                             in_degrees, out_degrees)
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.rich_graph import (ErvGenerator, Gaussian, RichGraphGenerator,
-                              Uniform, Zipfian, bibliographical_config)
+                              Uniform, Zipfian, bibliographical_config,
+                              seed_for_in_slope)
 
 
 class TestErvGenerator:
@@ -21,6 +23,9 @@ class TestErvGenerator:
             ErvGenerator(10, 10, -1, Gaussian(), Gaussian())
         with pytest.raises(ConfigurationError):
             ErvGenerator(3, 3, 100, Gaussian(), Gaussian())
+        # A run's key ``row << L | dest`` would overflow an int64.
+        with pytest.raises(ConfigurationError, match="int64"):
+            ErvGenerator(1 << 40, 1 << 30, 0, Uniform(1, 1), Gaussian())
 
     def test_edge_count_near_budget(self):
         g = ErvGenerator(4096, 4096, 40000, Zipfian(-1.5), Gaussian(),
@@ -84,6 +89,25 @@ class TestErvGenerator:
         in_deg = np.bincount(g.edges()[:, 1], minlength=4096)
         measured = fit_kronecker_class_slope(in_deg)
         assert abs(measured - (-1.662)) < 0.3
+
+    def test_zipfian_destinations_match_kin_marginal(self):
+        """Theorem 2 under ``Kin``: without dedup, every destination of a
+        power-of-two range is one draw from the column marginal of
+        ``Kin``, the product over its bits of Bernoulli(beta + delta).
+        Full-cell chi-square; the rarest of the 256 cells expects about
+        10 draws."""
+        slope, levels = -1.4, 8
+        g = ErvGenerator(2048, 1 << levels, 300_000, Gaussian(),
+                         Zipfian(slope), dedup=False, seed=14)
+        dests = g.edges()[:, 1]
+        kin = seed_for_in_slope(slope)
+        one = kin.beta + kin.delta
+        ones = np.bitwise_count(np.arange(1 << levels, dtype=np.uint64))
+        pmf = one ** ones * (1.0 - one) ** (levels - ones.astype(np.int64))
+        expected = pmf / pmf.sum() * dests.size
+        assert expected.min() > 5
+        counts = np.bincount(dests, minlength=1 << levels)
+        assert sps.chisquare(counts, expected).pvalue > 1e-4
 
     def test_different_src_dst_ranges(self):
         """The rectangle-matrix mapping covers non-square, non-power-of-
@@ -168,9 +192,26 @@ class TestRichGraphGenerator:
     def test_rich_cli_bytes_are_pinned(self, tmp_path):
         """``trilliong rich`` writes the same triples byte for byte: the
         one digest over ERV's draw, dedup and top-up rounds."""
-        out = tmp_path / "bib.nt"
-        assert main(["rich", "--vertices", "4096", "--schema",
-                     "bibliographical", "--seed", "3", "--output",
-                     str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "d68d274f9311257903da7499fa5b29005a78762f888a78763f863206d25f8bee")
+        assert _rich_digest("bibliographical", tmp_path) == (
+            "232d532ae58eaeaa07a0fe28b0a1fb11181fd60c6a863d21ce5000d3551ba3cf")
+
+    @pytest.mark.parametrize("schema, digest", [
+        ("watdiv",
+         "dee97488e7d381508fba9fd2a4ac306d8ca0929b07caebef0bd710ea26dc8922"),
+        ("snb",
+         "ec1e213052299cc6795f63235c319cb639a2353796723d0fcfcb563843ab7df2"),
+        ("sp2bench",
+         "4ceb80d64116274811bb83b5993658b976a916f341f9cced6a3ae4526bb63dd4"),
+    ])
+    def test_builtin_schema_bytes_are_pinned(self, schema, digest,
+                                             tmp_path):
+        """The other built-in schemas' triples are frozen alike."""
+        assert _rich_digest(schema, tmp_path) == digest
+
+
+def _rich_digest(schema, tmp_path):
+    """SHA-256 of ``trilliong rich --vertices 4096 --seed 3``."""
+    out = tmp_path / f"{schema}.nt"
+    assert main(["rich", "--vertices", "4096", "--schema", schema,
+                 "--seed", "3", "--output", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()

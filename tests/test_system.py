@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro import TrillionG
+from repro.dist.faults import RetryPolicy
 from repro.dist.runner import ClusterSpec
+from repro.errors import ConfigurationError
 from repro.formats import get_format
 
 
@@ -35,6 +37,27 @@ class TestSequential:
         tg = TrillionG(scale=9, edge_factor=8, seed=4, noise=0.1)
         result = tg.generate_to(tmp_path / "n.adj6")
         assert result.num_edges > 3000
+
+
+class TestIgnoredSettings:
+    """A setting the run would drop is refused, naming the setting."""
+
+    def test_blocks_per_chunk_needs_resume(self, tmp_path):
+        tg = TrillionG(scale=10, seed=1)
+        with pytest.raises(ConfigurationError, match="blocks_per_chunk"):
+            tg.generate_to(tmp_path / "g.adj6", blocks_per_chunk=7)
+        assert not (tmp_path / "g.adj6").exists()
+
+    def test_retry_needs_a_cluster(self):
+        with pytest.raises(ConfigurationError, match="retry"):
+            TrillionG(scale=10, retry=RetryPolicy(retries=0,
+                                                  task_timeout=1e-6))
+
+    def test_blocks_per_chunk_defaults_when_resuming(self, tmp_path):
+        result = TrillionG(scale=9, edge_factor=4, seed=2, block_size=64
+                           ).generate_to(tmp_path / "run", resume=True)
+        # 512 sources in 64-source blocks: 8 blocks, one 16-block chunk.
+        assert len(result.paths) == 1 and result.num_edges == 4 * 512
 
 
 class TestDistributed:
