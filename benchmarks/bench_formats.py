@@ -23,6 +23,10 @@ Three artifacts matter beyond the printed tables:
   rich``: its rules are drawn in ERV runs of at most ``_BLOCK_EDGES``
   edges and leave through the TSV block encoder, where the per-triple
   f-string loop of before held a whole rule's edges and its text.
+- ``test_nary_stays_under_rss_cap`` holds ``trilliong nary`` to the
+  ``generate`` cap: its grid blocks are cut into the same runs of at
+  most ``_BLOCK_EDGES`` edges and stream through ``write_blocks``, where
+  it built the whole ``(m, 2)`` edge array before.
 - ``test_emit_bench_json`` writes ``BENCH_formats.json`` at the repo root
   (scale, format, engine, edges/s, MB/s) so later PRs have a perf
   trajectory to compare against.
@@ -63,6 +67,12 @@ RSS_CAP_BYTES = 56 * 1024 * 1024
 #: the TSV block encoder; the cap adds the ``generate`` gate's 12 MiB.
 RICH_VERTICES = 1 << 18
 RICH_RSS_CAP_BYTES = 67 * 1024 * 1024
+
+#: ``nary`` with a 3 x 3 seed at depth 11 (2 839 317 edges, seed 3, ADJ6)
+#: in a fresh process: 218 MiB while it built the whole edge array, and
+#: 42 MiB drawn in runs and streamed, below ``RSS_CAP_BYTES``.
+NARY_MATRIX = "0.3,0.12,0.08,0.12,0.1,0.05,0.08,0.05,0.1"
+NARY_DEPTH = 11
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -302,6 +312,32 @@ def test_rich_stays_under_rss_cap(table):
         f"rich --vertices {RICH_VERTICES} peaked at {rss / 2**20:.0f} MiB, "
         f"over the {RICH_RSS_CAP_BYTES / 2**20:.0f} MiB cap: a rule or its "
         "triples are held whole again")
+
+
+def test_nary_stays_under_rss_cap(table):
+    """CI perf smoke: ``trilliong nary`` in a fresh process peaks below
+    the ``generate`` cap — both are bounded by one run of
+    ``_BLOCK_EDGES`` edges, not by the graph."""
+    with tempfile.TemporaryDirectory(prefix="bench-formats-nary-") as work:
+        out = _run_fresh(
+            "from repro.cli import main\n"
+            f"main(['nary', '--matrix', '{NARY_MATRIX}',\n"
+            f"      '--depth', '{NARY_DEPTH}', '--format', 'adj6',\n"
+            "      '--seed', '3',\n"
+            f"      '--output', {str(Path(work) / 'n.adj6')!r}])\n"
+            f"print({_VMHWM_KB})\n")
+    edges = int(re.search(r"\|E\|=(\d+)", out).group(1))
+    rss = int(out.split()[-1]) * 1024
+    table(f"nary peak RSS (3 x 3 seed, depth {NARY_DEPTH}, adj6, "
+          "fresh process)",
+          ["metric", "value"],
+          [["|E|", f"{edges:,}"],
+           ["peak RSS", f"{rss / 2**20:,.1f} MiB"],
+           ["RSS cap", f"{RSS_CAP_BYTES / 2**20:,.0f} MiB"]])
+    assert rss < RSS_CAP_BYTES, (
+        f"nary --depth {NARY_DEPTH} peaked at {rss / 2**20:.0f} MiB, over "
+        f"the {RSS_CAP_BYTES / 2**20:.0f} MiB cap: its edges are held "
+        "whole again")
 
 
 def test_emit_bench_json(tmp_path, table):

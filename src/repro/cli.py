@@ -484,9 +484,9 @@ def _cmd_nary(args: argparse.Namespace) -> int:
     seed_matrix = SeedMatrix(np.array(values).reshape(order, order))
     generator = NAryRecursiveVectorGenerator(
         seed_matrix, args.depth, num_edges=args.edges, seed=args.seed)
-    edges = generator.edges()
     fmt = get_format(args.format)
-    result = fmt.write_edges(args.output, edges, generator.num_vertices)
+    result = fmt.write_blocks(args.output, generator.iter_blocks(),
+                              generator.num_vertices)
     print(f"generated n-ary graph: n={order} |V|={generator.num_vertices} "
           f"|E|={result.num_edges} -> {result.path}")
     return 0

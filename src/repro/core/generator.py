@@ -543,7 +543,7 @@ class RecursiveVectorGenerator:
         """``counts[j]`` keys ``j << scale | destination`` per source, rows
         in order — the one place the kernel draws."""
         if self._sampler is None:
-            self._sampler = ScopeSampler(self.process)
+            self._sampler = ScopeSampler(self.process.digit_matrices())
         keys = self._sampler.keys(sources, counts, self.scale, rng)
         self.stats.random_draws += keys.size * self._sampler.uniforms_per_edge
         return keys
@@ -566,9 +566,8 @@ class RecursiveVectorGenerator:
             raise GenerationError(
                 "saturated scope at a scale too large to materialize; "
                 "this cannot occur for edge factors <= |V|^(1/4)")
-        bit_probs = self.process.bit_probabilities(
-            np.array([u], dtype=np.uint64))[0]
-        return _ppswor(_bits_pmf(bit_probs), size, rng)
+        p = self.process.bit_probabilities(np.array([u], dtype=np.uint64))[0]
+        return _ppswor(_digits_pmf(np.column_stack([1.0 - p, p])), size, rng)
 
     def _generate_block_with_saturated(self, sources: np.ndarray,
                                        degrees: np.ndarray,
@@ -803,12 +802,13 @@ def _dedup_topup(keys: np.ndarray, degrees: np.ndarray, shift: int,
     return keys, have, duplicates
 
 
-def _bits_pmf(bit_probs: np.ndarray) -> np.ndarray:
-    """The PMF over ``[0, 2^levels)`` of independent destination bits,
-    bit ``x`` set with probability ``bit_probs[x]`` (Lemma 3)."""
-    pmf = np.array([1.0])
-    for p in bit_probs:
-        pmf = np.concatenate([pmf * (1.0 - p), pmf * p])
+def _digits_pmf(rows: np.ndarray) -> np.ndarray:
+    """The PMF over ``[0, r^L)`` of ``L`` independent base-``r`` digits,
+    digit ``d`` (least significant first) drawn from ``rows[d]``
+    (Lemma 3)."""
+    pmf = np.ones(1)
+    for row in rows:
+        pmf = np.kron(row, pmf)
     return pmf
 
 

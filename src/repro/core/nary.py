@@ -2,31 +2,34 @@
 
 The paper implements the recursive vector model for 2 x 2 seeds (RMAT) and
 notes that SKG generalizes RMAT to ``n x n`` probability parameters.  This
-module extends the AVS approach to that full generality: vertex IDs become
+module runs that full generality on the AVS kernel: vertex IDs become
 base-``n`` digit strings of length ``depth`` (``|V| = n**depth``), Lemma 1
-becomes a product of per-digit row sums, and edge determination factorizes
-per digit — the base-``n`` analogue of the ``bitwise`` engine, i.e. the
-destination's digit at position ``d`` is drawn from the categorical
-distribution ``K[u_d, :] / rowsum(K[u_d, :])``.
-
-For ``n = 2`` this reduces exactly to the main generator's process
+becomes a product of per-digit row sums, and the destination's digit at
+position ``d`` is drawn from ``K[u_d, :] / rowsum(K[u_d, :])`` — a chunk of
+digits at a time by :class:`repro.core.tables.ScopeSampler`, in the runs
+the binary generator draws, deduplicates and tops up (``_run_cuts``,
+``_draw_run``).  For ``n = 2`` this is the main generator's process
 (verified by tests).
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from ..errors import ConfigurationError, GenerationError
+from .generator import (AdjacencyBlock, _digits_pmf, _draw_run, _ppswor,
+                        _run_cuts)
 from .rng import stream
 from .scope import sample_scope_sizes
 from .seed import SeedMatrix
+from .tables import ScopeSampler
 
 __all__ = ["NAryRecursiveVectorGenerator"]
 
 _TAG_DEGREE = 301
 _TAG_EDGE = 302
-_MAX_TOPUP = 200
 
 
 class NAryRecursiveVectorGenerator:
@@ -42,6 +45,10 @@ class NAryRecursiveVectorGenerator:
         Target edge count (defaults to ``16 * |V|``).
     dedup:
         Per-scope duplicate elimination (Algorithm 2 semantics).
+    block_size:
+        Sources per grid block.  A key ``row << shift | dest``, ``shift``
+        the bits of ``|V| - 1``, must fit an int64:
+        ``(|V| - 1).bit_length() + (block_size - 1).bit_length() <= 63``.
     """
 
     def __init__(self, seed_matrix: SeedMatrix, depth: int, *,
@@ -53,8 +60,12 @@ class NAryRecursiveVectorGenerator:
         self.order = seed_matrix.order
         self.depth = depth
         self.num_vertices = self.order ** depth
-        if self.num_vertices > 2 ** 56:
-            raise ConfigurationError("graph too large for int64 packing")
+        self._shift = (self.num_vertices - 1).bit_length()
+        if self._shift + (block_size - 1).bit_length() > 63:
+            raise ConfigurationError(
+                f"|V| = {self.order}^{depth} leaves {63 - self._shift} "
+                f"bits of an int64 key for the row ids of block_size "
+                f"{block_size}")
         self.num_edges = (num_edges if num_edges is not None
                           else 16 * self.num_vertices)
         if self.num_edges < 1:
@@ -67,26 +78,20 @@ class NAryRecursiveVectorGenerator:
         if np.any(self._row_sums <= 0):
             raise ConfigurationError(
                 "every seed row needs positive mass for AVS scoping")
-        # Conditional digit CDF per source digit: (n, n).
-        self._digit_cdf = np.cumsum(entries / self._row_sums[:, None],
-                                    axis=1)
+        #: ``P(dest digit = t | source digit = s)``, the same every level.
+        self._digit_rows = entries / self._row_sums[:, None]
+        self._sampler: ScopeSampler | None = None   # built by a first draw
 
     # ------------------------------------------------------------------
 
-    def _digits(self, vertices: np.ndarray) -> np.ndarray:
-        """Base-n digits, shape ``(m, depth)``, position 0 = least
-        significant digit."""
-        v = np.asarray(vertices, dtype=np.int64)
-        out = np.empty((v.size, self.depth), dtype=np.int64)
-        for d in range(self.depth):
-            out[:, d] = v % self.order
-            v = v // self.order
-        return out
-
     def row_probabilities(self, sources: np.ndarray) -> np.ndarray:
         """Generalized Lemma 1: ``P(u->) = prod_d rowsum(u_d)``."""
-        digits = self._digits(sources)
-        return np.prod(self._row_sums[digits], axis=1)
+        v = np.array(sources, dtype=np.int64)
+        probs = np.ones(v.size, dtype=np.float64)
+        for _ in range(self.depth):
+            probs *= self._row_sums[v % self.order]
+            v //= self.order
+        return probs
 
     def block_degrees(self, block_index: int) -> np.ndarray:
         sources = self._block_sources(block_index)
@@ -102,44 +107,35 @@ class NAryRecursiveVectorGenerator:
 
     # ------------------------------------------------------------------
 
-    def _sample_destinations(self, src_digits: np.ndarray,
-                             rng: np.random.Generator) -> np.ndarray:
-        """Digit-factorized destination sampling (base-n bitwise)."""
-        total = src_digits.shape[0]
-        dest = np.zeros(total, dtype=np.int64)
-        scale = 1
-        for d in range(self.depth):
-            cdf_rows = self._digit_cdf[src_digits[:, d]]     # (m, n)
-            r = rng.random(total)
-            digit = (cdf_rows < r[:, None]).sum(axis=1)
-            np.minimum(digit, self.order - 1, out=digit)
-            dest += digit * scale
-            scale *= self.order
-        return dest
-
     def _sample_scope_exact(self, u: int, size: int,
                             rng: np.random.Generator) -> np.ndarray:
-        """PPSWOR fallback for saturated/stalled scopes (mirrors the
-        binary generator's)."""
+        """PPSWOR over ``u``'s row PMF, for scopes the top-up left short."""
         if self.num_vertices > 1 << 26:
             raise GenerationError(
                 "saturated scope too large to materialize")
-        digits = self._digits(np.array([u]))[0]
-        # Build the row PMF digit-by-digit, least significant first: the
-        # step-d digit lands at index place n^d, so the final index IS the
-        # vertex ID.
-        pmf = np.array([1.0])
-        for d in range(self.depth):
-            row = (self.seed_matrix.entries[digits[d]]
-                   / self._row_sums[digits[d]])
-            pmf = np.concatenate([pmf * p for p in row])
-        size = min(size, int(np.count_nonzero(pmf)))
-        with np.errstate(divide="ignore"):
-            scores = np.log(pmf) - np.log(-np.log(rng.random(pmf.size)))
-        top = np.argpartition(scores, pmf.size - size)[pmf.size - size:]
-        return np.sort(top).astype(np.int64)
+        digits = u // self.order ** np.arange(self.depth) % self.order
+        return _ppswor(_digits_pmf(self._digit_rows[digits]), size, rng)
 
-    # ------------------------------------------------------------------
+    def _block_runs(self, block_index: int) -> Iterator[AdjacencyBlock]:
+        """The runs of grid block ``block_index`` (``_run_cuts``), run
+        ``k`` drawn from ``stream(seed, 302, block, k)``, one at a time."""
+        sources = self._block_sources(block_index)
+        degrees = self.block_degrees(block_index)
+        if self._sampler is None:
+            self._sampler = ScopeSampler([self._digit_rows] * self.depth)
+        sampler, shift = self._sampler, self._shift
+        cuts = _run_cuts(degrees)
+        for k, (first, stop) in enumerate(zip(cuts, cuts[1:])):
+            rng = stream(self.seed, _TAG_EDGE, block_index, k)
+            run_sources = sources[first:stop]
+            run, _ = _draw_run(
+                run_sources, degrees[first:stop], shift, self.dedup,
+                lambda rows, counts: sampler.keys(run_sources[rows], counts,
+                                                  shift, rng),
+                lambda row, size: self._sample_scope_exact(
+                    int(run_sources[row]), size, rng))
+            yield run
+            del run
 
     def _num_blocks(self) -> int:
         return (self.num_vertices + self.block_size - 1) // self.block_size
@@ -151,44 +147,16 @@ class NAryRecursiveVectorGenerator:
             raise ValueError(f"block {block_index} out of range")
         return np.arange(lo, hi, dtype=np.int64)
 
+    def iter_blocks(self) -> Iterator[AdjacencyBlock]:
+        """Every run of every grid block in source order, one at a time."""
+        for block_index in range(self._num_blocks()):
+            yield from self._block_runs(block_index)
+
     def generate_block(self, block_index: int) -> np.ndarray:
         """All edges of one block as an ``(m, 2)`` array."""
-        sources = self._block_sources(block_index)
-        degrees = self.block_degrees(block_index)
-        rng = stream(self.seed, _TAG_EDGE, block_index)
-        rows = np.repeat(np.arange(sources.size, dtype=np.int64), degrees)
-        src_digits = self._digits(sources[rows])
-        dests = self._sample_destinations(src_digits, rng)
-        if not self.dedup:
-            return np.column_stack([sources[rows], dests])
-        span = np.int64(self.num_vertices)
-        keys = np.unique(rows.astype(np.int64) * span + dests)
-        for _ in range(_MAX_TOPUP):
-            have = np.bincount((keys // span).astype(np.int64),
-                               minlength=sources.size)
-            shortfall = degrees - have
-            if not (shortfall > 0).any():
-                break
-            refill = np.repeat(np.arange(sources.size, dtype=np.int64),
-                               np.maximum(shortfall, 0))
-            new = refill.astype(np.int64) * span + self._sample_destinations(
-                self._digits(sources[refill]), rng)
-            merged = np.unique(np.concatenate([keys, new]))
-            if merged.size == keys.size:
-                # Stalled: finish the short scopes exactly.
-                for row in np.nonzero(shortfall > 0)[0]:
-                    exact = self._sample_scope_exact(
-                        int(sources[row]), int(degrees[row]), rng)
-                    keys = np.concatenate(
-                        [keys[keys // span != row],
-                         np.int64(row) * span + exact])
-                keys = np.sort(keys)
-                break
-            keys = merged
-        rows_final = (keys // span).astype(np.int64)
-        return np.column_stack([sources[rows_final], keys % span])
+        return np.concatenate([run.edge_array()
+                               for run in self._block_runs(block_index)])
 
     def edges(self) -> np.ndarray:
-        parts = [self.generate_block(b) for b in range(self._num_blocks())]
-        return (np.concatenate(parts) if parts
-                else np.empty((0, 2), dtype=np.int64))
+        return np.concatenate([run.edge_array()
+                               for run in self.iter_blocks()])

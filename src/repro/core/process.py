@@ -4,7 +4,7 @@ The AVS generator needs three quantities per source vertex ``u``:
 
 1. the row probability ``P(u->)`` (Theorem 1's ``p``),
 2. the RecVec row (Theorem 2's search structure),
-3. the per-bit Bernoulli parameters (for the ``bitwise`` engine).
+3. the per-bit Bernoulli parameters (and the kernel's per-level matrices).
 
 Both the noiseless process (one seed matrix, Lemmas 1-2) and the noisy NSKG
 process (per-level matrices, Lemmas 7-8) provide them; generators are
@@ -56,6 +56,19 @@ class EdgeProcess(ABC):
     def build_recvec(self, u: int) -> np.ndarray:
         """Single-source RecVec (convenience for the reference engine)."""
         return self.build_recvecs(np.array([u], dtype=np.uint64))[0]
+
+    def digit_matrices(self) -> list[np.ndarray]:
+        """The :class:`~repro.core.tables.ScopeSampler` input: per level,
+        level 0 the most significant bit, row ``s`` is ``[1 - p, p]``
+        for the :meth:`bit_probabilities` ``p`` of source bit ``s``; a
+        level whose two rows agree states one."""
+        one = self.bit_probabilities(np.array([0, self.num_vertices - 1]))
+        out = []
+        for p in one.T[::-1]:
+            if np.array_equal(p[:1], p[1:]):
+                p = p[:1]
+            out.append(np.column_stack([1.0 - p, p]))
+        return out
 
 
 class PlainProcess(EdgeProcess):

@@ -2,8 +2,8 @@
 
 The linear-work R-MAT construction of Hübschle-Schneider & Sanders
 (PAPERS.md): table whole chunks of the recursion and sample each in
-O(1).  :func:`_alias_table` is the Vose build both samplers of the repo
-use — :class:`repro.models.rmat.PathSampler` over quadrant paths (WES)
+O(1).  :func:`_padded_table` is the padded Vose row both samplers use —
+:class:`repro.models.rmat.PathSampler` over quadrant paths (WES)
 and :class:`ScopeSampler` here, its conditional form for AVS —
 :func:`_slices` is the stream rule by which both draw one call a slice
 at a time, and :func:`_draw_slice` is the one loop that draws a slice.
@@ -11,11 +11,9 @@ at a time, and :func:`_draw_slice` is the one loop that draws a slice.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
-
-from .process import EdgeProcess
 
 __all__ = ["ScopeSampler"]
 
@@ -68,7 +66,7 @@ def _draw_slice(part: np.ndarray, chunks: list[tuple[float, np.ndarray,
                                                         np.ndarray]],
                 seek: Callable[[int], None], rng: np.random.Generator,
                 u: np.ndarray, slot: np.ndarray,
-                row_slots: Callable[[int], np.ndarray] | None = None
+                row_slots: Callable[[int], np.ndarray | int] | None = None
                 ) -> None:
     """The one draw loop of both samplers: add each chunk's lookup to the
     keys ``part`` of one slice, chunks in order, each from one
@@ -132,50 +130,70 @@ def _alias_table(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(threshold), np.array(alias, dtype=np.int64)
 
 
-class ScopeSampler:
-    """Destinations of ``P(v | u)``, drawn a chunk of bits at a time.
+def _padded_table(pmf: np.ndarray, contrib: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """A :func:`_draw_slice` row: ``pmf`` padded with impossible slots to
+    a power of two, its thresholds and contributions ``[alias's, own]``."""
+    pad = (0, (1 << (pmf.size - 1).bit_length()) - pmf.size)
+    threshold, alias = _alias_table(np.pad(pmf, pad))
+    contrib = np.pad(contrib, pad)
+    return threshold, np.column_stack([contrib[alias], contrib]).ravel()
 
-    Lemma 3 factorises ``P(v | u)`` over bit positions, bit ``x`` of ``v``
-    depending on bit ``x`` of ``u`` alone, so it factorises over *chunks*
-    of positions too.  The ``process.levels`` positions are cut from the
-    top into chunks ``[lo, lo + w)`` of ``_CHUNK_BITS`` bits (the last
-    one shorter); a chunk has a ``2^w x 2^w`` table whose row ``s`` is the
-    alias table of the destination chunk given source chunk ``s``, its
-    entries already shifted to ``t << lo``.  The rows come from
-    ``process.bit_probabilities``, so NSKG's per-level seeds need nothing
-    of their own, and a bit the seed forbids is a threshold-0 slot.
+
+class ScopeSampler:
+    """Destinations of ``P(v | u)``, drawn a chunk of digits at a time.
+
+    Lemma 3 factorises ``P(v | u)`` over digit positions of any radix
+    ``r``, so over *chunks* of positions too.  ``matrices[i][s, t]`` is
+    ``P(destination digit = t | source digit = s)`` at level ``i`` (0 the
+    most significant); a one-row matrix is a level the source does not
+    affect.  Chunks ``[lo, lo + k)`` of the most digits with ``r^k <=
+    2^_CHUNK_BITS`` are cut from the top.  A chunk's table has a row per
+    value of the source's ``k`` digits (one if each level has one): the
+    alias table of the destination chunk, padded to a power of two as
+    :class:`repro.models.rmat.PathSampler` pads, entries ``t * r^lo``.
+    A digit the seed forbids is a threshold-0 slot.
 
     Determinism key: :meth:`keys` consumes the uniforms of one
-    ``rng.random(counts.sum())`` per chunk, chunks in order from the
-    most significant bits down; edge ``i`` takes element ``i`` of each.
+    ``rng.random(counts.sum())`` per chunk, chunks in order from the most
+    significant digits down; edge ``i`` takes element ``i`` of each.
     It draws them ``_SLICE_KEYS`` keys at a time by :func:`_slices`, so
-    the slice size changes no key.  The uniform's high ``w`` bits pick
-    the slot of the source's row and the remaining fraction decides
-    between the slot's own value and its alias.
+    the slice size changes no key.  The uniform's high bits pick the
+    slot of the source's row and the remaining fraction decides between
+    the slot's own value and its alias.
     """
 
-    def __init__(self, process: EdgeProcess) -> None:
-        #: Per chunk: ``lo`` and ``w``, and the :func:`_draw_slice`
-        #: table — ``2^w`` slots per row, the thresholds of all rows,
-        #: and the contributions interleaved as ``[alias's, own]``.
-        self._bits: list[tuple[int, int]] = []
+    def __init__(self, matrices: Sequence[np.ndarray]) -> None:
+        radix = matrices[0].shape[1]
+        width = 1
+        while radix ** (width + 1) <= 1 << _CHUNK_BITS:
+            width += 1
+        #: Per chunk: ``(r^lo, r^k, slots)``, the row of a source being
+        #: ``source // r^lo % r^k`` (None: one row), and the
+        #: :func:`_draw_slice` table.
+        self._rows: list[tuple[int, int, int] | None] = []
         self._tables: list[tuple[float, np.ndarray, np.ndarray]] = []
-        hi = process.levels
+        hi = len(matrices)
         while hi > 0:
-            w = min(_CHUNK_BITS, hi)
-            lo = hi - w
-            values = np.arange(1 << w, dtype=np.int64)
-            pmf = np.ones((values.size, 1), dtype=np.float64)
-            for one in process.bit_probabilities(values << lo)[:, lo:hi].T:
-                pmf = np.hstack([pmf * (1.0 - one[:, None]),
-                                 pmf * one[:, None]])
-            thresholds, aliases = zip(*(_alias_table(row) for row in pmf))
-            alias = np.concatenate(aliases)
-            own = np.tile(values, values.size)
-            self._bits.append((lo, w))
-            self._tables.append((float(1 << w), np.concatenate(thresholds),
-                                 np.column_stack([alias << lo,
-                                                  own << lo]).ravel()))
+            lo = max(hi - width, 0)
+            span = radix ** (hi - lo)
+            slots = 1 << (span - 1).bit_length()
+            chunk = matrices[::-1][lo:hi]      # least significant first
+            source = np.arange(span if any(len(m) > 1 for m in chunk)
+                               else 1, dtype=np.int64)
+            pmf = np.ones((source.size, 1), dtype=np.float64)
+            for d, m in enumerate(chunk):
+                # ``% len(m)``: a one-row level serves every source digit.
+                given = m[source // radix ** d % radix % len(m)]
+                pmf = np.hstack([pmf * given[:, t, None]
+                                 for t in range(radix)])
+            own = np.arange(span, dtype=np.int64) * radix ** lo
+            thresholds, contribs = zip(*(_padded_table(row, own)
+                                         for row in pmf))
+            self._rows.append((radix ** lo, span, slots)
+                              if source.size > 1 else None)
+            self._tables.append((float(slots), np.concatenate(thresholds),
+                                 np.concatenate(contribs)))
             hi = lo
 
     @property
@@ -200,10 +218,11 @@ class ScopeSampler:
             part[:] = np.repeat(np.arange(lo, hi, dtype=np.int64) << shift,
                                 repeats)
 
-            def row_slots(chunk: int) -> np.ndarray:
-                lo_bit, w = self._bits[chunk]
-                return np.repeat((rows >> lo_bit & ((1 << w) - 1)) << w,
-                                 repeats)
+            def row_slots(chunk: int) -> np.ndarray | int:
+                if self._rows[chunk] is None:
+                    return 0
+                place, span, slots = self._rows[chunk]
+                return np.repeat(rows // place % span * slots, repeats)
 
             _draw_slice(part, self._tables, seek, rng, u[:part.size],
                         slot[:part.size], row_slots)

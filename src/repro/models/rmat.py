@@ -25,7 +25,6 @@ import numpy as np
 
 from ..core import tables
 from ..core.seed import SeedMatrix
-from ..core.tables import _alias_table
 from ..errors import ConfigurationError
 from ..util.external_sort import unique_sorted
 from .base import (BATCH_EDGES, Complexity, ScopeBasedGenerator,
@@ -88,12 +87,9 @@ class PathSampler:
                 pmf = np.multiply.outer(pmf, flat).ravel()
                 u = np.add.outer(u * order, cell_u).ravel()
                 v = np.add.outer(v * order, cell_v).ravel()
-            slots = 1 << (pmf.size - 1).bit_length()
-            pad = (0, slots - pmf.size)
-            threshold, alias = _alias_table(np.pad(pmf, pad))
-            contrib = np.pad((u * order ** levels + v) * order ** below, pad)
-            self._tables.append((float(slots), threshold, np.column_stack(
-                [contrib[alias], contrib]).ravel()))
+            threshold, contrib = tables._padded_table(
+                pmf, (u * order ** levels + v) * order ** below)
+            self._tables.append((float(threshold.size), threshold, contrib))
 
     def keys(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``count`` packed keys (repeats possible): the one-batch

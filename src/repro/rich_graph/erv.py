@@ -29,8 +29,8 @@ from typing import Iterator
 
 import numpy as np
 
-from ..core.generator import (AdjacencyBlock, _bits_pmf, _draw_run, _ppswor,
-                              _run_cuts)
+from ..core.generator import (AdjacencyBlock, _digits_pmf, _draw_run,
+                              _ppswor, _run_cuts)
 from ..core.process import PlainProcess
 from ..core.rng import stream
 from ..core.scope import sample_scope_sizes
@@ -60,9 +60,9 @@ class _InSampler:
     For the Zipfian case it uses the AVS kernel's sampler: the marginal
     destination distribution of ``Kin`` factorizes per bit with
     ``P(bit=1) = beta+delta``, which equals the Theorem 2 process of a
-    seed whose every row has that ratio — so every row draws alike from
-    one :class:`~repro.core.tables.ScopeSampler` over the ``2^L`` space,
-    and the rectangle mapping scales the draw onto the range.  For the
+    seed whose every row has that ratio: one alias row per chunk of a
+    :class:`~repro.core.tables.ScopeSampler` over the ``2^L`` space, and
+    the rectangle mapping scales the draw onto the range.  For the
     empirical (data-dictionary) case, each destination receives a
     popularity weight drawn from the dictionary and destinations are
     sampled proportionally (inverse-CDF on the popularity prefix sums).
@@ -83,7 +83,8 @@ class _InSampler:
             self._bit_one = one
             self._scope = ScopeSampler(PlainProcess(
                 SeedMatrix.rmat(0.5 * (1 - one), 0.5 * one,
-                                0.5 * (1 - one), 0.5 * one), self.levels))
+                                0.5 * (1 - one), 0.5 * one),
+                self.levels).digit_matrices())
         elif isinstance(dist, Empirical):
             weights = rng.choice(dist.degrees, size=num_destinations,
                                  p=dist.probabilities).astype(np.float64)
@@ -127,7 +128,8 @@ class _InSampler:
         fallback; built by the first scope that needs it."""
         n = self.num_destinations
         if self._bit_one is not None:
-            span = _bits_pmf(np.full(self.levels, self._bit_one))
+            one = self._bit_one
+            span = _digits_pmf(np.tile([1.0 - one, one], (self.levels, 1)))
             return np.bincount(self._rectangle(np.arange(span.size)),
                                weights=span, minlength=n)
         if self._cdf is not None:

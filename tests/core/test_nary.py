@@ -33,12 +33,6 @@ class TestConstruction:
 
 
 class TestDigits:
-    def test_digit_decomposition(self):
-        g = NAryRecursiveVectorGenerator(SEED3, 3, num_edges=10)
-        # 14 in base 3 = 112 -> digits LSB-first (2, 1, 1).
-        digits = g._digits(np.array([14]))
-        assert digits[0].tolist() == [2, 1, 1]
-
     def test_row_probabilities_sum_to_one(self):
         g = NAryRecursiveVectorGenerator(SEED3, 4, num_edges=10)
         probs = g.row_probabilities(np.arange(81))

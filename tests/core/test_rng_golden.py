@@ -19,6 +19,8 @@ import hashlib
 import numpy as np
 
 from repro import RecursiveVectorGenerator
+from repro.core.nary import NAryRecursiveVectorGenerator
+from repro.core.seed import SeedMatrix
 from repro.core.rng import derive_seed, spawn_streams, stream
 from repro.formats import get_format
 from repro.models import ALL_MODELS
@@ -157,6 +159,29 @@ def test_block_size_is_part_of_the_determinism_key(tmp_path):
         OUTPUT_DIGESTS["adj6"]
     assert write_digest(tmp_path, "adj6", block_size=64) == \
         "f9b18c07da850926cd8d7d856cdf203fa970a9d481b9a8fb755f40dd6672f331"
+
+
+# -- n x n seeds ---------------------------------------------------------
+
+# ``NAryRecursiveVectorGenerator`` on a 3 x 3 seed at depth 5, seed 42,
+# ADJ6 through ``write_blocks``.  Scope sizes of grid block ``b`` come from
+# ``stream(seed, 301, b)`` and run ``k`` of it from
+# ``stream(seed, 302, b, k)`` (the kernel's ``ScopeSampler`` over chunks
+# of 4 + 1 base-3 digits).
+NARY_ADJ6_DIGEST = \
+    "5a491b4870bd1ad4888bdaad280796581f479ed17c7c46df366fccc39a6c53ae"
+
+
+def test_nary_output_digest_frozen(tmp_path):
+    seed = SeedMatrix(np.array([[0.30, 0.12, 0.08],
+                                [0.12, 0.10, 0.05],
+                                [0.08, 0.05, 0.10]]))
+    gen = NAryRecursiveVectorGenerator(seed, 5, seed=42)
+    path = tmp_path / "nary.adj6"
+    get_format("adj6").write_blocks(path, gen.iter_blocks(),
+                                    gen.num_vertices)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        NARY_ADJ6_DIGEST
 
 
 # -- every registered model --------------------------------------------

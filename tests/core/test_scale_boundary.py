@@ -15,7 +15,8 @@ import pytest
 
 from repro.core.generator import RecursiveVectorGenerator
 from repro.core.nary import NAryRecursiveVectorGenerator
-from repro.core.seed import SeedMatrix
+from repro.core.seed import GRAPH500, SeedMatrix
+from repro.errors import ConfigurationError
 from repro.formats import get_format
 
 SCALE = 33
@@ -80,6 +81,21 @@ class TestNAryBoundary:
         assert (edges[:, 0] >= 2 ** 32).any()
         assert int(edges.max()) < 2 ** SCALE
         assert int(edges.min()) >= 0
+
+    def test_key_width_is_refused_at_construction(self):
+        # A run packs ``row << shift | dest`` with ``shift`` the bits of
+        # |V| - 1: depth 51 and blocks of 4096 rows fill 63 bits, and
+        # depth 52 would wrap a key negative.
+        gen = NAryRecursiveVectorGenerator(GRAPH500, 51, num_edges=10 ** 9,
+                                           seed=1)
+        edges = gen.generate_block(0)
+        assert edges.shape[0] > 0
+        assert int(edges.min()) >= 0
+        assert int(edges.max()) < 2 ** 51
+        for depth in (52, 53, 54):
+            with pytest.raises(ConfigurationError, match="int64 key"):
+                NAryRecursiveVectorGenerator(GRAPH500, depth,
+                                             num_edges=10 ** 9, seed=1)
 
 
 class TestAdj6Boundary:

@@ -6,7 +6,7 @@ of the table the source's bits of that chunk select.  What must hold is
 Lemma 3: a destination's probability is its cell of the Kronecker product
 of the per-level seeds, row-normalised — at every chunk width, across
 chunk boundaries, on a short last chunk, under NSKG noise, for seeds with
-exact zeros and for AVS-I.
+exact zeros, for AVS-I and for ``n x n`` seeds.
 """
 
 from functools import reduce
@@ -17,7 +17,7 @@ from scipy import stats as sps
 
 from repro.core import tables
 from repro.core.generator import RecursiveVectorGenerator
-from repro.core.process import make_process
+from repro.core.process import PlainProcess, make_process
 from repro.core.seed import GRAPH500, SeedMatrix
 from repro.core.tables import ScopeSampler
 
@@ -47,6 +47,10 @@ def chunk_bits(monkeypatch):
 def process_of(seed_matrix, levels, noise=0.0):
     return make_process(seed_matrix, levels, noise,
                         np.random.default_rng(levels))
+
+
+def sampler_of(process):
+    return ScopeSampler(process.digit_matrices())
 
 
 def conditional_pmf(process):
@@ -90,7 +94,7 @@ def test_every_cell_has_its_conditional_probability(case, width, levels,
     chunk_bits(width)
     matrix, noise = CASES[case]
     process = process_of(matrix, levels, noise)
-    sampler = ScopeSampler(process)
+    sampler = sampler_of(process)
     assert sampler.uniforms_per_edge == -(-levels // width)
     keys = all_sources_keys(sampler, levels,
                             np.random.default_rng(levels * 10 + width))
@@ -101,7 +105,7 @@ def test_the_judgement_can_tell(chunk_bits):
     """The same chi-square rejects keys drawn from a neighbouring model
     (the other corner's tables), so passing it means something."""
     chunk_bits(2)
-    keys = all_sources_keys(ScopeSampler(process_of(GRAPH500, 5, 0.1)), 5,
+    keys = all_sources_keys(sampler_of(process_of(GRAPH500, 5, 0.1)), 5,
                             np.random.default_rng(1))
     assert cell_pvalue(keys, conditional_pmf(process_of(GRAPH500, 5))) < 1e-4
 
@@ -109,7 +113,7 @@ def test_the_judgement_can_tell(chunk_bits):
 def test_single_short_chunk_at_the_default_width():
     assert tables._CHUNK_BITS > 6
     process = process_of(SKEWED, 6)
-    sampler = ScopeSampler(process)
+    sampler = sampler_of(process)
     assert sampler.uniforms_per_edge == 1
     keys = all_sources_keys(sampler, 6, np.random.default_rng(3))
     assert cell_pvalue(keys, conditional_pmf(process)) > 1e-4
@@ -128,6 +132,74 @@ def test_avs_in_draws_columns_of_the_seed():
     assert cell_pvalue(keys, column_pmf) > 1e-4
     assert cell_pvalue(keys, conditional_pmf(process_of(SKEWED,
                                                         levels))) < 1e-4
+
+
+#: ``n x n`` seeds at depths whose chunks cross a boundary onto a short
+#: one: ``3^4 <= 2^7`` digits, so depth 5 is chunks 4 + 1; ``4^3``, so
+#: depth 4 is 3 + 1.  The zero seed forbids three cells of each level.
+NARY_CASES = {
+    "3x3": (np.array([[0.30, 0.12, 0.08],
+                      [0.12, 0.10, 0.05],
+                      [0.08, 0.05, 0.10]]), 5),
+    "4x4": (np.arange(1.0, 17.0).reshape(4, 4) / 136.0, 4),
+    "3x3-exact-zero": (np.array([[0.30, 0.00, 0.10],
+                                 [0.10, 0.20, 0.00],
+                                 [0.00, 0.10, 0.20]]), 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NARY_CASES))
+def test_every_nary_cell_has_its_conditional_probability(case):
+    """Mixed radix: row slot ``u // n^lo % n^k`` of a table padded to a
+    power of two, contributions ``t * n^lo``.  A key ``u << shift | v``
+    is cell ``(u, v)`` of the ``n^depth``-square Kronecker power."""
+    seed, depth = NARY_CASES[case]
+    order = seed.shape[0]
+    size = order ** depth
+    sampler = ScopeSampler([seed / seed.sum(axis=1, keepdims=True)] * depth)
+    assert sampler.uniforms_per_edge == 2
+    shift = (size - 1).bit_length()
+    sources = np.arange(size, dtype=np.int64)
+    counts = np.full(size, DRAWS // size, dtype=np.int64)
+    keys = sampler.keys(sources, counts, shift,
+                        np.random.default_rng(order * 10 + depth))
+    cells = (keys >> shift) * size + (keys & ((1 << shift) - 1))
+    full = reduce(np.kron, [seed] * depth)
+    assert cell_pvalue(cells, full / full.sum(axis=1, keepdims=True)) > 1e-4
+
+
+def test_binary_tables_are_the_radix_two_case():
+    """The tables built from GRAPH500's per-level 2 x 2 matrices, row
+    ``s`` being ``[1 - p_s, p_s]``, are the plain process's, element for
+    element: the binary kernel is the radix-2 sampler."""
+    a, b, c, d = GRAPH500.as_tuple()
+    p = np.array([b / (a + b), d / (c + d)])
+    levels = 18
+    by_hand = ScopeSampler([np.column_stack([1.0 - p, p])] * levels)
+    process = ScopeSampler(PlainProcess(GRAPH500, levels).digit_matrices())
+    assert len(by_hand._tables) == len(process._tables) == 3
+    for mine, theirs in zip(by_hand._tables, process._tables):
+        assert mine[0] == theirs[0]
+        np.testing.assert_array_equal(mine[1], theirs[1])
+        np.testing.assert_array_equal(mine[2], theirs[2])
+
+
+def test_a_source_independent_process_builds_one_row_per_chunk():
+    """ERV's row-uniform ``Kin``: equal rows state one row a level, so
+    each chunk is one alias row, and every source draws from it."""
+    process = PlainProcess(SeedMatrix.rmat(0.3, 0.2, 0.3, 0.2), 18)
+    assert all(m.shape == (1, 2) for m in process.digit_matrices())
+    sampler = ScopeSampler(process.digit_matrices())
+    assert [table[1].size for table in sampler._tables] == [128, 128, 16]
+    sources = np.array([0, 5, (1 << 18) - 1], dtype=np.int64)
+    counts = np.array([DRAWS >> 2, 0, DRAWS >> 2], dtype=np.int64)
+    keys = sampler.keys(sources, counts, 18, np.random.default_rng(11))
+    np.testing.assert_array_equal(keys >> 18, np.repeat([0, 2], DRAWS >> 2))
+    dest = keys & ((1 << 18) - 1)
+    for x in range(18):                       # P(bit = 1) = 0.2 / 0.5
+        for row in (dest[:DRAWS >> 2], dest[DRAWS >> 2:]):
+            ones = int((row >> x & 1).sum())
+            assert sps.binomtest(ones, row.size, 0.4).pvalue > 1e-4
 
 
 class _GridRng:
@@ -157,7 +229,7 @@ def test_forbidden_bits_are_never_drawn(name, width, chunk_bits):
     chunk_bits(width)
     seed_matrix, forbidden = FORBIDDEN[name]
     levels = 18
-    sampler = ScopeSampler(process_of(seed_matrix, levels))
+    sampler = sampler_of(process_of(seed_matrix, levels))
     assert sampler.uniforms_per_edge == -(-levels // width)
     picks = np.random.default_rng(5).integers(0, 1 << levels, size=62)
     sources = np.concatenate([[0, (1 << levels) - 1], picks])
@@ -187,7 +259,7 @@ def test_eighteen_levels_marginals_and_boundary_independence(width, noise,
     process = process_of(GRAPH500, levels, noise)
     rng = np.random.default_rng(7)
     sources, counts = source_sample(levels, rng)
-    keys = ScopeSampler(process).keys(sources, counts, levels, rng)
+    keys = sampler_of(process).keys(sources, counts, levels, rng)
     np.testing.assert_array_equal(keys >> levels,
                                   np.repeat(np.arange(sources.size), counts))
     src = np.repeat(sources, counts)
@@ -231,7 +303,7 @@ def test_draw_order_is_one_uniform_array_per_chunk():
     counts = np.arange(100, dtype=np.int64)            # row 0 draws nothing
     total = int(counts.sum())
     for seed_matrix in (GRAPH500, ALL_ZERO):
-        sampler = ScopeSampler(process_of(seed_matrix, 18))
+        sampler = sampler_of(process_of(seed_matrix, 18))
         counting = _CountingRng(8)
         first = sampler.keys(sources, counts, 18, counting)
         assert counting.calls == [total] * 3            # chunks 7 / 7 / 4
@@ -240,7 +312,7 @@ def test_draw_order_is_one_uniform_array_per_chunk():
             replay.random(total)
         assert counting.rng.bit_generator.state == \
             replay.bit_generator.state
-        again = ScopeSampler(process_of(seed_matrix, 18)).keys(
+        again = sampler_of(process_of(seed_matrix, 18)).keys(
             sources, counts, 18, np.random.default_rng(8))
         np.testing.assert_array_equal(first, again)
     np.testing.assert_array_equal(
@@ -276,7 +348,7 @@ def test_the_slice_size_changes_no_key_and_no_stream_position(
     leaves the stream where that call does."""
     counts = np.array(SLICED_CALLS[call], dtype=np.int64)
     sources = np.random.default_rng(2).integers(0, 1 << 18, counts.size)
-    sampler = ScopeSampler(process_of(GRAPH500, 18, noise))
+    sampler = sampler_of(process_of(GRAPH500, 18, noise))
     drawn = []
     for size in (tables._SLICE_KEYS, 97):
         monkeypatch.setattr(tables, "_SLICE_KEYS", size)
