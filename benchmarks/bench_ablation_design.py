@@ -15,19 +15,20 @@ import numpy as np
 import pytest
 
 from repro.core.generator import RecursiveVectorGenerator
+from repro.core.reference import ReferenceGenerator
 
 SCALE = 13
 
 
 def test_engine_bitwise_throughput(benchmark):
-    g = RecursiveVectorGenerator(SCALE, 16, seed=1, engine="bitwise")
+    g = RecursiveVectorGenerator(SCALE, 16, seed=1)
     edges = benchmark(g.edges)
     assert edges.shape[0] > 100000
 
 
 def test_engine_reference_throughput(benchmark):
     # Smaller scale: the per-edge Python loop is ~100x slower.
-    g = RecursiveVectorGenerator(10, 16, seed=1, engine="reference")
+    g = ReferenceGenerator(10, 16, seed=1)
     edges = benchmark.pedantic(g.edges, rounds=1, iterations=1)
     assert edges.shape[0] > 14000
 
@@ -37,8 +38,10 @@ def test_engine_speed_ordering(benchmark, table):
 
     def run():
         out = {}
-        for engine, scale in (("reference", 10), ("bitwise", SCALE)):
-            g = RecursiveVectorGenerator(scale, 16, seed=2, engine=engine)
+        for engine, make, scale in (
+                ("reference", ReferenceGenerator, 10),
+                ("bitwise", RecursiveVectorGenerator, SCALE)):
+            g = make(scale, 16, seed=2)
             t0 = time.perf_counter()
             edges = g.edges()
             out[engine] = edges.shape[0] / (time.perf_counter() - t0)

@@ -101,13 +101,12 @@ def test_algorithmic_work_advantage(benchmark):
     (Idea #2: ~0.24 log|V| vs log|V|), random draws (Idea #3: 1 vs one
     per recursion), RecVec builds (Idea #1: one per scope vs per edge).
     """
-    from repro.core.generator import IdeaToggles, RecursiveVectorGenerator
+    from repro.core.reference import IdeaToggles, ReferenceGenerator
 
     def run():
-        on = RecursiveVectorGenerator(10, 8, seed=5, engine="reference")
+        on = ReferenceGenerator(10, 8, seed=5)
         on.edges()
-        off = RecursiveVectorGenerator(10, 8, seed=5, engine="reference",
-                                       ideas=IdeaToggles.all_off())
+        off = ReferenceGenerator(10, 8, seed=5, ideas=IdeaToggles.all_off())
         off.edges()
         return on.stats, off.stats
 

@@ -1,6 +1,7 @@
 """Figure 13: impact of the three performance Ideas.
 
-Runs the instrumented reference engine through all eight on/off
+Runs the instrumented reference engine
+(:func:`repro.experiments.figure13_rows`) through all eight on/off
 combinations of (Idea #1 reuse RecVec, Idea #2 fewer recursions, Idea #3
 one random value) at scale 12 (paper: 27) and reports both wall time and
 the work counters.  Shape assertions from the paper:
@@ -11,15 +12,12 @@ the work counters.  Shape assertions from the paper:
 - all-on is the fastest configuration.
 """
 
-import time
-
 import pytest
 
 from benchmarks.conftest import PAPER
-from repro.core.generator import IdeaToggles, RecursiveVectorGenerator
+from repro.experiments import figure13_rows
 
 SCALE = 12
-EDGE_FACTOR = 8
 
 COMBOS = [(i1, i2, i3) for i1 in (False, True) for i2 in (False, True)
           for i3 in (False, True)]
@@ -27,15 +25,9 @@ COMBOS = [(i1, i2, i3) for i1 in (False, True) for i2 in (False, True)
 
 @pytest.fixture(scope="module")
 def ablation():
-    results = {}
-    for combo in COMBOS:
-        g = RecursiveVectorGenerator(SCALE, EDGE_FACTOR, seed=13,
-                                     engine="reference",
-                                     ideas=IdeaToggles(*combo))
-        t0 = time.perf_counter()
-        g.edges()
-        results[combo] = (time.perf_counter() - t0, g.stats)
-    return results
+    """``(seconds, row)`` per ``(idea1, idea2, idea3)`` combination."""
+    return {(row["idea1"], row["idea2"], row["idea3"]): (row["seconds"], row)
+            for row in figure13_rows(scale=SCALE)}
 
 
 def fmt(flag: bool) -> str:
@@ -46,11 +38,11 @@ def test_figure13_table(benchmark, ablation, table):
     def rows():
         out = []
         for combo in COMBOS:
-            dt, stats = ablation[combo]
+            dt, row = ablation[combo]
             paper_s = PAPER["fig13"][combo]
             out.append([fmt(combo[0]), fmt(combo[1]), fmt(combo[2]),
-                        round(dt, 3), paper_s, stats.recursion_steps,
-                        stats.random_draws, stats.recvec_builds])
+                        dt, paper_s, row["recursions"], row["draws"],
+                        row["recvec_builds"]])
         return out
 
     data = benchmark.pedantic(rows, rounds=1, iterations=1)
@@ -100,13 +92,13 @@ def test_work_counters_match_idea_semantics(benchmark, ablation):
     stats = benchmark.pedantic(counters, rounds=1, iterations=1)
     on = stats[(True, True, True)]
     # Idea #2 off => recursions jump to log|V| per attempt.
-    assert stats[(True, False, True)].recursion_steps \
-        > 2.5 * on.recursion_steps
+    assert stats[(True, False, True)]["recursions"] \
+        > 2.5 * on["recursions"]
     # Idea #3 off => one draw per recursion instead of one per edge.
-    assert stats[(True, True, False)].random_draws > 2 * on.random_draws
+    assert stats[(True, True, False)]["draws"] > 2 * on["draws"]
     # Idea #1 off => one RecVec build per attempt instead of per scope.
-    assert stats[(False, True, True)].recvec_builds \
-        > 5 * on.recvec_builds
+    assert stats[(False, True, True)]["recvec_builds"] \
+        > 5 * on["recvec_builds"]
 
 
 def test_idea1_helps_in_every_configuration(benchmark, ablation):

@@ -26,7 +26,7 @@ def scores():
         values = []
         for seed in SEEDS:
             g = RecursiveVectorGenerator(SCALE, 16, seed=seed,
-                                         noise=noise, engine="bitwise")
+                                         noise=noise)
             values.append(oscillation_score(
                 out_degrees(g.edges(), g.num_vertices)))
         result[noise] = sum(values) / len(values)
@@ -60,8 +60,7 @@ def test_noisy_graph_keeps_power_law(benchmark):
     from repro.analysis import fit_kronecker_class_slope
 
     def run():
-        g = RecursiveVectorGenerator(SCALE, 16, seed=10, noise=0.1,
-                                     engine="bitwise")
+        g = RecursiveVectorGenerator(SCALE, 16, seed=10, noise=0.1)
         return fit_kronecker_class_slope(
             out_degrees(g.edges(), g.num_vertices))
 
@@ -72,7 +71,6 @@ def test_noisy_graph_keeps_power_law(benchmark):
 def test_generation_cost_of_noise(benchmark):
     """NSKG noise is essentially free in the recursive vector model (the
     noisy RecVec of Lemma 8 costs the same O(log|V|) build)."""
-    g = RecursiveVectorGenerator(13, 16, seed=11, noise=0.1,
-                                 engine="bitwise")
+    g = RecursiveVectorGenerator(13, 16, seed=11, noise=0.1)
     edges = benchmark(g.edges)
     assert edges.shape[0] > 100000

@@ -354,7 +354,6 @@ def test_emit_bench_json(tmp_path, table):
         records.append({
             "scale": SCALE,
             "format": fmt_name,
-            "engine": gen.engine,
             "edges_per_second": round(result.edges_per_second),
             "mb_per_second": round(result.bytes_per_second / 2**20, 2),
             "encode_seconds": round(result.encode_seconds, 4),
@@ -362,7 +361,7 @@ def test_emit_bench_json(tmp_path, table):
         })
     out_path = _REPO_ROOT / "BENCH_formats.json"
     out_path.write_text(json.dumps(records, indent=2) + "\n")
-    table(f"BENCH_formats.json (scale {SCALE}, engine {gen.engine})",
+    table(f"BENCH_formats.json (scale {SCALE})",
           ["format", "edges/s", "MB/s"],
           [[r["format"], f"{r['edges_per_second']:,}",
             r["mb_per_second"]] for r in records])

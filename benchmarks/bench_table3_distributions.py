@@ -26,8 +26,7 @@ def test_out_slope_rows(benchmark, table):
         rows = []
         for target in (-1.0, -1.662, -2.2):
             seed = seed_for_out_slope(target)
-            g = RecursiveVectorGenerator(SCALE, 16, seed, seed=1,
-                                         engine="bitwise")
+            g = RecursiveVectorGenerator(SCALE, 16, seed, seed=1)
             deg = out_degrees(g.edges(), g.num_vertices)
             rows.append([f"Kout zipf({target})",
                          round(seed.out_zipf_slope(), 3),
@@ -46,8 +45,7 @@ def test_in_slope_rows(benchmark, table):
         rows = []
         for target in (-1.2, -1.662):
             seed = seed_for_in_slope(target)
-            g = RecursiveVectorGenerator(SCALE, 16, seed, seed=2,
-                                         engine="bitwise")
+            g = RecursiveVectorGenerator(SCALE, 16, seed, seed=2)
             deg = in_degrees(g.edges(), g.num_vertices)
             rows.append([f"Kin zipf({target})",
                          round(seed.in_zipf_slope(), 3),
@@ -63,8 +61,7 @@ def test_in_slope_rows(benchmark, table):
 
 def test_uniform_seed_gaussian_row(benchmark, table):
     def measure():
-        g = RecursiveVectorGenerator(SCALE, 16, UNIFORM, seed=3,
-                                     engine="bitwise")
+        g = RecursiveVectorGenerator(SCALE, 16, UNIFORM, seed=3)
         deg = out_degrees(g.edges(), g.num_vertices)
         return fit_gaussian(deg)
 

@@ -17,7 +17,7 @@ Quickstart
 """
 
 from .core import (GRAPH500, UNIFORM, IdeaToggles, RecursiveVectorGenerator,
-                   SeedMatrix)
+                   ReferenceGenerator, SeedMatrix)
 from .errors import (CapacityError, ConfigurationError, FormatError,
                      GenerationError, OutOfMemoryError, SeedMatrixError,
                      TrillionGError)
@@ -27,7 +27,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "GRAPH500", "UNIFORM", "IdeaToggles", "RecursiveVectorGenerator",
-    "SeedMatrix", "TrillionG", "TrillionGResult", "CapacityError",
-    "ConfigurationError", "FormatError", "GenerationError",
+    "ReferenceGenerator", "SeedMatrix", "TrillionG", "TrillionGResult",
+    "CapacityError", "ConfigurationError", "FormatError", "GenerationError",
     "OutOfMemoryError", "SeedMatrixError", "TrillionGError", "__version__",
 ]

@@ -1,28 +1,23 @@
-"""The AVS (A Vertex Scope) generator — the recursive vector model engine.
+"""The AVS (A Vertex Scope) generator — the recursive vector model kernel.
 
 This is the core of TrillionG (Sections 4-5): for each source vertex ``u``
-it draws the scope size ``d+(u)`` (Theorem 1), builds ``RecVec`` (Lemma 2 /
-Lemma 8), and samples that many *distinct* destinations (Theorem 2,
-Algorithm 5), in working memory bounded by ``O(max(_BLOCK_EDGES, dmax))``
-edges (Section 5).
+it draws the scope size ``d+(u)`` (Theorem 1) and samples that many
+*distinct* destinations from ``P(v|u)`` (Theorem 2's distribution), in
+working memory bounded by ``O(max(_BLOCK_EDGES, dmax))`` edges
+(Section 5).
 
-Engines
--------
-``bitwise``
-    The production kernel.  ``P(v|u)`` factorises over destination bits
-    (Lemma 3, see :mod:`repro.core.probability`), so the bits are
-    independent draws — taken seven at a time from chained conditional
-    alias tables (:class:`repro.core.tables.ScopeSampler`), batched in
-    numpy over a run of sources.
-``reference``
-    Paper-faithful per-edge Python loop (Algorithms 4-5), instrumented with
-    recursion/draw counters and the three Idea toggles — the test oracle
-    and the engine behind the Figure 13 ablation.
-
-Both are deterministic per ``(params, seed)`` and draw from the same
-distribution, but are **not** byte-identical to each other — they consume
-their streams in different shapes (``docs/kernel.md``).  Golden digests
-are frozen in ``tests/core/test_rng_golden.py``.
+Kernel
+------
+``P(v|u)`` factorises over destination bits (Lemma 3, see
+:mod:`repro.core.probability`), so the bits are independent draws —
+taken seven at a time from chained conditional alias tables
+(:class:`repro.core.tables.ScopeSampler`), batched in numpy over a run of
+sources.  The paper's per-edge Algorithms 4-5 are the test oracle,
+:class:`repro.core.reference.ReferenceGenerator`, which overrides the one
+per-run hook :meth:`RecursiveVectorGenerator._generate_run`: it draws
+from the same distribution and the same streams, but is **not**
+byte-identical to the kernel (``docs/kernel.md``).  Golden digests are
+frozen in ``tests/core/test_rng_golden.py``.
 
 Determinism
 -----------
@@ -40,7 +35,6 @@ workers generate it or how the vertex range is partitioned
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -57,7 +51,6 @@ from .seed import GRAPH500, SeedMatrix
 from .tables import ScopeSampler
 
 __all__ = [
-    "IdeaToggles",
     "GenerationStats",
     "RecursiveVectorGenerator",
     "AdjacencyBlock",
@@ -71,7 +64,6 @@ _TAG_EDGE = 103
 # ``level``'s degree key, since SeedSequence absorbs a trailing 0.
 _TAG_SPLIT = 104
 
-_ENGINES = ("bitwise", "reference")
 _MAX_TOPUP_ROUNDS = 200
 
 #: Edges one run of a grid block holds at most, unless one scope alone is
@@ -81,49 +73,16 @@ _MAX_TOPUP_ROUNDS = 200
 _BLOCK_EDGES = 1 << 17
 
 
-@dataclass(frozen=True)
-class IdeaToggles:
-    """The three performance ideas of Section 4.3, individually togglable
-    for the Figure 13 ablation.  All three default to on (full TrillionG).
-
-    - ``reuse_recvec`` (Idea #1): build RecVec once per scope instead of
-      once per edge.
-    - ``reduce_recursions`` (Idea #2): recurse once per 1-bit of the
-      destination (Theorem 2) instead of once per level (RMAT-style).
-    - ``single_random`` (Idea #3): draw one uniform per edge and translate
-      it, instead of one uniform per recursion step.
-    """
-
-    reuse_recvec: bool = True
-    reduce_recursions: bool = True
-    single_random: bool = True
-
-    @classmethod
-    def all_off(cls) -> "IdeaToggles":
-        return cls(False, False, False)
-
-
 @dataclass
 class GenerationStats:
     """Counters accumulated while generating.  ``random_draws`` counts
     every uniform a destination sampler consumes, top-up redraws included
-    (not the ``|V|`` scores of the exact fallback for saturated scopes);
-    ``recursion_steps`` and ``recvec_builds`` are reference-engine only."""
+    (not the ``|V|`` scores of the exact fallback for saturated scopes)."""
 
     edges: int = 0
     duplicates_discarded: int = 0
-    recursion_steps: int = 0
     random_draws: int = 0
-    recvec_builds: int = 0
     max_scope_size: int = 0
-
-    def merge(self, other: "GenerationStats") -> None:
-        self.edges += other.edges
-        self.duplicates_discarded += other.duplicates_discarded
-        self.recursion_steps += other.recursion_steps
-        self.random_draws += other.random_draws
-        self.recvec_builds += other.recvec_builds
-        self.max_scope_size = max(self.max_scope_size, other.max_scope_size)
 
 
 @dataclass
@@ -193,10 +152,6 @@ class RecursiveVectorGenerator:
     direction:
         ``"out"`` for AVS-O (scopes are rows; yields out-adjacency) or
         ``"in"`` for AVS-I (scopes are columns; yields in-adjacency).
-    engine:
-        ``"bitwise"`` (default) or ``"reference"``.
-    ideas:
-        Idea toggles (reference engine only).
     dedup:
         Eliminate repeat edges within each scope and top up to the drawn
         scope size (Algorithm 2's set semantics).  Default True.
@@ -219,8 +174,6 @@ class RecursiveVectorGenerator:
                  num_edges: int | None = None,
                  noise: float = 0.0,
                  direction: str = "out",
-                 engine: str = "bitwise",
-                 ideas: IdeaToggles | None = None,
                  dedup: bool = True,
                  degree_method: str = "split",
                  seed: int = 0,
@@ -232,9 +185,6 @@ class RecursiveVectorGenerator:
                 "scale > 56 would overflow int64 destination packing")
         if direction not in ("out", "in"):
             raise ConfigurationError("direction must be 'out' or 'in'")
-        if engine not in _ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; expected one of {_ENGINES}")
         if block_size < 1:
             raise ConfigurationError("block_size must be positive")
         if degree_method not in DEGREE_METHODS:
@@ -257,8 +207,6 @@ class RecursiveVectorGenerator:
         self.direction = direction
         matrix = base if direction == "out" else base.transpose()
         _require_scope_lines(matrix, direction)
-        self.engine = engine
-        self.ideas = ideas if ideas is not None else IdeaToggles()
         self.dedup = dedup
         self.degree_method = degree_method
         self.seed = seed
@@ -278,14 +226,13 @@ class RecursiveVectorGenerator:
     def recipe(self) -> dict:
         """The keyword arguments that rebuild this generator's graph.
 
-        Worker processes are rebuilt from it (spawn-safe: scalars, the
-        seed matrix and the idea toggles), and a checkpoint manifest
-        records it so a resume with a different graph is refused.
+        Worker processes are rebuilt from it (spawn-safe: scalars and the
+        seed matrix), and a checkpoint manifest records it so a resume
+        with a different graph is refused.
         """
         return dict(scale=self.scale, num_edges=self.num_edges,
                     seed_matrix=self.seed_matrix, noise=self.noise,
-                    direction=self.direction, engine=self.engine,
-                    ideas=self.ideas, dedup=self.dedup,
+                    direction=self.direction, dedup=self.dedup,
                     degree_method=self.degree_method, seed=self.seed,
                     block_size=self.block_size)
 
@@ -412,30 +359,18 @@ class RecursiveVectorGenerator:
         for k, (first, stop) in enumerate(zip(cuts, cuts[1:])):
             if stop <= lo or first >= hi:
                 continue
-            yield first, self._generate_run(
+            before = (self.stats.random_draws,
+                      self.stats.duplicates_discarded)
+            run = self._generate_run(
                 sources[first:stop], degrees[first:stop],
                 stream(self.seed, _TAG_EDGE, block_index, k))
+            self._record_run(run, degrees[first:stop], before)
+            yield first, run
+            del run   # not held while the next run is drawn
 
-    def _generate_run(self, sources: np.ndarray, degrees: np.ndarray,
-                      rng: np.random.Generator) -> AdjacencyBlock:
-        """Generate the scopes of one run from its own stream."""
-        before = (self.stats.random_draws, self.stats.recvec_builds,
-                  self.stats.duplicates_discarded)
-        if self.engine == "reference":
-            block = self._generate_block_reference(sources, degrees, rng)
-        else:
-            block = self._generate_block_bitwise(sources, degrees, rng)
-        self.stats.edges += block.num_edges
-        if degrees.size:
-            self.stats.max_scope_size = max(self.stats.max_scope_size,
-                                            int(degrees.max()))
-        self._record_block_metrics(block, degrees, before)
-        return block
-
-    def _record_block_metrics(self, block: AdjacencyBlock,
-                              degrees: np.ndarray,
-                              before: tuple[int, int, int]) -> None:
-        """Publish per-block telemetry.
+    def _record_run(self, run: AdjacencyBlock, degrees: np.ndarray,
+                    before: tuple[int, int]) -> None:
+        """Count one run into :attr:`stats` and publish its telemetry.
 
         Counters, plus one ``np.unique`` over the run's degrees handed to
         ``observe_bulk`` — O(sources) numpy work, never a per-edge loop.
@@ -443,25 +378,18 @@ class RecursiveVectorGenerator:
         with telemetry on, pin that).
         """
         reg = registry()
-        draws0, builds0, dups0 = before
+        draws0, dups0 = before
         stats = self.stats
-        draws = stats.random_draws - draws0
-        builds = stats.recvec_builds - builds0
+        stats.edges += run.num_edges
         reg.counter("generator.blocks").inc()
-        reg.counter("generator.edges").inc(block.num_edges)
+        reg.counter("generator.edges").inc(run.num_edges)
         reg.counter("generator.duplicates_discarded").inc(
             stats.duplicates_discarded - dups0)
-        reg.counter("generator.random_draws").inc(draws)
-        reg.counter("generator.recvec_builds").inc(builds)
-        if self.engine == "reference":
-            # Idea #1 effectiveness: every draw beyond the first per scope
-            # reuses an already-built RecVec.  Builds that served no draw
-            # (zero-degree scopes) appear only in recvec_builds, keeping
-            # hits + misses == random_draws exact.
-            hits = max(draws - builds, 0)
-            reg.counter("generator.recvec_reuse_hits").inc(hits)
-            reg.counter("generator.recvec_reuse_misses").inc(draws - hits)
+        reg.counter("generator.random_draws").inc(
+            stats.random_draws - draws0)
         if degrees.size:
+            stats.max_scope_size = max(stats.max_scope_size,
+                                       int(degrees.max()))
             values, counts = np.unique(degrees, return_counts=True)
             reg.histogram("generator.scope_size").observe_bulk(
                 values.tolist(), counts.tolist())
@@ -517,25 +445,29 @@ class RecursiveVectorGenerator:
         return out
 
     # ------------------------------------------------------------------
-    # Bitwise engine (the production kernel)
+    # The kernel
     # ------------------------------------------------------------------
 
-    def _generate_block_bitwise(self, sources: np.ndarray,
-                                degrees: np.ndarray,
-                                rng: np.random.Generator) -> AdjacencyBlock:
+    def _generate_run(self, sources: np.ndarray, degrees: np.ndarray,
+                      rng: np.random.Generator) -> AdjacencyBlock:
+        """The scopes of one run, drawn from the run's own stream ``rng``:
+        the one per-run hook, which
+        :class:`~repro.core.reference.ReferenceGenerator` overrides."""
         # Rejection top-up coupon-collects once a scope exceeds ~1/4 of
         # its row (small scales only, where the hub's expected degree
-        # ``|E| * P(u->)`` nears ``|V|``): sample those scopes exactly.
-        saturated = degrees > (self.num_vertices >> 2)
-        if self.dedup and saturated.any():
-            return self._generate_block_with_saturated(sources, degrees,
-                                                       saturated, rng)
+        # ``|E| * P(u->)`` nears ``|V|``): sample those scopes exactly,
+        # after the others.
+        saturated = (degrees > (self.num_vertices >> 2) if self.dedup
+                     else np.zeros(degrees.size, dtype=bool))
         block, duplicates = _draw_run(
-            sources, degrees, self.scale, self.dedup,
+            sources, np.where(saturated, 0, degrees), self.scale,
+            self.dedup,
             lambda rows, counts: self._draw_keys(sources[rows], counts, rng),
             lambda row, size: self._sample_scope_exact(int(sources[row]),
                                                        size, rng))
         self.stats.duplicates_discarded += duplicates
+        if saturated.any():
+            block = self._with_saturated(block, degrees, saturated, rng)
         return block
 
     def _draw_keys(self, sources: np.ndarray, counts: np.ndarray,
@@ -569,108 +501,22 @@ class RecursiveVectorGenerator:
         p = self.process.bit_probabilities(np.array([u], dtype=np.uint64))[0]
         return _ppswor(_digits_pmf(np.column_stack([1.0 - p, p])), size, rng)
 
-    def _generate_block_with_saturated(self, sources: np.ndarray,
-                                       degrees: np.ndarray,
-                                       saturated: np.ndarray,
-                                       rng: np.random.Generator
-                                       ) -> AdjacencyBlock:
-        """Split a block into normal scopes (batched path) and saturated
-        scopes (exact path), then merge back in source order."""
-        light_degrees = np.where(saturated, 0, degrees)
-        light = self._generate_block_bitwise(sources, light_degrees, rng)
+    def _with_saturated(self, light: AdjacencyBlock, degrees: np.ndarray,
+                        saturated: np.ndarray, rng: np.random.Generator
+                        ) -> AdjacencyBlock:
+        """``light``, whose saturated scopes were drawn empty, with those
+        scopes sampled exactly, in source order."""
+        sources = light.sources
         per_source = [light.destinations[light.offsets[j]:
                                          light.offsets[j + 1]]
                       for j in range(sources.size)]
-        for j in np.nonzero(saturated)[0]:
+        for j in np.flatnonzero(saturated):
             per_source[j] = self._sample_scope_exact(int(sources[j]),
                                                      int(degrees[j]), rng)
         counts = np.array([d.size for d in per_source], dtype=np.int64)
         offsets = np.zeros(sources.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         return AdjacencyBlock(sources, offsets, np.concatenate(per_source))
-
-    # ------------------------------------------------------------------
-    # Reference engine (Algorithms 4-5, instrumented, idea toggles)
-    # ------------------------------------------------------------------
-
-    def _generate_block_reference(self, sources: np.ndarray,
-                                  degrees: np.ndarray,
-                                  rng: np.random.Generator) -> AdjacencyBlock:
-        all_dests: list[np.ndarray] = []
-        counts = np.empty(sources.size, dtype=np.int64)
-        for j, u in enumerate(sources):
-            dests = self._generate_scope_reference(int(u), int(degrees[j]),
-                                                   rng)
-            counts[j] = dests.size
-            all_dests.append(dests)
-        offsets = np.zeros(sources.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        destinations = (np.concatenate(all_dests) if all_dests
-                        else np.empty(0, np.int64))
-        return AdjacencyBlock(sources.copy(), offsets, destinations)
-
-    def _generate_scope_reference(self, u: int, size: int,
-                                  rng: np.random.Generator) -> np.ndarray:
-        """Algorithm 4 for one scope, honoring the Idea toggles."""
-        if self.dedup and size > (self.num_vertices >> 2):
-            return self._sample_scope_exact(u, size, rng)
-        ideas = self.ideas
-        stats = self.stats
-        recvec = None
-        bit_probs = None
-        forced = 0
-        if ideas.reuse_recvec:
-            recvec, forced = self._build_recvec_reference(u)
-            if not ideas.reduce_recursions:
-                bit_probs = self.process.bit_probabilities(
-                    np.array([u], dtype=np.uint64))[0]
-        edge_set: set[int] = set()
-        attempts = 0
-        max_attempts = max(size * _MAX_TOPUP_ROUNDS, _MAX_TOPUP_ROUNDS)
-        while len(edge_set) < size:
-            if attempts >= max_attempts:
-                # Rejection stalled on a very skewed scope; finish exactly
-                # (same fallback as the bitwise engine).
-                return self._sample_scope_exact(u, size, rng)
-            attempts += 1
-            if not ideas.reuse_recvec:
-                recvec, forced = self._build_recvec_reference(u)
-                if not ideas.reduce_recursions:
-                    bit_probs = self.process.bit_probabilities(
-                        np.array([u], dtype=np.uint64))[0]
-            if ideas.reduce_recursions:
-                v = forced | _sample_destination_alg5(
-                    recvec, rng, ideas.single_random, stats)
-            else:
-                v = _sample_destination_bitpeel(bit_probs, rng,
-                                                ideas.single_random, stats)
-            if v in edge_set:
-                stats.duplicates_discarded += 1
-            else:
-                edge_set.add(v)
-        return np.array(sorted(edge_set), dtype=np.int64)
-
-    def _build_recvec_reference(self, u: int) -> tuple[np.ndarray, int]:
-        """RecVec of ``u`` for Algorithm 5, and the destination bits that
-        are forced to 1 (to be OR-ed into every destination).
-
-        A seed entry ``a`` or ``c`` of exactly 0 forces a bit to 1 and
-        zeroes RecVec at and below that level, so the levels below can no
-        longer be told apart and sigma divides by 0.  Such levels are
-        taken out of the vector: they become zero-width intervals, like
-        the levels forced to 0, which the walk skips.
-        """
-        self.stats.recvec_builds += 1
-        recvec = self.process.build_recvec(u)
-        if recvec[0] > 0.0:
-            return recvec, 0
-        probs = self.process.bit_probabilities(
-            np.array([u], dtype=np.uint64))[0]
-        forced = probs >= 1.0
-        for x in range(self.scale - 1, -1, -1):
-            recvec[x] = recvec[x + 1] * (1.0 if forced[x] else 1.0 - probs[x])
-        return recvec, int(forced @ (1 << np.arange(self.scale,
-                                                    dtype=np.int64)))
 
     # ------------------------------------------------------------------
     # Helpers
@@ -876,75 +722,3 @@ def _absent(sorted_keys: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         return np.ones(candidates.size, dtype=bool)
     pos = np.searchsorted(sorted_keys, candidates)
     return sorted_keys[np.minimum(pos, sorted_keys.size - 1)] != candidates
-
-
-def _sample_destination_alg5(recvec: np.ndarray, rng: np.random.Generator,
-                             single_random: bool,
-                             stats: GenerationStats) -> int:
-    """One destination via Algorithm 5 (Ideas #2 on, #3 togglable)."""
-    top = len(recvec) - 1
-    x = rng.uniform(0.0, recvec[top])
-    stats.random_draws += 1
-    v = 0
-    last_k = top
-    while x >= recvec[0] and last_k > 0:
-        k = min(bisect_right(recvec, x) - 1, last_k - 1)
-        # The clamp can land on a zero-width interval (a forced bit, where
-        # sigma is 0): move on to the next interval that has mass.
-        while k >= 0 and recvec[k + 1] <= recvec[k]:
-            k -= 1
-        if k < 0:
-            break
-        stats.recursion_steps += 1
-        if single_random:
-            sigma = (recvec[k + 1] - recvec[k]) / recvec[k]
-            x = (x - recvec[k]) / sigma
-        else:
-            x = rng.uniform(0.0, recvec[k])
-            stats.random_draws += 1
-        v += 1 << k
-        last_k = k
-    return v
-
-
-def _sample_destination_bitpeel(bit_probs: np.ndarray,
-                                rng: np.random.Generator,
-                                single_random: bool,
-                                stats: GenerationStats) -> int:
-    """One destination via per-level quadrant selection (Idea #2 off).
-
-    With ``single_random`` the one uniform is repeatedly rescaled through
-    the per-level inverse CDF; without it, a fresh uniform decides each
-    level (the RMAT-style process).
-    """
-    levels = bit_probs.size
-    x = rng.random() if single_random else 0.0
-    if single_random:
-        stats.random_draws += 1
-    v = 0
-    for level in range(levels - 1, -1, -1):
-        p = bit_probs[level]
-        # Degenerate level (seed entry of exactly 0 or 1): the bit is
-        # forced, so consume no randomness and leave x untouched.
-        # Without the short-circuit, the single-uniform rescale divides
-        # by zero once float rounding pushes x to exactly 1.0 at a
-        # p == 0 level ((x - 1.0) / 0.0), and the fresh-uniform path
-        # burns a draw deciding a certain event.
-        if p >= 1.0:
-            v |= 1 << level
-            continue
-        if p <= 0.0:
-            continue
-        stats.recursion_steps += 1
-        if single_random:
-            if x < 1.0 - p:
-                bit = 0
-                x = x / (1.0 - p)
-            else:
-                bit = 1
-                x = (x - (1.0 - p)) / p
-        else:
-            bit = 1 if rng.random() < p else 0
-            stats.random_draws += 1
-        v |= bit << level
-    return v

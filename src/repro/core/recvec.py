@@ -10,12 +10,13 @@ O(L) space, and supports inverse-CDF sampling of a destination in
 O(ones(v) * log L) time via the scale/translational symmetries (Lemmas 3-4,
 Theorem 2, Algorithm 5).
 
-Three search strategies are provided (Table 2):
+Three search strategies are provided:
 
 - :func:`determine_edge` — the paper's Algorithm 5 (binary search on
-  RecVec, iterative form);
-- :func:`determine_edge_recursive` — literal recursive transcription of
-  Algorithm 5 (test reference);
+  RecVec, iterative form), the one scalar walk: Table 2's RecVec row and
+  the reference engine's (:mod:`repro.core.reference`);
+- :func:`determine_edges` — the same walk vectorised over a batch of
+  values, which the chi-square tests draw through;
 - :func:`determine_edge_cdf` — the naive O(|V|)-space CDF-vector method
   of Section 4.2, with linear or binary search (baseline for Table 2).
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 import decimal
 from bisect import bisect_right
 from decimal import Decimal
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +47,6 @@ __all__ = [
     "sigma_from_recvec",
     "scale_symmetry_ratio",
     "determine_edge",
-    "determine_edge_recursive",
     "determine_edge_cdf",
     "determine_edges",
 ]
@@ -172,53 +173,46 @@ def _zero_entry(k: int) -> ConfigurationError:
         "lower bits; sample such seeds with repro.core.tables.ScopeSampler")
 
 
-def determine_edge(x, recvec) -> int:
+def determine_edge(x, recvec, redraw: Callable | None = None) -> int:
     """Determine the destination vertex for random value ``x`` (Algorithm 5).
 
     ``x`` must lie in ``[0, RecVec[L])``.  Iterative transcription of the
     paper's tail recursion: while ``x >= RecVec[0]``, find the unique ``k``
     with ``RecVec[k] <= x < RecVec[k+1]`` (binary search), accumulate
     ``2**k``, and translate ``x' = (x - RecVec[k]) / sigma``; when
-    ``x < RecVec[0]`` the remaining destination suffix is 0.
+    ``x < RecVec[0]`` the remaining destination suffix is 0.  With
+    ``redraw`` (Idea #3 off) ``x'`` is a fresh ``redraw(RecVec[k])``,
+    uniform in ``[0, RecVec[k])``, instead of the translated value.
 
     Accepts either a numpy float row or a list of :class:`~decimal.Decimal`.
     Raises :class:`~repro.errors.ConfigurationError` instead of dividing
     by a zero entry (a seed with a zero in column 0).
     """
-    top = len(recvec) - 1
     v = 0
     # In exact arithmetic k strictly decreases between iterations; last_k
     # enforces that under floating point so a bit can never be added twice.
-    last_k = top
+    last_k = len(recvec) - 1
     while x >= recvec[0] and last_k > 0:
         # bisect_right gives the first index whose value exceeds x; the
         # paper's k is one to its left.  Clamp for x == RecVec[top] edge case.
         k = min(bisect_right(recvec, x) - 1, last_k - 1)
+        # The clamp can land on a zero-width interval (a bit the seed
+        # forbids, where sigma is 0): move on to the next interval below
+        # that has mass.
+        while k >= 0 and recvec[k + 1] <= recvec[k]:
+            k -= 1
+        if k < 0:
+            break
         if not recvec[k]:
             raise _zero_entry(k)
-        sigma = (recvec[k + 1] - recvec[k]) / recvec[k]
-        x = (x - recvec[k]) / sigma
+        if redraw is None:
+            sigma = (recvec[k + 1] - recvec[k]) / recvec[k]
+            x = (x - recvec[k]) / sigma
+        else:
+            x = redraw(recvec[k])
         v += 1 << k
         last_k = k
     return v
-
-
-def determine_edge_recursive(x, recvec, _last_k: int | None = None) -> int:
-    """Literal recursive form of Algorithm 5 (reference for tests).
-
-    Python's recursion limit is ample: the depth is the destination
-    popcount, at most ``log2(|V|)``.
-    """
-    if _last_k is None:
-        _last_k = len(recvec) - 1
-    if x < recvec[0] or _last_k == 0:
-        return 0
-    k = min(bisect_right(recvec, x) - 1, _last_k - 1)
-    if not recvec[k]:
-        raise _zero_entry(k)
-    sigma = (recvec[k + 1] - recvec[k]) / recvec[k]
-    return (1 << k) + determine_edge_recursive((x - recvec[k]) / sigma,
-                                               recvec, k)
 
 
 def determine_edge_cdf(x: float, cdf: np.ndarray,
@@ -242,7 +236,7 @@ def determine_edge_cdf(x: float, cdf: np.ndarray,
 
 def determine_edges(xs: np.ndarray, recvec: np.ndarray) -> np.ndarray:
     """Vectorized Algorithm 5 for a batch of random values sharing one
-    RecVec (i.e. one source vertex).
+    RecVec (i.e. one source vertex): :func:`determine_edge` on each.
 
     Runs the translation loop simultaneously over all values; each pass
     peels one 1 bit from every still-active value, so the number of passes
@@ -255,19 +249,24 @@ def determine_edges(xs: np.ndarray, recvec: np.ndarray) -> np.ndarray:
     # a zero entry's sigma is never used, the walk raises before.
     with np.errstate(divide="ignore", invalid="ignore"):
         sigmas = (recvec[1:] - recvec[:-1]) / recvec[:-1]
+    # The interval a clamped k lands on, moved down past the zero-width
+    # ones (bits the seed forbids); -1 where none below has mass.
+    live = np.where(recvec[1:] > recvec[:-1], np.arange(top), -1)
+    below = np.maximum.accumulate(live)
     x = np.asarray(xs, dtype=np.float64).copy()
     v = np.zeros(x.shape, dtype=np.int64)
     last_k = np.full(x.shape, top, dtype=np.int64)
-    active = (x >= recvec[0]) & (last_k > 0)
-    while active.any():
-        xa = x[active]
-        k = np.searchsorted(recvec, xa, side="right") - 1
-        np.minimum(k, last_k[active] - 1, out=k)
+    # The values still walking: each pass walks them one step.
+    idx = np.flatnonzero((x >= recvec[0]) & (top > 0))
+    while idx.size:
+        k = np.searchsorted(recvec, x[idx], side="right") - 1
+        k = below[np.minimum(k, last_k[idx] - 1)]
+        idx, k = idx[k >= 0], k[k >= 0]
         base = recvec[k]
         if not base.all():
             raise _zero_entry(int(k[np.argmin(base)]))
-        x[active] = (xa - base) / sigmas[k]
-        v[active] += np.int64(1) << k.astype(np.int64)
-        last_k[active] = k
-        active = (x >= recvec[0]) & (last_k > 0)
+        x[idx] = (x[idx] - base) / sigmas[k]
+        v[idx] += np.int64(1) << k
+        last_k[idx] = k
+        idx = idx[(x[idx] >= recvec[0]) & (k > 0)]
     return v

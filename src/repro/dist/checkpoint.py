@@ -26,7 +26,7 @@ Crash-safety guarantees (see ``docs/fault_tolerance.md``):
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..atomic import atomic_write
@@ -47,7 +47,6 @@ def _run_spec(generator: RecursiveVectorGenerator) -> dict:
     the graph a checkpoint directory holds."""
     spec = generator.recipe()
     spec["seed_matrix"] = spec["seed_matrix"].entries.tolist()
-    spec["ideas"] = asdict(spec["ideas"])
     return spec
 
 
@@ -105,6 +104,9 @@ class CheckpointedRun:
                  blocks_per_chunk: int = 16) -> None:
         if blocks_per_chunk < 1:
             raise ConfigurationError("blocks_per_chunk must be >= 1")
+        # Before anything touches the disk: a generator without a recipe
+        # (the in-process oracle) is refused here.
+        self._spec = _run_spec(generator)
         self.generator = generator
         self.out_dir = Path(out_dir)
         self.fmt = fmt
@@ -120,8 +122,7 @@ class CheckpointedRun:
         return self.out_dir / _MANIFEST
 
     def _expected_state(self) -> CheckpointState:
-        return CheckpointState(_run_spec(self.generator), self.fmt,
-                               self.blocks_per_chunk)
+        return CheckpointState(self._spec, self.fmt, self.blocks_per_chunk)
 
     def _load_or_init(self) -> CheckpointState:
         if not self.manifest_path.exists():

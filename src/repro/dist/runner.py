@@ -250,13 +250,14 @@ class LocalCluster:
         cumulative edge count as each partition lands.
         """
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         result = DistributedResult()
         with span("partition", workers=self.spec.num_workers) as sp:
             ranges = range_partition(generator, self.spec.num_workers)
         result.partition_seconds = sp.seconds
 
+        # Refuses a generator without a recipe before touching the disk.
         tasks = self._build_tasks(generator, out_dir, ranges, fmt_name)
+        out_dir.mkdir(parents=True, exist_ok=True)
         pool_size = self._pool_size(processes, len(tasks),
                                     self.spec.num_workers)
         with span("scatter", tasks=len(tasks), pool=pool_size) as sp:

@@ -22,7 +22,8 @@ from .analysis import (fit_gaussian, fit_kronecker_class_slope,
                        out_degrees)
 from .cluster import (figure11a_series, figure11b_series, figure12_series,
                       figure14_series)
-from .core.generator import IdeaToggles, RecursiveVectorGenerator
+from .core.generator import RecursiveVectorGenerator
+from .core.reference import IdeaToggles, ReferenceGenerator
 from .core.seed import UNIFORM
 from .models import (FastKroneckerGenerator, Graph500Generator,
                      RmatDiskGenerator, RmatMemGenerator, TegGenerator,
@@ -63,14 +64,12 @@ def table3_rows(scale: int = 13, seed: int = 1) -> Rows:
     rows = []
     for slope in (-1.0, -1.662, -2.2):
         matrix = seed_for_out_slope(slope)
-        g = RecursiveVectorGenerator(scale, 16, matrix, seed=seed,
-                                     engine="bitwise")
+        g = RecursiveVectorGenerator(scale, 16, matrix, seed=seed)
         measured = fit_kronecker_class_slope(
             out_degrees(g.edges(), g.num_vertices))
         rows.append({"seed": f"Kout zipf({slope})", "predicted": slope,
                      "measured": round(measured, 3)})
-    g = RecursiveVectorGenerator(scale, 16, UNIFORM, seed=seed,
-                                 engine="bitwise")
+    g = RecursiveVectorGenerator(scale, 16, UNIFORM, seed=seed)
     fit = fit_gaussian(out_degrees(g.edges(), g.num_vertices))
     rows.append({"seed": "uniform (Gaussian)", "predicted": 16.0,
                  "measured": round(fit.mean, 2)})
@@ -102,8 +101,7 @@ def figure9_rows(scale: int = 15, seeds: tuple = (1, 2, 3)) -> Rows:
     for noise in (0.0, 0.05, 0.1):
         scores = []
         for seed in seeds:
-            g = RecursiveVectorGenerator(scale, 16, seed=seed,
-                                         noise=noise, engine="bitwise")
+            g = RecursiveVectorGenerator(scale, 16, seed=seed, noise=noise)
             scores.append(oscillation_score(
                 out_degrees(g.edges(), g.num_vertices)))
         rows.append({"noise": noise,
@@ -153,9 +151,8 @@ def figure13_rows(scale: int = 11, edge_factor: int = 8) -> Rows:
     for i1 in (False, True):
         for i2 in (False, True):
             for i3 in (False, True):
-                g = RecursiveVectorGenerator(
-                    scale, edge_factor, seed=13, engine="reference",
-                    ideas=IdeaToggles(i1, i2, i3))
+                g = ReferenceGenerator(scale, edge_factor, seed=13,
+                                       ideas=IdeaToggles(i1, i2, i3))
                 t0 = time.perf_counter()
                 g.edges()
                 rows.append({

@@ -105,10 +105,8 @@ class TestFitting:
 
     def test_oscillation_drops_with_noise(self):
         """The Figure 9 effect, quantified."""
-        plain = RecursiveVectorGenerator(15, 16, seed=6,
-                                         engine="bitwise").edges()
-        noisy = RecursiveVectorGenerator(15, 16, seed=6, noise=0.1,
-                                         engine="bitwise").edges()
+        plain = RecursiveVectorGenerator(15, 16, seed=6).edges()
+        noisy = RecursiveVectorGenerator(15, 16, seed=6, noise=0.1).edges()
         s_plain = oscillation_score(out_degrees(plain, 1 << 15))
         s_noisy = oscillation_score(out_degrees(noisy, 1 << 15))
         assert s_noisy < s_plain

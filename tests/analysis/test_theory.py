@@ -78,7 +78,6 @@ class TestTheoryVsGenerated:
         ks, pmf = expected_degree_distribution(GRAPH500, self.SCALE,
                                                self.EF * self.N)
         g = RecursiveVectorGenerator(self.SCALE, self.EF, seed=seed,
-                                     engine="bitwise",
                                      degree_method=method)
         deg = out_degrees(g.edges(), self.N)
         hist = np.bincount(deg, minlength=ks.size)[:ks.size]

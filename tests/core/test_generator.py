@@ -1,13 +1,16 @@
-"""Unit tests for repro.core.generator (the AVS engine, Algorithms 4-5)."""
+"""Unit tests for repro.core.generator (the AVS kernel) and
+repro.core.reference (the Algorithms 4-5 oracle)."""
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core import tables
-from repro.core.generator import (AdjacencyBlock, IdeaToggles,
-                                  RecursiveVectorGenerator)
+from repro.core.generator import AdjacencyBlock, RecursiveVectorGenerator
+from repro.core.reference import (IdeaToggles, ReferenceGenerator,
+                                  ReferenceStats)
 from repro.core.seed import GRAPH500, SeedMatrix
 from repro.errors import ConfigurationError, SeedMatrixError
 
@@ -34,13 +37,17 @@ class TestConstruction:
             RecursiveVectorGenerator(8, direction="sideways")
 
     def test_rejects_bad_engine(self):
-        with pytest.raises(ConfigurationError):
-            RecursiveVectorGenerator(8, engine="quantum")
+        # The generator is the kernel; the oracle is its own class.
+        for engine in ("quantum", "bitwise", "reference"):
+            with pytest.raises(TypeError):
+                RecursiveVectorGenerator(8, engine=engine)
+        with pytest.raises(TypeError):
+            RecursiveVectorGenerator(8, ideas=IdeaToggles())
 
     def test_removed_kernel_spellings_fail_loudly(self, tmp_path):
         from repro.cli import build_parser
         for engine in ("vectorized", "alias"):
-            with pytest.raises(ConfigurationError):
+            with pytest.raises(TypeError):
                 RecursiveVectorGenerator(8, engine=engine)
         with pytest.raises(TypeError):
             RecursiveVectorGenerator(8, sampler="bitwise")
@@ -229,7 +236,7 @@ class TestDirections:
 
 class TestEnginesAndIdeas:
     def test_reference_engine_runs(self):
-        g = RecursiveVectorGenerator(8, 8, seed=31, engine="reference")
+        g = ReferenceGenerator(8, 8, seed=31)
         e = g.edges()
         assert e.shape[0] > 1500
 
@@ -240,9 +247,8 @@ class TestEnginesAndIdeas:
         for i1 in (False, True):
             for i2 in (False, True):
                 for i3 in (False, True):
-                    g = RecursiveVectorGenerator(
-                        8, 8, seed=32, engine="reference",
-                        ideas=IdeaToggles(i1, i2, i3))
+                    g = ReferenceGenerator(8, 8, seed=32,
+                                           ideas=IdeaToggles(i1, i2, i3))
                     e = g.edges()
                     packed = e[:, 0] * 256 + e[:, 1]
                     assert np.unique(packed).size == e.shape[0]
@@ -250,18 +256,18 @@ class TestEnginesAndIdeas:
         assert max(sizes) - min(sizes) < 0.2 * max(sizes)
 
     def test_idea1_off_rebuilds_recvec(self):
-        on = RecursiveVectorGenerator(7, 8, seed=33, engine="reference",
+        on = ReferenceGenerator(7, 8, seed=33,
                                       ideas=IdeaToggles(True, True, True))
-        off = RecursiveVectorGenerator(7, 8, seed=33, engine="reference",
+        off = ReferenceGenerator(7, 8, seed=33,
                                        ideas=IdeaToggles(False, True, True))
         on.edges()
         off.edges()
         assert off.stats.recvec_builds > 2 * on.stats.recvec_builds
 
     def test_idea2_off_recurses_per_level(self):
-        on = RecursiveVectorGenerator(7, 8, seed=34, engine="reference",
+        on = ReferenceGenerator(7, 8, seed=34,
                                       ideas=IdeaToggles(True, True, True))
-        off = RecursiveVectorGenerator(7, 8, seed=34, engine="reference",
+        off = ReferenceGenerator(7, 8, seed=34,
                                        ideas=IdeaToggles(True, False, True))
         on.edges()
         off.edges()
@@ -270,9 +276,9 @@ class TestEnginesAndIdeas:
         assert off.stats.recursion_steps > 2 * on.stats.recursion_steps
 
     def test_idea3_off_draws_more_randoms(self):
-        on = RecursiveVectorGenerator(7, 8, seed=35, engine="reference",
+        on = ReferenceGenerator(7, 8, seed=35,
                                       ideas=IdeaToggles(True, True, True))
-        off = RecursiveVectorGenerator(7, 8, seed=35, engine="reference",
+        off = ReferenceGenerator(7, 8, seed=35,
                                        ideas=IdeaToggles(True, True, False))
         on.edges()
         off.edges()
@@ -318,25 +324,10 @@ class TestSaturatedScopes:
         assert np.unique(packed).size == e.shape[0]
 
     def test_reference_engine_saturation(self):
-        g = RecursiveVectorGenerator(6, 32, seed=52, engine="reference")
+        g = ReferenceGenerator(6, 32, seed=52)
         e = g.edges()
         packed = e[:, 0] * 64 + e[:, 1]
         assert np.unique(packed).size == e.shape[0]
-
-
-class TestStatsObject:
-    def test_merge(self):
-        from repro.core.generator import GenerationStats
-        a = GenerationStats(edges=10, duplicates_discarded=1,
-                            recursion_steps=5, random_draws=7,
-                            recvec_builds=2, max_scope_size=4)
-        b = GenerationStats(edges=20, duplicates_discarded=2,
-                            recursion_steps=50, random_draws=70,
-                            recvec_builds=3, max_scope_size=9)
-        a.merge(b)
-        assert a.edges == 30
-        assert a.max_scope_size == 9
-        assert a.recvec_builds == 5
 
 
 class TestDrawAccounting:
@@ -457,6 +448,38 @@ class TestDedupTopup:
         assert bool(fallbacks) == (case == "exact-zero")
         if case.startswith("scale12"):
             assert saturated
+
+    def test_topup_draws_the_ppswor_law(self):
+        """Draw-until-distinct with rejection top-up and the exact
+        fallback's PPSWOR are one law.  ``_draw_run`` is called directly,
+        so no saturated pre-split bypasses the top-up: two-sample
+        chi-square over the 56 5-sets of GRAPH500 source 0 at |V| = 8.
+        The rarest 5-set has probability 5.3e-5, so 100 000 scopes per
+        sample expect at least 5 in every cell."""
+        from scipy import stats as sps
+
+        from repro.core.generator import _digits_pmf, _draw_run, _ppswor
+        g = RecursiveVectorGenerator(3, seed=0)
+        n, size = 100_000, 5
+        rng = np.random.default_rng(11)
+        sources = np.zeros(n, dtype=np.int64)
+        p = g.process.bit_probabilities(np.zeros(1, dtype=np.uint64))[0]
+        pmf = _digits_pmf(np.column_stack([1.0 - p, p]))
+
+        def stalled(row, k):
+            raise AssertionError("the top-up fell back on PPSWOR")
+
+        run, duplicates = _draw_run(
+            sources, np.full(n, size), g.scale, True,
+            lambda rows, counts: g._draw_keys(sources[rows], counts, rng),
+            stalled)
+        assert duplicates > n   # most scopes were topped up
+        exact = np.array([_ppswor(pmf, size, rng) for _ in range(n)])
+        cells = [m for m in range(256) if m.bit_count() == size]
+        a, b = (np.bincount((1 << sets).sum(axis=1), minlength=256)[cells]
+                for sets in (run.destinations.reshape(n, size), exact))
+        chi2 = ((a - b) ** 2 / (a + b)).sum()
+        assert sps.chi2.sf(chi2, len(cells) - 1) > 1e-4
 
     def test_a_round_draws_only_the_rows_still_short(self):
         g = RecursiveVectorGenerator(12, seed=7, block_size=512)
@@ -613,14 +636,12 @@ class TestDegenerateSeedEntries:
         # The oracle runs Algorithm 5 (RecVec[k] is exactly 0 below a bit
         # forced to 1, which sigma would divide by) and its per-level path.
         for ideas in (IdeaToggles(), IdeaToggles(reduce_recursions=False)):
-            g = RecursiveVectorGenerator(6, 2, self.SELF_LOOPS,
-                                         engine=engine, ideas=ideas,
-                                         dedup=False, seed=3)
+            make = (RecursiveVectorGenerator if engine == "bitwise" else
+                    functools.partial(ReferenceGenerator, ideas=ideas))
+            g = make(6, 2, self.SELF_LOOPS, dedup=False, seed=3)
             e = g.edges()
             assert e.size and (e[:, 0] == e[:, 1]).all()
-            g0 = RecursiveVectorGenerator(6, 2, self.ALL_ZERO,
-                                          engine=engine, ideas=ideas,
-                                          dedup=False, seed=3)
+            g0 = make(6, 2, self.ALL_ZERO, dedup=False, seed=3)
             e0 = g0.edges()
             assert e0.size and (e0[:, 1] == 0).all()
 
@@ -629,8 +650,7 @@ class TestDegenerateSeedEntries:
         """Float rounding can translate x onto the upper edge of the next
         interval; the clamp then used to pick a zero-width one below it
         (a level forced to 0), divide by sigma == 0 and set that bit."""
-        from repro.core.generator import (GenerationStats,
-                                          _sample_destination_alg5)
+        from repro.core.reference import _sample_destination_alg5
         from repro.core.recvec import build_recvec
 
         class FixedRng:
@@ -641,16 +661,15 @@ class TestDegenerateSeedEntries:
         u = 0b11111000
         recvec = build_recvec(SeedMatrix.rmat(0.57, 0.0, 0.19, 0.24), u, 8)
         v = _sample_destination_alg5(recvec, FixedRng(), True,
-                                     GenerationStats())
+                                     ReferenceStats())
         assert v & ~u == 0
 
     @pytest.mark.parametrize("single_random", [True, False])
     def test_reference_bitpeel_engine(self, single_random):
         ideas = IdeaToggles(reuse_recvec=True, reduce_recursions=False,
                             single_random=single_random)
-        g = RecursiveVectorGenerator(6, 2, self.SELF_LOOPS,
-                                     engine="reference", ideas=ideas,
-                                     dedup=False, seed=3)
+        g = ReferenceGenerator(6, 2, self.SELF_LOOPS, ideas=ideas,
+                               dedup=False, seed=3)
         e = g.edges()
         assert e.size and (e[:, 0] == e[:, 1]).all()
         if not single_random:
@@ -661,8 +680,7 @@ class TestDegenerateSeedEntries:
         """Repeated rescaling can round x up to exactly 1.0; entering a
         p == 0 level in that state used to evaluate (1.0 - 1.0) / 0.0.
         Simulate the worst case by feeding the boundary uniform."""
-        from repro.core.generator import (GenerationStats,
-                                          _sample_destination_bitpeel)
+        from repro.core.reference import _sample_destination_bitpeel
 
         class BoundaryRng:
             def random(self):
@@ -670,7 +688,7 @@ class TestDegenerateSeedEntries:
 
         bit_probs = np.array([0.0, 0.5, 0.0, 1.0])
         v = _sample_destination_bitpeel(bit_probs, BoundaryRng(), True,
-                                        GenerationStats())
+                                        ReferenceStats())
         # Bit 3 forced to 1, bits 2 and 0 forced to 0; x == 1.0 lands in
         # the upper branch of the one live level (bit 1).
         assert v == 0b1010

@@ -12,8 +12,7 @@ from repro.core.probability import brute_force_cdf, edge_probability
 from repro.core.recvec import (build_recvec, build_recvec_decimal,
                                build_recvec_naive, build_recvecs,
                                determine_edge, determine_edge_cdf,
-                               determine_edge_recursive, determine_edges,
-                               scale_symmetry_ratio, sigma_from_recvec)
+                               determine_edges, scale_symmetry_ratio, sigma_from_recvec)
 from repro.core.seed import GRAPH500, SeedMatrix
 from repro.errors import ConfigurationError
 
@@ -142,12 +141,6 @@ class TestDetermineEdge:
         assert determine_edge(0.01, rv) == 0
         assert determine_edge(0.0499, rv) == 0
 
-    def test_recursive_matches_iterative(self):
-        rv = build_recvec(GRAPH500, 11, 8)
-        rng = np.random.default_rng(0)
-        for x in rng.uniform(0, rv[-1], size=500):
-            assert determine_edge(x, rv) == determine_edge_recursive(x, rv)
-
     def test_inverts_cdf_exactly(self):
         """For every destination v, any x in [F(v), F(v+1)) maps to v."""
         cdf = brute_force_cdf(FIG3, 2, 3)
@@ -207,25 +200,43 @@ class TestVectorizedDetermine:
         assert determine_edges(np.array([]), rv).size == 0
 
 
-@pytest.mark.parametrize("entries", [[[0.0, 0.6], [0.3, 0.1]],
-                                     [[0.6, 0.3], [0.0, 0.1]]])
-def test_exact_zero_seed_inverts_cdf_or_raises(entries):
-    """A zero in column 0 zeroes RecVec entries, which then say nothing
-    about the lower bits: Algorithm 5 must invert the CDF or raise a
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entries, levels, sources, knots", [
+    pytest.param([[0.0, 0.6], [0.3, 0.1]], 3, range(8), False,
+                 id="entries0"),
+    pytest.param([[0.6, 0.3], [0.0, 0.1]], 3, range(8), False,
+                 id="entries1"),
+    # b == 0: a destination bit can be 1 only where the source's is, so
+    # the intervals of the source's 0 bits have zero width.  Just below
+    # a knot, the clamp used to land on one of them and divide by its
+    # sigma of 0.
+    pytest.param([[0.57, 0.0], [0.19, 0.24]], 8, [0b11111000], True,
+                 id="entries2"),
+])
+def test_exact_zero_seed_inverts_cdf_or_raises(entries, levels, sources,
+                                               knots):
+    """A zero seed entry zeroes RecVec entries (column 0) or RecVec
+    intervals (column 1): Algorithm 5 must invert the CDF or raise a
     ConfigurationError, never return a wrong vertex."""
     seed = SeedMatrix(entries)
-    for u in range(8):
-        rv = build_recvec(seed, u, 3)
-        cdf = brute_force_cdf(seed, u, 3)
+    for u in sources:
+        rv = build_recvec(seed, u, levels)
+        cdf = brute_force_cdf(seed, u, levels)
         xs = np.linspace(0.0, rv[-1], 200, endpoint=False)
+        if knots:
+            xs = np.concatenate([xs, np.nextafter(rv, 0.0)])
         want = [determine_edge_cdf(x, cdf) for x in xs]
-        for search in (determine_edge, determine_edge_recursive,
+        for search in (determine_edge,
                        lambda x, rv: determine_edges(np.array([x]), rv)[0]):
             for x, v in zip(xs, want):
                 try:
                     assert search(x, rv) == v
                 except ConfigurationError as err:
                     assert "ScopeSampler" in str(err)
+        try:
+            assert determine_edges(xs, rv).tolist() == want
+        except ConfigurationError as err:
+            assert "ScopeSampler" in str(err)
 
 
 @settings(max_examples=25, deadline=None)

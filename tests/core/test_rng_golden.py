@@ -18,7 +18,7 @@ import hashlib
 
 import numpy as np
 
-from repro import RecursiveVectorGenerator
+from repro import ReferenceGenerator, RecursiveVectorGenerator
 from repro.core.nary import NAryRecursiveVectorGenerator
 from repro.core.seed import SeedMatrix
 from repro.core.rng import derive_seed, spawn_streams, stream
@@ -84,7 +84,7 @@ def test_root_equals_label_zero():
 
 # -- output-byte freeze ------------------------------------------------
 
-# scale 8, edge factor 4, seed 42, defaults otherwise (engine="bitwise").
+# scale 8, edge factor 4, seed 42, defaults otherwise (the kernel).
 # Re-frozen once (an intentional seed-stability break) when the kernel
 # went from one uniform per destination bit to one per 7-bit chunk of
 # chained conditional alias tables (``core.tables.ScopeSampler``): the
@@ -117,9 +117,10 @@ REFERENCE_ADJ6_DIGEST = \
     "976faba191fe94f09575a6b4f47d12d8016252b5cc1500196a8d6a7bf948e2d9"
 
 
-def write_digest(tmp_path, fmt_name, **kwargs):
+def write_digest(tmp_path, fmt_name, generator=RecursiveVectorGenerator,
+                 **kwargs):
     kwargs.setdefault("seed", 42)
-    gen = RecursiveVectorGenerator(8, 4, **kwargs)
+    gen = generator(8, 4, **kwargs)
     path = tmp_path / f"golden.{fmt_name}"
     get_format(fmt_name).write_blocks(path, gen.iter_blocks(),
                                       gen.num_vertices)
@@ -137,7 +138,7 @@ def test_noise_output_digest_frozen(tmp_path):
 
 
 def test_reference_engine_digest_frozen(tmp_path):
-    assert write_digest(tmp_path, "adj6", engine="reference") == \
+    assert write_digest(tmp_path, "adj6", generator=ReferenceGenerator) == \
         REFERENCE_ADJ6_DIGEST
     assert REFERENCE_ADJ6_DIGEST != OUTPUT_DIGESTS["adj6"]
 

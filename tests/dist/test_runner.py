@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.generator import RecursiveVectorGenerator
+from repro.core.reference import ReferenceGenerator
+from repro.dist.checkpoint import CheckpointedRun
 from repro.dist.partition import range_partition
 from repro.dist.runner import ClusterSpec, DistributedResult, LocalCluster
+from repro.errors import ConfigurationError
 
 
 def sort_edges(edges: np.ndarray) -> np.ndarray:
@@ -97,6 +100,23 @@ class TestLocalCluster:
         res = DistributedResult()
         assert res.num_edges == 0
         assert res.skew == 1.0
+
+
+def test_the_oracle_runs_in_process_only(tmp_path):
+    """A worker rebuilds a plain generator from ``recipe()``, which would
+    silently run the kernel: the oracle has no recipe, and the cluster
+    and the checkpointed run refuse it before touching the disk."""
+    oracle = ReferenceGenerator(8, 4, seed=3)
+    with pytest.raises(ConfigurationError, match="in-process only"):
+        oracle.recipe()
+    cluster = LocalCluster(num_workers=2)
+    for start in (
+            lambda: cluster.generate_to_files(oracle, tmp_path / "parts"),
+            lambda: cluster.generate_checkpointed(oracle, tmp_path / "ckpt"),
+            lambda: CheckpointedRun(oracle, tmp_path / "run")):
+        with pytest.raises(ConfigurationError, match="in-process only"):
+            start()
+    assert not any(tmp_path.iterdir())
 
 
 class TestGenerateCheckpointed:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import time
 
 from repro.core.generator import RecursiveVectorGenerator
+from repro.core.reference import ReferenceGenerator
 from repro.formats import get_format
 from repro.formats.adj6 import _SLICE_EDGES
 from repro.formats.pipeline import QUEUE_GAUGE
@@ -44,7 +45,7 @@ def test_recording_hooks_under_five_percent():
         runs[:] = [(block, block.degrees) for block in gen.iter_blocks()]
 
     sweep_seconds = _best_of(3, sweep)
-    before = (0, 0, 0)
+    before = (0, 0)
 
     def hooks():
         reg = registry()
@@ -52,7 +53,7 @@ def test_recording_hooks_under_five_percent():
         gauge = reg.gauge(QUEUE_GAUGE, mode="max")
         blocks = reg.counter("format.blocks_encoded")
         for block, degrees in runs:
-            gen._record_block_metrics(block, degrees, before)
+            gen._record_run(block, degrees, before)
             for _ in range(block.num_edges // _SLICE_EDGES + 2):
                 with encode:
                     pass
@@ -70,17 +71,18 @@ def test_recording_hooks_under_five_percent():
 
 def test_paper_internal_counters(tmp_path):
     # The reference engine is the only one that builds RecVecs.
-    gen = RecursiveVectorGenerator(12, 16, seed=7, engine="reference")
+    gen = ReferenceGenerator(12, 16, seed=7)
     result = get_format("adj6").write_blocks(
         tmp_path / "counters.adj6", gen.iter_blocks(), gen.num_vertices)
     metrics = registry().snapshot()
     edges = metrics["generator.edges"]["value"]
     assert edges == result.num_edges
-    # RecVec reuse (perf idea #1): hits + misses == draws.
-    hits = metrics["generator.recvec_reuse_hits"]["value"]
-    misses = metrics["generator.recvec_reuse_misses"]["value"]
-    assert misses > 0
-    assert hits + misses == metrics["generator.random_draws"]["value"]
+    # RecVec reuse (perf idea #1), the reference's own stats: one
+    # uniform per destination attempt, a hit or a miss.
+    stats = gen.stats
+    assert stats.recvec_reuse_misses > 0
+    assert stats.recvec_reuse_hits + stats.recvec_reuse_misses \
+        == stats.random_draws == metrics["generator.random_draws"]["value"]
     # Sampled-degree histogram covers every vertex scope.
     assert metrics["generator.scope_size"]["count"] > 0
     # Formats layer: bytes/edges written match the result.

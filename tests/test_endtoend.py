@@ -4,7 +4,8 @@ analyze, exercising the public API the way a downstream user would."""
 import numpy as np
 import pytest
 
-from repro import GRAPH500, RecursiveVectorGenerator, TrillionG
+from repro import (GRAPH500, RecursiveVectorGenerator, ReferenceGenerator,
+                   TrillionG)
 from repro.analysis import (build_csr, bfs_parents, fit_kronecker_class_slope,
                             graph_stats, out_degrees, pagerank,
                             reachable_count, symmetrize)
@@ -107,7 +108,9 @@ class TestRichGraphPipeline:
 class TestCrossEngineEndToEnd:
     @pytest.mark.parametrize("engine", ["bitwise", "reference"])
     def test_any_engine_through_full_stack(self, engine, tmp_path):
-        g = RecursiveVectorGenerator(10, 16, seed=107, engine=engine)
+        make = {"bitwise": RecursiveVectorGenerator,
+                "reference": ReferenceGenerator}[engine]
+        g = make(10, 16, seed=107)
         fmt = get_format("adj6")
         res = fmt.write(tmp_path / f"{engine}.adj6", g.iter_adjacency(),
                         g.num_vertices)

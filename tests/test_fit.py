@@ -89,7 +89,7 @@ class TestGraphScaler:
         s, _ = scaler
         g = s.generator(11, seed=8, noise=0.1)
         assert g.noise == 0.1
-        assert g.engine == "bitwise"
+        assert type(g) is RecursiveVectorGenerator
         assert g.edges().shape[0] > 0
 
     def test_rejects_bad_scale(self, scaler):
