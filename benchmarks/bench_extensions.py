@@ -59,8 +59,8 @@ def test_checkpoint_overhead(benchmark, tmp_path, table):
     def run():
         g1 = RecursiveVectorGenerator(12, 16, seed=3, block_size=256)
         t0 = time.perf_counter()
-        get_format("adj6").write(tmp_path / "straight.adj6",
-                                 g1.iter_adjacency(), g1.num_vertices)
+        get_format("adj6").write_blocks(tmp_path / "straight.adj6",
+                                        g1.iter_blocks(), g1.num_vertices)
         straight = time.perf_counter() - t0
         g2 = RecursiveVectorGenerator(12, 16, seed=3, block_size=256)
         t0 = time.perf_counter()

@@ -18,8 +18,9 @@ multi-pass k-way merge; these benchmarks keep it honest:
   for the Fig. 11(b) baseline: a fresh ``trilliong baseline --model
   RMAT/p-disk --scale 21`` process, default allocator, must peak below
   a cap that its edge set (8 bytes a key) exceeds twice over.
-- ``test_emit_bench_json`` writes ``BENCH_extmem.json`` at the repo
-  root so later PRs have an engine-perf trajectory to compare against.
+- ``test_emit_bench_json`` writes ``.bench_out/BENCH_extmem.json``, one
+  machine's record of this run; the comparable trajectory is
+  ``benchmarks/e2e``.
 """
 
 import heapq
@@ -56,8 +57,6 @@ RSS_CAP_BYTES = 256 * 1024 * 1024
 #: the ``generate`` gate in ``bench_formats.py`` does.
 WESP_SCALE = 21
 WESP_RSS_CAP_BYTES = 60 * 1024 * 1024
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _spill_runs(directory, total_keys, num_runs, seed=SEED):
@@ -250,8 +249,8 @@ def test_streaming_identical_to_in_memory_small_scale():
     assert direct.tobytes() == expected.tobytes()
 
 
-def test_emit_bench_json(table):
-    """Record the engine-perf trajectory into ``BENCH_extmem.json``."""
+def test_emit_bench_json(table, bench_out):
+    """Record the engine's keys/s into ``.bench_out/BENCH_extmem.json``."""
     reset_telemetry()
     record = _measure(EDGE_FACTOR << SMOKE_SCALE)
     reg = registry()
@@ -264,7 +263,7 @@ def test_emit_bench_json(table):
         "spill_bytes": int(proof["spill_bytes"]),
         "unique_keys": int(proof["unique"]),
     }
-    (_REPO_ROOT / "BENCH_extmem.json").write_text(
+    (bench_out / "BENCH_extmem.json").write_text(
         json.dumps([record], indent=2) + "\n")
     table(f"BENCH_extmem.json (scale {SMOKE_SCALE})",
           ["engine", "keys/s"],

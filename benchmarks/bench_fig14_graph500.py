@@ -43,8 +43,8 @@ def test_measured_trilliong_csr_write(benchmark, tmp_path):
     fmt = get_format("csr6")
 
     def run():
-        return fmt.write(tmp_path / "g.csr6", g.iter_adjacency(),
-                         g.num_vertices)
+        return fmt.write_blocks(tmp_path / "g.csr6", g.iter_blocks(),
+                                g.num_vertices)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.num_edges > 200000

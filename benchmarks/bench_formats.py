@@ -27,9 +27,9 @@ Three artifacts matter beyond the printed tables:
   ``generate`` cap: its grid blocks are cut into the same runs of at
   most ``_BLOCK_EDGES`` edges and stream through ``write_blocks``, where
   it built the whole ``(m, 2)`` edge array before.
-- ``test_emit_bench_json`` writes ``BENCH_formats.json`` at the repo root
-  (scale, format, engine, edges/s, MB/s) so later PRs have a perf
-  trajectory to compare against.
+- ``test_emit_bench_json`` writes ``.bench_out/BENCH_formats.json``
+  (scale, format, edges/s, MB/s), one machine's record of this run; the
+  comparable trajectory is ``benchmarks/e2e``.
 """
 
 import json
@@ -42,7 +42,7 @@ import pytest
 
 from benchmarks.bench_extmem import _VMHWM_KB, _run_fresh
 from repro.core.generator import _BLOCK_EDGES, RecursiveVectorGenerator
-from repro.formats import get_format, write_many
+from repro.formats import get_format
 
 SCALE = 13
 SMOKE_SCALE = 18
@@ -73,8 +73,6 @@ RICH_RSS_CAP_BYTES = 67 * 1024 * 1024
 #: 42 MiB drawn in runs and streamed, below ``RSS_CAP_BYTES``.
 NARY_MATRIX = "0.3,0.12,0.08,0.12,0.1,0.05,0.08,0.05,0.1"
 NARY_DEPTH = 11
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -160,29 +158,6 @@ def test_format_write_times_comparable(benchmark, generator, tmp_path,
            for name, (seconds, result) in rows.items()])
     times = [seconds for seconds, _ in rows.values()]
     assert max(times) < 5 * min(times)
-
-
-def test_multi_write_cheaper_than_separate(benchmark, generator,
-                                           tmp_path):
-    """One teed pass vs three separate passes: the tee must win (it
-    generates once instead of three times)."""
-
-    def run():
-        t0 = time.perf_counter()
-        write_many(generator.iter_adjacency(), generator.num_vertices,
-                   {n: tmp_path / f"tee.{n}"
-                    for n in ("tsv", "adj6", "csr6")})
-        teed = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        for n in ("tsv", "adj6", "csr6"):
-            get_format(n).write(tmp_path / f"sep.{n}",
-                                generator.iter_adjacency(),
-                                generator.num_vertices)
-        separate = time.perf_counter() - t0
-        return teed, separate
-
-    teed, separate = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert teed < separate
 
 
 def _time_per_vertex(fmt, path, blocks, num_vertices):
@@ -340,10 +315,9 @@ def test_nary_stays_under_rss_cap(table):
         "whole again")
 
 
-def test_emit_bench_json(tmp_path, table):
-    """Record the perf trajectory: edges/s and MB/s for every format,
-    from the WriteResult's own timing fields, into
-    ``BENCH_formats.json`` at the repo root."""
+def test_emit_bench_json(tmp_path, table, bench_out):
+    """Record edges/s and MB/s for every format, from the WriteResult's
+    own timing fields, into ``.bench_out/BENCH_formats.json``."""
     gen = RecursiveVectorGenerator(SCALE, 16, seed=9)
     blocks = list(gen.iter_blocks())
     records = []
@@ -359,8 +333,7 @@ def test_emit_bench_json(tmp_path, table):
             "encode_seconds": round(result.encode_seconds, 4),
             "write_seconds": round(result.write_seconds, 4),
         })
-    out_path = _REPO_ROOT / "BENCH_formats.json"
-    out_path.write_text(json.dumps(records, indent=2) + "\n")
+    (bench_out / "BENCH_formats.json").write_text(json.dumps(records, indent=2) + "\n")
     table(f"BENCH_formats.json (scale {SCALE})",
           ["format", "edges/s", "MB/s"],
           [[r["format"], f"{r['edges_per_second']:,}",

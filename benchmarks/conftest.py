@@ -9,6 +9,8 @@ reduced scales; paper-scale series come from the calibrated cost model
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 #: Published values transcribed from the paper, used for side-by-side
@@ -65,3 +67,12 @@ def print_table(title: str, headers: list[str],
 @pytest.fixture()
 def table():
     return print_table
+
+
+@pytest.fixture()
+def bench_out() -> Path:
+    """The ignored ``.bench_out/`` at the repo root, where a benchmark
+    leaves its JSON record: a run never writes into tracked files."""
+    out = Path(__file__).resolve().parent.parent / ".bench_out"
+    out.mkdir(exist_ok=True)
+    return out

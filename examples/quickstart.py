@@ -50,9 +50,9 @@ def main() -> None:
         print("\nOutput formats:")
         for name in ("tsv", "adj6", "csr6"):
             fmt = get_format(name)
-            result = fmt.write(Path(tmp) / f"graph.{name}",
-                               generator.iter_adjacency(),
-                               generator.num_vertices)
+            result = fmt.write_blocks(Path(tmp) / f"graph.{name}",
+                                      generator.iter_blocks(),
+                                      generator.num_vertices)
             print(f"  {name:5s}: {result.bytes_written:>10,} bytes "
                   f"({result.num_edges:,} edges)")
 

@@ -12,12 +12,9 @@ from .stats import GraphStats, graph_stats
 from .theory import (binomial_pmf, expected_degree_ccdf,
                      expected_degree_distribution)
 from .structure import (clustering_coefficient_sampled, effective_diameter,
-                        pagerank, reciprocity, triangle_count)
+                        pagerank, reciprocity, symmetrize, triangle_count)
 from .traversal import (bfs_levels, bfs_parents, build_csr,
                         reachable_count, validate_bfs_parents)
-from .transform import (induced_subgraph, permute_vertices, relabel,
-                        remove_self_loops, sample_edges, symmetrize,
-                        to_networkx)
 
 __all__ = [
     "KsResult", "chi2_two_sample_statistic", "histograms_similar",
@@ -26,8 +23,7 @@ __all__ = [
     "in_degrees", "log_binned_histogram", "out_degrees", "GaussianFit",
     "fit_gaussian", "fit_zipf_slope", "fit_kronecker_class_slope",
     "oscillation_score", "ScopeLawReport", "check_scope_law", "GraphStats",
-    "graph_stats", "induced_subgraph", "permute_vertices", "relabel",
-    "remove_self_loops", "sample_edges", "symmetrize", "to_networkx",
+    "graph_stats", "symmetrize",
     "bfs_levels", "bfs_parents", "build_csr", "reachable_count",
     "clustering_coefficient_sampled", "effective_diameter", "pagerank",
     "reciprocity",

@@ -14,7 +14,7 @@ from ..core.rng import stream
 from .traversal import build_csr
 
 __all__ = ["reciprocity", "triangle_count", "clustering_coefficient_sampled",
-           "pagerank", "effective_diameter"]
+           "pagerank", "effective_diameter", "symmetrize"]
 
 
 def reciprocity(edges: np.ndarray, num_vertices: int) -> float:
@@ -102,6 +102,17 @@ def clustering_coefficient_sampled(edges: np.ndarray, num_vertices: int,
     return closed / samples
 
 
+def symmetrize(edges: np.ndarray, num_vertices: int) -> np.ndarray:
+    """Undirected view: every edge and its reverse, once each, sorted by
+    ``(u, v)`` (what Graph500 does before running BFS)."""
+    if edges.shape[0] == 0:
+        return edges.copy()
+    n = np.int64(num_vertices)
+    keys = np.unique(np.concatenate([edges[:, 0] * n + edges[:, 1],
+                                     edges[:, 1] * n + edges[:, 0]]))
+    return np.column_stack([keys // n, keys % n])
+
+
 def effective_diameter(edges: np.ndarray, num_vertices: int,
                        percentile: float = 0.9, samples: int = 32,
                        rng: np.random.Generator | None = None) -> float:
@@ -114,7 +125,6 @@ def effective_diameter(edges: np.ndarray, num_vertices: int,
     standard ANF-style definition).
     """
     from .traversal import bfs_levels
-    from .transform import symmetrize
 
     if not 0 < percentile < 1:
         raise ValueError("percentile must be in (0, 1)")
@@ -123,7 +133,6 @@ def effective_diameter(edges: np.ndarray, num_vertices: int,
     if edges.shape[0] == 0:
         return 0.0
     und = symmetrize(edges, num_vertices)
-    from .traversal import build_csr
     indptr, indices = build_csr(und, num_vertices)
     candidates = np.nonzero(np.diff(indptr) > 0)[0]
     roots = rng.choice(candidates, size=min(samples, candidates.size),

@@ -7,7 +7,7 @@ Subcommands
 ``stats``     — print statistics of a graph file;
 ``degrees``   — print the degree histogram of a graph file;
 ``convert``   — convert between graph formats;
-``simulate``  — print a paper figure's series from the cluster cost model.
+``experiment`` — print a paper figure's or table's rows (``--list``).
 """
 
 from __future__ import annotations
@@ -126,11 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=available_formats(), required=True)
     convert.add_argument("--to", dest="to_format",
                          choices=available_formats(), required=True)
-
-    sim = sub.add_parser("simulate",
-                         help="print a paper figure from the cost model")
-    sim.add_argument("--figure", choices=("11a", "11b", "12", "14"),
-                     required=True)
 
     merge = sub.add_parser(
         "merge", help="merge ordered part files into one graph file")
@@ -348,23 +343,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .cluster import (figure11a_series, figure11b_series,
-                          figure12_series, figure14_series)
-    series = {
-        "11a": figure11a_series,
-        "11b": figure11b_series,
-        "12": figure12_series,
-        "14": figure14_series,
-    }[args.figure]()
-    print("model\tscale\telapsed_s\tpeak_mem_MB\tconstruct_ratio")
-    for row in series:
-        mem = row.peak_memory_bytes / 2**20
-        print(f"{row.model}\t{row.scale}\t{row.cell()}\t{mem:.0f}\t"
-              f"{row.construction_ratio:.2f}")
-    return 0
-
-
 def _cmd_merge(args: argparse.Namespace) -> int:
     from .dist import merge_parts
     result = merge_parts(args.parts, args.vertices, args.output,
@@ -529,7 +507,6 @@ _COMMANDS = {
     "stats": _cmd_stats,
     "degrees": _cmd_degrees,
     "convert": _cmd_convert,
-    "simulate": _cmd_simulate,
 }
 
 

@@ -421,16 +421,6 @@ class RecursiveVectorGenerator:
                 yield run
                 del run
 
-    def iter_adjacency(self, start: int = 0, stop: int | None = None
-                       ) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(vertex, neighbours)`` pairs over ``[start, stop)``.
-
-        For AVS-O the pair is ``(source, out-neighbours)``; for AVS-I it is
-        ``(destination, in-neighbours)``.
-        """
-        for block in self.iter_blocks(start, stop):
-            yield from block.iter_adjacency()
-
     def edges(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Materialize edges for scopes in ``[start, stop)`` as ``(m, 2)``
         ``(source, destination)`` rows.  AVS-I output is flipped back to

@@ -2,7 +2,7 @@
 
 The linear-work R-MAT construction of Hübschle-Schneider & Sanders
 (PAPERS.md): table whole chunks of the recursion and sample each in
-O(1).  :func:`_padded_table` is the padded Vose row both samplers use —
+O(1).  :func:`_padded_tables` builds the padded Vose rows both samplers use —
 :class:`repro.models.rmat.PathSampler` over quadrant paths (WES)
 and :class:`ScopeSampler` here, its conditional form for AVS —
 :func:`_slices` is the stream rule by which both draw one call a slice
@@ -130,14 +130,20 @@ def _alias_table(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(threshold), np.array(alias, dtype=np.int64)
 
 
-def _padded_table(pmf: np.ndarray, contrib: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """A :func:`_draw_slice` row: ``pmf`` padded with impossible slots to
-    a power of two, its thresholds and contributions ``[alias's, own]``."""
-    pad = (0, (1 << (pmf.size - 1).bit_length()) - pmf.size)
-    threshold, alias = _alias_table(np.pad(pmf, pad))
+def _padded_tables(pmf: np.ndarray, contrib: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_draw_slice` rows, one per row of the 2-D ``pmf``: each
+    padded with impossible slots to a power of two, its thresholds and
+    contributions ``[alias's, own]``, rows concatenated.  The padding
+    and the gather of contributions are one pass over all rows; only
+    Vose's loop runs per row."""
+    pad = (0, (1 << (pmf.shape[1] - 1).bit_length()) - pmf.shape[1])
+    thresholds, aliases = zip(*map(_alias_table, np.pad(pmf, ((0, 0), pad))))
+    alias = np.stack(aliases)
     contrib = np.pad(contrib, pad)
-    return threshold, np.column_stack([contrib[alias], contrib]).ravel()
+    pairs = np.stack([contrib[alias], np.broadcast_to(contrib, alias.shape)],
+                     axis=-1)
+    return np.concatenate(thresholds), pairs.ravel()
 
 
 class ScopeSampler:
@@ -187,13 +193,11 @@ class ScopeSampler:
                 given = m[source // radix ** d % radix % len(m)]
                 pmf = np.hstack([pmf * given[:, t, None]
                                  for t in range(radix)])
-            own = np.arange(span, dtype=np.int64) * radix ** lo
-            thresholds, contribs = zip(*(_padded_table(row, own)
-                                         for row in pmf))
+            thresholds, contribs = _padded_tables(
+                pmf, np.arange(span, dtype=np.int64) * radix ** lo)
             self._rows.append((radix ** lo, span, slots)
                               if source.size > 1 else None)
-            self._tables.append((float(slots), np.concatenate(thresholds),
-                                 np.concatenate(contribs)))
+            self._tables.append((float(slots), thresholds, contribs))
             hi = lo
 
     @property

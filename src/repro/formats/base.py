@@ -8,9 +8,8 @@ AVS engines produce natively — and a block is encoded with vectorized
 numpy buffer assembly a bounded slice of edges at a time, each slice
 handed to the background writer as soon as it is encoded, so nothing
 block-sized is built on the way to disk (see ``docs/formats.md``).
-``(vertex, neighbours)`` pairs remain supported as the compatibility
-surface: :meth:`StreamWriter.add` is the per-vertex fallback, and
-:meth:`GraphFormat.write` batches pair streams into blocks internally.
+:meth:`StreamWriter.add` writes one ``(vertex, neighbours)`` pair: the
+per-vertex byte reference every block encoder is tested against.
 Readers provide both full-edge materialization and adjacency streaming,
 and are used by tests and the example applications.
 """
@@ -32,16 +31,12 @@ from .pipeline import ThreadedSink
 
 __all__ = ["WriteResult", "GraphFormat", "StreamWriter", "register_format",
            "get_format", "available_formats", "SIX_BYTES", "encode_id6",
-           "decode_id6", "id6_byte_view", "blocks_from_adjacency",
-           "block_from_edges", "blocks_from_sorted_keys"]
+           "decode_id6", "id6_byte_view", "block_from_edges",
+           "blocks_from_sorted_keys"]
 
 #: Width of a vertex ID in the binary formats.  6 bytes covers 2^48
 #: vertices — the paper's minimum for trillion-scale graphs.
 SIX_BYTES = 6
-
-#: Sources per block when batching a ``(vertex, neighbours)`` pair stream
-#: into :class:`AdjacencyBlock` units for the vectorized encoders.
-_PAIR_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -79,15 +74,13 @@ class WriteResult:
 
 class StreamWriter(ABC):
     """Incremental writer: feed whole :class:`AdjacencyBlock`s (fast
-    path) or ``(vertex, neighbours)`` pairs (fallback), then
-    :meth:`close` to finalize the file.
+    path) or ``(vertex, neighbours)`` pairs (the per-vertex byte
+    reference), then :meth:`close` to finalize the file.
 
-    Enables single-pass teeing of one generation stream into several
-    formats (see :func:`repro.formats.multi.write_many_blocks`) without
-    buffering the graph.  ``close`` is idempotent; the first call
-    finalizes the file and caches its :class:`WriteResult` in
-    :attr:`result`, which context-manager use also populates so the
-    outcome of a ``with`` block is never lost.
+    ``close`` is idempotent; the first call finalizes the file and
+    caches its :class:`WriteResult` in :attr:`result`, which
+    context-manager use also populates so the outcome of a ``with``
+    block is never lost.
     """
 
     #: The ordered background writer every encoded slice goes to.
@@ -225,18 +218,6 @@ class GraphFormat(ABC):
         assert writer.result is not None
         return writer.result
 
-    def write(self, path: Path | str,
-              adjacency: Iterable[tuple[int, np.ndarray]],
-              num_vertices: int) -> WriteResult:
-        """Write ``(vertex, neighbours)`` pairs to ``path``.
-
-        The pair stream is batched into blocks internally so it still
-        takes the vectorized encoder path; output is byte-identical to
-        per-vertex :meth:`StreamWriter.add` calls.
-        """
-        return self.write_blocks(path, blocks_from_adjacency(adjacency),
-                                 num_vertices)
-
     @abstractmethod
     def iter_adjacency(self, path: Path | str
                        ) -> Iterator[tuple[int, np.ndarray]]:
@@ -350,39 +331,6 @@ def blocks_from_sorted_keys(chunks: Iterable[np.ndarray],
         del block
     if held.size:
         yield _block_from_keys(held, n)
-
-
-def blocks_from_adjacency(adjacency: Iterable[tuple[int, np.ndarray]],
-                          batch_size: int = _PAIR_BATCH
-                          ) -> Iterator[AdjacencyBlock]:
-    """Batch a ``(vertex, neighbours)`` pair stream into blocks.
-
-    The compatibility shim between the legacy pair surface and the
-    vectorized block encoders: pairs are buffered in arrival order and
-    flushed every ``batch_size`` sources.
-    """
-    sources: list[int] = []
-    lists: list[np.ndarray] = []
-    for u, vs in adjacency:
-        sources.append(int(u))
-        lists.append(np.asarray(vs, dtype=np.int64))
-        if len(sources) >= batch_size:
-            yield _pairs_to_block(sources, lists)
-            sources, lists = [], []
-    if sources:
-        yield _pairs_to_block(sources, lists)
-
-
-def _pairs_to_block(sources: list[int],
-                    lists: list[np.ndarray]) -> AdjacencyBlock:
-    counts = np.fromiter((v.size for v in lists), dtype=np.int64,
-                         count=len(lists))
-    offsets = np.zeros(len(lists) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    destinations = (np.concatenate(lists) if lists
-                    else np.empty(0, dtype=np.int64))
-    return AdjacencyBlock(np.array(sources, dtype=np.int64), offsets,
-                          destinations)
 
 
 _REGISTRY: dict[str, GraphFormat] = {}

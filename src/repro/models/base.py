@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
+from ..core.generator import AdjacencyBlock, _draw_run
 from ..core.rng import stream
 from ..core.seed import GRAPH500, SeedMatrix
 from ..errors import ConfigurationError, GenerationError, OutOfMemoryError
@@ -27,15 +28,11 @@ from ..util.spill import SpillStore
 if TYPE_CHECKING:
     from pathlib import Path
 
-    from ..core.generator import AdjacencyBlock
     from ..formats.base import WriteResult
 
 __all__ = ["Complexity", "GenerationReport", "ScopeBasedGenerator",
            "StreamingDedupMixin", "dedup_edges",
            "BYTES_PER_EDGE_IN_MEMORY", "BATCH_EDGES"]
-
-#: Top-up rounds after which an in-memory WES model gives up on |E|.
-_MAX_ROUNDS = 200
 
 #: Working-set bytes per edge for in-memory duplicate elimination: an 8-byte
 #: packed key plus hash-set overhead (the constant used for O.O.M checks).
@@ -185,25 +182,26 @@ class ScopeBasedGenerator(ABC):
         """Per-purpose random stream (see :mod:`repro.core.rng`)."""
         return stream(self.seed, *labels)
 
-    def collect_distinct_keys(self, draw_keys: Callable[[int], np.ndarray]
-                              ) -> np.ndarray:
+    def _distinct_keys(self, draw_keys: Callable[[int], np.ndarray]
+                       ) -> np.ndarray:
         """Algorithm 2's set union in bulk, for the in-memory WES models:
-        draw the shortfall with ``draw_keys(count)``, merge it into the
-        kept keys, drop the repeats, until ``|E|`` distinct packed keys
-        are held.  Returns them ascending and fills the report."""
+        ``|E|`` distinct packed keys ``u * |V| + v``, ascending, drawn by
+        ``draw_keys(count)`` and topped up by the AVS kernel's loop
+        (:func:`repro.core.generator._draw_run`) as one scope whose
+        destinations are the ``2 * scale``-bit keys.  Fills the report."""
+        def give_up(row: int, size: int) -> np.ndarray:
+            raise GenerationError(
+                f"{self.name} failed to collect |E| distinct edges")
+
         report = self.report
-        keys = np.empty(0, dtype=np.int64)
         with report.time_phase("generate"):
-            for _ in range(_MAX_ROUNDS):
-                merged = np.sort(np.concatenate(
-                    [keys, draw_keys(self.num_edges - keys.size)]))
-                keys = unique_sorted(merged)
-                report.duplicates_discarded += merged.size - keys.size
-                if keys.size >= self.num_edges:
-                    break
-            else:
-                raise GenerationError(
-                    f"{self.name} failed to collect |E| distinct edges")
+            run, duplicates = _draw_run(
+                np.zeros(1, dtype=np.int64),
+                np.array([self.num_edges], dtype=np.int64), 2 * self.scale,
+                True, lambda rows, counts: draw_keys(int(counts[0])),
+                give_up)
+        keys = run.destinations
+        report.duplicates_discarded += duplicates
         report.realized_edges = keys.size
         report.peak_memory_bytes = keys.size * BYTES_PER_EDGE_IN_MEMORY
         return keys

@@ -26,6 +26,6 @@ class ErdosRenyiGenerator(ScopeBasedGenerator):
         self.check_memory_budget()
         rng = self.rng(_TAG_EDGES)
         cells = np.int64(self.num_vertices) ** 2
-        return self.unpack_edges(self.collect_distinct_keys(
+        return self.unpack_edges(self._distinct_keys(
             lambda count: rng.integers(0, cells, size=count,
                                        dtype=np.int64)))

@@ -64,5 +64,5 @@ class FastKroneckerGenerator(ScopeBasedGenerator):
         self.check_memory_budget()
         rng = self.rng(_TAG_EDGES)
         sampler = PathSampler(self.seed_matrix, self.depth)
-        return self.unpack_edges(self.collect_distinct_keys(
+        return self.unpack_edges(self._distinct_keys(
             lambda count: sampler.keys(count, rng)))

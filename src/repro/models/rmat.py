@@ -87,8 +87,8 @@ class PathSampler:
                 pmf = np.multiply.outer(pmf, flat).ravel()
                 u = np.add.outer(u * order, cell_u).ravel()
                 v = np.add.outer(v * order, cell_v).ravel()
-            threshold, contrib = tables._padded_table(
-                pmf, (u * order ** levels + v) * order ** below)
+            threshold, contrib = tables._padded_tables(
+                pmf[None], (u * order ** levels + v) * order ** below)
             self._tables.append((float(threshold.size), threshold, contrib))
 
     def keys(self, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -157,7 +157,7 @@ class RmatMemGenerator(ScopeBasedGenerator):
         self.check_memory_budget()
         rng = self.rng(_TAG_EDGES)
         sampler = PathSampler(self.seed_matrix, self.scale)
-        return self.unpack_edges(self.collect_distinct_keys(
+        return self.unpack_edges(self._distinct_keys(
             lambda count: sampler.keys(count, rng)))
 
 

@@ -1,17 +1,11 @@
-"""Tests for edge-array transforms."""
+"""Tests for ``symmetrize``, the undirected view that
+``structure.effective_diameter`` walks."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (induced_subgraph, permute_vertices, relabel,
-                            remove_self_loops, sample_edges, symmetrize,
-                            to_networkx)
-
-
-def rng():
-    return np.random.default_rng(0)
+from repro.analysis import symmetrize
 
 
 class TestSymmetrize:
@@ -35,84 +29,6 @@ class TestSymmetrize:
         edges = np.array([[0, 1], [1, 0]])
         out = symmetrize(edges, 4)
         assert out.shape[0] == 2
-
-
-class TestRemoveSelfLoops:
-    def test_removes(self):
-        edges = np.array([[0, 0], [0, 1], [2, 2]])
-        out = remove_self_loops(edges)
-        assert out.tolist() == [[0, 1]]
-
-    def test_empty(self):
-        assert remove_self_loops(
-            np.empty((0, 2), dtype=np.int64)).shape[0] == 0
-
-
-class TestRelabel:
-    def test_mapping_applied(self):
-        edges = np.array([[0, 1], [1, 2]])
-        mapping = np.array([10, 11, 12])
-        out = relabel(edges, mapping)
-        assert out.tolist() == [[10, 11], [11, 12]]
-
-    def test_permute_is_bijection(self):
-        edges = np.array([[i, (i + 1) % 8] for i in range(8)])
-        out = permute_vertices(edges, 8, rng())
-        # Edge count preserved and all endpoints still in range.
-        assert out.shape == edges.shape
-        assert out.min() >= 0 and out.max() < 8
-        # Degrees are permuted, not changed in multiset.
-        before = sorted(np.bincount(edges[:, 0], minlength=8))
-        after = sorted(np.bincount(out[:, 0], minlength=8))
-        assert before == after
-
-
-class TestInducedSubgraph:
-    def test_filters_both_endpoints(self):
-        edges = np.array([[0, 1], [1, 2], [2, 3]])
-        out = induced_subgraph(edges, np.array([1, 2]))
-        assert out.tolist() == [[1, 2]]
-
-    def test_empty_graph(self):
-        out = induced_subgraph(np.empty((0, 2), dtype=np.int64),
-                               np.array([0]))
-        assert out.shape[0] == 0
-
-
-class TestSampleEdges:
-    def test_fraction_respected(self):
-        edges = np.arange(2000).reshape(1000, 2)
-        out = sample_edges(edges, 0.25, rng())
-        assert out.shape[0] == 250
-
-    def test_full_fraction_returns_all(self):
-        edges = np.arange(20).reshape(10, 2)
-        out = sample_edges(edges, 1.0, rng())
-        np.testing.assert_array_equal(out, edges)
-
-    def test_rejects_bad_fraction(self):
-        with pytest.raises(ValueError):
-            sample_edges(np.array([[0, 1]]), 0.0, rng())
-        with pytest.raises(ValueError):
-            sample_edges(np.array([[0, 1]]), 1.5, rng())
-
-    def test_sample_is_subset(self):
-        edges = np.arange(200).reshape(100, 2)
-        out = sample_edges(edges, 0.3, rng())
-        all_pairs = set(map(tuple, edges.tolist()))
-        assert all(tuple(e) in all_pairs for e in out.tolist())
-
-
-class TestToNetworkx:
-    def test_directed(self):
-        g = to_networkx(np.array([[0, 1], [1, 0]]), 4)
-        assert g.number_of_nodes() == 4
-        assert g.number_of_edges() == 2
-        assert g.is_directed()
-
-    def test_undirected(self):
-        g = to_networkx(np.array([[0, 1], [1, 0]]), directed=False)
-        assert g.number_of_edges() == 1
 
 
 @settings(max_examples=30)

@@ -190,14 +190,14 @@ class TestDegrees:
         for k in (0, 5, 255, 256):
             assert g.degrees(k, k).shape == (0,)
             assert g.edges(k, k).shape == (0, 2)
-            assert list(g.iter_adjacency(k, k)) == []
             assert list(g.iter_blocks(k, k)) == []
 
 
 class TestAdjacencyBlock:
     def test_iter_adjacency_consistent_with_edges(self):
         g = RecursiveVectorGenerator(9, 8, seed=11)
-        pairs = [(u, tuple(vs)) for u, vs in g.iter_adjacency()]
+        pairs = [(u, tuple(vs)) for block in g.iter_blocks()
+                 for u, vs in block.iter_adjacency()]
         assert len(pairs) == 512
         edges = {(u, v) for u, vs in pairs for v in vs}
         from_edges = set(map(tuple, g.edges().tolist()))
@@ -205,8 +205,9 @@ class TestAdjacencyBlock:
 
     def test_destinations_sorted_per_source(self):
         g = RecursiveVectorGenerator(9, 16, seed=12)
-        for _, vs in g.iter_adjacency():
-            assert np.all(np.diff(vs) > 0)
+        for block in g.iter_blocks():
+            for _, vs in block.iter_adjacency():
+                assert np.all(np.diff(vs) > 0)
 
     def test_block_helpers(self):
         g = RecursiveVectorGenerator(8, 8, seed=13)

@@ -17,7 +17,7 @@ from repro.core.generator import RecursiveVectorGenerator
 from repro.core.nary import NAryRecursiveVectorGenerator
 from repro.core.seed import GRAPH500, SeedMatrix
 from repro.errors import ConfigurationError
-from repro.formats import get_format
+from repro.formats import block_from_edges, get_format
 
 SCALE = 33
 BLOCK = 768
@@ -104,7 +104,8 @@ class TestAdj6Boundary:
         base = 2 ** 33 + 5
         neighbours = np.array([7, 2 ** 32 - 1, 2 ** 32, 2 ** 33 + 1,
                                2 ** 48 - 1], dtype=np.int64)
-        fmt.write(tmp_path / "b.adj6", [(base, neighbours)], 2 ** 48)
+        fmt.write_blocks(tmp_path / "b.adj6", [block_from_edges(
+            np.column_stack([np.full(5, base), neighbours]))], 2 ** 48)
         ((vertex, back),) = list(fmt.iter_adjacency(tmp_path / "b.adj6"))
         assert vertex == base
         assert back.dtype == np.int64
@@ -119,7 +120,8 @@ class TestAdj6Boundary:
             (2 ** 32 + 3, np.array([2 ** 33, 2 ** 33 + 1],
                                    dtype=np.int64)),
         ]
-        fmt.write(tmp_path / "blocks.adj6", adjacency, 2 ** 34)
+        fmt.write_blocks(tmp_path / "blocks.adj6", [block_from_edges(
+            [(u, v) for u, vs in adjacency for v in vs])], 2 ** 34)
         writer = fmt.open_writer(tmp_path / "scalar.adj6", 2 ** 34)
         with writer:
             for vertex, neighbours in adjacency:

@@ -20,10 +20,8 @@ from repro import RecursiveVectorGenerator
 from repro.core.generator import AdjacencyBlock
 from repro.errors import FormatError
 from repro.formats import (GraphFormat, ThreadedSink, TsvFormat,
-                           WriteResult, block_from_edges,
-                           blocks_from_adjacency, get_format,
-                           id6_byte_view, pipeline, write_many,
-                           write_many_blocks)
+                           WriteResult, block_from_edges, get_format,
+                           id6_byte_view, pipeline)
 from repro.core import tables
 from repro.formats import adj6, csr6, tsv
 from repro.telemetry import Counter, Stopwatch
@@ -195,26 +193,33 @@ class TestByteIdentity:
                            gen.num_vertices) == expected
 
     def test_write_pairs_matches_blocks(self, tmp_path):
-        """GraphFormat.write (the pair surface) batches into blocks and
-        stays byte-identical to the native block path."""
+        """``GraphFormat.write_blocks`` over a sweep is byte-identical to
+        the sweep's pairs through per-vertex ``add``, in every format."""
         gen = make_generator()
-        fmt = get_format("adj6")
-        fmt.write(tmp_path / "pairs", gen.iter_adjacency(),
-                  gen.num_vertices)
-        fmt.write_blocks(tmp_path / "blocks", gen.iter_blocks(),
-                         gen.num_vertices)
-        assert (tmp_path / "pairs").read_bytes() == \
-            (tmp_path / "blocks").read_bytes()
+        for n in FORMATS:
+            expected = per_vertex_bytes(n, tmp_path / f"p.{n}",
+                                        gen.iter_blocks(), gen.num_vertices)
+            get_format(n).write_blocks(tmp_path / f"b.{n}",
+                                       gen.iter_blocks(), gen.num_vertices)
+            assert (tmp_path / f"b.{n}").read_bytes() == expected
 
     def test_write_many_blocks_matches_pairs(self, tmp_path):
+        """One sweep of blocks, each handed to a writer of every format
+        in turn, gives each format the bytes of its per-vertex ``add``:
+        no encoder alters a block another writer still has to read."""
         gen = make_generator()
-        write_many_blocks(gen.iter_blocks(), gen.num_vertices,
-                          {n: tmp_path / f"b.{n}" for n in FORMATS})
-        write_many(gen.iter_adjacency(), gen.num_vertices,
-                   {n: tmp_path / f"p.{n}" for n in FORMATS})
+        writers = {n: get_format(n).open_writer(tmp_path / f"b.{n}",
+                                                gen.num_vertices)
+                   for n in FORMATS}
+        for block in gen.iter_blocks():
+            for writer in writers.values():
+                writer.add_block(block)
+        for writer in writers.values():
+            writer.close()
         for n in FORMATS:
-            assert (tmp_path / f"b.{n}").read_bytes() == \
-                (tmp_path / f"p.{n}").read_bytes()
+            expected = per_vertex_bytes(n, tmp_path / f"p.{n}",
+                                        gen.iter_blocks(), gen.num_vertices)
+            assert (tmp_path / f"b.{n}").read_bytes() == expected
 
 
 def tsv_text(blocks):
@@ -504,13 +509,6 @@ class TestBlockHelpers:
         block = block_from_edges(np.empty((0, 2), dtype=np.int64))
         assert block.sources.size == 0
         assert block.num_edges == 0
-
-    def test_blocks_from_adjacency_batches(self):
-        pairs = [(u, np.array([u + 1], dtype=np.int64))
-                 for u in range(10)]
-        blocks = list(blocks_from_adjacency(iter(pairs), batch_size=4))
-        assert [b.sources.size for b in blocks] == [4, 4, 2]
-        assert sum(b.num_edges for b in blocks) == 10
 
     def test_id6_byte_view_rejects_out_of_range(self):
         with pytest.raises(FormatError):

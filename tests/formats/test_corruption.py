@@ -22,7 +22,7 @@ def written(tmp_path):
     paths = {}
     for name in ("tsv", "adj6", "csr6"):
         path = tmp_path / f"g.{name}"
-        get_format(name).write(path, g.iter_adjacency(), 256)
+        get_format(name).write_blocks(path, g.iter_blocks(), 256)
         paths[name] = path
     return paths
 

@@ -6,10 +6,26 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import RecursiveVectorGenerator
+from repro.core.generator import AdjacencyBlock
 from repro.errors import FormatError
 from repro.formats import (Adj6Format, Csr6Format, TsvFormat,
                            available_formats, get_format)
 from repro.formats.base import decode_id6, encode_id6
+
+
+def pairs_block(pairs):
+    """One block of ``(vertex, neighbours)`` pairs, kept in the given
+    order (the writers' own checks see any disorder)."""
+    offsets = np.zeros(len(pairs) + 1, dtype=np.int64)
+    np.cumsum([len(vs) for _, vs in pairs], out=offsets[1:])
+    return AdjacencyBlock(
+        np.array([u for u, _ in pairs], dtype=np.int64), offsets,
+        np.concatenate([np.asarray(vs, dtype=np.int64) for _, vs in pairs]
+                       or [np.empty(0, dtype=np.int64)]))
+
+
+def write_pairs(fmt, path, pairs, num_vertices):
+    return fmt.write_blocks(path, [pairs_block(pairs)], num_vertices)
 
 
 class TestRegistry:
@@ -60,7 +76,8 @@ class TestRoundTrip:
     def test_adjacency_roundtrip(self, fmt_name, graph, tmp_path):
         g, edges = graph
         fmt = get_format(fmt_name)
-        res = fmt.write(tmp_path / f"g.{fmt_name}", g.iter_adjacency(), 512)
+        res = fmt.write_blocks(tmp_path / f"g.{fmt_name}", g.iter_blocks(),
+                               512)
         assert res.num_edges == edges.shape[0]
         back = fmt.read_edges(res.path)
         np.testing.assert_array_equal(back, edges)
@@ -74,28 +91,29 @@ class TestRoundTrip:
 
     def test_empty_graph(self, fmt_name, tmp_path):
         fmt = get_format(fmt_name)
-        res = fmt.write(tmp_path / f"empty.{fmt_name}", [], 16)
+        res = fmt.write_blocks(tmp_path / f"empty.{fmt_name}", [], 16)
         assert res.num_edges == 0
         assert fmt.read_edges(res.path).shape == (0, 2)
 
     def test_bytes_written_matches_file(self, fmt_name, graph, tmp_path):
         g, _ = graph
         fmt = get_format(fmt_name)
-        res = fmt.write(tmp_path / f"s.{fmt_name}", g.iter_adjacency(), 512)
+        res = fmt.write_blocks(tmp_path / f"s.{fmt_name}", g.iter_blocks(),
+                               512)
         assert res.bytes_written == res.path.stat().st_size
 
 
 class TestAdj6Specifics:
     def test_record_size(self, tmp_path):
         fmt = Adj6Format()
-        res = fmt.write(tmp_path / "one.adj6",
-                        [(3, np.array([1, 2, 5]))], 8)
+        res = write_pairs(fmt, tmp_path / "one.adj6",
+                          [(3, np.array([1, 2, 5]))], 8)
         # 6 (id) + 4 (degree) + 3*6 (neighbours)
         assert res.bytes_written == 6 + 4 + 18
 
     def test_truncated_file_detected(self, tmp_path):
         fmt = Adj6Format()
-        fmt.write(tmp_path / "t.adj6", [(3, np.array([1, 2, 5]))], 8)
+        write_pairs(fmt, tmp_path / "t.adj6", [(3, np.array([1, 2, 5]))], 8)
         data = (tmp_path / "t.adj6").read_bytes()
         (tmp_path / "t.adj6").write_bytes(data[:-3])
         with pytest.raises(FormatError):
@@ -109,32 +127,33 @@ class TestAdj6Specifics:
         adjacency = [(base + u,
                       np.sort(rng.integers(base, base + 10**6, size=16)))
                      for u in range(200)]
-        adj = Adj6Format().write(tmp_path / "b.adj6", adjacency, 2**41)
-        tsv = TsvFormat().write(tmp_path / "b.tsv", adjacency, 2**41)
+        adj = write_pairs(Adj6Format(), tmp_path / "b.adj6", adjacency,
+                          2**41)
+        tsv = write_pairs(TsvFormat(), tmp_path / "b.tsv", adjacency, 2**41)
         assert tsv.bytes_written > 3 * adj.bytes_written
 
 
 class TestCsr6Specifics:
     def test_header_magic(self, tmp_path):
         fmt = Csr6Format()
-        fmt.write(tmp_path / "h.csr6", [(0, np.array([1]))], 4)
+        write_pairs(fmt, tmp_path / "h.csr6", [(0, np.array([1]))], 4)
         assert (tmp_path / "h.csr6").read_bytes()[:4] == b"CSR6"
 
     def test_rejects_unsorted_vertices(self, tmp_path):
         fmt = Csr6Format()
         with pytest.raises(FormatError):
-            fmt.write(tmp_path / "u.csr6",
-                      [(3, np.array([1])), (1, np.array([2]))], 8)
+            write_pairs(fmt, tmp_path / "u.csr6",
+                        [(3, np.array([1])), (1, np.array([2]))], 8)
 
     def test_rejects_unsorted_neighbours(self, tmp_path):
         fmt = Csr6Format()
         with pytest.raises(FormatError):
-            fmt.write(tmp_path / "n.csr6", [(0, np.array([5, 1]))], 8)
+            write_pairs(fmt, tmp_path / "n.csr6", [(0, np.array([5, 1]))], 8)
 
     def test_rejects_out_of_range_vertex(self, tmp_path):
         fmt = Csr6Format()
         with pytest.raises(FormatError):
-            fmt.write(tmp_path / "r.csr6", [(9, np.array([1]))], 8)
+            write_pairs(fmt, tmp_path / "r.csr6", [(9, np.array([1]))], 8)
 
     def test_rejects_non_csr_file(self, tmp_path):
         (tmp_path / "junk.csr6").write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNK")
@@ -144,7 +163,7 @@ class TestCsr6Specifics:
     def test_read_csr_arrays(self, tmp_path, graph):
         g, edges = graph
         fmt = Csr6Format()
-        fmt.write(tmp_path / "c.csr6", g.iter_adjacency(), 512)
+        fmt.write_blocks(tmp_path / "c.csr6", g.iter_blocks(), 512)
         indptr, indices = fmt.read_csr(tmp_path / "c.csr6")
         assert indptr.size == 513
         assert indptr[-1] == edges.shape[0]
@@ -179,6 +198,6 @@ def test_formats_agree_property(tmp_path, records):
     for name in available_formats():
         fmt = get_format(name)
         path = tmp_path / f"p-{name}"
-        fmt.write(path, records, 256)
+        write_pairs(fmt, path, records, 256)
         results[name] = fmt.read_edges(path).tolist()
     assert results["tsv"] == results["adj6"] == results["csr6"]

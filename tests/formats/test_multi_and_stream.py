@@ -1,17 +1,23 @@
-"""Tests for stream writers and the multi-format tee."""
+"""Tests for the incremental stream writers."""
 
 import numpy as np
 import pytest
 
 from repro import RecursiveVectorGenerator
 from repro.errors import FormatError
-from repro.formats import get_format, write_many
+from repro.formats import get_format
 
 
 @pytest.fixture()
 def graph():
     g = RecursiveVectorGenerator(9, 8, seed=5)
     return g, g.edges()
+
+
+def pairs(g):
+    """``g``'s ``(vertex, neighbours)`` records, in order."""
+    return [pair for block in g.iter_blocks()
+            for pair in block.iter_adjacency()]
 
 
 class TestStreamWriters:
@@ -21,9 +27,9 @@ class TestStreamWriters:
         fmt = get_format(fmt_name)
         batch_path = tmp_path / f"batch.{fmt_name}"
         inc_path = tmp_path / f"inc.{fmt_name}"
-        fmt.write(batch_path, g.iter_adjacency(), g.num_vertices)
+        fmt.write_blocks(batch_path, g.iter_blocks(), g.num_vertices)
         writer = fmt.open_writer(inc_path, g.num_vertices)
-        for u, vs in g.iter_adjacency():
+        for u, vs in pairs(g):
             writer.add(u, vs)
         result = writer.close()
         assert result.num_edges == edges.shape[0]
@@ -35,7 +41,7 @@ class TestStreamWriters:
         fmt = get_format(fmt_name)
         path = tmp_path / f"ctx.{fmt_name}"
         with fmt.open_writer(path, g.num_vertices) as writer:
-            for u, vs in g.iter_adjacency():
+            for u, vs in pairs(g):
                 writer.add(u, vs)
         back = fmt.read_edges(path)
         np.testing.assert_array_equal(back, edges)
@@ -48,44 +54,3 @@ class TestStreamWriters:
             writer.add(1, np.array([2]))
         writer.close()
 
-
-class TestWriteMany:
-    def test_tee_all_formats(self, graph, tmp_path):
-        g, edges = graph
-        outputs = {name: tmp_path / f"tee.{name}"
-                   for name in ("tsv", "adj6", "csr6")}
-        results = write_many(g.iter_adjacency(), g.num_vertices, outputs)
-        assert set(results) == set(outputs)
-        for name, result in results.items():
-            assert result.num_edges == edges.shape[0]
-            back = get_format(name).read_edges(result.path)
-            np.testing.assert_array_equal(back, edges)
-
-    def test_tee_matches_individual_writes(self, graph, tmp_path):
-        g, _ = graph
-        outputs = {"adj6": tmp_path / "tee.adj6"}
-        write_many(g.iter_adjacency(), g.num_vertices, outputs)
-        single = tmp_path / "single.adj6"
-        get_format("adj6").write(single, g.iter_adjacency(),
-                                 g.num_vertices)
-        assert single.read_bytes() == outputs["adj6"].read_bytes()
-
-    def test_rejects_empty_outputs(self, graph):
-        g, _ = graph
-        with pytest.raises(ValueError):
-            write_many(g.iter_adjacency(), g.num_vertices, {})
-
-    def test_stream_consumed_once(self, tmp_path):
-        """The adjacency iterable is pulled exactly once even with three
-        writers attached."""
-        pulls = []
-
-        def stream():
-            for u in range(4):
-                pulls.append(u)
-                yield u, np.array([u + 1]) % 4
-
-        outputs = {name: tmp_path / f"once.{name}"
-                   for name in ("tsv", "adj6")}
-        write_many(stream(), 8, outputs)
-        assert pulls == [0, 1, 2, 3]

@@ -12,7 +12,7 @@ from repro.models import (ALL_MODELS, BarabasiAlbertGenerator,
                           TegGenerator, TrillionGSeqGenerator,
                           WespDiskGenerator, WespMemGenerator,
                           rmat_edge_batch, scramble_vertices)
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, GenerationError
 
 
 @pytest.mark.parametrize("name,cls", sorted(ALL_MODELS.items()))
@@ -326,6 +326,13 @@ class TestErdosRenyi:
         e = g.generate()
         assert e.shape[0] == g.num_edges
         assert np.unique(g.pack_edges(e)).size == e.shape[0]
+
+    def test_more_edges_than_cells_hit_the_round_cap(self):
+        """|E| = 64 distinct edges of 4 x 4 = 16 cells: no number of
+        top-up rounds collects them, so the cap raises, not loops."""
+        g = ErdosRenyiGenerator(2, 16, seed=1)
+        with pytest.raises(GenerationError, match="distinct edges"):
+            g.generate()
 
     def test_matches_uniform_rmat(self):
         """Paper Section 8: ER == RMAT with the all-0.25 seed."""

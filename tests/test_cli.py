@@ -169,10 +169,15 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("figure", ["11a", "11b", "12", "14"])
     def test_simulate(self, figure, capsys):
-        assert main(["simulate", "--figure", figure]) == 0
+        """The cost-model series, which ``experiment`` prints."""
+        assert main(["experiment", "--id", f"fig{figure}"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("model\t")
+        assert out.split()[:2] == ["model", "scale"]
         assert len(out.strip().split("\n")) > 4
+
+    def test_simulate_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--figure", "12"])
 
 
 class TestFitCommand:

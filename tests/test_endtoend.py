@@ -11,7 +11,7 @@ from repro.analysis import (build_csr, bfs_parents, fit_kronecker_class_slope,
                             reachable_count, symmetrize)
 from repro.dist import ClusterSpec
 from repro.fit import GraphScaler
-from repro.formats import get_format, write_many
+from repro.formats import get_format
 from repro.rich_graph import (RichGraphGenerator, bibliographical_config,
                               load_config, save_config)
 from repro.validate import validate_edges
@@ -53,10 +53,13 @@ class TestGenerateWriteVerifyPipeline:
     def test_multiformat_then_workload(self, tmp_path):
         """one generation pass -> 3 formats -> BFS + PageRank on CSR."""
         g = RecursiveVectorGenerator(11, 16, seed=102)
+        blocks = list(g.iter_blocks())
         outputs = {name: tmp_path / f"w.{name}"
                    for name in ("tsv", "adj6", "csr6")}
-        results = write_many(g.iter_adjacency(), g.num_vertices, outputs)
-        assert len({r.num_edges for r in results.values()}) == 1
+        results = [get_format(name).write_blocks(path, blocks,
+                                                 g.num_vertices)
+                   for name, path in outputs.items()]
+        assert len({r.num_edges for r in results}) == 1
 
         edges = get_format("csr6").read_edges(outputs["csr6"])
         und = symmetrize(edges, g.num_vertices)
@@ -112,8 +115,8 @@ class TestCrossEngineEndToEnd:
                 "reference": ReferenceGenerator}[engine]
         g = make(10, 16, seed=107)
         fmt = get_format("adj6")
-        res = fmt.write(tmp_path / f"{engine}.adj6", g.iter_adjacency(),
-                        g.num_vertices)
+        res = fmt.write_blocks(tmp_path / f"{engine}.adj6", g.iter_blocks(),
+                               g.num_vertices)
         edges = fmt.read_edges(res.path)
         assert validate_edges(edges, 1024, seed_matrix=GRAPH500,
                               expected_edges=g.num_edges).ok

@@ -129,7 +129,7 @@ def test_format_roundtrip_any_graph(tmp_path, config, fmt_name):
     edges = g.edges()
     fmt = get_format(fmt_name)
     path = tmp_path / f"{uuid.uuid4().hex}.{fmt_name}"
-    fmt.write(path, g.iter_adjacency(), g.num_vertices)
+    fmt.write_blocks(path, g.iter_blocks(), g.num_vertices)
     back = fmt.read_edges(path)
     np.testing.assert_array_equal(back, edges)
 
