@@ -5,72 +5,52 @@ requested Zipfian and the in-degree following the requested Gaussian.
 Regenerates that rectangle and validates both marginals.
 """
 
-import numpy as np
 import pytest
 
-from repro.analysis import fit_gaussian, fit_kronecker_class_slope
+from repro.experiments import figure10_rows
 from repro.rich_graph import RichGraphGenerator, bibliographical_config
 
 VERTICES = 1 << 14
 
 
 @pytest.fixture(scope="module")
-def author_degrees():
-    config = bibliographical_config(VERTICES)
-    typed = RichGraphGenerator(config, seed=21).generate()
-    author = typed[0]
-    src_lo, src_hi = config.vertex_range("researcher")
-    dst_lo, dst_hi = config.vertex_range("paper")
-    out_deg = np.bincount(author.edges[:, 0] - src_lo,
-                          minlength=src_hi - src_lo)
-    in_deg = np.bincount(author.edges[:, 1] - dst_lo,
-                         minlength=dst_hi - dst_lo)
-    return config, author, out_deg, in_deg
+def sides():
+    """:func:`repro.experiments.figure10_rows`: the ``out`` and ``in``
+    marginals of the author rectangle."""
+    return figure10_rows(num_vertices=VERTICES, seed=21)
 
 
-def test_figure10_table(benchmark, author_degrees, table):
-    config, author, out_deg, in_deg = author_degrees
-
-    def rows():
-        in_fit = fit_gaussian(in_deg)
-        return [
-            ["out (researcher)", "Zipfian",
-             f"slope {author.rule.out_distribution.slope}",
-             f"slope {fit_kronecker_class_slope(out_deg):.3f}"],
-            ["in (paper)", "Gaussian",
-             "mean |E|/|Vpaper|",
-             f"mean {in_fit.mean:.2f}, std {in_fit.std:.2f}, "
-             f"kurtosis {in_fit.excess_kurtosis:.2f}"],
-        ]
-
-    data = benchmark.pedantic(rows, rounds=1, iterations=1)
-    table("Figure 10: author rectangle degree marginals",
+def test_figure10_table(benchmark, sides, table):
+    data = benchmark.pedantic(
+        lambda: [[r["side"], r["requested"], r["target"], r["measured"]]
+                 for r in sides], rounds=1, iterations=1)
+    table("Figure 10: author rectangle degree marginals "
+          "(target: requested slope, or mean |E|/|Vpaper|)",
           ["side", "requested", "target", "measured"], data)
 
 
-def test_out_degree_zipfian(benchmark, author_degrees):
-    _, author, out_deg, _ = author_degrees
-    slope = benchmark.pedantic(
-        lambda: fit_kronecker_class_slope(out_deg), rounds=1, iterations=1)
-    assert abs(slope - author.rule.out_distribution.slope) < 0.3
+def test_out_degree_zipfian(benchmark, sides):
+    out_row, _ = sides
+    slope = benchmark.pedantic(lambda: out_row["slope"], rounds=1,
+                               iterations=1)
+    assert abs(slope - out_row["target"]) < 0.3
 
 
-def test_in_degree_gaussian(benchmark, author_degrees):
-    config, author, _, in_deg = author_degrees
-    fit = benchmark.pedantic(lambda: fit_gaussian(in_deg), rounds=1,
-                             iterations=1)
-    assert fit.looks_gaussian
-    expected_mean = (config.rule_edge_budget(author.rule)
-                     / in_deg.size)
-    assert abs(fit.mean - expected_mean) / expected_mean < 0.05
+def test_in_degree_gaussian(benchmark, sides):
+    _, in_row = sides
+    kurtosis = benchmark.pedantic(lambda: in_row["excess_kurtosis"],
+                                  rounds=1, iterations=1)
+    assert abs(kurtosis) < 1.0          # GaussianFit.looks_gaussian
+    expected_mean = in_row["target"]
+    assert abs(in_row["mean"] - expected_mean) / expected_mean < 0.05
 
 
-def test_out_degree_not_gaussian(benchmark, author_degrees):
+def test_out_degree_not_gaussian(benchmark, sides):
     """The two marginals really are different families."""
-    _, _, out_deg, _ = author_degrees
-    fit = benchmark.pedantic(lambda: fit_gaussian(out_deg), rounds=1,
-                             iterations=1)
-    assert not fit.looks_gaussian
+    out_row, _ = sides
+    kurtosis = benchmark.pedantic(lambda: out_row["excess_kurtosis"],
+                                  rounds=1, iterations=1)
+    assert abs(kurtosis) >= 1.0         # not GaussianFit.looks_gaussian
 
 
 def test_rich_generation_throughput(benchmark):

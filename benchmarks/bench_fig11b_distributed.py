@@ -4,19 +4,18 @@ Measured part (this machine): the WES/p dataflow (generate, hash-shuffle,
 merge) against the AVS dataflow (range partition, generate, write) with
 the same logical worker count; plus a real multiprocess run through
 :class:`repro.dist.LocalCluster`.  Paper-scale part: the calibrated cost
-model beside the published series, including the O.O.M wall at scale 29
-for RMAT/p-mem and the growing TrillionG advantage (98x at scale 31).
+model beside the published series (the O.O.M wall at scale 29 for
+RMAT/p-mem and the growing TrillionG advantage, 98x at scale 31, are
+asserted in ``tests/cluster/test_costmodel.py``).
 """
 
 import time
 
 import numpy as np
-import pytest
 
-from benchmarks.conftest import PAPER
-from repro.cluster import PAPER_CLUSTER, CostModel
 from repro.core.generator import RecursiveVectorGenerator
 from repro.dist import ClusterSpec, LocalCluster
+from repro.experiments import figure11b_rows
 from repro.models import WespDiskGenerator, WespMemGenerator
 from tests.faultinject import FaultInjector, needs_fork
 
@@ -78,44 +77,14 @@ def test_wesp_disk_equals_mem_output(benchmark):
 
 
 def test_paper_scale_table(benchmark, table):
-    model = CostModel(PAPER_CLUSTER)
-    methods = {
-        "RMAT/p-mem": model.wesp_mem,
-        "RMAT/p-disk": model.wesp_disk,
-        "TrillionG (TSV)": lambda s: model.trilliong(s, "tsv"),
-        "TrillionG (ADJ6)": lambda s: model.trilliong(s, "adj6"),
-    }
-
-    def rows():
-        out = []
-        for scale in range(24, 32):
-            for name, fn in methods.items():
-                est = fn(scale)
-                published = PAPER["fig11b"][name].get(scale)
-                ours = "O.O.M" if est.oom else round(est.elapsed_seconds)
-                out.append([scale, name, ours,
-                            published if published is not None
-                            else "O.O.M"])
-        return out
-
-    data = benchmark.pedantic(rows, rounds=1, iterations=1)
+    rows = benchmark.pedantic(figure11b_rows, rounds=1, iterations=1)
     table("Figure 11(b) paper scale: cost model vs published",
-          ["scale", "model", "ours (s)", "paper (s)"], data)
-    for scale, name, ours, published in data:
-        if isinstance(ours, int) and isinstance(published, int):
-            assert 0.4 < ours / published < 2.5, (scale, name)
-
-
-def test_headline_gap_at_scale31(benchmark):
-    """Paper: TrillionG (ADJ6) outperforms RMAT/p-disk by up to 98x."""
-    model = CostModel(PAPER_CLUSTER)
-
-    def gap():
-        return (model.wesp_disk(31).elapsed_seconds
-                / model.trilliong(31, "adj6").elapsed_seconds)
-
-    ratio = benchmark.pedantic(gap, rounds=1, iterations=1)
-    assert 50 < ratio < 200
+          ["scale", "model", "ours (s)", "paper (s)"],
+          [[r["scale"], r["model"], r["elapsed"], r["paper"]]
+           for r in rows])
+    for r in rows:
+        if r["elapsed"] != "O.O.M" and r["paper"] != "O.O.M":
+            assert 0.4 < r["elapsed"] / r["paper"] < 2.5, r
 
 
 @needs_fork

@@ -4,8 +4,9 @@ Measured part: generation time across scales 12-16 on this machine must
 grow linearly in |E| (the paper: "the elapsed time is strictly
 proportional to the scale"), and the largest working-set proxy (d_max)
 must grow like ``16 * 1.52^scale`` — sublinearly in |E|.  Paper-scale
-part: the cost model's 33-38 series against the published numbers,
-including the headline "one trillion edges in under two hours on 10 PCs".
+part: the cost model's 33-38 series against the published numbers (the
+memory series and the headline "one trillion edges in under two hours
+on 10 PCs" are asserted in ``tests/cluster/test_costmodel.py``).
 """
 
 import time
@@ -13,9 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import PAPER
-from repro.cluster import PAPER_CLUSTER, CostModel
 from repro.core.generator import RecursiveVectorGenerator
+from repro.experiments import figure12_rows
 
 MEASURED_SCALES = (12, 13, 14, 15, 16)
 
@@ -71,33 +71,11 @@ def test_measured_dmax_sublinear(benchmark, measured):
 
 
 def test_paper_scale_table(benchmark, table):
-    model = CostModel(PAPER_CLUSTER)
-
-    def rows():
-        out = []
-        for scale in range(33, 39):
-            est = model.trilliong(scale, "adj6")
-            out.append([scale, round(est.elapsed_seconds),
-                        PAPER["fig12_time"][scale],
-                        round(est.peak_memory_bytes / 2**20),
-                        PAPER["fig12_mem_mb"][scale]])
-        return out
-
-    data = benchmark.pedantic(rows, rounds=1, iterations=1)
+    rows = benchmark.pedantic(figure12_rows, rounds=1, iterations=1)
     table("Figure 12 paper scale: cost model vs published",
           ["scale", "ours (s)", "paper (s)", "ours mem (MB)",
-           "paper mem (MB)"], data)
-    for scale, ours_s, paper_s, ours_mb, paper_mb in data:
-        assert 0.6 < ours_s / paper_s < 1.6, scale
-        assert 0.85 < ours_mb / paper_mb < 1.15, scale
-
-
-def test_trillion_edges_headline(benchmark):
-    """'It can generate a graph of a trillion edges ... within two hours
-    only using 10 PCs' — scale 36 is 2^40 ≈ 1.1e12 edges."""
-    model = CostModel(PAPER_CLUSTER)
-    est = benchmark.pedantic(lambda: model.trilliong(36, "adj6"),
-                             rounds=1, iterations=1)
-    assert not est.oom
-    assert est.elapsed_seconds < 2.5 * 3600
-    assert model.num_edges(36) > 1e12
+           "paper mem (MB)"],
+          [[r["scale"], r["elapsed"], r["paper"], r["peak_mem_MB"],
+            r["paper_mem_MB"]] for r in rows])
+    for r in rows:
+        assert 0.6 < r["elapsed"] / r["paper"] < 1.6, r["scale"]

@@ -3,7 +3,7 @@
 Runs the instrumented reference engine
 (:func:`repro.experiments.figure13_rows`) through all eight on/off
 combinations of (Idea #1 reuse RecVec, Idea #2 fewer recursions, Idea #3
-one random value) at scale 12 (paper: 27) and reports both wall time and
+one random value) at scale 12 (paper: 27) and reports both CPU time and
 the work counters.  Shape assertions from the paper:
 
 - Idea #1 alone improves performance "at least by 3.38 times" — here the
@@ -14,8 +14,7 @@ the work counters.  Shape assertions from the paper:
 
 import pytest
 
-from benchmarks.conftest import PAPER
-from repro.experiments import figure13_rows
+from repro.experiments import PAPER, figure13_rows
 
 SCALE = 12
 
@@ -25,8 +24,9 @@ COMBOS = [(i1, i2, i3) for i1 in (False, True) for i2 in (False, True)
 
 @pytest.fixture(scope="module")
 def ablation():
-    """``(seconds, row)`` per ``(idea1, idea2, idea3)`` combination."""
-    return {(row["idea1"], row["idea2"], row["idea3"]): (row["seconds"], row)
+    """``(cpu_seconds, row)`` per ``(idea1, idea2, idea3)`` combination."""
+    return {(row["idea1"], row["idea2"], row["idea3"]):
+            (row["cpu_seconds"], row)
             for row in figure13_rows(scale=SCALE)}
 
 
@@ -48,7 +48,7 @@ def test_figure13_table(benchmark, ablation, table):
     data = benchmark.pedantic(rows, rounds=1, iterations=1)
     table("Figure 13: idea ablation (scale 12; paper column is scale 27 "
           "on 60 threads)",
-          ["Idea#1", "Idea#2", "Idea#3", "ours (s)", "paper (s)",
+          ["Idea#1", "Idea#2", "Idea#3", "ours (CPU s)", "paper (s)",
            "recursions", "draws", "recvec builds"], data)
 
 
@@ -99,6 +99,22 @@ def test_work_counters_match_idea_semantics(benchmark, ablation):
     # Idea #1 off => one RecVec build per attempt instead of per scope.
     assert stats[(False, True, True)]["recvec_builds"] \
         > 5 * on["recvec_builds"]
+
+
+def test_algorithmic_work_advantage(benchmark, ablation):
+    """The three Ideas' work reduction, all off (the RMAT-equivalent
+    per-edge process) against all on, in the paper's three cost drivers:
+    recursion steps (Idea #2: ~0.24 log|V| vs log|V|), random draws
+    (Idea #3: 1 vs one per recursion), RecVec builds (Idea #1: one per
+    scope vs per edge)."""
+    off, on = benchmark.pedantic(
+        lambda: (ablation[(False, False, False)][1],
+                 ablation[(True, True, True)][1]), rounds=1, iterations=1)
+    assert off["recursions"] > 2.5 * on["recursions"]
+    assert off["draws"] > 4 * on["draws"]
+    # One build per edge attempt vs one per scope: the ratio is the mean
+    # scope size plus retries (|E|/|V| = 8).
+    assert off["recvec_builds"] > 8 * on["recvec_builds"]
 
 
 def test_idea1_helps_in_every_configuration(benchmark, ablation):

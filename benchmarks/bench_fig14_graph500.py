@@ -3,37 +3,32 @@
 Measured part: the Graph500-model pipeline (NSKG + scramble + CSR
 construction) on this machine, showing its construction phases, versus
 TrillionG writing CSR6 in a streaming pass.  Paper-scale part: the cost
-model against the published 1GbE/InfiniBand curves, the O.O.M wall past
-scale 30, and the Figure 14(b) construction-overhead ratios (TrillionG
-6-7%, Graph500 >90% on 1GbE).
+model against the published 1GbE/InfiniBand curves and the Figure 14(b)
+construction-overhead ratios; the O.O.M wall past scale 30, the network
+insensitivity and the ratios' bounds (TrillionG 6-7%, Graph500 >90% on
+1GbE) are asserted in ``tests/cluster/test_costmodel.py``.
 """
-
-import time
 
 import pytest
 
-from benchmarks.conftest import PAPER
-from repro.cluster import PAPER_CLUSTER, PAPER_CLUSTER_IB, CostModel
 from repro.core.generator import RecursiveVectorGenerator
+from repro.experiments import figure14_measured_rows, figure14_rows
 from repro.formats import get_format
-from repro.models import Graph500Generator
 
 SCALE = 14
+#: Figure 14's three curves (TrillionG's 1GbE and InfiniBand rows
+#: coincide) at the cost model's paper scales.
+MODELS = ("TrillionG-1G", "Graph500-1G", "Graph500-IB")
+SCALES = range(25, 31)
 
 
 def test_measured_graph500_pipeline(benchmark, table):
-    def run():
-        g = Graph500Generator(SCALE, 16, seed=2)
-        g.generate()
-        return dict(g.report.phase_seconds), \
-            g.construction_overhead_ratio()
-
-    phases, ratio = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(lambda: figure14_measured_rows(SCALE),
+                              rounds=1, iterations=1)
     table("Figure 14 measured: Graph500-model phases (scale 14)",
-          ["phase", "seconds"],
-          [[k, round(v, 4)] for k, v in phases.items()]
-          + [["construction ratio", round(ratio, 3)]])
-    assert {"generate", "scramble", "construct"} <= set(phases)
+          ["phase", "seconds"], [[r["phase"], r["seconds"]] for r in rows])
+    assert {"generate", "scramble", "construct"} <= {r["phase"]
+                                                     for r in rows}
 
 
 def test_measured_trilliong_csr_write(benchmark, tmp_path):
@@ -52,72 +47,36 @@ def test_measured_trilliong_csr_write(benchmark, tmp_path):
     assert indptr[-1] == result.num_edges
 
 
-def test_paper_scale_table(benchmark, table):
-    m_1g = CostModel(PAPER_CLUSTER)
-    m_ib = CostModel(PAPER_CLUSTER_IB)
+@pytest.fixture(scope="module")
+def paper_scale():
+    """:func:`repro.experiments.figure14_rows` by ``(model, scale)``."""
+    return {(r["model"], r["scale"]): r for r in figure14_rows(SCALES)}
 
+
+def test_paper_scale_table(benchmark, paper_scale, table):
     def rows():
-        out = []
-        for scale in range(25, 31):
-            tg = m_1g.trilliong_nskg_csr(scale)
-            g1 = m_1g.graph500(scale)
-            gib = m_ib.graph500(scale)
-            fmt_cell = lambda est: ("O.O.M" if est.oom
-                                    else round(est.elapsed_seconds))
-            out.append([
-                scale, fmt_cell(tg), PAPER["fig14_tg"].get(scale, "-"),
-                fmt_cell(g1), PAPER["fig14_g500_1g"].get(scale, "O.O.M"),
-                fmt_cell(gib), PAPER["fig14_g500_ib"].get(scale, "O.O.M"),
-            ])
-        return out
+        return [[scale] + [paper_scale[(model, scale)][column]
+                           for model in MODELS
+                           for column in ("elapsed", "paper")]
+                for scale in SCALES]
 
     data = benchmark.pedantic(rows, rounds=1, iterations=1)
     table("Figure 14(a) paper scale: cost model vs published",
           ["scale", "TG ours", "TG paper", "G500-1G ours",
            "G500-1G paper", "G500-IB ours", "G500-IB paper"], data)
-    for row in data:
-        scale, tg_ours, tg_paper = row[0], row[1], row[2]
-        if isinstance(tg_ours, int) and isinstance(tg_paper, int):
-            assert 0.4 < tg_ours / tg_paper < 2.0, scale
+    for scale in SCALES:
+        tg = paper_scale[("TrillionG-1G", scale)]
+        if tg["elapsed"] != "O.O.M" and tg["paper"] != "O.O.M":
+            assert 0.4 < tg["elapsed"] / tg["paper"] < 2.0, scale
 
 
-def test_construction_ratio_table(benchmark, table):
-    """Figure 14(b): ratio of construction to total time."""
-    m_1g = CostModel(PAPER_CLUSTER)
-    m_ib = CostModel(PAPER_CLUSTER_IB)
-
-    def rows():
-        out = []
-        for scale in range(25, 30):
-            tg = m_1g.trilliong_nskg_csr(scale)
-            g1 = m_1g.graph500(scale)
-            gib = m_ib.graph500(scale)
-            out.append([scale,
-                        f"{CostModel.construction_ratio(tg):.0%}",
-                        f"{CostModel.construction_ratio(g1):.0%}",
-                        f"{CostModel.construction_ratio(gib):.0%}"])
-        return out
-
-    data = benchmark.pedantic(rows, rounds=1, iterations=1)
+def test_construction_ratio_table(benchmark, paper_scale, table):
+    """Figure 14(b): ratio of construction to total time (its bounds are
+    asserted in ``tests/cluster/test_costmodel.py``)."""
+    ratio = {key: f"{r['construction_ratio']:.0%}"
+             for key, r in paper_scale.items()}
+    data = benchmark.pedantic(
+        lambda: [[scale] + [ratio[(model, scale)] for model in MODELS]
+                 for scale in SCALES[:-1]], rounds=1, iterations=1)
     table("Figure 14(b): construction overhead ratio",
           ["scale", "TrillionG", "Graph500-1G", "Graph500-IB"], data)
-    tg29 = CostModel.construction_ratio(
-        m_1g.trilliong_nskg_csr(29))
-    g500_29 = CostModel.construction_ratio(m_1g.graph500(29))
-    assert 0.04 < tg29 < 0.10          # paper: 6-7%
-    assert g500_29 > 0.9               # paper: >90% at scale 29
-
-
-def test_oom_wall_and_network_insensitivity(benchmark):
-    def verdict():
-        ib = CostModel(PAPER_CLUSTER_IB)
-        one_g = CostModel(PAPER_CLUSTER)
-        return (ib.graph500(30).oom,
-                one_g.trilliong_nskg_csr(30).oom,
-                one_g.trilliong_nskg_csr(28).elapsed_seconds,
-                ib.trilliong_nskg_csr(28).elapsed_seconds)
-
-    g500_oom, tg_oom, tg_1g, tg_ib = benchmark.pedantic(verdict, rounds=1,
-                                                        iterations=1)
-    assert g500_oom and not tg_oom
-    assert abs(tg_1g - tg_ib) < 1e-9   # TrillionG uses no network

@@ -13,13 +13,11 @@ plots still overlay (distance << 1) while TeG's support collapses to a
 handful of spikes.
 """
 
-import numpy as np
 import pytest
 
-from repro.analysis import (degree_histogram, fit_kronecker_class_slope,
-                            loglog_plot_distance, out_degrees)
-from repro.models import (FastKroneckerGenerator, RmatMemGenerator,
-                          TegGenerator, TrillionGSeqGenerator)
+from repro.analysis import in_degrees, loglog_plot_distance
+from repro.experiments import figure8_rows
+from repro.models import RmatMemGenerator, TrillionGSeqGenerator
 
 SCALE = 14
 EDGE_FACTOR = 16
@@ -27,83 +25,54 @@ N = 1 << SCALE
 
 
 @pytest.fixture(scope="module")
-def degree_series():
-    series = {}
-    for cls, seed in ((RmatMemGenerator, 10), (FastKroneckerGenerator, 20),
-                      (TrillionGSeqGenerator, 30), (TegGenerator, 40)):
-        g = cls(SCALE, EDGE_FACTOR, seed=seed)
-        series[cls.name] = out_degrees(g.generate(), N)
-    return series
+def rows():
+    """:func:`repro.experiments.figure8_rows` by generator name."""
+    return {row["generator"]: row
+            for row in figure8_rows(scale=SCALE, edge_factor=EDGE_FACTOR)}
 
 
-def test_figure8_table(benchmark, degree_series, table):
-    def rows():
-        out = []
-        rmat = degree_series["RMAT-mem"]
-        for name, seq in degree_series.items():
-            h = degree_histogram(seq)
-            dist, common = loglog_plot_distance(rmat, seq)
-            out.append([name, int(seq.sum()), int(seq.max()),
-                        h.degrees.size,
-                        round(fit_kronecker_class_slope(seq), 3),
-                        round(dist, 3), common])
-        return out
-
-    data = benchmark.pedantic(rows, rounds=1, iterations=1)
+def test_figure8_table(benchmark, rows, table):
+    data = benchmark.pedantic(
+        lambda: [[name, r["edges"], r["d_max"], r["distinct_degrees"],
+                  r["class_slope"], r["plot_distance_vs_rmat"],
+                  r["comparable_degrees"]] for name, r in rows.items()],
+        rounds=1, iterations=1)
     table("Figure 8: degree plots at scale 14 (distance vs RMAT)",
           ["generator", "|E|", "d_max", "distinct degrees", "class slope",
            "plot RMS dist", "comparable degrees"], data)
 
 
-def test_stochastic_trio_plots_overlay(benchmark, degree_series):
+def test_stochastic_trio_plots_overlay(benchmark, rows):
     """RMAT, FastKronecker, TrillionG: same log-log plot."""
-
-    def distances():
-        rmat = degree_series["RMAT-mem"]
-        return {
-            "FastKronecker": loglog_plot_distance(
-                rmat, degree_series["FastKronecker"]),
-            "TrillionG/seq": loglog_plot_distance(
-                rmat, degree_series["TrillionG/seq"]),
-        }
-
-    result = benchmark.pedantic(distances, rounds=1, iterations=1)
-    fk_dist, fk_common = result["FastKronecker"]
-    tg_dist, tg_common = result["TrillionG/seq"]
-    assert fk_dist < 0.5 and fk_common > 30
-    assert tg_dist < 0.8 and tg_common > 30
+    fk, tg = benchmark.pedantic(
+        lambda: (rows["FastKronecker"], rows["TrillionG/seq"]),
+        rounds=1, iterations=1)
+    assert fk["plot_distance_vs_rmat"] < 0.5
+    assert fk["comparable_degrees"] > 30
+    assert tg["plot_distance_vs_rmat"] < 0.8
+    assert tg["comparable_degrees"] > 30
 
 
-def test_stochastic_trio_same_slope(benchmark, degree_series):
-    def slopes():
-        return {name: fit_kronecker_class_slope(seq)
-                for name, seq in degree_series.items()
-                if name != "TeG"}
-
-    result = benchmark.pedantic(slopes, rounds=1, iterations=1)
-    values = list(result.values())
+def test_stochastic_trio_same_slope(benchmark, rows):
+    values = benchmark.pedantic(
+        lambda: [r["class_slope"] for name, r in rows.items()
+                 if name != "TeG"], rounds=1, iterations=1)
     assert max(values) - min(values) < 0.2
 
 
-def test_teg_plot_is_far(benchmark, degree_series):
+def test_teg_plot_is_far(benchmark, rows):
     """TeG deviates: few comparable degrees and a large distance."""
-
-    def verdict():
-        return loglog_plot_distance(degree_series["RMAT-mem"],
-                                    degree_series["TeG"])
-
-    dist, common = benchmark.pedantic(verdict, rounds=1, iterations=1)
-    tg_dist, tg_common = loglog_plot_distance(
-        degree_series["RMAT-mem"], degree_series["TrillionG/seq"])
-    assert dist > 2 * tg_dist
-    assert common < 0.5 * tg_common
+    teg, tg = benchmark.pedantic(
+        lambda: (rows["TeG"], rows["TrillionG/seq"]), rounds=1,
+        iterations=1)
+    assert teg["plot_distance_vs_rmat"] > 2 * tg["plot_distance_vs_rmat"]
+    assert teg["comparable_degrees"] < 0.5 * tg["comparable_degrees"]
 
 
 def test_in_degree_plots_also_overlay(benchmark):
     """Figure 8 plots both in- and out-degree; the in-degree side of the
     stochastic generators must overlay too (the Graph500 seed is
     symmetric, so in- and out-sides share the distribution family)."""
-    from repro.analysis import in_degrees
 
     def distances():
         series = {}
@@ -118,15 +87,11 @@ def test_in_degree_plots_also_overlay(benchmark):
     assert dist < 0.8 and common > 30
 
 
-def test_teg_collapsed_support(benchmark, degree_series):
+def test_teg_collapsed_support(benchmark, rows):
     """The visual signature of Figure 8's TeG panel: the static fixing
     collapses the set of attained degree values."""
-
-    def supports():
-        return (degree_histogram(degree_series["TeG"]).degrees.size,
-                degree_histogram(
-                    degree_series["TrillionG/seq"]).degrees.size)
-
-    teg_support, tg_support = benchmark.pedantic(supports, rounds=1,
-                                                 iterations=1)
+    teg_support, tg_support = benchmark.pedantic(
+        lambda: (rows["TeG"]["distinct_degrees"],
+                 rows["TrillionG/seq"]["distinct_degrees"]),
+        rounds=1, iterations=1)
     assert teg_support < 0.7 * tg_support

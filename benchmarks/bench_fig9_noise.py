@@ -7,35 +7,25 @@ claim: the oscillation visible at N=0 disappears as N grows.
 
 import pytest
 
-from repro.analysis import oscillation_score, out_degrees
+from repro.analysis import out_degrees
 from repro.core.generator import RecursiveVectorGenerator
+from repro.experiments import figure9_rows
 
 SCALE = 16
-NOISES = (0.0, 0.05, 0.1)
-
-
 SEEDS = (1, 2, 3, 4, 5)
 
 
 @pytest.fixture(scope="module")
 def scores():
     """Mean oscillation score over several seeds (single-seed scores vary
-    by ~20%; the noise effect is on the mean)."""
-    result = {}
-    for noise in NOISES:
-        values = []
-        for seed in SEEDS:
-            g = RecursiveVectorGenerator(SCALE, 16, seed=seed,
-                                         noise=noise)
-            values.append(oscillation_score(
-                out_degrees(g.edges(), g.num_vertices)))
-        result[noise] = sum(values) / len(values)
-    return result
+    by ~20%; the noise effect is on the mean), by noise N."""
+    return {row["noise"]: row["oscillation"]
+            for row in figure9_rows(scale=SCALE, seeds=SEEDS)}
 
 
 def test_figure9_table(benchmark, scores, table):
     rows = benchmark.pedantic(
-        lambda: [[n, round(s, 4)] for n, s in scores.items()],
+        lambda: [[n, s] for n, s in scores.items()],
         rounds=1, iterations=1)
     table("Figure 9: mean oscillation score vs noise N "
           f"(scale {SCALE}, {len(SEEDS)} seeds)",

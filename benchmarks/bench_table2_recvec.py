@@ -15,6 +15,7 @@ from repro.core.probability import brute_force_cdf
 from repro.core.recvec import (build_recvec, determine_edge,
                                determine_edge_cdf)
 from repro.core.seed import GRAPH500
+from repro.experiments import table2_rows
 
 SCALE = 12
 U = 1234
@@ -58,16 +59,15 @@ def test_table2_summary(benchmark, structures, table):
 
     mismatches = benchmark.pedantic(check, rounds=1, iterations=1)
     assert mismatches == 0
+    rows = table2_rows(SCALE)
     table("Table 2: search structures (scale 12)",
           ["structure", "search", "time complexity", "entries", "bytes"],
-          [["CDF vector", "linear", "O(|V|)", cdf.size, cdf.nbytes],
-           ["CDF vector", "binary", "O(log |V|)", cdf.size, cdf.nbytes],
-           ["RecVec", "binary", "O(log |V|)", recvec.size,
-            recvec.nbytes]])
+          [list(row.values()) for row in rows])
     # The paper's space claim: RecVec is log-sized, the CDF vector is
     # |V|-sized.
-    assert recvec.size == SCALE + 1
-    assert cdf.size == (1 << SCALE) + 1
+    cdf_row, _, recvec_row = rows
+    assert recvec_row["entries"] == SCALE + 1
+    assert cdf_row["entries"] == (1 << SCALE) + 1
 
 
 def test_trillion_scale_recvec_is_tiny(benchmark):

@@ -10,68 +10,54 @@ distribution against the closed-form prediction:
 - the uniform seed: Gaussian degrees with mean ``|E|/|V|``.
 """
 
-import numpy as np
+import pytest
 
-from repro.analysis import (fit_gaussian, fit_kronecker_class_slope,
-                            in_degrees, out_degrees)
-from repro.core.generator import RecursiveVectorGenerator
-from repro.core.seed import UNIFORM, SeedMatrix
-from repro.rich_graph import seed_for_in_slope, seed_for_out_slope
+from repro.core.seed import SeedMatrix
+from repro.experiments import table3_rows
 
 SCALE = 13
 
 
-def test_out_slope_rows(benchmark, table):
-    def measure():
-        rows = []
-        for target in (-1.0, -1.662, -2.2):
-            seed = seed_for_out_slope(target)
-            g = RecursiveVectorGenerator(SCALE, 16, seed, seed=1)
-            deg = out_degrees(g.edges(), g.num_vertices)
-            rows.append([f"Kout zipf({target})",
-                         round(seed.out_zipf_slope(), 3),
-                         round(fit_kronecker_class_slope(deg), 3)])
-        return rows
+@pytest.fixture(scope="module")
+def rows():
+    """:func:`repro.experiments.table3_rows` with the ``Kout`` rows drawn
+    at seed 1, the ``Kin`` rows at seed 2 and the uniform row at seed 3,
+    by row label."""
+    return {row["seed"]: row for row in table3_rows(SCALE, seeds=(1, 2, 3))}
 
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+
+def _slope_rows(rows, side):
+    return [[r["seed"], r["predicted"], r["measured"]]
+            for label, r in rows.items() if label.startswith(side)]
+
+
+def test_out_slope_rows(benchmark, rows, table):
+    data = benchmark.pedantic(lambda: _slope_rows(rows, "Kout"), rounds=1,
+                              iterations=1)
     table("Table 3 (out-degree): predicted vs measured Zipf slope",
-          ["seed", "predicted", "measured"], rows)
-    for _, predicted, measured in rows:
+          ["seed", "predicted", "measured"], data)
+    for _, predicted, measured in data:
         assert abs(predicted - measured) < 0.3
 
 
-def test_in_slope_rows(benchmark, table):
-    def measure():
-        rows = []
-        for target in (-1.2, -1.662):
-            seed = seed_for_in_slope(target)
-            g = RecursiveVectorGenerator(SCALE, 16, seed, seed=2)
-            deg = in_degrees(g.edges(), g.num_vertices)
-            rows.append([f"Kin zipf({target})",
-                         round(seed.in_zipf_slope(), 3),
-                         round(fit_kronecker_class_slope(deg), 3)])
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+def test_in_slope_rows(benchmark, rows, table):
+    data = benchmark.pedantic(lambda: _slope_rows(rows, "Kin"), rounds=1,
+                              iterations=1)
     table("Table 3 (in-degree): predicted vs measured Zipf slope",
-          ["seed", "predicted", "measured"], rows)
-    for _, predicted, measured in rows:
+          ["seed", "predicted", "measured"], data)
+    for _, predicted, measured in data:
         assert abs(predicted - measured) < 0.35
 
 
-def test_uniform_seed_gaussian_row(benchmark, table):
-    def measure():
-        g = RecursiveVectorGenerator(SCALE, 16, UNIFORM, seed=3)
-        deg = out_degrees(g.edges(), g.num_vertices)
-        return fit_gaussian(deg)
-
-    fit = benchmark.pedantic(measure, rounds=1, iterations=1)
+def test_uniform_seed_gaussian_row(benchmark, rows, table):
+    row = benchmark.pedantic(lambda: rows["uniform (Gaussian)"], rounds=1,
+                             iterations=1)
     table("Table 3 (uniform seed): Gaussian with mean |E|/|V|",
           ["statistic", "value", "expected"],
-          [["mean", round(fit.mean, 2), 16.0],
-           ["excess kurtosis", round(fit.excess_kurtosis, 3), "~0"]])
-    assert abs(fit.mean - 16.0) < 0.5
-    assert fit.looks_gaussian
+          [["mean", row["measured"], 16.0],
+           ["excess kurtosis", row["excess_kurtosis"], "~0"]])
+    assert abs(row["measured"] - 16.0) < 0.5
+    assert abs(row["excess_kurtosis"]) < 1.0   # GaussianFit.looks_gaussian
 
 
 def test_graph500_seed_is_minus_1662(benchmark):

@@ -6,15 +6,11 @@ from .hardware import (GIGABIT_ETHERNET, INFINIBAND_EDR, PAPER_CLUSTER,
                        ClusterHardware, MachineSpec, NetworkSpec)
 from .planner import (CapacityReport, capacity_report,
                       machines_needed, max_feasible_scale)
-from .simulate import (SeriesRow, figure11a_series, figure11b_series,
-                       figure12_series, figure14_series)
 
 __all__ = [
     "OOM", "CostEstimate", "CostModel", "single_pc_model",
     "GIGABIT_ETHERNET", "INFINIBAND_EDR", "PAPER_CLUSTER",
     "PAPER_CLUSTER_IB", "PAPER_PC", "SINGLE_PC", "ClusterHardware",
-    "MachineSpec", "NetworkSpec", "SeriesRow", "figure11a_series",
-    "figure11b_series", "figure12_series", "figure14_series",
-    "CapacityReport", "capacity_report", "machines_needed",
-    "max_feasible_scale",
+    "MachineSpec", "NetworkSpec", "CapacityReport", "capacity_report",
+    "machines_needed", "max_feasible_scale",
 ]

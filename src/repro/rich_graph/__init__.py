@@ -9,9 +9,6 @@ from .erv import ErvGenerator
 from .generator import RichGraphGenerator, TypedEdges
 from .schemas import (BUILTIN_SCHEMAS, builtin_schema, snb_config,
                       sp2bench_config, watdiv_config)
-from .properties import (CategoricalProperty, ExponentialProperty,
-                         NormalProperty, PropertyTable, UniformProperty,
-                         attach_properties)
 from .schema_io import (config_from_dict, config_to_dict, load_config,
                         save_config)
 
@@ -22,7 +19,5 @@ __all__ = [
     "ErvGenerator", "RichGraphGenerator", "TypedEdges",
     "config_from_dict", "config_to_dict", "load_config", "save_config",
     "BUILTIN_SCHEMAS", "builtin_schema", "snb_config", "sp2bench_config",
-    "watdiv_config", "CategoricalProperty", "ExponentialProperty",
-    "NormalProperty", "PropertyTable", "UniformProperty",
-    "attach_properties",
+    "watdiv_config",
 ]

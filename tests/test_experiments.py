@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import (EXPERIMENTS, available_experiments,
-                               run_experiment)
+                               figure13_rows, run_experiment)
 
 
 class TestRegistry:
@@ -51,7 +51,7 @@ class TestRowShapes:
         assert rows[0]["peak_mem_MB"] == 122   # paper's published value
 
     def test_fig13_eight_combos(self):
-        rows = run_experiment("fig13")
+        rows = figure13_rows(scale=8)
         assert len(rows) == 8
         all_on = next(r for r in rows
                       if r["idea1"] and r["idea2"] and r["idea3"])
