@@ -12,7 +12,6 @@ reproduction makes on top of the paper's algorithm:
 import time
 
 import numpy as np
-import pytest
 
 from repro.core.generator import RecursiveVectorGenerator
 from repro.core.reference import ReferenceGenerator

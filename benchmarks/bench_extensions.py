@@ -12,7 +12,6 @@ Not paper figures — these quantify the extensions' quality claims:
 import time
 
 import numpy as np
-import pytest
 
 from repro.core.generator import RecursiveVectorGenerator
 from repro.core.nary import NAryRecursiveVectorGenerator

@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--format", choices=available_formats(),
                      default="adj6")
     gen.add_argument("--output", required=True,
-                     help="output file (or directory with --machines > 1)")
+                     help="output file (a directory with more than one "
+                          "worker or with --resume)")
     gen.add_argument("--noise", type=float, default=0.0,
                      help="NSKG noise parameter N")
     gen.add_argument("--seed", type=int, default=0)

@@ -5,7 +5,10 @@ is expensive.  Because the AVS generator's randomness is keyed per block,
 generation is naturally restartable at block granularity: this module
 writes one chunk file per group of blocks plus a JSON manifest recording
 which chunks are complete, and a resumed run regenerates only the missing
-chunks — producing bit-identical output to an uninterrupted run.
+chunks — producing bit-identical output to an uninterrupted run.  The
+chunks are written like the cluster's part files, by
+:func:`repro.dist.runner.scatter`: in-process, or over worker processes
+under the retry supervisor.
 
 Crash-safety guarantees (see ``docs/fault_tolerance.md``):
 
@@ -18,7 +21,8 @@ Crash-safety guarantees (see ``docs/fault_tolerance.md``):
   worker renamed) are *adopted* after verifying they parse, instead of
   being regenerated;
 - stale ``*.partial*`` temporaries, of chunks and of the manifest, are
-  swept on resume;
+  swept on resume (a finished scatter already deleted those its killed
+  attempts left);
 - an unparsable manifest (torn write on a non-atomic filesystem) is
   rebuilt by verifying the chunk files on disk rather than aborting.
 """
@@ -28,12 +32,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from ..atomic import atomic_write
 from ..core.generator import RecursiveVectorGenerator
 from ..errors import ConfigurationError, FormatError
 from ..formats import get_format
-from ..telemetry import get_logger, registry, span
+from ..telemetry import get_logger, registry
+from .faults import RetryPolicy
+from .runner import DistributedResult, WorkerResult, scatter
 
 _log = get_logger("dist.checkpoint")
 
@@ -96,7 +103,7 @@ class CheckpointedRun:
     >>> run = CheckpointedRun(generator, "out/", fmt="adj6",
     ...                       blocks_per_chunk=8)         # doctest: +SKIP
     >>> run.run()             # may be interrupted at any point
-    >>> run.run()             # later: regenerates only missing chunks
+    >>> run.run(processes=4)  # later: regenerates only missing chunks
     """
 
     def __init__(self, generator: RecursiveVectorGenerator,
@@ -199,36 +206,35 @@ class CheckpointedRun:
     def complete(self) -> bool:
         return not self.pending()
 
-    def mark_complete(self, name: str, num_edges: int) -> None:
-        """Record an externally-generated chunk (the parallel supervisor
-        calls this as each worker's chunk lands) and persist the
-        manifest."""
-        self.state.completed[name] = num_edges
-        registry().counter("checkpoint.chunks_completed").inc()
-        self._save()
+    def run(self, processes: int = 1, *,
+            retry: RetryPolicy | None = None,
+            progress: Callable[[int], None] | None = None
+            ) -> DistributedResult:
+        """Generate every pending chunk, over at most ``processes``
+        worker processes (in-process at 1).
 
-    def run(self, max_chunks: int | None = None) -> int:
-        """Generate up to ``max_chunks`` pending chunks (all by default).
-
-        Returns the number of chunks produced in this call.  Each chunk is
-        written to a temporary file, fsynced, and renamed only when
-        complete, then the manifest is updated — a crash mid-chunk leaves
-        only whole chunks visible, and a crash between the rename and the
-        manifest update is healed by adoption on the next resume.
+        Each chunk is published whole by its worker, then recorded in
+        the manifest — a crash mid-chunk leaves only whole chunks
+        visible, and a crash between the rename and the manifest update
+        is healed by adoption on the next resume.  ``progress`` is called
+        with the edges of every completed chunk, this run's and earlier
+        ones', as each chunk lands.  Returns the
+        :class:`~repro.dist.runner.DistributedResult` of the chunks
+        written by this call.
         """
-        fmt = get_format(self.fmt)
-        done = 0
-        for name, lo, hi in self.pending():
-            if max_chunks is not None and done >= max_chunks:
-                break
-            with span("checkpoint.chunk"):
-                with atomic_write(self.out_dir / name) as tmp:
-                    result = fmt.write_blocks(
-                        tmp, self.generator.iter_blocks(lo, hi),
-                        self.generator.num_vertices)
-                self.mark_complete(name, result.num_edges)
-            done += 1
-        return done
+        jobs = [(index, lo, hi, name)
+                for index, (name, lo, hi) in enumerate(self.chunk_ranges())
+                if name not in self.state.completed]
+
+        def record(position: int, result: WorkerResult) -> None:
+            self.state.completed[jobs[position][3]] = result.num_edges
+            registry().counter("checkpoint.chunks_completed").inc()
+            self._save()
+            if progress is not None:
+                progress(self.num_edges)
+
+        return scatter(self.generator, self.out_dir, jobs, self.fmt,
+                       processes, retry, record)
 
     @property
     def num_edges(self) -> int:

@@ -237,7 +237,6 @@ def run_tasks(tasks: Sequence[Any], worker: Callable[[Any], Any], *,
               policy: RetryPolicy | None = None,
               validate: Callable[[Any, Any], None] | None = None,
               on_result: Callable[[int, Any], None] | None = None,
-              mp_context: Any = None,
               ) -> tuple[list[Any], dict[int, list[TaskAttempt]]]:
     """Run every task to completion under retry/timeout supervision.
 
@@ -247,8 +246,9 @@ def run_tasks(tasks: Sequence[Any], worker: Callable[[Any], Any], *,
         Picklable task payloads; ``worker(task)`` must be a module-level
         callable (spawn-safe).
     pool_size:
-        Max concurrent worker processes.  ``<= 1`` runs everything
-        in-process (no subprocesses).
+        Max concurrent worker processes, started by
+        :func:`pick_start_method`.  ``<= 1`` runs everything in-process
+        (no subprocesses).
     policy:
         Retry/timeout policy (default :class:`RetryPolicy`).
     validate:
@@ -258,9 +258,6 @@ def run_tasks(tasks: Sequence[Any], worker: Callable[[Any], Any], *,
     on_result:
         ``on_result(index, result)`` called in the supervisor as each task
         completes — e.g. to checkpoint progress incrementally.
-    mp_context:
-        A ``multiprocessing`` context; defaults to
-        :func:`pick_start_method`.
 
     Returns
     -------
@@ -289,8 +286,7 @@ def run_tasks(tasks: Sequence[Any], worker: Callable[[Any], Any], *,
                     on_result(i, results[i])
         return results, history
 
-    ctx = mp_context if mp_context is not None \
-        else mp.get_context(pick_start_method())
+    ctx = mp.get_context(pick_start_method())
     ready: deque[int] = deque(range(count))
     delayed: list[tuple[float, int]] = []     # (release time, index)
     running: dict[int, _Running] = {}

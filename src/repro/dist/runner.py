@@ -11,10 +11,11 @@ Execution is supervised by the fault-tolerance layer
 (:mod:`repro.dist.faults`): each partition runs under a per-attempt
 timeout, crashed or hung workers are killed and retried with backoff,
 and the full per-task attempt history is recorded on the
-:class:`DistributedResult`.  :meth:`LocalCluster.generate_checkpointed`
-additionally journals every finished chunk into a
-:class:`~repro.dist.checkpoint.CheckpointedRun` manifest, so a killed
-parallel run resumes where it stopped — still bit-identical.
+:class:`DistributedResult`.  :func:`scatter` is the one path that writes
+a vertex range to a file: :meth:`LocalCluster.generate_to_files` runs it
+over the partitions, and
+:meth:`~repro.dist.checkpoint.CheckpointedRun.run` over the pending
+chunks of a resumable run.
 """
 
 from __future__ import annotations
@@ -31,12 +32,11 @@ from ..core.generator import RecursiveVectorGenerator
 from ..errors import WorkerError
 from ..formats import get_format
 from ..telemetry import span
-from .checkpoint import CheckpointedRun
-from .faults import RetryPolicy, TaskAttempt, pick_start_method, run_tasks
-from .partition import Bin, range_partition
+from .faults import RetryPolicy, TaskAttempt, run_tasks
+from .partition import range_partition
 
 __all__ = ["ClusterSpec", "WorkerResult", "DistributedResult",
-           "LocalCluster"]
+           "LocalCluster", "scatter", "worker_processes"]
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,6 @@ class DistributedResult:
     #: task index -> every attempt the scheduler made for it.
     task_attempts: dict[int, list[TaskAttempt]] = field(
         default_factory=dict)
-    #: Manifest of the run, when generated via generate_checkpointed.
-    checkpoint: CheckpointedRun | None = None
 
     @property
     def num_edges(self) -> int:
@@ -123,39 +121,82 @@ class DistributedResult:
 
 
 def _worker_generate(args: tuple) -> WorkerResult:
-    """Subprocess entry point: generate one vertex range to one part file.
+    """Subprocess entry point: generate one vertex range to one file.
 
-    Module-level and driven purely by the picklable ``args`` tuple so it
-    round-trips under both fork and spawn start methods.
+    The file is published by :func:`~repro.atomic.atomic_write`, so a
+    part or chunk is whole once it exists; the checkpoint manifest
+    records a chunk only after this returns.  Module-level and driven
+    purely by the picklable ``args`` tuple so it round-trips under both
+    fork and spawn start methods.
     """
     (worker, start, stop, gen_kwargs, fmt_name, out_path) = args
     with span("worker.generate", worker=worker) as sp:
         generator = RecursiveVectorGenerator(**gen_kwargs)
         fmt = get_format(fmt_name)
-        result = fmt.write_blocks(out_path,
-                                  generator.iter_blocks(start, stop),
-                                  generator.num_vertices)
+        with atomic_write(out_path) as tmp:
+            result = fmt.write_blocks(tmp, generator.iter_blocks(start, stop),
+                                      generator.num_vertices)
     return WorkerResult(worker, start, stop, result.num_edges,
                         str(out_path), sp.seconds,
                         encode_seconds=result.encode_seconds,
                         write_seconds=result.write_seconds)
 
 
-def _worker_chunk(args: tuple) -> WorkerResult:
-    """Subprocess entry point for one checkpoint chunk, published by
-    :func:`~repro.atomic.atomic_write` — the parent records the chunk in
-    the manifest only after this returns."""
-    (chunk, start, stop, gen_kwargs, fmt_name, final_path) = args
-    with span("worker.chunk", chunk=chunk) as sp:
-        generator = RecursiveVectorGenerator(**gen_kwargs)
-        fmt = get_format(fmt_name)
-        with atomic_write(final_path) as tmp:
-            result = fmt.write_blocks(tmp, generator.iter_blocks(start, stop),
-                                      generator.num_vertices)
-    return WorkerResult(chunk, start, stop, result.num_edges,
-                        str(final_path), sp.seconds,
-                        encode_seconds=result.encode_seconds,
-                        write_seconds=result.write_seconds)
+def _validate_part(task: tuple, result: WorkerResult) -> None:
+    """Part-file check run in the supervisor after each success: the
+    file exists, and is non-empty when edges were reported."""
+    path = Path(result.path)
+    if not path.exists():
+        raise WorkerError(
+            f"worker reported success but {path} is missing")
+    if result.num_edges > 0 and path.stat().st_size == 0:
+        raise WorkerError(
+            f"worker reported {result.num_edges} edges but "
+            f"{path} is empty")
+
+
+def scatter(generator: RecursiveVectorGenerator, out_dir: Path,
+            jobs: list[tuple[int, int, int, str]], fmt_name: str,
+            pool_size: int, retry: RetryPolicy | None,
+            on_result: Callable[[int, WorkerResult], None] | None = None,
+            ) -> DistributedResult:
+    """Write each ``(index, start, stop, name)`` job's vertex range to
+    ``out_dir / name``: the one way ``dist`` writes a graph range.
+
+    The jobs run as :func:`_worker_generate` tasks under
+    :func:`~repro.dist.faults.run_tasks` (in-process at ``pool_size <=
+    1``), each checked by :func:`_validate_part`; ``on_result(position,
+    result)`` fires in the supervisor as each lands.  Afterwards the
+    ``*.partial.*`` temporaries that killed attempts left for these
+    names are deleted, and no other file.
+    """
+    # Refuses a generator without a recipe before touching the disk.
+    gen_kwargs = generator.recipe()
+    tasks = [(index, start, stop, gen_kwargs, fmt_name, str(out_dir / name))
+             for index, start, stop, name in jobs]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    result = DistributedResult()
+    with span("scatter", tasks=len(tasks), pool=pool_size) as sp:
+        try:
+            result.workers, result.task_attempts = run_tasks(
+                tasks, _worker_generate, pool_size=pool_size,
+                policy=retry, validate=_validate_part,
+                on_result=on_result)
+        finally:
+            for *_, name in jobs:
+                for stray in out_dir.glob(f"{name}.partial.*"):
+                    stray.unlink(missing_ok=True)
+    result.elapsed_seconds = sp.seconds
+    return result
+
+
+def worker_processes(processes: int | None, num_tasks: int,
+                     logical_workers: int) -> int:
+    """Worker processes for a scatter: ``processes`` when given, else
+    one per logical worker and task, at most one per CPU."""
+    if processes is not None:
+        return processes
+    return min(logical_workers, num_tasks, mp.cpu_count())
 
 
 def _progress_hook(progress: Callable[[int], None] | None
@@ -184,60 +225,11 @@ class LocalCluster:
             spec = ClusterSpec(machines=1, threads_per_machine=workers)
         self.spec = spec
 
-    # ------------------------------------------------------------------
-
-    def _build_tasks(self, generator: RecursiveVectorGenerator,
-                     out_dir: Path, ranges: list[Bin],
-                     fmt_name: str) -> list[tuple]:
-        gen_kwargs = generator.recipe()
-        return [
-            (w, r.start, r.stop, gen_kwargs, fmt_name,
-             str(out_dir / f"part-{w:04d}.{fmt_name}"))
-            for w, r in enumerate(ranges)
-        ]
-
-    @staticmethod
-    def _validate_part(task: tuple, result: WorkerResult) -> None:
-        """Part-file check run in the supervisor after each success: the
-        file exists, and is non-empty when edges were reported."""
-        path = Path(result.path)
-        if not path.exists():
-            raise WorkerError(
-                f"worker reported success but {path} is missing")
-        if result.num_edges > 0 and path.stat().st_size == 0:
-            raise WorkerError(
-                f"worker reported {result.num_edges} edges but "
-                f"{path} is empty")
-
-    @staticmethod
-    def _pool_size(processes: int | None, num_tasks: int,
-                   logical_workers: int) -> int:
-        if processes is not None:
-            return processes
-        return min(logical_workers, num_tasks, mp.cpu_count())
-
-    def _run_supervised(self, tasks: list[tuple], worker, pool_size: int,
-                        retry: RetryPolicy | None,
-                        start_method: str | None,
-                        on_result=None,
-                        ) -> tuple[list[WorkerResult],
-                                   dict[int, list[TaskAttempt]]]:
-        """Shared scatter path: resolve the start method and run the
-        scheduler with the part-file check."""
-        ctx = mp.get_context(start_method if start_method is not None
-                             else pick_start_method())
-        return run_tasks(tasks, worker, pool_size=pool_size, policy=retry,
-                         validate=self._validate_part, on_result=on_result,
-                         mp_context=ctx)
-
-    # ------------------------------------------------------------------
-
     def generate_to_files(self, generator: RecursiveVectorGenerator,
                           out_dir: Path | str,
                           fmt_name: str = "adj6",
                           processes: int | None = None, *,
                           retry: RetryPolicy | None = None,
-                          start_method: str | None = None,
                           progress: Callable[[int], None] | None = None,
                           ) -> DistributedResult:
         """Partition, scatter, and generate part files in parallel.
@@ -245,77 +237,20 @@ class LocalCluster:
         ``processes`` caps the real OS processes (defaults to the logical
         worker count; the logical partitioning is unaffected).  ``retry``
         configures the fault-tolerance layer (retries and the per-attempt
-        timeout).  ``start_method`` forces ``fork``/``spawn`` (default: fork where
-        available, spawn otherwise).  ``progress`` is called with the
-        cumulative edge count as each partition lands.
+        timeout).  ``progress`` is called with the cumulative edge count
+        as each partition lands.
         """
-        out_dir = Path(out_dir)
-        result = DistributedResult()
         with span("partition", workers=self.spec.num_workers) as sp:
             ranges = range_partition(generator, self.spec.num_workers)
+        jobs = [(w, r.start, r.stop, f"part-{w:04d}.{fmt_name}")
+                for w, r in enumerate(ranges)]
+        result = scatter(
+            generator, Path(out_dir), jobs, fmt_name,
+            worker_processes(processes, len(jobs), self.spec.num_workers),
+            retry,
+            _progress_hook(progress))
         result.partition_seconds = sp.seconds
-
-        # Refuses a generator without a recipe before touching the disk.
-        tasks = self._build_tasks(generator, out_dir, ranges, fmt_name)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        pool_size = self._pool_size(processes, len(tasks),
-                                    self.spec.num_workers)
-        with span("scatter", tasks=len(tasks), pool=pool_size) as sp:
-            result.workers, result.task_attempts = self._run_supervised(
-                tasks, _worker_generate, pool_size, retry, start_method,
-                on_result=_progress_hook(progress))
-        result.elapsed_seconds = sp.seconds + result.partition_seconds
-        return result
-
-    def generate_checkpointed(self, generator: RecursiveVectorGenerator,
-                              out_dir: Path | str,
-                              fmt_name: str = "adj6",
-                              blocks_per_chunk: int = 16,
-                              processes: int | None = None, *,
-                              retry: RetryPolicy | None = None,
-                              start_method: str | None = None,
-                              progress: Callable[[int], None]
-                              | None = None,
-                              ) -> DistributedResult:
-        """Parallel *and* resumable generation: chunked like
-        :class:`~repro.dist.checkpoint.CheckpointedRun`, scattered like
-        :meth:`generate_to_files`.
-
-        Each finished chunk is recorded in the manifest as it lands, so a
-        killed run (even ``SIGKILL``) resumes from the completed chunks
-        and the final output is bit-identical to an uninterrupted — or a
-        sequential — run of the same configuration.  Returns a
-        :class:`DistributedResult` covering the chunks generated by
-        *this* call, with ``checkpoint`` holding the full manifest view.
-        """
-        run = CheckpointedRun(generator, out_dir, fmt_name,
-                              blocks_per_chunk)
-        pending = run.pending()
-        gen_kwargs = generator.recipe()
-        chunk_index = {name: i for i, (name, _, _)
-                       in enumerate(run.chunk_ranges())}
-        tasks = [
-            (chunk_index[name], lo, hi, gen_kwargs, fmt_name,
-             str(run.out_dir / name))
-            for name, lo, hi in pending
-        ]
-        names = [name for name, _, _ in pending]
-
-        tick = _progress_hook(progress)
-
-        def record(position: int, worker_result: WorkerResult) -> None:
-            run.mark_complete(names[position], worker_result.num_edges)
-            if tick is not None:
-                tick(position, worker_result)
-
-        result = DistributedResult(checkpoint=run)
-        pool_size = self._pool_size(processes, len(tasks),
-                                    self.spec.num_workers)
-        with span("scatter", tasks=len(tasks), pool=pool_size) as sp:
-            result.workers, result.task_attempts = self._run_supervised(
-                tasks, _worker_chunk, pool_size, retry, start_method,
-                on_result=record)
-        result.elapsed_seconds = sp.seconds
+        result.elapsed_seconds += sp.seconds
         return result
 
     def read_all_edges(self, result: DistributedResult,

@@ -13,8 +13,7 @@ Two duplicate-elimination variants, as in the paper:
 
 Each worker is one WES map task (:func:`worker_task`), drawn batch by
 batch and hash-counted for the skew.  This module runs the ``P`` workers
-within one process; :mod:`repro.dist.wesp_runner` runs the same tasks
-across real processes.
+within one process.
 """
 
 from __future__ import annotations

@@ -127,9 +127,10 @@ class TrillionG:
         :class:`~repro.errors.ConfigurationError`.
 
         ``progress`` is called with the cumulative edge count as work
-        lands (per block sequentially, per worker result distributed) —
-        pass a :class:`repro.telemetry.ProgressReporter` for a live
-        terminal line.
+        lands (per block sequentially, per worker result distributed,
+        per chunk with ``resume``, counting the chunks an earlier run
+        completed) — pass a :class:`repro.telemetry.ProgressReporter`
+        for a live terminal line.
 
         ``telemetry`` on the result covers this call only: the
         process-wide metrics, span tree and worker reports are cleared
@@ -141,10 +142,20 @@ class TrillionG:
                 "blocks_per_chunk acts only with resume=True")
         reset_telemetry()
         if resume:
-            return self._generate_resumable(
-                path, fmt, processes,
-                16 if blocks_per_chunk is None else blocks_per_chunk,
-                progress)
+            from .dist.checkpoint import CheckpointedRun
+            from .dist.runner import worker_processes
+            with span("generate", scale=self.generator.scale, fmt=fmt,
+                      resume=True) as sp:
+                run = CheckpointedRun(
+                    self.generator, path, fmt,
+                    16 if blocks_per_chunk is None else blocks_per_chunk)
+                processes = 1 if self.cluster is None else worker_processes(
+                    processes, len(run.pending()), self.cluster.num_workers)
+                run.run(processes, retry=self.retry, progress=progress)
+            paths = run.chunk_paths()
+            return TrillionGResult(paths, self.num_vertices, run.num_edges,
+                                   sum(p.stat().st_size for p in paths),
+                                   sp.seconds, telemetry=self._report())
         if self.cluster is None:
             with span("generate", scale=self.generator.scale,
                       fmt=fmt) as sp:
@@ -170,44 +181,6 @@ class TrillionG:
                                dist.elapsed_seconds, dist.skew,
                                encode_seconds=dist.encode_seconds,
                                write_seconds=dist.write_seconds,
-                               telemetry=self._report())
-
-    def _generate_resumable(self, path: Path | str, fmt: str,
-                            processes: int | None,
-                            blocks_per_chunk: int,
-                            progress: Callable[[int], None] | None
-                            ) -> TrillionGResult:
-        """Checkpointed generation: sequential without a cluster, the
-        supervised parallel scatter with one."""
-        if self.cluster is None:
-            from .dist.checkpoint import CheckpointedRun
-            with span("generate", scale=self.generator.scale,
-                      fmt=fmt, resume=True) as sp:
-                run = CheckpointedRun(self.generator, path, fmt,
-                                      blocks_per_chunk)
-                run.run()
-                if progress is not None:
-                    progress(run.num_edges)
-            paths = run.chunk_paths()
-            return TrillionGResult(paths, self.num_vertices,
-                                   run.num_edges,
-                                   sum(p.stat().st_size for p in paths),
-                                   sp.seconds,
-                                   telemetry=self._report())
-        from .dist.runner import LocalCluster
-        with span("generate", scale=self.generator.scale, fmt=fmt,
-                  resume=True):
-            runner = LocalCluster(self.cluster)
-            dist = runner.generate_checkpointed(
-                self.generator, path, fmt, blocks_per_chunk,
-                processes=processes, retry=self.retry,
-                progress=progress)
-        run = dist.checkpoint
-        assert run is not None
-        paths = run.chunk_paths()
-        return TrillionGResult(paths, self.num_vertices, run.num_edges,
-                               sum(p.stat().st_size for p in paths),
-                               dist.elapsed_seconds, dist.skew,
                                telemetry=self._report())
 
     def _blocks_with_progress(

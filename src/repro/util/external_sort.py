@@ -26,7 +26,7 @@ from ..telemetry import Gauge, registry
 from .spill import write_run
 
 __all__ = ["DEFAULT_CHUNK_ITEMS", "write_run", "unique_sorted",
-           "iter_unique_keys", "collect_chunks", "external_sort_unique"]
+           "iter_unique_keys", "collect_chunks"]
 
 #: Target keys per bucket (512 KiB of int64) when the caller names none.
 DEFAULT_CHUNK_ITEMS = 1 << 16
@@ -180,16 +180,3 @@ def collect_chunks(chunks: Iterable[np.ndarray]) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(parts)
 
-
-def external_sort_unique(paths: Iterable[Path],
-                         chunk_items: int = DEFAULT_CHUNK_ITEMS
-                         ) -> np.ndarray:
-    """Merge sorted runs into one duplicate-free sorted array.
-
-    Compatibility wrapper over :func:`iter_unique_keys` +
-    :func:`collect_chunks` — by construction it holds the whole merged
-    set in memory, so the bounded-RAM paths (models, dist) must use the
-    streaming API instead (the peak-RSS cap in
-    ``benchmarks/bench_extmem.py`` measures that they do).
-    """
-    return collect_chunks(iter_unique_keys(paths, chunk_items=chunk_items))

@@ -19,7 +19,7 @@ from repro.core.generator import _run_cuts
 from repro.dist.checkpoint import CheckpointedRun
 from repro.dist.runner import LocalCluster
 from repro.formats import get_format
-from tests.faultinject import needs_fork
+from tests.faultinject import needs_fork, stop_after
 
 BUDGET = 3000
 BLOCK = 1024
@@ -102,7 +102,8 @@ def test_resume_reproduces_the_bytes(tmp_path, small_budget):
     # A run killed after its first chunk ...
     first = CheckpointedRun(TrillionG(13, seed=5).generator, out,
                             blocks_per_chunk=1)
-    assert first.run(max_chunks=1) == 1
+    stop_after(first, 1)
+    assert len(first.state.completed) == 1
     # ... is finished by the CLI.
     assert main(argv + ["--output", str(out), "--resume",
                         "--blocks-per-chunk", "1"]) == 0

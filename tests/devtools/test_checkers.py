@@ -96,7 +96,7 @@ def test_layering_flags_core_importing_dist(tmp_path):
 
 def test_layering_flags_relative_import(tmp_path):
     found = run(tmp_path, "layering",
-                "from ..dist.external_sort import external_sort_unique\n",
+                "from ..dist.external_sort import iter_unique_keys\n",
                 module="repro.models.foo")
     assert codes(found) == ["RPL201"]
     assert len(found) == 1  # module + attribute flagged once, not twice
@@ -111,7 +111,7 @@ def test_layering_flags_plain_import(tmp_path):
 @pytest.mark.parametrize("module,code", [
     ("repro.dist.foo", "from repro.core.rng import stream\n"),
     ("repro.models.foo", "from ..core.seed import SeedMatrix\n"),
-    ("repro.models.foo", "from ..util.shuffle import hash_partition\n"),
+    ("repro.models.foo", "from ..util.shuffle import partition_sizes\n"),
     ("repro.formats.foo", "from repro.dist import runner\n"),
 ])
 def test_layering_passes_downward_imports(tmp_path, module, code):

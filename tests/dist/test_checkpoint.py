@@ -13,7 +13,7 @@ from repro.core.seed import SeedMatrix
 from repro.dist.checkpoint import CheckpointedRun
 from repro.errors import ConfigurationError
 from repro.formats import get_format
-from tests.faultinject import needs_fork
+from tests.faultinject import needs_fork, stop_after
 
 
 def make_generator(**kw):
@@ -45,7 +45,7 @@ class TestCheckpointedRun:
                               blocks_per_chunk=4)
         produced = run.run()
         assert run.complete
-        assert produced == len(run.chunk_ranges())
+        assert len(produced.workers) == len(run.chunk_ranges())
         np.testing.assert_array_equal(read_all(run),
                                       make_generator().edges())
 
@@ -53,7 +53,7 @@ class TestCheckpointedRun:
         """Partial run + fresh resume object == uninterrupted output."""
         run1 = CheckpointedRun(make_generator(), tmp_path,
                                blocks_per_chunk=2)
-        run1.run(max_chunks=3)
+        stop_after(run1, 3)
         assert not run1.complete
         assert len(run1.pending()) > 0
 
@@ -71,14 +71,14 @@ class TestCheckpointedRun:
         run.run()
         again = CheckpointedRun(make_generator(), tmp_path,
                                 blocks_per_chunk=4)
-        assert again.run() == 0      # nothing pending
+        assert again.run().workers == []      # nothing pending
 
     def test_partial_file_not_counted(self, tmp_path):
         """A .partial file (crash mid-chunk) is not in the manifest and
         gets regenerated."""
         run = CheckpointedRun(make_generator(), tmp_path,
                               blocks_per_chunk=4)
-        run.run(max_chunks=1)
+        stop_after(run, 1)
         # Simulate a crash leaving a partial file for the next chunk.
         junk = tmp_path / (run.pending()[0][0] + ".partial")
         junk.write_bytes(b"garbage")
@@ -90,8 +90,8 @@ class TestCheckpointedRun:
                                       make_generator().edges())
 
     def test_mismatched_config_rejected(self, tmp_path):
-        CheckpointedRun(make_generator(), tmp_path,
-                        blocks_per_chunk=4).run(max_chunks=1)
+        stop_after(CheckpointedRun(make_generator(), tmp_path,
+                                   blocks_per_chunk=4), 1)
         with pytest.raises(ConfigurationError):
             CheckpointedRun(make_generator(seed=99), tmp_path,
                             blocks_per_chunk=4)
@@ -146,7 +146,7 @@ class TestCrashWindows:
     def test_orphan_chunk_adopted_not_regenerated(self, tmp_path):
         run = CheckpointedRun(make_generator(), tmp_path,
                               blocks_per_chunk=2)
-        run.run(max_chunks=3)
+        stop_after(run, 3)
         orphan = run.chunk_paths()[1]
         self._drop_from_manifest(run, orphan.name)
         (tmp_path / "chunk-000009.adj6.partial.999").write_bytes(b"junk")
@@ -172,14 +172,14 @@ class TestCrashWindows:
         resumed = CheckpointedRun(make_generator(), tmp_path,
                                   blocks_per_chunk=2)
         assert resumed.complete          # every chunk verified + adopted
-        assert resumed.run() == 0        # nothing regenerated
+        assert resumed.run().workers == []   # nothing regenerated
         np.testing.assert_array_equal(read_all(resumed),
                                       make_generator().edges())
 
     def test_corrupt_orphan_regenerated(self, tmp_path):
         run = CheckpointedRun(make_generator(), tmp_path,
                               blocks_per_chunk=2)
-        run.run(max_chunks=2)
+        stop_after(run, 2)
         victim = run.chunk_paths()[0]
         self._drop_from_manifest(run, victim.name)
         data = victim.read_bytes()
@@ -204,7 +204,7 @@ class TestCrashWindows:
     def test_killed_manifest_save_swept_on_resume(self, tmp_path):
         run = CheckpointedRun(make_generator(), tmp_path,
                               blocks_per_chunk=2)
-        run.run(max_chunks=1)
+        stop_after(run, 1)
         published = sorted(p.name for p in tmp_path.iterdir())
         child = mp.get_context("fork").Process(
             target=_die_in_manifest_save, args=(run,))
@@ -233,10 +233,9 @@ class TestKillResume:
         out = tmp_path / "out"
         code = (
             "from repro.core.generator import RecursiveVectorGenerator\n"
-            "from repro.dist.runner import LocalCluster\n"
+            "from repro.dist.checkpoint import CheckpointedRun\n"
             f"g = RecursiveVectorGenerator(13, 8, seed=11, block_size=64)\n"
-            f"LocalCluster(num_workers=2).generate_checkpointed(\n"
-            f"    g, {str(out)!r}, blocks_per_chunk=2, processes=2)\n"
+            f"CheckpointedRun(g, {str(out)!r}, blocks_per_chunk=2).run(2)\n"
         )
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.Popen([sys.executable, "-c", code], env=env,

@@ -14,8 +14,8 @@ from repro.formats import blocks_from_sorted_keys
 from repro.formats.base import _block_from_keys
 from repro.models import RmatDiskGenerator
 from repro.telemetry import registry, reset_telemetry
-from repro.util.external_sort import (external_sort_unique,
-                                      iter_unique_keys, write_run)
+from repro.util.external_sort import (collect_chunks, iter_unique_keys,
+                                      write_run)
 
 
 def make_runs(tmp_path, arrays):
@@ -29,23 +29,23 @@ def make_runs(tmp_path, arrays):
 class TestExternalSortUnique:
     def test_single_run(self, tmp_path):
         paths = make_runs(tmp_path, [[3, 1, 2]])
-        out = external_sort_unique(paths)
+        out = collect_chunks(iter_unique_keys(paths))
         assert out.tolist() == [1, 2, 3]
 
     def test_merges_and_dedups(self, tmp_path):
         paths = make_runs(tmp_path, [[1, 3, 5], [2, 3, 4], [5, 6]])
-        out = external_sort_unique(paths)
+        out = collect_chunks(iter_unique_keys(paths))
         assert out.tolist() == [1, 2, 3, 4, 5, 6]
 
     def test_duplicates_within_run(self, tmp_path):
         paths = make_runs(tmp_path, [[1, 1, 1, 2], [2, 2, 3]])
-        out = external_sort_unique(paths)
+        out = collect_chunks(iter_unique_keys(paths))
         assert out.tolist() == [1, 2, 3]
 
     def test_empty_inputs(self, tmp_path):
-        assert external_sort_unique([]).size == 0
+        assert collect_chunks(iter_unique_keys([])).size == 0
         paths = make_runs(tmp_path, [[]])
-        assert external_sort_unique(paths).size == 0
+        assert collect_chunks(iter_unique_keys(paths)).size == 0
 
     def test_small_chunks_stress(self, tmp_path):
         """Chunk boundaries must not lose or duplicate keys."""
@@ -54,23 +54,23 @@ class TestExternalSortUnique:
         paths = make_runs(tmp_path, arrays)
         expected = np.unique(np.concatenate(arrays))
         for chunk in (1, 2, 3, 7, 64, 10000):
-            out = external_sort_unique(paths, chunk_items=chunk)
+            out = collect_chunks(iter_unique_keys(paths, chunk_items=chunk))
             np.testing.assert_array_equal(out, expected)
 
     def test_disjoint_runs(self, tmp_path):
         paths = make_runs(tmp_path, [np.arange(0, 100),
                                      np.arange(100, 200)])
-        out = external_sort_unique(paths, chunk_items=16)
+        out = collect_chunks(iter_unique_keys(paths, chunk_items=16))
         np.testing.assert_array_equal(out, np.arange(200))
 
     def test_identical_runs(self, tmp_path):
         paths = make_runs(tmp_path, [np.arange(50)] * 4)
-        out = external_sort_unique(paths, chunk_items=8)
+        out = collect_chunks(iter_unique_keys(paths, chunk_items=8))
         np.testing.assert_array_equal(out, np.arange(50))
 
     def test_negative_and_large_keys(self, tmp_path):
         paths = make_runs(tmp_path, [[-5, 0, 2**50], [-5, 7]])
-        out = external_sort_unique(paths)
+        out = collect_chunks(iter_unique_keys(paths))
         assert out.tolist() == [-5, 0, 7, 2**50]
 
 
@@ -319,7 +319,7 @@ def test_a_run_that_shrinks_between_buckets_raises(tmp_path, keep):
                 min_size=1, max_size=6),
        st.integers(min_value=1, max_value=64))
 def test_external_sort_property(tmp_path, arrays, chunk):
-    """external_sort_unique == np.unique of the concatenation, always."""
+    """The one-pass sort == np.unique of the concatenation, always."""
     import uuid
     sub = tmp_path / uuid.uuid4().hex
     sub.mkdir()
@@ -327,5 +327,5 @@ def test_external_sort_property(tmp_path, arrays, chunk):
     flat = [x for arr in arrays for x in arr]
     expected = np.unique(np.array(flat, dtype=np.int64)) if flat \
         else np.empty(0, dtype=np.int64)
-    out = external_sort_unique(paths, chunk_items=chunk)
+    out = collect_chunks(iter_unique_keys(paths, chunk_items=chunk))
     np.testing.assert_array_equal(out, expected)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.generator import RecursiveVectorGenerator
-from repro.dist import runner
+from repro.dist import faults, runner
 from repro.dist.faults import (RetryPolicy, TaskAttempt, pick_start_method,
                                run_tasks)
 from repro.dist.runner import LocalCluster, _worker_generate
@@ -222,22 +222,23 @@ class TestSpawnSafety:
         """The spawn contract: a worker task must survive pickling and
         still drive the worker entry point to the same output."""
         g = make_generator(scale=8)
-        cluster = LocalCluster(num_workers=2)
         from repro.dist.partition import range_partition
-        ranges = range_partition(g, 2)
-        tasks = cluster._build_tasks(g, tmp_path, ranges, "adj6")
-        revived = pickle.loads(pickle.dumps(tasks))
-        assert revived == tasks
-        result = _worker_generate(revived[0])
+        first = range_partition(g, 2)[0]
+        task = (0, first.start, first.stop, g.recipe(), "adj6",
+                str(tmp_path / "part-0000.adj6"))
+        revived = pickle.loads(pickle.dumps(task))
+        assert revived == task
+        result = _worker_generate(revived)
         assert result.num_edges > 0
         assert (tmp_path / "part-0000.adj6").exists()
 
-    def test_spawn_context_run_equals_sequential(self, tmp_path):
+    def test_spawn_context_run_equals_sequential(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setattr(faults, "pick_start_method", lambda: "spawn")
         g = make_generator(scale=9)
         cluster = LocalCluster(num_workers=2)
         res = cluster.generate_to_files(g, tmp_path, "adj6",
-                                        processes=2,
-                                        start_method="spawn")
+                                        processes=2)
         dist_edges = cluster.read_all_edges(res, "adj6")
         seq = make_generator(scale=9).edges()
         np.testing.assert_array_equal(sort_edges(dist_edges),

@@ -112,7 +112,6 @@ def test_the_oracle_runs_in_process_only(tmp_path):
     cluster = LocalCluster(num_workers=2)
     for start in (
             lambda: cluster.generate_to_files(oracle, tmp_path / "parts"),
-            lambda: cluster.generate_checkpointed(oracle, tmp_path / "ckpt"),
             lambda: CheckpointedRun(oracle, tmp_path / "run")):
         with pytest.raises(ConfigurationError, match="in-process only"):
             start()
@@ -128,27 +127,24 @@ class TestGenerateCheckpointed:
         return RecursiveVectorGenerator(scale, ef, **defaults)
 
     def test_parallel_checkpointed_bit_identical(self, tmp_path):
-        g = self.make_generator()
-        cluster = LocalCluster(num_workers=2)
-        res = cluster.generate_checkpointed(g, tmp_path,
-                                            blocks_per_chunk=2,
-                                            processes=2)
-        assert res.checkpoint is not None and res.checkpoint.complete
-        merged = cluster.read_all_edges(res, "adj6")
+        run = CheckpointedRun(self.make_generator(), tmp_path,
+                              blocks_per_chunk=2)
+        res = run.run(2)
+        assert run.complete
+        assert [w.path for w in res.workers] == \
+            [str(p) for p in run.chunk_paths()]
+        merged = LocalCluster().read_all_edges(res, "adj6")
         seq = self.make_generator().edges()
         np.testing.assert_array_equal(sort_edges(merged),
                                       sort_edges(seq))
 
     def test_resume_after_completion_is_noop(self, tmp_path):
-        cluster = LocalCluster(num_workers=2)
-        cluster.generate_checkpointed(self.make_generator(), tmp_path,
-                                      blocks_per_chunk=2, processes=2)
-        again = cluster.generate_checkpointed(self.make_generator(),
-                                              tmp_path,
-                                              blocks_per_chunk=2,
-                                              processes=2)
-        assert again.workers == []          # nothing left to generate
-        assert again.checkpoint.complete
+        CheckpointedRun(self.make_generator(), tmp_path,
+                        blocks_per_chunk=2).run(2)
+        again = CheckpointedRun(self.make_generator(), tmp_path,
+                                blocks_per_chunk=2)
+        assert again.run(2).workers == []   # nothing left to generate
+        assert again.complete
 
     def test_clean_run_attempt_history(self, tmp_path):
         """Without injected faults every task completes on attempt 1."""

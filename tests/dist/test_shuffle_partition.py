@@ -1,12 +1,12 @@
-"""Tests for hash shuffle and AVS-level range partitioning (Figure 6)."""
+"""Tests for the hash-shuffle counts and AVS-level range partitioning
+(Figure 6)."""
 
 import numpy as np
 import pytest
 
 from repro.core.generator import RecursiveVectorGenerator
 from repro.dist.partition import Bin, range_partition, repartition
-from repro.util.shuffle import (hash_partition, mix64, partition_sizes,
-                                partition_slices)
+from repro.util.shuffle import mix64, partition_sizes
 
 
 class TestMix64:
@@ -28,26 +28,23 @@ class TestMix64:
 class TestHashPartition:
     def test_partition_covers_all(self):
         keys = np.arange(1000, dtype=np.int64)
-        parts = hash_partition(keys, 7)
-        assert sum(p.size for p in parts) == 1000
-        merged = np.sort(np.concatenate(parts))
-        np.testing.assert_array_equal(merged, keys)
+        sizes = partition_sizes(keys, 7)
+        assert sizes.shape == (7,)
+        assert sizes.sum() == 1000
 
     def test_single_worker(self):
         keys = np.arange(10, dtype=np.int64)
-        parts = hash_partition(keys, 1)
-        assert len(parts) == 1
-        np.testing.assert_array_equal(parts[0], keys)
+        assert partition_sizes(keys, 1).tolist() == [10]
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
-            hash_partition(np.arange(4), 0)
+            partition_sizes(np.arange(4), 0)
 
     def test_partition_sizes_match(self):
         keys = np.arange(5000, dtype=np.int64)
-        parts = hash_partition(keys, 4)
-        sizes = partition_sizes(keys, 4)
-        assert sizes.tolist() == [p.size for p in parts]
+        worker = (mix64(keys) % np.uint64(4)).astype(np.int64)
+        np.testing.assert_array_equal(partition_sizes(keys, 4),
+                                      np.bincount(worker, minlength=4))
 
     def test_roughly_balanced(self):
         keys = np.arange(40000, dtype=np.int64)
@@ -56,47 +53,20 @@ class TestHashPartition:
 
 
 class TestPartitionSlices:
+    """``partition_sizes`` counts the slice of keys each worker gets."""
+
     def test_matches_masked_reference(self):
-        """The single-pass grouped layout reproduces, per worker, the
-        exact sequence the old one-mask-per-worker implementation
-        produced (the argsort is stable)."""
         rng = np.random.default_rng(7)
         keys = rng.integers(0, 2**40, size=5000).astype(np.int64)
         for workers in (1, 2, 7, 16):
-            grouped, offsets = partition_slices(keys, workers)
             mixed = mix64(keys) % np.uint64(workers)
-            for w in range(workers):
-                ref = keys[mixed == np.uint64(w)]
-                np.testing.assert_array_equal(
-                    grouped[offsets[w]:offsets[w + 1]], ref)
-
-    def test_offsets_structure(self):
-        keys = np.arange(1000, dtype=np.int64)
-        grouped, offsets = partition_slices(keys, 6)
-        assert offsets.shape == (7,)
-        assert offsets[0] == 0 and offsets[-1] == keys.size
-        assert np.all(np.diff(offsets) >= 0)
-        assert grouped.size == keys.size
-
-    def test_hash_partition_slices_are_views(self):
-        parts = hash_partition(np.arange(100, dtype=np.int64), 4)
-        assert all(p.base is not None for p in parts)
-
-    def test_sizes_consistent_with_partition_sizes(self):
-        keys = np.arange(4096, dtype=np.int64)
-        _, offsets = partition_slices(keys, 5)
-        np.testing.assert_array_equal(np.diff(offsets),
-                                      partition_sizes(keys, 5))
+            assert partition_sizes(keys, workers).tolist() == [
+                int(np.count_nonzero(mixed == np.uint64(w)))
+                for w in range(workers)]
 
     def test_empty_keys(self):
-        grouped, offsets = partition_slices(
-            np.empty(0, dtype=np.int64), 3)
-        assert grouped.size == 0
-        assert offsets.tolist() == [0, 0, 0, 0]
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            partition_slices(np.arange(4), 0)
+        sizes = partition_sizes(np.empty(0, dtype=np.int64), 3)
+        assert sizes.tolist() == [0, 0, 0]
 
 
 class TestBin:

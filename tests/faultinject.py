@@ -1,18 +1,23 @@
 """Test-side fault injection for the supervised scheduler.
 
 :class:`FaultInjector` wraps a worker entry point
-(``runner._worker_generate``, ``runner._worker_chunk``,
-``wesp_runner._map_task`` / ``_reduce_task`` or a toy worker) so chosen
-attempts crash (``os._exit``), hang (sleep), leave an empty part file
-behind (the supervisor's size check then reports ``corrupt``), or crash
-when a ``stream(seed, task, attempt)`` draw falls under a probability.  Attempts past ``faulty_attempts`` run clean, so every plan
-converges under enough retries.
+(``runner._worker_generate``, the one worker that writes a part or a
+checkpoint chunk, or a toy worker) so chosen attempts crash
+(``os._exit``), hang (sleep), leave an empty part file behind (the
+supervisor's size check then reports ``corrupt``), or crash when a
+``stream(seed, task, attempt)`` draw falls under a probability.
+Attempts past ``faulty_attempts`` run clean, so every plan converges
+under enough retries.
 
 Every attempt is a fresh child process, so attempts are counted with
 marker files in a directory rather than in memory.  The wrapper is a
 closure the child inherits under ``fork``; ``spawn`` would have to pickle
 it, hence :data:`needs_fork`.  In the supervisor itself (``pool_size <=
 1``) the wrapper runs the real worker untouched.
+
+:func:`stop_after` interrupts a
+:meth:`~repro.dist.checkpoint.CheckpointedRun.run` (the one resumable
+path) once a given number of chunks landed, as a run killed there would.
 """
 
 from __future__ import annotations
@@ -27,10 +32,29 @@ import pytest
 
 from repro.core.rng import stream
 
-__all__ = ["FaultInjector", "needs_fork"]
+__all__ = ["FaultInjector", "needs_fork", "stop_after"]
 
 needs_fork = pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
                                 reason="fork start method unavailable")
+
+
+class _Interrupted(Exception):
+    """Raised by :func:`stop_after`'s progress callback."""
+
+
+def stop_after(run: Any, chunks: int) -> None:
+    """Run ``run`` in-process and stop it once ``chunks`` chunks landed
+    (each is recorded in the manifest before its progress tick)."""
+    ticks = 0
+
+    def progress(edges_done: int) -> None:
+        nonlocal ticks
+        ticks += 1
+        if ticks == chunks:
+            raise _Interrupted
+
+    with pytest.raises(_Interrupted):
+        run.run(progress=progress)
 
 
 class FaultInjector:

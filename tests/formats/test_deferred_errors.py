@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import RecursiveVectorGenerator
-from repro.dist.runner import _worker_chunk
+from repro.dist.runner import _worker_generate
 from repro.formats import ThreadedSink, get_format
 from repro.formats.base import (_REGISTRY, GraphFormat, StreamWriter,
                                 register_format)
@@ -110,22 +110,22 @@ def boom_format():
     _REGISTRY.pop("boomfmt", None)
 
 
-def test_failed_worker_chunk_leaves_no_partial(tmp_path, boom_format):
+def test_failed_worker_write_leaves_no_partial(tmp_path, boom_format):
     final = tmp_path / "chunk-000000.adj6"
-    args = ("chunk-000000.adj6", 0, 16,
+    args = (0, 0, 16,
             dict(scale=6, edge_factor=2, seed=1), boom_format, str(final))
     with pytest.raises(OSError, match="injected"):
-        _worker_chunk(args)
+        _worker_generate(args)
     assert not final.exists(), "failed chunk must not be adopted"
     assert list(tmp_path.glob("*.partial*")) == [], \
         "failed chunk left a .partial temporary"
 
 
-def test_successful_worker_chunk_cleans_temporaries(tmp_path):
+def test_successful_worker_write_cleans_temporaries(tmp_path):
     final = tmp_path / "chunk-000000.adj6"
-    args = ("chunk-000000.adj6", 0, 16,
+    args = (0, 0, 16,
             dict(scale=6, edge_factor=2, seed=1), "adj6", str(final))
-    result = _worker_chunk(args)
+    result = _worker_generate(args)
     assert final.exists()
     assert list(tmp_path.glob("*.partial*")) == []
     assert result.num_edges > 0

@@ -10,13 +10,12 @@ fallback.  Cluster workers are forked, so they inherit the patch.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro import TrillionG
+from repro.dist import faults
 from repro.dist.faults import RetryPolicy
 from repro.dist.runner import LocalCluster
-from repro.dist.wesp_runner import run_wesp_distributed
 from repro.formats import base, get_format
 from repro.models.rmat import RmatDiskGenerator
 
@@ -52,10 +51,11 @@ def test_trilliong_generate_to(tmp_path, fmt):
         tmp_path / f"g.{fmt}").shape[0] > 0
 
 
-def test_local_cluster_generate_to_files(tmp_path):
+def test_local_cluster_generate_to_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(faults, "pick_start_method", lambda: "fork")
     tg = TrillionG(scale=SCALE, edge_factor=8, seed=3, block_size=128)
     result = LocalCluster(num_workers=2).generate_to_files(
-        tg.generator, tmp_path, "adj6", processes=2, start_method="fork",
+        tg.generator, tmp_path, "adj6", processes=2,
         retry=RetryPolicy(retries=0))
     assert len(result.workers) == 2 and result.num_edges > 0
     assert not any(attempts[-1].in_process
@@ -68,12 +68,3 @@ def test_rmat_disk_write_to(tmp_path):
     result = gen.write_to(tmp_path / "r.adj6", fmt="adj6")
     assert result.num_edges > 0
 
-
-def test_wesp_distributed_adj6_parts(tmp_path):
-    result = run_wesp_distributed(SCALE, 8, seed=3, num_workers=2,
-                                  work_dir=tmp_path, processes=2,
-                                  retry=RetryPolicy(retries=0),
-                                  fmt_name="adj6")
-    edges = [get_format("adj6").read_edges(p) for p in result.part_paths]
-    assert sum(e.shape[0] for e in edges) == result.num_edges > 0
-    assert all(np.all(e >= 0) for e in edges)

@@ -208,6 +208,15 @@ class TestWesp:
                                  batch_edges=512).generate()
         np.testing.assert_array_equal(mem, disk)
 
+    def test_mem_and_disk_are_one_map(self):
+        """Each worker's 264 766 keys span two default batches in
+        RMAT/p-mem and six 50 000-key batches in RMAT/p-disk: both draw
+        the same keys through one map step, so they hold one graph."""
+        mem = WespMemGenerator(16, 16, seed=7, num_workers=4).generate()
+        disk = WespDiskGenerator(16, 16, seed=7, num_workers=4,
+                                 batch_edges=50_000).generate()
+        np.testing.assert_array_equal(disk, mem)
+
     def test_no_duplicates_after_merge(self):
         g = WespMemGenerator(9, 8, seed=4, num_workers=4)
         e = g.generate()

@@ -147,16 +147,3 @@ def test_second_run_reports_only_its_own_work(tmp_path, threads):
             attempts = int(_metric(report, "sched.attempts"))
             assert attempts == threads
         assert len(report.get("worker_reports", ())) == attempts
-
-
-@pytest.mark.parametrize("fmt", ["adj6", "tsv"])
-def test_wesp_runner_spans(tmp_path, fmt):
-    from repro.dist.wesp_runner import run_wesp_distributed
-    from repro.telemetry import build_report
-    result = run_wesp_distributed(9, 8, num_workers=2, seed=3,
-                                  work_dir=tmp_path, fmt_name=fmt,
-                                  processes=2)
-    assert result.num_edges > 0
-    report = build_report()
-    assert _span_root(report, "wesp.map")["count"] == 1
-    assert _span_root(report, "wesp.reduce")["count"] == 1

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro import TrillionG
+from repro.dist.checkpoint import CheckpointedRun
 from repro.dist.faults import RetryPolicy
 from repro.dist.runner import ClusterSpec
 from repro.errors import ConfigurationError
 from repro.formats import get_format
+from tests.faultinject import stop_after
 
 
 class TestSequential:
@@ -76,3 +78,21 @@ class TestDistributed:
         np.testing.assert_array_equal(merged[order], seq[seq_order])
         assert result.num_edges == seq.shape[0]
         assert result.skew >= 1.0
+
+
+class TestResume:
+    @pytest.mark.parametrize("cluster", [None, ClusterSpec(1, 2)],
+                             ids=["sequential", "cluster"])
+    def test_progress_counts_the_adopted_chunks(self, tmp_path, cluster):
+        """A resumed run's progress starts at the edges of the chunks an
+        earlier run completed and ticks once per chunk it writes, so its
+        last value is |E|."""
+        tg = TrillionG(scale=10, edge_factor=8, seed=3, block_size=64,
+                       cluster=cluster)
+        stop_after(CheckpointedRun(tg.generator, tmp_path,
+                                   blocks_per_chunk=2), 3)
+        seen = []
+        result = tg.generate_to(tmp_path, resume=True, blocks_per_chunk=2,
+                                progress=seen.append)
+        assert len(seen) == 16 // 2 - 3
+        assert seen[-1] == result.num_edges == tg.num_edges
