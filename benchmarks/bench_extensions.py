@@ -14,7 +14,6 @@ import time
 import numpy as np
 
 from repro.core.generator import RecursiveVectorGenerator
-from repro.core.nary import NAryRecursiveVectorGenerator
 from repro.core.seed import GRAPH500, SeedMatrix
 from repro.fit import fit_seed_matrix
 
@@ -44,9 +43,10 @@ def test_nary_throughput(benchmark):
     seed3 = SeedMatrix(np.array([[0.30, 0.12, 0.08],
                                  [0.12, 0.10, 0.05],
                                  [0.08, 0.05, 0.10]]))
-    g = NAryRecursiveVectorGenerator(seed3, 9, num_edges=200000, seed=1)
+    g = RecursiveVectorGenerator(9, seed_matrix=seed3, num_edges=200000,
+                                 seed=1)
     edges = benchmark.pedantic(g.edges, rounds=1, iterations=1)
-    assert abs(edges.shape[0] - 200000) / 200000 < 0.05
+    assert edges.shape[0] == 200000
 
 
 def test_checkpoint_overhead(benchmark, tmp_path, table):

@@ -23,10 +23,11 @@ Three artifacts matter beyond the printed tables:
   rich``: its rules are drawn in ERV runs of at most ``_BLOCK_EDGES``
   edges and leave through the TSV block encoder, where the per-triple
   f-string loop of before held a whole rule's edges and its text.
-- ``test_nary_stays_under_rss_cap`` holds ``trilliong nary`` to the
-  ``generate`` cap: its grid blocks are cut into the same runs of at
-  most ``_BLOCK_EDGES`` edges and stream through ``write_blocks``, where
-  it built the whole ``(m, 2)`` edge array before.
+- ``test_nary_stays_under_rss_cap`` holds ``trilliong generate`` with a
+  3 x 3 ``--matrix`` to the same cap: its grid blocks are cut into the
+  same runs of at most ``_BLOCK_EDGES`` edges and stream through
+  ``write_blocks``, where the n-ary generator of before built the whole
+  ``(m, 2)`` edge array.
 - ``test_emit_bench_json`` writes ``.bench_out/BENCH_formats.json``
   (scale, format, edges/s, MB/s), one machine's record of this run; the
   comparable trajectory is ``benchmarks/e2e``.
@@ -68,9 +69,10 @@ RSS_CAP_BYTES = 56 * 1024 * 1024
 RICH_VERTICES = 1 << 18
 RICH_RSS_CAP_BYTES = 67 * 1024 * 1024
 
-#: ``nary`` with a 3 x 3 seed at depth 11 (2 839 317 edges, seed 3, ADJ6)
-#: in a fresh process: 218 MiB while it built the whole edge array, and
-#: 42 MiB drawn in runs and streamed, below ``RSS_CAP_BYTES``.
+#: ``generate --matrix`` with a 3 x 3 seed at scale (recursion depth) 11
+#: (|V| = 3^11, 2 834 352 edges, seed 3, ADJ6) in a fresh process: 218 MiB
+#: while the n-ary generator built the whole edge array, 42 MiB once it
+#: drew in runs and streamed, below ``RSS_CAP_BYTES``.
 NARY_MATRIX = "0.3,0.12,0.08,0.12,0.1,0.05,0.08,0.05,0.1"
 NARY_DEPTH = 11
 
@@ -290,29 +292,29 @@ def test_rich_stays_under_rss_cap(table):
 
 
 def test_nary_stays_under_rss_cap(table):
-    """CI perf smoke: ``trilliong nary`` in a fresh process peaks below
-    the ``generate`` cap — both are bounded by one run of
-    ``_BLOCK_EDGES`` edges, not by the graph."""
+    """CI perf smoke: ``trilliong generate`` with a 3 x 3 seed in a
+    fresh process peaks below the binary cap — both are bounded by one
+    run of ``_BLOCK_EDGES`` edges, not by the graph."""
     with tempfile.TemporaryDirectory(prefix="bench-formats-nary-") as work:
         out = _run_fresh(
             "from repro.cli import main\n"
-            f"main(['nary', '--matrix', '{NARY_MATRIX}',\n"
-            f"      '--depth', '{NARY_DEPTH}', '--format', 'adj6',\n"
+            f"main(['generate', '--matrix', '{NARY_MATRIX}',\n"
+            f"      '--scale', '{NARY_DEPTH}', '--format', 'adj6',\n"
             "      '--seed', '3',\n"
             f"      '--output', {str(Path(work) / 'n.adj6')!r}])\n"
             f"print({_VMHWM_KB})\n")
     edges = int(re.search(r"\|E\|=(\d+)", out).group(1))
     rss = int(out.split()[-1]) * 1024
-    table(f"nary peak RSS (3 x 3 seed, depth {NARY_DEPTH}, adj6, "
+    table(f"n-ary peak RSS (3 x 3 seed, depth {NARY_DEPTH}, adj6, "
           "fresh process)",
           ["metric", "value"],
           [["|E|", f"{edges:,}"],
            ["peak RSS", f"{rss / 2**20:,.1f} MiB"],
            ["RSS cap", f"{RSS_CAP_BYTES / 2**20:,.0f} MiB"]])
     assert rss < RSS_CAP_BYTES, (
-        f"nary --depth {NARY_DEPTH} peaked at {rss / 2**20:.0f} MiB, over "
-        f"the {RSS_CAP_BYTES / 2**20:.0f} MiB cap: its edges are held "
-        "whole again")
+        f"generate --matrix <3 x 3> --scale {NARY_DEPTH} peaked at "
+        f"{rss / 2**20:.0f} MiB, over the {RSS_CAP_BYTES / 2**20:.0f} MiB "
+        "cap: its edges are held whole again")
 
 
 def test_emit_bench_json(tmp_path, table, bench_out):

@@ -2,7 +2,8 @@
 
 Subcommands
 -----------
-``generate``  — generate a Graph500-style graph to TSV/ADJ6/CSR6;
+``generate``  — generate a Graph500-style graph (any n x n seed) to
+TSV/ADJ6/CSR6;
 ``rich``      — generate the bibliographical rich graph (Section 6);
 ``stats``     — print statistics of a graph file;
 ``degrees``   — print the degree histogram of a graph file;
@@ -13,6 +14,7 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -37,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="generate a synthetic graph")
     gen.add_argument("--scale", type=int, required=True,
-                     help="log2 of the vertex count")
+                     help="recursion depth; |V| = n^scale")
     gen.add_argument("--edge-factor", type=int, default=16,
                      help="|E| / |V| (Graph500 default: 16)")
     gen.add_argument("--format", choices=available_formats(),
@@ -49,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="NSKG noise parameter N")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--matrix", default=None,
-                     help="seed matrix as 'a,b,c,d' (default Graph500)")
+                     help="n x n seed matrix, n*n comma-separated entries "
+                          "row-major, e.g. 'a,b,c,d' (default Graph500)")
     gen.add_argument("--machines", type=int, default=1)
     gen.add_argument("--threads", type=int, default=1,
                      help="threads per machine")
@@ -102,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="adj6")
     verify.add_argument("--vertices", type=int, required=True)
     verify.add_argument("--matrix", default=None,
-                        help="seed matrix 'a,b,c,d' to check the Zipf "
+                        help="2x2 seed matrix 'a,b,c,d' to check the Zipf "
                              "slope against (default Graph500)")
     verify.add_argument("--expected-edges", type=int, default=None)
 
@@ -175,19 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--list", action="store_true",
                      help="list available experiments")
 
-    nary = sub.add_parser(
-        "nary", help="generate with an n x n seed matrix (general SKG)")
-    nary.add_argument("--matrix", required=True,
-                      help="n*n comma-separated entries, row-major")
-    nary.add_argument("--depth", type=int, required=True,
-                      help="recursion depth; |V| = n^depth")
-    nary.add_argument("--edges", type=int, default=None,
-                      help="target |E| (default 16 * |V|)")
-    nary.add_argument("--format", choices=available_formats(),
-                      default="tsv")
-    nary.add_argument("--output", required=True)
-    nary.add_argument("--seed", type=int, default=0)
-
     fit = sub.add_parser(
         "fit", help="fit a seed matrix to a graph; optionally rescale it")
     fit.add_argument("--input", required=True)
@@ -204,12 +194,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_matrix(text: str | None) -> SeedMatrix | None:
+    """An ``n x n`` seed from ``n * n`` row-major entries, ``n >= 2``."""
     if text is None:
         return None
     values = [float(x) for x in text.split(",")]
-    if len(values) != 4:
-        raise SystemExit("--matrix expects exactly four values a,b,c,d")
-    return SeedMatrix.rmat(*values)
+    order = math.isqrt(len(values))
+    if order * order != len(values) or order < 2:
+        raise SystemExit("--matrix expects n*n entries for some n >= 2 "
+                         f"(got {len(values)})")
+    return SeedMatrix(np.array(values).reshape(order, order))
 
 
 def _refuse_ignored_flags(args: argparse.Namespace) -> None:
@@ -240,9 +233,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                 task_timeout=args.task_timeout)
         except ConfigurationError as exc:
             raise SystemExit(f"--retries/--task-timeout: {exc}") from None
-    tg = TrillionG(args.scale, args.edge_factor,
-                   _parse_matrix(args.matrix), noise=args.noise,
-                   seed=args.seed, cluster=cluster, retry=retry)
+    try:
+        tg = TrillionG(args.scale, args.edge_factor,
+                       _parse_matrix(args.matrix), noise=args.noise,
+                       seed=args.seed, cluster=cluster, retry=retry)
+    except ConfigurationError as exc:
+        raise SystemExit(str(exc)) from None
     reporter = None
     if args.progress:
         from .telemetry import ProgressReporter
@@ -293,11 +289,14 @@ def _cmd_rich(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .validate import validate_edges
-    edges = _load_edges(args)
     seed_matrix = _parse_matrix(args.matrix)
     if seed_matrix is None:
         from .core.seed import GRAPH500
         seed_matrix = GRAPH500
+    if not seed_matrix.is_rmat:
+        raise SystemExit("verify --matrix: Lemma 6's Zipf slope is "
+                         "defined for 2x2 seeds only")
+    edges = _load_edges(args)
     report = validate_edges(edges, args.vertices,
                             seed_matrix=seed_matrix,
                             expected_edges=args.expected_edges)
@@ -450,27 +449,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_nary(args: argparse.Namespace) -> int:
-    import math
-
-    from .core.nary import NAryRecursiveVectorGenerator
-    values = [float(x) for x in args.matrix.split(",")]
-    order = math.isqrt(len(values))
-    if order * order != len(values) or order < 2:
-        raise SystemExit(
-            "--matrix expects n*n entries for some n >= 2 "
-            f"(got {len(values)})")
-    seed_matrix = SeedMatrix(np.array(values).reshape(order, order))
-    generator = NAryRecursiveVectorGenerator(
-        seed_matrix, args.depth, num_edges=args.edges, seed=args.seed)
-    fmt = get_format(args.format)
-    result = fmt.write_blocks(args.output, generator.iter_blocks(),
-                              generator.num_vertices)
-    print(f"generated n-ary graph: n={order} |V|={generator.num_vertices} "
-          f"|E|={result.num_edges} -> {result.path}")
-    return 0
-
-
 def _cmd_fit(args: argparse.Namespace) -> int:
     from .fit import GraphScaler
     fmt = get_format(args.format)
@@ -497,7 +475,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 _COMMANDS = {
     "generate": _cmd_generate,
     "fit": _cmd_fit,
-    "nary": _cmd_nary,
     "experiment": _cmd_experiment,
     "baseline": _cmd_baseline,
     "plan": _cmd_plan,

@@ -2,7 +2,6 @@
 
 from .generator import (AdjacencyBlock, GenerationStats,
                         RecursiveVectorGenerator)
-from .nary import NAryRecursiveVectorGenerator
 from .noise import NoisySeedStack, max_noise, noisy_seed_matrices
 from .probability import (column_probability, edge_probability,
                           row_probabilities, row_probability)
@@ -18,7 +17,6 @@ from .seed import GRAPH500, UNIFORM, SeedMatrix
 __all__ = [
     "AdjacencyBlock", "GenerationStats", "IdeaToggles",
     "RecursiveVectorGenerator", "ReferenceGenerator", "ReferenceStats",
-    "NAryRecursiveVectorGenerator",
     "NoisySeedStack", "max_noise",
     "noisy_seed_matrices", "column_probability", "edge_probability",
     "row_probabilities", "row_probability", "EdgeProcess", "NoisyProcess",

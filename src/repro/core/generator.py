@@ -23,7 +23,7 @@ Determinism
 -----------
 Sources are cut into fixed ``block_size``-aligned *grid blocks*.  Scope
 sizes are drawn per grid block: by default the ``|E|`` draws are split
-down the tree of source bits (:func:`repro.core.scope.split_scope_sizes`),
+down the tree of source digits (:func:`repro.core.scope.split_scope_sizes`),
 the nodes above a grid block keyed by ``(seed, tag, level, node)`` and
 those inside it by the block, so the sizes add up to ``|E|``.  A grid
 block is then generated in *runs* of at most ``_BLOCK_EDGES`` edges, cut
@@ -138,17 +138,21 @@ class RecursiveVectorGenerator:
     Parameters
     ----------
     scale:
-        ``log2(|V|)``.
+        The recursion depth: ``|V| = n^scale`` for an ``n x n`` seed
+        (``log2(|V|)`` for a 2x2 one).
     edge_factor:
         ``|E| / |V|`` (Graph500 default 16); overridden by ``num_edges``.
     seed_matrix:
-        2x2 seed; defaults to the Graph500 standard matrix.
+        ``n x n`` seed (``n >= 2``; SKG's general initiator, RMAT at
+        ``n = 2``); defaults to the Graph500 standard matrix.  A vertex
+        id is ``scale`` base-``n`` digits.
     num_edges:
         Explicit ``|E|`` target.  Under ``degree_method="split"`` the
         scope sizes add up to it exactly, unless a scope is capped at
         ``|V|``; under ``"normal"`` it is their expected sum.
     noise:
-        NSKG noise parameter ``N`` (0 disables noise).
+        NSKG noise parameter ``N`` (0 disables noise; Appendix C defines
+        it for 2x2 seeds only).
     direction:
         ``"out"`` for AVS-O (scopes are rows; yields out-adjacency) or
         ``"in"`` for AVS-I (scopes are columns; yields in-adjacency).
@@ -165,8 +169,9 @@ class RecursiveVectorGenerator:
     block_size:
         Number of consecutive sources per grid block; randomness is keyed
         per grid block, so this also fixes the determinism granularity.
-        A key ``row << scale | dest`` must fit an int64, so
-        ``scale + (block_size - 1).bit_length() <= 63``.
+        A key ``row << shift | dest``, ``shift`` the bits of ``|V| - 1``,
+        must fit an int64, so
+        ``shift + (block_size - 1).bit_length() <= 63``.
     """
 
     def __init__(self, scale: int, edge_factor: int = 16,
@@ -180,9 +185,16 @@ class RecursiveVectorGenerator:
                  block_size: int = 4096) -> None:
         if scale < 1:
             raise ConfigurationError("scale must be >= 1")
-        if scale > 56:
+        base = seed_matrix if seed_matrix is not None else GRAPH500
+        self.scale = scale
+        self.order = base.order
+        self.num_vertices = self.order ** scale
+        #: Destination bits of a packed key ``row << shift | dest``.
+        self._shift = (self.num_vertices - 1).bit_length()
+        if self._shift > 56:
             raise ConfigurationError(
-                "scale > 56 would overflow int64 destination packing")
+                f"|V| = {self.order}^{scale} would overflow int64 "
+                "destination packing")
         if direction not in ("out", "in"):
             raise ConfigurationError("direction must be 'out' or 'in'")
         if block_size < 1:
@@ -191,18 +203,16 @@ class RecursiveVectorGenerator:
             raise ConfigurationError(
                 f"unknown degree_method {degree_method!r}; expected one "
                 f"of {DEGREE_METHODS}")
-        # A block's keys pack ``row << scale | dest`` into a signed int64.
-        if scale + (block_size - 1).bit_length() > 63:
+        # A block's keys pack ``row << shift | dest`` into a signed int64.
+        if self._shift + (block_size - 1).bit_length() > 63:
             raise ConfigurationError(
-                f"scale {scale} leaves {63 - scale} bits of an int64 key "
-                f"for the row ids of block_size {block_size}")
-        self.scale = scale
-        self.num_vertices = 1 << scale
+                f"|V| = {self.order}^{scale} leaves {63 - self._shift} "
+                f"bits of an int64 key for the row ids of block_size "
+                f"{block_size}")
         self.num_edges = (num_edges if num_edges is not None
                           else edge_factor * self.num_vertices)
         if self.num_edges < 1:
             raise ConfigurationError("num_edges must be positive")
-        base = seed_matrix if seed_matrix is not None else GRAPH500
         self.seed_matrix = base
         self.direction = direction
         matrix = base if direction == "out" else base.transpose()
@@ -219,9 +229,9 @@ class RecursiveVectorGenerator:
         # (partitioning) never pay for the tables.
         self._sampler: ScopeSampler | None = None
         # The split tree's draws above a grid block, ``(level, node) ->``
-        # the 0-child's count, kept for the last block only: the next
-        # block of a sweep shares all but ~2 of them.
-        self._splits: dict[tuple[int, int], int] = {}
+        # its children's counts, kept for the last block only: the next
+        # block of a sweep shares all but a few of them.
+        self._splits: dict[tuple[int, int], list[int]] = {}
 
     def recipe(self) -> dict:
         """The keyword arguments that rebuild this generator's graph.
@@ -252,11 +262,11 @@ class RecursiveVectorGenerator:
             return sample_scope_sizes(probs, self.num_edges, rng,
                                       method=self.degree_method,
                                       max_size=max_size)
-        zero = self.process.zero_probabilities()
+        split = self.process.split_probabilities()
         sizes = np.empty(sources.size, dtype=np.int64)
         for level, node, count in self._block_roots(block_index):
-            first = (node << (self.scale - level)) - int(sources[0])
-            part = split_scope_sizes(count, zero[level:], rng)
+            first = node * self.order ** (self.scale - level) - int(sources[0])
+            part = split_scope_sizes(count, split[level:], rng)
             sizes[first:first + part.size] = part
         if max_size is not None:
             np.minimum(sizes, max_size, out=sizes)
@@ -277,35 +287,40 @@ class RecursiveVectorGenerator:
         """The nodes ``(level, node, count)`` of the split tree that tile
         grid block ``block_index``, in source order: the largest nodes
         whose sources all lie in the block (one node when ``block_size``
-        is a power of two).  Node ``(level, node)`` holds sources
-        ``[node << (scale - level), (node + 1) << (scale - level))``.
+        is a power of ``n``).  Node ``(level, node)`` holds sources
+        ``[node * n^(scale - level), (node + 1) * n^(scale - level))``.
 
-        Each node above them that the block meets is split by one
-        ``binomial`` from ``stream(seed, _TAG_SPLIT, level, node)``, so
-        every block that meets a node derives the same split on its own.
+        Each node above them that the block meets is split among its
+        ``n`` children by :func:`~repro.core.scope.split_scope_sizes`'s
+        conditional binomials from ``stream(seed, _TAG_SPLIT, level,
+        node)`` (one ``binomial`` at ``n = 2``), so every block that
+        meets a node derives the same split on its own.
         """
         lo = block_index * self.block_size
         hi = min(lo + self.block_size, self.num_vertices)
-        zero = self.process.zero_probabilities()
+        n = self.order
+        split = self.process.split_probabilities()
         previous, self._splits = self._splits, {}
         roots = []
         pending = [(0, 0, self.num_edges)]
         while pending:
             level, node, count = pending.pop()
-            width = self.scale - level
-            first, stop = node << width, (node + 1) << width
+            width = n ** (self.scale - level)
+            first, stop = node * width, (node + 1) * width
             if stop <= lo or first >= hi:
                 continue
             if lo <= first and stop <= hi:
                 roots.append((level, node, count))
                 continue
-            left = previous.get((level, node))
-            if left is None:
-                left = int(stream(self.seed, _TAG_SPLIT, level, node)
-                           .binomial(count, zero[level])) if count else 0
-            self._splits[level, node] = left
-            pending.append((level + 1, 2 * node + 1, count - left))
-            pending.append((level + 1, 2 * node, left))
+            children = previous.get((level, node))
+            if children is None:
+                children = split_scope_sizes(
+                    count, split[level:level + 1],
+                    stream(self.seed, _TAG_SPLIT, level, node)
+                ).tolist() if count else [0] * n
+            self._splits[level, node] = children
+            pending.extend((level + 1, node * n + t, children[t])
+                           for t in reversed(range(n)))
         return roots
 
     def degrees(self, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -450,7 +465,7 @@ class RecursiveVectorGenerator:
         saturated = (degrees > (self.num_vertices >> 2) if self.dedup
                      else np.zeros(degrees.size, dtype=bool))
         block, duplicates = _draw_run(
-            sources, np.where(saturated, 0, degrees), self.scale,
+            sources, np.where(saturated, 0, degrees), self._shift,
             self.dedup,
             lambda rows, counts: self._draw_keys(sources[rows], counts, rng),
             lambda row, size: self._sample_scope_exact(int(sources[row]),
@@ -462,11 +477,11 @@ class RecursiveVectorGenerator:
 
     def _draw_keys(self, sources: np.ndarray, counts: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
-        """``counts[j]`` keys ``j << scale | destination`` per source, rows
+        """``counts[j]`` keys ``j << shift | destination`` per source, rows
         in order — the one place the kernel draws."""
         if self._sampler is None:
             self._sampler = ScopeSampler(self.process.digit_matrices())
-        keys = self._sampler.keys(sources, counts, self.scale, rng)
+        keys = self._sampler.keys(sources, counts, self._shift, rng)
         self.stats.random_draws += keys.size * self._sampler.uniforms_per_edge
         return keys
 
@@ -478,18 +493,21 @@ class RecursiveVectorGenerator:
                             rng: np.random.Generator) -> np.ndarray:
         """Exact without-replacement sample of ``size`` destinations.
 
-        Materializes the row PMF (product of per-bit Bernoulli factors) and
-        takes a PPSWOR sample via the Gumbel top-k trick — distributionally
-        identical to the paper's draw-until-distinct loop, but O(|V| log |V|)
-        instead of coupon-collector time.  Only reachable at small scales,
-        so the O(|V|) row never exceeds a few MB.
+        Materializes the row PMF (the product of ``u``'s per-digit rows of
+        :meth:`EdgeProcess.digit_matrices`, Lemma 3) and takes a PPSWOR
+        sample via the Gumbel top-k trick — distributionally identical to
+        the paper's draw-until-distinct loop, but O(|V| log |V|) instead
+        of coupon-collector time.  Only reachable at small scales, so the
+        O(|V|) row never exceeds a few MB.
         """
-        if self.scale > 26:
+        if self.num_vertices > 1 << 26:
             raise GenerationError(
                 "saturated scope at a scale too large to materialize; "
                 "this cannot occur for edge factors <= |V|^(1/4)")
-        p = self.process.bit_probabilities(np.array([u], dtype=np.uint64))[0]
-        return _ppswor(_digits_pmf(np.column_stack([1.0 - p, p])), size, rng)
+        n = self.order
+        rows = [m[u // n ** d % n % len(m)]     # least significant first
+                for d, m in enumerate(self.process.digit_matrices()[::-1])]
+        return _ppswor(_digits_pmf(rows), size, rng)
 
     def _with_saturated(self, light: AdjacencyBlock, degrees: np.ndarray,
                         saturated: np.ndarray, rng: np.random.Generator

@@ -109,11 +109,11 @@ class NoisySeedStack:
                             self._row_sums[level, 0])
         return out
 
-    def zero_probabilities(self) -> np.ndarray:
-        """``K_i[0,0] + K_i[0,1]`` over ``K_i``'s mass for each level
-        ``i``: the probability that a draw's source bit at level ``i`` is
-        0, whatever its other bits are."""
-        return self._row_sums[:, 0] / self._row_sums.sum(axis=1)
+    def split_probabilities(self) -> np.ndarray:
+        """``K_i``'s row sums over its mass for each level ``i``, shape
+        ``(levels, 2)``: the probability that a draw's source bit at
+        level ``i`` is 0 or 1, whatever its other bits are."""
+        return self._row_sums / self._row_sums.sum(axis=1, keepdims=True)
 
     # -- Lemma 8 -----------------------------------------------------------
 

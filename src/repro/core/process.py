@@ -3,12 +3,13 @@
 The AVS generator needs three quantities per source vertex ``u``:
 
 1. the row probability ``P(u->)`` (Theorem 1's ``p``),
-2. the RecVec row (Theorem 2's search structure),
-3. the per-bit Bernoulli parameters (and the kernel's per-level matrices).
+2. the RecVec row (Theorem 2's search structure, 2x2 seeds only),
+3. the per-digit split and destination probabilities (the kernel's).
 
-Both the noiseless process (one seed matrix, Lemmas 1-2) and the noisy NSKG
-process (per-level matrices, Lemmas 7-8) provide them; generators are
-written against this interface and are noise-agnostic.
+Both the noiseless process (one ``n x n`` seed matrix, Lemmas 1-2) and
+the noisy NSKG process (per-level 2x2 matrices, Lemmas 7-8) provide
+them; generators are written against this interface and are
+noise-agnostic.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from .noise import NoisySeedStack
 from .recvec import build_recvec, build_recvecs
 from .seed import SeedMatrix
@@ -28,22 +30,24 @@ class EdgeProcess(ABC):
     """Everything the AVS generator needs to know about the stochastic
     process, independent of whether noise is applied."""
 
-    #: number of recursion levels, ``log2(|V|)``
+    #: number of recursion levels: ``|V| = order ** levels``
     levels: int
+    #: the seed's side ``n``: a vertex id is ``levels`` base-``n`` digits
+    order: int = 2
 
     @property
     def num_vertices(self) -> int:
-        return 1 << self.levels
+        return self.order ** self.levels
 
     @abstractmethod
     def row_probabilities(self, sources: np.ndarray) -> np.ndarray:
         """``P(u->)`` for each source (Lemma 1 / Lemma 7)."""
 
     @abstractmethod
-    def zero_probabilities(self) -> np.ndarray:
-        """``P(source bit = 0)`` per level, shape ``(levels,)``, level 0
-        the most significant bit: the row sum of the level's seed over
-        its mass (Lemma 1 / Lemma 7)."""
+    def split_probabilities(self) -> np.ndarray:
+        """``P(source digit = t)`` per level, shape ``(levels, order)``,
+        level 0 the most significant digit: the row sums of the level's
+        seed over its mass (Lemma 1 / Lemma 7)."""
 
     @abstractmethod
     def build_recvecs(self, sources: np.ndarray) -> np.ndarray:
@@ -72,28 +76,44 @@ class EdgeProcess(ABC):
 
 
 class PlainProcess(EdgeProcess):
-    """The noiseless RMAT/SKG process driven by one 2x2 seed matrix."""
+    """The noiseless SKG process driven by one ``n x n`` seed matrix
+    (RMAT at ``n = 2``)."""
 
     def __init__(self, seed_matrix: SeedMatrix, levels: int) -> None:
-        if not seed_matrix.is_rmat:
-            raise ValueError(
-                "PlainProcess requires a 2x2 seed; use FastKronecker for "
-                "n x n seeds")
         self.seed_matrix = seed_matrix
         self.levels = levels
-        a, b, c, d = seed_matrix.as_tuple()
-        self._row_sums = np.array([a + b, c + d])
-        self._bit_one = np.array([b / (a + b), d / (c + d)])
+        self.order = seed_matrix.order
+        self._row_sums = seed_matrix.row_sums()
+        #: ``P(destination digit = t | source digit = s)``, every level.
+        self._digit_rows = seed_matrix.entries / self._row_sums[:, None]
 
     def row_probabilities(self, sources: np.ndarray) -> np.ndarray:
-        src = np.asarray(sources, dtype=np.uint64)
-        ones = np.bitwise_count(src).astype(np.int64)
-        ab, cd = self._row_sums
-        return np.power(ab, self.levels - ones) * np.power(cd, ones)
+        """Lemma 1: the product of the source digits' row sums."""
+        if self.order == 2:
+            src = np.asarray(sources, dtype=np.uint64)
+            ones = np.bitwise_count(src).astype(np.int64)
+            ab, cd = self._row_sums
+            return np.power(ab, self.levels - ones) * np.power(cd, ones)
+        digits = np.array(sources, dtype=np.int64)
+        probs = np.ones(digits.size, dtype=np.float64)
+        for _ in range(self.levels):
+            probs *= self._row_sums[digits % self.order]
+            digits //= self.order
+        return probs
 
-    def zero_probabilities(self) -> np.ndarray:
-        ab, cd = self._row_sums
-        return np.full(self.levels, ab / (ab + cd))
+    def split_probabilities(self) -> np.ndarray:
+        split = self._row_sums / self._row_sums.sum()
+        return np.tile(split, (self.levels, 1))
+
+    def digit_matrices(self) -> list[np.ndarray]:
+        """At ``n = 2`` the binary rows; else the seed's rows normalised,
+        every level (one row where they all agree)."""
+        if self.order == 2:
+            return super().digit_matrices()
+        rows = self._digit_rows
+        if (rows == rows[0]).all():
+            rows = rows[:1]
+        return [rows] * self.levels
 
     def build_recvecs(self, sources: np.ndarray) -> np.ndarray:
         return build_recvecs(self.seed_matrix, sources, self.levels)
@@ -102,11 +122,15 @@ class PlainProcess(EdgeProcess):
         return build_recvec(self.seed_matrix, u, self.levels)
 
     def bit_probabilities(self, sources: np.ndarray) -> np.ndarray:
+        if self.order != 2:
+            raise ConfigurationError(
+                "per-bit probabilities need a 2x2 seed")
         src = np.asarray(sources, dtype=np.uint64)
         out = np.empty((src.size, self.levels), dtype=np.float64)
         for x in range(self.levels):
             bit_set = ((src >> np.uint64(x)) & np.uint64(1)).astype(bool)
-            out[:, x] = np.where(bit_set, self._bit_one[1], self._bit_one[0])
+            out[:, x] = np.where(bit_set, self._digit_rows[1, 1],
+                                 self._digit_rows[0, 1])
         return out
 
 
@@ -120,8 +144,8 @@ class NoisyProcess(EdgeProcess):
     def row_probabilities(self, sources: np.ndarray) -> np.ndarray:
         return self.stack.row_probabilities(sources)
 
-    def zero_probabilities(self) -> np.ndarray:
-        return self.stack.zero_probabilities()
+    def split_probabilities(self) -> np.ndarray:
+        return self.stack.split_probabilities()
 
     def build_recvecs(self, sources: np.ndarray) -> np.ndarray:
         return self.stack.build_recvecs(sources)
@@ -135,4 +159,9 @@ def make_process(seed_matrix: SeedMatrix, levels: int, noise: float,
     """Build the right process for a noise parameter (0 => plain)."""
     if noise == 0.0:
         return PlainProcess(seed_matrix, levels)
+    if not seed_matrix.is_rmat:
+        n = seed_matrix.order
+        raise ConfigurationError(
+            f"noise is defined for 2x2 seeds only (Appendix C); got a "
+            f"{n}x{n} seed")
     return NoisyProcess(NoisySeedStack.draw(seed_matrix, levels, noise, rng))

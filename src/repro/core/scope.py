@@ -3,12 +3,14 @@
 The size of the scope ``S(u, V)`` (the out-degree of ``u``) is the number of
 successes among ``n = |E|`` Bernoulli trials each succeeding with probability
 ``p = P(u->)``.  Drawn jointly for every scope, the ``|E|`` trials are one
-multinomial over the sources, and Lemma 1 factorises it over source bits:
-bit ``l`` of a draw's source is 0 with probability ``alpha_l + beta_l``
-whatever its other bits are (Lemma 7 keeps that per level under NSKG
-noise).  So the multinomial is a recursive binomial split, which
-:func:`split_scope_sizes` performs below one node of the source tree — the
-``"split"`` method, whose sizes add up to ``|E|`` exactly.
+multinomial over the sources, and Lemma 1 factorises it over source
+digits: digit ``l`` of a draw's source is ``s`` with probability row sum
+``s`` of the seed over its mass, whatever its other digits are
+(``alpha_l + beta_l`` for a 0 bit of a 2x2 seed; Lemma 7 keeps that per
+level under NSKG noise).  So the multinomial is a recursive split by
+conditional binomials, which :func:`split_scope_sizes` performs below one
+node of the source tree — the ``"split"`` method, whose sizes add up to
+``|E|`` exactly.
 
 Theorem 1 approximates each marginal Binomial(n, p) independently with
 ``Normal(np, np(1-p))`` (``"normal"``, the paper's method), whose sum only
@@ -81,19 +83,27 @@ def sample_scope_sizes(probabilities: np.ndarray, num_edges: int,
     return sizes
 
 
-def split_scope_sizes(count: int, zero_probabilities: np.ndarray,
+def split_scope_sizes(count: int, split_probabilities: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
-    """The sizes of the ``2^k`` scopes below one node of the source tree
-    that holds ``count`` draws, ``k = len(zero_probabilities)``.
+    """The sizes of the ``n^k`` scopes below one node of the source tree
+    that holds ``count`` draws, ``(k, n)`` the shape of
+    ``split_probabilities``.
 
-    Level by level from the node down, every node sends
-    ``Binomial(c, zero_probabilities[i])`` of its ``c`` draws to its
-    0-child and the rest to its 1-child: one ``rng.binomial`` call per
-    level over the level's nodes in order.  The sizes add up to
-    ``count``.
+    Level by level from the node down, every node sends its ``c`` draws
+    to its ``n`` children by ``n - 1`` conditional binomials: child
+    ``t < n - 1`` gets ``Binomial(c', p_t / (p_t + ... + p_{n-1}))`` of
+    the ``c'`` its elder siblings left, the last child the rest.  That is
+    one ``rng.binomial`` call per level and child over the level's nodes
+    in order: at ``n = 2``, one ``Binomial(c, p_0)`` per node (``p``
+    adds up to one).  The sizes add up to ``count``.
     """
     counts = np.array([count], dtype=np.int64)
-    for p in zero_probabilities:
-        zero = rng.binomial(counts, p)
-        counts = np.column_stack([zero, counts - zero]).ravel()
+    for p in split_probabilities:
+        children = []
+        for t in range(p.size - 1):
+            share = p[t] / p[t:].sum() if t else p[0]
+            children.append(rng.binomial(counts, share))
+            counts = counts - children[-1]
+        children.append(counts)
+        counts = np.column_stack(children).ravel()
     return counts

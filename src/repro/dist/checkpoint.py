@@ -68,11 +68,16 @@ class CheckpointState:
     # chunk name -> edge count
 
     def to_json(self) -> dict:
+        # Chunk order, not the order chunks landed in, so that one
+        # configuration writes one manifest.  Chunk names differ only in
+        # a zero-padded index: a longer name is a later chunk.
+        completed = sorted(self.completed.items(),
+                           key=lambda item: (len(item[0]), item[0]))
         return {
             "generator": self.generator,
             "format": self.fmt,
             "blocks_per_chunk": self.blocks_per_chunk,
-            "completed": self.completed,
+            "completed": dict(completed),
         }
 
     @classmethod
@@ -217,8 +222,9 @@ class CheckpointedRun:
         the manifest — a crash mid-chunk leaves only whole chunks
         visible, and a crash between the rename and the manifest update
         is healed by adoption on the next resume.  ``progress`` is called
-        with the edges of every completed chunk, this run's and earlier
-        ones', as each chunk lands.  Returns the
+        once with the edges of the chunks earlier runs completed, before
+        any is written, then with those of every completed chunk, this
+        run's and earlier ones', as each chunk lands.  Returns the
         :class:`~repro.dist.runner.DistributedResult` of the chunks
         written by this call.
         """
@@ -233,6 +239,8 @@ class CheckpointedRun:
             if progress is not None:
                 progress(self.num_edges)
 
+        if progress is not None:
+            progress(self.num_edges)
         return scatter(self.generator, self.out_dir, jobs, self.fmt,
                        processes, retry, record)
 

@@ -237,13 +237,15 @@ class LocalCluster:
         ``processes`` caps the real OS processes (defaults to the logical
         worker count; the logical partitioning is unaffected).  ``retry``
         configures the fault-tolerance layer (retries and the per-attempt
-        timeout).  ``progress`` is called with the cumulative edge count
-        as each partition lands.
+        timeout).  ``progress`` is called with 0 before any partition is
+        written, then with the cumulative edge count as each lands.
         """
         with span("partition", workers=self.spec.num_workers) as sp:
             ranges = range_partition(generator, self.spec.num_workers)
         jobs = [(w, r.start, r.stop, f"part-{w:04d}.{fmt_name}")
                 for w, r in enumerate(ranges)]
+        if progress is not None:
+            progress(0)
         result = scatter(
             generator, Path(out_dir), jobs, fmt_name,
             worker_processes(processes, len(jobs), self.spec.num_workers),

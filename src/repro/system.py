@@ -126,11 +126,13 @@ class TrillionG:
         ``blocks_per_chunk`` without ``resume`` raises
         :class:`~repro.errors.ConfigurationError`.
 
-        ``progress`` is called with the cumulative edge count as work
+        ``progress`` is called once with the edges done when the run
+        starts (with ``resume``, those of the chunks an earlier run
+        completed; else 0), then with the cumulative edge count as work
         lands (per block sequentially, per worker result distributed,
-        per chunk with ``resume``, counting the chunks an earlier run
-        completed) — pass a :class:`repro.telemetry.ProgressReporter`
-        for a live terminal line.
+        per chunk with ``resume``) — pass a
+        :class:`repro.telemetry.ProgressReporter` for a live terminal
+        line, whose rate counts only the edges since the first call.
 
         ``telemetry`` on the result covers this call only: the
         process-wide metrics, span tree and worker reports are cleared
@@ -186,9 +188,11 @@ class TrillionG:
     def _blocks_with_progress(
             self, progress: Callable[[int], None] | None
     ) -> Iterator[AdjacencyBlock]:
-        """Yield blocks, reporting the cumulative edge count per block.
-        A block is let go once the consumer resumes."""
+        """Yield blocks, reporting 0 first, then the cumulative edge
+        count per block.  A block is let go once the consumer resumes."""
         done = 0
+        if progress is not None:
+            progress(done)
         for block in self.generator.iter_blocks():
             done += block.num_edges
             yield block

@@ -5,9 +5,9 @@ ETA, pipeline queue high-water) to a stream.  On a TTY it is a single
 carriage-return-refreshed line; on anything else (CI logs, redirected
 stderr) it emits throttled newline-terminated lines instead, so the log
 is not one garbled ``\\r``-spliced line.  It is push-driven — generation
-call sites invoke it with the cumulative edge count after each block or
-task — and throttles its own redraws, so callers can invoke it as often
-as they like.
+call sites invoke it once with the edges done when the run starts, then
+with the cumulative edge count after each block or task — and throttles
+its own redraws, so callers can invoke it as often as they like.
 """
 
 from __future__ import annotations
@@ -46,8 +46,11 @@ class ProgressReporter:
     Call :meth:`update` with the cumulative number of edges produced so
     far (it is also ``__call__``, so the reporter can be handed around
     as a plain ``progress(edges_done)`` callback); call :meth:`finish`
-    once to terminate the line.  ``tty`` overrides the
-    ``stream.isatty()`` autodetection (tests, forced modes).
+    once to terminate the line.  The first update is the baseline: the
+    edges done before this run started (a resumed run's earlier chunks),
+    so edges/s and the ETA count only the edges since it.  ``tty``
+    overrides the ``stream.isatty()`` autodetection (tests, forced
+    modes).
     """
 
     def __init__(self, total_edges: int | None = None,
@@ -66,7 +69,8 @@ class ProgressReporter:
         self._tty = tty
         self._min_interval = (min_interval if tty
                               else max(min_interval, NON_TTY_MIN_INTERVAL))
-        self._started = time.monotonic()
+        #: ``(time, edges_done)`` of the first update.
+        self._baseline: tuple[float, int] | None = None
         self._last_draw = 0.0
         self._drew = False
         self._finished = False
@@ -76,6 +80,8 @@ class ProgressReporter:
             return
         self.edges_done = edges_done
         now = time.monotonic()
+        if self._baseline is None:
+            self._baseline = (now, edges_done)
         if now < self._last_draw:
             # Clock went backwards (suspend/resume, container migration):
             # re-arm the throttle instead of muting until it catches up.
@@ -88,8 +94,8 @@ class ProgressReporter:
     __call__ = update
 
     def _draw(self, now: float) -> None:
-        elapsed = max(now - self._started, 1e-9)
-        rate = self.edges_done / elapsed
+        since, base = self._baseline or (now, self.edges_done)
+        rate = (self.edges_done - base) / max(now - since, 1e-9)
         parts = [f"{human_count(self.edges_done)} edges",
                  f"{human_count(rate)} edges/s"]
         if self.total_edges:

@@ -70,11 +70,14 @@ def validate_edges(edges: np.ndarray, num_vertices: int, *,
         When given, the realized count must lie within
         ``max(5 * sqrt(|E|) + 10, 0.005 * |E|)`` of the Theorem 1 target,
         unless hub scopes were clipped at |V|.  The first term is 5
-        binomial standard deviations.  The second is a floor for the
-        sampler's own bias: scope sizes are Normal(np, np(1-p)) draws
-        clipped at 0, which lifts the realized count by +0.13 ... +0.26 %
-        at every scale, while the binomial term alone shrinks below that
-        (0.24 % of |E| at scale 18) and would reject correct graphs.
+        binomial standard deviations.  The second is a floor for outputs
+        whose scope sizes are drawn one scope at a time, which the
+        binomial term alone (0.24 % of |E| at scale 18) would reject:
+        ``degree_method="normal"``'s Normal(np, np(1-p)) draws clipped at
+        0, which lift the realized count by +0.13 ... +0.26 % at every
+        scale, and ``rich``'s Zipfian and Gaussian rules.  ``generate``'s
+        default ``"split"`` sizes, for every seed radix, add up to |E|
+        exactly.
     expect_simple:
         Require no repeated (u, v) pairs (TrillionG's default contract).
     """

@@ -1,11 +1,12 @@
-"""Property-based tests for the n-ary (general SKG) generator."""
+"""Property-based tests for the AVS generator under n x n seeds
+(general SKG)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.nary import NAryRecursiveVectorGenerator
+from repro.core.generator import RecursiveVectorGenerator
 from repro.core.seed import SeedMatrix
 
 
@@ -24,9 +25,8 @@ def test_nary_wellformed_for_any_seed(seed_matrix, depth, rng_seed):
     """Any valid n x n seed yields in-range, duplicate-free edges whose
     realized count equals the drawn degree sequence."""
     n = seed_matrix.order ** depth
-    g = NAryRecursiveVectorGenerator(seed_matrix, depth,
-                                     num_edges=min(4 * n, 5000),
-                                     seed=rng_seed)
+    g = RecursiveVectorGenerator(depth, seed_matrix=seed_matrix,
+                                 num_edges=min(4 * n, 5000), seed=rng_seed)
     edges = g.edges()
     if edges.shape[0]:
         assert edges.min() >= 0
@@ -39,8 +39,9 @@ def test_nary_wellformed_for_any_seed(seed_matrix, depth, rng_seed):
 @settings(max_examples=10, deadline=None)
 @given(nxn_seeds(), st.integers(min_value=2, max_value=4))
 def test_nary_row_probabilities_normalized(seed_matrix, depth):
-    g = NAryRecursiveVectorGenerator(seed_matrix, depth, num_edges=10)
-    total = g.row_probabilities(
+    g = RecursiveVectorGenerator(depth, seed_matrix=seed_matrix,
+                                 num_edges=10)
+    total = g.process.row_probabilities(
         np.arange(seed_matrix.order ** depth)).sum()
     assert abs(float(total) - 1.0) < 1e-9
 
@@ -50,7 +51,8 @@ def test_nary_row_probabilities_normalized(seed_matrix, depth):
        st.integers(min_value=0, max_value=2**31))
 def test_nary_deterministic(seed_matrix, depth, rng_seed):
     n = seed_matrix.order ** depth
-    kwargs = dict(num_edges=min(2 * n, 2000), seed=rng_seed)
-    a = NAryRecursiveVectorGenerator(seed_matrix, depth, **kwargs).edges()
-    b = NAryRecursiveVectorGenerator(seed_matrix, depth, **kwargs).edges()
+    kwargs = dict(seed_matrix=seed_matrix, num_edges=min(2 * n, 2000),
+                  seed=rng_seed)
+    a = RecursiveVectorGenerator(depth, **kwargs).edges()
+    b = RecursiveVectorGenerator(depth, **kwargs).edges()
     np.testing.assert_array_equal(a, b)

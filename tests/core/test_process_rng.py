@@ -8,6 +8,7 @@ from repro.core.process import (NoisyProcess, PlainProcess, make_process)
 from repro.core.recvec import build_recvec
 from repro.core.rng import derive_seed, spawn_streams, stream
 from repro.core.seed import GRAPH500, SeedMatrix
+from repro.errors import ConfigurationError
 
 
 class TestPlainProcess:
@@ -20,10 +21,20 @@ class TestPlainProcess:
     def test_num_vertices(self):
         assert PlainProcess(GRAPH500, 10).num_vertices == 1024
 
-    def test_rejects_nxn(self):
-        seed3 = SeedMatrix(np.full((3, 3), 1.0 / 9))
-        with pytest.raises(ValueError):
-            PlainProcess(seed3, 4)
+    def test_nxn_digits(self):
+        """An n x n seed: ``|V| = n^levels``, Lemma 1 over base-n digits,
+        and each level's digit rows are the seed's rows normalised."""
+        seed3 = SeedMatrix(np.arange(1.0, 10.0).reshape(3, 3) / 45.0)
+        proc = PlainProcess(seed3, 4)
+        assert proc.num_vertices == 81
+        np.testing.assert_allclose(
+            proc.row_probabilities(np.arange(81)),
+            seed3.kronecker_power(4).sum(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(proc.split_probabilities(),
+                                   [seed3.row_sums()] * 4)
+        rows = seed3.entries / seed3.row_sums()[:, None]
+        for matrix in proc.digit_matrices():
+            np.testing.assert_allclose(matrix, rows)
 
     def test_bit_probabilities_shape(self):
         proc = PlainProcess(GRAPH500, 5)
@@ -42,6 +53,11 @@ class TestMakeProcess:
     def test_zero_noise_is_plain(self):
         proc = make_process(GRAPH500, 6, 0.0, np.random.default_rng(0))
         assert isinstance(proc, PlainProcess)
+
+    def test_rejects_nxn_noise(self):
+        seed3 = SeedMatrix(np.full((3, 3), 1.0 / 9))
+        with pytest.raises(ConfigurationError, match="2x2"):
+            make_process(seed3, 4, 0.1, np.random.default_rng(0))
 
     def test_nonzero_noise_is_noisy(self):
         proc = make_process(GRAPH500, 6, 0.1, np.random.default_rng(0))

@@ -19,7 +19,6 @@ import hashlib
 import numpy as np
 
 from repro import ReferenceGenerator, RecursiveVectorGenerator
-from repro.core.nary import NAryRecursiveVectorGenerator
 from repro.core.seed import SeedMatrix
 from repro.core.rng import derive_seed, spawn_streams, stream
 from repro.formats import get_format
@@ -164,20 +163,21 @@ def test_block_size_is_part_of_the_determinism_key(tmp_path):
 
 # -- n x n seeds ---------------------------------------------------------
 
-# ``NAryRecursiveVectorGenerator`` on a 3 x 3 seed at depth 5, seed 42,
-# ADJ6 through ``write_blocks``.  Scope sizes of grid block ``b`` come from
-# ``stream(seed, 301, b)`` and run ``k`` of it from
-# ``stream(seed, 302, b, k)`` (the kernel's ``ScopeSampler`` over chunks
-# of 4 + 1 base-3 digits).
+# ``RecursiveVectorGenerator`` on a 3 x 3 seed at depth 5, seed 42, ADJ6
+# through ``write_blocks``: the binary keys at radix 3.  The split tree's
+# nodes above grid block ``b`` draw from ``stream(seed, 104, level,
+# node)``, those inside it from ``stream(seed, 102, b)`` (two conditional
+# binomials a node), and run ``k`` of it from ``stream(seed, 103, b, k)``
+# (``ScopeSampler`` over chunks of 4 + 1 base-3 digits).
 NARY_ADJ6_DIGEST = \
-    "5a491b4870bd1ad4888bdaad280796581f479ed17c7c46df366fccc39a6c53ae"
+    "849e19534014c09d9d480d35e409fe69237929a69d33a2d4c4b66501745af791"
 
 
 def test_nary_output_digest_frozen(tmp_path):
     seed = SeedMatrix(np.array([[0.30, 0.12, 0.08],
                                 [0.12, 0.10, 0.05],
                                 [0.08, 0.05, 0.10]]))
-    gen = NAryRecursiveVectorGenerator(seed, 5, seed=42)
+    gen = RecursiveVectorGenerator(5, seed_matrix=seed, seed=42)
     path = tmp_path / "nary.adj6"
     get_format("adj6").write_blocks(path, gen.iter_blocks(),
                                     gen.num_vertices)

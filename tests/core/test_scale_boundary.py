@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core.generator import RecursiveVectorGenerator
-from repro.core.nary import NAryRecursiveVectorGenerator
 from repro.core.seed import GRAPH500, SeedMatrix
 from repro.errors import ConfigurationError
 from repro.formats import block_from_edges, get_format
@@ -65,10 +64,10 @@ class TestNAryBoundary:
     @pytest.fixture(scope="class")
     def edges(self):
         seed = SeedMatrix(np.full((2, 2), 0.25, dtype=np.float64))
-        gen = NAryRecursiveVectorGenerator(seed, depth=SCALE,
-                                           num_edges=2 ** 36,
-                                           block_size=BLOCK, seed=7)
-        return gen.generate_block(STRADDLE_BLOCK)
+        gen = RecursiveVectorGenerator(SCALE, seed_matrix=seed,
+                                       num_edges=2 ** 36,
+                                       block_size=BLOCK, seed=7)
+        return gen.generate_block(STRADDLE_BLOCK).edge_array()
 
     def test_edge_array_is_int64(self, edges):
         assert edges.dtype == np.int64
@@ -86,16 +85,16 @@ class TestNAryBoundary:
         # A run packs ``row << shift | dest`` with ``shift`` the bits of
         # |V| - 1: depth 51 and blocks of 4096 rows fill 63 bits, and
         # depth 52 would wrap a key negative.
-        gen = NAryRecursiveVectorGenerator(GRAPH500, 51, num_edges=10 ** 9,
-                                           seed=1)
-        edges = gen.generate_block(0)
+        gen = RecursiveVectorGenerator(51, seed_matrix=GRAPH500,
+                                       num_edges=10 ** 9, seed=1)
+        edges = gen.generate_block(0).edge_array()
         assert edges.shape[0] > 0
         assert int(edges.min()) >= 0
         assert int(edges.max()) < 2 ** 51
         for depth in (52, 53, 54):
             with pytest.raises(ConfigurationError, match="int64 key"):
-                NAryRecursiveVectorGenerator(GRAPH500, depth,
-                                             num_edges=10 ** 9, seed=1)
+                RecursiveVectorGenerator(depth, seed_matrix=GRAPH500,
+                                         num_edges=10 ** 9, seed=1)
 
 
 class TestAdj6Boundary:

@@ -13,6 +13,12 @@ def rng():
     return np.random.default_rng(123)
 
 
+def binary_split(zero):
+    """Per-level ``[P(bit = 0), P(bit = 1)]`` rows."""
+    zero = np.asarray(zero, dtype=np.float64)
+    return np.column_stack([zero, 1.0 - zero])
+
+
 class TestSampleScopeSizes:
     def test_mean_matches_theorem1(self):
         """Average degree over many draws approaches n*p."""
@@ -91,7 +97,7 @@ class TestSampleScopeSizes:
 
 class TestSplitScopeSizes:
     def test_sizes_add_up_to_the_node_count(self):
-        zero = np.array([0.57, 0.6, 0.7, 0.45])
+        zero = binary_split([0.57, 0.6, 0.7, 0.45])
         for count in (0, 1, 17, 10**6):
             sizes = split_scope_sizes(count, zero, rng())
             assert sizes.size == 16
@@ -101,13 +107,41 @@ class TestSplitScopeSizes:
     def test_marginals_are_theorem1_binomials(self):
         """Each leaf's size is Binomial(count, P(leaf)), P the product of
         its per-level branch probabilities (Lemma 1)."""
-        zero = np.array([0.76, 0.76, 0.76])
+        zero = binary_split([0.76, 0.76, 0.76])
         count, trials = 200, 4000
         gen = rng()
         sizes = np.array([split_scope_sizes(count, zero, gen)
                           for _ in range(trials)])
         ones = np.array([bin(v).count("1") for v in range(8)])
         p = 0.76 ** (3 - ones) * 0.24 ** ones
+        sem = np.sqrt(count * p * (1 - p) / trials)
+        assert np.all(np.abs(sizes.mean(axis=0) - count * p) < 5 * sem)
+        np.testing.assert_allclose(sizes.var(axis=0),
+                                   count * p * (1 - p), rtol=0.1)
+
+    def test_one_binomial_a_node_at_radix_two(self):
+        """At n = 2 a node's split is one ``Binomial(c, p_0)``, drawn
+        level by level over the level's nodes in order."""
+        zero = [0.57, 0.6]
+        sizes = split_scope_sizes(1000, binary_split(zero), rng())
+        by_hand = rng()
+        top = by_hand.binomial(np.array([1000]), zero[0])
+        level = np.array([top[0], 1000 - top[0]])
+        left = by_hand.binomial(level, zero[1])
+        np.testing.assert_array_equal(
+            sizes, np.column_stack([left, level - left]).ravel())
+
+    def test_radix_three_marginals_are_theorem1_binomials(self):
+        """With ``n`` children a node, a leaf's size is Binomial(count,
+        product of its digits' split probabilities)."""
+        split = np.array([[0.5, 0.3, 0.2], [0.6, 0.1, 0.3]])
+        count, trials = 300, 4000
+        gen = rng()
+        sizes = np.array([split_scope_sizes(count, split, gen)
+                          for _ in range(trials)])
+        assert sizes.shape == (trials, 9)
+        assert (sizes.sum(axis=1) == count).all()
+        p = np.outer(split[0], split[1]).ravel()
         sem = np.sqrt(count * p * (1 - p) / trials)
         assert np.all(np.abs(sizes.mean(axis=0) - count * p) < 5 * sem)
         np.testing.assert_allclose(sizes.var(axis=0),

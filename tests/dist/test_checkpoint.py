@@ -10,7 +10,8 @@ import pytest
 
 from repro.core.generator import RecursiveVectorGenerator
 from repro.core.seed import SeedMatrix
-from repro.dist.checkpoint import CheckpointedRun
+from repro.dist.checkpoint import CheckpointedRun, CheckpointState
+from repro.dist.runner import LocalCluster
 from repro.errors import ConfigurationError
 from repro.formats import get_format
 from tests.faultinject import needs_fork, stop_after
@@ -22,6 +23,14 @@ def make_generator(**kw):
     scale = defaults.pop("scale")
     ef = defaults.pop("edge_factor")
     return RecursiveVectorGenerator(scale, ef, **defaults)
+
+
+def nary_generator():
+    """A 3 x 3 seed at depth 7: 2187 sources, 9 blocks of 256."""
+    seed = SeedMatrix(np.array([[0.30, 0.12, 0.08],
+                                [0.12, 0.10, 0.05],
+                                [0.08, 0.05, 0.10]]))
+    return RecursiveVectorGenerator(7, 8, seed, seed=5, block_size=256)
 
 
 def _die_in_manifest_save(run):
@@ -132,6 +141,58 @@ class TestCheckpointedRun:
         assert run.complete
         total = read_all(run)
         assert total.shape[0] == run.num_edges
+
+
+class TestManifestOrder:
+    """One configuration writes one ``manifest.json``, whatever order
+    its chunks landed in."""
+
+    def test_completed_serialises_in_chunk_order(self):
+        state = CheckpointState({"seed": 1}, "adj6", 2)
+        for index in (10, 2, 0, 1000000, 9):
+            state.completed[f"chunk-{index:06d}.adj6"] = index
+        assert list(state.to_json()["completed"]) == [
+            f"chunk-{index:06d}.adj6" for index in (0, 2, 9, 10, 1000000)]
+
+    def test_two_parallel_runs_write_identical_manifests(self, tmp_path):
+        manifests = []
+        for name in ("a", "b"):
+            run = CheckpointedRun(nary_generator(), tmp_path / name,
+                                  blocks_per_chunk=2)
+            run.run(2)
+            manifests.append(run.manifest_path.read_bytes())
+        assert manifests[0] == manifests[1]
+
+
+class TestNarySeed:
+    """A 3 x 3 seed takes the binary generator's resumable and
+    parallel paths, byte for byte."""
+
+    def test_parts_concatenate_to_the_sequential_file(self, tmp_path):
+        fmt = get_format("adj6")
+        gen = nary_generator()
+        fmt.write_blocks(tmp_path / "seq.adj6", gen.iter_blocks(),
+                         gen.num_vertices)
+        result = LocalCluster(num_workers=2).generate_to_files(
+            nary_generator(), tmp_path / "parts", "adj6")
+        assert len(result.paths) == 2
+        assert b"".join(p.read_bytes() for p in result.paths) == \
+            (tmp_path / "seq.adj6").read_bytes()
+
+    def test_killed_after_one_chunk_then_resumed(self, tmp_path):
+        whole = CheckpointedRun(nary_generator(), tmp_path / "whole",
+                                blocks_per_chunk=2)
+        whole.run()
+        stop_after(CheckpointedRun(nary_generator(), tmp_path / "cut",
+                                   blocks_per_chunk=2), 1)
+        resumed = CheckpointedRun(nary_generator(), tmp_path / "cut",
+                                  blocks_per_chunk=2)
+        assert len(resumed.state.completed) == 1
+        resumed.run()
+        assert [p.read_bytes() for p in resumed.chunk_paths()] == \
+            [p.read_bytes() for p in whole.chunk_paths()]
+        assert resumed.manifest_path.read_bytes() == \
+            whole.manifest_path.read_bytes()
 
 
 class TestCrashWindows:

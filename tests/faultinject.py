@@ -44,8 +44,9 @@ class _Interrupted(Exception):
 
 def stop_after(run: Any, chunks: int) -> None:
     """Run ``run`` in-process and stop it once ``chunks`` chunks landed
-    (each is recorded in the manifest before its progress tick)."""
-    ticks = 0
+    (each is recorded in the manifest before its progress tick; the
+    first call, before any chunk, reports where the run starts)."""
+    ticks = -1
 
     def progress(edges_done: int) -> None:
         nonlocal ticks

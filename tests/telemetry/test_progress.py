@@ -133,3 +133,18 @@ def test_finish_without_tty_draw_adds_no_stray_newline(monkeypatch):
     reporter.finish()
     # One \r-draw from finish itself, then the line terminator.
     assert stream.getvalue().count("\n") == 1
+
+
+def test_rate_and_eta_count_only_the_edges_since_the_first_update(
+        monkeypatch):
+    """A resumed run first reports the edges its earlier runs completed:
+    they are the baseline, not work done in this run's elapsed time."""
+    clock = FakeClock()
+    reporter, stream = _reporter(monkeypatch, clock, total_edges=2000,
+                                 min_interval=0.0, tty=True)
+    reporter(900)                        # adopted chunks, at the start
+    clock.now += 10.0
+    reporter(1000)                       # 100 edges drawn in 10 s
+    last = stream.getvalue().split("\r")[-1]
+    assert "10 edges/s" in last
+    assert "ETA 100s" in last

@@ -244,20 +244,52 @@ class TestRichConfigFile:
 
 
 class TestNaryCommand:
+    """``generate --matrix`` takes any n x n seed: ``|V| = n^scale``."""
+
+    SEED3 = "0.3,0.12,0.08,0.12,0.1,0.05,0.08,0.05,0.1"
+
     def test_generate_3x3(self, tmp_path, capsys):
         out = tmp_path / "n.tsv"
-        assert main(["nary", "--matrix",
-                     "0.3,0.12,0.08,0.12,0.1,0.05,0.08,0.05,0.1",
-                     "--depth", "5", "--edges", "2000",
+        assert main(["generate", "--matrix", self.SEED3, "--scale", "5",
+                     "--edge-factor", "8", "--format", "tsv",
                      "--output", str(out)]) == 0
-        assert "n=3 |V|=243" in capsys.readouterr().out
+        assert "|V|=243 |E|=1944" in capsys.readouterr().out
         back = get_format("tsv").read_edges(out)
+        assert back.shape[0] == 1944
         assert back.max() < 243
 
     def test_rejects_non_square_matrix(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["nary", "--matrix", "0.5,0.3,0.2", "--depth", "4",
+        with pytest.raises(SystemExit) as info:
+            main(["generate", "--matrix", "0.5,0.3,0.2", "--scale", "4",
                   "--output", str(tmp_path / "x.tsv")])
+        assert "n*n entries" in str(info.value.code)
+
+    def test_noise_exits_with_the_typed_message(self, tmp_path):
+        out = tmp_path / "x.adj6"
+        with pytest.raises(SystemExit) as info:
+            main(["generate", "--matrix", self.SEED3, "--scale", "4",
+                  "--noise", "0.1", "--output", str(out)])
+        assert "2x2 seeds only" in str(info.value.code)
+        assert "\n" not in str(info.value.code)
+        assert not out.exists()
+
+    def test_a_matrix_not_summing_to_one_exits_in_one_line(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["generate", "--matrix", "0.5,0.5,0.5,0.5", "--scale", "4",
+                  "--output", str(tmp_path / "x.adj6")])
+        assert "sum to 1.0" in str(info.value.code)
+
+    def test_verify_refuses_an_nxn_slope_in_one_line(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--input", str(tmp_path / "absent.adj6"),
+                  "--vertices", "81", "--matrix", self.SEED3])
+        assert "2x2 seeds only" in str(info.value.code)
+        assert "\n" not in str(info.value.code)
+
+    def test_nary_is_not_a_subcommand(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["nary", "--matrix", self.SEED3,
+                                       "--depth", "4", "--output", "x"])
 
 
 class TestBaselineAndAnalyze:

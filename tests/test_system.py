@@ -85,14 +85,15 @@ class TestResume:
                              ids=["sequential", "cluster"])
     def test_progress_counts_the_adopted_chunks(self, tmp_path, cluster):
         """A resumed run's progress starts at the edges of the chunks an
-        earlier run completed and ticks once per chunk it writes, so its
-        last value is |E|."""
+        earlier run completed, reported once before it writes, and ticks
+        once per chunk it writes, so its last value is |E|."""
         tg = TrillionG(scale=10, edge_factor=8, seed=3, block_size=64,
                        cluster=cluster)
-        stop_after(CheckpointedRun(tg.generator, tmp_path,
-                                   blocks_per_chunk=2), 3)
+        first = CheckpointedRun(tg.generator, tmp_path, blocks_per_chunk=2)
+        stop_after(first, 3)
         seen = []
         result = tg.generate_to(tmp_path, resume=True, blocks_per_chunk=2,
                                 progress=seen.append)
-        assert len(seen) == 16 // 2 - 3
+        assert seen[0] == first.num_edges > 0
+        assert len(seen) == 1 + 16 // 2 - 3
         assert seen[-1] == result.num_edges == tg.num_edges
