@@ -16,8 +16,8 @@ Quickstart
 2
 """
 
-from .core import (GRAPH500, UNIFORM, IdeaToggles, RecursiveVectorGenerator,
-                   ReferenceGenerator, SeedMatrix)
+from .core import (GRAPH500, UNIFORM, IdeaToggles, Recipe,
+                   RecursiveVectorGenerator, ReferenceGenerator, SeedMatrix)
 from .errors import (CapacityError, ConfigurationError, FormatError,
                      GenerationError, OutOfMemoryError, SeedMatrixError,
                      TrillionGError)
@@ -26,7 +26,7 @@ from .system import TrillionG, TrillionGResult
 __version__ = "1.0.0"
 
 __all__ = [
-    "GRAPH500", "UNIFORM", "IdeaToggles", "RecursiveVectorGenerator",
+    "GRAPH500", "UNIFORM", "IdeaToggles", "Recipe", "RecursiveVectorGenerator",
     "ReferenceGenerator", "SeedMatrix", "TrillionG", "TrillionGResult",
     "CapacityError", "ConfigurationError", "FormatError", "GenerationError",
     "OutOfMemoryError", "SeedMatrixError", "TrillionGError", "__version__",

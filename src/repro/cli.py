@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="generate a synthetic graph")
     gen.add_argument("--scale", type=int, required=True,
                      help="recursion depth; |V| = n^scale")
-    gen.add_argument("--edge-factor", type=int, default=16,
+    gen.add_argument("--edge-factor", type=int, default=None,
                      help="|E| / |V| (Graph500 default: 16)")
     gen.add_argument("--format", choices=available_formats(),
                      default="adj6")
@@ -197,12 +197,15 @@ def _parse_matrix(text: str | None) -> SeedMatrix | None:
     """An ``n x n`` seed from ``n * n`` row-major entries, ``n >= 2``."""
     if text is None:
         return None
-    values = [float(x) for x in text.split(",")]
-    order = math.isqrt(len(values))
-    if order * order != len(values) or order < 2:
-        raise SystemExit("--matrix expects n*n entries for some n >= 2 "
-                         f"(got {len(values)})")
-    return SeedMatrix(np.array(values).reshape(order, order))
+    try:
+        values = [float(x) for x in text.split(",")]
+        order = math.isqrt(len(values))
+        if order * order != len(values) or order < 2:
+            raise SystemExit("--matrix expects n*n entries for some n >= 2 "
+                             f"(got {len(values)})")
+        return SeedMatrix(np.array(values).reshape(order, order))
+    except ValueError as exc:   # a SeedMatrixError among them
+        raise SystemExit(f"--matrix: {exc}") from None
 
 
 def _refuse_ignored_flags(args: argparse.Namespace) -> None:
@@ -242,7 +245,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     reporter = None
     if args.progress:
         from .telemetry import ProgressReporter
-        reporter = ProgressReporter(total_edges=tg.num_edges)
+        reporter = ProgressReporter(total_edges=tg.generator.num_edges)
     result = tg.generate_to(args.output, fmt=args.format,
                             resume=args.resume,
                             blocks_per_chunk=args.blocks_per_chunk,

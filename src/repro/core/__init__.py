@@ -1,6 +1,6 @@
 """Core of the recursive vector model (paper Sections 4-5 and Appendix C)."""
 
-from .generator import (AdjacencyBlock, GenerationStats,
+from .generator import (AdjacencyBlock, GenerationStats, Recipe,
                         RecursiveVectorGenerator)
 from .noise import NoisySeedStack, max_noise, noisy_seed_matrices
 from .probability import (column_probability, edge_probability,
@@ -15,7 +15,7 @@ from .scope import sample_scope_sizes
 from .seed import GRAPH500, UNIFORM, SeedMatrix
 
 __all__ = [
-    "AdjacencyBlock", "GenerationStats", "IdeaToggles",
+    "AdjacencyBlock", "GenerationStats", "IdeaToggles", "Recipe",
     "RecursiveVectorGenerator", "ReferenceGenerator", "ReferenceStats",
     "NoisySeedStack", "max_noise",
     "noisy_seed_matrices", "column_probability", "edge_probability",

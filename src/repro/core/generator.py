@@ -28,14 +28,15 @@ the nodes above a grid block keyed by ``(seed, tag, level, node)`` and
 those inside it by the block, so the sizes add up to ``|E|``.  A grid
 block is then generated in *runs* of at most ``_BLOCK_EDGES`` edges, cut
 at source boundaries, each keyed by ``(seed, tag, block, run)``.  The
-graph is a pure function of the configuration — independent of how many
+graph is a pure function of its :class:`Recipe` — independent of how many
 workers generate it or how the vertex range is partitioned
 (``docs/determinism.md``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterator
 
 import numpy as np
@@ -52,6 +53,7 @@ from .tables import ScopeSampler
 
 __all__ = [
     "GenerationStats",
+    "Recipe",
     "RecursiveVectorGenerator",
     "AdjacencyBlock",
 ]
@@ -118,22 +120,12 @@ class AdjacencyBlock:
         return np.column_stack([src, self.destinations])
 
 
-def _require_scope_lines(matrix: SeedMatrix, direction: str) -> None:
-    """Refuse a seed with an all-zero scope line: row ``i`` for AVS-O,
-    column ``i`` for AVS-I (``matrix`` is already transposed for it).
-    A scope through that line has no destination-bit distribution to
-    draw from.  :class:`SeedMatrix` itself allows such seeds, which the
-    RMAT-family models use."""
-    line = "row" if direction == "out" else "column"
-    for i, total in enumerate(matrix.row_sums()):
-        if total <= 0.0:
-            raise SeedMatrixError(
-                f"seed {line} {i} is all zero: a direction={direction!r} "
-                f"scope through it has no destination distribution")
-
-
-class RecursiveVectorGenerator:
-    """TrillionG's per-scope generator over a range of source vertices.
+@dataclass(frozen=True)
+class Recipe:
+    """The nine numbers an AVS graph is a pure function of (Sections
+    4-5).  Every worker's generator is its :meth:`build`, and a
+    checkpoint manifest records its :meth:`to_json`: equal ``to_json``
+    values give equal bytes (``docs/determinism.md``).
 
     Parameters
     ----------
@@ -141,7 +133,8 @@ class RecursiveVectorGenerator:
         The recursion depth: ``|V| = n^scale`` for an ``n x n`` seed
         (``log2(|V|)`` for a 2x2 one).
     edge_factor:
-        ``|E| / |V|`` (Graph500 default 16); overridden by ``num_edges``.
+        ``|E| / |V|`` (Graph500's 16 by default) when ``num_edges`` is
+        not given.  Not a field: the recipe keeps ``num_edges``.
     seed_matrix:
         ``n x n`` seed (``n >= 2``; SKG's general initiator, RMAT at
         ``n = 2``); defaults to the Graph500 standard matrix.  A vertex
@@ -169,61 +162,117 @@ class RecursiveVectorGenerator:
     block_size:
         Number of consecutive sources per grid block; randomness is keyed
         per grid block, so this also fixes the determinism granularity.
-        A key ``row << shift | dest``, ``shift`` the bits of ``|V| - 1``,
-        must fit an int64, so
+        A block's keys ``row << shift | dest`` must fit an int64:
         ``shift + (block_size - 1).bit_length() <= 63``.
     """
 
-    def __init__(self, scale: int, edge_factor: int = 16,
-                 seed_matrix: SeedMatrix | None = None, *,
-                 num_edges: int | None = None,
-                 noise: float = 0.0,
-                 direction: str = "out",
-                 dedup: bool = True,
-                 degree_method: str = "split",
-                 seed: int = 0,
-                 block_size: int = 4096) -> None:
-        if scale < 1:
+    # Manifest order; scale, edge_factor, seed_matrix are positional.
+    scale: int
+    num_edges: int | None = field(default=None, kw_only=True)
+    edge_factor: InitVar[int | None] = None
+    seed_matrix: SeedMatrix | None = None
+    _: KW_ONLY
+    noise: float = 0.0
+    direction: str = "out"
+    dedup: bool = True
+    degree_method: str = "split"
+    seed: int = 0
+    block_size: int = 4096
+
+    def __post_init__(self, edge_factor: int | None) -> None:
+        if self.scale < 1:
             raise ConfigurationError("scale must be >= 1")
-        base = seed_matrix if seed_matrix is not None else GRAPH500
-        self.scale = scale
-        self.order = base.order
-        self.num_vertices = self.order ** scale
-        #: Destination bits of a packed key ``row << shift | dest``.
-        self._shift = (self.num_vertices - 1).bit_length()
-        if self._shift > 56:
+        if self.seed_matrix is None:
+            object.__setattr__(self, "seed_matrix", GRAPH500)
+        if self.shift > 56:
             raise ConfigurationError(
-                f"|V| = {self.order}^{scale} would overflow int64 "
-                "destination packing")
-        if direction not in ("out", "in"):
+                f"|V| = {self.seed_matrix.order}^{self.scale} would "
+                "overflow int64 destination packing")
+        if self.direction not in ("out", "in"):
             raise ConfigurationError("direction must be 'out' or 'in'")
-        if block_size < 1:
+        if self.block_size < 1:
             raise ConfigurationError("block_size must be positive")
-        if degree_method not in DEGREE_METHODS:
+        if self.degree_method not in DEGREE_METHODS:
             raise ConfigurationError(
-                f"unknown degree_method {degree_method!r}; expected one "
-                f"of {DEGREE_METHODS}")
+                f"unknown degree_method {self.degree_method!r}; expected "
+                f"one of {DEGREE_METHODS}")
         # A block's keys pack ``row << shift | dest`` into a signed int64.
-        if self._shift + (block_size - 1).bit_length() > 63:
+        if self.shift + (self.block_size - 1).bit_length() > 63:
             raise ConfigurationError(
-                f"|V| = {self.order}^{scale} leaves {63 - self._shift} "
-                f"bits of an int64 key for the row ids of block_size "
-                f"{block_size}")
-        self.num_edges = (num_edges if num_edges is not None
-                          else edge_factor * self.num_vertices)
+                f"|V| = {self.seed_matrix.order}^{self.scale} leaves "
+                f"{63 - self.shift} bits of an int64 key for the row ids "
+                f"of block_size {self.block_size}")
+        if self.num_edges is None:
+            object.__setattr__(self, "num_edges", self.num_vertices * (
+                16 if edge_factor is None else edge_factor))
         if self.num_edges < 1:
             raise ConfigurationError("num_edges must be positive")
-        self.seed_matrix = base
-        self.direction = direction
-        matrix = base if direction == "out" else base.transpose()
-        _require_scope_lines(matrix, direction)
-        self.dedup = dedup
-        self.degree_method = degree_method
-        self.seed = seed
-        self.noise = noise
-        self.block_size = block_size
+        # A scope through an all-zero row (AVS-O) or column (AVS-I) has
+        # no destination distribution to draw from; :class:`SeedMatrix`
+        # itself allows such seeds, which the RMAT-family models use.
+        line = "row" if self.direction == "out" else "column"
+        for i, total in enumerate(self.scope_matrix.row_sums()):
+            if total <= 0.0:
+                raise SeedMatrixError(
+                    f"seed {line} {i} is all zero: a direction="
+                    f"{self.direction!r} scope through it has no "
+                    "destination distribution")
+
+    @property
+    def num_vertices(self) -> int:
+        """``|V| = n^scale``."""
+        return self.seed_matrix.order ** self.scale
+
+    @property
+    def shift(self) -> int:
+        """Destination bits of a packed key ``row << shift | dest``."""
+        return (self.num_vertices - 1).bit_length()
+
+    @property
+    def scope_matrix(self) -> SeedMatrix:
+        """The seed whose rows are the scopes: transposed for AVS-I."""
+        return (self.seed_matrix if self.direction == "out"
+                else self.seed_matrix.transpose())
+
+    def to_json(self) -> dict:
+        """The fields as JSON values, the seed as its rows: the
+        ``generator`` entry of a checkpoint manifest."""
+        return dict(vars(self), seed_matrix=self.seed_matrix.entries.tolist())
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "Recipe":
+        """The recipe :meth:`to_json` wrote."""
+        return cls(**{**doc, "seed_matrix": SeedMatrix(doc["seed_matrix"])})
+
+    def build(self) -> "RecursiveVectorGenerator":
+        """A generator of this recipe's graph."""
+        return RecursiveVectorGenerator(**vars(self))
+
+
+class RecursiveVectorGenerator:
+    """TrillionG's per-scope generator over a range of source vertices.
+
+    Takes :class:`Recipe`'s parameters and reads the recipe's fields
+    and sizes as its attributes.
+    """
+
+    scale = property(attrgetter("_recipe.scale"))
+    num_edges = property(attrgetter("_recipe.num_edges"))
+    seed_matrix = property(attrgetter("_recipe.seed_matrix"))
+    noise = property(attrgetter("_recipe.noise"))
+    direction = property(attrgetter("_recipe.direction"))
+    dedup = property(attrgetter("_recipe.dedup"))
+    degree_method = property(attrgetter("_recipe.degree_method"))
+    seed = property(attrgetter("_recipe.seed"))
+    block_size = property(attrgetter("_recipe.block_size"))
+    order = property(attrgetter("_recipe.seed_matrix.order"))
+    num_vertices = property(attrgetter("_recipe.num_vertices"))
+
+    def __init__(self, *args, **settings) -> None:
+        recipe = self._recipe = Recipe(*args, **settings)
         self.process: EdgeProcess = make_process(
-            matrix, scale, noise, stream(seed, _TAG_NOISE))
+            recipe.scope_matrix, self.scale, self.noise,
+            stream(self.seed, _TAG_NOISE))
         self.stats = GenerationStats()
         # Built by the first block that draws: ``degrees()``-only callers
         # (partitioning) never pay for the tables.
@@ -233,18 +282,9 @@ class RecursiveVectorGenerator:
         # block of a sweep shares all but a few of them.
         self._splits: dict[tuple[int, int], list[int]] = {}
 
-    def recipe(self) -> dict:
-        """The keyword arguments that rebuild this generator's graph.
-
-        Worker processes are rebuilt from it (spawn-safe: scalars and the
-        seed matrix), and a checkpoint manifest records it so a resume
-        with a different graph is refused.
-        """
-        return dict(scale=self.scale, num_edges=self.num_edges,
-                    seed_matrix=self.seed_matrix, noise=self.noise,
-                    direction=self.direction, dedup=self.dedup,
-                    degree_method=self.degree_method, seed=self.seed,
-                    block_size=self.block_size)
+    def recipe(self) -> Recipe:
+        """The :class:`Recipe` this generator was built from."""
+        return self._recipe
 
     # ------------------------------------------------------------------
     # Degree (scope size) sampling — Theorem 1
@@ -465,7 +505,7 @@ class RecursiveVectorGenerator:
         saturated = (degrees > (self.num_vertices >> 2) if self.dedup
                      else np.zeros(degrees.size, dtype=bool))
         block, duplicates = _draw_run(
-            sources, np.where(saturated, 0, degrees), self._shift,
+            sources, np.where(saturated, 0, degrees), self._recipe.shift,
             self.dedup,
             lambda rows, counts: self._draw_keys(sources[rows], counts, rng),
             lambda row, size: self._sample_scope_exact(int(sources[row]),
@@ -481,7 +521,7 @@ class RecursiveVectorGenerator:
         in order — the one place the kernel draws."""
         if self._sampler is None:
             self._sampler = ScopeSampler(self.process.digit_matrices())
-        keys = self._sampler.keys(sources, counts, self._shift, rng)
+        keys = self._sampler.keys(sources, counts, self._recipe.shift, rng)
         self.stats.random_draws += keys.size * self._sampler.uniforms_per_edge
         return keys
 

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Callable
 
 from ..atomic import atomic_write
-from ..core.generator import RecursiveVectorGenerator
+from ..core.generator import Recipe, RecursiveVectorGenerator
 from ..errors import ConfigurationError, FormatError
 from ..formats import get_format
 from ..telemetry import get_logger, registry
@@ -49,19 +49,11 @@ __all__ = ["CheckpointedRun", "CheckpointState"]
 _MANIFEST = "manifest.json"
 
 
-def _run_spec(generator: RecursiveVectorGenerator) -> dict:
-    """The generator's :meth:`~RecursiveVectorGenerator.recipe` as JSON:
-    the graph a checkpoint directory holds."""
-    spec = generator.recipe()
-    spec["seed_matrix"] = spec["seed_matrix"].entries.tolist()
-    return spec
-
-
 @dataclass
 class CheckpointState:
     """Parsed manifest contents."""
 
-    generator: dict  # _run_spec() of the generator that wrote the chunks
+    generator: Recipe   # the graph the chunks hold
     fmt: str
     blocks_per_chunk: int
     completed: dict[str, int] = field(default_factory=dict)
@@ -74,7 +66,7 @@ class CheckpointState:
         completed = sorted(self.completed.items(),
                            key=lambda item: (len(item[0]), item[0]))
         return {
-            "generator": self.generator,
+            "generator": self.generator.to_json(),
             "format": self.fmt,
             "blocks_per_chunk": self.blocks_per_chunk,
             "completed": dict(completed),
@@ -82,17 +74,21 @@ class CheckpointState:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CheckpointState":
-        # A manifest that records no recipe (an older layout) matches no
-        # generator, so a resume refuses it instead of adopting chunks.
-        return cls(dict(doc.get("generator", {})), doc["format"],
-                   doc["blocks_per_chunk"], dict(doc["completed"]))
+        """The state :meth:`to_json` wrote; a ``KeyError`` names the
+        entry ``doc`` lacks, or ``generator`` if that is no recipe."""
+        spec = doc["generator"]
+        try:
+            recipe = Recipe.from_json(spec)
+        except (KeyError, TypeError, ValueError) as err:
+            raise KeyError("generator") from err
+        return cls(recipe, doc["format"], doc["blocks_per_chunk"],
+                   dict(doc["completed"]))
 
     def differences(self, other: "CheckpointState") -> list[str]:
         """Names of the settings in which ``other`` describes another
-        output: recipe keys, ``format`` and ``blocks_per_chunk``."""
-        names = sorted(self.generator.keys() | other.generator.keys())
-        diff = [name for name in names
-                if self.generator.get(name) != other.generator.get(name)]
+        output: recipe fields as JSON, ``format``, ``blocks_per_chunk``."""
+        mine, theirs = self.generator.to_json(), other.generator.to_json()
+        diff = [name for name in mine if mine[name] != theirs[name]]
         if self.fmt != other.fmt:
             diff.append("format")
         if self.blocks_per_chunk != other.blocks_per_chunk:
@@ -118,7 +114,7 @@ class CheckpointedRun:
             raise ConfigurationError("blocks_per_chunk must be >= 1")
         # Before anything touches the disk: a generator without a recipe
         # (the in-process oracle) is refused here.
-        self._spec = _run_spec(generator)
+        self._recipe = generator.recipe()
         self.generator = generator
         self.out_dir = Path(out_dir)
         self.fmt = fmt
@@ -134,19 +130,24 @@ class CheckpointedRun:
         return self.out_dir / _MANIFEST
 
     def _expected_state(self) -> CheckpointState:
-        return CheckpointState(self._spec, self.fmt, self.blocks_per_chunk)
+        return CheckpointState(self._recipe, self.fmt, self.blocks_per_chunk)
 
     def _load_or_init(self) -> CheckpointState:
         if not self.manifest_path.exists():
             return self._expected_state()
         try:
-            doc = json.loads(self.manifest_path.read_text())
-            state = CheckpointState.from_json(doc)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            state = CheckpointState.from_json(
+                json.loads(self.manifest_path.read_text()))
+        except KeyError as err:
+            # Another layout (e.g. one that recorded no recipe) matches
+            # no run: refuse it, naming the entry, and adopt no chunk.
+            mismatch = [err.args[0]]
+        except (TypeError, ValueError):
             # Torn manifest (e.g. power loss on a non-atomic filesystem):
             # re-init; _recover() adopts every chunk file that verifies.
             return self._expected_state()
-        mismatch = state.differences(self._expected_state())
+        else:
+            mismatch = state.differences(self._expected_state())
         if mismatch:
             raise ConfigurationError(
                 f"{self.manifest_path} belongs to a different "

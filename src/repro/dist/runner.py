@@ -126,12 +126,12 @@ def _worker_generate(args: tuple) -> WorkerResult:
     The file is published by :func:`~repro.atomic.atomic_write`, so a
     part or chunk is whole once it exists; the checkpoint manifest
     records a chunk only after this returns.  Module-level and driven
-    purely by the picklable ``args`` tuple so it round-trips under both
-    fork and spawn start methods.
+    purely by the picklable ``args`` tuple (its ``Recipe`` is the graph)
+    so it round-trips under both fork and spawn start methods.
     """
-    (worker, start, stop, gen_kwargs, fmt_name, out_path) = args
+    (worker, start, stop, recipe, fmt_name, out_path) = args
     with span("worker.generate", worker=worker) as sp:
-        generator = RecursiveVectorGenerator(**gen_kwargs)
+        generator = recipe.build()
         fmt = get_format(fmt_name)
         with atomic_write(out_path) as tmp:
             result = fmt.write_blocks(tmp, generator.iter_blocks(start, stop),
@@ -163,7 +163,8 @@ def scatter(generator: RecursiveVectorGenerator, out_dir: Path,
     """Write each ``(index, start, stop, name)`` job's vertex range to
     ``out_dir / name``: the one way ``dist`` writes a graph range.
 
-    The jobs run as :func:`_worker_generate` tasks under
+    The jobs run as :func:`_worker_generate` tasks ``(index, start,
+    stop, generator.recipe(), fmt_name, path)`` under
     :func:`~repro.dist.faults.run_tasks` (in-process at ``pool_size <=
     1``), each checked by :func:`_validate_part`; ``on_result(position,
     result)`` fires in the supervisor as each lands.  Afterwards the
@@ -171,8 +172,8 @@ def scatter(generator: RecursiveVectorGenerator, out_dir: Path,
     names are deleted, and no other file.
     """
     # Refuses a generator without a recipe before touching the disk.
-    gen_kwargs = generator.recipe()
-    tasks = [(index, start, stop, gen_kwargs, fmt_name, str(out_dir / name))
+    recipe = generator.recipe()
+    tasks = [(index, start, stop, recipe, fmt_name, str(out_dir / name))
              for index, start, stop, name in jobs]
     out_dir.mkdir(parents=True, exist_ok=True)
     result = DistributedResult()

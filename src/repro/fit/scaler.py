@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.generator import RecursiveVectorGenerator
+from ..core.generator import Recipe, RecursiveVectorGenerator
 from ..errors import ConfigurationError
 from .moments import SeedFit, fit_seed_matrix
 
@@ -60,9 +60,8 @@ class GraphScaler:
             raise ConfigurationError("scale must be >= 1")
         num_edges = max(int(round(self.fit_result.edge_factor
                                   * (1 << scale))), 1)
-        return RecursiveVectorGenerator(
-            scale, seed_matrix=self.seed_matrix, num_edges=num_edges,
-            noise=noise, seed=seed)
+        return Recipe(scale, seed_matrix=self.seed_matrix,
+                      num_edges=num_edges, noise=noise, seed=seed).build()
 
     def scale_to(self, scale: int, seed: int = 0, **kwargs) -> np.ndarray:
         """Generate the scaled graph's edges."""

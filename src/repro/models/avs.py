@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.generator import RecursiveVectorGenerator
+from ..core.generator import Recipe
 from .base import Complexity, ScopeBasedGenerator
 
 __all__ = ["TrillionGSeqGenerator"]
@@ -23,13 +23,16 @@ class TrillionGSeqGenerator(ScopeBasedGenerator):
     name = "TrillionG/seq"
     complexity = Complexity("O(|E| log|V| / P)", "O(d_max)", "AVS")
 
-    def __init__(self, *args, noise: float = 0.0, block_size: int = 4096,
-                 **kwargs) -> None:
+    def __init__(self, *args, noise: float = Recipe.noise,
+                 block_size: int = Recipe.block_size, **kwargs) -> None:
+        self._build(args, kwargs, noise=noise, block_size=block_size)
+
+    def _build(self, args: tuple, kwargs: dict, **settings) -> None:
+        """The base's settings, and ``inner`` from their one recipe."""
         super().__init__(*args, **kwargs)
-        self.inner = RecursiveVectorGenerator(
-            self.scale, seed_matrix=self.seed_matrix,
-            num_edges=self.num_edges, noise=noise, seed=self.seed,
-            block_size=block_size)
+        self.inner = Recipe(self.scale, seed_matrix=self.seed_matrix,
+                            num_edges=self.num_edges, seed=self.seed,
+                            **settings).build()
 
     def estimated_peak_bytes(self) -> int:
         """AVS holds one scope (<= d_max destinations) plus RecVec; the

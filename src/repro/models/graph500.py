@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.generator import RecursiveVectorGenerator
-from .base import (BYTES_PER_EDGE_IN_MEMORY, Complexity, ScopeBasedGenerator)
+from .avs import TrillionGSeqGenerator
+from .base import BYTES_PER_EDGE_IN_MEMORY, Complexity
 
 __all__ = ["Graph500Generator", "scramble_vertices"]
 
@@ -46,7 +46,7 @@ def scramble_vertices(vertices: np.ndarray, scale: int,
     return x.astype(np.int64)
 
 
-class Graph500Generator(ScopeBasedGenerator):
+class Graph500Generator(TrillionGSeqGenerator):
     """NSKG generation + vertex scramble + CSR construction."""
 
     name = "Graph500"
@@ -54,11 +54,8 @@ class Graph500Generator(ScopeBasedGenerator):
                             "O(|E|)", "WES/p+scramble")
 
     def __init__(self, *args, noise: float = 0.1, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+        self._build(args, kwargs, noise=noise)
         self.noise = noise
-        self.inner = RecursiveVectorGenerator(
-            self.scale, seed_matrix=self.seed_matrix,
-            num_edges=self.num_edges, noise=noise, seed=self.seed)
         self.csr: tuple[np.ndarray, np.ndarray] | None = None
 
     def estimated_peak_bytes(self) -> int:

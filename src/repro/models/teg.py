@@ -12,37 +12,17 @@ shows on the statically fixed side, as in Figure 8's TeG panel).
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..core.generator import RecursiveVectorGenerator
-from .base import Complexity, ScopeBasedGenerator
+from .avs import TrillionGSeqGenerator
+from .base import Complexity
 
 __all__ = ["TegGenerator"]
 
 
-class TegGenerator(ScopeBasedGenerator):
-    """TeG-style static decomposition generator."""
+class TegGenerator(TrillionGSeqGenerator):
+    """TeG-style static decomposition: AVS, scope sizes not drawn."""
 
     name = "TeG"
     complexity = Complexity("O(|E| log|V| / P)", "O(d_max)", "AVS-static")
 
     def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.inner = RecursiveVectorGenerator(
-            self.scale, seed_matrix=self.seed_matrix,
-            num_edges=self.num_edges, seed=self.seed,
-            degree_method="deterministic")
-
-    def estimated_peak_bytes(self) -> int:
-        return int(max(self.num_edges / self.num_vertices
-                       * self.inner.block_size * 4, 1024) * 8)
-
-    def generate(self) -> np.ndarray:
-        self.check_memory_budget()
-        report = self.report
-        with report.time_phase("generate"):
-            edges = self.inner.edges()
-        report.realized_edges = edges.shape[0]
-        report.duplicates_discarded = self.inner.stats.duplicates_discarded
-        report.peak_memory_bytes = self.estimated_peak_bytes()
-        return edges
+        self._build(args, kwargs, degree_method="deterministic")

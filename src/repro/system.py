@@ -9,10 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
-import numpy as np
-
-from .core.generator import AdjacencyBlock, RecursiveVectorGenerator
-from .core.seed import GRAPH500, SeedMatrix
+from .core.generator import AdjacencyBlock, Recipe
 from .errors import ConfigurationError
 from .formats import WriteResult, get_format
 from .telemetry import build_report, reset_telemetry, span, worker_reports
@@ -70,43 +67,20 @@ class TrillionG:
     >>> tg = TrillionG(scale=12, edge_factor=16, seed=7)
     >>> result = tg.generate_to("graph.adj6", fmt="adj6")  # doctest: +SKIP
 
-    Parameters mirror the paper's configuration surface: Graph500 standard
-    workload by default, optional NSKG noise, and a machines x threads
-    cluster shape for parallel generation.  ``retry`` governs the
-    cluster's workers, so it needs a ``cluster``.
+    Takes :class:`~repro.core.generator.Recipe`'s parameters, which build
+    ``generator``, and a machines x threads ``cluster`` shape for parallel
+    generation, whose workers ``retry`` governs.
     """
 
-    def __init__(self, scale: int, edge_factor: int = 16,
-                 seed_matrix: SeedMatrix | None = None, *,
-                 num_edges: int | None = None,
-                 noise: float = 0.0,
-                 seed: int = 0,
-                 block_size: int = 4096,
-                 cluster: ClusterSpec | None = None,
-                 retry: RetryPolicy | None = None) -> None:
+    def __init__(self, *args, cluster: ClusterSpec | None = None,
+                 retry: RetryPolicy | None = None, **settings) -> None:
         if retry is not None and cluster is None:
             raise ConfigurationError(
                 "retry acts only with a cluster: a sequential run has "
                 "no worker to retry")
-        self.generator = RecursiveVectorGenerator(
-            scale, edge_factor,
-            seed_matrix if seed_matrix is not None else GRAPH500,
-            num_edges=num_edges, noise=noise, seed=seed,
-            block_size=block_size)
+        self.generator = Recipe(*args, **settings).build()
         self.cluster = cluster
         self.retry = retry
-
-    @property
-    def num_vertices(self) -> int:
-        return self.generator.num_vertices
-
-    @property
-    def num_edges(self) -> int:
-        return self.generator.num_edges
-
-    def generate_edges(self) -> np.ndarray:
-        """Materialize the whole graph in memory (small scales only)."""
-        return self.generator.edges()
 
     def generate_to(self, path: Path | str, fmt: str = "adj6",
                     processes: int | None = None, *,
@@ -143,6 +117,7 @@ class TrillionG:
             raise ConfigurationError(
                 "blocks_per_chunk acts only with resume=True")
         reset_telemetry()
+        num_vertices = self.generator.num_vertices
         if resume:
             from .dist.checkpoint import CheckpointedRun
             from .dist.runner import worker_processes
@@ -155,7 +130,7 @@ class TrillionG:
                     processes, len(run.pending()), self.cluster.num_workers)
                 run.run(processes, retry=self.retry, progress=progress)
             paths = run.chunk_paths()
-            return TrillionGResult(paths, self.num_vertices, run.num_edges,
+            return TrillionGResult(paths, num_vertices, run.num_edges,
                                    sum(p.stat().st_size for p in paths),
                                    sp.seconds, telemetry=self._report())
         if self.cluster is None:
@@ -164,8 +139,8 @@ class TrillionG:
                 writer = get_format(fmt)
                 result: WriteResult = writer.write_blocks(
                     path, self._blocks_with_progress(progress),
-                    self.num_vertices)
-            return TrillionGResult([Path(path)], self.num_vertices,
+                    num_vertices)
+            return TrillionGResult([Path(path)], num_vertices,
                                    result.num_edges, result.bytes_written,
                                    sp.seconds,
                                    encode_seconds=result.encode_seconds,
@@ -178,7 +153,7 @@ class TrillionG:
                 self.generator, path, fmt, processes=processes,
                 retry=self.retry, progress=progress)
         total_bytes = sum(p.stat().st_size for p in dist.paths)
-        return TrillionGResult(dist.paths, self.num_vertices,
+        return TrillionGResult(dist.paths, num_vertices,
                                dist.num_edges, total_bytes,
                                dist.elapsed_seconds, dist.skew,
                                encode_seconds=dist.encode_seconds,

@@ -1,14 +1,18 @@
 """Unit tests for repro.core.generator (the AVS kernel) and
 repro.core.reference (the Algorithms 4-5 oracle)."""
 
+import dataclasses
 import functools
+import json
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core import tables
-from repro.core.generator import AdjacencyBlock, RecursiveVectorGenerator
+from repro.core.generator import (AdjacencyBlock, Recipe,
+                                  RecursiveVectorGenerator)
 from repro.core.reference import (IdeaToggles, ReferenceGenerator,
                                   ReferenceStats)
 from repro.core.seed import GRAPH500, SeedMatrix
@@ -25,6 +29,40 @@ class TestConstruction:
     def test_explicit_num_edges(self):
         g = RecursiveVectorGenerator(10, num_edges=5000)
         assert g.num_edges == 5000
+
+    def test_recipe_has_the_nine_settings(self):
+        assert [f.name for f in dataclasses.fields(Recipe)] == [
+            "scale", "num_edges", "seed_matrix", "noise", "direction",
+            "dedup", "degree_method", "seed", "block_size"]
+        # The edge factor and the Graph500 seed resolve once, here.
+        assert Recipe(10) == Recipe(10, 16, GRAPH500) == Recipe(
+            10, num_edges=16 * 1024, seed_matrix=GRAPH500)
+
+    @pytest.mark.parametrize("settings", [
+        dict(scale=9, seed=3),
+        dict(scale=5, seed=3, seed_matrix=SeedMatrix(np.array(
+            [[0.30, 0.12, 0.08], [0.12, 0.10, 0.05], [0.08, 0.05, 0.10]]))),
+        dict(scale=9, noise=0.01),
+        dict(scale=9, direction="in"),
+        dict(scale=9, degree_method="normal"),
+        dict(scale=9, edge_factor=4, block_size=64),
+    ], ids=["2x2", "3x3", "noise", "in", "normal", "block_size"])
+    def test_recipe_round_trips(self, settings):
+        """Through a manifest's JSON, a worker's pickle and a build, a
+        recipe comes back equal, and so does the graph it builds."""
+        recipe = Recipe(**settings)
+        back = Recipe.from_json(json.loads(json.dumps(recipe.to_json())))
+        assert back == recipe
+        # Exactly: ``==`` compares seeds with a tolerance.
+        assert back.to_json() == recipe.to_json()
+        assert (pickle.loads(pickle.dumps(recipe)).to_json()
+                == recipe.to_json())
+        built = recipe.build()
+        assert built.recipe() == recipe
+        assert built.recipe().to_json() == recipe.to_json()
+        np.testing.assert_array_equal(
+            built.edges(),
+            RecursiveVectorGenerator(**settings).edges())
 
     def test_rejects_bad_scale(self):
         with pytest.raises(ConfigurationError):

@@ -1,14 +1,17 @@
 """Tests for checkpointed (resumable) generation."""
 
+import hashlib
 import json
 import multiprocessing as mp
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.generator import RecursiveVectorGenerator
+from repro import TrillionG
+from repro.core.generator import Recipe, RecursiveVectorGenerator
 from repro.core.seed import SeedMatrix
 from repro.dist.checkpoint import CheckpointedRun, CheckpointState
 from repro.dist.runner import LocalCluster
@@ -120,7 +123,17 @@ class TestCheckpointedRun:
         doc = json.loads(manifest.read_text())
         doc.update(doc.pop("generator"))
         manifest.write_text(json.dumps(doc))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"\(generator differ\)"):
+            CheckpointedRun(make_generator(), tmp_path, blocks_per_chunk=4)
+
+    def test_manifest_missing_an_entry_names_it(self, tmp_path):
+        stop_after(CheckpointedRun(make_generator(), tmp_path,
+                                   blocks_per_chunk=4), 1)
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc["format"]
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match=r"\(format differ\)"):
             CheckpointedRun(make_generator(), tmp_path, blocks_per_chunk=4)
 
     def test_edge_count_tracked(self, tmp_path):
@@ -148,7 +161,7 @@ class TestManifestOrder:
     its chunks landed in."""
 
     def test_completed_serialises_in_chunk_order(self):
-        state = CheckpointState({"seed": 1}, "adj6", 2)
+        state = CheckpointState(Recipe(4), "adj6", 2)
         for index in (10, 2, 0, 1000000, 9):
             state.completed[f"chunk-{index:06d}.adj6"] = index
         assert list(state.to_json()["completed"]) == [
@@ -162,6 +175,57 @@ class TestManifestOrder:
             run.run(2)
             manifests.append(run.manifest_path.read_bytes())
         assert manifests[0] == manifests[1]
+
+
+class TestOlderManifest:
+    """``fixtures/resume_scale10`` is a run of ``TrillionG(10, 4, seed=5,
+    block_size=256)`` with ``blocks_per_chunk=1`` stopped after its
+    first chunk, by the code that wrote the recipe as the generator's
+    keyword arguments, the seed as nested lists."""
+
+    FIXTURE = Path(__file__).parent / "fixtures" / "resume_scale10"
+    # sha256 of that code's uninterrupted run: its sequential file and
+    # the manifest of its resumable one.
+    SEQUENTIAL = ("5b21861e0d083b01ed15b1dddd4f3157"
+                  "e183afa253a951ae7f923b8962a3b028")
+    MANIFEST = ("c989d7c190bf147c03f74140b87ba19c"
+                "9ab520d68876e8ab8d845c15e6b66183")
+
+    def resume(self, tmp_path, **settings):
+        out = tmp_path / "run"
+        shutil.copytree(self.FIXTURE, out)
+        tg = TrillionG(**{"scale": 10, "edge_factor": 4, "seed": 5,
+                          "block_size": 256, **settings})
+        return out, tg.generate_to(out, resume=True, blocks_per_chunk=1)
+
+    def test_a_resume_adopts_it_and_writes_the_same_bytes(self, tmp_path):
+        first = (self.FIXTURE / "chunk-000000.adj6").read_bytes()
+        out, result = self.resume(tmp_path)
+        assert [p.name for p in result.paths] == [
+            f"chunk-{i:06d}.adj6" for i in range(4)]
+        assert result.paths[0].read_bytes() == first
+        whole = b"".join(p.read_bytes() for p in result.paths)
+        assert hashlib.sha256(whole).hexdigest() == self.SEQUENTIAL
+        manifest = (out / "manifest.json").read_bytes()
+        assert hashlib.sha256(manifest).hexdigest() == self.MANIFEST
+
+    @pytest.mark.parametrize("field, settings", [
+        ("scale", dict(scale=11, num_edges=4096)),
+        ("num_edges", dict(num_edges=4097)),
+        ("seed_matrix", dict(seed_matrix=SeedMatrix.rmat(0.45, 0.25, 0.2,
+                                                         0.1))),
+        ("noise", dict(noise=0.01)),
+        ("direction", dict(direction="in")),
+        ("dedup", dict(dedup=False)),
+        ("degree_method", dict(degree_method="normal")),
+        ("seed", dict(seed=6)),
+        ("block_size", dict(block_size=128)),
+    ])
+    def test_a_recipe_field_that_differs_is_named(self, tmp_path, field,
+                                                  settings):
+        with pytest.raises(ConfigurationError, match=rf"\({field} differ\)"):
+            self.resume(tmp_path, **settings)
+        assert not (tmp_path / "run" / "chunk-000001.adj6").exists()
 
 
 class TestNarySeed:
@@ -236,6 +300,15 @@ class TestCrashWindows:
         assert resumed.run().workers == []   # nothing regenerated
         np.testing.assert_array_equal(read_all(resumed),
                                       make_generator().edges())
+
+    def test_manifest_not_an_object_rebuilt_from_chunks(self, tmp_path):
+        run = CheckpointedRun(make_generator(), tmp_path,
+                              blocks_per_chunk=2)
+        run.run()
+        run.manifest_path.write_text("null")
+        resumed = CheckpointedRun(make_generator(), tmp_path,
+                                  blocks_per_chunk=2)
+        assert resumed.complete
 
     def test_corrupt_orphan_regenerated(self, tmp_path):
         run = CheckpointedRun(make_generator(), tmp_path,

@@ -145,6 +145,23 @@ def test_wes_models_reject_invalid_settings(cls, kwargs):
         cls(8, 8, seed=1, **kwargs)
 
 
+@pytest.mark.parametrize("cls,setting", [
+    (TrillionGSeqGenerator, "direction"),
+    (TrillionGSeqGenerator, "dedup"),
+    (TrillionGSeqGenerator, "degree_method"),
+    (TegGenerator, "noise"),
+    (TegGenerator, "block_size"),
+    (Graph500Generator, "block_size"),
+    (Graph500Generator, "degree_method"),
+], ids=lambda value: getattr(value, "name", None) or value)
+def test_avs_models_take_only_their_own_settings(cls, setting):
+    """Each model builds its generator from one recipe but takes only
+    the recipe fields it names (TrillionG/seq: noise and block_size;
+    Graph500: noise), not every field the recipe has."""
+    with pytest.raises(TypeError, match=setting):
+        cls(8, 8, seed=1, **{setting: None})
+
+
 class TestFastKronecker:
     def test_n2_matches_rmat_distribution(self):
         """FastKronecker with a 2x2 seed is RMAT (same stochastic process,

@@ -26,6 +26,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--version"])
 
+    def test_generate_options_are_pinned(self):
+        """``generate`` keeps these options or fewer: a flag added later
+        edits this list in the open.  The report is the one instrument
+        (no live-observer flags), and the graph's settings are those of
+        :class:`repro.Recipe`."""
+        generate = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)).choices["generate"]
+        flags = {opt for action in generate._actions
+                 for opt in action.option_strings}
+        assert flags == {
+            "-h", "--help", "--scale", "--edge-factor", "--matrix",
+            "--noise", "--seed", "--format", "--output",
+            "--machines", "--threads", "--retries", "--task-timeout",
+            "--resume", "--blocks-per-chunk", "--metrics-out",
+            "--progress", "--trace-out"}
+
 
 class TestGenerate:
     def test_basic(self, tmp_path, capsys):
@@ -113,18 +130,6 @@ class TestGenerate:
         assert len(worker_tracks) == len(workers)
         assert {"worker 0", "worker 1"} <= set(worker_tracks)
         assert "flight" not in report and "flight" not in doc
-        # The report is the one instrument: no live-observer flags.
-        generate = next(
-            a for a in build_parser()._actions
-            if isinstance(a, argparse._SubParsersAction)).choices["generate"]
-        flags = {opt for action in generate._actions
-                 for opt in action.option_strings}
-        assert flags == {
-            "-h", "--help", "--scale", "--edge-factor", "--matrix",
-            "--noise", "--seed", "--format", "--output",
-            "--machines", "--threads", "--retries", "--task-timeout",
-            "--resume", "--blocks-per-chunk", "--metrics-out",
-            "--progress", "--trace-out"}
 
 
 class TestOtherCommands:
@@ -278,6 +283,14 @@ class TestNaryCommand:
             main(["generate", "--matrix", "0.5,0.5,0.5,0.5", "--scale", "4",
                   "--output", str(tmp_path / "x.adj6")])
         assert "sum to 1.0" in str(info.value.code)
+
+    def test_verify_exits_in_one_line_on_a_matrix_not_summing_to_one(
+            self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--input", str(tmp_path / "absent.adj6"),
+                  "--vertices", "4", "--matrix", "0.5,0.5,0.5,0.5"])
+        assert "sum to 1.0" in str(info.value.code)
+        assert "\n" not in str(info.value.code)
 
     def test_verify_refuses_an_nxn_slope_in_one_line(self, tmp_path):
         with pytest.raises(SystemExit) as info:

@@ -24,13 +24,13 @@ class TestGenerateWriteVerifyPipeline:
         result = tg.generate_to(tmp_path / "g.adj6", fmt="adj6")
 
         edges = get_format("adj6").read_edges(result.paths[0])
-        report = validate_edges(edges, tg.num_vertices,
+        report = validate_edges(edges, tg.generator.num_vertices,
                                 seed_matrix=GRAPH500,
-                                expected_edges=tg.num_edges)
+                                expected_edges=tg.generator.num_edges)
         assert report.ok, str(report)
 
         tsv = get_format("tsv").write_edges(tmp_path / "g.tsv", edges,
-                                            tg.num_vertices)
+                                            tg.generator.num_vertices)
         back = get_format("tsv").read_edges(tsv.path)
         np.testing.assert_array_equal(np.sort(back, axis=0),
                                       np.sort(edges, axis=0))
@@ -44,10 +44,10 @@ class TestGenerateWriteVerifyPipeline:
                                 processes=1)
         parts = [get_format("adj6").read_edges(p) for p in result.paths]
         edges = np.concatenate([p for p in parts if p.size])
-        assert validate_edges(edges, tg.num_vertices,
+        assert validate_edges(edges, tg.generator.num_vertices,
                               seed_matrix=GRAPH500,
-                              expected_edges=tg.num_edges).ok
-        stats = graph_stats(edges, tg.num_vertices)
+                              expected_edges=tg.generator.num_edges).ok
+        stats = graph_stats(edges, tg.generator.num_vertices)
         assert stats.is_simple
 
     def test_multiformat_then_workload(self, tmp_path):

@@ -24,9 +24,9 @@ class TestSequential:
 
     def test_generate_edges(self):
         tg = TrillionG(scale=9, edge_factor=8, seed=2)
-        e = tg.generate_edges()
+        e = tg.generator.edges()
         assert e.shape[0] > 3500
-        assert tg.num_edges == 8 * 512
+        assert tg.generator.num_edges == 8 * 512
 
     def test_all_formats(self, tmp_path):
         for fmt in ("tsv", "adj6", "csr6"):
@@ -65,7 +65,7 @@ class TestIgnoredSettings:
 class TestDistributed:
     def test_cluster_output_matches_sequential(self, tmp_path):
         seq = TrillionG(scale=11, edge_factor=8, seed=5,
-                        block_size=128).generate_edges()
+                        block_size=128).generator.edges()
         tg = TrillionG(scale=11, edge_factor=8, seed=5, block_size=128,
                        cluster=ClusterSpec(machines=2,
                                            threads_per_machine=2))
@@ -96,4 +96,4 @@ class TestResume:
                                 progress=seen.append)
         assert seen[0] == first.num_edges > 0
         assert len(seen) == 1 + 16 // 2 - 3
-        assert seen[-1] == result.num_edges == tg.num_edges
+        assert seen[-1] == result.num_edges == tg.generator.num_edges
