@@ -23,11 +23,15 @@ Three artifacts matter beyond the printed tables:
   rich``: its rules are drawn in ERV runs of at most ``_BLOCK_EDGES``
   edges and leave through the TSV block encoder, where the per-triple
   f-string loop of before held a whole rule's edges and its text.
-- ``test_nary_stays_under_rss_cap`` holds ``trilliong generate`` with a
-  3 x 3 ``--matrix`` to the same cap: its grid blocks are cut into the
-  same runs of at most ``_BLOCK_EDGES`` edges and stream through
-  ``write_blocks``, where the n-ary generator of before built the whole
-  ``(m, 2)`` edge array.
+- ``test_generate_matrix_stays_under_rss_cap`` holds ``trilliong
+  generate`` with a 3 x 3 ``--matrix`` to the same cap: its grid blocks
+  are cut into the same runs of at most ``_BLOCK_EDGES`` edges and
+  stream through ``write_blocks``, where the n-ary generator of before
+  built the whole ``(m, 2)`` edge array.
+- ``test_verify_stays_under_rss_cap`` holds ``trilliong verify`` of a
+  scale-20 ADJ6 file to the same cap: it folds the file's
+  ``read_blocks`` one block at a time, where it once loaded the whole
+  edge array.
 - ``test_emit_bench_json`` writes ``.bench_out/BENCH_formats.json``
   (scale, format, edges/s, MB/s), one machine's record of this run; the
   comparable trajectory is ``benchmarks/e2e``.
@@ -73,8 +77,13 @@ RICH_RSS_CAP_BYTES = 67 * 1024 * 1024
 #: (|V| = 3^11, 2 834 352 edges, seed 3, ADJ6) in a fresh process: 218 MiB
 #: while the n-ary generator built the whole edge array, 42 MiB once it
 #: drew in runs and streamed, below ``RSS_CAP_BYTES``.
-NARY_MATRIX = "0.3,0.12,0.08,0.12,0.1,0.05,0.08,0.05,0.1"
-NARY_DEPTH = 11
+MATRIX_3X3 = "0.3,0.12,0.08,0.12,0.1,0.05,0.08,0.05,0.1"
+MATRIX_DEPTH = 11
+
+#: ``verify`` of the scale-20 ADJ6 ``generate --seed 7`` output (16.8 M
+#: edges) in a fresh process: 1 360 MiB while it loaded the whole edge
+#: array, about 37 MiB once it folds the file a block at a time.
+VERIFY_SCALE = 20
 
 
 @pytest.fixture(scope="module")
@@ -291,30 +300,63 @@ def test_rich_stays_under_rss_cap(table):
         "triples are held whole again")
 
 
-def test_nary_stays_under_rss_cap(table):
-    """CI perf smoke: ``trilliong generate`` with a 3 x 3 seed in a
-    fresh process peaks below the binary cap — both are bounded by one
+def test_generate_matrix_stays_under_rss_cap(table):
+    """CI perf smoke: ``trilliong generate --matrix`` with a 3 x 3 seed in
+    a fresh process peaks below the binary cap — both are bounded by one
     run of ``_BLOCK_EDGES`` edges, not by the graph."""
-    with tempfile.TemporaryDirectory(prefix="bench-formats-nary-") as work:
+    with tempfile.TemporaryDirectory(prefix="bench-formats-matrix-") as work:
         out = _run_fresh(
             "from repro.cli import main\n"
-            f"main(['generate', '--matrix', '{NARY_MATRIX}',\n"
-            f"      '--scale', '{NARY_DEPTH}', '--format', 'adj6',\n"
+            f"main(['generate', '--matrix', '{MATRIX_3X3}',\n"
+            f"      '--scale', '{MATRIX_DEPTH}', '--format', 'adj6',\n"
             "      '--seed', '3',\n"
             f"      '--output', {str(Path(work) / 'n.adj6')!r}])\n"
             f"print({_VMHWM_KB})\n")
     edges = int(re.search(r"\|E\|=(\d+)", out).group(1))
     rss = int(out.split()[-1]) * 1024
-    table(f"n-ary peak RSS (3 x 3 seed, depth {NARY_DEPTH}, adj6, "
-          "fresh process)",
+    table(f"generate --matrix peak RSS (3 x 3 seed, depth {MATRIX_DEPTH}, "
+          "adj6, fresh process)",
           ["metric", "value"],
           [["|E|", f"{edges:,}"],
            ["peak RSS", f"{rss / 2**20:,.1f} MiB"],
            ["RSS cap", f"{RSS_CAP_BYTES / 2**20:,.0f} MiB"]])
     assert rss < RSS_CAP_BYTES, (
-        f"generate --matrix <3 x 3> --scale {NARY_DEPTH} peaked at "
+        f"generate --matrix <3 x 3> --scale {MATRIX_DEPTH} peaked at "
         f"{rss / 2**20:.0f} MiB, over the {RSS_CAP_BYTES / 2**20:.0f} MiB "
         "cap: its edges are held whole again")
+
+
+def test_verify_stays_under_rss_cap(table):
+    """CI perf smoke: ``trilliong verify`` of the scale-20 ADJ6 output of
+    ``generate --seed 7``, in a fresh process, peaks below the
+    ``generate`` cap — it folds the file one block at a time."""
+    with tempfile.TemporaryDirectory(prefix="bench-formats-verify-") as work:
+        path = str(Path(work) / "g.adj6")
+        _run_fresh("from repro.cli import main\n"
+                   f"main(['generate', '--scale', '{VERIFY_SCALE}',\n"
+                   f"      '--seed', '7', '--output', {path!r}])\n")
+        start = time.perf_counter()
+        out = _run_fresh(
+            "from repro.cli import main\n"
+            f"code = main(['verify', '--input', {path!r},\n"
+            f"             '--vertices', '{1 << VERIFY_SCALE}'])\n"
+            f"print(code, {_VMHWM_KB})\n")
+        seconds = time.perf_counter() - start
+    edges = int(re.search(r"edge array shape \((\d+), 2\)", out).group(1))
+    code, rss_kb = map(int, out.split()[-2:])
+    rss = rss_kb * 1024
+    table(f"verify peak RSS (scale {VERIFY_SCALE}, adj6, fresh process)",
+          ["metric", "value"],
+          [["|E|", f"{edges:,}"],
+           ["wall", f"{seconds:.2f} s"],
+           ["peak RSS", f"{rss / 2**20:,.1f} MiB"],
+           ["RSS cap", f"{RSS_CAP_BYTES / 2**20:,.0f} MiB"]])
+    assert code == 0, out
+    assert edges == 16 << VERIFY_SCALE
+    assert rss < RSS_CAP_BYTES, (
+        f"verify at scale {VERIFY_SCALE} peaked at {rss / 2**20:.0f} MiB, "
+        f"over the {RSS_CAP_BYTES / 2**20:.0f} MiB cap: it holds more "
+        "than a block of the file again")
 
 
 def test_emit_bench_json(tmp_path, table, bench_out):

@@ -8,13 +8,15 @@ a generated graph so Table 3 can compare prediction and measurement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .degree import degree_histogram
 
-__all__ = ["fit_zipf_slope", "fit_kronecker_class_slope", "GaussianFit",
+__all__ = ["fit_zipf_slope", "fit_kronecker_class_slope",
+           "fit_class_sums_slope", "GaussianFit",
            "fit_gaussian", "oscillation_score"]
 
 
@@ -60,14 +62,23 @@ def fit_kronecker_class_slope(degree_sequence: np.ndarray,
     are excluded (their means are too noisy).
     """
     seq = np.asarray(degree_sequence, dtype=np.float64)
-    n = seq.size
-    if n < 8:
+    classes = np.bitwise_count(np.arange(seq.size, dtype=np.uint64))
+    return fit_class_sums_slope(np.bincount(classes, weights=seq),
+                                seq.size, min_class_size)
+
+
+def fit_class_sums_slope(sums: np.ndarray, num_vertices: int,
+                         min_class_size: int = 8) -> float:
+    """:func:`fit_kronecker_class_slope` from the degree sum of each
+    popcount class alone: ``sums[k]`` adds the degrees of the ids in
+    ``[0, num_vertices)`` with ``k`` one bits.  The class sizes follow
+    from ``num_vertices``, so a degree stream folds into these sums in
+    ``O(log |V|)`` state (``trilliong verify``)."""
+    if num_vertices < 8:
         raise ValueError("need at least 8 vertices")
-    classes = np.bitwise_count(np.arange(n, dtype=np.uint64)).astype(
-        np.int64)
-    num_classes = int(classes.max()) + 1
-    sums = np.bincount(classes, weights=seq, minlength=num_classes)
-    sizes = np.bincount(classes, minlength=num_classes)
+    sizes = _popcount_class_sizes(num_vertices)
+    sums = np.asarray(sums, dtype=np.float64)[:sizes.size]
+    sums = np.pad(sums, (0, sizes.size - sums.size))
     keep = (sizes >= min_class_size) & (sums > 0)
     ks = np.nonzero(keep)[0]
     if ks.size < 2:
@@ -75,6 +86,20 @@ def fit_kronecker_class_slope(degree_sequence: np.ndarray,
     means = sums[keep] / sizes[keep]
     slope, _ = np.polyfit(ks.astype(np.float64), np.log2(means), 1)
     return float(slope)
+
+
+def _popcount_class_sizes(n: int) -> np.ndarray:
+    """``sizes[k]``: the ids in ``[0, n)`` with ``k`` one bits.  An id
+    below ``n`` agrees with it above some one bit ``b`` of ``n``, has a 0
+    there and any ``b`` bits below."""
+    sizes = np.zeros(n.bit_length() + 1, dtype=np.int64)
+    above = 0
+    for b in range(n.bit_length() - 1, -1, -1):
+        if n >> b & 1:
+            sizes[above:above + b + 1] += [math.comb(b, j)
+                                           for j in range(b + 1)]
+            above += 1
+    return sizes
 
 
 @dataclass(frozen=True)

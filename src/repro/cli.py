@@ -291,7 +291,8 @@ def _cmd_rich(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .validate import validate_edges
+    from .errors import FormatError
+    from .validate import validate_blocks
     seed_matrix = _parse_matrix(args.matrix)
     if seed_matrix is None:
         from .core.seed import GRAPH500
@@ -299,10 +300,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not seed_matrix.is_rmat:
         raise SystemExit("verify --matrix: Lemma 6's Zipf slope is "
                          "defined for 2x2 seeds only")
-    edges = _load_edges(args)
-    report = validate_edges(edges, args.vertices,
-                            seed_matrix=seed_matrix,
-                            expected_edges=args.expected_edges)
+    blocks = get_format(args.format).read_blocks(args.input)
+    try:
+        report = validate_blocks(blocks, args.vertices,
+                                 seed_matrix=seed_matrix,
+                                 expected_edges=args.expected_edges)
+    except FormatError as exc:
+        raise SystemExit(f"verify: {exc}") from None
     print(report)
     return 0 if report.ok else 1
 
@@ -323,11 +327,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_degrees(args: argparse.Namespace) -> int:
-    from .analysis import degree_histogram, in_degrees, out_degrees
-    edges = _load_edges(args)
-    num_vertices = int(edges.max()) + 1 if edges.size else 0
-    seq = (out_degrees(edges, num_vertices) if args.direction == "out"
-           else in_degrees(edges, num_vertices))
+    from .analysis import degree_histogram
+    out, seq = args.direction == "out", np.zeros(0, dtype=np.int64)
+    for block in get_format(args.format).read_blocks(args.input):
+        counts = np.bincount(block.sources if out else block.destinations,
+                             block.degrees if out else None, seq.size)
+        counts[:seq.size] += seq
+        seq = counts.astype(np.int64)
     hist = degree_histogram(seq)
     print("degree\tcount")
     for d, c in zip(hist.degrees, hist.counts):

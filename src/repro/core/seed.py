@@ -201,10 +201,12 @@ class SeedMatrix:
         return SeedMatrix(self.entries.T.copy())
 
     def __eq__(self, other: object) -> bool:
+        """Exact: equal seeds draw the same bytes and hash alike.  A
+        caller that wants a tolerance compares ``entries`` with
+        ``np.allclose`` itself."""
         if not isinstance(other, SeedMatrix):
             return NotImplemented
-        return self.entries.shape == other.entries.shape and bool(
-            np.allclose(self.entries, other.entries))
+        return bool(np.array_equal(self.entries, other.entries))
 
     def __hash__(self) -> int:
         return hash(self.entries.tobytes())

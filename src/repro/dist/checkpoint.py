@@ -170,14 +170,14 @@ class CheckpointedRun:
             if not path.exists():
                 continue
             try:
-                edges = fmt.read_edges(path)
+                edges = sum(block.num_edges
+                            for block in fmt.read_blocks(path))
             except (FormatError, OSError, ValueError):
                 path.unlink(missing_ok=True)     # corrupt: regenerate
                 continue
-            self.state.completed[name] = int(edges.shape[0])
+            self.state.completed[name] = edges
             registry().counter("checkpoint.chunks_adopted").inc()
-            _log.info("adopted completed chunk %s (%d edges)", name,
-                      int(edges.shape[0]))
+            _log.info("adopted completed chunk %s (%d edges)", name, edges)
             adopted = True
         if adopted:
             self._save()

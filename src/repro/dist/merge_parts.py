@@ -2,21 +2,17 @@
 
 The Figure 6 partitioner hands each worker a *contiguous* vertex range, so
 part files are disjoint and ordered: merging is a pure stream
-concatenation of their adjacency records, with no sort or dedup — O(1)
-memory regardless of graph size.  Formats may differ between input and
-output (e.g. ADJ6 parts merged into one CSR6 file).  The records are
-regrouped into blocks of ``_MERGE_BATCH`` vertices, so the output takes
-the vectorized block encoders (per-vertex ``StreamWriter.add`` calls
-write the same bytes in 4-6x the time: scale 17, 2 vCPUs).
+concatenation of their blocks (:meth:`~repro.formats.GraphFormat.read_blocks`),
+with no sort, dedup or regrouping — memory is one block regardless of
+graph size, and the output takes the vectorized block encoders.  Formats
+may differ between input and output (e.g. ADJ6 parts merged into one
+CSR6 file).
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
-
-import numpy as np
 
 from ..core.generator import AdjacencyBlock
 from ..errors import FormatError
@@ -24,34 +20,23 @@ from ..formats import WriteResult, get_format
 
 __all__ = ["merge_parts"]
 
-#: Vertices per block handed to the output format's block encoder.
-_MERGE_BATCH = 4096
 
-
-def _chained_adjacency(paths: list[Path], fmt_name: str
-                       ) -> Iterator[tuple[int, np.ndarray]]:
+def _range_ordered(paths: list[Path], fmt_name: str
+                   ) -> Iterator[AdjacencyBlock]:
+    """The parts' blocks in turn, each checked to start after the last
+    source before it."""
     reader = get_format(fmt_name)
     last_vertex = -1
     for path in paths:
-        for u, vs in reader.iter_adjacency(path):
-            if u <= last_vertex:
+        for block in reader.read_blocks(path):
+            first = int(block.sources[0])
+            if first <= last_vertex:
                 raise FormatError(
-                    f"part files are not range-ordered: vertex {u} in "
+                    f"part files are not range-ordered: vertex {first} in "
                     f"{path} after {last_vertex}; merge_parts requires "
                     "Figure 6 (contiguous-range) parts in order")
-            last_vertex = u
-            yield u, vs
-
-
-def _chained_blocks(paths: list[Path], fmt_name: str
-                    ) -> Iterator[AdjacencyBlock]:
-    """The parts' records, ``_MERGE_BATCH`` vertices to a block."""
-    records = _chained_adjacency(paths, fmt_name)
-    while batch := list(islice(records, _MERGE_BATCH)):
-        offsets = np.zeros(len(batch) + 1, dtype=np.int64)
-        np.cumsum([vs.size for _, vs in batch], out=offsets[1:])
-        yield AdjacencyBlock(np.array([u for u, _ in batch], dtype=np.int64),
-                             offsets, np.concatenate([vs for _, vs in batch]))
+            last_vertex = int(block.sources[-1])
+            yield block
 
 
 def merge_parts(part_paths: Iterable[Path | str], num_vertices: int,
@@ -76,5 +61,5 @@ def merge_parts(part_paths: Iterable[Path | str], num_vertices: int,
         raise ValueError("merge_parts needs at least one part file")
     writer = get_format(out_format if out_format is not None
                         else in_format)
-    return writer.write_blocks(out_path, _chained_blocks(paths, in_format),
+    return writer.write_blocks(out_path, _range_ordered(paths, in_format),
                                num_vertices)

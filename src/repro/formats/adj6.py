@@ -14,11 +14,14 @@ one bounded slice of edges at a time: a slice's buffer holds its 6-byte
 neighbours and the 10-byte header of every record whose first edge falls
 in it, each placed with one fancy assignment into a byte-window view of
 the buffer, and goes to the sink on its own.  The scratch and the bytes
-in hand stay slice-sized however large the block is.
+in hand stay slice-sized however large the block is.  The reader is the
+mirror: it walks the record headers over a read buffer and gathers a
+block's ids through the same byte windows.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 from typing import Iterator
@@ -29,7 +32,7 @@ from ..core.generator import AdjacencyBlock
 from ..core.tables import _slice_rows
 from ..errors import FormatError
 from .base import (SIX_BYTES, GraphFormat, StreamWriter, WriteResult,
-                   decode_id6, encode_id6, id6_byte_view, register_format)
+                   _id6_values, encode_id6, id6_byte_view, register_format)
 from .pipeline import ThreadedSink
 
 __all__ = ["Adj6Format"]
@@ -40,7 +43,12 @@ _HEADER_BYTES = SIX_BYTES + _DEGREE.size
 
 #: Edges placed per slice.  The byte offsets of one slice are half a MiB,
 #: so a hub block costs a few slices and not its whole record buffer.
+#: The reader's blocks hold at most this many edges too.
 _SLICE_EDGES = 1 << 16
+
+#: Bytes the reader asks the file for at a time: some 2^17 ids at 16
+#: edges a record, so most blocks end at ``_SLICE_EDGES``.
+_READ_BYTES = 1 << 20
 
 
 def _windows(out: np.ndarray, width: int) -> np.ndarray:
@@ -138,21 +146,60 @@ class Adj6Format(GraphFormat):
                     num_vertices: int) -> StreamWriter:
         return _Adj6Writer(path, num_vertices)
 
-    def iter_adjacency(self, path: Path | str
-                       ) -> Iterator[tuple[int, np.ndarray]]:
+    def read_blocks(self, path: Path | str) -> Iterator[AdjacencyBlock]:
+        """Walk the record headers over a read buffer, a block's records
+        at a time, then gather the block's ids through byte windows in
+        one pass.  A record longer than the buffer is read whole."""
         with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            data, pos = b"", 0
             while True:
-                head = f.read(SIX_BYTES + _DEGREE.size)
-                if not head:
+                starts: list[int] = []
+                degrees: list[int] = []
+                edges, wanted = 0, pos + _HEADER_BYTES
+                while wanted <= len(data):
+                    (degree,) = _DEGREE.unpack_from(data,
+                                                    wanted - _DEGREE.size)
+                    if starts and edges + degree > _SLICE_EDGES:
+                        break
+                    wanted += SIX_BYTES * degree
+                    if wanted > len(data):
+                        break
+                    starts.append(pos)
+                    degrees.append(degree)
+                    edges += degree
+                    pos, wanted = wanted, wanted + _HEADER_BYTES
+                if starts:
+                    yield _records_block(data, starts, degrees)
+                    continue
+                # Never more than the file holds: a corrupt degree field
+                # must not size the read.
+                more = f.read(min(max(_READ_BYTES, wanted - len(data)),
+                                  size - f.tell()))
+                if not more:
+                    if pos < len(data):
+                        part = ("head" if len(data) - pos < _HEADER_BYTES
+                                else "body")
+                        raise FormatError(
+                            f"{path}: truncated ADJ6 record {part}")
                     return
-                if len(head) != SIX_BYTES + _DEGREE.size:
-                    raise FormatError(f"{path}: truncated ADJ6 record head")
-                u = int(decode_id6(head[:SIX_BYTES])[0])
-                (degree,) = _DEGREE.unpack(head[SIX_BYTES:])
-                body = f.read(degree * SIX_BYTES)
-                if len(body) != degree * SIX_BYTES:
-                    raise FormatError(f"{path}: truncated ADJ6 record body")
-                yield u, decode_id6(body)
+                data, pos = data[pos:] + more, 0
+
+
+def _records_block(data: bytes, starts: list[int], degrees: list[int]
+                   ) -> AdjacencyBlock:
+    """The block of the whole records of ``data`` that begin at byte
+    ``starts`` and hold ``degrees`` ids each."""
+    windows = _windows(np.frombuffer(data, dtype=np.uint8), SIX_BYTES)
+    heads = np.array(starts, dtype=np.int64)
+    offsets = np.zeros(heads.size + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    # Neighbour i of the record at byte h sits at h + 10 + 6 i.
+    at = np.repeat(heads + _HEADER_BYTES - SIX_BYTES * offsets[:-1],
+                   degrees)
+    at += np.arange(0, SIX_BYTES * int(offsets[-1]), SIX_BYTES)
+    return AdjacencyBlock(_id6_values(windows[heads]), offsets,
+                          _id6_values(windows[at]))
 
 
 register_format(Adj6Format())

@@ -10,8 +10,9 @@ handed to the background writer as soon as it is encoded, so nothing
 block-sized is built on the way to disk (see ``docs/formats.md``).
 :meth:`StreamWriter.add` writes one ``(vertex, neighbours)`` pair: the
 per-vertex byte reference every block encoder is tested against.
-Readers provide both full-edge materialization and adjacency streaming,
-and are used by tests and the example applications.
+The read side mirrors the write side: :meth:`GraphFormat.read_blocks`
+streams a file back as blocks of whole sources, and every other reader
+(``iter_adjacency``, ``read_edges``, ``trilliong verify``) is built on it.
 """
 
 from __future__ import annotations
@@ -219,22 +220,26 @@ class GraphFormat(ABC):
         return writer.result
 
     @abstractmethod
+    def read_blocks(self, path: Path | str) -> Iterator[AdjacencyBlock]:
+        """Stream ``path`` back as :class:`AdjacencyBlock`s, in file order
+        — the mirror of :meth:`write_blocks`.
+
+        A block holds whole sources (a TSV source is a run of lines) and
+        at most the format's ``_SLICE_EDGES`` edges, unless one source
+        alone has more; then that source is a block of its own.  A
+        damaged file raises :class:`~repro.errors.FormatError`.
+        """
+
     def iter_adjacency(self, path: Path | str
                        ) -> Iterator[tuple[int, np.ndarray]]:
         """Stream ``(vertex, neighbours)`` pairs back from ``path``."""
+        for block in self.read_blocks(path):
+            yield from block.iter_adjacency()
 
     def read_edges(self, path: Path | str) -> np.ndarray:
         """Materialize the file as an ``(m, 2)`` edge array."""
-        chunks = []
-        for u, vs in self.iter_adjacency(path):
-            if len(vs):
-                chunk = np.empty((len(vs), 2), dtype=np.int64)
-                chunk[:, 0] = u
-                chunk[:, 1] = vs
-                chunks.append(chunk)
-        if not chunks:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.concatenate(chunks)
+        return np.concatenate([np.empty((0, 2), dtype=np.int64)] + [
+            block.edge_array() for block in self.read_blocks(path)])
 
     def write_edges(self, path: Path | str, edges: np.ndarray,
                     num_vertices: int) -> WriteResult:
@@ -247,19 +252,25 @@ class GraphFormat(ABC):
 
 
 def block_from_edges(sorted_edges: np.ndarray) -> AdjacencyBlock:
-    """Group source-sorted ``(m, 2)`` edges into one :class:`AdjacencyBlock`."""
-    sorted_edges = np.asarray(sorted_edges, dtype=np.int64)
-    if sorted_edges.shape[0] == 0:
-        return AdjacencyBlock(np.empty(0, dtype=np.int64),
-                              np.zeros(1, dtype=np.int64),
-                              np.empty(0, dtype=np.int64))
-    sources_all = sorted_edges[:, 0]
-    boundaries = np.nonzero(np.diff(sources_all))[0] + 1
-    starts = np.concatenate([[0], boundaries])
-    offsets = np.concatenate([starts, [sorted_edges.shape[0]]])
-    return AdjacencyBlock(sources_all[starts].copy(),
-                          offsets.astype(np.int64),
-                          np.ascontiguousarray(sorted_edges[:, 1]))
+    """Group source-sorted ``(m, 2)`` edges into one
+    :class:`AdjacencyBlock`, a row per run of one source."""
+    edges = np.asarray(sorted_edges, dtype=np.int64).reshape(-1, 2)
+    starts = np.flatnonzero(np.diff(edges[:, 0], prepend=edges[:1, 0] - 1))
+    return AdjacencyBlock(edges[starts, 0], np.append(starts, len(edges)),
+                          np.ascontiguousarray(edges[:, 1]))
+
+
+def _bounded_rows(offsets: np.ndarray, bound: int
+                  ) -> Iterator[tuple[int, int]]:
+    """Cut the rows of a CSR ``offsets`` into runs ``[lo, hi)`` of at
+    most ``bound`` edges; a row with more is a run of its own."""
+    lo = 0
+    while lo < offsets.size - 1:
+        hi = int(np.searchsorted(offsets, offsets[lo] + bound,
+                                 side="right")) - 1
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
 
 
 def _block_from_keys(keys: np.ndarray, n: np.int64) -> AdjacencyBlock:
@@ -384,8 +395,14 @@ def decode_id6(data: bytes) -> np.ndarray:
     """Decode packed little-endian 6-byte integers to int64."""
     if len(data) % SIX_BYTES:
         raise FormatError("truncated 6-byte id block")
-    count = len(data) // SIX_BYTES
-    raw = np.frombuffer(data, dtype=np.uint8).reshape(count, SIX_BYTES)
-    out = np.zeros((count, 8), dtype=np.uint8)
-    out[:, :SIX_BYTES] = raw
-    return out.view("<i8").ravel().astype(np.int64)
+    return _id6_values(np.frombuffer(data, dtype=f"V{SIX_BYTES}"))
+
+
+def _id6_values(items: np.ndarray) -> np.ndarray:
+    """``V6`` items (6-byte little-endian ids, e.g. gathered from a
+    byte-window view of a read buffer) as int64, each into the low six
+    bytes of its value: the inverse of :func:`id6_byte_view`."""
+    values = np.zeros(items.size, dtype="<i8")
+    np.ndarray((items.size,), dtype=f"V{SIX_BYTES}", buffer=values,
+               strides=(8,))[:] = items
+    return values.astype(np.int64, copy=False)

@@ -14,14 +14,16 @@ streaming pass.  The block encoder validates the ordering of a whole
 :class:`~repro.core.generator.AdjacencyBlock` with vectorized
 comparisons, a bounded slice of edges at a time, before any of it is
 written, then hands the sink its destination ids 6-byte-packed, one
-slice at a time.
+slice at a time.  The reader reads ``indptr`` and ``indices`` back a
+window of vertices and a block of edges at a time.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -29,7 +31,8 @@ from ..core.generator import AdjacencyBlock
 from ..errors import FormatError
 from ..telemetry import Stopwatch
 from .base import (SIX_BYTES, GraphFormat, StreamWriter, WriteResult,
-                   decode_id6, encode_id6, id6_byte_view, register_format)
+                   _bounded_rows, decode_id6, encode_id6, id6_byte_view,
+                   register_format)
 from .pipeline import ThreadedSink
 
 __all__ = ["Csr6Format"]
@@ -38,7 +41,8 @@ _MAGIC = b"CSR6"
 _HEADER = struct.Struct("<4sQQ")
 
 #: Edges checked and packed per slice: 384 KiB of ids, however large
-#: the block.
+#: the block.  The reader's blocks hold at most this many edges, and it
+#: reads ``indptr`` this many vertices at a time.
 _SLICE_EDGES = 1 << 16
 
 
@@ -153,35 +157,62 @@ class Csr6Format(GraphFormat):
                     num_vertices: int) -> StreamWriter:
         return _Csr6Writer(path, num_vertices)
 
+    def read_blocks(self, path: Path | str) -> Iterator[AdjacencyBlock]:
+        """Two handles on the file: one reads ``indptr`` a window of
+        ``_SLICE_EDGES`` vertices at a time, the other the ``indices`` of
+        each block of the window's non-empty rows."""
+        with open(path, "rb") as ptrs, open(path, "rb") as ids:
+            num_vertices = _read_header(ptrs, path)
+            ids.seek(_HEADER.size + 8 * (num_vertices + 1))
+            end = 0
+            for first in range(0, num_vertices, _SLICE_EDGES):
+                ends = np.frombuffer(ptrs.read(8 * min(
+                    _SLICE_EDGES, num_vertices - first)), dtype="<u8")
+                degrees = np.diff(ends.astype(np.int64), prepend=end)
+                if (degrees < 0).any():
+                    raise FormatError(f"{path}: inconsistent CSR6 indptr")
+                rows = np.flatnonzero(degrees)
+                offsets = np.concatenate([[0], np.cumsum(degrees[rows])])
+                end = int(ends[-1])
+                for lo, hi in _bounded_rows(offsets, _SLICE_EDGES):
+                    yield AdjacencyBlock(
+                        rows[lo:hi] + first, offsets[lo:hi + 1] - offsets[lo],
+                        decode_id6(ids.read(SIX_BYTES * int(
+                            offsets[hi] - offsets[lo]))))
+
     def read_csr(self, path: Path | str) -> tuple[np.ndarray, np.ndarray]:
         """Read the raw (indptr, indices) pair."""
-        path = Path(path)
         with open(path, "rb") as f:
-            head = f.read(_HEADER.size)
-            if len(head) != _HEADER.size:
-                raise FormatError(f"{path}: truncated CSR6 header")
-            magic, num_vertices, num_edges = _HEADER.unpack(head)
-            if magic != _MAGIC:
-                raise FormatError(f"{path}: not a CSR6 file")
-            indptr_raw = f.read((num_vertices + 1) * 8)
-            if len(indptr_raw) != (num_vertices + 1) * 8:
-                raise FormatError(f"{path}: truncated CSR6 indptr")
-            indptr = np.frombuffer(indptr_raw, dtype="<u8").astype(np.int64)
-            body = f.read(num_edges * SIX_BYTES)
-            if len(body) != num_edges * SIX_BYTES:
-                raise FormatError(f"{path}: truncated CSR6 indices")
-            indices = decode_id6(body)
-        if indptr[-1] != num_edges:
-            raise FormatError(f"{path}: inconsistent CSR6 indptr")
-        return indptr, indices
+            indptr = np.zeros(_read_header(f, path) + 1, dtype=np.int64)
+        indices = [np.empty(0, dtype=np.int64)]
+        for block in self.read_blocks(path):
+            indptr[block.sources + 1] = block.degrees
+            indices.append(block.destinations)
+        return np.cumsum(indptr), np.concatenate(indices)
 
-    def iter_adjacency(self, path: Path | str
-                       ) -> Iterator[tuple[int, np.ndarray]]:
-        indptr, indices = self.read_csr(path)
-        for u in range(indptr.size - 1):
-            lo, hi = int(indptr[u]), int(indptr[u + 1])
-            if hi > lo:
-                yield u, indices[lo:hi]
+
+def _read_header(f: BinaryIO, path: Path | str) -> int:
+    """``|V|`` of the CSR6 file open as ``f``, once its header is checked
+    against the file's size and ``indptr``'s first and last entries;
+    leaves ``f`` at ``indptr[1]``."""
+    head = f.read(_HEADER.size)
+    if len(head) != _HEADER.size:
+        raise FormatError(f"{path}: truncated CSR6 header")
+    magic, num_vertices, num_edges = _HEADER.unpack(head)
+    if magic != _MAGIC:
+        raise FormatError(f"{path}: not a CSR6 file")
+    indices_at = _HEADER.size + 8 * (num_vertices + 1)
+    size = os.fstat(f.fileno()).st_size
+    if size < indices_at:
+        raise FormatError(f"{path}: truncated CSR6 indptr")
+    if size < indices_at + SIX_BYTES * num_edges:
+        raise FormatError(f"{path}: truncated CSR6 indices")
+    f.seek(indices_at - 8)
+    last = f.read(8)
+    f.seek(_HEADER.size)
+    if f.read(8) != bytes(8) or int.from_bytes(last, "little") != num_edges:
+        raise FormatError(f"{path}: inconsistent CSR6 indptr")
+    return num_vertices
 
 
 register_format(Csr6Format())

@@ -34,6 +34,11 @@ class TrillionGSeqGenerator(ScopeBasedGenerator):
                             num_edges=self.num_edges, seed=self.seed,
                             **settings).build()
 
+    def _vertex_count(self) -> int:
+        """``n^scale`` for an ``n x n`` seed: ``scale`` is the recursion
+        depth (:attr:`Recipe.num_vertices`)."""
+        return Recipe(self.scale, seed_matrix=self.seed_matrix).num_vertices
+
     def estimated_peak_bytes(self) -> int:
         """AVS holds one scope (<= d_max destinations) plus RecVec; the
         bitwise engine holds one block of scopes.  Estimated as the block's

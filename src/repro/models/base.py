@@ -113,7 +113,8 @@ class ScopeBasedGenerator(ABC):
     Parameters
     ----------
     scale:
-        ``log2(|V|)``.
+        ``log2(|V|)`` — for the AVS models the recursion depth, ``|V| =
+        n^scale`` for an ``n x n`` seed (:meth:`_vertex_count`).
     edge_factor:
         ``|E| / |V|``; overridden by ``num_edges``.
     seed_matrix:
@@ -140,18 +141,23 @@ class ScopeBasedGenerator(ABC):
         if scale < 1:
             raise ConfigurationError("scale must be >= 1")
         self.scale = scale
-        self.num_vertices = 1 << scale
+        self.seed_matrix = (seed_matrix if seed_matrix is not None
+                            else GRAPH500)
+        self.num_vertices = self._vertex_count()
         self.num_edges = (num_edges if num_edges is not None
                           else edge_factor * self.num_vertices)
         if self.num_edges < 1:
             raise ConfigurationError("num_edges must be positive")
-        self.seed_matrix = (seed_matrix if seed_matrix is not None
-                            else GRAPH500)
         self.seed = seed
         self.memory_budget = memory_budget
         self.report = GenerationReport(model=self.name,
                                        num_vertices=self.num_vertices,
                                        requested_edges=self.num_edges)
+
+    def _vertex_count(self) -> int:
+        """``|V|`` at this scale: ``2^scale`` here, where ``scale`` is
+        ``log2(|V|)``; the AVS models read their recipe's."""
+        return 1 << self.scale
 
     # ------------------------------------------------------------------
 

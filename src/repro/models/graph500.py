@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..analysis.traversal import build_csr
 from .avs import TrillionGSeqGenerator
 from .base import BYTES_PER_EDGE_IN_MEMORY, Complexity
 
@@ -72,27 +73,13 @@ class Graph500Generator(TrillionGSeqGenerator):
                 scramble_vertices(edges[:, 0], self.scale),
                 scramble_vertices(edges[:, 1], self.scale)])
         with report.time_phase("construct"):
-            self.csr = self._build_csr(scrambled)
+            # Graph500's shuffle + CSR conversion, whose cost the paper
+            # shows dwarfs generation (>90% of runtime at scale 29).
+            self.csr = build_csr(scrambled, self.num_vertices)
         report.realized_edges = scrambled.shape[0]
         report.duplicates_discarded = self.inner.stats.duplicates_discarded
         report.peak_memory_bytes = self.estimated_peak_bytes()
         return scrambled
-
-    def _build_csr(self, edges: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """The construction step: sort by source and build index arrays.
-
-        This models Graph500's shuffle + CSR conversion, whose cost the
-        paper shows dwarfs generation (>90% of runtime at scale 29).
-        """
-        order = np.argsort(edges[:, 0] * np.int64(self.num_vertices)
-                           + edges[:, 1], kind="stable")
-        sorted_edges = edges[order]
-        indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
-        counts = np.bincount(sorted_edges[:, 0],
-                             minlength=self.num_vertices)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, sorted_edges[:, 1].copy()
 
     def construction_overhead_ratio(self) -> float:
         """Fraction of total time spent in scramble + construction

@@ -140,3 +140,30 @@ class TestProperties:
         a, b, c, d = normalized(weights)
         k = SeedMatrix.rmat(a, b, c, d)
         assert 0.0 < k.expected_ones_fraction() < 1.0
+
+
+class TestEqualityIsExact:
+    """``==`` and ``hash`` agree: equal seeds hash alike, and a seed
+    moved by 1e-12 is another seed (it may draw other bytes)."""
+
+    def test_a_nudged_seed_is_another_seed(self):
+        seed = SeedMatrix.rmat(0.57, 0.19, 0.19, 0.05)
+        nudged = SeedMatrix(seed.entries + [[1e-12, -1e-12], [0.0, 0.0]])
+        assert seed != nudged
+        assert len({seed, nudged}) == 2
+
+    def test_an_equal_seed_hashes_alike(self):
+        seed = SeedMatrix.rmat(0.57, 0.19, 0.19, 0.05)
+        copy = SeedMatrix(seed.entries.copy())
+        assert copy == seed == GRAPH500
+        assert hash(copy) == hash(seed) == hash(GRAPH500)
+        assert len({seed, copy, GRAPH500}) == 1
+
+    @given(positive_seed_entries(), positive_seed_entries())
+    def test_equal_implies_equal_hash(self, left, right):
+        a = SeedMatrix.rmat(*normalized(left))
+        b = SeedMatrix.rmat(*normalized(right))
+        for x, y in ((a, b), (a, SeedMatrix(a.entries.copy()))):
+            assert (x == y) == (x.entries.tobytes() == y.entries.tobytes())
+            if x == y:
+                assert hash(x) == hash(y)

@@ -8,6 +8,7 @@ fallback produces — including degree-0 vertices, empty blocks, partial
 first/last blocks, and the AVS-I flipped direction.
 """
 
+import re
 import threading
 import tracemalloc
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from repro import RecursiveVectorGenerator
 from repro.core.generator import AdjacencyBlock
 from repro.errors import FormatError
-from repro.formats import (GraphFormat, ThreadedSink, TsvFormat,
+from repro.formats import (ThreadedSink, TsvFormat,
                            WriteResult, block_from_edges, get_format,
                            id6_byte_view, pipeline)
 from repro.core import tables
@@ -446,12 +447,55 @@ def test_slice_sizes_change_no_byte_of_a_graph(fmt_name, tmp_path,
 
 
 class TestTsvBulkRead:
-    """``TsvFormat.read_edges`` parses in bulk; the line reader stays the
-    authority on what a valid file is and on the error text."""
+    """``TsvFormat`` parses a read buffer of lines at a time, vectorized;
+    a per-line reference parser is the authority on what a valid file is
+    (an empty line, or ``digits<TAB>digits`` with an optional CR) and on
+    the error text."""
 
     @staticmethod
     def line_reader(path):
-        return GraphFormat.read_edges(TsvFormat(), path)
+        rows = []
+        data = path.read_bytes()
+        lines = data.split(b"\n")
+        if lines[-1] == b"":
+            lines.pop()
+        for line_no, raw in enumerate(lines, 1):
+            line = raw[:-1] if raw.endswith(b"\r") else raw
+            if not line:
+                continue
+            match = re.fullmatch(rb"([0-9]{1,18})\t([0-9]{1,18})", line)
+            if match is None:
+                raise FormatError(
+                    f"{path}:{line_no}: malformed TSV line "
+                    f"{raw.decode('ascii', 'replace')!r}")
+            rows.append([int(match[1]), int(match[2])])
+        return np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(alphabet="0123456789\t\n\r x", max_size=60),
+           read_bytes=st.integers(1, 16))
+    def test_any_text_reads_as_the_line_reader_reads_it(
+            self, text, read_bytes, tmp_path_factory):
+        """Short reads cut lines and runs anywhere; the edges or the
+        error are the line reader's."""
+        path = tmp_path_factory.mktemp("tsv") / "g.tsv"
+        path.write_bytes(text.encode("ascii"))
+        try:
+            expected = self.line_reader(path)
+        except FormatError as exc:
+            expected = str(exc)
+        saved = tsv._READ_BYTES, tsv._SLICE_EDGES
+        tsv._READ_BYTES, tsv._SLICE_EDGES = read_bytes, 2
+        try:
+            got = TsvFormat().read_edges(path)
+        except FormatError as exc:
+            got = str(exc)
+        finally:
+            tsv._READ_BYTES, tsv._SLICE_EDGES = saved
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert np.array_equal(got, expected)
 
     def test_equals_line_reader_on_generated_file(self, tmp_path):
         gen = make_generator(scale=12)

@@ -99,7 +99,7 @@ class _BoomFormat(GraphFormat):
     def open_writer(self, path, num_vertices):
         return _BoomWriter(path, num_vertices)
 
-    def iter_adjacency(self, path):
+    def read_blocks(self, path):
         return iter(())
 
 

@@ -9,7 +9,8 @@ from repro import RecursiveVectorGenerator
 from repro.core.generator import AdjacencyBlock
 from repro.errors import FormatError
 from repro.formats import (Adj6Format, Csr6Format, TsvFormat,
-                           available_formats, get_format)
+                           adj6, available_formats, csr6, get_format, tsv)
+from repro.models import RmatDiskGenerator
 from repro.formats.base import decode_id6, encode_id6
 
 
@@ -94,6 +95,36 @@ class TestRoundTrip:
         res = fmt.write_blocks(tmp_path / f"empty.{fmt_name}", [], 16)
         assert res.num_edges == 0
         assert fmt.read_edges(res.path).shape == (0, 2)
+
+    def test_read_blocks_hold_whole_bounded_sources(self, fmt_name, graph,
+                                                    tmp_path, monkeypatch):
+        """``read_blocks`` concatenates to the edges the file was written
+        from, each source in one block, and a block holds at most the
+        format's ``_SLICE_EDGES`` edges unless one source has more.
+        Tiny slices and reads put a join everywhere."""
+        g, edges = graph
+        fmt = get_format(fmt_name)
+        path = tmp_path / f"b.{fmt_name}"
+        fmt.write_blocks(path, g.iter_blocks(), 512)
+        module = {"adj6": adj6, "csr6": csr6, "tsv": tsv}[fmt_name]
+        monkeypatch.setattr(module, "_SLICE_EDGES", 7)
+        if fmt_name != "csr6":
+            monkeypatch.setattr(module, "_READ_BYTES", 61)
+        blocks = list(fmt.read_blocks(path))
+        assert all(b.num_edges <= 7 or b.sources.size == 1 for b in blocks)
+        assert np.all(np.diff(np.concatenate([b.sources for b in blocks]))
+                      > 0)
+        np.testing.assert_array_equal(
+            np.concatenate([b.edge_array() for b in blocks]), edges)
+
+    def test_a_disk_baseline_reads_back(self, fmt_name, tmp_path):
+        """RMAT-disk's blocks come from the external sort's key stream
+        (``blocks_from_sorted_keys``); they read back as its edges."""
+        path = tmp_path / f"r.{fmt_name}"
+        RmatDiskGenerator(9, 8, seed=3).write_to(path, fmt=fmt_name)
+        np.testing.assert_array_equal(
+            get_format(fmt_name).read_edges(path),
+            RmatDiskGenerator(9, 8, seed=3).generate())
 
     def test_bytes_written_matches_file(self, fmt_name, graph, tmp_path):
         g, _ = graph

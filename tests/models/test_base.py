@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.seed import SeedMatrix
 from repro.errors import ConfigurationError, OutOfMemoryError
-from repro.models import RmatMemGenerator, TrillionGSeqGenerator, dedup_edges
+from repro.models import (Graph500Generator, RmatMemGenerator, TegGenerator,
+                          TrillionGSeqGenerator, dedup_edges)
 from repro.models.base import GenerationReport
 
 
@@ -50,6 +52,31 @@ class TestMemoryBudget:
     def test_no_budget_means_no_check(self):
         g = RmatMemGenerator(8, 8)
         g.check_memory_budget()  # must not raise
+
+
+class TestVertexCount:
+    """An AVS model's ``|V|`` is its recipe's ``n^scale``; the other
+    models keep ``2^scale`` (``scale`` is ``log2(|V|)`` for them)."""
+
+    THREE = SeedMatrix(np.array([[0.3, 0.12, 0.08], [0.12, 0.1, 0.05],
+                                 [0.08, 0.05, 0.1]]))
+
+    def test_a_three_by_three_seed_has_three_to_the_scale_vertices(self):
+        g = TrillionGSeqGenerator(5, 8, self.THREE, seed=1)
+        assert g.num_vertices == g.inner.num_vertices == 243
+        assert g.num_edges == 8 * 243
+        assert g.report.num_vertices == 243
+        edges = g.generate()
+        assert edges.shape[0] == 8 * 243
+        assert 32 <= int(edges.max()) < 243
+        assert g.estimated_peak_bytes() == int(
+            max(8 * g.inner.block_size * 4, 1024) * 8)
+
+    def test_two_by_two_seeds_keep_two_to_the_scale(self):
+        for cls in (TrillionGSeqGenerator, TegGenerator, Graph500Generator,
+                    RmatMemGenerator):
+            g = cls(7, 4, seed=2)
+            assert g.num_vertices == 128 and g.num_edges == 512
 
 
 class TestValidation:

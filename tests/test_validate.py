@@ -102,3 +102,43 @@ class TestReportFormatting:
         report = ValidationReport([Check("a", True, ""),
                                    Check("b", False, "")])
         assert [c.name for c in report.failed()] == ["b"]
+
+
+class TestStreamed:
+    """``validate_blocks`` folds a file's blocks into the checks that
+    ``validate_edges`` makes of its whole edge array."""
+
+    @pytest.fixture(params=["tsv", "adj6", "csr6"])
+    def written(self, request, tmp_path):
+        from repro.formats import get_format
+        g = RecursiveVectorGenerator(12, 16, seed=1)
+        fmt = get_format(request.param)
+        path = tmp_path / f"g.{request.param}"
+        fmt.write_blocks(path, g.iter_blocks(), g.num_vertices)
+        return g, fmt, path
+
+    def test_the_same_report_as_the_edge_array(self, written, monkeypatch):
+        from repro.formats import adj6, csr6, tsv
+        from repro.validate import validate_blocks
+        g, fmt, path = written
+        for module in (adj6, csr6, tsv):
+            monkeypatch.setattr(module, "_SLICE_EDGES", 101)
+        options = dict(seed_matrix=GRAPH500, expected_edges=g.num_edges)
+        streamed = validate_blocks(fmt.read_blocks(path), g.num_vertices,
+                                   **options)
+        whole = validate_edges(fmt.read_edges(path), g.num_vertices,
+                               **options)
+        assert str(streamed) == str(whole)
+        assert streamed.ok, str(streamed)
+
+    def test_the_streamed_slope_is_the_degree_array_slope(self, written):
+        from repro.analysis import fit_kronecker_class_slope, out_degrees
+        from repro.analysis.fitting import fit_class_sums_slope
+        from repro.validate import _Tally
+        g, fmt, path = written
+        tally = _Tally(g.num_vertices)
+        for block in fmt.read_blocks(path):
+            tally.add(block)
+        degrees = out_degrees(fmt.read_edges(path), g.num_vertices)
+        assert fit_class_sums_slope(tally.class_sums, g.num_vertices) == (
+            fit_kronecker_class_slope(degrees))
