@@ -16,6 +16,7 @@ import numpy as np
 from repro.core.generator import RecursiveVectorGenerator
 from repro.dist import ClusterSpec, LocalCluster
 from repro.experiments import figure11b_rows
+from repro.formats import get_format
 from repro.models import WespDiskGenerator, WespMemGenerator
 from tests.faultinject import FaultInjector, needs_fork
 
@@ -107,7 +108,8 @@ def test_measured_faulty_run_overhead(benchmark, tmp_path, monkeypatch,
             g, out_dir, "adj6", processes=2,
             retry=RetryPolicy(task_timeout=6.0))
         elapsed = time.perf_counter() - t0
-        edges = cluster.read_all_edges(result, "adj6")
+        edges = np.concatenate([get_format("adj6").read_edges(path)
+                                for path in result.paths])
         return result, elapsed, sort_edges(edges)
 
     def run():

@@ -16,9 +16,9 @@ Three artifacts matter beyond the printed tables:
   TSV 5x).
 - ``test_generate_stays_under_rss_cap`` is the CI perf-smoke gate for a
   block's working set: a fresh ``trilliong generate`` process at scales
-  20 and 22, ADJ6 and TSV, must peak below one cap, which the
-  whole-block scratch, the whole-block encode and the whole hub block
-  of before each exceeded.
+  20 and 22, ADJ6 and TSV, and a ``--resume`` one at scale 20, must
+  peak below one cap, which the whole-block scratch, the whole-block
+  encode and the whole hub block of before each exceeded.
 - ``test_rich_stays_under_rss_cap`` is the same gate for ``trilliong
   rich``: its rules are drawn in ERV runs of at most ``_BLOCK_EDGES``
   edges and leave through the TSV block encoder, where the per-triple
@@ -64,6 +64,12 @@ SMOKE_SCALE = 18
 #: numpy 2.4; ``import repro.cli, numpy.random`` alone is 37.6 MiB).
 RSS_SCALES = (20, 22)
 RSS_CAP_BYTES = 56 * 1024 * 1024
+#: Its runs: each format at each scale, and an in-process ``--resume``
+#: run at scale 20, whose chunks are written by the sequential run's
+#: path (43.4 MiB, against 43.6 sequential).
+RSS_RUNS = [*(pytest.param(fmt, scale, [], id=f"{fmt}-{scale}")
+              for scale in RSS_SCALES for fmt in ("adj6", "tsv")),
+            pytest.param("adj6", 20, ["--resume"], id="adj6-20-resume")]
 
 #: ``rich --vertices 262144 --schema bibliographical --seed 3`` in a fresh
 #: process, default allocator: 1 838 122 triples.  It peaked at 110 MiB
@@ -241,14 +247,14 @@ def test_block_tsv_beats_per_vertex(tmp_path, table):
         f"{SMOKE_SCALE}; the lane-table encoder regressed")
 
 
-@pytest.mark.parametrize("scale", RSS_SCALES)
-@pytest.mark.parametrize("fmt_name", ["adj6", "tsv"])
-def test_generate_stays_under_rss_cap(fmt_name, scale, table):
+@pytest.mark.parametrize("fmt_name, scale, flags", RSS_RUNS)
+def test_generate_stays_under_rss_cap(fmt_name, scale, flags, table):
     """CI perf smoke: a block is generated in runs of at most
     ``_BLOCK_EDGES`` edges, a run's working set is its key array plus
     slice-sized scratch, and its bytes leave the encoder a slice at a
     time, so ``generate`` in a fresh process peaks below one cap at
-    every scale — the hub block's growth no longer shows."""
+    every scale — the hub block's growth no longer shows — and a
+    resumable run, which writes its chunks through the same path, too."""
     gen = RecursiveVectorGenerator(scale, 16, seed=7)
     hub_edges = gen.block_total(0)
     with tempfile.TemporaryDirectory(prefix="bench-formats-rss-") as work:
@@ -256,13 +262,13 @@ def test_generate_stays_under_rss_cap(fmt_name, scale, table):
             "from repro.cli import main\n"
             "main(['generate', '--scale',\n"
             f"      '{scale}', '--format', '{fmt_name}',\n"
-            "      '--seed', '7',\n"
+            f"      '--seed', '7', *{flags!r},\n"
             f"      '--output', {str(Path(work) / 'g')!r}])\n"
             f"print({_VMHWM_KB})\n")
     edges = int(re.search(r"\|E\|=(\d+)", out).group(1))
     rss = int(out.split()[-1]) * 1024
-    table(f"generate peak RSS (scale {scale}, {fmt_name}, "
-          "fresh process)",
+    command = " ".join(["generate", *flags])
+    table(f"{command} peak RSS (scale {scale}, {fmt_name}, fresh process)",
           ["metric", "value"],
           [["|E|", f"{edges:,}"],
            ["hub block edges", f"{hub_edges:,}"],
@@ -270,7 +276,7 @@ def test_generate_stays_under_rss_cap(fmt_name, scale, table):
            ["peak RSS", f"{rss / 2**20:,.1f} MiB"],
            ["RSS cap", f"{RSS_CAP_BYTES / 2**20:,.0f} MiB"]])
     assert rss < RSS_CAP_BYTES, (
-        f"generate --scale {scale} --format {fmt_name} peaked at "
+        f"{command} --scale {scale} --format {fmt_name} peaked at "
         f"{rss / 2**20:.0f} MiB, over the {RSS_CAP_BYTES / 2**20:.0f} MiB "
         "cap: a run's scratch or its encoded bytes are no longer bounded")
 

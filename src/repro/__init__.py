@@ -21,13 +21,13 @@ from .core import (GRAPH500, UNIFORM, IdeaToggles, Recipe,
 from .errors import (CapacityError, ConfigurationError, FormatError,
                      GenerationError, OutOfMemoryError, SeedMatrixError,
                      TrillionGError)
-from .system import TrillionG, TrillionGResult
+from .system import TrillionG, generate
 
 __version__ = "1.0.0"
 
 __all__ = [
     "GRAPH500", "UNIFORM", "IdeaToggles", "Recipe", "RecursiveVectorGenerator",
-    "ReferenceGenerator", "SeedMatrix", "TrillionG", "TrillionGResult",
+    "ReferenceGenerator", "SeedMatrix", "TrillionG", "generate",
     "CapacityError", "ConfigurationError", "FormatError", "GenerationError",
     "OutOfMemoryError", "SeedMatrixError", "TrillionGError", "__version__",
 ]

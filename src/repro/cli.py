@@ -2,13 +2,19 @@
 
 Subcommands
 -----------
-``generate``  — generate a Graph500-style graph (any n x n seed) to
-TSV/ADJ6/CSR6;
-``rich``      — generate the bibliographical rich graph (Section 6);
-``stats``     — print statistics of a graph file;
-``degrees``   — print the degree histogram of a graph file;
-``convert``   — convert between graph formats;
-``experiment`` — print a paper figure's or table's rows (``--list``).
+``generate``   — generate a Graph500-style graph (any n x n seed) to
+TSV/ADJ6/CSR6, sequentially, over worker processes, or resumably;
+``rich``       — generate a rich (gMark-style) graph (Section 6);
+``verify``     — validate a generated graph file;
+``stats``      — print statistics of a graph file;
+``degrees``    — print the degree histogram of a graph file;
+``convert``    — convert between graph formats;
+``merge``      — merge ordered part files into one graph file;
+``plan``       — capacity planning on the paper's cluster model;
+``baseline``   — run one of the paper's baseline generators;
+``analyze``    — print realism metrics of a graph file;
+``experiment`` — print a paper figure's or table's rows (``--list``);
+``fit``        — fit a seed matrix to a graph, optionally rescaling it.
 """
 
 from __future__ import annotations
@@ -20,10 +26,11 @@ import sys
 import numpy as np
 
 from . import __version__
+from .core.generator import Recipe
 from .core.seed import SeedMatrix
 from .errors import ConfigurationError
 from .formats import available_formats, get_format
-from .system import TrillionG
+from .system import generate
 
 __all__ = ["main", "build_parser"]
 
@@ -222,11 +229,6 @@ def _refuse_ignored_flags(args: argparse.Namespace) -> None:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     _refuse_ignored_flags(args)
-    cluster = None
-    if args.machines * args.threads > 1:
-        from .dist.runner import ClusterSpec
-        cluster = ClusterSpec(machines=args.machines,
-                              threads_per_machine=args.threads)
     retry = None
     if args.retries is not None or args.task_timeout is not None:
         from .dist.faults import RetryPolicy
@@ -236,20 +238,21 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                 task_timeout=args.task_timeout)
         except ConfigurationError as exc:
             raise SystemExit(f"--retries/--task-timeout: {exc}") from None
+    reporter = None
     try:
-        tg = TrillionG(args.scale, args.edge_factor,
-                       _parse_matrix(args.matrix), noise=args.noise,
-                       seed=args.seed, cluster=cluster, retry=retry)
+        recipe = Recipe(args.scale, args.edge_factor,
+                        _parse_matrix(args.matrix), noise=args.noise,
+                        seed=args.seed)
+        if args.progress:
+            from .telemetry import ProgressReporter
+            reporter = ProgressReporter(total_edges=recipe.num_edges)
+        result = generate(recipe, args.output, args.format,
+                          workers=args.machines * args.threads,
+                          retry=retry, resume=args.resume,
+                          blocks_per_chunk=args.blocks_per_chunk,
+                          progress=reporter)
     except ConfigurationError as exc:
         raise SystemExit(str(exc)) from None
-    reporter = None
-    if args.progress:
-        from .telemetry import ProgressReporter
-        reporter = ProgressReporter(total_edges=tg.generator.num_edges)
-    result = tg.generate_to(args.output, fmt=args.format,
-                            resume=args.resume,
-                            blocks_per_chunk=args.blocks_per_chunk,
-                            progress=reporter)
     if reporter is not None:
         reporter.finish()
     if args.metrics_out is not None:

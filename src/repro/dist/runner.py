@@ -1,4 +1,4 @@
-"""Local multiprocessing cluster for distributed AVS generation.
+"""The scatter of vertex ranges to files, and the cluster that runs it.
 
 Stands in for the paper's Spark cluster of "machines x threads": workers are
 OS processes on this host, each generating a Figure 6 partition of the
@@ -7,36 +7,34 @@ HDFS parts).  Because the AVS generator's randomness is keyed per block,
 the distributed output is bit-identical to a sequential run over the same
 configuration.
 
-Execution is supervised by the fault-tolerance layer
-(:mod:`repro.dist.faults`): each partition runs under a per-attempt
-timeout, crashed or hung workers are killed and retried with backoff,
-and the full per-task attempt history is recorded on the
-:class:`DistributedResult`.  :func:`scatter` is the one path that writes
-a vertex range to a file: :meth:`LocalCluster.generate_to_files` runs it
-over the partitions, and
-:meth:`~repro.dist.checkpoint.CheckpointedRun.run` over the pending
-chunks of a resumable run.
+:func:`scatter` is the one path that writes a vertex range to a file,
+supervised by the fault-tolerance layer (:mod:`repro.dist.faults`): each
+range runs under a per-attempt timeout, crashed or hung workers are
+killed and retried with backoff, and the full per-task attempt history
+is recorded on the :class:`DistributedResult`.  :func:`repro.system.generate`
+runs it over one range (a sequential run), the Figure 6 partitions, or the
+pending chunks of a resumable run;
+:meth:`~repro.dist.checkpoint.CheckpointedRun.run` over the latter too.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
+import glob
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from ..atomic import atomic_write
-from ..core.generator import RecursiveVectorGenerator
+from ..core.generator import AdjacencyBlock, Recipe, RecursiveVectorGenerator
 from ..errors import WorkerError
 from ..formats import get_format
 from ..telemetry import span
 from .faults import RetryPolicy, TaskAttempt, run_tasks
-from .partition import range_partition
 
 __all__ = ["ClusterSpec", "WorkerResult", "DistributedResult",
-           "LocalCluster", "scatter", "worker_processes"]
+           "LocalCluster", "scatter"]
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,17 @@ class WorkerResult:
 
 @dataclass
 class DistributedResult:
-    """Outcome of a distributed generation run."""
+    """Outcome of a generation run: one :class:`WorkerResult` per file of
+    the output, in vertex order.
+
+    ``elapsed_seconds`` is the ``generate`` span's (the ``scatter``
+    span's for a bare :func:`scatter`).  ``encode_seconds`` /
+    ``write_seconds`` break the output cost into format encoding vs.
+    ``file.write`` wall time, summed across workers (the two overlap:
+    the write runs on the pipeline's background thread).  ``telemetry``
+    holds the run's metrics + span report
+    (:func:`repro.telemetry.build_report`).
+    """
 
     workers: list[WorkerResult] = field(default_factory=list)
     partition_seconds: float = 0.0
@@ -78,6 +86,8 @@ class DistributedResult:
     #: task index -> every attempt the scheduler made for it.
     task_attempts: dict[int, list[TaskAttempt]] = field(
         default_factory=dict)
+    num_vertices: int = 0
+    telemetry: dict = field(default_factory=dict)
 
     @property
     def num_edges(self) -> int:
@@ -104,11 +114,23 @@ class DistributedResult:
         return sum(w.write_seconds for w in self.workers)
 
     @property
+    def bytes_written(self) -> int:
+        """Bytes of the output files on disk."""
+        return sum(path.stat().st_size for path in self.paths)
+
+    @property
     def edges_per_second(self) -> float:
         """End-to-end edge throughput of the run (0 when untimed)."""
         if self.elapsed_seconds <= 0.0:
             return 0.0
         return self.num_edges / self.elapsed_seconds
+
+    @property
+    def bytes_per_second(self) -> float:
+        """End-to-end byte throughput of the run (0 when untimed)."""
+        if self.elapsed_seconds <= 0.0:
+            return 0.0
+        return self.bytes_written / self.elapsed_seconds
 
     @property
     def skew(self) -> float:
@@ -121,25 +143,44 @@ class DistributedResult:
 
 
 def _worker_generate(args: tuple) -> WorkerResult:
-    """Subprocess entry point: generate one vertex range to one file.
+    """Task entry point: generate one vertex range to one file.
 
     The file is published by :func:`~repro.atomic.atomic_write`, so a
-    part or chunk is whole once it exists; the checkpoint manifest
-    records a chunk only after this returns.  Module-level and driven
-    purely by the picklable ``args`` tuple (its ``Recipe`` is the graph)
-    so it round-trips under both fork and spawn start methods.
+    part, chunk or sequential output is whole once it exists; the
+    checkpoint manifest records a chunk only after this returns.
+    Module-level and driven purely by the ``args`` tuple, so it
+    round-trips under both fork and spawn start methods: in a worker
+    process its source is the graph's ``Recipe`` (built here) and its
+    ``on_edges`` is ``None``; in the supervisor the source is the
+    generator already built, and ``on_edges(count)`` follows each
+    written block.
     """
-    (worker, start, stop, recipe, fmt_name, out_path) = args
+    (worker, start, stop, source, fmt_name, out_path, on_edges) = args
     with span("worker.generate", worker=worker) as sp:
-        generator = recipe.build()
-        fmt = get_format(fmt_name)
+        generator = source.build() if isinstance(source, Recipe) else source
+        blocks = generator.iter_blocks(start, stop)
+        if on_edges is not None:
+            blocks = _reporting(blocks, on_edges)
         with atomic_write(out_path) as tmp:
-            result = fmt.write_blocks(tmp, generator.iter_blocks(start, stop),
-                                      generator.num_vertices)
+            result = get_format(fmt_name).write_blocks(
+                tmp, blocks, generator.num_vertices)
     return WorkerResult(worker, start, stop, result.num_edges,
                         str(out_path), sp.seconds,
                         encode_seconds=result.encode_seconds,
                         write_seconds=result.write_seconds)
+
+
+def _reporting(blocks: Iterator[AdjacencyBlock],
+               on_edges: Callable[[int], None]
+               ) -> Iterator[AdjacencyBlock]:
+    """``blocks``, calling ``on_edges`` with each one's edge count once
+    the writer has taken it and asked for the next.  A block is let go
+    before the call."""
+    for block in blocks:
+        count = block.num_edges
+        yield block
+        del block
+        on_edges(count)
 
 
 def _validate_part(task: tuple, result: WorkerResult) -> None:
@@ -159,61 +200,47 @@ def scatter(generator: RecursiveVectorGenerator, out_dir: Path,
             jobs: list[tuple[int, int, int, str]], fmt_name: str,
             pool_size: int, retry: RetryPolicy | None,
             on_result: Callable[[int, WorkerResult], None] | None = None,
+            on_edges: Callable[[int], None] | None = None,
             ) -> DistributedResult:
     """Write each ``(index, start, stop, name)`` job's vertex range to
-    ``out_dir / name``: the one way ``dist`` writes a graph range.
+    ``out_dir / name``: the one way a graph range is written.
 
-    The jobs run as :func:`_worker_generate` tasks ``(index, start,
-    stop, generator.recipe(), fmt_name, path)`` under
-    :func:`~repro.dist.faults.run_tasks` (in-process at ``pool_size <=
-    1``), each checked by :func:`_validate_part`; ``on_result(position,
-    result)`` fires in the supervisor as each lands.  Afterwards the
+    The jobs run as :func:`_worker_generate` tasks under
+    :func:`~repro.dist.faults.run_tasks`, each checked by
+    :func:`_validate_part`: in-process from ``generator`` itself at
+    ``pool_size <= 1``, else in worker processes that build theirs from
+    its recipe.  ``on_result(position, result)`` fires in the supervisor
+    as each job lands; ``on_edges(count)`` counts the edges written, per
+    block in-process and per job from a worker process.  Afterwards the
     ``*.partial.*`` temporaries that killed attempts left for these
     names are deleted, and no other file.
     """
     # Refuses a generator without a recipe before touching the disk.
     recipe = generator.recipe()
-    tasks = [(index, start, stop, recipe, fmt_name, str(out_dir / name))
+    in_process = pool_size <= 1
+    tasks = [(index, start, stop, generator if in_process else recipe,
+              fmt_name, str(out_dir / name), on_edges if in_process else None)
              for index, start, stop, name in jobs]
+
+    def landed(position: int, worker: WorkerResult) -> None:
+        if on_result is not None:
+            on_result(position, worker)
+        if on_edges is not None and not in_process:
+            on_edges(worker.num_edges)
+
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = DistributedResult()
+    result = DistributedResult(num_vertices=generator.num_vertices)
     with span("scatter", tasks=len(tasks), pool=pool_size) as sp:
         try:
             result.workers, result.task_attempts = run_tasks(
                 tasks, _worker_generate, pool_size=pool_size,
-                policy=retry, validate=_validate_part,
-                on_result=on_result)
+                policy=retry, validate=_validate_part, on_result=landed)
         finally:
             for *_, name in jobs:
-                for stray in out_dir.glob(f"{name}.partial.*"):
+                for stray in out_dir.glob(f"{glob.escape(name)}.partial.*"):
                     stray.unlink(missing_ok=True)
     result.elapsed_seconds = sp.seconds
     return result
-
-
-def worker_processes(processes: int | None, num_tasks: int,
-                     logical_workers: int) -> int:
-    """Worker processes for a scatter: ``processes`` when given, else
-    one per logical worker and task, at most one per CPU."""
-    if processes is not None:
-        return processes
-    return min(logical_workers, num_tasks, mp.cpu_count())
-
-
-def _progress_hook(progress: Callable[[int], None] | None
-                   ) -> Callable[[int, WorkerResult], None] | None:
-    """Adapt a cumulative-edge ``progress`` callback to the scheduler's
-    per-task ``on_result(index, result)`` hook."""
-    if progress is None:
-        return None
-    edges_done = 0
-
-    def hook(index: int, worker_result: WorkerResult) -> None:
-        nonlocal edges_done
-        edges_done += worker_result.num_edges
-        progress(edges_done)
-
-    return hook
 
 
 class LocalCluster:
@@ -233,36 +260,10 @@ class LocalCluster:
                           retry: RetryPolicy | None = None,
                           progress: Callable[[int], None] | None = None,
                           ) -> DistributedResult:
-        """Partition, scatter, and generate part files in parallel.
-
-        ``processes`` caps the real OS processes (defaults to the logical
-        worker count; the logical partitioning is unaffected).  ``retry``
-        configures the fault-tolerance layer (retries and the per-attempt
-        timeout).  ``progress`` is called with 0 before any partition is
-        written, then with the cumulative edge count as each lands.
-        """
-        with span("partition", workers=self.spec.num_workers) as sp:
-            ranges = range_partition(generator, self.spec.num_workers)
-        jobs = [(w, r.start, r.stop, f"part-{w:04d}.{fmt_name}")
-                for w, r in enumerate(ranges)]
-        if progress is not None:
-            progress(0)
-        result = scatter(
-            generator, Path(out_dir), jobs, fmt_name,
-            worker_processes(processes, len(jobs), self.spec.num_workers),
-            retry,
-            _progress_hook(progress))
-        result.partition_seconds = sp.seconds
-        result.elapsed_seconds += sp.seconds
-        return result
-
-    def read_all_edges(self, result: DistributedResult,
-                       fmt_name: str = "adj6") -> np.ndarray:
-        """Concatenate all part files back into one edge array (for
-        verification; paper-scale outputs would stay on disk)."""
-        fmt = get_format(fmt_name)
-        parts = [fmt.read_edges(p) for p in result.paths]
-        parts = [p for p in parts if p.size]
-        if not parts:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.concatenate(parts)
+        """:func:`repro.system.generate` over this cluster's workers: one
+        part file per Figure 6 range in ``out_dir`` (with more than one
+        worker), at most ``processes`` at a time."""
+        from ..system import generate   # system drives dist: import late
+        return generate(generator, out_dir, fmt_name,
+                        workers=self.spec.num_workers, processes=processes,
+                        retry=retry, progress=progress)

@@ -132,6 +132,8 @@ class ScopeBasedGenerator(ABC):
     complexity: Complexity = Complexity("?", "?", "?")
     #: Human-readable model name used in reports and benchmark tables.
     name: str = "abstract"
+    #: Whether the model walks 2 x 2 quadrants only (``|V| = 2^scale``).
+    rmat_only: bool = False
 
     def __init__(self, scale: int, edge_factor: int = 16,
                  seed_matrix: SeedMatrix | None = None, *,
@@ -143,6 +145,10 @@ class ScopeBasedGenerator(ABC):
         self.scale = scale
         self.seed_matrix = (seed_matrix if seed_matrix is not None
                             else GRAPH500)
+        if self.rmat_only and not self.seed_matrix.is_rmat:
+            order = self.seed_matrix.order
+            raise ConfigurationError(
+                f"{self.name} takes a 2x2 seed; got a {order}x{order} one")
         self.num_vertices = self._vertex_count()
         self.num_edges = (num_edges if num_edges is not None
                           else edge_factor * self.num_vertices)

@@ -31,6 +31,7 @@ class KroneckerAesGenerator(ScopeBasedGenerator):
     """Cell-by-cell stochastic Kronecker graph generation (AES)."""
 
     name = "Kronecker-AES"
+    rmat_only = True
     complexity = Complexity("O(|V|^2 / P)", "O(1)", "AES")
 
     def __init__(self, *args, **kwargs) -> None:

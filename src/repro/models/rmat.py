@@ -151,6 +151,7 @@ class RmatMemGenerator(ScopeBasedGenerator):
     """RMAT with in-memory duplicate elimination (WES)."""
 
     name = "RMAT-mem"
+    rmat_only = True
     complexity = Complexity("O(|E| log|V|)", "O(|E|)", "WES")
 
     def generate(self) -> np.ndarray:
@@ -172,6 +173,7 @@ class RmatDiskGenerator(StreamingDedupMixin):
     """
 
     name = "RMAT-disk"
+    rmat_only = True
     complexity = Complexity("O(|E| log|V|) + sort(|E|)", "O(batch)", "WES")
 
     def __init__(self, *args, epsilon: float = 0.01, **kwargs) -> None:

@@ -43,6 +43,8 @@ def worker_task(seed: int, worker: int, num_edges: int, num_workers: int,
 class _WespBase(ScopeBasedGenerator):
     """The ``P`` map tasks of WES/p and the skew of their shuffle."""
 
+    rmat_only = True
+
     def __init__(self, *args, num_workers: int = 4, epsilon: float = 0.01,
                  **kwargs) -> None:
         super().__init__(*args, **kwargs)

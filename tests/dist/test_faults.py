@@ -16,7 +16,14 @@ from repro.dist.faults import (RetryPolicy, TaskAttempt, pick_start_method,
                                run_tasks)
 from repro.dist.runner import LocalCluster, _worker_generate
 from repro.errors import ConfigurationError, TaskTimeout, WorkerError
+from repro.formats import get_format
 from tests.faultinject import FaultInjector, needs_fork
+
+
+def read_parts(result, fmt="adj6"):
+    """Every edge of a run's files, in file order."""
+    return np.concatenate([get_format(fmt).read_edges(path)
+                           for path in result.paths])
 
 
 def sort_edges(edges: np.ndarray) -> np.ndarray:
@@ -159,7 +166,7 @@ class TestClusterFaultRecovery:
             ["timeout", "ok"]
         assert [a.outcome for a in res.task_attempts[2]] == \
             ["corrupt", "ok"]
-        dist_edges = cluster.read_all_edges(res, "adj6")
+        dist_edges = read_parts(res, "adj6")
         seq = make_generator().edges()
         np.testing.assert_array_equal(sort_edges(dist_edges),
                                       sort_edges(seq))
@@ -208,7 +215,7 @@ class TestClusterFaultRecovery:
                                         "adj6", processes=3)
         assert res.num_retries == sum(
             inj.action(i, 1) == "crash" for i in range(6)) > 0
-        dist_edges = cluster.read_all_edges(res, "adj6")
+        dist_edges = read_parts(res, "adj6")
         np.testing.assert_array_equal(sort_edges(dist_edges),
                                       sort_edges(make_generator().edges()))
 
@@ -225,7 +232,7 @@ class TestSpawnSafety:
         from repro.dist.partition import range_partition
         first = range_partition(g, 2)[0]
         task = (0, first.start, first.stop, g.recipe(), "adj6",
-                str(tmp_path / "part-0000.adj6"))
+                str(tmp_path / "part-0000.adj6"), None)
         revived = pickle.loads(pickle.dumps(task))
         assert revived == task
         result = _worker_generate(revived)
@@ -239,7 +246,7 @@ class TestSpawnSafety:
         cluster = LocalCluster(num_workers=2)
         res = cluster.generate_to_files(g, tmp_path, "adj6",
                                         processes=2)
-        dist_edges = cluster.read_all_edges(res, "adj6")
+        dist_edges = read_parts(res, "adj6")
         seq = make_generator(scale=9).edges()
         np.testing.assert_array_equal(sort_edges(dist_edges),
                                       sort_edges(seq))

@@ -113,7 +113,7 @@ def boom_format():
 def test_failed_worker_write_leaves_no_partial(tmp_path, boom_format):
     final = tmp_path / "chunk-000000.adj6"
     args = (0, 0, 16,
-            Recipe(6, 2, seed=1), boom_format, str(final))
+            Recipe(6, 2, seed=1), boom_format, str(final), None)
     with pytest.raises(OSError, match="injected"):
         _worker_generate(args)
     assert not final.exists(), "failed chunk must not be adopted"
@@ -124,7 +124,7 @@ def test_failed_worker_write_leaves_no_partial(tmp_path, boom_format):
 def test_successful_worker_write_cleans_temporaries(tmp_path):
     final = tmp_path / "chunk-000000.adj6"
     args = (0, 0, 16,
-            Recipe(6, 2, seed=1), "adj6", str(final))
+            Recipe(6, 2, seed=1), "adj6", str(final), None)
     result = _worker_generate(args)
     assert final.exists()
     assert list(tmp_path.glob("*.partial*")) == []

@@ -15,9 +15,28 @@ from repro.models import (ALL_MODELS, BarabasiAlbertGenerator,
 from repro.errors import ConfigurationError, GenerationError
 
 
+SEED_3X3 = SeedMatrix(np.array([[0.3, 0.12, 0.08], [0.12, 0.1, 0.05],
+                                 [0.08, 0.05, 0.1]]))
+
+
 @pytest.mark.parametrize("name,cls", sorted(ALL_MODELS.items()))
 class TestAllModelsContract:
     """Every registered model obeys the shared generator contract."""
+
+    @pytest.mark.parametrize("seed_matrix", [GRAPH500, SEED_3X3],
+                             ids=["2x2", "3x3"])
+    def test_ids_below_num_vertices_or_refused(self, name, cls,
+                                               seed_matrix):
+        """A model draws every id below its ``num_vertices``, or refuses
+        the seed when it is built; none refuses a 2x2 one."""
+        try:
+            g = cls(5, 8, seed_matrix, seed=1)
+        except ConfigurationError:
+            assert seed_matrix.order > 2
+            return
+        edges = g.generate()
+        assert edges.shape[0] > 0
+        assert edges.min() >= 0 and edges.max() < g.num_vertices
 
     def test_edges_valid(self, name, cls):
         g = cls(8, 8, seed=1)

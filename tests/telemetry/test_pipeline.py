@@ -93,13 +93,19 @@ def test_paper_internal_counters(tmp_path):
 
 
 def test_span_tree_covers_generate_and_write(tmp_path):
+    """A sequential run takes the one run path: a scatter of one range,
+    written in-process by the worker entry point."""
     result = _generate(tmp_path, "spans.adj6", scale=12)
     (root,) = result.telemetry["spans"]
     assert root["name"] == "generate"
     assert root["attrs"]["scale"] == 12
-    (write,) = root["children"]
-    assert write["name"] == "format.write_blocks"
-    assert 0.0 < write["total_seconds"] <= root["total_seconds"] + 1e-9
+    node, path = root, []
+    while node["children"]:
+        (node,) = node["children"]
+        path.append(node["name"])
+    assert path == ["scatter", "sched.run_tasks", "worker.generate",
+                    "format.write_blocks"]
+    assert 0.0 < node["total_seconds"] <= root["total_seconds"] + 1e-9
 
 
 def test_progress_callback_reaches_total(tmp_path):
@@ -110,3 +116,5 @@ def test_progress_callback_reaches_total(tmp_path):
     assert seen, "progress callback never invoked"
     assert seen == sorted(seen)
     assert seen[-1] == result.num_edges
+    # 0 first, then once per block: scale 12 is one 4096-source block.
+    assert seen == [0, result.num_edges]

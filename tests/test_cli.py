@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.dist import merge_parts
 from repro.formats import get_format
 
 
@@ -103,6 +104,30 @@ class TestGenerate:
     def test_noise(self, tmp_path):
         assert main(["generate", "--scale", "9", "--noise", "0.1",
                      "--output", str(tmp_path / "n.adj6")]) == 0
+
+    @pytest.mark.parametrize("fmt", ["adj6", "tsv", "csr6"])
+    def test_every_mode_writes_the_sequential_graph(self, tmp_path, fmt):
+        """A sequential run, two workers and a resumable run of one-block
+        chunks take one run path and write one graph.  ADJ6 and TSV
+        files concatenate to the sequential file; a CSR6 file carries
+        its own index, so its files merge to it."""
+        base = ["generate", "--scale", "13", "--seed", "3",
+                "--format", fmt]
+        sequential = tmp_path / f"g.{fmt}"
+        assert main(base + ["--output", str(sequential)]) == 0
+        whole = sequential.read_bytes()
+        for mode, flags in (("parts", ["--threads", "2"]),
+                            ("chunks", ["--resume",
+                                        "--blocks-per-chunk", "1"])):
+            out = tmp_path / mode
+            assert main(base + flags + ["--output", str(out)]) == 0
+            files = sorted(out.glob(f"*.{fmt}"))
+            assert len(files) == 2      # scale 13: two 4096-vertex blocks
+            merged = tmp_path / f"{mode}.{fmt}"
+            merge_parts(files, 1 << 13, merged, in_format=fmt)
+            assert merged.read_bytes() == whole
+            if fmt != "csr6":
+                assert b"".join(p.read_bytes() for p in files) == whole
 
     def test_run_report_and_trace(self, tmp_path, capsys):
         """``--metrics-out`` and ``--trace-out`` through the CLI: the

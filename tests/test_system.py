@@ -7,7 +7,7 @@ from repro import TrillionG
 from repro.dist.checkpoint import CheckpointedRun
 from repro.dist.faults import RetryPolicy
 from repro.dist.runner import ClusterSpec
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkerError
 from repro.formats import get_format
 from tests.faultinject import stop_after
 
@@ -40,6 +40,53 @@ class TestSequential:
         result = tg.generate_to(tmp_path / "n.adj6")
         assert result.num_edges > 3000
 
+    @pytest.mark.parametrize("old", [None, b"old"])
+    def test_an_interrupted_run_publishes_nothing(self, tmp_path, old):
+        """A run stopped after its first block (scale 14: four 4096-source
+        blocks) leaves ``out`` as it was and no temporary: the sequential
+        file is published whole, like a part or a chunk."""
+        out = tmp_path / "g.adj6"
+        if old is not None:
+            out.write_bytes(old)
+
+        def progress(edges_done):
+            if edges_done:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            TrillionG(scale=14, seed=1).generate_to(out, progress=progress)
+        assert [p.name for p in tmp_path.iterdir()] == (
+            [] if old is None else ["g.adj6"])
+        if old is not None:
+            assert out.read_bytes() == old
+
+    def test_a_failed_run_names_its_cause(self, tmp_path):
+        """An error in the range a run writes in-process surfaces as the
+        scheduler's ``WorkerError``, caused by it, and leaves no file."""
+        def progress(edges_done):
+            if edges_done:
+                raise RuntimeError("stop")
+
+        with pytest.raises(WorkerError, match="RuntimeError: stop") as info:
+            TrillionG(scale=14, seed=1).generate_to(tmp_path / "g.adj6",
+                                                    progress=progress)
+        assert isinstance(info.value.__cause__, RuntimeError)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_only_its_own_temporaries_are_swept(self, tmp_path):
+        """The name is a file name, not a pattern: ``g[1].adj6`` sweeps
+        no temporary of ``g1.adj6``."""
+        other = tmp_path / "g1.adj6.partial.1"
+        other.write_bytes(b"another run's")
+        TrillionG(scale=9, seed=1).generate_to(tmp_path / "g[1].adj6")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "g1.adj6.partial.1", "g[1].adj6"]
+
+    def test_missing_parent_directory_is_created(self, tmp_path):
+        out = tmp_path / "new" / "g.adj6"
+        result = TrillionG(scale=9, seed=1).generate_to(out)
+        assert result.paths == [out] and out.stat().st_size > 0
+
 
 class TestIgnoredSettings:
     """A setting the run would drop is refused, naming the setting."""
@@ -50,10 +97,12 @@ class TestIgnoredSettings:
             tg.generate_to(tmp_path / "g.adj6", blocks_per_chunk=7)
         assert not (tmp_path / "g.adj6").exists()
 
-    def test_retry_needs_a_cluster(self):
+    def test_retry_needs_a_cluster(self, tmp_path):
+        tg = TrillionG(scale=10, retry=RetryPolicy(retries=0,
+                                                   task_timeout=1e-6))
         with pytest.raises(ConfigurationError, match="retry"):
-            TrillionG(scale=10, retry=RetryPolicy(retries=0,
-                                                  task_timeout=1e-6))
+            tg.generate_to(tmp_path / "g.adj6")
+        assert not (tmp_path / "g.adj6").exists()
 
     def test_blocks_per_chunk_defaults_when_resuming(self, tmp_path):
         result = TrillionG(scale=9, edge_factor=4, seed=2, block_size=64
